@@ -369,6 +369,13 @@ def run_gp_selftest(seed: int) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfurllc",
@@ -379,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory for CSV files")
     parser.add_argument("--trials", type=int, default=None,
                         help="Monte-Carlo trials per point")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for independent deployments")
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker processes for independent deployments (>= 1)")
     parser.add_argument("experiment",
                         choices=["tightness", "converge", "threshold-sweep",
                                  "energy-compare", "devices-sweep", "gp-selftest"])

@@ -6,6 +6,12 @@ never expanded into exponentially many monomial terms. All evaluation happens
 in log variables, where every node is convex and carries analytic gradients
 and Hessians, and the solver is a log-barrier interior-point method with
 damped Newton steps.
+
+The solver sees the constraints as one block of rows: affine rows and plain
+posynomial rows are folded into matrices, batched row blocks (such as the
+SINR constraints) bring their own kernels, and only other expressions walk
+their node graphs. A Newton step needs the row values, the Jacobian and the
+weighted Hessian sum, never a Hessian per row.
 """
 
 from __future__ import annotations
@@ -323,7 +329,7 @@ class GpSolution:
     x: np.ndarray
     names: tuple[str, ...]
     objective: float
-    status: str                  # optimal | infeasible | max_iterations
+    status: str                  # optimal | infeasible | max_iterations | numerical_error
     iterations: int
     kkt_residual: float
     message: str = ""
@@ -338,6 +344,198 @@ class GpSolution:
 class _Constraint:
     lhs: Expr
     rhs: Expr
+
+
+@dataclass
+class _BlockConstraint:
+    lhs: RowBlock
+    rhs: tuple[Expr, ...]     # one monomial per row
+
+
+# ---------------------------------------------------------------------------
+# Constraint rows, evaluated a block at a time
+# ---------------------------------------------------------------------------
+
+class RowBlock:
+    """Several constraint left-hand sides evaluated together in log space.
+
+    `log_eval(y, order)` returns the log values (size,), at order >= 1 the
+    Jacobian (size, n), and at order 2 a function that maps row weights w
+    (size,) to the weighted Hessian sum  sum_i w_i * Hessian_i  (n, n). The
+    barrier only ever needs that sum, so no per-row Hessian is formed.
+    Outputs above the requested order are None.
+    """
+
+    size: int
+
+    def log_eval(self, y: np.ndarray, order: int):
+        raise NotImplementedError
+
+    def dump(self) -> str:
+        raise NotImplementedError
+
+
+class _AffineRows(RowBlock):
+    """Monomial <= monomial rows: F(y) = F(0) + grad . y exactly."""
+
+    def __init__(self, rows: np.ndarray, offsets: np.ndarray):
+        self.rows, self.offsets = rows, offsets
+        self.size = offsets.size
+
+    def log_eval(self, y, order):
+        return self.rows @ y + self.offsets, self.rows if order >= 1 else None, None
+
+
+class _PosynomialRows(RowBlock):
+    """Posynomial <= monomial rows folded into one term-exponent matrix.
+
+    Row i is  log sum_{j in row i} exp(c_j + a_j . y), with the right-hand
+    monomial already divided into every term; terms are stored row by row,
+    so each row is one segment of the term axis.
+    """
+
+    def __init__(self, log_coeffs: np.ndarray, exponents: np.ndarray, counts):
+        self.c = log_coeffs                                  # (P,)
+        self.a = exponents                                   # (P, n)
+        counts = np.asarray(counts, dtype=int)
+        self.starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self.seg = np.repeat(np.arange(counts.size), counts)
+        self.size = counts.size
+
+    def log_eval(self, y, order):
+        z = self.c + self.a @ y
+        top = np.maximum.reduceat(z, self.starts)
+        w = np.exp(z - top[self.seg])
+        total = np.add.reduceat(w, self.starts)
+        vals = top + np.log(total)
+        if order == 0:
+            return vals, None, None
+        pa = (w / total[self.seg])[:, None] * self.a         # term weight * exponents
+        jac = np.add.reduceat(pa, self.starts, axis=0)
+        if order == 1:
+            return vals, jac, None
+
+        def hess(weights):
+            # per row: sum_j p_j a_j a_j^T - g g^T
+            return self.a.T @ (weights[self.seg][:, None] * pa) \
+                - jac.T @ (weights[:, None] * jac)
+        return vals, jac, hess
+
+
+class _NodeRows(RowBlock):
+    """Fallback for any other left-hand side: walk its node graph."""
+
+    def __init__(self, lhs: list[Expr]):
+        self.lhs = lhs
+        self.size = len(lhs)
+
+    def log_eval(self, y, order):
+        cache: dict = {}
+        parts = [e.log_eval(y, order, cache) for e in self.lhs]
+        vals = np.array([p[0] for p in parts])
+        if order == 0:
+            return vals, None, None
+        n = y.size
+        jac = np.zeros((self.size, n))
+        for i, (_, g, _) in enumerate(parts):
+            if g is not None:
+                jac[i] = g
+        if order == 1:
+            return vals, jac, None
+
+        def hess(weights):
+            h = np.zeros((n, n))
+            for wi, (_, _, hi) in zip(weights, parts):
+                if hi is not None:
+                    h += wi * hi
+            return h
+        return vals, jac, hess
+
+
+class _RhsDivided(RowBlock):
+    """Left-hand sides divided by affine (monomial) right-hand sides."""
+
+    def __init__(self, lhs: RowBlock, rows: np.ndarray, offsets: np.ndarray):
+        self.lhs, self.rows, self.offsets = lhs, rows, offsets
+        self.size = lhs.size
+
+    def log_eval(self, y, order):
+        vals, jac, hess = self.lhs.log_eval(y, order)
+        vals = vals - self.offsets - self.rows @ y
+        return vals, None if jac is None else jac - self.rows, hess
+
+
+class _ConstraintBlock(RowBlock):
+    """Every row of a GpModel: a few row blocks, each filling its row slots."""
+
+    def __init__(self, parts: list[tuple[object, RowBlock]], size: int):
+        self.parts = parts        # (row slots as a slice or index array, block)
+        self.size = size
+
+    def log_eval(self, y, order):
+        vals = np.empty(self.size)
+        jac = np.empty((self.size, y.size)) if order >= 1 else None
+        hessians = []
+        for rows, block in self.parts:
+            v, j, h = block.log_eval(y, order)
+            vals[rows] = v
+            if order >= 1:
+                jac[rows] = j
+            if h is not None:
+                hessians.append((rows, h))
+        if order < 2:
+            return vals, jac, None
+
+        def hess(weights):
+            total = np.zeros((y.size, y.size))
+            for rows, h in hessians:
+                total += h(weights[rows])
+            return total
+        return vals, jac, hess
+
+
+def _slots(rows: list[int]):
+    """A slice when the row slots are contiguous, else an index array."""
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows, dtype=int)
+
+
+def _affine_form(expr: Expr, n: int) -> tuple[float, np.ndarray]:
+    """Log coefficient and exponent row of a monomial expression."""
+    v, g, _ = expr.log_eval(np.zeros(n), 1, {})
+    return v, np.zeros(n) if g is None else g
+
+
+def _posynomial_terms(expr: Expr, n: int):
+    """Terms (log coefficients (T,), exponents (T, n)) of a posynomial, or None.
+
+    Products may hold at most one multi-term factor, so a product of sums is
+    never multiplied out; anything else (PosyProductSum, powers of
+    posynomials) is left to the node walk.
+    """
+    if expr.curvature == AFFINE:
+        v, g = _affine_form(expr, n)
+        return np.array([v]), g[None, :]
+    if isinstance(expr, Sum):
+        parts = [_posynomial_terms(t, n) for t in expr.terms]
+        if any(p is None for p in parts):
+            return None
+        return (np.concatenate([p[0] for p in parts]),
+                np.vstack([p[1] for p in parts]))
+    if isinstance(expr, Product):
+        parts = [_posynomial_terms(f, n) for f in expr.factors]
+        if any(p is None for p in parts):
+            return None
+        multi = [p for p in parts if p[0].size > 1]
+        if len(multi) > 1:
+            return None
+        c = sum(float(p[0][0]) for p in parts if p[0].size == 1)
+        a = sum((p[1][0] for p in parts if p[0].size == 1), np.zeros(n))
+        if not multi:
+            return np.array([c]), a[None, :]
+        return multi[0][0] + c, multi[0][1] + a[None, :]
+    return None
 
 
 # Line-search and stage constants for the barrier solver.
@@ -402,8 +600,18 @@ class GpModel:
         self._constraints.append(_Constraint(lhs, rhs))
         self._compiled = None
 
+    def add_block_le(self, lhs: RowBlock, rhs):
+        """Constraints lhs_i <= rhs_i for every row i of a row block."""
+        rhs = tuple(_coerce(r) for r in rhs)
+        if len(rhs) != lhs.size:
+            raise GpModelError(f"block has {lhs.size} rows but {len(rhs)} right-hand sides")
+        if any(r.curvature != AFFINE for r in rhs):
+            raise GpModelError("constraint right-hand side must be a monomial")
+        self._constraints.append(_BlockConstraint(lhs, rhs))
+        self._compiled = None
+
     def constraint_margins(self, x: np.ndarray) -> np.ndarray:
-        """Log-space slack log(lhs) - log(rhs) per constraint; <= 0 means satisfied."""
+        """Log-space slack log(lhs) - log(rhs) per constraint row; <= 0 means satisfied."""
         y = np.log(np.asarray(x, dtype=float))
         fvals, _, _ = self._constraint_eval(y, 0)
         return fvals
@@ -413,61 +621,72 @@ class GpModel:
         if self._objective is not None:
             lines.append(f"  ({self._sense} {self._objective.dump()})")
         for c in self._constraints:
-            lines.append(f"  (le {c.lhs.dump()} {c.rhs.dump()})")
+            if isinstance(c, _BlockConstraint):
+                rhs = " ".join(r.dump() for r in c.rhs)
+                lines.append(f"  (le-block {c.lhs.dump()} ({rhs}))")
+            else:
+                lines.append(f"  (le {c.lhs.dump()} {c.rhs.dump()})")
         return "\n".join(lines) + ")"
 
     # -- evaluation ----------------------------------------------------------
     def _compile(self):
-        """Fold the affine content of every constraint into one matrix.
+        """Fold every constraint row into one constraint block.
 
-        An affine expression satisfies F(y) = F(0) + grad(0) . y exactly, so
-        monomial-vs-monomial rows reduce to a single matvec and only genuinely
-        nonlinear left-hand sides keep walking their node graphs.
+        Monomial-vs-monomial rows become one affine matrix, since an affine
+        expression satisfies F(y) = F(0) + grad(0) . y exactly. Posynomial
+        rows become one term-exponent matrix with the right-hand side divided
+        in. Row blocks keep their own batched kernels, and any other
+        left-hand side walks its node graph.
         """
         n = len(self._vars)
-        zero = np.zeros(n)
-        rows, offsets, nonlin = [], [], []
-        for i, c in enumerate(self._constraints):
-            rv, rg, _ = c.rhs.log_eval(zero, 1, {})
-            rg = np.zeros(n) if rg is None else rg
+        affine, posy, node, blocks = [], [], [], []
+        slot = 0
+        for c in self._constraints:
+            if isinstance(c, _BlockConstraint):
+                rhs = [_affine_form(r, n) for r in c.rhs]
+                blocks.append((list(range(slot, slot + c.lhs.size)), c.lhs, rhs))
+                slot += c.lhs.size
+                continue
+            rv, rg = _affine_form(c.rhs, n)
             if c.lhs.curvature == AFFINE:
-                lv, lg, _ = c.lhs.log_eval(zero, 1, {})
-                lg = np.zeros(n) if lg is None else lg
-                rows.append(lg - rg)
-                offsets.append(lv - rv)
+                lv, lg = _affine_form(c.lhs, n)
+                affine.append((slot, lv - rv, lg - rg))
             else:
-                nonlin.append((i, c.lhs, rg, rv))
-        aff_idx = np.array([i for i, c in enumerate(self._constraints)
-                            if c.lhs.curvature == AFFINE], dtype=int)
-        self._compiled = (
-            aff_idx,
-            np.array(rows).reshape(len(rows), n),
-            np.array(offsets),
-            nonlin,
-        )
+                terms = _posynomial_terms(c.lhs, n)
+                if terms is None:
+                    node.append((slot, c.lhs, (rv, rg)))
+                else:
+                    posy.append((slot, terms[0] - rv, terms[1] - rg[None, :]))
+            slot += 1
 
-    def _constraint_eval(self, y, order):
+        def divided(lhs, rhs):
+            return _RhsDivided(lhs, np.array([g for _, g in rhs]).reshape(len(rhs), n),
+                               np.array([v for v, _ in rhs]))
+
+        parts = []
+        if affine:
+            parts.append(([r[0] for r in affine], _AffineRows(
+                np.array([r[2] for r in affine]), np.array([r[1] for r in affine]))))
+        if posy:
+            parts.append(([r[0] for r in posy], _PosynomialRows(
+                np.concatenate([r[1] for r in posy]), np.vstack([r[2] for r in posy]),
+                [r[1].size for r in posy])))
+        if node:
+            parts.append(([r[0] for r in node], divided(
+                _NodeRows([r[1] for r in node]), [r[2] for r in node])))
+        for rows, block, rhs in blocks:
+            parts.append((rows, divided(block, rhs)))
+        self._compiled = _ConstraintBlock(
+            [(_slots(rows), block) for rows, block in parts], slot)
+
+    def _block(self) -> _ConstraintBlock:
         if self._compiled is None:
             self._compile()
-        aff_idx, aff_rows, aff_off, nonlin = self._compiled
-        cache: dict = {}
-        n = y.size
-        m = len(self._constraints)
-        fvals = np.empty(m)
-        grads = np.zeros((m, n)) if order >= 1 else None
-        hesses = [None] * m if order >= 2 else None
-        if aff_idx.size:
-            fvals[aff_idx] = aff_rows @ y + aff_off
-            if order >= 1:
-                grads[aff_idx] = aff_rows
-        for i, lhs, rg, rv in nonlin:
-            lv, lg, lh = lhs.log_eval(y, order, cache)
-            fvals[i] = lv - rv - float(rg @ y)
-            if order >= 1:
-                grads[i] = lg - rg
-            if order >= 2 and lh is not None:
-                hesses[i] = lh        # rhs is affine, so it has no Hessian part
-        return fvals, grads, hesses
+        return self._compiled
+
+    def _constraint_eval(self, y, order):
+        """Row values, Jacobian and the weighted-Hessian-sum function."""
+        return self._block().log_eval(y, order)
 
     def _objective_eval(self, y, order):
         sign = -1.0 if self._sense == "max" else 1.0
@@ -485,7 +704,7 @@ class GpModel:
         # the reference shift keeps the stage objective near zero, so the
         # line search can still resolve decrements at large t
         f0, g0, h0 = self._objective_eval(y, order)
-        fvals, grads, hesses = self._constraint_eval(y, order)
+        fvals, grads, hess_sum = self._constraint_eval(y, order)
         if np.any(fvals >= 0) or not math.isfinite(f0):
             return math.inf, None, None
         val = t * (f0 - f0_ref) - float(np.sum(np.log(-fvals)))
@@ -495,10 +714,7 @@ class GpModel:
         grad = t * g0 + grads.T @ inv
         if order == 1:
             return val, grad, None
-        hess = t * h0 + grads.T @ (grads * (inv ** 2)[:, None])
-        for hi, wi in zip(hesses, inv):
-            if hi is not None:
-                hess += wi * hi
+        hess = t * h0 + grads.T @ (grads * (inv ** 2)[:, None]) + hess_sum(inv)
         return val, grad, hess
 
     def _kkt_residual(self, y):
@@ -537,14 +753,18 @@ class GpModel:
             y0 = np.log(np.asarray(start, dtype=float))
 
         budget = _IterBudget(max_newton)
-        y, fail = self._phase_one(y0, budget)
+        try:
+            y, fail = self._phase_one(y0, budget)
+        except GpError as exc:
+            return self._finish(y0, "numerical_error", budget, math.inf, message=str(exc))
         if fail is not None:
             return self._finish(y0 if y is None else y, fail, budget, math.inf)
 
-        m = len(self._constraints)
+        m = self._block().size
         t = BARRIER_T0
         kkt = math.inf
         status = "max_iterations"
+        message = ""
         interior = None
         stages = []
         try:
@@ -567,19 +787,22 @@ class GpModel:
                 t *= BARRIER_GROWTH
         except _BudgetExhausted:
             status = "max_iterations"
-        return self._finish(y, status, budget, kkt, interior, stages)
+        except GpError as exc:
+            # y is the last centered point, still strictly feasible
+            status, message = "numerical_error", str(exc)
+        return self._finish(y, status, budget, kkt, interior, stages, message)
 
     def _phase_one(self, y0, budget):
         """Find a strictly feasible point, or detect infeasibility."""
         n = len(self._vars)
-        m = len(self._constraints)
+        m = self._block().size
         fvals, _, _ = self._constraint_eval(y0, 0)
         if float(fvals.max()) < _PHASE1_SKIP:
             return y0, None
 
         def parts(z, order, t, s_ref=0.0):
             y, s = z[:n], z[n]
-            fvals, grads, hesses = self._constraint_eval(y, order)
+            fvals, grads, hess_sum = self._constraint_eval(y, order)
             shifted = fvals - s
             if np.any(shifted >= 0):
                 return math.inf, None, None
@@ -594,9 +817,7 @@ class GpModel:
                 return val, grad, None
             gx = np.hstack([grads, -np.ones((m, 1))])
             hess = gx.T @ (gx * (inv ** 2)[:, None])
-            for hi, wi in zip(hesses, inv):
-                if hi is not None:
-                    hess[:n, :n] += wi * hi
+            hess[:n, :n] += hess_sum(inv)
             return val, grad, hess
 
         def margin(zz):
@@ -622,7 +843,7 @@ class GpModel:
             return z[:n], None
         return None, "infeasible"
 
-    def _finish(self, y, status, budget, kkt, interior=None, stages=()):
+    def _finish(self, y, status, budget, kkt, interior=None, stages=(), message=""):
         y = np.asarray(y, dtype=float)
         if status == "infeasible":
             obj = math.nan
@@ -630,6 +851,7 @@ class GpModel:
             obj = math.exp(self._objective.log_eval(y, 0, {})[0])
         return GpSolution(x=np.exp(y), names=self.names, objective=obj,
                           status=status, iterations=budget.used, kkt_residual=kkt,
+                          message=message,
                           interior=None if interior is None else np.exp(interior),
                           stage_objectives=tuple(stages))
 

@@ -137,238 +137,233 @@ def _mono_from_log(log_coeff: float, exponents: dict) -> gp.Monomial:
     return mono
 
 
-class MrcConstraintLhs(gp.Expr):
-    """Fused left-hand side chi * scale(pp_k) * (sum_j pd_j cross_j(pp_k) + gain(pp_k)).
+class _SinrBlock(gp.RowBlock):
+    """Shared layout of the batched SINR left-hand sides: row k is scaled by
+    head_k * exp(log_head_k) (chi_k in a step GP, phi times the floor in the
+    feasibility GP) and depends on the pilots and payloads, whose weighted
+    Hessian sum fills the (pp, pd) sub-block."""
 
-    Evaluates the whole generalized posynomial in a few vectorized passes;
-    algebraically identical to the generic node tree the tests build.
-    """
-
-    curvature = gp.CONVEX
-
-    def __init__(self, chi: gp.Var, pp_k: gp.Var, pd: list[gp.Var],
-                 beta_own: np.ndarray, beta_cross: np.ndarray, kdev: int,
-                 log_head: float = 0.0):
-        self.chi = chi
-        self.pp = pp_k
-        self.pd_idx = np.array([v.index for v in pd])
-        self.log_head = float(log_head)
-        self.b = kdev * np.asarray(beta_own, dtype=float)          # (S,)
-        # row j < K: cross_j terms; last row: gain terms
-        base = np.log(kdev * beta_own ** 2)
-        self.c = np.vstack([base[None, :] + np.log(beta_cross.T), base[None, :]])
-
-    def _log_eval(self, y, order, cache):
-        t = self.b * math.exp(y[self.pp.index])
-        lt = np.log1p(t)
-        ln_scale = float(lt.sum())
-        o = ln_scale - lt                                          # (S,)
-        inner = self.c + o[None, :]                                # (K+1, S)
-        top_m = inner.max(axis=1)
-        wm = np.exp(inner - top_m[:, None])
-        sm = wm.sum(axis=1)
-        ln_fam = y[self.pp.index] + top_m + np.log(sm)             # (K+1,)
-        rows = ln_fam.copy()
-        rows[:-1] += y[self.pd_idx]
-        top = float(rows.max())
-        wr = np.exp(rows - top)
-        sr = float(wr.sum())
-        val = self.log_head + y[self.chi.index] + ln_scale + top + math.log(sr)
-        if order == 0:
-            return val, None, None
-
-        wm /= sm[:, None]
-        wr /= sr
-        s = t / (1.0 + t)
-        s_sum = float(s.sum())
-        do = s_sum - s                                             # (S,)
-        d2o = float((s * (1.0 - s)).sum()) - s * (1.0 - s)
-        u = 1.0 + wm @ do                                          # (K+1,) d ln_fam / d yp
-        d2 = wm @ (d2o + do ** 2) - (wm @ do) ** 2                 # (K+1,)
-
-        n = y.size
-        g = np.zeros(n)
-        g[self.chi.index] = 1.0
-        gp_total = float(wr @ u)
-        g[self.pp.index] = s_sum + gp_total
-        g[self.pd_idx] += wr[:-1]
-        if order == 1:
-            return val, g, None
-
-        h = np.zeros((n, n))
-        ip = self.pp.index
-        # log-sum-exp over rows: sum_r w_r (H_r + g_r g_r^T) - G G^T
-        h[ip, ip] = float((s * (1.0 - s)).sum()) \
-            + float(wr @ (d2 + u ** 2)) - gp_total ** 2
-        cross = wr[:-1] * u[:-1] - wr[:-1] * gp_total
-        h[ip, self.pd_idx] += cross
-        h[self.pd_idx, ip] += cross
-        h[np.ix_(self.pd_idx, self.pd_idx)] -= np.outer(wr[:-1], wr[:-1])
-        h[self.pd_idx, self.pd_idx] += wr[:-1]
-        return val, g, h
-
-    def value(self, x):
-        return math.exp(self._log_eval(np.log(np.asarray(x, dtype=float)), 0, {})[0])
-
-    def dump(self):
-        return (f"(mrc-lhs {self.chi.dump()} {self.pp.dump()} "
-                f"(pd {' '.join(str(i) for i in self.pd_idx)}))")
-
-
-class FzfConstraintLhs(gp.Expr):
-    """Fused left-hand side chi * (|set| prod_i scale_i^2(pp_i)
-    + sum_j pd_j resid_j(pp_j) prod_{i!=j} scale_i^2(pp_i))."""
-
-    curvature = gp.CONVEX
-
-    def __init__(self, chi: gp.Var, pp: list[gp.Var], pd: list[gp.Var],
-                 beta_set: np.ndarray, kdev: int, log_head: float = 0.0):
-        self.chi = chi
+    def __init__(self, head, log_head, pp, pd):
+        self.size = len(pp)
+        self.head_idx = np.array([v.index for v in head])
+        self.log_head = np.asarray(log_head, dtype=float)
         self.pp_idx = np.array([v.index for v in pp])
         self.pd_idx = np.array([v.index for v in pd])
-        self.log_head = float(log_head)
-        self.beta = np.asarray(beta_set, dtype=float)              # (S, K)
-        self.kdev = kdev
-        self.size = self.beta.shape[0]
+        both = np.concatenate([self.pp_idx, self.pd_idx])
+        self._sub = np.ix_(both, both)
 
-    def _log_eval(self, y, order, cache):
-        t = self.kdev * self.beta * np.exp(y[self.pp_idx])[None, :]   # (S, K)
-        lt = np.log1p(t)
-        ln_v2 = lt.sum(axis=0)                                     # (K,) log scale^2
-        v2_total = float(ln_v2.sum())
-        inner = np.log(self.beta) + (ln_v2[None, :] - lt)          # (S, K)
-        top_m = inner.max(axis=0)
-        wm = np.exp(inner - top_m[None, :])
-        sm = wm.sum(axis=0)
-        ln_mu = top_m + np.log(sm)                                 # (K,)
-        rows = np.append(y[self.pd_idx] + ln_mu + (v2_total - ln_v2),
-                         math.log(self.size) + v2_total)           # (K+1,)
-        top = float(rows.max())
-        wr = np.exp(rows - top)
-        sr = float(wr.sum())
-        val = self.log_head + y[self.chi.index] + top + math.log(sr)
-        if order == 0:
-            return val, None, None
+    def _jacobian(self, n, d_pp, d_pd):
+        """Rows: 1 on the head, d_pp (K, K) on the pilots, d_pd (K, K) on
+        the payloads."""
+        kdev = self.size
+        jac = np.zeros((kdev, n))
+        jac[:, self.pd_idx] = d_pd
+        jac[:, self.pp_idx] += d_pp
+        jac[np.arange(kdev), self.head_idx] += 1.0
+        return jac
 
-        wm /= sm[None, :]
-        wr /= sr
-        s = t / (1.0 + t)
-        dv2 = s.sum(axis=0)                                        # (K,)
-        d2v2 = (s * (1.0 - s)).sum(axis=0)
-        do = dv2[None, :] - s                                      # (S, K)
-        dmu = (wm * do).sum(axis=0)                                # (K,)
-        d2mu = (wm * ((d2v2[None, :] - s * (1.0 - s)) + do ** 2)).sum(axis=0) - dmu ** 2
-
-        kdev = self.beta.shape[1]
-        # row gradients over pilot dims: dv2 everywhere, own pilot uses dmu
-        grows = np.tile(dv2, (kdev + 1, 1))                        # (K+1, K)
-        grows[np.arange(kdev), np.arange(kdev)] = dmu
-        gpilot = wr @ grows                                        # (K,)
-
-        n = y.size
-        g = np.zeros(n)
-        g[self.chi.index] = 1.0
-        g[self.pp_idx] += gpilot
-        g[self.pd_idx] += wr[:-1]
-        if order == 1:
-            return val, g, None
-
-        hrows = np.tile(d2v2, (kdev + 1, 1))
-        hrows[np.arange(kdev), np.arange(kdev)] = d2mu
-        hpp = (grows.T * wr) @ grows - np.outer(gpilot, gpilot) \
-            + np.diag(wr @ hrows)
-        hpd_pp = grows[:-1] * wr[:-1, None] - np.outer(wr[:-1], gpilot)
+    def _hessian(self, n, hpp, hpd_pp, hpd):
+        kdev = self.size
+        sub = np.empty((2 * kdev, 2 * kdev))
+        sub[:kdev, :kdev] = hpp
+        sub[:kdev, kdev:] = hpd_pp.T
+        sub[kdev:, :kdev] = hpd_pp
+        sub[kdev:, kdev:] = hpd
         h = np.zeros((n, n))
-        h[np.ix_(self.pp_idx, self.pp_idx)] = hpp
-        h[np.ix_(self.pd_idx, self.pp_idx)] = hpd_pp
-        h[np.ix_(self.pp_idx, self.pd_idx)] = hpd_pp.T
-        h[np.ix_(self.pd_idx, self.pd_idx)] = -np.outer(wr[:-1], wr[:-1])
-        h[self.pd_idx, self.pd_idx] += wr[:-1]
-        return val, g, h
-
-    def value(self, x):
-        return math.exp(self._log_eval(np.log(np.asarray(x, dtype=float)), 0, {})[0])
+        h[self._sub] = sub
+        return h
 
     def dump(self):
-        return (f"(fzf-lhs {self.chi.dump()} "
+        return (f"({self.kind} (head {' '.join(str(i) for i in self.head_idx)}) "
+                f"(log-head {' '.join(f'{v:.12g}' for v in self.log_head)}) "
                 f"(pp {' '.join(str(i) for i in self.pp_idx)}) "
                 f"(pd {' '.join(str(i) for i in self.pd_idx)}))")
 
 
-def _mrc_lhs_generic(model: LargeScaleModel, k: int, chi_like: gp.Expr, pp, pd) -> gp.Expr:
-    """Node-tree form of the MRC constraint LHS (reference for the fused kernel)."""
-    idx = list(model.service_sets[k])
-    b = model.beta[idx, k]
+def _padded_sets(model: LargeScaleModel):
+    """Service sets padded to a common size: (K, S) AP indices and a mask."""
+    size = max(len(s) for s in model.service_sets)
+    idx = np.zeros((model.num_devices, size), dtype=int)
+    mask = np.zeros((model.num_devices, size), dtype=bool)
+    for k, aps in enumerate(model.service_sets):
+        idx[k, :len(aps)] = aps
+        mask[k, :len(aps)] = True
+    return idx, mask
+
+
+class MrcSinrBlock(_SinrBlock):
+    """All K MRC constraint left-hand sides, in batched arrays:
+
+        head_k * scale_k(pp_k) * (sum_j pd_j cross_kj(pp_k) + gain_k(pp_k)),
+
+    with the factors of the service set of device k. Padded service-set slots
+    carry b = 0 and log-coefficient -inf, so they add nothing.
+    """
+
+    kind = "mrc-sinr-block"
+
+    def __init__(self, model: LargeScaleModel, head, log_head, pp, pd):
+        super().__init__(head, log_head, pp, pd)
+        kdev = model.num_devices
+        idx, mask = _padded_sets(model)
+        own = np.where(mask, model.beta[idx, np.arange(kdev)[:, None]], 0.0)   # (K, S)
+        self.b = kdev * own
+        with np.errstate(divide="ignore"):
+            base = np.log(kdev * own ** 2)                                 # -inf when padded
+            cross = np.log(model.beta[idx, :])                             # (K, S, K)
+        # row r < K of device k: cross_kr terms; last row: gain terms
+        self.c = np.concatenate([base[:, None, :] + cross.transpose(0, 2, 1),
+                                 base[:, None, :]], axis=1)                # (K, K+1, S)
+
+    def log_eval(self, y, order):
+        ypp = y[self.pp_idx]
+        t = self.b * np.exp(ypp)[:, None]                                  # (K, S)
+        lt = np.log1p(t)
+        ln_scale = lt.sum(axis=1)
+        inner = self.c + (ln_scale[:, None] - lt)[:, None, :]              # (K, K+1, S)
+        top_m = inner.max(axis=2)
+        wm = np.exp(inner - top_m[..., None])
+        sm = wm.sum(axis=2)
+        rows = ypp[:, None] + top_m + np.log(sm)                           # (K, K+1)
+        rows[:, :-1] += y[self.pd_idx]
+        top = rows.max(axis=1)
+        wr = np.exp(rows - top[:, None])
+        sr = wr.sum(axis=1)
+        vals = self.log_head + y[self.head_idx] + ln_scale + top + np.log(sr)
+        if order == 0:
+            return vals, None, None
+
+        wm /= sm[..., None]
+        wr /= sr[:, None]
+        s = t / (1.0 + t)
+        ss = s * (1.0 - s)
+        s_sum = s.sum(axis=1)
+        ss_sum = ss.sum(axis=1)
+        do = s_sum[:, None] - s                                            # (K, S)
+        d2o = ss_sum[:, None] - ss
+        wdo = (wm @ do[..., None])[..., 0]                                 # (K, K+1)
+        d2 = (wm @ (d2o + do ** 2)[..., None])[..., 0] - wdo ** 2
+        u = 1.0 + wdo                                                      # d rows / d yp
+        gp_total = (wr * u).sum(axis=1)                                    # (K,)
+        wpd = wr[:, :-1]
+        n = y.size
+        jac = self._jacobian(n, np.diag(s_sum + gp_total), wpd)     # own pilot only
+        if order == 1:
+            return vals, jac, None
+
+        # row k: log-sum-exp over rows r of (pp_k, pd_r) terms
+        hpp = ss_sum + (wr * (d2 + u ** 2)).sum(axis=1) - gp_total ** 2    # (K,)
+        cross = wpd * (u[:, :-1] - gp_total[:, None])                      # (K, K): k, pd_r
+
+        def hess(weights):
+            wk = weights[:, None]
+            return self._hessian(n, np.diag(weights * hpp), (wk * cross).T,
+                                 np.diag((wk * wpd).sum(axis=0)) - wpd.T @ (wk * wpd))
+        return vals, jac, hess
+
+
+class FzfSinrBlock(_SinrBlock):
+    """All K zero-forcing constraint left-hand sides, in batched arrays:
+
+        head_k * (|set_k| prod_i scale_ki^2(pp_i)
+                  + sum_j pd_j resid_kj(pp_j) prod_{i != j} scale_ki^2(pp_i)),
+
+    over the service set of device k. Padded slots carry b = 0 and
+    log-coefficient -inf, so they add nothing.
+    """
+
+    kind = "fzf-sinr-block"
+
+    def __init__(self, model: LargeScaleModel, head, log_head, pp, pd):
+        super().__init__(head, log_head, pp, pd)
+        kdev = model.num_devices
+        idx, mask = _padded_sets(model)
+        beta = np.where(mask[..., None], model.beta[idx, :], 0.0)         # (K, S, K)
+        self.b = kdev * beta
+        with np.errstate(divide="ignore"):
+            self.log_beta = np.log(beta)
+        self.log_size = np.log(mask.sum(axis=1))
+        self._diag = np.arange(kdev)
+
+    def log_eval(self, y, order):
+        kdev = self.size
+        t = self.b * np.exp(y[self.pp_idx])                                # (K, S, K)
+        lt = np.log1p(t)
+        ln_v2 = lt.sum(axis=1)                                             # (K, K) log scale^2
+        v2_total = ln_v2.sum(axis=1)
+        inner = self.log_beta + (ln_v2[:, None, :] - lt)
+        top_m = inner.max(axis=1)
+        wm = np.exp(inner - top_m[:, None, :])
+        sm = wm.sum(axis=1)
+        rows = np.empty((kdev, kdev + 1))
+        rows[:, :-1] = y[self.pd_idx] + top_m + np.log(sm) \
+            + (v2_total[:, None] - ln_v2)
+        rows[:, -1] = self.log_size + v2_total
+        top = rows.max(axis=1)
+        wr = np.exp(rows - top[:, None])
+        sr = wr.sum(axis=1)
+        vals = self.log_head + y[self.head_idx] + top + np.log(sr)
+        if order == 0:
+            return vals, None, None
+
+        wm /= sm[:, None, :]
+        wr /= sr[:, None]
+        s = t / (1.0 + t)
+        ss = s * (1.0 - s)
+        dv2 = s.sum(axis=1)                                                # (K, K)
+        d2v2 = ss.sum(axis=1)
+        do = dv2[:, None, :] - s
+        dmu = (wm * do).sum(axis=1)
+        d2mu = (wm * (d2v2[:, None, :] - ss + do ** 2)).sum(axis=1) - dmu ** 2
+        # row gradients over the pilots: dv2 everywhere, the own pilot uses dmu
+        grows = np.repeat(dv2[:, None, :], kdev + 1, axis=1)               # (K, K+1, K)
+        grows[:, self._diag, self._diag] = dmu
+        gpilot = (wr[..., None] * grows).sum(axis=1)                       # (K, K)
+        wpd = wr[:, :-1]
+        n = y.size
+        jac = self._jacobian(n, gpilot, wpd)
+        if order == 1:
+            return vals, jac, None
+
+        hrows = np.repeat(d2v2[:, None, :], kdev + 1, axis=1)
+        hrows[:, self._diag, self._diag] = d2mu
+        flat = grows.reshape(-1, kdev)
+
+        def hess(weights):
+            wk = weights[:, None]
+            omega = wk * wr                                                # (K, K+1)
+            hpp = np.diag((omega[..., None] * hrows).sum(axis=(0, 1))) \
+                + flat.T @ (omega.reshape(-1, 1) * flat) - gpilot.T @ (wk * gpilot)
+            hpd_pp = (omega[:, :-1, None] * grows[:, :-1]).sum(axis=0) \
+                - omega[:, :-1].T @ gpilot
+            hpd = np.diag(omega[:, :-1].sum(axis=0)) - wpd.T @ omega[:, :-1]
+            return self._hessian(n, hpp, hpd_pp, hpd)
+        return vals, jac, hess
+
+
+def _add_sinr_constraints(m: gp.GpModel, model: LargeScaleModel, decoder: str,
+                          heads, log_heads, pp, pd, fits, n_antennas: int):
+    """All K SINR constraints as one block against their monomial fits:
+
+    MRC:  head * scale * (sum_j pd_j cross_j + gain) <= fit of N gain^2 pd
+    FZF:  head * (|set| prod_j scale_j^2 + sum_j pd_j resid_j prod_{i!=j} scale_i^2)
+          <= fit of (N-K) coherent^2 prod_{j!=k} scale_j^2 pd_k
+    """
     kdev = model.num_devices
-    size = len(idx)
-    eye = np.eye(size)
-    scale = gp.PosyProductSum(pp[k], [0.0], [0.0], kdev * b, np.ones((1, size)))
-    gain = gp.PosyProductSum(pp[k], np.log(kdev * b ** 2), np.ones(size),
-                             kdev * b, 1.0 - eye)
-    terms = []
-    for j in range(kdev):
-        cross = gp.PosyProductSum(pp[k], np.log(kdev * b ** 2 * model.beta[idx, j]),
-                                  np.ones(size), kdev * b, 1.0 - eye)
-        terms.append(gp.Product([pd[j], cross]))
-    terms.append(gain)
-    return gp.Product([chi_like, scale, gp.Sum(terms)])
-
-
-def _fzf_lhs_generic(model: LargeScaleModel, k: int, chi_like: gp.Expr, pp, pd) -> gp.Expr:
-    """Node-tree form of the zero-forcing constraint LHS."""
-    idx = list(model.service_sets[k])
-    kdev = model.num_devices
-    size = len(idx)
-    scale_sq = [gp.PosyProductSum(pp[j], [0.0], [0.0],
-                                  kdev * model.beta[idx, j], np.ones((1, size)))
-                for j in range(kdev)]
-    resid = [gp.PosyProductSum(pp[j], np.log(model.beta[idx, j]), np.zeros(size),
-                               kdev * model.beta[idx, j], 1.0 - np.eye(size))
-             for j in range(kdev)]
-    terms = [gp.Product([gp.Const(float(size))] + scale_sq)]
-    for j in range(kdev):
-        terms.append(gp.Product([pd[j], resid[j]]
-                                + [scale_sq[i] for i in range(kdev) if i != j]))
-    return gp.Product([chi_like, gp.Sum(terms)])
-
-
-def _mrc_constraint(m: gp.GpModel, model: LargeScaleModel, k: int,
-                    head: gp.Var, log_head: float, pp, pd, fit: approx.MonomialFit,
-                    n_antennas: int, fused: bool = True):
-    """head * scale * (sum_j pd_j cross_j + gain) <= monomial fit of N gain^2 pd."""
-    idx = list(model.service_sets[k])
-    if fused:
-        lhs: gp.Expr = MrcConstraintLhs(head, pp[k], pd, model.beta[idx, k],
-                                        model.beta[idx, :], model.num_devices,
-                                        log_head)
+    rhs = []
+    if decoder == MRC:
+        block: gp.RowBlock = MrcSinrBlock(model, heads, log_heads, pp, pd)
+        for k, fit in enumerate(fits):
+            rhs.append(_mono_from_log(math.log(n_antennas) + 2.0 * fit.log_coeff,
+                                      {pp[k].index: 2.0 * float(fit.exponents[0]),
+                                       pd[k].index: 1.0}))
     else:
-        chi_like = head if log_head == 0.0 else gp.Product(
-            [head, gp.Const(math.exp(log_head))])
-        lhs = _mrc_lhs_generic(model, k, chi_like, pp, pd)
-    rhs = _mono_from_log(math.log(n_antennas) + 2.0 * fit.log_coeff,
-                         {pp[k].index: 2.0 * float(fit.exponents[0]),
-                          pd[k].index: 1.0})
-    m.add_le(lhs, rhs)
-
-
-def _fzf_constraint(m: gp.GpModel, model: LargeScaleModel, k: int,
-                    head: gp.Var, log_head: float, pp, pd, fit: approx.MonomialFit,
-                    n_antennas: int, fused: bool = True):
-    """head * (|set| prod_j scale_j^2 + sum_j pd_j resid_j prod_{i!=j} scale_i^2)
-    <= monomial fit of (N-K) coherent^2 prod_{j!=k} scale_j^2 pd_k."""
-    idx = list(model.service_sets[k])
-    kdev = model.num_devices
-    if fused:
-        lhs: gp.Expr = FzfConstraintLhs(head, pp, pd, model.beta[idx, :], kdev,
-                                        log_head)
-    else:
-        chi_like = head if log_head == 0.0 else gp.Product(
-            [head, gp.Const(math.exp(log_head))])
-        lhs = _fzf_lhs_generic(model, k, chi_like, pp, pd)
-    exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
-    exps[pd[k].index] = exps.get(pd[k].index, 0.0) + 1.0
-    rhs = _mono_from_log(math.log(n_antennas - kdev) + fit.log_coeff, exps)
-    m.add_le(lhs, rhs)
+        block = FzfSinrBlock(model, heads, log_heads, pp, pd)
+        for k, fit in enumerate(fits):
+            exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
+            exps[pd[k].index] = exps.get(pd[k].index, 0.0) + 1.0
+            rhs.append(_mono_from_log(math.log(n_antennas - kdev) + fit.log_coeff, exps))
+    m.add_block_le(block, rhs)
 
 
 def _gain_fits(model: LargeScaleModel, pilot_hat: np.ndarray, decoder: str):
@@ -396,14 +391,9 @@ def _build_step_gp(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
     pd = [m.variable(f"pd{k}") for k in range(kdev)]
     m.maximize(gp.Monomial(1.0, {chi[k].index: float(w_hat[k]) for k in range(kdev)}))
-    fits = _gain_fits(model, pilot_hat, decoder)
+    _add_sinr_constraints(m, model, decoder, chi, np.zeros(kdev), pp, pd,
+                          _gain_fits(model, pilot_hat, decoder), cfg.antennas_per_ap)
     for k in range(kdev):
-        if decoder == MRC:
-            _mrc_constraint(m, model, k, chi[k], 0.0, pp, pd, fits[k],
-                            cfg.antennas_per_ap)
-        else:
-            _fzf_constraint(m, model, k, chi[k], 0.0, pp, pd, fits[k],
-                            cfg.antennas_per_ap)
         m.add_le(_mono_from_log(math.log(floors[k]), {chi[k].index: -1.0}), gp.Const(1.0))
     _add_energy(m, model, cfg, pp, pd)
     return m
@@ -418,14 +408,8 @@ def _build_feasibility_gp(model: LargeScaleModel, cfg: SystemConfig, decoder: st
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
     pd = [m.variable(f"pd{k}") for k in range(kdev)]
     m.maximize(phi)
-    fits = _gain_fits(model, pilot_hat, decoder)
-    for k in range(kdev):
-        if decoder == MRC:
-            _mrc_constraint(m, model, k, phi, math.log(floors[k]), pp, pd,
-                            fits[k], cfg.antennas_per_ap)
-        else:
-            _fzf_constraint(m, model, k, phi, math.log(floors[k]), pp, pd,
-                            fits[k], cfg.antennas_per_ap)
+    _add_sinr_constraints(m, model, decoder, [phi] * kdev, np.log(floors), pp, pd,
+                          _gain_fits(model, pilot_hat, decoder), cfg.antennas_per_ap)
     _add_energy(m, model, cfg, pp, pd)
     return m
 
@@ -435,11 +419,13 @@ def _build_feasibility_gp(model: LargeScaleModel, cfg: SystemConfig, decoder: st
 # ---------------------------------------------------------------------------
 
 def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                     floors: np.ndarray) -> tuple[PowerAllocation | None, float]:
+                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
     """Find a power allocation meeting every SINR floor, or report infeasible.
 
     Starts from the equal energy split and re-expands the monomial fits at the
     max-slack optimum a few times, which can only raise the certified slack.
+    Returns the allocation (None when none is certified), the best slack and
+    an error message, empty unless a max-slack GP failed numerically.
     """
     kdev = model.num_devices
     pilot_hat = model.energy / (2.0 * kdev)
@@ -451,9 +437,13 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     best_phi = -math.inf
     best_alloc = None
     prev_phi = -math.inf
+    error = ""
     for _ in range(MAX_FEASIBILITY_ROUNDS):
         m = _build_feasibility_gp(model, cfg, decoder, pilot_hat, floors)
         sol = m.solve(tol=cfg.gp_tolerance, start=start)
+        if sol.status == "numerical_error":
+            error = f"max-slack GP failed: {sol.message}"
+            break
         if sol.status == "infeasible":
             break
         phi = sol["phi"]
@@ -472,8 +462,8 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
             start[f"pp{k}"] = alloc.pilot[k]
             start[f"pd{k}"] = alloc.payload[k]
     if best_phi >= FEASIBILITY_MARGIN and best_alloc is not None:
-        return best_alloc, best_phi
-    return None, best_phi
+        return best_alloc, best_phi, ""
+    return None, best_phi, error
 
 
 def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
@@ -483,11 +473,12 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     trace = IterationTrace()
 
     if start is None:
-        alloc, phi = feasibility_init(model, cfg, decoder, floors)
+        alloc, phi, error = feasibility_init(model, cfg, decoder, floors)
         if alloc is None:
-            return SolveResult(status="infeasible", allocation=None, trace=trace,
+            return SolveResult(status="aborted" if error else "infeasible",
+                               allocation=None, trace=trace,
                                sinr=None, rates=None, weighted_sum_rate=0.0,
-                               message=f"max floor slack {phi:.4f} < 1")
+                               message=error or f"max floor slack {phi:.4f} < 1")
     else:
         alloc = start
 
@@ -527,7 +518,7 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
         sol = m.solve(tol=cfg.gp_tolerance, start=warm)
         warm = sol.interior if sol.interior is not None else None
         if sol.status != "optimal":
-            status, message = "degraded", f"GP step returned {sol.status}"
+            status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
             break
         alloc = PowerAllocation(
             pilot=np.array([sol[f"pp{k}"] for k in range(kdev)]),
@@ -687,6 +678,10 @@ def _solve_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     start = {"phi": 1e-3}
     start.update({f"pd{k}": 0.5 * pd_max[k] for k in range(kdev)})
     sol = m.solve(tol=cfg.gp_tolerance, start=start)
+    if sol.status == "numerical_error":
+        return SolveResult(status="aborted", allocation=None, trace=trace,
+                           sinr=None, rates=None, weighted_sum_rate=0.0,
+                           message=f"fixed-pilot max-slack GP failed: {sol.message}")
     if sol.status == "infeasible" or sol["phi"] < FEASIBILITY_MARGIN:
         return SolveResult(status="infeasible", allocation=None, trace=trace,
                            sinr=None, rates=None, weighted_sum_rate=0.0,
@@ -717,7 +712,7 @@ def _solve_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
         sol = m.solve(tol=cfg.gp_tolerance, start=warm)
         warm = sol.interior if sol.interior is not None else None
         if sol.status != "optimal":
-            status, message = "degraded", f"GP step returned {sol.status}"
+            status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
             break
         payload = np.array([sol[f"pd{k}"] for k in range(kdev)])
         chi = payload_sinr(payload)

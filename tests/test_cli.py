@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from cfurllc import cli
 from cfurllc.scenario import SystemConfig
 
@@ -76,6 +78,15 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     rc = cli.main(["--config", str(bad), "converge"])
     assert rc == 2
     assert "nonsense_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_main_rejects_bad_thread_count(threads, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--threads", threads, "--out", str(tmp_path), "converge"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_main_runs_gp_selftest(capsys):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cfurllc.gp import (AFFINE, Const, GpModel, GpModelError, Monomial,
+from cfurllc import gp
+from cfurllc.gp import (AFFINE, Const, Expr, GpModel, GpModelError, Monomial,
                         PosyProductSum, Power, Product, Sum)
 
 
@@ -241,3 +242,114 @@ def test_dump_is_parenthesized_text():
     assert text.startswith("(gp")
     assert "(vars x)" in text
     assert "(le (+ " in text
+
+
+# --------------------------------------------------------------------------
+# the compiled constraint block
+# --------------------------------------------------------------------------
+
+class Opaque(Expr):
+    """Hides a left-hand side from the folds, so it walks its node graph."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def _log_eval(self, y, order, cache):
+        return self.inner.log_eval(y, order, cache)
+
+
+def node_walk(model, y, weights):
+    """Reference for the compiled block: every row on its own, Hessians summed
+    one dense matrix at a time."""
+    n = y.size
+    vals, jac, hess = [], [], np.zeros((n, n))
+    for c in model._constraints:
+        if isinstance(c, gp._BlockConstraint):
+            v, j, h = c.lhs.log_eval(y, 2)
+            rhs = [r.log_eval(y, 1, {}) for r in c.rhs]
+            vals += list(v - [r[0] for r in rhs])
+            jac += list(j - [np.zeros(n) if r[1] is None else r[1] for r in rhs])
+            hess += h(weights[len(vals) - c.lhs.size:len(vals)])
+            continue
+        lv, lg, lh = c.lhs.log_eval(y, 2, {})
+        rv, rg, _ = c.rhs.log_eval(y, 1, {})
+        vals.append(lv - rv)
+        jac.append((np.zeros(n) if lg is None else lg) - (np.zeros(n) if rg is None else rg))
+        if lh is not None:
+            hess += weights[len(vals) - 1] * lh
+    return np.array(vals), np.array(jac), hess
+
+
+def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
+    # capture the GPs of a joint solve (energy rows) and of the fixed-pilot
+    # scheme (its SINR rows are plain posynomials)
+    from cfurllc import optimizer
+    from cfurllc.scenario import SystemConfig, generate_topology
+    solved = []
+    original = GpModel.solve
+
+    def capture(self, *args, **kwargs):
+        sol = original(self, *args, **kwargs)
+        solved.append((self, sol))
+        return sol
+
+    monkeypatch.setattr(GpModel, "solve", capture)
+    cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
+                       energy_budget=5e12)
+    model = generate_topology(cfg, seed=7)
+    assert optimizer.solve(model, cfg, "mrc").feasible
+    assert optimizer.benchmark_fixed_pilot(model, cfg, "fzf").feasible
+    folded = 0
+    for m, sol in solved:
+        parts = [type(block) for _, block in m._block().parts]
+        assert gp._NodeRows not in parts
+        folded += parts.count(gp._PosynomialRows)
+        for _ in range(3):
+            y = np.log(sol.x) + rng.normal(0.0, 0.3, sol.x.size)
+            weights = rng.uniform(0.1, 3.0, m._block().size)
+            vals, jac, hess = m._constraint_eval(y, 2)
+            ref_vals, ref_jac, ref_hess = node_walk(m, y, weights)
+            assert np.allclose(vals, ref_vals, rtol=1e-12, atol=1e-11)
+            assert np.allclose(jac, ref_jac, rtol=1e-12, atol=1e-11)
+            assert np.allclose(hess(weights), ref_hess, rtol=1e-10, atol=1e-10)
+    assert folded == len(solved)
+
+
+def test_mixed_rows_solve_to_the_node_walk_optimum():
+    from cfurllc.cli import random_two_var_problem
+
+    def build(seed, hide):
+        prob = random_two_var_problem(np.random.default_rng(seed))
+        x = prob._vars[0]
+        prob.add_le(PosyProductSum(x, np.log([0.3, 0.1]), [1.0, 0.0], [0.5, 2.0],
+                                   [[1.0, 0.5], [0.0, 2.0]]), Const(40.0))
+        if hide:
+            for c in prob._constraints:
+                c.lhs = Opaque(c.lhs)
+        return prob
+
+    for seed in range(8):
+        mixed = build(500 + seed, hide=False)
+        kinds = {type(block) for _, block in mixed._block().parts}
+        assert kinds == {gp._PosynomialRows, gp._RhsDivided}
+        walked = build(500 + seed, hide=True)
+        assert {type(block) for _, block in walked._block().parts} == {gp._RhsDivided}
+        a, b = mixed.solve(), walked.solve()
+        assert a.status == b.status == "optimal"
+        assert a.objective == pytest.approx(b.objective, rel=1e-8)
+        assert np.allclose(a.x, b.x, rtol=1e-6)
+        assert float(mixed.constraint_margins(a.x).max()) <= 1e-8
+
+
+def test_solver_failure_is_a_status(monkeypatch):
+    from cfurllc.cli import random_two_var_problem
+
+    def broken(hess, grad):
+        raise gp.GpError("Newton system could not be factorized")
+
+    monkeypatch.setattr(gp, "_newton_direction", broken)
+    for start in (None, {"x": 50.0, "y": 50.0}):     # feasible start, then phase one
+        sol = random_two_var_problem(np.random.default_rng(3)).solve(start=start)
+        assert sol.status == "numerical_error"
+        assert sol.message == "Newton system could not be factorized"
+        assert np.all(np.isfinite(sol.x))

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import random_model
 
-from cfurllc import fbl, optimizer
+from cfurllc import fbl, gp, optimizer
 from cfurllc.optimizer import (FZF, MRC, SurrogateError, benchmark_conventional, benchmark_fixed_pilot,
                                benchmark_upper_bound, feasibility_init,
                                sinr_floor, sinr_floors, solve_fzf, solve_mrc)
@@ -90,8 +92,8 @@ def test_feasibility_easy_instance():
     model = generate_topology(cfg, seed=3)
     params = fbl.FblParams.from_config(cfg)
     floors = sinr_floors(params, np.full(5, cfg.rate_req_bps))
-    alloc, slack = feasibility_init(model, cfg, MRC, floors)
-    assert alloc is not None and slack >= 1.0
+    alloc, slack, error = feasibility_init(model, cfg, MRC, floors)
+    assert alloc is not None and slack >= 1.0 and error == ""
     used = alloc.energy(cfg.num_devices, cfg.blocklength)
     assert np.all(used <= model.energy * (1 + 1e-9))
     sinr = optimizer.true_sinr(model, alloc, cfg.antennas_per_ap, MRC)
@@ -103,8 +105,8 @@ def test_feasibility_impossible_instance():
     model = generate_topology(cfg, seed=3)
     params = fbl.FblParams.from_config(cfg)
     floors = sinr_floors(params, np.full(5, cfg.rate_req_bps))
-    alloc, slack = feasibility_init(model, cfg, MRC, floors)
-    assert alloc is None and slack < 1.0
+    alloc, slack, error = feasibility_init(model, cfg, MRC, floors)
+    assert alloc is None and slack < 1.0 and error == ""
 
 
 def test_feasibility_boundary_from_grid_oracle():
@@ -118,7 +120,7 @@ def test_feasibility_boundary_from_grid_oracle():
         probe = cfg.replace(rate_req_bps=factor * capacity)
         params = fbl.FblParams.from_config(probe)
         floors = sinr_floors(params, np.full(1, probe.rate_req_bps))
-        alloc, _ = feasibility_init(model, probe, MRC, floors)
+        alloc, _, _ = feasibility_init(model, probe, MRC, floors)
         assert (alloc is not None) == expect
 
 
@@ -258,70 +260,134 @@ def test_solver_is_deterministic():
     assert a.trace.objective == b.trace.objective
 
 
+def test_gp_numerical_error_does_not_escape(monkeypatch):
+    def broken(hess, grad):
+        raise gp.GpError("Newton system could not be factorized")
+
+    monkeypatch.setattr(gp, "_newton_direction", broken)
+    model = desk_model()
+    for decoder in (MRC, FZF):
+        res = optimizer.solve(model, DESK, decoder)
+        assert isinstance(res, optimizer.SolveResult)
+        assert res.status == "aborted" and not res.feasible
+        assert "could not be factorized" in res.message
+    fixed = benchmark_fixed_pilot(model, DESK, MRC)
+    assert fixed.status == "aborted" and "could not be factorized" in fixed.message
+
+
 # --------------------------------------------------------------------------
-# the fused constraint kernels against the generic node trees
+# the batched SINR blocks against the generic node trees
 # --------------------------------------------------------------------------
 
-def _constraint_variables(kdev):
-    from cfurllc import gp
+def _mrc_lhs_generic(model, k, chi_like, pp, pd):
+    """Node-tree form of the MRC constraint LHS (reference for the block)."""
+    idx = list(model.service_sets[k])
+    b = model.beta[idx, k]
+    kdev = model.num_devices
+    size = len(idx)
+    eye = np.eye(size)
+    scale = gp.PosyProductSum(pp[k], [0.0], [0.0], kdev * b, np.ones((1, size)))
+    gain = gp.PosyProductSum(pp[k], np.log(kdev * b ** 2), np.ones(size),
+                             kdev * b, 1.0 - eye)
+    terms = []
+    for j in range(kdev):
+        cross = gp.PosyProductSum(pp[k], np.log(kdev * b ** 2 * model.beta[idx, j]),
+                                  np.ones(size), kdev * b, 1.0 - eye)
+        terms.append(gp.Product([pd[j], cross]))
+    terms.append(gain)
+    return gp.Product([chi_like, scale, gp.Sum(terms)])
+
+
+def _fzf_lhs_generic(model, k, chi_like, pp, pd):
+    """Node-tree form of the zero-forcing constraint LHS."""
+    idx = list(model.service_sets[k])
+    kdev = model.num_devices
+    size = len(idx)
+    scale_sq = [gp.PosyProductSum(pp[j], [0.0], [0.0],
+                                  kdev * model.beta[idx, j], np.ones((1, size)))
+                for j in range(kdev)]
+    resid = [gp.PosyProductSum(pp[j], np.log(model.beta[idx, j]), np.zeros(size),
+                               kdev * model.beta[idx, j], 1.0 - np.eye(size))
+             for j in range(kdev)]
+    terms = [gp.Product([gp.Const(float(size))] + scale_sq)]
+    for j in range(kdev):
+        terms.append(gp.Product([pd[j], resid[j]]
+                                + [scale_sq[i] for i in range(kdev) if i != j]))
+    return gp.Product([chi_like, gp.Sum(terms)])
+
+
+GENERIC = {MRC: _mrc_lhs_generic, FZF: _fzf_lhs_generic}
+BLOCKS = {MRC: optimizer.MrcSinrBlock, FZF: optimizer.FzfSinrBlock}
+
+
+def _block_models(rng):
+    """The desk model (K=5) and a K=10 random model whose service sets are
+    uneven, from a single AP up to all six."""
+    big = random_model(rng, num_aps=6, num_devices=10)
+    sets = list(big.service_sets)
+    sets[0] = sets[0][:1]
+    sets[1] = tuple(int(i) for i in np.argsort(-big.beta[:, 1]))
+    big = dataclasses.replace(big, service_sets=tuple(sets))
+    assert {len(s) for s in big.service_sets} >= {1, 6}
+    return [desk_model(), big]
+
+
+def _block_and_trees(model, decoder, shared_head, rng):
+    """A block over fresh variables, its K generic trees and a random point.
+
+    shared_head=False is the step-GP layout (head chi_k per row), True the
+    feasibility layout (one phi for every row, scaled by a per-row floor)."""
+    kdev = model.num_devices
     m = gp.GpModel()
     chi = [m.variable(f"chi{k}") for k in range(kdev)]
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
     pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    return m, chi, pp, pd
+    phi = m.variable("phi")
+    heads = [phi] * kdev if shared_head else chi
+    log_heads = rng.normal(0.0, 0.5, kdev)
+    block = BLOCKS[decoder](model, heads, log_heads, pp, pd)
+    trees = [GENERIC[decoder](model, k, gp.Product([heads[k], gp.Const(math.exp(log_heads[k]))]),
+                              pp, pd)
+             for k in range(kdev)]
+    y = np.concatenate([rng.normal(0, 2, kdev), rng.normal(22, 3, 2 * kdev),
+                        rng.normal(0, 1, 1)])
+    return block, trees, y
 
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
 def test_fused_constraint_matches_generic_tree(decoder, rng):
-    from cfurllc import gp
-    model = desk_model()
-    kdev = model.num_devices
-    for trial in range(12):
-        _, chi, pp, pd = _constraint_variables(kdev)
-        k = trial % kdev
-        idx = list(model.service_sets[k])
-        head_log = float(rng.normal(0.0, 0.5))
-        if decoder == MRC:
-            fused = optimizer.MrcConstraintLhs(chi[k], pp[k], pd,
-                                               model.beta[idx, k],
-                                               model.beta[idx, :], kdev, head_log)
-            generic = optimizer._mrc_lhs_generic(
-                model, k, gp.Product([chi[k], gp.Const(math.exp(head_log))]), pp, pd)
-        else:
-            fused = optimizer.FzfConstraintLhs(chi[k], pp, pd,
-                                               model.beta[idx, :], kdev, head_log)
-            generic = optimizer._fzf_lhs_generic(
-                model, k, gp.Product([chi[k], gp.Const(math.exp(head_log))]), pp, pd)
-        y = np.concatenate([rng.normal(0, 2, kdev),
-                            rng.normal(22, 3, 2 * kdev)])
-        v1, g1, h1 = fused.log_eval(y, 2, {})
-        v2, g2, h2 = generic.log_eval(y, 2, {})
-        assert v1 == pytest.approx(v2, abs=1e-11)
-        assert np.allclose(g1, g2, atol=1e-11)
-        assert np.allclose(h1, h2, atol=1e-10)
+    for model in _block_models(rng):
+        kdev = model.num_devices
+        for trial in range(6):
+            block, trees, y = _block_and_trees(model, decoder, trial % 2 == 1, rng)
+            ref = [t.log_eval(y, 2, {}) for t in trees]
+            weights = rng.uniform(0.1, 3.0, kdev)
+            v0, j0, h0 = block.log_eval(y, 0)
+            v1, j1, h1 = block.log_eval(y, 1)
+            v2, j2, h2 = block.log_eval(y, 2)
+            assert j0 is None and h0 is None and h1 is None
+            for vals in (v0, v1, v2):
+                assert np.allclose(vals, [r[0] for r in ref], rtol=0, atol=1e-11)
+            for jac in (j1, j2):
+                assert np.allclose(jac, [r[1] for r in ref], rtol=0, atol=1e-11)
+            want = sum(w * r[2] for w, r in zip(weights, ref))
+            assert np.allclose(h2(weights), want, rtol=0, atol=1e-10 * weights.sum())
 
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
 def test_fused_constraint_matches_finite_differences(decoder, rng):
-    model = desk_model()
-    kdev = model.num_devices
-    _, chi, pp, pd = _constraint_variables(kdev)
-    k = 1
-    idx = list(model.service_sets[k])
-    if decoder == MRC:
-        fused = optimizer.MrcConstraintLhs(chi[k], pp[k], pd, model.beta[idx, k],
-                                           model.beta[idx, :], kdev)
-    else:
-        fused = optimizer.FzfConstraintLhs(chi[k], pp, pd, model.beta[idx, :], kdev)
-    y = np.concatenate([rng.normal(0, 1, kdev), rng.normal(22, 1, 2 * kdev)])
-    _, g, h = fused.log_eval(y, 2, {})
-    eps = 1e-6
-    for i in range(y.size):
-        up, dn = y.copy(), y.copy()
-        up[i] += eps
-        dn[i] -= eps
-        fd = (fused.log_eval(up, 0, {})[0] - fused.log_eval(dn, 0, {})[0]) / (2 * eps)
-        assert g[i] == pytest.approx(fd, abs=1e-6)
-        gu = fused.log_eval(up, 1, {})[1]
-        gd = fused.log_eval(dn, 1, {})[1]
-        assert np.allclose(h[:, i], (gu - gd) / (2 * eps), atol=1e-5)
+    for model in _block_models(rng):
+        block, _, y = _block_and_trees(model, decoder, False, rng)
+        y[model.num_devices:3 * model.num_devices] -= 1.0     # away from saturation
+        weights = rng.uniform(0.1, 3.0, model.num_devices)
+        _, jac, hess = block.log_eval(y, 2)
+        h = hess(weights)
+        eps = 1e-6
+        for i in range(y.size):
+            up, dn = y.copy(), y.copy()
+            up[i] += eps
+            dn[i] -= eps
+            fd = (block.log_eval(up, 0)[0] - block.log_eval(dn, 0)[0]) / (2 * eps)
+            assert np.allclose(jac[:, i], fd, rtol=0, atol=1e-6)
+            wg = (block.log_eval(up, 1)[1] - block.log_eval(dn, 1)[1]).T @ weights
+            assert np.allclose(h[:, i], wg / (2 * eps), rtol=0, atol=1e-5)
