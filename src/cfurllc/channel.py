@@ -42,47 +42,48 @@ def substream(master_seed: int, *indices: int) -> np.random.Generator:
     Streams are independent for distinct keys, so trials and deployments can
     be drawn in any order, or in parallel, without changing the results.
     """
-    mixed = np.uint64(0)
-    for idx in indices:
-        mixed = np.uint64(mixed * np.uint64(0x9E3779B97F4A7C15) + np.uint64(idx) + np.uint64(1))
-    key = np.array([np.uint64(master_seed), mixed], dtype=np.uint64)
+    mixed = 0
+    for idx in indices:     # uint64 arithmetic, wrapping without overflow warnings
+        mixed = (mixed * 0x9E3779B97F4A7C15 + int(idx) + 1) % 2 ** 64
+    key = np.array([np.uint64(master_seed), np.uint64(mixed)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """True channel, its MMSE estimate and the estimation error for one trial block.
+    """True channel, its MMSE estimate and the receiver noise for one trial block.
 
-    Arrays have shape (T, M, K, N): trials, APs, devices, antennas per AP.
+    Channel arrays have shape (T, M, K, N): trials, APs, devices, antennas per
+    AP; the payload-phase receiver noise has shape (T, M, N).
     """
 
     g: np.ndarray
     g_hat: np.ndarray
-    g_tilde: np.ndarray
-
-
-def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
-    # unit-variance circularly-symmetric complex Gaussian
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    noise: np.ndarray
 
 
 def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
                  seed_or_rng, trials: int = 1) -> ChannelRealization:
-    """Draw channels and run pilot-based MMSE estimation for a block of trials.
+    """Draw channels, pilot-based MMSE estimates and receiver noise for a block of trials.
 
     The pilot observation is the true channel plus noise of per-antenna
-    variance 1/(K*p); the estimate scales it by K*p*b/(K*p*b + 1). Draw order
-    is fixed (channel, then pilot noise) so results are reproducible.
+    variance 1/(K*p); the estimate scales it by K*p*b/(K*p*b + 1). All values
+    come from one standard-normal fill laid out trial-major: each trial takes
+    one contiguous run (channel, pilot noise, receiver noise), so a trial's
+    values do not depend on how many trials are drawn after it.
     """
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else substream(int(seed_or_rng)))
     m, k = model.beta.shape
+    mkn = m * k * n_antennas
+    # (re, im) pairs viewed as unit-variance circularly-symmetric complex Gaussians
+    z = rng.standard_normal((trials, 2 * (2 * mkn + m * n_antennas))).view(complex)
+    z *= np.sqrt(0.5)
     shape = (trials, m, k, n_antennas)
-    g = np.sqrt(model.beta)[None, :, :, None] * _crandn(rng, shape)
+    g = np.sqrt(model.beta)[None, :, :, None] * z[:, :mkn].reshape(shape)
     kp = model.num_devices * stats.pilot_power
-    pilot_noise = _crandn(rng, shape) / np.sqrt(kp)[None, None, :, None]
+    pilot_noise = z[:, mkn:2 * mkn].reshape(shape) / np.sqrt(kp)[None, None, :, None]
     gain = (kp[None, :] * model.beta / (kp[None, :] * model.beta + 1.0))
     g_hat = gain[None, :, :, None] * (g + pilot_noise)
-    return ChannelRealization(g=g, g_hat=g_hat, g_tilde=g - g_hat)
+    noise = z[:, 2 * mkn:].reshape(trials, m, n_antennas)
+    return ChannelRealization(g=g, g_hat=g_hat, noise=noise)

@@ -369,11 +369,14 @@ def run_gp_selftest(seed: int) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its messages
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,9 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     parser.add_argument("--out", default=".", help="output directory for CSV files")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="Monte-Carlo trials per point")
-    parser.add_argument("--threads", type=_positive_int, default=1,
+    parser.add_argument("--trials", type=_int_at_least(montecarlo.MIN_TRIALS),
+                        default=None,
+                        help=f"Monte-Carlo trials per point (>= {montecarlo.MIN_TRIALS})")
+    parser.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="worker processes for independent deployments (>= 1)")
     parser.add_argument("experiment",
                         choices=["tightness", "converge", "threshold-sweep",

@@ -3,8 +3,10 @@
 Each trial draws channels, runs pilot estimation, decodes with the
 statistical-CSI receiver and records the squared magnitudes of the desired,
 leaked, interference and noise terms, from which instantaneous SINRs and
-finite-blocklength rates follow. Trials use counter-based substreams keyed by
-trial index, so results do not depend on evaluation order or batching.
+finite-blocklength rates follow. Trials are drawn TRIAL_BLOCK at a time, each
+block from its own counter-based substream in which every trial takes one
+contiguous run, so a trial's values depend on the seed, its index and
+TRIAL_BLOCK, but not on the trial count or the order of evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .channel import (ChannelRealization, EstimationStats, draw_channel,
                       estimation_stats, substream)
 from .scenario import LargeScaleModel
 
-TRIAL_BLOCK = 256
+TRIAL_BLOCK = 64
+MIN_TRIALS = 100          # fewer trials give no meaningful ergodic-rate estimate
+REDRAWS = 3
 
 ANALYTIC = "analytic"
 PER_REALIZATION = "per_realization"
@@ -55,7 +59,7 @@ def _finish_outcome(ds2, ls2, ui2, n2, params: fbl.FblParams) -> TrialOutcome:
     return TrialOutcome(ds2=ds2, ls2=ls2, ui2=ui2, n2=n2, sinr=sinr, rate=rate)
 
 
-def decode_mrc(real: ChannelRealization, noise: np.ndarray, model: LargeScaleModel,
+def decode_mrc(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams) -> TrialOutcome:
     """Maximum-ratio combining with the mean coherent gain as the signal term."""
@@ -74,7 +78,7 @@ def decode_mrc(real: ChannelRealization, noise: np.ndarray, model: LargeScaleMod
         ls2[:, k] = pd[k] * np.abs(proj[:, k] - mean_gain) ** 2
         ui2[:, k, :] = pd[None, :] * np.abs(proj) ** 2
         ui2[:, k, k] = 0.0
-        nz = np.einsum("tsn,tsn->t", a.conj(), noise[:, idx, :])
+        nz = np.einsum("tsn,tsn->t", a.conj(), real.noise[:, idx, :])
         n2[:, k] = np.abs(nz) ** 2
     return _finish_outcome(ds2, ls2, ui2, n2, params)
 
@@ -86,7 +90,7 @@ def _fzf_vectors(g_hat: np.ndarray) -> np.ndarray:
     return np.einsum("tmnk,tmkj->tmnj", gh, np.linalg.inv(gram))
 
 
-def decode_fzf(real: ChannelRealization, noise: np.ndarray, model: LargeScaleModel,
+def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams,
                normalization: str = ANALYTIC) -> TrialOutcome:
@@ -128,18 +132,48 @@ def decode_fzf(real: ChannelRealization, noise: np.ndarray, model: LargeScaleMod
             ls2[:, k] = pd[k] * np.abs(proj[:, k] - mean_gain) ** 2
         ui2[:, k, :] = pd[None, :] * np.abs(proj) ** 2
         ui2[:, k, k] = 0.0
-        nz = np.einsum("tsn,tsn->t", a.conj(), noise[:, idx, :])
+        nz = np.einsum("tsn,tsn->t", a.conj(), real.noise[:, idx, :])
         n2[:, k] = np.abs(nz) ** 2
     return _finish_outcome(ds2, ls2, ui2, n2, params)
 
 
-def _draw_trial(model, stats, n_antennas, seed, index, attempt=0):
-    rng = substream(seed, index) if attempt == 0 else substream(seed, index, attempt)
-    real = draw_channel(model, stats, n_antennas, rng, trials=1)
-    m = model.num_aps
-    re = rng.standard_normal((m, n_antennas))
-    im = rng.standard_normal((m, n_antennas))
-    return real, (re + 1j * im) / np.sqrt(2.0)
+def _gram_screen(g_hat: np.ndarray) -> np.ndarray:
+    """Flag (trial, AP) estimates that may be rank-deficient, from their Gram eigenvalues.
+
+    matrix_rank calls the N x K estimate deficient when lambda_min of its Gram
+    matrix is at most (N*eps)^2 * lambda_max. Forming the Gram matrix and
+    eigvalsh move an eigenvalue by about K*(N+K)*eps*lambda_max at most, so the
+    threshold below flags every such stack, and a few more.
+    """
+    _, _, k, n = g_hat.shape
+    lam = np.linalg.eigvalsh(g_hat.conj() @ np.swapaxes(g_hat, 2, 3))
+    rtol = np.finfo(float).eps * max(1e3, 2.0 * k * (n + k))
+    return lam[..., 0] <= rtol * lam[..., -1]
+
+
+def _rank_deficient(g_hat: np.ndarray) -> np.ndarray:
+    """Trials whose estimate has rank below K at some AP, by numpy's SVD criterion."""
+    cand = np.flatnonzero(_gram_screen(g_hat).any(axis=1))
+    ranks = np.linalg.matrix_rank(np.swapaxes(g_hat[cand], 2, 3))
+    return cand[(ranks < g_hat.shape[2]).any(axis=1)]
+
+
+def _redraw_rank_deficient(real: ChannelRealization, model: LargeScaleModel,
+                           stats: EstimationStats, n_antennas: int, seed: int,
+                           start: int) -> None:
+    """Replace, in place, each rank-deficient trial by a redraw from its own stream."""
+    for j in _rank_deficient(real.g_hat):
+        trial = start + int(j)
+        for attempt in range(1, REDRAWS + 1):
+            new = draw_channel(model, stats, n_antennas,
+                               substream(seed, trial, attempt))
+            if not _rank_deficient(new.g_hat).size:
+                real.g[j], real.g_hat[j] = new.g[0], new.g_hat[0]
+                real.noise[j] = new.noise[0]
+                break
+        else:
+            raise RuntimeError(f"trial {trial}: estimated channel rank-deficient "
+                               f"after {REDRAWS} redraws")
 
 
 def simulate(model: LargeScaleModel, stats: EstimationStats,
@@ -148,43 +182,26 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
              normalization: str = ANALYTIC) -> TrialOutcome:
     """Run `trials` independent channel draws and concatenate the outcomes.
 
-    A rank-deficient estimated channel matrix (probability zero, but possible
-    at degenerate inputs) is redrawn up to three times before the trial is
-    abandoned with an error.
+    Block b holds trials b*TRIAL_BLOCK onwards and is drawn by one
+    `draw_channel` call on the substream (seed, b, 0). A trial's values depend
+    on the seed, its index and TRIAL_BLOCK, not on the trial count or the
+    order of evaluation. For zero-forcing, a rank-deficient estimated channel
+    matrix (probability zero, but possible at degenerate inputs) is redrawn
+    from the substream (seed, trial, attempt), attempt = 1..3, before the
+    trial is abandoned with an error; attempt 0 keeps the block key distinct
+    from every redraw key.
     """
     outcomes = []
-    m = model.num_aps
-    kdev = model.num_devices
-    for start in range(0, trials, TRIAL_BLOCK):
+    for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         count = min(TRIAL_BLOCK, trials - start)
-        g = np.empty((count, m, kdev, n_antennas), dtype=complex)
-        g_hat = np.empty_like(g)
-        noise = np.empty((count, m, n_antennas), dtype=complex)
-        for j in range(count):
-            real, nz = _draw_trial(model, stats, n_antennas, seed, start + j)
-            g[j] = real.g[0]
-            g_hat[j] = real.g_hat[0]
-            noise[j] = nz
-        if decoder != "mrc":
-            ranks = np.linalg.matrix_rank(np.swapaxes(g_hat, 2, 3))
-            for j in np.flatnonzero((ranks < kdev).any(axis=1)):
-                for attempt in range(1, 4):
-                    real, nz = _draw_trial(model, stats, n_antennas, seed,
-                                           start + int(j), attempt)
-                    if np.all(np.linalg.matrix_rank(
-                            np.swapaxes(real.g_hat, 2, 3)) == kdev):
-                        g[j], g_hat[j], noise[j] = real.g[0], real.g_hat[0], nz
-                        break
-                else:
-                    raise RuntimeError(
-                        f"trial {start + int(j)}: estimated channel "
-                        "rank-deficient after 3 redraws")
-        block = ChannelRealization(g=g, g_hat=g_hat, g_tilde=g - g_hat)
+        real = draw_channel(model, stats, n_antennas, substream(seed, block, 0),
+                            trials=count)
         if decoder == "mrc":
-            outcomes.append(decode_mrc(block, noise, model, stats, payload_power,
+            outcomes.append(decode_mrc(real, model, stats, payload_power,
                                        n_antennas, params))
         else:
-            outcomes.append(decode_fzf(block, noise, model, stats, payload_power,
+            _redraw_rank_deficient(real, model, stats, n_antennas, seed, start)
+            outcomes.append(decode_fzf(real, model, stats, payload_power,
                                        n_antennas, params, normalization))
     first = outcomes[0]
     ds2 = (np.concatenate([o.ds2 for o in outcomes])
@@ -204,8 +221,8 @@ def ergodic_rate(model: LargeScaleModel, stats: EstimationStats,
                  n_antennas: int, params: fbl.FblParams,
                  normalization: str = ANALYTIC) -> tuple[np.ndarray, np.ndarray]:
     """Per-device mean rate and normal-approximation 95% confidence half-width."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful estimate")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful estimate")
     out = simulate(model, stats, payload_power, decoder, trials, seed,
                    n_antennas, params, normalization)
     mean = out.rate.mean(axis=0)

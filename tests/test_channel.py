@@ -67,20 +67,27 @@ def test_channel_draw_moments():
     trials = 4000
     real = draw_channel(model, stats, n_ant, substream(11, 0), trials=trials)
     n_samples = trials * n_ant
+    g_tilde = real.g - real.g_hat
 
-    assert np.allclose(real.g, real.g_hat + real.g_tilde)
     for m in range(2):
         for k in range(2):
             var_hat = np.mean(np.abs(real.g_hat[:, m, k, :]) ** 2)
             lam = stats.lam[m, k]
             assert abs(var_hat - lam) <= 3 * lam / np.sqrt(n_samples)
-            var_err = np.mean(np.abs(real.g_tilde[:, m, k, :]) ** 2)
+            var_err = np.mean(np.abs(g_tilde[:, m, k, :]) ** 2)
             err = stats.err_var[m, k]
             assert abs(var_err - err) <= 3 * err / np.sqrt(n_samples)
             # estimate/error orthogonality in aggregate
-            inner = np.mean(real.g_hat[:, m, k, :].conj() * real.g_tilde[:, m, k, :])
+            inner = np.mean(real.g_hat[:, m, k, :].conj() * g_tilde[:, m, k, :])
             se = np.sqrt(lam * err / n_samples)
             assert abs(inner) <= 3 * se
+    # receiver noise: unit power, circular, independent of the channel
+    assert real.noise.shape == (trials, 2, n_ant)
+    n_noise = real.noise.size
+    assert abs(np.mean(np.abs(real.noise) ** 2) - 1.0) <= 3 / np.sqrt(n_noise)
+    assert abs(np.mean(real.noise.real ** 2) - 0.5) <= 3 / np.sqrt(n_noise)
+    corr = np.mean(real.noise.conj() * real.g[:, :, 0, :])
+    assert abs(corr) <= 3 * np.sqrt(beta.max() / n_noise)
 
 
 def test_channel_draw_cross_device_independence():
@@ -99,3 +106,13 @@ def test_channel_draw_accepts_plain_seed():
     a = draw_channel(model, stats, 2, 42, trials=3)
     b = draw_channel(model, stats, 2, 42, trials=3)
     assert np.array_equal(a.g, b.g)
+
+
+@pytest.mark.parametrize("a,b", [(1, 2), (5, 64), (63, 65)])
+def test_channel_draw_prefix_independent_of_trial_count(a, b):
+    model = toy_model(np.array([[0.8, 2.0, 1.1], [1.5, 0.4, 0.7]]))
+    stats = estimation_stats(model, np.array([0.9, 2.5, 1.3]))
+    short = draw_channel(model, stats, 4, substream(9, 2, 0), trials=a)
+    full = draw_channel(model, stats, 4, substream(9, 2, 0), trials=b)
+    for name in ("g", "g_hat", "noise"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:a]), name

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from cfurllc import cli
+from cfurllc import cli, montecarlo
 from cfurllc.scenario import SystemConfig
 
 TINY = {
@@ -86,6 +86,15 @@ def test_main_rejects_bad_thread_count(threads, tmp_path, capsys):
         cli.main(["--threads", threads, "--out", str(tmp_path), "converge"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("trials", [str(montecarlo.MIN_TRIALS - 1), "10", "0", "many"])
+def test_main_rejects_too_few_trials(trials, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--trials", trials, "--out", str(tmp_path), "tightness"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
 
 
