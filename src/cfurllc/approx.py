@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fbl import _logsumexp
 from .scenario import LargeScaleModel
 
 # The penalty factor is log-concave only from this point on; tangent upper
@@ -74,7 +75,7 @@ def mrc_gain_monomial(model: LargeScaleModel, pilot_hat: float, k: int) -> Monom
     w = np.exp(log_u - log_u.max())
     w /= w.sum()
     exponent = 1.0 + float(w @ (mask.astype(float) @ s_frac))
-    log_gain_hat = math.log(kp) + _logsumexp(log_u)
+    log_gain_hat = math.log(kp) + float(_logsumexp(log_u))
     return MonomialFit(exponents=np.array([exponent]),
                        log_coeff=log_gain_hat - exponent * math.log(pilot_hat))
 
@@ -107,14 +108,9 @@ def fzf_gain_monomial(model: LargeScaleModel, pilot_hat: np.ndarray, k: int) -> 
     w /= w.sum()
     exponents[k] = float(w @ (1.0 + mask.astype(float) @ s_all[:, k]))
 
-    log_coherent_hat = _logsumexp(log_v)
+    log_coherent_hat = float(_logsumexp(log_v))
     log_scale_hat = 0.5 * np.log(t_all).sum(axis=0)    # (K,)
     log_value_hat = 2.0 * log_coherent_hat + float(
         2.0 * log_scale_hat.sum() - 2.0 * log_scale_hat[k])
     return MonomialFit(exponents=exponents,
                        log_coeff=log_value_hat - float(exponents @ np.log(p_hat)))
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))

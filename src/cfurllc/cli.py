@@ -117,22 +117,28 @@ def run_tightness(base: SystemConfig, profile: dict, seed: int, out_dir: str,
     return path
 
 
+def _converge_rows(task):
+    """CSV rows of one SCA trace: every iterate of one (decoder, M) solve."""
+    cfg, seed, decoder = task
+    model = generate_topology(cfg, seed=seed)
+    res = optimizer.solve(model, cfg, decoder)
+    return [[decoder, cfg.num_aps, cfg.antennas_per_ap, rec["iteration"],
+             rec["objective"], rec["gp_status"]]
+            + rec["sinr"] + rec["pilot"] + rec["payload"]
+            for rec in res.trace.rows(decoder)]
+
+
 def run_converge(base: SystemConfig, profile: dict, seed: int, out_dir: str,
                  workers: int) -> str:
     k = base.num_devices
-    rows = []
+    tasks = []
     for decoder in ("mrc", "fzf"):
         for m in profile["ap_counts"]:
             n = profile["total_antennas"] // m
             if n <= k:
                 continue
-            cfg = base.replace(num_aps=m, antennas_per_ap=n)
-            model = generate_topology(cfg, seed=seed)
-            res = optimizer.solve(model, cfg, decoder)
-            for rec in res.trace.rows(decoder):
-                rows.append([decoder, m, n, rec["iteration"], rec["objective"],
-                             rec["gp_status"]]
-                            + rec["sinr"] + rec["pilot"] + rec["payload"])
+            tasks.append((base.replace(num_aps=m, antennas_per_ap=n), seed, decoder))
+    rows = [row for rows in _pool_map(_converge_rows, tasks, workers) for row in rows]
     header = (["decoder", "M", "N", "iteration", "objective", "gp_status"]
               + [f"chi_{i}" for i in range(k)]
               + [f"pp_{i}" for i in range(k)]
@@ -402,8 +408,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     profile = PROFILES[args.profile]
     try:
-        base = load_config(args.config) if args.config else SystemConfig()
-        base = base.replace(num_devices=profile["num_devices"])
+        # the profile sets the default device count; a config file overrides it
+        base = SystemConfig(num_devices=profile["num_devices"])
+        if args.config:
+            base = load_config(args.config, base)
         if args.seed is not None:
             base = base.replace(master_seed=args.seed)
     except ConfigError as exc:

@@ -4,8 +4,8 @@ Expressions stay in generalized-posynomial form (sums, products, non-negative
 powers over positive leaves); products such as repeated estimation factors are
 never expanded into exponentially many monomial terms. All evaluation happens
 in log variables, where every node is convex and carries analytic gradients
-and Hessians, and the solver is a log-barrier interior-point method with
-damped Newton steps.
+and Hessians, and the solver is a log-barrier interior-point method whose
+Newton steps try the full step first and backtrack from there.
 
 The solver sees the constraints as one block of rows: affine rows and plain
 posynomial rows are folded into matrices, batched row blocks (such as the
@@ -753,12 +753,17 @@ class GpModel:
             y0 = np.log(np.asarray(start, dtype=float))
 
         budget = _IterBudget(max_newton)
-        try:
-            y, fail = self._phase_one(y0, budget)
-        except GpError as exc:
-            return self._finish(y0, "numerical_error", budget, math.inf, message=str(exc))
-        if fail is not None:
-            return self._finish(y0 if y is None else y, fail, budget, math.inf)
+        skip_phase_one = float(self._constraint_eval(y0, 0)[0].max()) < _PHASE1_SKIP
+        if skip_phase_one:
+            y = y0
+        else:
+            try:
+                y, fail = self._phase_one(y0, budget)
+            except GpError as exc:
+                return self._finish(y0, "numerical_error", budget, math.inf,
+                                    message=str(exc))
+            if fail is not None:
+                return self._finish(y0 if y is None else y, fail, budget, math.inf)
 
         m = self._block().size
         t = BARRIER_T0
@@ -768,6 +773,8 @@ class GpModel:
         interior = None
         stages = []
         try:
+            if skip_phase_one:
+                t = self._warm_barrier_t(y, m / max(tol, 1e-3) / 10.0)
             while True:
                 ref = self._objective_eval(y, 0)[0]
                 y = _newton_center(
@@ -792,13 +799,30 @@ class GpModel:
             status, message = "numerical_error", str(exc)
         return self._finish(y, status, budget, kkt, interior, stages, message)
 
+    def _warm_barrier_t(self, y, t_max):
+        """First barrier parameter for a strictly feasible start (B&V §11.3.1).
+
+        Picks t = argmin ||t grad f0 + grad phi|| in the norm of the inverse
+        barrier Hessian, the t at which y is closest to the central path,
+        clamped to [BARRIER_T0, t_max]. A non-positive estimate means y is
+        not near any central point, so the cold BARRIER_T0 is kept.
+        """
+        _, g0, _ = self._objective_eval(y, 1)
+        _, g_phi, h_phi = self._barrier_parts(y, 2, 0.0)     # phi alone at t = 0
+        u = -_newton_direction(h_phi, g0)                    # H_phi^-1 grad f0
+        curvature = float(g0 @ u)
+        if not curvature > 0.0:                              # objective flat at y
+            return BARRIER_T0
+        t = -float(g_phi @ u) / curvature
+        if not t > 0.0:
+            return BARRIER_T0
+        return min(max(t, BARRIER_T0), t_max)
+
     def _phase_one(self, y0, budget):
         """Find a strictly feasible point, or detect infeasibility."""
         n = len(self._vars)
         m = self._block().size
         fvals, _, _ = self._constraint_eval(y0, 0)
-        if float(fvals.max()) < _PHASE1_SKIP:
-            return y0, None
 
         def parts(z, order, t, s_ref=0.0):
             y, s = z[:n], z[n]
@@ -862,10 +886,12 @@ class _EarlyExit(Exception):
 
 
 def _newton_center(parts, y, budget, early_exit=None):
-    """Damped Newton minimization of one barrier stage.
+    """Newton minimization of one barrier stage (B&V Algorithm 9.5).
 
-    The first trial step is scaled by 1/(1 + decrement), which keeps long
-    steps inside the barrier domain; Armijo backtracking mops up the rest.
+    Away from the center (decrement >= 0.25) every step starts at the full
+    Newton step and halves it until the point lies inside the barrier domain
+    and passes the Armijo test. Near the center the full step is taken
+    without the sufficient-decrease test, halved once if it leaves the domain.
     """
     best_lam = math.inf
     stalled = 0
@@ -891,16 +917,16 @@ def _newton_center(parts, y, budget, early_exit=None):
             # float resolution of the barrier value, so skip the sufficient-
             # decrease test and only keep the step inside the domain
             cand = y + step
-            if not math.isfinite(parts(cand, 0)[0]):
+            if not math.isfinite(_trial_value(parts, cand)):
                 cand = y + 0.5 * step
-                if not math.isfinite(parts(cand, 0)[0]):
+                if not math.isfinite(_trial_value(parts, cand)):
                     return y
         else:
-            a = 1.0 / (1.0 + lam)
+            a = 1.0
             slope = ARMIJO_SLOPE * float(grad @ step)
             for _ in range(60):
                 cand = y + a * step
-                cand_val, _, _ = parts(cand, 0)
+                cand_val = _trial_value(parts, cand)
                 if math.isfinite(cand_val) and cand_val <= val + a * slope:
                     break
                 a *= BACKTRACK_SHRINK
@@ -914,9 +940,23 @@ def _newton_center(parts, y, budget, early_exit=None):
     return y
 
 
+def _trial_value(parts, y):
+    """Barrier value at a line-search trial point. A full step can land far
+    outside the domain, where exponentials overflow; that only makes the
+    value non-finite, which rejects the point, so the warnings are muted."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return parts(y, 0)[0]
+
+
 def _newton_direction(hess, grad):
-    """Equilibrated Cholesky solve; barrier Hessians become badly scaled near
-    active constraints, so row/column scaling keeps the factorization sane."""
+    """Newton step -hess^-1 grad on the equilibrated Hessian.
+
+    Barrier Hessians become badly scaled near active constraints, so rows and
+    columns are scaled to a unit diagonal first. A Cholesky factorization
+    tests positive definiteness and drives a growing ridge; the step itself
+    comes from one dense solve of the same ridged matrix, since numpy has no
+    triangular solve to reuse the factor with.
+    """
     n = grad.size
     hess = 0.5 * (hess + hess.T)
     d = np.sqrt(np.maximum(np.abs(np.diag(hess)), 1e-300))
@@ -924,10 +964,10 @@ def _newton_direction(hess, grad):
     rhs = grad / d
     ridge = 0.0
     for _ in range(40):
+        shifted = scaled + ridge * np.eye(n)
         try:
-            chol = np.linalg.cholesky(scaled + ridge * np.eye(n))
-            u = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-            return -u / d
+            np.linalg.cholesky(shifted)
+            return -np.linalg.solve(shifted, rhs) / d
         except np.linalg.LinAlgError:
             ridge = 1e-14 if ridge == 0.0 else ridge * 100.0
     raise GpError("Newton system could not be factorized")

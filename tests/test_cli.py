@@ -64,6 +64,23 @@ def test_byte_identical_reruns_and_worker_counts(tmp_path):
     assert read(p1) == read(p2) == read(p3)
 
 
+def test_converge_csv_identical_across_thread_counts(tmp_path):
+    paths = []
+    for workers in (1, 2):
+        out = tmp_path / f"threads{workers}"
+        os.makedirs(out)
+        paths.append(cli.run_converge(BASE, TINY, 11, str(out), workers=workers))
+    assert read(paths[0]) == read(paths[1])
+
+
+def test_config_file_device_count_beats_profile(tmp_path):
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text("num_devices = 3\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "converge"]) == 0
+    header = read(tmp_path / "converge.csv").decode().splitlines()[2].split(",")
+    assert [c for c in header if c.startswith("chi_")] == ["chi_0", "chi_1", "chi_2"]
+
+
 def test_scheme_rates_are_parallel_safe(tmp_path):
     cfg = BASE.replace(num_aps=4, antennas_per_ap=4, energy_budget=5e12)
     tasks = [(cfg, 11, dep, "mrc") for dep in range(3)]

@@ -353,3 +353,138 @@ def test_solver_failure_is_a_status(monkeypatch):
         assert sol.status == "numerical_error"
         assert sol.message == "Newton system could not be factorized"
         assert np.all(np.isfinite(sol.x))
+
+
+# --------------------------------------------------------------------------
+# Newton steps and the warm barrier start
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def desk_step_gps():
+    """Step GPs of one desk MRC and one desk FZF solve, with their starts."""
+    from cfurllc import optimizer
+    from cfurllc.scenario import SystemConfig, generate_topology
+    cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
+                       energy_budget=5e12)
+    model = generate_topology(cfg, seed=7)
+    captured = {}
+    original = GpModel.solve
+
+    def capture(self, tol=1e-9, start=None, max_newton=4000):
+        sol = original(self, tol, start, max_newton)
+        if "chi0" in self.names:
+            captured[decoder].append((self, start, sol, tol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GpModel, "solve", capture)
+        for decoder in ("mrc", "fzf"):
+            captured[decoder] = []
+            assert optimizer.solve(model, cfg, decoder).status == "optimal"
+    return captured
+
+
+def record_barrier(monkeypatch):
+    """Every (t, y, order, model) the barrier stages evaluate, in call order.
+
+    The warm start evaluates the bare barrier (t = 0) before the first stage.
+    """
+    seen = []
+    original = GpModel._barrier_parts
+
+    def spy(self, y, order, t, f0_ref=0.0):
+        seen.append((t, y.copy(), order, self))
+        return original(self, y, order, t, f0_ref)
+
+    monkeypatch.setattr(GpModel, "_barrier_parts", spy)
+    return seen
+
+
+def first_stage_t(seen):
+    return next(t for t, _, _, _ in seen if t > 0)
+
+
+def t_max(model, tol):
+    return model._block().size / max(tol, 1e-3) / 10.0
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_warm_interior_start_reaches_cold_optimum_in_fewer_steps(
+        decoder, desk_step_gps, monkeypatch):
+    warm_solves = [g for g in desk_step_gps[decoder] if isinstance(g[1], np.ndarray)]
+    assert warm_solves, "the SCA never warm-started a step GP from an interior point"
+    for model, start, sol, tol in warm_solves:
+        cold = model.solve(tol=tol)
+        assert cold.status == sol.status == "optimal"
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-7)
+        assert sol.iterations < cold.iterations
+        with monkeypatch.context() as mp:
+            mp.setattr(GpModel, "_warm_barrier_t", lambda self, y, t_max: gp.BARRIER_T0)
+            at_t0 = model.solve(tol=tol, start=start)
+        assert at_t0.objective == pytest.approx(cold.objective, rel=1e-7)
+        assert sol.iterations < at_t0.iterations
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_barrier_start_is_clamped_and_falls_back(decoder, desk_step_gps, monkeypatch):
+    seen = record_barrier(monkeypatch)
+    model, start, sol, tol = desk_step_gps[decoder][-1]
+    # phase one runs from the all-ones point, so the barrier starts cold
+    assert float(model.constraint_margins(np.ones(len(model.names))).max()) > 0
+    model.solve(tol=tol)
+    assert first_stage_t(seen) == gp.BARRIER_T0
+    # the previous interior point starts strictly inside the clamp
+    seen.clear()
+    model.solve(tol=tol, start=start)
+    assert gp.BARRIER_T0 < first_stage_t(seen) < t_max(model, tol)
+    # the optimum is centered for a huge t, which the clamp caps so the
+    # first stage still runs above the KKT check's m/t threshold
+    seen.clear()
+    again = model.solve(tol=tol, start=sol.x)
+    assert first_stage_t(seen) == pytest.approx(t_max(model, tol), rel=1e-12)
+    assert again.objective == pytest.approx(sol.objective, rel=1e-7)
+
+
+def test_barrier_start_falls_back_when_estimate_is_not_positive(monkeypatch):
+    # maximize x on 1e-3 <= x <= 5: next to the lower bound the barrier
+    # gradient pulls the same way as the objective, so no t > 0 centers it
+    m = GpModel()
+    x = m.variable("x")
+    m.maximize(x)
+    m.add_le(x, Const(5.0))
+    m.add_le(Monomial(1e-3, {0: -1.0}), Const(1.0))
+    y = np.log([1.1e-3])
+    assert m._warm_barrier_t(y, 1e6) == gp.BARRIER_T0
+    seen = record_barrier(monkeypatch)
+    sol = m.solve(start=np.exp(y))
+    assert first_stage_t(seen) == gp.BARRIER_T0
+    assert sol.status == "optimal"
+    assert sol["x"] == pytest.approx(5.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_newton_center_accepts_only_strictly_feasible_points(
+        decoder, desk_step_gps, monkeypatch):
+    seen = record_barrier(monkeypatch)
+    for model, start, _, tol in desk_step_gps[decoder]:
+        model.solve(tol=tol, start=start)
+    accepted = [(y, model) for _, y, order, model in seen if order == 2]
+    assert len(accepted) > 50
+    for y, model in accepted:
+        assert float(model._constraint_eval(y, 0)[0].max()) < 0
+
+
+def test_newton_center_takes_the_full_step_first():
+    # on a quadratic the full Newton step lands on the minimizer and passes
+    # the Armijo test, so one step and one stopping check are all it takes
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+    b = np.array([1.0, -2.0])
+
+    def parts(y, order):
+        val = 0.5 * y @ a @ y - b @ y
+        return val, (a @ y - b if order >= 1 else None), (a if order == 2 else None)
+
+    budget = gp._IterBudget(50)
+    y = gp._newton_center(parts, np.array([40.0, -30.0]), budget)
+    assert np.allclose(y, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+    assert budget.used == 2
