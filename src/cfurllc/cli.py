@@ -9,6 +9,7 @@ import concurrent.futures
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ PROFILES = {
 
 THRESHOLD_GRID = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
 SCHEMES = ("proposed", "upper_bound", "conventional", "fixed_pilot")
+DECODERS = ("mrc", "fzf")
 
 
 def _fmt(value) -> str:
@@ -80,10 +82,8 @@ def _tightness_point(task):
     k = cfg.num_devices
     p = np.full(k, power)
     stats = estimation_stats(model, p)
-    if decoder == "mrc":
-        closed = fbl.lb_sinr_mrc(model, stats, p, cfg.antennas_per_ap)
-    else:
-        closed = fbl.lb_sinr_fzf(model, stats, p, cfg.antennas_per_ap)
+    lb_sinr = fbl.lb_sinr_mrc if decoder == "mrc" else fbl.lb_sinr_fzf
+    closed = lb_sinr(model, stats, p, cfg.antennas_per_ap)
     lb = np.array([fbl.lb_rate(closed[i], params, i) for i in range(k)])
     mean, ci = montecarlo.ergodic_rate(model, stats, p, decoder, trials,
                                        seed + dep, cfg.antennas_per_ap, params)
@@ -91,68 +91,16 @@ def _tightness_point(task):
             float(model.weights @ ci))
 
 
-def run_tightness(base: SystemConfig, profile: dict, seed: int, out_dir: str,
-                  trials: int, workers: int) -> str:
-    rows = []
-    deps = profile["tightness_deployments"]
-    for decoder in ("mrc", "fzf"):
-        for m in profile["tightness_aps"]:
-            for mn in profile["tightness_mn"]:
-                if mn % m:
-                    continue
-                n = mn // m
-                if n <= base.num_devices:
-                    continue
-                cfg = base.replace(num_aps=m, antennas_per_ap=n)
-                tasks = [(cfg, seed, dep, decoder, profile["tightness_power"], trials)
-                         for dep in range(deps)]
-                res = _pool_map(_tightness_point, tasks, workers)
-                lb = float(np.mean([r[0] for r in res]))
-                erg = float(np.mean([r[1] for r in res]))
-                ci = float(np.mean([r[2] for r in res]))
-                rows.append([decoder, m, n, mn, lb, erg, ci])
-    path = os.path.join(out_dir, "tightness.csv")
-    write_csv(path, ["decoder", "M", "N", "MN", "lb_rate", "ergodic_rate", "ci"],
-              rows, base, seed, {"experiment": "tightness", "trials": trials})
-    return path
-
-
-def _converge_rows(task):
-    """CSV rows of one SCA trace: every iterate of one (decoder, M) solve."""
-    cfg, seed, decoder = task
-    model = generate_topology(cfg, seed=seed)
-    res = optimizer.solve(model, cfg, decoder)
-    return [[decoder, cfg.num_aps, cfg.antennas_per_ap, rec["iteration"],
-             rec["objective"], rec["gp_status"]]
-            + rec["sinr"] + rec["pilot"] + rec["payload"]
-            for rec in res.trace.rows(decoder)]
-
-
-def run_converge(base: SystemConfig, profile: dict, seed: int, out_dir: str,
-                 workers: int) -> str:
-    k = base.num_devices
-    tasks = []
-    for decoder in ("mrc", "fzf"):
-        for m in profile["ap_counts"]:
-            n = profile["total_antennas"] // m
-            if n <= k:
-                continue
-            tasks.append((base.replace(num_aps=m, antennas_per_ap=n), seed, decoder))
-    rows = [row for rows in _pool_map(_converge_rows, tasks, workers) for row in rows]
-    header = (["decoder", "M", "N", "iteration", "objective", "gp_status"]
-              + [f"chi_{i}" for i in range(k)]
-              + [f"pp_{i}" for i in range(k)]
-              + [f"pd_{i}" for i in range(k)])
-    path = os.path.join(out_dir, "converge.csv")
-    write_csv(path, header, rows, base, seed, {"experiment": "converge"})
-    return path
+def _solve_point(task):
+    """The proposed allocation on one deployment."""
+    cfg, seed, dep, decoder = task
+    return optimizer.solve(generate_topology(cfg, seed=seed + dep), cfg, decoder)
 
 
 def _scheme_rates(task):
-    """Weighted sum rate of every scheme on one deployment."""
+    """Weighted sum rate of every scheme on one deployment (0 when infeasible)."""
     cfg, seed, dep, decoder = task
     model = generate_topology(cfg, seed=seed + dep)
-    out = {}
     proposed = optimizer.solve(model, cfg, decoder)
     upper = optimizer.benchmark_upper_bound(model, cfg, decoder)
     conventional = optimizer.benchmark_conventional(model, cfg, decoder, upper)
@@ -163,95 +111,144 @@ def _scheme_rates(task):
         retry = optimizer.solve(model, cfg, decoder, start=fixed.allocation)
         if retry.weighted_sum_rate > proposed.weighted_sum_rate:
             proposed = retry
-    out["proposed"] = proposed.weighted_sum_rate if proposed.feasible else 0.0
-    out["upper_bound"] = upper.weighted_sum_rate if upper.feasible else 0.0
-    out["conventional"] = conventional.weighted_sum_rate if conventional.feasible else 0.0
-    out["fixed_pilot"] = fixed.weighted_sum_rate if fixed.feasible else 0.0
-    out["feasible"] = proposed.feasible
-    return out
+    return {scheme: res.weighted_sum_rate if res.feasible else 0.0
+            for scheme, res in zip(SCHEMES, (proposed, upper, conventional, fixed))}
 
 
-def run_threshold_sweep(base: SystemConfig, profile: dict, seed: int, out_dir: str,
-                        workers: int) -> str:
-    deps = profile["deployments"]
+def _tightness_grid(base: SystemConfig, profile: dict):
+    for decoder in DECODERS:
+        for m in profile["tightness_aps"]:
+            for mn in profile["tightness_mn"]:
+                n = mn // m
+                if mn % m == 0 and n > base.num_devices:
+                    yield ([decoder, m, n, mn],
+                           base.replace(num_aps=m, antennas_per_ap=n), decoder)
+
+
+def _layouts(profile: dict):
+    """(decoder, M, N) for every decoder and AP count, N = total antennas / M."""
+    return [(decoder, m, profile["total_antennas"] // m)
+            for decoder in DECODERS for m in profile["ap_counts"]]
+
+
+def _threshold_layout(profile: dict) -> dict:
     m = max(profile["ap_counts"])
-    n = profile["total_antennas"] // m
-    rows = []
-    for decoder in ("mrc", "fzf"):
+    return {"M": m, "N": profile["total_antennas"] // m}
+
+
+def _threshold_grid(base: SystemConfig, profile: dict):
+    layout = _threshold_layout(profile)
+    for decoder in DECODERS:
         for th in THRESHOLD_GRID:
-            cfg = base.replace(num_aps=m, antennas_per_ap=n, ap_select_threshold=th,
-                               energy_budget=profile["threshold_energy"])
-            tasks = [(cfg, seed, dep, decoder) for dep in range(deps)]
-            res = _pool_map(_proposed_rate, tasks, workers)
-            vals = np.array([r[0] for r in res])
-            feas = np.array([r[1] for r in res])
-            rows.append([decoder, th, float(vals.mean()),
-                         float(vals[feas].mean()) if feas.any() else 0.0,
-                         int(feas.sum()), deps])
-    path = os.path.join(out_dir, "threshold_sweep.csv")
-    write_csv(path, ["decoder", "threshold", "mean_wsr", "mean_wsr_feasible",
-                     "feasible_count", "deployments"], rows, base, seed,
-              {"experiment": "threshold_sweep", "M": m, "N": n})
-    return path
+            yield [decoder, th], base.replace(
+                num_aps=layout["M"], antennas_per_ap=layout["N"], ap_select_threshold=th,
+                energy_budget=profile["threshold_energy"]), decoder
 
 
-def _proposed_rate(task):
-    cfg, seed, dep, decoder = task
-    model = generate_topology(cfg, seed=seed + dep)
-    res = optimizer.solve(model, cfg, decoder)
-    return (res.weighted_sum_rate if res.feasible else 0.0, res.feasible)
+def _summary(vals: np.ndarray, ok: np.ndarray) -> list:
+    """mean_wsr, mean_wsr_feasible, feasible_count and deployments."""
+    return [float(vals.mean()), float(vals[ok].mean()) if ok.any() else 0.0,
+            int(ok.sum()), len(vals)]
 
 
-def run_energy_compare(base: SystemConfig, profile: dict, seed: int, out_dir: str,
-                       workers: int) -> str:
-    deps = profile["deployments"]
+def _converge_rows(key, res):
+    """Every iterate of the one (decoder, M, N) solve."""
+    return [key + [rec["iteration"], rec["objective"], rec["gp_status"]]
+            + rec["sinr"] + rec["pilot"] + rec["payload"]
+            for rec in res[0].trace.rows(key[0])]
+
+
+def _threshold_rows(key, res):
+    vals = np.array([r.weighted_sum_rate if r.feasible else 0.0 for r in res])
+    return [key + _summary(vals, np.array([r.feasible for r in res]))]
+
+
+def _scheme_rows(key, res):
+    """One row per scheme; a scheme counts as feasible where its rate is positive."""
     rows = []
-    for decoder in ("mrc", "fzf"):
-        for m in profile["ap_counts"]:
-            n = profile["total_antennas"] // m
-            if n <= base.num_devices:
-                continue
-            for energy in profile["energy_grid"]:
-                cfg = base.replace(num_aps=m, antennas_per_ap=n,
-                                   energy_budget=energy)
-                tasks = [(cfg, seed, dep, decoder) for dep in range(deps)]
-                res = _pool_map(_scheme_rates, tasks, workers)
-                for scheme in SCHEMES:
-                    vals = np.array([r[scheme] for r in res])
-                    pos = vals > 0
-                    rows.append([decoder, m, scheme, energy, float(vals.mean()),
-                                 float(vals[pos].mean()) if pos.any() else 0.0,
-                                 int(pos.sum()), deps])
-    path = os.path.join(out_dir, "energy_compare.csv")
-    write_csv(path, ["decoder", "M", "scheme", "energy", "mean_wsr",
-                     "mean_wsr_feasible", "feasible_count", "deployments"],
-              rows, base, seed, {"experiment": "energy_compare"})
-    return path
+    for scheme in SCHEMES:
+        vals = np.array([r[scheme] for r in res])
+        rows.append(key[:2] + [scheme] + key[2:] + _summary(vals, vals > 0))
+    return rows
 
 
-def run_devices_sweep(base: SystemConfig, profile: dict, seed: int, out_dir: str,
-                      workers: int) -> str:
-    deps = profile["deployments"]
-    rows = []
-    for decoder in ("mrc", "fzf"):
-        for m in profile["ap_counts"]:
-            n = profile["total_antennas"] // m
-            for k in profile["devices_grid"]:
-                if k >= n:
-                    continue
-                cfg = base.replace(num_aps=m, antennas_per_ap=n, num_devices=k)
-                tasks = [(cfg, seed, dep, decoder) for dep in range(deps)]
-                res = _pool_map(_scheme_rates, tasks, workers)
-                for scheme in SCHEMES:
-                    vals = np.array([r[scheme] for r in res])
-                    pos = vals > 0
-                    rows.append([decoder, m, scheme, k, float(vals.mean()),
-                                 float(vals[pos].mean()) if pos.any() else 0.0,
-                                 int(pos.sum()), deps])
-    path = os.path.join(out_dir, "devices_sweep.csv")
-    write_csv(path, ["decoder", "M", "scheme", "num_devices", "mean_wsr",
-                     "mean_wsr_feasible", "feasible_count", "deployments"],
-              rows, base, seed, {"experiment": "devices_sweep"})
+class Experiment(NamedTuple):
+    """One CSV: every grid point runs on its deployments, and `aggregate`
+    turns their results into that point's rows."""
+
+    grid: Callable          # (base, profile) -> iterable of (key columns, cfg, decoder)
+    deployments: str | None  # profile key of deployments per point; None: one, seed + 0
+    point: Callable         # task (cfg, seed, deployment, decoder, *args) -> result
+    args: Callable          # (profile, trials) -> the task's args
+    aggregate: Callable     # (key columns, results of one grid point) -> rows
+    header: Callable        # num_devices -> column names
+    extra: Callable         # (profile, trials) -> config-hash fields besides the name
+
+
+_SUMMARY = ["mean_wsr", "mean_wsr_feasible", "feasible_count", "deployments"]
+
+EXPERIMENTS = {
+    "tightness": Experiment(
+        grid=_tightness_grid,
+        deployments="tightness_deployments",
+        point=_tightness_point,
+        args=lambda profile, trials: (profile["tightness_power"], trials),
+        aggregate=lambda key, res: [key + [float(np.mean([r[i] for r in res]))
+                                           for i in range(3)]],
+        header=lambda k: ["decoder", "M", "N", "MN", "lb_rate", "ergodic_rate", "ci"],
+        extra=lambda profile, trials: {"trials": trials}),
+    "converge": Experiment(
+        grid=lambda base, profile: [
+            ([d, m, n], base.replace(num_aps=m, antennas_per_ap=n), d)
+            for d, m, n in _layouts(profile) if n > base.num_devices],
+        deployments=None, point=_solve_point, args=lambda profile, trials: (),
+        aggregate=_converge_rows,
+        header=lambda k: (["decoder", "M", "N", "iteration", "objective", "gp_status"]
+                          + [f"{v}_{i}" for v in ("chi", "pp", "pd") for i in range(k)]),
+        extra=lambda profile, trials: {}),
+    "threshold-sweep": Experiment(
+        grid=_threshold_grid,
+        deployments="deployments", point=_solve_point, args=lambda profile, trials: (),
+        aggregate=_threshold_rows,
+        header=lambda k: ["decoder", "threshold"] + _SUMMARY,
+        extra=lambda profile, trials: _threshold_layout(profile)),
+    "energy-compare": Experiment(
+        grid=lambda base, profile: [
+            ([d, m, e], base.replace(num_aps=m, antennas_per_ap=n, energy_budget=e), d)
+            for d, m, n in _layouts(profile) if n > base.num_devices
+            for e in profile["energy_grid"]],
+        deployments="deployments", point=_scheme_rates, args=lambda profile, trials: (),
+        aggregate=_scheme_rows,
+        header=lambda k: ["decoder", "M", "scheme", "energy"] + _SUMMARY,
+        extra=lambda profile, trials: {}),
+    "devices-sweep": Experiment(
+        grid=lambda base, profile: [
+            ([d, m, k], base.replace(num_aps=m, antennas_per_ap=n, num_devices=k), d)
+            for d, m, n in _layouts(profile) for k in profile["devices_grid"] if k < n],
+        deployments="deployments", point=_scheme_rates, args=lambda profile, trials: (),
+        aggregate=_scheme_rows,
+        header=lambda k: ["decoder", "M", "scheme", "num_devices"] + _SUMMARY,
+        extra=lambda profile, trials: {}),
+}
+
+
+def run_experiment(name: str, base: SystemConfig, profile: dict, seed: int,
+                   out_dir: str, trials: int, workers: int) -> str:
+    """Run one experiment, all its tasks through one worker pool, and write
+    its CSV; returns the path."""
+    exp = EXPERIMENTS[name]
+    grid = list(exp.grid(base, profile))
+    deps = profile[exp.deployments] if exp.deployments else 1
+    args = exp.args(profile, trials)
+    tasks = [(cfg, seed, dep, decoder, *args)
+             for _, cfg, decoder in grid for dep in range(deps)]
+    res = _pool_map(exp.point, tasks, workers)
+    rows = [row for i, (key, _, _) in enumerate(grid)
+            for row in exp.aggregate(key, res[i * deps:(i + 1) * deps])]
+    tag = name.replace("-", "_")
+    path = os.path.join(out_dir, f"{tag}.csv")
+    write_csv(path, exp.header(base.num_devices), rows, base, seed,
+              {"experiment": tag, **exp.extra(profile, trials)})
     return path
 
 
@@ -398,9 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"Monte-Carlo trials per point (>= {montecarlo.MIN_TRIALS})")
     parser.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="worker processes for independent deployments (>= 1)")
-    parser.add_argument("experiment",
-                        choices=["tightness", "converge", "threshold-sweep",
-                                 "energy-compare", "devices-sweep", "gp-selftest"])
+    parser.add_argument("experiment", choices=[*EXPERIMENTS, "gp-selftest"])
     return parser
 
 
@@ -423,17 +418,8 @@ def main(argv=None) -> int:
 
     if args.experiment == "gp-selftest":
         return 1 if run_gp_selftest(seed) else 0
-    if args.experiment == "tightness":
-        path = run_tightness(base, profile, seed, args.out, trials, args.threads)
-    elif args.experiment == "converge":
-        path = run_converge(base, profile, seed, args.out, args.threads)
-    elif args.experiment == "threshold-sweep":
-        path = run_threshold_sweep(base, profile, seed, args.out, args.threads)
-    elif args.experiment == "energy-compare":
-        path = run_energy_compare(base, profile, seed, args.out, args.threads)
-    else:
-        path = run_devices_sweep(base, profile, seed, args.out, args.threads)
-    print(path)
+    print(run_experiment(args.experiment, base, profile, seed, args.out, trials,
+                         args.threads))
     return 0
 
 

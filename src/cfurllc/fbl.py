@@ -1,5 +1,5 @@
-"""Finite-blocklength rate math: dispersion penalty, closed-form SINR lower
-bounds for both decoders, and their product-form rewrites used by the GP step.
+"""Finite-blocklength rate math: dispersion penalty, rate kernel and its
+inverse, and the closed-form SINR lower bounds of both decoders.
 """
 
 from __future__ import annotations
@@ -226,143 +226,49 @@ def weighted_lb_sum_rate(sinr: np.ndarray, weights: np.ndarray, params: FblParam
 # ---------------------------------------------------------------------------
 
 def lb_sinr_mrc(model: LargeScaleModel, stats: EstimationStats,
-                payload_power: np.ndarray, n_antennas: int, k: int | None = None):
-    """Lower-bound SINR for maximum-ratio combining over each service set."""
+                payload_power: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Lower-bound SINR of every device for maximum-ratio combining over its service set."""
     pd = np.asarray(payload_power, dtype=float)
     if np.any(pd <= 0):
         raise ValueError("payload powers must be strictly positive")
-
-    def one(dev: int) -> float:
-        idx = list(model.service_sets[dev])
+    out = np.empty(model.num_devices)
+    for dev, aps in enumerate(model.service_sets):
+        idx = list(aps)
         if not idx:
             raise ValueError(f"device {dev} has an empty service set")
         lam = stats.lam[idx, dev]
         num = n_antennas * pd[dev] * lam.sum() ** 2
         cross = model.beta[idx, :] * lam[:, None]      # (S, K)
-        den = float(cross.sum(axis=0) @ pd) + lam.sum()
-        return num / den
-
-    if k is not None:
-        return one(k)
-    return np.array([one(dev) for dev in range(model.num_devices)])
+        out[dev] = num / (float(cross.sum(axis=0) @ pd) + lam.sum())
+    return out
 
 
 def lb_sinr_fzf(model: LargeScaleModel, stats: EstimationStats,
-                payload_power: np.ndarray, n_antennas: int, k: int | None = None):
-    """Lower-bound SINR for full-pilot zero-forcing; needs more antennas than devices."""
+                payload_power: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Lower-bound SINR of every device for full-pilot zero-forcing; needs more
+    antennas than devices."""
     kdev = model.num_devices
     if n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
     pd = np.asarray(payload_power, dtype=float)
     if np.any(pd <= 0):
         raise ValueError("payload powers must be strictly positive")
-
-    def one(dev: int) -> float:
-        idx = list(model.service_sets[dev])
+    out = np.empty(kdev)
+    for dev, aps in enumerate(model.service_sets):
+        idx = list(aps)
         if not idx:
             raise ValueError(f"device {dev} has an empty service set")
         num = pd[dev] * (n_antennas - kdev) * np.sqrt(stats.lam[idx, dev]).sum() ** 2
         resid = stats.err_var[idx, :].sum(axis=0)      # (K,)
-        den = len(idx) + float(resid @ pd)
-        return num / den
-
-    if k is not None:
-        return one(k)
-    return np.array([one(dev) for dev in range(model.num_devices)])
+        out[dev] = num / (len(idx) + float(resid @ pd))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Product-form rewrites of the same SINRs, kept in the log domain
+# Log-domain helper
 # ---------------------------------------------------------------------------
 
 def _logsumexp(a: np.ndarray, axis=None):
     m = np.max(a, axis=axis, keepdims=True)
     out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m)
     return out
-
-
-@dataclass(frozen=True)
-class MrcFactors:
-    """Log-domain pieces of the MRC SINR written over pilot-power products."""
-
-    log_gain: float          # log of the coherent-gain posynomial
-    log_scale: float         # log of the product of estimation denominators
-    log_cross: np.ndarray    # (K,) log of the per-interferer posynomials
-    set_size: int
-
-
-@dataclass(frozen=True)
-class FzfFactors:
-    """Log-domain pieces of the zero-forcing SINR over pilot-power products."""
-
-    log_coherent: float      # log of the coherent square-root-gain posynomial
-    log_scale: np.ndarray    # (K,) log of the per-device root-product factors
-    log_residual: np.ndarray  # (K,) log of the per-device residual posynomials
-    set_size: int
-
-
-def mrc_factors(model: LargeScaleModel, pilot_power: np.ndarray, k: int) -> MrcFactors:
-    """Evaluate the product-form MRC factors directly from their defining sums."""
-    p = np.asarray(pilot_power, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("pilot powers must be strictly positive")
-    idx = list(model.service_sets[k])
-    b = model.beta[idx, k]
-    kp = model.num_devices * p[k]
-    logt = np.log1p(kp * b)                              # (S,)
-    s = len(idx)
-    mask = ~np.eye(s, dtype=bool)
-    # per-m sums over the other set members, formed explicitly
-    others = (logt[None, :] * mask).sum(axis=1)          # (S,)
-    log_scale = float(logt.sum())
-    log_gain = float(_logsumexp(np.log(kp * b ** 2) + others))
-    cross_beta = model.beta[idx, :]                      # (S, K)
-    log_cross = _logsumexp(np.log(kp * b ** 2)[:, None] + np.log(cross_beta)
-                           + others[:, None], axis=0)
-    return MrcFactors(log_gain=log_gain, log_scale=log_scale,
-                      log_cross=np.asarray(log_cross, dtype=float), set_size=s)
-
-
-def fzf_factors(model: LargeScaleModel, pilot_power: np.ndarray, k: int) -> FzfFactors:
-    """Evaluate the product-form zero-forcing factors from their defining sums."""
-    p = np.asarray(pilot_power, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("pilot powers must be strictly positive")
-    idx = list(model.service_sets[k])
-    s = len(idx)
-    kdev = model.num_devices
-    b_own = model.beta[idx, k]
-    kp_own = kdev * p[k]
-    logt_own = np.log1p(kp_own * b_own)
-    mask = ~np.eye(s, dtype=bool)
-    others_own = (logt_own[None, :] * mask).sum(axis=1)
-    log_coherent = float(_logsumexp(0.5 * np.log(kp_own * b_own ** 2) + 0.5 * others_own))
-
-    beta_all = model.beta[idx, :]                        # (S, K)
-    logt_all = np.log1p(kdev * p[None, :] * beta_all)    # (S, K)
-    log_scale = 0.5 * logt_all.sum(axis=0)               # (K,)
-    others_all = mask.astype(float) @ logt_all           # (S, K) sums over n != m
-    log_residual = _logsumexp(np.log(beta_all) + others_all, axis=0)
-    return FzfFactors(log_coherent=log_coherent, log_scale=np.asarray(log_scale),
-                      log_residual=np.asarray(log_residual), set_size=s)
-
-
-def sinr_mrc_from_factors(factors: MrcFactors, payload_power: np.ndarray,
-                          n_antennas: int, k: int) -> float:
-    """Rebuild the MRC SINR from its product-form factors without overflow."""
-    pd = np.asarray(payload_power, dtype=float)
-    ratio = math.exp(2.0 * (factors.log_gain - factors.log_scale))
-    inner = float(pd @ np.exp(factors.log_cross - factors.log_scale)) \
-        + math.exp(factors.log_gain - factors.log_scale)
-    return n_antennas * pd[k] * ratio / inner
-
-
-def sinr_fzf_from_factors(factors: FzfFactors, payload_power: np.ndarray,
-                          n_antennas: int, num_devices: int, k: int) -> float:
-    """Rebuild the zero-forcing SINR from its product-form factors."""
-    pd = np.asarray(payload_power, dtype=float)
-    num = pd[k] * (n_antennas - num_devices) * math.exp(
-        2.0 * (factors.log_coherent - factors.log_scale[k]))
-    den = factors.set_size + float(
-        pd @ np.exp(factors.log_residual - 2.0 * factors.log_scale))
-    return num / den

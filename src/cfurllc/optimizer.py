@@ -52,6 +52,13 @@ class IterationTrace:
     carryover_margin: list[float] = field(default_factory=list)
     surrogate_clamped: bool = False
 
+    def add(self, objective: float, sinr: np.ndarray, alloc: PowerAllocation,
+            gp_status: str):
+        self.objective.append(objective)
+        self.sinr.append(sinr)
+        self.allocations.append(alloc)
+        self.gp_status.append(gp_status)
+
     def rows(self, decoder: str):
         for i, obj in enumerate(self.objective):
             alloc = self.allocations[i]
@@ -59,7 +66,7 @@ class IterationTrace:
                 "decoder": decoder, "iteration": i, "objective": obj,
                 "sinr": list(self.sinr[i]), "pilot": list(alloc.pilot),
                 "payload": list(alloc.payload),
-                "gp_status": self.gp_status[i] if i < len(self.gp_status) else "",
+                "gp_status": self.gp_status[i],
             }
 
 
@@ -76,6 +83,11 @@ class SolveResult:
     @property
     def feasible(self) -> bool:
         return self.status in ("optimal", "degraded") and self.allocation is not None
+
+
+def _no_allocation(status: str, message: str) -> SolveResult:
+    return SolveResult(status=status, allocation=None, trace=IterationTrace(),
+                       sinr=None, rates=None, weighted_sum_rate=0.0, message=message)
 
 
 def sinr_floor(params: fbl.FblParams, rate_req_bps: float, k: int) -> float:
@@ -342,8 +354,9 @@ class FzfSinrBlock(_SinrBlock):
 
 
 def _add_sinr_constraints(m: gp.GpModel, model: LargeScaleModel, decoder: str,
-                          heads, log_heads, pp, pd, fits, n_antennas: int):
-    """All K SINR constraints as one block against their monomial fits:
+                          heads, log_heads, pp, pd, pilot_hat, n_antennas: int):
+    """All K SINR constraints as one block against their monomial fits at
+    the pilots pilot_hat:
 
     MRC:  head * scale * (sum_j pd_j cross_j + gain) <= fit of N gain^2 pd
     FZF:  head * (|set| prod_j scale_j^2 + sum_j pd_j resid_j prod_{i!=j} scale_i^2)
@@ -353,70 +366,58 @@ def _add_sinr_constraints(m: gp.GpModel, model: LargeScaleModel, decoder: str,
     rhs = []
     if decoder == MRC:
         block: gp.RowBlock = MrcSinrBlock(model, heads, log_heads, pp, pd)
-        for k, fit in enumerate(fits):
+        for k in range(kdev):
+            fit = approx.mrc_gain_monomial(model, float(pilot_hat[k]), k)
             rhs.append(_mono_from_log(math.log(n_antennas) + 2.0 * fit.log_coeff,
                                       {pp[k].index: 2.0 * float(fit.exponents[0]),
                                        pd[k].index: 1.0}))
     else:
         block = FzfSinrBlock(model, heads, log_heads, pp, pd)
-        for k, fit in enumerate(fits):
+        for k in range(kdev):
+            fit = approx.fzf_gain_monomial(model, pilot_hat, k)
             exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
             exps[pd[k].index] = exps.get(pd[k].index, 0.0) + 1.0
             rhs.append(_mono_from_log(math.log(n_antennas - kdev) + fit.log_coeff, exps))
     m.add_block_le(block, rhs)
 
 
-def _gain_fits(model: LargeScaleModel, pilot_hat: np.ndarray, decoder: str):
-    if decoder == MRC:
-        return [approx.mrc_gain_monomial(model, float(pilot_hat[k]), k)
-                for k in range(model.num_devices)]
-    return [approx.fzf_gain_monomial(model, pilot_hat, k)
-            for k in range(model.num_devices)]
-
-
-def _add_energy(m: gp.GpModel, model: LargeScaleModel, cfg: SystemConfig, pp, pd):
+def _build_joint_gp(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
+                    pilot_hat: np.ndarray, w_hat: np.ndarray | None, floors: np.ndarray):
+    """The per-iteration GP for exponents w_hat: tangent objective, fitted SINR
+    constraints, floors, energy. With w_hat None, the max-slack GP instead:
+    every SINR floor scaled by one common factor phi, which is maximized."""
     kdev = model.num_devices
+    m = gp.GpModel()
+    if w_hat is None:
+        heads, log_heads = [m.variable("phi")] * kdev, np.log(floors)
+        m.maximize(heads[0])
+    else:
+        heads, log_heads = [m.variable(f"chi{k}") for k in range(kdev)], np.zeros(kdev)
+        m.maximize(gp.Monomial(1.0, {heads[k].index: float(w_hat[k]) for k in range(kdev)}))
+    pp = [m.variable(f"pp{k}") for k in range(kdev)]
+    pd = [m.variable(f"pd{k}") for k in range(kdev)]
+    _add_sinr_constraints(m, model, decoder, heads, log_heads, pp, pd, pilot_hat,
+                          cfg.antennas_per_ap)
+    if w_hat is not None:
+        for k in range(kdev):
+            m.add_le(_mono_from_log(math.log(floors[k]), {heads[k].index: -1.0}),
+                     gp.Const(1.0))
     for k in range(kdev):
         lhs = gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
                       gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})])
         m.add_le(lhs, gp.Const(float(model.energy[k])))
-
-
-def _build_step_gp(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                   pilot_hat: np.ndarray, w_hat: np.ndarray, floors: np.ndarray):
-    """The per-iteration GP: tangent objective, fitted SINR constraints, floors, energy."""
-    kdev = model.num_devices
-    m = gp.GpModel()
-    chi = [m.variable(f"chi{k}") for k in range(kdev)]
-    pp = [m.variable(f"pp{k}") for k in range(kdev)]
-    pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    m.maximize(gp.Monomial(1.0, {chi[k].index: float(w_hat[k]) for k in range(kdev)}))
-    _add_sinr_constraints(m, model, decoder, chi, np.zeros(kdev), pp, pd,
-                          _gain_fits(model, pilot_hat, decoder), cfg.antennas_per_ap)
-    for k in range(kdev):
-        m.add_le(_mono_from_log(math.log(floors[k]), {chi[k].index: -1.0}), gp.Const(1.0))
-    _add_energy(m, model, cfg, pp, pd)
-    return m
-
-
-def _build_feasibility_gp(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                          pilot_hat: np.ndarray, floors: np.ndarray):
-    """Max-slack GP: scale every SINR floor by a common factor and maximize it."""
-    kdev = model.num_devices
-    m = gp.GpModel()
-    phi = m.variable("phi")
-    pp = [m.variable(f"pp{k}") for k in range(kdev)]
-    pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    m.maximize(phi)
-    _add_sinr_constraints(m, model, decoder, [phi] * kdev, np.log(floors), pp, pd,
-                          _gain_fits(model, pilot_hat, decoder), cfg.antennas_per_ap)
-    _add_energy(m, model, cfg, pp, pd)
     return m
 
 
 # ---------------------------------------------------------------------------
 # Feasibility initialization and the SCA loop
 # ---------------------------------------------------------------------------
+
+def _read_allocation(sol: gp.GpSolution, kdev: int) -> PowerAllocation:
+    """The pilots pp0.. and payloads pd0.. of a GP solution."""
+    return PowerAllocation(pilot=np.array([sol[f"pp{k}"] for k in range(kdev)]),
+                           payload=np.array([sol[f"pd{k}"] for k in range(kdev)]))
+
 
 def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                      floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
@@ -439,7 +440,7 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     prev_phi = -math.inf
     error = ""
     for _ in range(MAX_FEASIBILITY_ROUNDS):
-        m = _build_feasibility_gp(model, cfg, decoder, pilot_hat, floors)
+        m = _build_joint_gp(model, cfg, decoder, pilot_hat, None, floors)
         sol = m.solve(tol=cfg.gp_tolerance, start=start)
         if sol.status == "numerical_error":
             error = f"max-slack GP failed: {sol.message}"
@@ -447,9 +448,7 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
         if sol.status == "infeasible":
             break
         phi = sol["phi"]
-        alloc = PowerAllocation(
-            pilot=np.array([sol[f"pp{k}"] for k in range(kdev)]),
-            payload=np.array([sol[f"pd{k}"] for k in range(kdev)]))
+        alloc = _read_allocation(sol, kdev)
         if phi > best_phi:
             best_phi, best_alloc = phi, alloc
         # stop once comfortably feasible, or when re-expansion stalls
@@ -466,33 +465,24 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     return None, best_phi, error
 
 
-def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-               params: fbl.FblParams, start: PowerAllocation | None = None) -> SolveResult:
-    rate_req = np.full(model.num_devices, cfg.rate_req_bps)
-    floors = sinr_floors(params, rate_req)
+def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
+             floors: np.ndarray, alloc: PowerAllocation, sinr_of, step) -> SolveResult:
+    """The SCA iteration every scheme runs, from a feasible allocation.
+
+    `sinr_of(alloc)` gives the lower-bound SINRs of an allocation.
+    `step(alloc, chi, w_hat)` builds the iteration's GP around the current
+    iterate for the surrogate exponents w_hat, and returns it with the
+    iterate as a point of that GP (its warm start and carry-over check) and
+    a function reading the next allocation from the GP's solution. The loop
+    stops when the relative gain falls below cfg.sca_tolerance; the best
+    iterate of the trace is returned.
+    """
     trace = IterationTrace()
-
-    if start is None:
-        alloc, phi, error = feasibility_init(model, cfg, decoder, floors)
-        if alloc is None:
-            return SolveResult(status="aborted" if error else "infeasible",
-                               allocation=None, trace=trace,
-                               sinr=None, rates=None, weighted_sum_rate=0.0,
-                               message=error or f"max floor slack {phi:.4f} < 1")
-    else:
-        alloc = start
-
-    kdev = model.num_devices
-    chi = true_sinr(model, alloc, cfg.antennas_per_ap, decoder)
+    chi = sinr_of(alloc)
     if np.any(chi < floors * (1.0 - 1e-9)):
-        return SolveResult(status="infeasible", allocation=None, trace=trace,
-                           sinr=None, rates=None, weighted_sum_rate=0.0,
-                           message="starting point violates an SINR floor")
+        return _no_allocation("infeasible", "starting point violates an SINR floor")
     obj = fbl.weighted_lb_sum_rate(chi, model.weights, params)
-    trace.objective.append(obj)
-    trace.sinr.append(chi)
-    trace.allocations.append(alloc)
-    trace.gp_status.append("init")
+    trace.add(obj, chi, alloc, "init")
 
     status = "optimal"
     message = ""
@@ -504,44 +494,55 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
             status, message = "aborted", str(exc)
             break
         trace.surrogate_clamped |= clamped
-        m = _build_step_gp(model, cfg, decoder, alloc.pilot, w_hat, floors)
-
+        m, point, read = step(alloc, chi, w_hat)
         # previous iterate must stay feasible in the refreshed GP
-        point = np.concatenate([chi, alloc.pilot, alloc.payload])
         trace.carryover_margin.append(float(m.constraint_margins(point).max()))
-
         if warm is None:
-            warm = {f"chi{k}": chi[k] for k in range(kdev)}
-            for k in range(kdev):
-                warm[f"pp{k}"] = alloc.pilot[k]
-                warm[f"pd{k}"] = alloc.payload[k]
+            # by name: a named start's logs come from math.log, which can
+            # differ from np.log of the same array in the last bit
+            warm = dict(zip(m.names, point))
         sol = m.solve(tol=cfg.gp_tolerance, start=warm)
-        warm = sol.interior if sol.interior is not None else None
+        warm = sol.interior
         if sol.status != "optimal":
             status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
             break
-        alloc = PowerAllocation(
-            pilot=np.array([sol[f"pp{k}"] for k in range(kdev)]),
-            payload=np.array([sol[f"pd{k}"] for k in range(kdev)]))
-        chi = true_sinr(model, alloc, cfg.antennas_per_ap, decoder)
+        alloc = read(sol)
+        chi = sinr_of(alloc)
         obj_new = fbl.weighted_lb_sum_rate(chi, model.weights, params)
-        trace.objective.append(obj_new)
-        trace.sinr.append(chi)
-        trace.allocations.append(alloc)
-        trace.gp_status.append(sol.status)
+        trace.add(obj_new, chi, alloc, sol.status)
         gain = (obj_new - obj) / obj if obj > 0 else math.inf
         obj = obj_new
         if gain < cfg.sca_tolerance:
             break
 
     best = int(np.argmax(trace.objective))
-    alloc = trace.allocations[best]
     chi = trace.sinr[best]
-    rates = np.array([fbl.lb_rate(chi[k], params, k) for k in range(kdev)])
-    return SolveResult(status=status, allocation=alloc, trace=trace, sinr=chi,
-                       rates=rates,
+    rates = np.array([fbl.lb_rate(chi[k], params, k) for k in range(model.num_devices)])
+    return SolveResult(status=status, allocation=trace.allocations[best], trace=trace,
+                       sinr=chi, rates=rates,
                        weighted_sum_rate=float(model.weights @ rates),
                        message=message)
+
+
+def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
+               params: fbl.FblParams, start: PowerAllocation | None = None) -> SolveResult:
+    """Joint pilot/payload SCA from `start`, or from feasibility_init."""
+    kdev = model.num_devices
+    floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
+    if start is None:
+        start, phi, error = feasibility_init(model, cfg, decoder, floors)
+        if start is None:
+            return _no_allocation("aborted" if error else "infeasible",
+                                  error or f"max floor slack {phi:.4f} < 1")
+
+    def step(alloc, chi, w_hat):
+        m = _build_joint_gp(model, cfg, decoder, alloc.pilot, w_hat, floors)
+        return (m, np.concatenate([chi, alloc.pilot, alloc.payload]),
+                lambda sol: _read_allocation(sol, kdev))
+
+    return _run_sca(model, cfg, params, floors, start,
+                    lambda alloc: true_sinr(model, alloc, cfg.antennas_per_ap, decoder),
+                    step)
 
 
 def solve_mrc(model: LargeScaleModel, cfg: SystemConfig,
@@ -600,13 +601,6 @@ def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig,
                        weighted_sum_rate=float(model.weights @ rates))
 
 
-def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
-                          decoder: str) -> SolveResult:
-    """Pilot power frozen at energy/blocklength; only payloads are optimized."""
-    params = fbl.FblParams.from_config(cfg)
-    return _solve_fixed_pilot(model, cfg, decoder, params)
-
-
 def _fixed_pilot_coeffs(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                         pilot: np.ndarray):
     """Constant SINR-constraint coefficients once the pilots are frozen:
@@ -631,106 +625,54 @@ def _fixed_pilot_coeffs(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     return gains, noises, crosses
 
 
-def _solve_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                       params: fbl.FblParams) -> SolveResult:
+def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
+                          decoder: str) -> SolveResult:
+    """Pilot power frozen at energy/blocklength; only payloads are optimized."""
+    params = fbl.FblParams.from_config(cfg)
     kdev = model.num_devices
     pilot = model.energy / cfg.blocklength
     pd_max = model.energy / cfg.blocklength      # leftover budget per data symbol
-    rate_req = np.full(kdev, cfg.rate_req_bps)
-    floors = sinr_floors(params, rate_req)
+    floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
     gains, noises, crosses = _fixed_pilot_coeffs(model, cfg, decoder, pilot)
-    trace = IterationTrace()
 
-    def payload_sinr(payload):
-        return gains * payload / (noises + crosses @ payload)
-
-    def build(w_hat, feasibility=False):
+    def build(w_hat):
+        """The step GP for exponents w_hat; the max-slack GP when w_hat is None."""
         m = gp.GpModel()
-        if feasibility:
+        if w_hat is None:
             phi = m.variable("phi")
             m.maximize(phi)
-            chi = None
+            heads = [gp.Product([phi, gp.Const(float(f))]) for f in floors]
         else:
-            phi = None
-            chi = [m.variable(f"chi{k}") for k in range(kdev)]
-        pd = [m.variable(f"pd{k}") for k in range(kdev)]
-        if not feasibility:
-            m.maximize(gp.Monomial(1.0, {chi[k].index: float(w_hat[k])
+            heads = [m.variable(f"chi{k}") for k in range(kdev)]
+            m.maximize(gp.Monomial(1.0, {heads[k].index: float(w_hat[k])
                                          for k in range(kdev)}))
+        pd = [m.variable(f"pd{k}") for k in range(kdev)]
         for k in range(kdev):
             terms = [gp.Monomial(float(crosses[k, j] / gains[k]), {pd[j].index: 1.0})
                      for j in range(kdev)]
             terms.append(gp.Const(float(noises[k] / gains[k])))
-            if feasibility:
-                head: gp.Expr = gp.Product([phi, gp.Const(float(floors[k]))])
-            else:
-                head = chi[k]
-            m.add_le(gp.Product([head, gp.Sum(terms)]),
+            m.add_le(gp.Product([heads[k], gp.Sum(terms)]),
                      gp.Monomial(1.0, {pd[k].index: 1.0}))
-            if not feasibility:
-                m.add_le(_mono_from_log(math.log(floors[k]), {chi[k].index: -1.0}),
+            if w_hat is not None:
+                m.add_le(_mono_from_log(math.log(floors[k]), {heads[k].index: -1.0}),
                          gp.Const(1.0))
             m.add_le(pd[k], gp.Const(float(pd_max[k])))
         return m
 
+    def read(sol):
+        return PowerAllocation(pilot=pilot,
+                               payload=np.array([sol[f"pd{k}"] for k in range(kdev)]))
+
     # feasibility stage (exact here: constraints carry no monomial fits)
-    m = build(None, feasibility=True)
+    m = build(None)
     start = {"phi": 1e-3}
     start.update({f"pd{k}": 0.5 * pd_max[k] for k in range(kdev)})
     sol = m.solve(tol=cfg.gp_tolerance, start=start)
     if sol.status == "numerical_error":
-        return SolveResult(status="aborted", allocation=None, trace=trace,
-                           sinr=None, rates=None, weighted_sum_rate=0.0,
-                           message=f"fixed-pilot max-slack GP failed: {sol.message}")
+        return _no_allocation("aborted", f"fixed-pilot max-slack GP failed: {sol.message}")
     if sol.status == "infeasible" or sol["phi"] < FEASIBILITY_MARGIN:
-        return SolveResult(status="infeasible", allocation=None, trace=trace,
-                           sinr=None, rates=None, weighted_sum_rate=0.0,
-                           message="fixed-pilot floors unreachable")
-    payload = np.array([sol[f"pd{k}"] for k in range(kdev)])
-    chi = payload_sinr(payload)
-    obj = fbl.weighted_lb_sum_rate(chi, model.weights, params)
-    alloc = PowerAllocation(pilot=pilot, payload=payload)
-    trace.objective.append(obj)
-    trace.sinr.append(chi)
-    trace.allocations.append(alloc)
-    trace.gp_status.append("init")
-
-    status = "optimal"
-    message = ""
-    warm = None
-    for _ in range(MAX_SCA_ITERATIONS):
-        try:
-            w_hat, clamped = _surrogate_exponents(chi, params, model.weights)
-        except SurrogateError as exc:
-            status, message = "aborted", str(exc)
-            break
-        trace.surrogate_clamped |= clamped
-        m = build(w_hat)
-        if warm is None:
-            warm = {f"chi{k}": chi[k] for k in range(kdev)}
-            warm.update({f"pd{k}": payload[k] for k in range(kdev)})
-        sol = m.solve(tol=cfg.gp_tolerance, start=warm)
-        warm = sol.interior if sol.interior is not None else None
-        if sol.status != "optimal":
-            status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
-            break
-        payload = np.array([sol[f"pd{k}"] for k in range(kdev)])
-        chi = payload_sinr(payload)
-        obj_new = fbl.weighted_lb_sum_rate(chi, model.weights, params)
-        alloc = PowerAllocation(pilot=pilot, payload=payload)
-        trace.objective.append(obj_new)
-        trace.sinr.append(chi)
-        trace.allocations.append(alloc)
-        trace.gp_status.append(sol.status)
-        gain = (obj_new - obj) / obj if obj > 0 else math.inf
-        obj = obj_new
-        if gain < cfg.sca_tolerance:
-            break
-
-    best = int(np.argmax(trace.objective))
-    alloc = trace.allocations[best]
-    chi = trace.sinr[best]
-    rates = np.array([fbl.lb_rate(chi[k], params, k) for k in range(kdev)])
-    return SolveResult(status=status, allocation=alloc, trace=trace, sinr=chi,
-                       rates=rates, weighted_sum_rate=float(model.weights @ rates),
-                       message=message)
+        return _no_allocation("infeasible", "fixed-pilot floors unreachable")
+    return _run_sca(model, cfg, params, floors, read(sol),
+                    lambda alloc: gains * alloc.payload / (noises + crosses @ alloc.payload),
+                    lambda alloc, chi, w_hat: (build(w_hat),
+                                               np.concatenate([chi, alloc.payload]), read))

@@ -1,0 +1,100 @@
+"""Product-form rewrites of the closed-form SINR lower bounds, kept in the
+log domain: test oracles for `fbl.lb_sinr_*` and the gain fits in `approx`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cfurllc.fbl import _logsumexp
+from cfurllc.scenario import LargeScaleModel
+
+
+@dataclass(frozen=True)
+class MrcFactors:
+    """Log-domain pieces of the MRC SINR written over pilot-power products."""
+
+    log_gain: float          # log of the coherent-gain posynomial
+    log_scale: float         # log of the product of estimation denominators
+    log_cross: np.ndarray    # (K,) log of the per-interferer posynomials
+    set_size: int
+
+
+@dataclass(frozen=True)
+class FzfFactors:
+    """Log-domain pieces of the zero-forcing SINR over pilot-power products."""
+
+    log_coherent: float      # log of the coherent square-root-gain posynomial
+    log_scale: np.ndarray    # (K,) log of the per-device root-product factors
+    log_residual: np.ndarray  # (K,) log of the per-device residual posynomials
+    set_size: int
+
+
+def mrc_factors(model: LargeScaleModel, pilot_power: np.ndarray, k: int) -> MrcFactors:
+    """Evaluate the product-form MRC factors directly from their defining sums."""
+    p = np.asarray(pilot_power, dtype=float)
+    if np.any(p <= 0):
+        raise ValueError("pilot powers must be strictly positive")
+    idx = list(model.service_sets[k])
+    b = model.beta[idx, k]
+    kp = model.num_devices * p[k]
+    logt = np.log1p(kp * b)                              # (S,)
+    s = len(idx)
+    mask = ~np.eye(s, dtype=bool)
+    # per-m sums over the other set members, formed explicitly
+    others = (logt[None, :] * mask).sum(axis=1)          # (S,)
+    log_scale = float(logt.sum())
+    log_gain = float(_logsumexp(np.log(kp * b ** 2) + others))
+    cross_beta = model.beta[idx, :]                      # (S, K)
+    log_cross = _logsumexp(np.log(kp * b ** 2)[:, None] + np.log(cross_beta)
+                           + others[:, None], axis=0)
+    return MrcFactors(log_gain=log_gain, log_scale=log_scale,
+                      log_cross=np.asarray(log_cross, dtype=float), set_size=s)
+
+
+def fzf_factors(model: LargeScaleModel, pilot_power: np.ndarray, k: int) -> FzfFactors:
+    """Evaluate the product-form zero-forcing factors from their defining sums."""
+    p = np.asarray(pilot_power, dtype=float)
+    if np.any(p <= 0):
+        raise ValueError("pilot powers must be strictly positive")
+    idx = list(model.service_sets[k])
+    s = len(idx)
+    kdev = model.num_devices
+    b_own = model.beta[idx, k]
+    kp_own = kdev * p[k]
+    logt_own = np.log1p(kp_own * b_own)
+    mask = ~np.eye(s, dtype=bool)
+    others_own = (logt_own[None, :] * mask).sum(axis=1)
+    log_coherent = float(_logsumexp(0.5 * np.log(kp_own * b_own ** 2) + 0.5 * others_own))
+
+    beta_all = model.beta[idx, :]                        # (S, K)
+    logt_all = np.log1p(kdev * p[None, :] * beta_all)    # (S, K)
+    log_scale = 0.5 * logt_all.sum(axis=0)               # (K,)
+    others_all = mask.astype(float) @ logt_all           # (S, K) sums over n != m
+    log_residual = _logsumexp(np.log(beta_all) + others_all, axis=0)
+    return FzfFactors(log_coherent=log_coherent, log_scale=np.asarray(log_scale),
+                      log_residual=np.asarray(log_residual), set_size=s)
+
+
+def sinr_mrc_from_factors(factors: MrcFactors, payload_power: np.ndarray,
+                          n_antennas: int, k: int) -> float:
+    """Rebuild the MRC SINR from its product-form factors without overflow."""
+    pd = np.asarray(payload_power, dtype=float)
+    ratio = math.exp(2.0 * (factors.log_gain - factors.log_scale))
+    inner = float(pd @ np.exp(factors.log_cross - factors.log_scale)) \
+        + math.exp(factors.log_gain - factors.log_scale)
+    return n_antennas * pd[k] * ratio / inner
+
+
+def sinr_fzf_from_factors(factors: FzfFactors, payload_power: np.ndarray,
+                          n_antennas: int, num_devices: int, k: int) -> float:
+    """Rebuild the zero-forcing SINR from its product-form factors."""
+    pd = np.asarray(payload_power, dtype=float)
+    num = pd[k] * (n_antennas - num_devices) * math.exp(
+        2.0 * (factors.log_coherent - factors.log_scale[k]))
+    den = factors.set_size + float(
+        pd @ np.exp(factors.log_residual - 2.0 * factors.log_scale))
+    return num / den

@@ -16,13 +16,13 @@ from cfurllc import cli, fbl, montecarlo as mc, optimizer
 from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, log1p_tangent,
                             mrc_gain_monomial, penalty_tangent)
 from cfurllc.channel import estimation_stats
-from cfurllc.fbl import (fzf_factors, lb_rate, lb_sinr_fzf, lb_sinr_mrc,
-                         mrc_factors, penalty_factor, sinr_fzf_from_factors,
-                         sinr_mrc_from_factors)
+from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc, penalty_factor
 from cfurllc.gp import Const, GpModel, Monomial, Sum
 from cfurllc.scenario import SystemConfig, generate_topology
 
 from conftest import random_model
+from oracles import (fzf_factors, mrc_factors, sinr_fzf_from_factors,
+                     sinr_mrc_from_factors)
 
 
 def report(num, name, passed, detail=""):
@@ -45,10 +45,10 @@ def test_criterion_1_identity_suite():
         payload = np.exp(rng.normal(0.0, 1.5, model.num_devices))
         stats = estimation_stats(model, pilot)
         n_ant = model.num_devices + int(rng.integers(1, 6))
-        direct = lb_sinr_mrc(model, stats, payload, n_ant, k=k)
+        direct = lb_sinr_mrc(model, stats, payload, n_ant)[k]
         via = sinr_mrc_from_factors(mrc_factors(model, pilot, k), payload, n_ant, k)
         worst = max(worst, abs(via - direct) / direct)
-        direct = lb_sinr_fzf(model, stats, payload, n_ant, k=k)
+        direct = lb_sinr_fzf(model, stats, payload, n_ant)[k]
         via = sinr_fzf_from_factors(fzf_factors(model, pilot, k), payload,
                                     n_ant, model.num_devices, k)
         worst = max(worst, abs(via - direct) / direct)
@@ -455,8 +455,8 @@ def test_criterion_10_determinism(tmp_path):
     for tag, workers in (("one", 1), ("rerun", 1), ("eight", 8)):
         out = tmp_path / tag
         os.makedirs(out, exist_ok=True)
-        p1 = cli.run_tightness(base, profile, 11, str(out), 400, workers)
-        p2 = cli.run_converge(base, profile, 11, str(out), workers)
+        p1 = cli.run_experiment("tightness", base, profile, 11, str(out), 400, workers)
+        p2 = cli.run_experiment("converge", base, profile, 11, str(out), 400, workers)
         with open(p1, "rb") as fh:
             b1 = fh.read()
         with open(p2, "rb") as fh:

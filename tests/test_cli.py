@@ -25,8 +25,8 @@ def read(path):
 
 
 def test_tightness_csv_contract(tmp_path):
-    path = cli.run_tightness(BASE, TINY, seed=11, out_dir=str(tmp_path),
-                             trials=400, workers=1)
+    path = cli.run_experiment("tightness", BASE, TINY, seed=11, out_dir=str(tmp_path),
+                              trials=400, workers=1)
     lines = read(path).decode().splitlines()
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "# master_seed=11"
@@ -39,7 +39,8 @@ def test_tightness_csv_contract(tmp_path):
 
 
 def test_converge_csv_monotone(tmp_path):
-    path = cli.run_converge(BASE, TINY, seed=11, out_dir=str(tmp_path), workers=1)
+    path = cli.run_experiment("converge", BASE, TINY, seed=11, out_dir=str(tmp_path),
+                              trials=400, workers=1)
     lines = read(path).decode().splitlines()
     header = lines[2].split(",")
     assert header[:6] == ["decoder", "M", "N", "iteration", "objective", "gp_status"]
@@ -53,24 +54,15 @@ def test_converge_csv_monotone(tmp_path):
 
 
 def test_byte_identical_reruns_and_worker_counts(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    out3 = tmp_path / "c"
-    for out in (out1, out2, out3):
-        os.makedirs(out, exist_ok=True)
-    p1 = cli.run_tightness(BASE, TINY, 11, str(out1), 400, workers=1)
-    p2 = cli.run_tightness(BASE, TINY, 11, str(out2), 400, workers=1)
-    p3 = cli.run_tightness(BASE, TINY, 11, str(out3), 400, workers=3)
-    assert read(p1) == read(p2) == read(p3)
-
-
-def test_converge_csv_identical_across_thread_counts(tmp_path):
-    paths = []
-    for workers in (1, 2):
-        out = tmp_path / f"threads{workers}"
-        os.makedirs(out)
-        paths.append(cli.run_converge(BASE, TINY, 11, str(out), workers=workers))
-    assert read(paths[0]) == read(paths[1])
+    profile = dict(TINY, deployments=2)
+    for experiment in cli.EXPERIMENTS:
+        blobs = []
+        for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
+            out = tmp_path / experiment / tag
+            os.makedirs(out)
+            blobs.append(read(cli.run_experiment(experiment, BASE, profile, 11, str(out),
+                                                 400, workers=workers)))
+        assert blobs[0] == blobs[1] == blobs[2], experiment
 
 
 def test_config_file_device_count_beats_profile(tmp_path):
@@ -124,8 +116,8 @@ def test_main_runs_gp_selftest(capsys):
 
 def test_threshold_sweep_emits_both_statistics(tmp_path):
     profile = dict(TINY, deployments=3)
-    path = cli.run_threshold_sweep(BASE, profile, seed=11, out_dir=str(tmp_path),
-                                   workers=1)
+    path = cli.run_experiment("threshold-sweep", BASE, profile, seed=11,
+                              out_dir=str(tmp_path), trials=400, workers=1)
     lines = read(path).decode().splitlines()
     assert lines[2].split(",")[:3] == ["decoder", "threshold", "mean_wsr"]
     rows = [ln.split(",") for ln in lines[3:]]
@@ -137,8 +129,8 @@ def test_threshold_sweep_emits_both_statistics(tmp_path):
 
 def test_energy_compare_scheme_rows(tmp_path):
     profile = dict(TINY, deployments=2, ap_counts=(4,))
-    path = cli.run_energy_compare(BASE, profile, seed=11, out_dir=str(tmp_path),
-                                  workers=1)
+    path = cli.run_experiment("energy-compare", BASE, profile, seed=11,
+                              out_dir=str(tmp_path), trials=400, workers=1)
     lines = read(path).decode().splitlines()
     rows = [ln.split(",") for ln in lines[3:]]
     # 2 decoders x 1 AP layout x 1 energy x 4 schemes
@@ -153,8 +145,8 @@ def test_energy_compare_scheme_rows(tmp_path):
 
 def test_devices_sweep_respects_antenna_limit(tmp_path):
     profile = dict(TINY, deployments=2, ap_counts=(4,), devices_grid=(2, 3, 16))
-    path = cli.run_devices_sweep(BASE, profile, seed=11, out_dir=str(tmp_path),
-                                 workers=1)
+    path = cli.run_experiment("devices-sweep", BASE, profile, seed=11,
+                              out_dir=str(tmp_path), trials=400, workers=1)
     lines = read(path).decode().splitlines()
     rows = [ln.split(",") for ln in lines[3:]]
     counts = {int(r[3]) for r in rows}

@@ -6,14 +6,14 @@ import pytest
 
 from cfurllc import fbl
 from cfurllc.channel import estimation_stats
-from cfurllc.fbl import (FblParams, alpha_limit, fbl_rate, fzf_factors,
-                         inv_sinr_limit, lb_rate, lb_sinr_fzf, lb_sinr_mrc,
-                         mrc_factors, penalty_factor, q_function, q_inverse,
-                         rate_kernel, rate_kernel_inverse, sinr_fzf_from_factors,
-                         sinr_mrc_from_factors)
+from cfurllc.fbl import (FblParams, alpha_limit, fbl_rate, inv_sinr_limit, lb_rate,
+                         lb_sinr_fzf, lb_sinr_mrc, penalty_factor, q_function,
+                         q_inverse, rate_kernel, rate_kernel_inverse)
 from cfurllc.scenario import SystemConfig
 
 from conftest import random_model, toy_model
+from oracles import (fzf_factors, mrc_factors, sinr_fzf_from_factors,
+                     sinr_mrc_from_factors)
 
 
 def bisect_q(eps):
@@ -166,7 +166,7 @@ def test_mrc_sinr_hand_example():
     model = toy_model(np.array([[1.0]]))
     stats = estimation_stats(model, np.array([1.0]))
     assert stats.lam[0, 0] == pytest.approx(0.5)
-    got = lb_sinr_mrc(model, stats, np.array([1.0]), 2, k=0)
+    got = lb_sinr_mrc(model, stats, np.array([1.0]), 2)[0]
     assert got == pytest.approx(0.5)
 
 
@@ -184,7 +184,7 @@ def test_fzf_sinr_hand_example():
     model = toy_model(np.array([[1.0, 1.0]]))
     stats = estimation_stats(model, np.array([0.5, 0.5]))   # K*p*b = 1
     assert np.allclose(stats.lam, 0.5)
-    got = lb_sinr_fzf(model, stats, np.array([1.0, 1.0]), 4, k=0)
+    got = lb_sinr_fzf(model, stats, np.array([1.0, 1.0]), 4)[0]
     assert got == pytest.approx(0.5)
 
 
@@ -232,11 +232,11 @@ def test_factor_identities_match_direct_sinrs(rng):
         stats = estimation_stats(model, pilot)
         n_ant = model.num_devices + int(rng.integers(1, 6))
 
-        direct = lb_sinr_mrc(model, stats, payload, n_ant, k=k)
+        direct = lb_sinr_mrc(model, stats, payload, n_ant)[k]
         via = sinr_mrc_from_factors(mrc_factors(model, pilot, k), payload, n_ant, k)
         worst_mrc = max(worst_mrc, abs(via - direct) / direct)
 
-        direct = lb_sinr_fzf(model, stats, payload, n_ant, k=k)
+        direct = lb_sinr_fzf(model, stats, payload, n_ant)[k]
         via = sinr_fzf_from_factors(fzf_factors(model, pilot, k), payload,
                                     n_ant, model.num_devices, k)
         worst_fzf = max(worst_fzf, abs(via - direct) / direct)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_model
 
-from cfurllc import fbl, gp, optimizer
+from cfurllc import approx, fbl, gp, optimizer
 from cfurllc.optimizer import (FZF, MRC, SurrogateError, benchmark_conventional, benchmark_fixed_pilot,
                                benchmark_upper_bound, feasibility_init,
                                sinr_floor, sinr_floors, solve_fzf, solve_mrc)
@@ -240,6 +240,68 @@ def test_surrogate_guard_rejects_nonpositive_exponent():
     with pytest.raises(SurrogateError):
         optimizer._surrogate_exponents(np.array([0.3, 0.3]), big_alpha,
                                        np.array([1.0, 1.0]))
+
+
+def test_surrogate_clamps_below_the_penalty_tangent_domain():
+    params = fbl.FblParams.from_config(DESK)
+    low = approx.PENALTY_TANGENT_MIN
+    inside = np.array([low, 1.0, 2.0, 5.0, 10.0])
+    _, clamped = optimizer._surrogate_exponents(inside, params, np.ones(5))
+    assert not clamped
+    below = inside.copy()
+    below[0] = 0.5 * low
+    w_hat, clamped = optimizer._surrogate_exponents(below, params, np.ones(5))
+    assert clamped
+
+    # the log1p tangent stays at the expansion point, the penalty tangent
+    # moves up to the domain boundary
+    def exponent(log_point, penalty_point):
+        rho, _ = approx.log1p_tangent(log_point)
+        slope, _ = approx.penalty_tangent(penalty_point)
+        return rho - params.alpha[0] * slope
+
+    expect = np.array([exponent(0.5 * low, low)] + [exponent(x, x) for x in inside[1:]])
+    assert np.allclose(w_hat, expect / expect.sum(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["joint", "fixed_pilot"])
+def test_driver_carries_surrogate_clamping_into_the_trace(scheme, monkeypatch):
+    model = desk_model()
+
+    def run():
+        if scheme == "joint":
+            return solve_mrc(model, DESK)
+        return benchmark_fixed_pilot(model, DESK, MRC)
+
+    plain = run()
+    assert plain.feasible and not plain.trace.surrogate_clamped
+    # a tangent domain above every SINR of the run clamps every expansion
+    monkeypatch.setattr(approx, "PENALTY_TANGENT_MIN",
+                        10.0 * max(float(s.max()) for s in plain.trace.sinr))
+    clamped = run()
+    assert clamped.feasible and clamped.trace.surrogate_clamped
+    obj = np.array(clamped.trace.objective)
+    assert np.all(np.diff(obj) >= -1e-9 * obj[:-1])
+
+
+def test_fixed_pilot_trace_properties():
+    model = desk_model()
+    res = benchmark_fixed_pilot(model, DESK, MRC)
+    assert res.status == "optimal"
+    trace = res.trace
+    obj = np.array(trace.objective)
+    assert len(obj) >= 2
+    assert np.all(np.diff(obj) >= -1e-9 * obj[:-1])
+    pilot = model.energy / DESK.blocklength
+    assert all(np.array_equal(a.pilot, pilot) for a in trace.allocations)
+    assert len(trace.gp_status) == len(obj) == len(trace.sinr)
+    assert trace.gp_status[0] == "init"
+    assert set(trace.gp_status[1:]) == {"optimal"}
+    # one carry-over check per GP step, and the iterate stays feasible
+    assert len(trace.carryover_margin) == len(obj) - 1
+    assert max(trace.carryover_margin) <= 1e-9
+    assert res.weighted_sum_rate == pytest.approx(
+        float(model.weights @ res.rates), rel=1e-12)
 
 
 def test_trace_rows_serialize():
