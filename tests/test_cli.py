@@ -53,6 +53,16 @@ def test_converge_csv_monotone(tmp_path):
         assert all(b >= a * (1 - 1e-9) for a, b in zip(objs, objs[1:])), key
 
 
+def test_converge_csv_identical_across_thread_counts(tmp_path):
+    paths = []
+    for workers in (1, 2):
+        out = tmp_path / f"threads{workers}"
+        os.makedirs(out)
+        paths.append(cli.run_experiment("converge", BASE, TINY, 11, str(out), 400,
+                                        workers=workers))
+    assert read(paths[0]) == read(paths[1])
+
+
 def test_byte_identical_reruns_and_worker_counts(tmp_path):
     profile = dict(TINY, deployments=2)
     for experiment in cli.EXPERIMENTS:
