@@ -15,7 +15,7 @@ import numpy as np
 
 from . import approx, fbl, montecarlo, optimizer
 from .channel import estimation_stats
-from .gp import Const, GpModel, Monomial, PosyProductSum, Sum, Var
+from .gp import Const, GpModel, Monomial, Sum
 from .scenario import (ConfigError, SystemConfig, config_hash, generate_topology,
                        load_config)
 
@@ -275,11 +275,7 @@ def random_two_var_problem(rng: np.random.Generator) -> GpModel:
 
 
 def _eval_on_grid(expr, logx: np.ndarray, logy: np.ndarray) -> np.ndarray:
-    """Vectorized positive-space value of {Const, Var, Monomial, Sum} expressions."""
-    if isinstance(expr, Const):
-        return np.full(logx.shape, math.exp(expr.log_value))
-    if isinstance(expr, Var):
-        return np.exp(logx if expr.index == 0 else logy)
+    """Vectorized positive-space value of a monomial or a sum of monomials."""
     if isinstance(expr, Monomial):
         e = dict(expr.exponents)
         return np.exp(expr.log_coeff + e.get(0, 0.0) * logx + e.get(1, 0.0) * logy)
@@ -337,16 +333,16 @@ def run_gp_selftest(seed: int) -> int:
         worst = min(worst, (rho_t * math.log(x) + delta_t) - fbl.penalty_factor(x))
     check("penalty-tangent-upper-bound", worst >= -1e-12, f"worst={worst:.2e}")
 
-    # gradient check on a random node tree
-    x = GpModel()
-    vx = x.variable("x")
-    expr = Sum([Monomial(2.0, {0: 1.3}),
-                PosyProductSum(vx, [0.0], [0.5], [3.0, 0.7], [[1.0, 0.5]])])
-    y0 = np.array([0.37])
-    v, g, h = expr.log_eval(y0, 2, {})
+    # Jacobian of compiled posynomial rows against central differences
+    prob = random_two_var_problem(rng)
+    y0 = rng.normal(0.0, 0.5, 2)
+    _, jac, _ = prob._constraint_eval(y0, 1)
     eps = 1e-6
-    fd = (expr.log_eval(y0 + eps, 0, {})[0] - expr.log_eval(y0 - eps, 0, {})[0]) / (2 * eps)
-    check("node-gradient-fd", abs(g[0] - fd) < 1e-6, f"delta={abs(g[0]-fd):.2e}")
+    fd = np.column_stack([(prob._constraint_eval(y0 + d, 0)[0]
+                           - prob._constraint_eval(y0 - d, 0)[0]) / (2 * eps)
+                          for d in eps * np.eye(2)])
+    delta = float(np.max(np.abs(jac - fd)))
+    check("posynomial-jacobian-fd", delta < 1e-6, f"delta={delta:.2e}")
 
     # solver vs grid enumeration
     worst_rel = 0.0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,43 +226,68 @@ def weighted_lb_sum_rate(sinr: np.ndarray, weights: np.ndarray, params: FblParam
 # Closed-form lower-bound SINRs (statistical-CSI decoders)
 # ---------------------------------------------------------------------------
 
-def lb_sinr_mrc(model: LargeScaleModel, stats: EstimationStats,
-                payload_power: np.ndarray, n_antennas: int) -> np.ndarray:
-    """Lower-bound SINR of every device for maximum-ratio combining over its service set."""
-    pd = np.asarray(payload_power, dtype=float)
-    if np.any(pd <= 0):
-        raise ValueError("payload powers must be strictly positive")
-    out = np.empty(model.num_devices)
+class SinrPieces(NamedTuple):
+    """Constants of every device's lower-bound SINR for fixed pilots:
+
+        sinr_k = antennas * pd_k * coherent_k / (cross_k . pd + noise_k).
+    """
+
+    antennas: int            # N for MRC, N - K for full-pilot zero-forcing
+    coherent: np.ndarray     # (K,) squared coherent sum over the service set
+    noise: np.ndarray        # (K,)
+    cross: np.ndarray        # (K, K) interference per unit payload of device j
+
+
+def sinr_pieces(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
+                decoder: str) -> SinrPieces:
+    """The SINR constants of every device for decoder "mrc" or "fzf"."""
+    kdev = model.num_devices
+    if decoder not in ("mrc", "fzf"):
+        raise ValueError(f"unknown decoder {decoder!r}")
+    if decoder == "fzf" and n_antennas <= kdev:
+        raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
+    coherent = np.empty(kdev)
+    noise = np.empty(kdev)
+    cross = np.empty((kdev, kdev))
     for dev, aps in enumerate(model.service_sets):
         idx = list(aps)
         if not idx:
             raise ValueError(f"device {dev} has an empty service set")
-        lam = stats.lam[idx, dev]
-        num = n_antennas * pd[dev] * lam.sum() ** 2
-        cross = model.beta[idx, :] * lam[:, None]      # (S, K)
-        out[dev] = num / (float(cross.sum(axis=0) @ pd) + lam.sum())
-    return out
+        if decoder == "mrc":
+            lam = stats.lam[idx, dev]
+            coherent[dev] = lam.sum() ** 2
+            noise[dev] = lam.sum()
+            cross[dev] = (model.beta[idx, :] * lam[:, None]).sum(axis=0)
+        else:
+            coherent[dev] = np.sqrt(stats.lam[idx, dev]).sum() ** 2
+            noise[dev] = len(idx)
+            cross[dev] = stats.err_var[idx, :].sum(axis=0)
+    return SinrPieces(n_antennas if decoder == "mrc" else n_antennas - kdev,
+                      coherent, noise, cross)
+
+
+def _lb_sinr(pieces: SinrPieces, payload_power: np.ndarray) -> np.ndarray:
+    pd = np.asarray(payload_power, dtype=float)
+    if np.any(pd <= 0):
+        raise ValueError("payload powers must be strictly positive")
+    n, coherent, noise, cross = pieces
+    # a device at a time: one matrix-vector product would round the
+    # interference sums in another order
+    return np.array([n * pd[k] * coherent[k] / (float(cross[k] @ pd) + noise[k])
+                     for k in range(coherent.size)])
+
+
+def lb_sinr_mrc(model: LargeScaleModel, stats: EstimationStats,
+                payload_power: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Lower-bound SINR of every device for maximum-ratio combining over its service set."""
+    return _lb_sinr(sinr_pieces(model, stats, n_antennas, "mrc"), payload_power)
 
 
 def lb_sinr_fzf(model: LargeScaleModel, stats: EstimationStats,
                 payload_power: np.ndarray, n_antennas: int) -> np.ndarray:
     """Lower-bound SINR of every device for full-pilot zero-forcing; needs more
     antennas than devices."""
-    kdev = model.num_devices
-    if n_antennas <= kdev:
-        raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
-    pd = np.asarray(payload_power, dtype=float)
-    if np.any(pd <= 0):
-        raise ValueError("payload powers must be strictly positive")
-    out = np.empty(kdev)
-    for dev, aps in enumerate(model.service_sets):
-        idx = list(aps)
-        if not idx:
-            raise ValueError(f"device {dev} has an empty service set")
-        num = pd[dev] * (n_antennas - kdev) * np.sqrt(stats.lam[idx, dev]).sum() ** 2
-        resid = stats.err_var[idx, :].sum(axis=0)      # (K,)
-        out[dev] = num / (len(idx) + float(resid @ pd))
-    return out
+    return _lb_sinr(sinr_pieces(model, stats, n_antennas, "fzf"), payload_power)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Generalized geometric programming on expression DAGs, solved from scratch.
+"""Geometric programs in the form the power allocation builds, solved from scratch.
 
-Expressions stay in generalized-posynomial form (sums, products, non-negative
-powers over positive leaves); products such as repeated estimation factors are
-never expanded into exponentially many monomial terms. All evaluation happens
-in log variables, where every node is convex and carries analytic gradients
-and Hessians, and the solver is a log-barrier interior-point method whose
-Newton steps try the full step first and backtrack from there.
+A GpModel maximizes a monomial subject to three kinds of rows: monomial <=
+monomial, posynomial (a sum of monomials) <= monomial, and batched row blocks
+such as the SINR constraints, which bring their own kernels (Boyd, Kim,
+Vandenberghe & Hassibi, "A tutorial on geometric programming", 2007). Any
+other left-hand side is rejected when it is added.
 
-The solver sees the constraints as one block of rows: affine rows and plain
-posynomial rows are folded into matrices, batched row blocks (such as the
-SINR constraints) bring their own kernels, and only other expressions walk
-their node graphs. A Newton step needs the row values, the Jacobian and the
-weighted Hessian sum, never a Hessian per row.
+All evaluation happens in log variables, where a monomial row is affine and a
+posynomial row is a log-sum-exp. The rows of a model are compiled into one
+constraint block that returns the row values, the Jacobian and the weighted
+Hessian sum, never a Hessian per row. The solver is a log-barrier
+interior-point method whose Newton steps try the full step first and
+backtrack from there.
 """
 
 from __future__ import annotations
@@ -21,61 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AFFINE = "affine"      # monomial: affine in log variables
-CONVEX = "convex"      # generalized posynomial: convex in log variables
-
 
 class GpError(Exception):
     """Base class for modeling and solver failures."""
 
 
 class GpModelError(GpError):
-    """The expression is not a generalized posynomial / monomial where required."""
+    """The expression is not a monomial or posynomial where one is required."""
 
 
 # ---------------------------------------------------------------------------
-# Expression nodes
+# Expressions: monomials and sums of monomials
 # ---------------------------------------------------------------------------
 
 class Expr:
-    curvature = CONVEX
-
-    def log_eval(self, y: np.ndarray, order: int, cache: dict):
-        """Value (and optionally gradient / Hessian) of log self(exp(y))."""
-        key = id(self)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._log_eval(y, order, cache)
-        cache[key] = out
-        return out
-
-    def _log_eval(self, y, order, cache):
-        raise NotImplementedError
-
-    def value(self, x: np.ndarray) -> float:
-        """Evaluate in the original positive variables (may overflow for huge x)."""
-        raise NotImplementedError
-
     def dump(self) -> str:
         raise NotImplementedError
-
-    # -- operator sugar -----------------------------------------------------
-    def __add__(self, other):
-        return Sum([self, _coerce(other)])
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return Product([self, _coerce(other)])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        return Power(self, float(exponent))
-
-    def __truediv__(self, other):
-        return Product([self, Power(_coerce(other), -1.0)])
 
 
 def _coerce(obj) -> Expr:
@@ -86,47 +47,8 @@ def _coerce(obj) -> Expr:
     raise GpModelError(f"cannot use {obj!r} in a GP expression")
 
 
-class Const(Expr):
-    curvature = AFFINE
-
-    def __init__(self, value: float):
-        if not (value > 0 and math.isfinite(value)):
-            raise GpModelError(f"constants must be positive and finite, got {value}")
-        self.log_value = math.log(value)
-
-    def _log_eval(self, y, order, cache):
-        return self.log_value, None, None
-
-    def value(self, x):
-        return math.exp(self.log_value)
-
-    def dump(self):
-        return f"(const {math.exp(self.log_value):.12g})"
-
-
-class Var(Expr):
-    curvature = AFFINE
-
-    def __init__(self, index: int, name: str):
-        self.index = index
-        self.name = name
-
-    def _log_eval(self, y, order, cache):
-        if order == 0:
-            return y[self.index], None, None
-        g = np.zeros_like(y)
-        g[self.index] = 1.0
-        return y[self.index], g, None
-
-    def value(self, x):
-        return float(x[self.index])
-
-    def dump(self):
-        return f"(var {self.name})"
-
-
 class Monomial(Expr):
-    curvature = AFFINE
+    """coeff * prod_i x_i^a_i for positive coeff: affine in log variables."""
 
     def __init__(self, coeff: float, exponents: dict[int, float]):
         if not (coeff > 0 and math.isfinite(coeff)):
@@ -138,186 +60,56 @@ class Monomial(Expr):
         self._exp = np.fromiter(self.exponents.values(), dtype=float,
                                 count=len(self.exponents))
 
-    def _log_eval(self, y, order, cache):
+    def log_eval(self, y: np.ndarray, order: int):
+        """log self(exp(y)) and, at order >= 1, its (constant) gradient."""
         val = self.log_coeff + float(y[self._idx] @ self._exp)
         if order == 0:
-            return val, None, None
+            return val, None
         g = np.zeros_like(y)
         g[self._idx] = self._exp
-        return val, g, None
-
-    def value(self, x):
-        return math.exp(self.log_coeff) * math.prod(
-            float(x[i]) ** a for i, a in self.exponents.items())
+        return val, g
 
     def dump(self):
         parts = " ".join(f"(v{i} {a:.12g})" for i, a in sorted(self.exponents.items()))
         return f"(mono {math.exp(self.log_coeff):.12g} {parts})"
 
 
+class Const(Monomial):
+    def __init__(self, value: float):
+        if not (value > 0 and math.isfinite(value)):
+            raise GpModelError(f"constants must be positive and finite, got {value}")
+        super().__init__(value, {})
+
+    def dump(self):
+        return f"(const {math.exp(self.log_coeff):.12g})"
+
+
+class Var(Monomial):
+    def __init__(self, index: int, name: str):
+        super().__init__(1.0, {index: 1.0})
+        self.index = index
+        self.name = name
+
+    def dump(self):
+        return f"(var {self.name})"
+
+
 class Sum(Expr):
+    """A posynomial: a sum of monomials, nested sums flattened."""
+
     def __init__(self, terms):
         flat = []
         for t in terms:
             t = _coerce(t)
-            if isinstance(t, Sum):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
+            flat.extend(t.terms if isinstance(t, Sum) else [t])
         if not flat:
             raise GpModelError("empty sum")
+        if not all(isinstance(t, Monomial) for t in flat):
+            raise GpModelError("every term of a sum must be a monomial")
         self.terms = flat
-
-    def _log_eval(self, y, order, cache):
-        parts = [t.log_eval(y, order, cache) for t in self.terms]
-        logs = np.array([p[0] for p in parts])
-        top = float(logs.max())
-        w = np.exp(logs - top)
-        total = float(w.sum())
-        w /= total
-        val = top + math.log(total)
-        if order == 0:
-            return val, None, None
-        n = y.size
-        g = np.zeros(n)
-        for wi, (_, gi, _) in zip(w, parts):
-            if gi is not None:
-                g += wi * gi
-        if order == 1:
-            return val, g, None
-        h = np.zeros((n, n))
-        for wi, (_, gi, hi) in zip(w, parts):
-            if hi is not None:
-                h += wi * hi
-            if gi is not None:
-                h += wi * np.outer(gi, gi)
-        h -= np.outer(g, g)
-        return val, g, h
-
-    def value(self, x):
-        return sum(t.value(x) for t in self.terms)
 
     def dump(self):
         return "(+ " + " ".join(t.dump() for t in self.terms) + ")"
-
-
-class Product(Expr):
-    def __init__(self, factors):
-        flat = []
-        for f in factors:
-            f = _coerce(f)
-            if isinstance(f, Product):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        if not flat:
-            raise GpModelError("empty product")
-        self.factors = flat
-
-    @property
-    def curvature(self):
-        return AFFINE if all(f.curvature == AFFINE for f in self.factors) else CONVEX
-
-    def _log_eval(self, y, order, cache):
-        val = 0.0
-        g = None
-        h = None
-        for f in self.factors:
-            fv, fg, fh = f.log_eval(y, order, cache)
-            val += fv
-            if order >= 1 and fg is not None:
-                g = fg.copy() if g is None else g + fg
-            if order >= 2 and fh is not None:
-                h = fh.copy() if h is None else h + fh
-        return val, g, h
-
-    def value(self, x):
-        return math.prod(f.value(x) for f in self.factors)
-
-    def dump(self):
-        return "(* " + " ".join(f.dump() for f in self.factors) + ")"
-
-
-class Power(Expr):
-    def __init__(self, base: Expr, exponent: float):
-        base = _coerce(base)
-        if base.curvature != AFFINE and exponent < 0:
-            raise GpModelError("negative powers are only allowed on monomials")
-        self.base = base
-        self.exponent = float(exponent)
-
-    @property
-    def curvature(self):
-        return self.base.curvature
-
-    def _log_eval(self, y, order, cache):
-        v, g, h = self.base.log_eval(y, order, cache)
-        s = self.exponent
-        return s * v, None if g is None else s * g, None if h is None else s * h
-
-    def value(self, x):
-        return self.base.value(x) ** self.exponent
-
-    def dump(self):
-        return f"(pow {self.exponent:.12g} {self.base.dump()})"
-
-
-class PosyProductSum(Expr):
-    """Fused single-variable family: sum_r c_r x^e_r prod_f (b_f x + 1)^s_rf.
-
-    Covers every estimation-denominator product the SINR constraints need, in
-    a handful of vectorized operations instead of a deep node tree. Requires
-    b_f > 0 and s_rf >= 0, which keeps the family a generalized posynomial.
-    """
-
-    def __init__(self, var: Var, log_coeffs, plain_exps, factor_coeffs, factor_exps):
-        self.var = var
-        self.log_c = np.asarray(log_coeffs, dtype=float)        # (R,)
-        self.e = np.asarray(plain_exps, dtype=float)            # (R,)
-        self.b = np.asarray(factor_coeffs, dtype=float)         # (F,)
-        self.s = np.asarray(factor_exps, dtype=float)           # (R, F)
-        if np.any(self.b <= 0) or np.any(self.s < 0):
-            raise GpModelError("factor coefficients must be positive, exponents >= 0")
-        if self.s.shape != (self.log_c.size, self.b.size):
-            raise GpModelError("factor exponent matrix has the wrong shape")
-
-    def _log_eval(self, y, order, cache):
-        t = self.b * math.exp(y[self.var.index])                # (F,)
-        log_factors = np.log1p(t)
-        logs = self.log_c + self.e * y[self.var.index] + self.s @ log_factors
-        top = float(logs.max())
-        w = np.exp(logs - top)
-        total = float(w.sum())
-        val = top + math.log(total)
-        if order == 0:
-            return val, None, None
-        w /= total
-        slope = t / (1.0 + t)                                   # per-factor log-slope
-        d_rows = self.e + self.s @ slope                        # (R,)
-        d1 = float(w @ d_rows)
-        n = y.size
-        g = np.zeros(n)
-        g[self.var.index] = d1
-        if order == 1:
-            return val, g, None
-        curv_rows = self.s @ (slope * (1.0 - slope))
-        d2 = float(w @ (curv_rows + d_rows ** 2)) - d1 ** 2
-        h = np.zeros((n, n))
-        h[self.var.index, self.var.index] = d2
-        return val, g, h
-
-    def value(self, x):
-        xv = float(x[self.var.index])
-        rows = np.exp(self.log_c) * xv ** self.e \
-            * np.prod((self.b * xv + 1.0) ** self.s, axis=1)
-        return float(rows.sum())
-
-    def dump(self):
-        rows = " ".join(
-            f"(row {math.exp(c):.12g} {e:.12g} ({' '.join(f'{v:.12g}' for v in srow)}))"
-            for c, e, srow in zip(self.log_c, self.e, self.s))
-        factors = " ".join(f"{v:.12g}" for v in self.b)
-        return f"(ppsum {self.var.dump()} (factors {factors}) {rows})"
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +134,14 @@ class GpSolution:
 
 @dataclass
 class _Constraint:
-    lhs: Expr
-    rhs: Expr
+    lhs: Monomial | Sum
+    rhs: Monomial
 
 
 @dataclass
 class _BlockConstraint:
     lhs: RowBlock
-    rhs: tuple[Expr, ...]     # one monomial per row
+    rhs: tuple[Monomial, ...]     # one per row
 
 
 # ---------------------------------------------------------------------------
@@ -422,36 +214,6 @@ class _PosynomialRows(RowBlock):
         return vals, jac, hess
 
 
-class _NodeRows(RowBlock):
-    """Fallback for any other left-hand side: walk its node graph."""
-
-    def __init__(self, lhs: list[Expr]):
-        self.lhs = lhs
-        self.size = len(lhs)
-
-    def log_eval(self, y, order):
-        cache: dict = {}
-        parts = [e.log_eval(y, order, cache) for e in self.lhs]
-        vals = np.array([p[0] for p in parts])
-        if order == 0:
-            return vals, None, None
-        n = y.size
-        jac = np.zeros((self.size, n))
-        for i, (_, g, _) in enumerate(parts):
-            if g is not None:
-                jac[i] = g
-        if order == 1:
-            return vals, jac, None
-
-        def hess(weights):
-            h = np.zeros((n, n))
-            for wi, (_, _, hi) in zip(weights, parts):
-                if hi is not None:
-                    h += wi * hi
-            return h
-        return vals, jac, hess
-
-
 class _RhsDivided(RowBlock):
     """Left-hand sides divided by affine (monomial) right-hand sides."""
 
@@ -501,41 +263,15 @@ def _slots(rows: list[int]):
     return np.array(rows, dtype=int)
 
 
-def _affine_form(expr: Expr, n: int) -> tuple[float, np.ndarray]:
-    """Log coefficient and exponent row of a monomial expression."""
-    v, g, _ = expr.log_eval(np.zeros(n), 1, {})
-    return v, np.zeros(n) if g is None else g
+def _affine_form(expr: Monomial, n: int) -> tuple[float, np.ndarray]:
+    """Log coefficient and exponent row of a monomial."""
+    return expr.log_eval(np.zeros(n), 1)
 
 
-def _posynomial_terms(expr: Expr, n: int):
-    """Terms (log coefficients (T,), exponents (T, n)) of a posynomial, or None.
-
-    Products may hold at most one multi-term factor, so a product of sums is
-    never multiplied out; anything else (PosyProductSum, powers of
-    posynomials) is left to the node walk.
-    """
-    if expr.curvature == AFFINE:
-        v, g = _affine_form(expr, n)
-        return np.array([v]), g[None, :]
-    if isinstance(expr, Sum):
-        parts = [_posynomial_terms(t, n) for t in expr.terms]
-        if any(p is None for p in parts):
-            return None
-        return (np.concatenate([p[0] for p in parts]),
-                np.vstack([p[1] for p in parts]))
-    if isinstance(expr, Product):
-        parts = [_posynomial_terms(f, n) for f in expr.factors]
-        if any(p is None for p in parts):
-            return None
-        multi = [p for p in parts if p[0].size > 1]
-        if len(multi) > 1:
-            return None
-        c = sum(float(p[0][0]) for p in parts if p[0].size == 1)
-        a = sum((p[1][0] for p in parts if p[0].size == 1), np.zeros(n))
-        if not multi:
-            return np.array([c]), a[None, :]
-        return multi[0][0] + c, multi[0][1] + a[None, :]
-    return None
+def _posynomial_terms(expr: Sum, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log coefficients (T,) and exponent rows (T, n) of a posynomial's terms."""
+    forms = [_affine_form(t, n) for t in expr.terms]
+    return np.array([c for c, _ in forms]), np.array([a for _, a in forms])
 
 
 # Line-search and stage constants for the barrier solver.
@@ -565,13 +301,13 @@ class _IterBudget:
 
 
 class GpModel:
-    """Positive-variable program: monomial objective, posynomial <= monomial."""
+    """Positive-variable program: maximize a monomial subject to monomial or
+    posynomial <= monomial rows and row blocks."""
 
     def __init__(self):
         self._vars: list[Var] = []
-        self._constraints: list[_Constraint] = []
-        self._sense = None
-        self._objective: Expr | None = None
+        self._constraints: list[_Constraint | _BlockConstraint] = []
+        self._objective: Monomial | None = None
         self._compiled = None
 
     # -- modeling -----------------------------------------------------------
@@ -586,17 +322,19 @@ class GpModel:
 
     def maximize(self, expr):
         expr = _coerce(expr)
-        if expr.curvature != AFFINE:
+        if not isinstance(expr, Monomial):
             raise GpModelError("only a monomial can be maximized")
-        self._sense, self._objective = "max", expr
-
-    def minimize(self, expr):
-        self._sense, self._objective = "min", _coerce(expr)
+        self._objective = expr
 
     def add_le(self, lhs, rhs):
+        """The constraint lhs <= rhs: a monomial or a Sum of monomials under a
+        monomial."""
         lhs, rhs = _coerce(lhs), _coerce(rhs)
-        if rhs.curvature != AFFINE:
+        if not isinstance(rhs, Monomial):
             raise GpModelError("constraint right-hand side must be a monomial")
+        if not isinstance(lhs, (Monomial, Sum)):
+            raise GpModelError("constraint left-hand side must be a monomial or a "
+                               f"posynomial, got {type(lhs).__name__}")
         self._constraints.append(_Constraint(lhs, rhs))
         self._compiled = None
 
@@ -605,7 +343,7 @@ class GpModel:
         rhs = tuple(_coerce(r) for r in rhs)
         if len(rhs) != lhs.size:
             raise GpModelError(f"block has {lhs.size} rows but {len(rhs)} right-hand sides")
-        if any(r.curvature != AFFINE for r in rhs):
+        if not all(isinstance(r, Monomial) for r in rhs):
             raise GpModelError("constraint right-hand side must be a monomial")
         self._constraints.append(_BlockConstraint(lhs, rhs))
         self._compiled = None
@@ -619,7 +357,7 @@ class GpModel:
     def dump(self) -> str:
         lines = ["(gp", "  (vars " + " ".join(self.names) + ")"]
         if self._objective is not None:
-            lines.append(f"  ({self._sense} {self._objective.dump()})")
+            lines.append(f"  (max {self._objective.dump()})")
         for c in self._constraints:
             if isinstance(c, _BlockConstraint):
                 rhs = " ".join(r.dump() for r in c.rhs)
@@ -635,11 +373,10 @@ class GpModel:
         Monomial-vs-monomial rows become one affine matrix, since an affine
         expression satisfies F(y) = F(0) + grad(0) . y exactly. Posynomial
         rows become one term-exponent matrix with the right-hand side divided
-        in. Row blocks keep their own batched kernels, and any other
-        left-hand side walks its node graph.
+        in. Row blocks keep their own batched kernels.
         """
         n = len(self._vars)
-        affine, posy, node, blocks = [], [], [], []
+        affine, posy, blocks = [], [], []
         slot = 0
         for c in self._constraints:
             if isinstance(c, _BlockConstraint):
@@ -648,20 +385,13 @@ class GpModel:
                 slot += c.lhs.size
                 continue
             rv, rg = _affine_form(c.rhs, n)
-            if c.lhs.curvature == AFFINE:
+            if isinstance(c.lhs, Monomial):
                 lv, lg = _affine_form(c.lhs, n)
                 affine.append((slot, lv - rv, lg - rg))
             else:
-                terms = _posynomial_terms(c.lhs, n)
-                if terms is None:
-                    node.append((slot, c.lhs, (rv, rg)))
-                else:
-                    posy.append((slot, terms[0] - rv, terms[1] - rg[None, :]))
+                lv, lg = _posynomial_terms(c.lhs, n)
+                posy.append((slot, lv - rv, lg - rg[None, :]))
             slot += 1
-
-        def divided(lhs, rhs):
-            return _RhsDivided(lhs, np.array([g for _, g in rhs]).reshape(len(rhs), n),
-                               np.array([v for v, _ in rhs]))
 
         parts = []
         if affine:
@@ -671,11 +401,9 @@ class GpModel:
             parts.append(([r[0] for r in posy], _PosynomialRows(
                 np.concatenate([r[1] for r in posy]), np.vstack([r[2] for r in posy]),
                 [r[1].size for r in posy])))
-        if node:
-            parts.append(([r[0] for r in node], divided(
-                _NodeRows([r[1] for r in node]), [r[2] for r in node])))
         for rows, block, rhs in blocks:
-            parts.append((rows, divided(block, rhs)))
+            parts.append((rows, _RhsDivided(block, np.array([g for _, g in rhs]),
+                                            np.array([v for v, _ in rhs]))))
         self._compiled = _ConstraintBlock(
             [(_slots(rows), block) for rows, block in parts], slot)
 
@@ -689,16 +417,11 @@ class GpModel:
         return self._block().log_eval(y, order)
 
     def _objective_eval(self, y, order):
-        sign = -1.0 if self._sense == "max" else 1.0
-        v, g, h = self._objective.log_eval(y, order, {})
-        n = y.size
+        """The barrier minimizes the negated log objective, whose Hessian is 0."""
+        v, g = self._objective.log_eval(y, order)
         if order == 0:
-            return sign * v, None, None
-        g = np.zeros(n) if g is None else sign * g
-        if order == 1:
-            return sign * v, g, None
-        h = np.zeros((n, n)) if h is None else sign * h
-        return sign * v, g, h
+            return -v, None, None
+        return -v, -g, None if order == 1 else np.zeros((y.size, y.size))
 
     def _barrier_parts(self, y, order, t, f0_ref=0.0):
         # the reference shift keeps the stage objective near zero, so the
@@ -779,7 +502,7 @@ class GpModel:
                 ref = self._objective_eval(y, 0)[0]
                 y = _newton_center(
                     lambda yy, o: self._barrier_parts(yy, o, t, ref), y, budget)
-                stages.append(math.exp(self._objective.log_eval(y, 0, {})[0]))
+                stages.append(math.exp(self._objective.log_eval(y, 0)[0]))
                 if interior is None and m / t <= 3e-2:
                     interior = y.copy()
                 # the multiplier-recovery certificate can fire before the
@@ -872,7 +595,7 @@ class GpModel:
         if status == "infeasible":
             obj = math.nan
         else:
-            obj = math.exp(self._objective.log_eval(y, 0, {})[0])
+            obj = math.exp(self._objective.log_eval(y, 0)[0])
         return GpSolution(x=np.exp(y), names=self.names, objective=obj,
                           status=status, iterations=budget.used, kkt_residual=kkt,
                           message=message,

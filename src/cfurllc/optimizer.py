@@ -601,30 +601,6 @@ def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig,
                        weighted_sum_rate=float(model.weights @ rates))
 
 
-def _fixed_pilot_coeffs(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                        pilot: np.ndarray):
-    """Constant SINR-constraint coefficients once the pilots are frozen:
-    sinr = gain * pd_k / (noise + sum_j cross_j pd_j)."""
-    stats = estimation_stats(model, pilot)
-    kdev = model.num_devices
-    gains = np.empty(kdev)
-    noises = np.empty(kdev)
-    crosses = np.empty((kdev, kdev))
-    for k in range(kdev):
-        idx = list(model.service_sets[k])
-        if decoder == MRC:
-            lam = stats.lam[idx, k]
-            gains[k] = cfg.antennas_per_ap * lam.sum() ** 2
-            noises[k] = lam.sum()
-            crosses[k] = (model.beta[idx, :] * lam[:, None]).sum(axis=0)
-        else:
-            gains[k] = ((cfg.antennas_per_ap - kdev)
-                        * np.sqrt(stats.lam[idx, k]).sum() ** 2)
-            noises[k] = float(len(idx))
-            crosses[k] = stats.err_var[idx, :].sum(axis=0)
-    return gains, noises, crosses
-
-
 def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
                           decoder: str) -> SolveResult:
     """Pilot power frozen at energy/blocklength; only payloads are optimized."""
@@ -633,26 +609,33 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     pilot = model.energy / cfg.blocklength
     pd_max = model.energy / cfg.blocklength      # leftover budget per data symbol
     floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
-    gains, noises, crosses = _fixed_pilot_coeffs(model, cfg, decoder, pilot)
+    stats = estimation_stats(model, pilot)
+    n, coherent, noise, cross = fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder)
+    gain = n * coherent
+    lb_sinr = fbl.lb_sinr_mrc if decoder == MRC else fbl.lb_sinr_fzf
 
     def build(w_hat):
-        """The step GP for exponents w_hat; the max-slack GP when w_hat is None."""
+        """The step GP for exponents w_hat; the max-slack GP when w_hat is None.
+
+        Row k is head_k * (cross_k . pd + noise_k) / gain_k <= pd_k, with the
+        head (chi_k, or phi times the floor) folded into every term."""
         m = gp.GpModel()
         if w_hat is None:
             phi = m.variable("phi")
             m.maximize(phi)
-            heads = [gp.Product([phi, gp.Const(float(f))]) for f in floors]
+            heads, log_heads = [phi] * kdev, [math.log(f) for f in floors]
         else:
             heads = [m.variable(f"chi{k}") for k in range(kdev)]
             m.maximize(gp.Monomial(1.0, {heads[k].index: float(w_hat[k])
                                          for k in range(kdev)}))
+            log_heads = [0.0] * kdev
         pd = [m.variable(f"pd{k}") for k in range(kdev)]
         for k in range(kdev):
-            terms = [gp.Monomial(float(crosses[k, j] / gains[k]), {pd[j].index: 1.0})
-                     for j in range(kdev)]
-            terms.append(gp.Const(float(noises[k] / gains[k])))
-            m.add_le(gp.Product([heads[k], gp.Sum(terms)]),
-                     gp.Monomial(1.0, {pd[k].index: 1.0}))
+            head = {heads[k].index: 1.0}
+            terms = [_mono_from_log(math.log(cross[k, j] / gain[k]) + log_heads[k],
+                                    {pd[j].index: 1.0, **head}) for j in range(kdev)]
+            terms.append(_mono_from_log(math.log(noise[k] / gain[k]) + log_heads[k], head))
+            m.add_le(gp.Sum(terms), pd[k])
             if w_hat is not None:
                 m.add_le(_mono_from_log(math.log(floors[k]), {heads[k].index: -1.0}),
                          gp.Const(1.0))
@@ -673,6 +656,6 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     if sol.status == "infeasible" or sol["phi"] < FEASIBILITY_MARGIN:
         return _no_allocation("infeasible", "fixed-pilot floors unreachable")
     return _run_sca(model, cfg, params, floors, read(sol),
-                    lambda alloc: gains * alloc.payload / (noises + crosses @ alloc.payload),
+                    lambda alloc: lb_sinr(model, stats, alloc.payload, cfg.antennas_per_ap),
                     lambda alloc, chi, w_hat: (build(w_hat),
                                                np.concatenate([chi, alloc.payload]), read))

@@ -1,0 +1,113 @@
+"""Generic node walk over GP expressions, kept as a test oracle.
+
+`log_eval(expr, y)` returns log expr(exp(y)) with its gradient and Hessian
+by walking the expression one node at a time. It reads the package's
+monomials and sums and the nodes defined here: sums of any nodes, products,
+powers and the fused single-variable family `PosyProductSum`. The compiled
+constraint rows of `cfurllc.gp` and the batched SINR blocks of
+`cfurllc.optimizer` are checked against it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cfurllc import gp
+
+
+def log_eval(expr, y: np.ndarray):
+    """(value, gradient (n,), Hessian (n, n)) of log expr(exp(y))."""
+    if isinstance(expr, gp.Monomial):
+        v, g = expr.log_eval(y, 1)
+        return v, g, np.zeros((y.size, y.size))
+    if isinstance(expr, gp.Sum):
+        return Sum(expr.terms).log_eval(y)
+    return expr.log_eval(y)
+
+
+class Sum:
+    def __init__(self, terms):
+        self.terms = list(terms)
+
+    def log_eval(self, y):
+        parts = [log_eval(t, y) for t in self.terms]
+        logs = np.array([p[0] for p in parts])
+        top = float(logs.max())
+        w = np.exp(logs - top)
+        total = float(w.sum())
+        w /= total
+        g = sum(wi * gi for wi, (_, gi, _) in zip(w, parts))
+        h = sum(wi * (hi + np.outer(gi, gi)) for wi, (_, gi, hi) in zip(w, parts))
+        return top + math.log(total), g, h - np.outer(g, g)
+
+
+class Product:
+    def __init__(self, factors):
+        self.factors = list(factors)
+
+    def log_eval(self, y):
+        parts = [log_eval(f, y) for f in self.factors]
+        return tuple(sum(p[i] for p in parts) for i in range(3))
+
+
+class Power:
+    def __init__(self, base, exponent: float):
+        self.base, self.exponent = base, float(exponent)
+
+    def log_eval(self, y):
+        return tuple(self.exponent * p for p in log_eval(self.base, y))
+
+
+class PosyProductSum:
+    """Fused single-variable family: sum_r c_r x^e_r prod_f (b_f x + 1)^s_rf.
+
+    Covers every estimation-denominator product of the SINR constraints in a
+    few vectorized operations; b_f > 0 and s_rf >= 0 keep it a generalized
+    posynomial.
+    """
+
+    def __init__(self, var: gp.Var, log_coeffs, plain_exps, factor_coeffs, factor_exps):
+        self.var = var
+        self.log_c = np.asarray(log_coeffs, dtype=float)        # (R,)
+        self.e = np.asarray(plain_exps, dtype=float)            # (R,)
+        self.b = np.asarray(factor_coeffs, dtype=float)         # (F,)
+        self.s = np.asarray(factor_exps, dtype=float)           # (R, F)
+        assert np.all(self.b > 0) and np.all(self.s >= 0)
+        assert self.s.shape == (self.log_c.size, self.b.size)
+
+    def log_eval(self, y):
+        i = self.var.index
+        t = self.b * math.exp(y[i])                             # (F,)
+        logs = self.log_c + self.e * y[i] + self.s @ np.log1p(t)
+        top = float(logs.max())
+        w = np.exp(logs - top)
+        total = float(w.sum())
+        w /= total
+        slope = t / (1.0 + t)                                   # per-factor log-slope
+        d_rows = self.e + self.s @ slope                        # (R,)
+        d1 = float(w @ d_rows)
+        curv_rows = self.s @ (slope * (1.0 - slope))
+        g = np.zeros(y.size)
+        h = np.zeros((y.size, y.size))
+        g[i] = d1
+        h[i, i] = float(w @ (curv_rows + d_rows ** 2)) - d1 ** 2
+        return top + math.log(total), g, h
+
+
+class NodeRows(gp.RowBlock):
+    """Constraint left-hand sides evaluated by the node walk, row by row."""
+
+    def __init__(self, lhs):
+        self.lhs = list(lhs)
+        self.size = len(self.lhs)
+
+    def log_eval(self, y, order):
+        parts = [log_eval(e, y) for e in self.lhs]
+        vals = np.array([p[0] for p in parts])
+
+        def hess(weights):
+            return sum(w * p[2] for w, p in zip(weights, parts))
+        return (vals, np.array([p[1] for p in parts]) if order >= 1 else None,
+                hess if order == 2 else None)

@@ -121,6 +121,7 @@ def test_main_runs_gp_selftest(capsys):
     rc = cli.main(["--seed", "3", "gp-selftest"])
     out = capsys.readouterr().out
     assert rc == 0
+    assert "PASS posynomial-jacobian-fd" in out
     assert "PASS gp-grid-oracle" in out
 
 

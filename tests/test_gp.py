@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import gp_nodes as nodes
 from cfurllc import gp
-from cfurllc.gp import (AFFINE, Const, Expr, GpModel, GpModelError, Monomial,
-                        PosyProductSum, Power, Product, Sum)
+from cfurllc.gp import Const, Expr, GpModel, GpModelError, Monomial, Sum
 
 
 def random_expr(rng, n_vars, model, depth=0):
-    """Random generalized-posynomial node tree over the model's variables."""
+    """Random generalized-posynomial node tree over the model's variables, for
+    the node walk that serves as the oracle below."""
     choice = rng.integers(0, 6 if depth < 3 else 3)
     if choice == 0:
         return Const(float(10 ** rng.uniform(-1, 1)))
@@ -21,31 +22,25 @@ def random_expr(rng, n_vars, model, depth=0):
                                     replace=False)}
         return Monomial(float(10 ** rng.uniform(-1, 1)), exps)
     if choice == 3:
-        return Sum([random_expr(rng, n_vars, model, depth + 1)
-                    for _ in range(rng.integers(2, 4))])
+        return nodes.Sum([random_expr(rng, n_vars, model, depth + 1)
+                          for _ in range(rng.integers(2, 4))])
     if choice == 4:
-        return Product([random_expr(rng, n_vars, model, depth + 1)
-                        for _ in range(rng.integers(2, 4))])
-    return Power(random_expr(rng, n_vars, model, depth + 1),
-                 float(rng.uniform(0.2, 2.0)))
+        return nodes.Product([random_expr(rng, n_vars, model, depth + 1)
+                              for _ in range(rng.integers(2, 4))])
+    return nodes.Power(random_expr(rng, n_vars, model, depth + 1),
+                       float(rng.uniform(0.2, 2.0)))
 
 
 def fd_check(expr, y, tol_g=1e-6, tol_h=1e-5):
-    n = y.size
     eps = 1e-6
-    _, g, h = expr.log_eval(y, 2, {})
-    g = np.zeros(n) if g is None else g
-    h = np.zeros((n, n)) if h is None else h
-    for i in range(n):
+    _, g, h = nodes.log_eval(expr, y)
+    for i in range(y.size):
         up, dn = y.copy(), y.copy()
         up[i] += eps
         dn[i] -= eps
-        fd = (expr.log_eval(up, 0, {})[0] - expr.log_eval(dn, 0, {})[0]) / (2 * eps)
+        (vu, gu, _), (vd, gd, _) = nodes.log_eval(expr, up), nodes.log_eval(expr, dn)
+        fd = (vu - vd) / (2 * eps)
         assert abs(g[i] - fd) < tol_g, f"grad[{i}]"
-        gu = expr.log_eval(up, 1, {})[1]
-        gd = expr.log_eval(dn, 1, {})[1]
-        gu = np.zeros(n) if gu is None else gu
-        gd = np.zeros(n) if gd is None else gd
         col = (gu - gd) / (2 * eps)
         assert np.max(np.abs(h[:, i] - col)) < tol_h, f"hess[:, {i}]"
 
@@ -60,20 +55,10 @@ def test_monomial_log_form_is_affine():
     y = m.variable("y")
     node = Monomial(3.0, {0: 2.0, 1: -0.5})
     pt = np.array([0.3, -0.7])
-    val, g, h = node.log_eval(pt, 2, {})
+    val, g = node.log_eval(pt, 1)
     assert val == pytest.approx(math.log(3.0) + 2.0 * 0.3 - 0.5 * (-0.7))
     assert np.allclose(g, [2.0, -0.5])
-    assert h is None
-    assert node.curvature == AFFINE
-
-
-def test_negative_power_of_posynomial_rejected():
-    m = GpModel()
-    x = m.variable("x")
-    with pytest.raises(GpModelError):
-        Power(Sum([x, Const(1.0)]), -1.0)
-    # monomials invert fine
-    Power(Monomial(2.0, {0: 1.0}), -1.0)
+    assert node.log_eval(pt, 0) == (val, None)
 
 
 def test_constraint_rhs_must_be_monomial():
@@ -90,13 +75,28 @@ def test_objective_must_be_monomial_for_max():
         m.maximize(Sum([x, Const(1.0)]))
 
 
+def test_foreign_left_hand_side_rejected_when_added():
+    class Foreign(Expr):
+        def dump(self):
+            return "(foreign)"
+
+    m = GpModel()
+    x = m.variable("x")
+    m.maximize(x)
+    with pytest.raises(GpModelError, match="Foreign"):
+        m.add_le(Foreign(), Const(1.0))
+    with pytest.raises(GpModelError):
+        Sum([x, Foreign()])
+    assert m._constraints == []
+
+
 def test_node_derivatives_match_finite_differences(rng):
     for trial in range(40):
         m = GpModel()
         n_vars = int(rng.integers(2, 5))
         for i in range(n_vars):
             m.variable(f"v{i}")
-        expr = Sum([random_expr(rng, n_vars, m) for _ in range(2)])
+        expr = nodes.Sum([random_expr(rng, n_vars, m) for _ in range(2)])
         y = rng.normal(0.0, 0.7, n_vars)
         fd_check(expr, y)
 
@@ -105,22 +105,21 @@ def test_fused_family_matches_generic_tree(rng):
     m = GpModel()
     x = m.variable("x")
     b = np.array([2.0, 0.5, 1.3])
-    pps = PosyProductSum(x, np.log([1.5, 0.2]), [1.0, 0.0], b,
-                         [[1.0, 1.0, 0.0], [0.5, 0.0, 2.0]])
+    pps = nodes.PosyProductSum(x, np.log([1.5, 0.2]), [1.0, 0.0], b,
+                               [[1.0, 1.0, 0.0], [0.5, 0.0, 2.0]])
     factors = [Sum([Monomial(bi, {0: 1.0}), Const(1.0)]) for bi in b]
-    generic = Sum([
-        Product([Monomial(1.5, {0: 1.0}), factors[0], factors[1]]),
-        Product([Const(0.2), Power(factors[0], 0.5), Power(factors[2], 2.0)]),
+    generic = nodes.Sum([
+        nodes.Product([Monomial(1.5, {0: 1.0}), factors[0], factors[1]]),
+        nodes.Product([Const(0.2), nodes.Power(factors[0], 0.5),
+                       nodes.Power(factors[2], 2.0)]),
     ])
     for _ in range(20):
         y = rng.normal(0.0, 1.5, 1)
-        v1, g1, h1 = pps.log_eval(y, 2, {})
-        v2, g2, h2 = generic.log_eval(y, 2, {})
+        v1, g1, h1 = pps.log_eval(y)
+        v2, g2, h2 = nodes.log_eval(generic, y)
         assert v1 == pytest.approx(v2, abs=1e-12)
         assert g1[0] == pytest.approx(g2[0], abs=1e-11)
         assert h1[0, 0] == pytest.approx(h2[0, 0], abs=1e-10)
-        x_pos = np.exp(y)
-        assert pps.value(x_pos) == pytest.approx(generic.value(x_pos), rel=1e-12)
 
 
 def test_posynomial_boundary_tightness():
@@ -128,7 +127,7 @@ def test_posynomial_boundary_tightness():
     m = GpModel()
     x = m.variable("x")
     m.maximize(x)
-    m.add_le(Sum([x, x ** -1.0]), Const(2.0))
+    m.add_le(Sum([x, Monomial(1.0, {0: -1.0})]), Const(2.0))
     margins = m.constraint_margins(np.array([1.0]))
     assert margins[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -149,14 +148,18 @@ def test_single_active_constraint():
 
 
 def test_symmetric_posynomial_minimum():
+    # min x + 1/x as its epigraph: max 1/t subject to x + 1/x <= t
     m = GpModel()
     x = m.variable("x")
-    m.minimize(Sum([x, x ** -1.0]))
+    t = m.variable("t")
+    m.maximize(Monomial(1.0, {1: -1.0}))
+    m.add_le(Sum([x, Monomial(1.0, {0: -1.0})]), t)
     m.add_le(x, Const(100.0))
     sol = m.solve()
     assert sol.status == "optimal"
     assert sol["x"] == pytest.approx(1.0, abs=1e-5)
-    assert sol.objective == pytest.approx(2.0, rel=1e-9)
+    assert sol["t"] == pytest.approx(2.0, rel=1e-9)
+    assert sol.objective == pytest.approx(0.5, rel=1e-9)
 
 
 def test_infeasible_detection():
@@ -237,7 +240,7 @@ def test_dump_is_parenthesized_text():
     m = GpModel()
     x = m.variable("x")
     m.maximize(x)
-    m.add_le(Sum([x, x ** -1.0]), Const(2.0))
+    m.add_le(Sum([x, Monomial(1.0, {0: -1.0})]), Const(2.0))
     text = m.dump()
     assert text.startswith("(gp")
     assert "(vars x)" in text
@@ -248,16 +251,6 @@ def test_dump_is_parenthesized_text():
 # the compiled constraint block
 # --------------------------------------------------------------------------
 
-class Opaque(Expr):
-    """Hides a left-hand side from the folds, so it walks its node graph."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def _log_eval(self, y, order, cache):
-        return self.inner.log_eval(y, order, cache)
-
-
 def node_walk(model, y, weights):
     """Reference for the compiled block: every row on its own, Hessians summed
     one dense matrix at a time."""
@@ -266,17 +259,16 @@ def node_walk(model, y, weights):
     for c in model._constraints:
         if isinstance(c, gp._BlockConstraint):
             v, j, h = c.lhs.log_eval(y, 2)
-            rhs = [r.log_eval(y, 1, {}) for r in c.rhs]
+            rhs = [r.log_eval(y, 1) for r in c.rhs]
             vals += list(v - [r[0] for r in rhs])
-            jac += list(j - [np.zeros(n) if r[1] is None else r[1] for r in rhs])
+            jac += list(j - [r[1] for r in rhs])
             hess += h(weights[len(vals) - c.lhs.size:len(vals)])
             continue
-        lv, lg, lh = c.lhs.log_eval(y, 2, {})
-        rv, rg, _ = c.rhs.log_eval(y, 1, {})
+        lv, lg, lh = nodes.log_eval(c.lhs, y)
+        rv, rg = c.rhs.log_eval(y, 1)
         vals.append(lv - rv)
-        jac.append((np.zeros(n) if lg is None else lg) - (np.zeros(n) if rg is None else rg))
-        if lh is not None:
-            hess += weights[len(vals) - 1] * lh
+        jac.append(lg - rg)
+        hess += weights[len(vals) - 1] * lh
     return np.array(vals), np.array(jac), hess
 
 
@@ -302,7 +294,6 @@ def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
     folded = 0
     for m, sol in solved:
         parts = [type(block) for _, block in m._block().parts]
-        assert gp._NodeRows not in parts
         folded += parts.count(gp._PosynomialRows)
         for _ in range(3):
             y = np.log(sol.x) + rng.normal(0.0, 0.3, sol.x.size)
@@ -318,21 +309,21 @@ def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
 def test_mixed_rows_solve_to_the_node_walk_optimum():
     from cfurllc.cli import random_two_var_problem
 
-    def build(seed, hide):
+    def build(seed, walk):
         prob = random_two_var_problem(np.random.default_rng(seed))
-        x = prob._vars[0]
-        prob.add_le(PosyProductSum(x, np.log([0.3, 0.1]), [1.0, 0.0], [0.5, 2.0],
-                                   [[1.0, 0.5], [0.0, 2.0]]), Const(40.0))
-        if hide:
-            for c in prob._constraints:
-                c.lhs = Opaque(c.lhs)
+        prob.add_le(Monomial(0.5, {0: 1.0, 1: -0.3}), Const(40.0))
+        if walk:
+            # every row in one block that walks its node graph
+            rows, prob._constraints = prob._constraints, []
+            prob.add_block_le(nodes.NodeRows([c.lhs for c in rows]),
+                              [c.rhs for c in rows])
         return prob
 
     for seed in range(8):
-        mixed = build(500 + seed, hide=False)
+        mixed = build(500 + seed, walk=False)
         kinds = {type(block) for _, block in mixed._block().parts}
-        assert kinds == {gp._PosynomialRows, gp._RhsDivided}
-        walked = build(500 + seed, hide=True)
+        assert kinds == {gp._AffineRows, gp._PosynomialRows}
+        walked = build(500 + seed, walk=True)
         assert {type(block) for _, block in walked._block().parts} == {gp._RhsDivided}
         a, b = mixed.solve(), walked.solve()
         assert a.status == b.status == "optimal"

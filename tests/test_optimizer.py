@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from conftest import random_model
 
+import gp_nodes as nodes
 from cfurllc import approx, fbl, gp, optimizer
+from cfurllc.channel import estimation_stats
 from cfurllc.optimizer import (FZF, MRC, SurrogateError, benchmark_conventional, benchmark_fixed_pilot,
                                benchmark_upper_bound, feasibility_init,
                                sinr_floor, sinr_floors, solve_fzf, solve_mrc)
@@ -304,6 +306,23 @@ def test_fixed_pilot_trace_properties():
         float(model.weights @ res.rates), rel=1e-12)
 
 
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_fixed_pilot_sinrs_are_the_closed_form_bounds(decoder):
+    # the fixed-pilot scheme scores its iterates with the same lower-bound
+    # SINR as the other schemes, to the last bit
+    lb_sinr = fbl.lb_sinr_mrc if decoder == MRC else fbl.lb_sinr_fzf
+    checked = 0
+    for seed in (7, 1, 4, 9):
+        model = desk_model(seed)
+        res = benchmark_fixed_pilot(model, DESK, decoder)
+        for alloc, sinr in zip(res.trace.allocations, res.trace.sinr):
+            stats = estimation_stats(model, alloc.pilot)
+            assert np.array_equal(
+                sinr, lb_sinr(model, stats, alloc.payload, DESK.antennas_per_ap))
+            checked += sinr.size
+    assert checked >= 30
+
+
 def test_trace_rows_serialize():
     model = desk_model()
     res = solve_mrc(model, DESK)
@@ -348,16 +367,16 @@ def _mrc_lhs_generic(model, k, chi_like, pp, pd):
     kdev = model.num_devices
     size = len(idx)
     eye = np.eye(size)
-    scale = gp.PosyProductSum(pp[k], [0.0], [0.0], kdev * b, np.ones((1, size)))
-    gain = gp.PosyProductSum(pp[k], np.log(kdev * b ** 2), np.ones(size),
-                             kdev * b, 1.0 - eye)
+    scale = nodes.PosyProductSum(pp[k], [0.0], [0.0], kdev * b, np.ones((1, size)))
+    gain = nodes.PosyProductSum(pp[k], np.log(kdev * b ** 2), np.ones(size),
+                                kdev * b, 1.0 - eye)
     terms = []
     for j in range(kdev):
-        cross = gp.PosyProductSum(pp[k], np.log(kdev * b ** 2 * model.beta[idx, j]),
-                                  np.ones(size), kdev * b, 1.0 - eye)
-        terms.append(gp.Product([pd[j], cross]))
+        cross = nodes.PosyProductSum(pp[k], np.log(kdev * b ** 2 * model.beta[idx, j]),
+                                     np.ones(size), kdev * b, 1.0 - eye)
+        terms.append(nodes.Product([pd[j], cross]))
     terms.append(gain)
-    return gp.Product([chi_like, scale, gp.Sum(terms)])
+    return nodes.Product([chi_like, scale, nodes.Sum(terms)])
 
 
 def _fzf_lhs_generic(model, k, chi_like, pp, pd):
@@ -365,17 +384,17 @@ def _fzf_lhs_generic(model, k, chi_like, pp, pd):
     idx = list(model.service_sets[k])
     kdev = model.num_devices
     size = len(idx)
-    scale_sq = [gp.PosyProductSum(pp[j], [0.0], [0.0],
-                                  kdev * model.beta[idx, j], np.ones((1, size)))
+    scale_sq = [nodes.PosyProductSum(pp[j], [0.0], [0.0],
+                                     kdev * model.beta[idx, j], np.ones((1, size)))
                 for j in range(kdev)]
-    resid = [gp.PosyProductSum(pp[j], np.log(model.beta[idx, j]), np.zeros(size),
-                               kdev * model.beta[idx, j], 1.0 - np.eye(size))
+    resid = [nodes.PosyProductSum(pp[j], np.log(model.beta[idx, j]), np.zeros(size),
+                                  kdev * model.beta[idx, j], 1.0 - np.eye(size))
              for j in range(kdev)]
-    terms = [gp.Product([gp.Const(float(size))] + scale_sq)]
+    terms = [nodes.Product([gp.Const(float(size))] + scale_sq)]
     for j in range(kdev):
-        terms.append(gp.Product([pd[j], resid[j]]
-                                + [scale_sq[i] for i in range(kdev) if i != j]))
-    return gp.Product([chi_like, gp.Sum(terms)])
+        terms.append(nodes.Product([pd[j], resid[j]]
+                                   + [scale_sq[i] for i in range(kdev) if i != j]))
+    return nodes.Product([chi_like, nodes.Sum(terms)])
 
 
 GENERIC = {MRC: _mrc_lhs_generic, FZF: _fzf_lhs_generic}
@@ -408,7 +427,8 @@ def _block_and_trees(model, decoder, shared_head, rng):
     heads = [phi] * kdev if shared_head else chi
     log_heads = rng.normal(0.0, 0.5, kdev)
     block = BLOCKS[decoder](model, heads, log_heads, pp, pd)
-    trees = [GENERIC[decoder](model, k, gp.Product([heads[k], gp.Const(math.exp(log_heads[k]))]),
+    trees = [GENERIC[decoder](model, k,
+                              nodes.Product([heads[k], gp.Const(math.exp(log_heads[k]))]),
                               pp, pd)
              for k in range(kdev)]
     y = np.concatenate([rng.normal(0, 2, kdev), rng.normal(22, 3, 2 * kdev),
@@ -422,7 +442,7 @@ def test_fused_constraint_matches_generic_tree(decoder, rng):
         kdev = model.num_devices
         for trial in range(6):
             block, trees, y = _block_and_trees(model, decoder, trial % 2 == 1, rng)
-            ref = [t.log_eval(y, 2, {}) for t in trees]
+            ref = [nodes.log_eval(t, y) for t in trees]
             weights = rng.uniform(0.1, 3.0, kdev)
             v0, j0, h0 = block.log_eval(y, 0)
             v1, j1, h1 = block.log_eval(y, 1)
