@@ -4,6 +4,7 @@ inverse, and the closed-form SINR lower bounds of both decoders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -102,6 +103,7 @@ def alpha_limit(x):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=4096)
 def inv_sinr_limit(alpha: float) -> float:
     """Inverse of alpha_limit: the upper end of the rate kernel's domain."""
     if alpha < 0:
@@ -126,6 +128,7 @@ def inv_sinr_limit(alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=4096)
 def rate_kernel_inverse(y: float, alpha: float) -> float:
     """Solve rate_kernel(x, alpha) = y for x by bisection (kernel is monotone).
 
@@ -266,7 +269,8 @@ def sinr_pieces(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
                       coherent, noise, cross)
 
 
-def _lb_sinr(pieces: SinrPieces, payload_power: np.ndarray) -> np.ndarray:
+def lb_sinr(pieces: SinrPieces, payload_power: np.ndarray) -> np.ndarray:
+    """Lower-bound SINR of every device from its SINR constants and the payloads."""
     pd = np.asarray(payload_power, dtype=float)
     if np.any(pd <= 0):
         raise ValueError("payload powers must be strictly positive")
@@ -280,14 +284,14 @@ def _lb_sinr(pieces: SinrPieces, payload_power: np.ndarray) -> np.ndarray:
 def lb_sinr_mrc(model: LargeScaleModel, stats: EstimationStats,
                 payload_power: np.ndarray, n_antennas: int) -> np.ndarray:
     """Lower-bound SINR of every device for maximum-ratio combining over its service set."""
-    return _lb_sinr(sinr_pieces(model, stats, n_antennas, "mrc"), payload_power)
+    return lb_sinr(sinr_pieces(model, stats, n_antennas, "mrc"), payload_power)
 
 
 def lb_sinr_fzf(model: LargeScaleModel, stats: EstimationStats,
                 payload_power: np.ndarray, n_antennas: int) -> np.ndarray:
     """Lower-bound SINR of every device for full-pilot zero-forcing; needs more
     antennas than devices."""
-    return _lb_sinr(sinr_pieces(model, stats, n_antennas, "fzf"), payload_power)
+    return lb_sinr(sinr_pieces(model, stats, n_antennas, "fzf"), payload_power)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,22 @@ other left-hand side is rejected when it is added.
 All evaluation happens in log variables, where a monomial row is affine and a
 posynomial row is a log-sum-exp. The rows of a model are compiled into one
 constraint block that returns the row values, the Jacobian and the weighted
-Hessian sum, never a Hessian per row. The solver is a log-barrier
-interior-point method whose Newton steps try the full step first and
-backtrack from there.
+Hessian sum, never a Hessian per row.
+
+The solver is one primal-dual interior-point iteration (Boyd & Vandenberghe,
+Convex Optimization, §11.7, Algorithm 11.2) that both phases run: phase two
+on the log variables y, phase one on (y, s) for min s subject to
+f_i(y) - s <= 0 when the start is not strictly feasible. Each iteration
+takes one Newton step on the primal and dual variables together, with the
+surrogate duality gap eta = -f . lambda setting the barrier parameter, and
+the solve stops once eta and the scaled dual residual are both within tol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,8 +132,8 @@ class GpSolution:
     iterations: int
     kkt_residual: float
     message: str = ""
-    interior: np.ndarray | None = None   # a well-centered point, handy as a warm start
-    stage_objectives: tuple[float, ...] = ()  # objective after each barrier stage
+    interior: np.ndarray | None = None   # first iterate with gap <= 3e-2: a warm start
+    stage_objectives: tuple[float, ...] = ()  # objective at each phase-two iterate
 
     def __getitem__(self, name: str) -> float:
         return float(self.x[self.names.index(name)])
@@ -274,15 +281,17 @@ def _posynomial_terms(expr: Sum, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c for c, _ in forms]), np.array([a for _, a in forms])
 
 
-# Line-search and stage constants for the barrier solver.
-ARMIJO_SLOPE = 0.3
+# Constants of the primal-dual interior-point method (B&V §11.7).
+BARRIER_T0 = 1.0            # barrier parameter after phase one
+GAP_REDUCTION = 10.0        # mu: t = mu * m / eta once the hold at t0 ends
+BOUNDARY_FRACTION = 0.99    # share of the step to the nearest lambda = 0 boundary
+RESIDUAL_DECREASE = 0.01    # alpha of the residual-norm line search
 BACKTRACK_SHRINK = 0.5
-BARRIER_T0 = 1.0
-BARRIER_GROWTH = 10.0
-_NEWTON_DECREMENT_TOL = 1e-10
-_MAX_CENTER_STEPS = 50
+_MAX_BACKTRACKS = 60
+_INTERIOR_GAP = 3e-2        # surrogate gap of the point kept as a warm start
 _PHASE1_MARGIN = 1e-3
 _PHASE1_SKIP = -1e-12
+_PHASE1_TOL = 1e-10         # gap and dual residual at which phase one gives its verdict
 
 
 class _BudgetExhausted(Exception):
@@ -295,9 +304,9 @@ class _IterBudget:
         self.used = 0
 
     def spend(self):
-        self.used += 1
-        if self.used > self.limit:
+        if self.used >= self.limit:
             raise _BudgetExhausted
+        self.used += 1
 
 
 class GpModel:
@@ -416,68 +425,26 @@ class GpModel:
         """Row values, Jacobian and the weighted-Hessian-sum function."""
         return self._block().log_eval(y, order)
 
-    def _objective_eval(self, y, order):
-        """The barrier minimizes the negated log objective, whose Hessian is 0."""
-        v, g = self._objective.log_eval(y, order)
-        if order == 0:
-            return -v, None, None
-        return -v, -g, None if order == 1 else np.zeros((y.size, y.size))
-
-    def _barrier_parts(self, y, order, t, f0_ref=0.0):
-        # the reference shift keeps the stage objective near zero, so the
-        # line search can still resolve decrements at large t
-        f0, g0, h0 = self._objective_eval(y, order)
-        fvals, grads, hess_sum = self._constraint_eval(y, order)
-        if np.any(fvals >= 0) or not math.isfinite(f0):
-            return math.inf, None, None
-        val = t * (f0 - f0_ref) - float(np.sum(np.log(-fvals)))
-        if order == 0:
-            return val, None, None
-        inv = 1.0 / (-fvals)
-        grad = t * g0 + grads.T @ inv
-        if order == 1:
-            return val, grad, None
-        hess = t * h0 + grads.T @ (grads * (inv ** 2)[:, None]) + hess_sum(inv)
-        return val, grad, hess
-
-    def _kkt_residual(self, y):
-        """First-order certificate at y: best non-negative multipliers for the
-        near-active constraints are recovered by least squares, then
-        stationarity, complementarity and primal feasibility are measured
-        directly. Constraints with real slack get zero multipliers, so they
-        cannot absorb gradient error at the cost of complementarity."""
-        _, g0, _ = self._objective_eval(y, 1)
-        fvals, grads, _ = self._constraint_eval(y, 1)
-        active = fvals >= -1e-3
-        lam = np.zeros(len(fvals))
-        if np.any(active):
-            lam[active] = _nnls(grads[active].T, -g0)
-        scale = 1.0 + float(np.max(np.abs(g0)))
-        stationarity = float(np.max(np.abs(g0 + grads.T @ lam))) / scale
-        complementarity = float(np.max(lam * (-fvals))) / scale if lam.size else 0.0
-        return max(stationarity, complementarity, float(np.max(fvals)))
-
     # -- solving ------------------------------------------------------------
     def solve(self, tol: float = 1e-9, start=None, max_newton: int = 4000) -> GpSolution:
-        """Interior-point solve; deterministic for a given problem and start."""
+        """Primal-dual interior-point solve; deterministic for a given problem
+        and start. A start that is not strictly feasible goes through phase one."""
         if self._objective is None:
             raise GpModelError("objective not set")
         if not self._constraints:
             raise GpModelError("unconstrained GP is unbounded")
-        n = len(self._vars)
         if start is None:
-            y0 = np.zeros(n)
-        elif isinstance(start, dict):
-            y0 = np.zeros(n)
-            for i, name in enumerate(self.names):
-                if name in start:
-                    y0[i] = math.log(float(start[name]))
+            y0 = np.zeros(len(self._vars))
         else:
+            if isinstance(start, dict):
+                start = [start.get(name, 1.0) for name in self.names]
             y0 = np.log(np.asarray(start, dtype=float))
-
+        rows = self._block().log_eval
+        g0 = -self._objective.log_eval(y0, 1)[1]       # the solver minimizes -log objective
         budget = _IterBudget(max_newton)
-        skip_phase_one = float(self._constraint_eval(y0, 0)[0].max()) < _PHASE1_SKIP
-        if skip_phase_one:
+
+        warm = float(rows(y0, 0)[0].max()) < _PHASE1_SKIP
+        if warm:
             y = y0
         else:
             try:
@@ -488,105 +455,81 @@ class GpModel:
             if fail is not None:
                 return self._finish(y0 if y is None else y, fail, budget, math.inf)
 
-        m = self._block().size
-        t = BARRIER_T0
-        kkt = math.inf
-        status = "max_iterations"
-        message = ""
-        interior = None
-        stages = []
+        status, message = "max_iterations", ""
+        interior, stages, it = None, [], None
         try:
-            if skip_phase_one:
-                t = self._warm_barrier_t(y, m / max(tol, 1e-3) / 10.0)
-            while True:
-                ref = self._objective_eval(y, 0)[0]
-                y = _newton_center(
-                    lambda yy, o: self._barrier_parts(yy, o, t, ref), y, budget)
-                stages.append(math.exp(self._objective.log_eval(y, 0)[0]))
-                if interior is None and m / t <= 3e-2:
-                    interior = y.copy()
-                # the multiplier-recovery certificate can fire before the
-                # duality-gap surrogate m/t has shrunk all the way to tol
-                if m / t <= max(tol, 1e-3):
-                    kkt = self._kkt_residual(y)
-                    if kkt <= tol:
-                        status = "optimal"
-                        break
-                if m / t <= tol and t > 1e16:
+            first = rows(y, 2)
+            t0 = self._warm_barrier_t(first, g0, tol) if warm else BARRIER_T0
+            for it in _primal_dual(rows, g0, y, first, t0, budget):
+                stages.append(math.exp(self._objective.log_eval(it.z, 0)[0]))
+                if interior is None and it.eta <= _INTERIOR_GAP:
+                    interior = it.z
+                if it.eta <= tol and it.dual <= tol:
+                    status = "optimal"
                     break
-                t *= BARRIER_GROWTH
         except _BudgetExhausted:
-            status = "max_iterations"
+            pass
         except GpError as exc:
-            # y is the last centered point, still strictly feasible
             status, message = "numerical_error", str(exc)
-        return self._finish(y, status, budget, kkt, interior, stages, message)
+        if it is None:
+            return self._finish(y, status, budget, math.inf, message=message)
+        # first-order certificate from the iterate's own multipliers: the
+        # worst of stationarity, complementarity and primal feasibility
+        complementarity = float(np.max(it.lam * -it.f)) / (1.0 + float(np.max(np.abs(g0))))
+        kkt = max(it.dual, complementarity, float(np.max(it.f)))
+        return self._finish(it.z, status, budget, kkt, interior, stages, message)
 
-    def _warm_barrier_t(self, y, t_max):
-        """First barrier parameter for a strictly feasible start (B&V §11.3.1).
+    def _warm_barrier_t(self, first, g0, tol):
+        """Barrier parameter for a strictly feasible start (B&V §11.3.1).
 
         Picks t = argmin ||t grad f0 + grad phi|| in the norm of the inverse
-        barrier Hessian, the t at which y is closest to the central path,
-        clamped to [BARRIER_T0, t_max]. A non-positive estimate means y is
-        not near any central point, so the cold BARRIER_T0 is kept.
+        barrier Hessian, the t at which the start is closest to the central
+        path, clamped to [BARRIER_T0, m / (10 max(tol, 1e-3))].
+        A non-positive estimate means the start is near no central point, so
+        the cold BARRIER_T0 is kept.
         """
-        _, g0, _ = self._objective_eval(y, 1)
-        _, g_phi, h_phi = self._barrier_parts(y, 2, 0.0)     # phi alone at t = 0
+        f, jac, hess = first
+        inv = 1.0 / -f
+        h_phi = jac.T @ (jac * (inv ** 2)[:, None]) + hess(inv)
         u = -_newton_direction(h_phi, g0)                    # H_phi^-1 grad f0
         curvature = float(g0 @ u)
         if not curvature > 0.0:                              # objective flat at y
             return BARRIER_T0
-        t = -float(g_phi @ u) / curvature
+        t = -float((jac.T @ inv) @ u) / curvature
         if not t > 0.0:
             return BARRIER_T0
-        return min(max(t, BARRIER_T0), t_max)
+        return min(max(t, BARRIER_T0), f.size / max(tol, 1e-3) / 10.0)
 
     def _phase_one(self, y0, budget):
-        """Find a strictly feasible point, or detect infeasibility."""
-        n = len(self._vars)
-        m = self._block().size
-        fvals, _, _ = self._constraint_eval(y0, 0)
+        """Find a strictly feasible point, or detect infeasibility, by the same
+        primal-dual iteration on min s subject to f_i(y) - s <= 0."""
+        n = y0.size
+        rows = self._block().log_eval
 
-        def parts(z, order, t, s_ref=0.0):
-            y, s = z[:n], z[n]
-            fvals, grads, hess_sum = self._constraint_eval(y, order)
-            shifted = fvals - s
-            if np.any(shifted >= 0):
-                return math.inf, None, None
-            val = t * (s - s_ref) - float(np.sum(np.log(-shifted)))
+        def shifted(z, order):
+            f, jac, hess = rows(z[:n], order)
             if order == 0:
-                return val, None, None
-            inv = 1.0 / (-shifted)
-            grad = np.zeros(n + 1)
-            grad[:n] = grads.T @ inv
-            grad[n] = t - float(inv.sum())
-            if order == 1:
-                return val, grad, None
-            gx = np.hstack([grads, -np.ones((m, 1))])
-            hess = gx.T @ (gx * (inv ** 2)[:, None])
-            hess[:n, :n] += hess_sum(inv)
-            return val, grad, hess
+                return f - z[n], None, None
 
-        def margin(zz):
-            return float(self._constraint_eval(zz[:n], 0)[0].max())
+            def hess_z(weights):
+                h = np.zeros((n + 1, n + 1))
+                h[:n, :n] = hess(weights)
+                return h
+            return f - z[n], np.hstack([jac, -np.ones((f.size, 1))]), hess_z
 
-        z = np.append(y0, float(fvals.max()) + 1.0)
-        t = BARRIER_T0
+        g0 = np.zeros(n + 1)
+        g0[n] = 1.0
+        z = np.append(y0, float(rows(y0, 0)[0].max()) + 1.0)
         try:
-            while True:
-                ref = z[n]
-                z = _newton_center(lambda zz, o: parts(zz, o, t, ref), z, budget,
-                                   early_exit=lambda zz: margin(zz) < -_PHASE1_MARGIN)
-                if margin(z) < -_PHASE1_MARGIN:
+            for it in _primal_dual(shifted, g0, z, shifted(z, 2), BARRIER_T0, budget):
+                z = it.z
+                if float(it.f.max()) + z[n] < -_PHASE1_MARGIN:
                     return z[:n], None
-                if 1.0 / t <= 1e-12:
+                if it.eta <= _PHASE1_TOL and it.dual <= _PHASE1_TOL:
                     break
-                t *= BARRIER_GROWTH
-        except _EarlyExit as exc:
-            return exc.point[:n], None
         except _BudgetExhausted:
             return z[:n], "max_iterations"
-        if margin(z) < -1e-9:
+        if float(rows(z[:n], 0)[0].max()) < -1e-9:
             return z[:n], None
         return None, "infeasible"
 
@@ -603,78 +546,73 @@ class GpModel:
                           stage_objectives=tuple(stages))
 
 
-class _EarlyExit(Exception):
-    def __init__(self, point):
-        self.point = point
+class _Iterate(NamedTuple):
+    z: np.ndarray        # primal point, strictly feasible
+    f: np.ndarray        # constraint values at z, all < 0
+    lam: np.ndarray      # multipliers, all > 0
+    eta: float           # surrogate duality gap -f . lam
+    dual: float          # scaled dual residual |grad f0 + J^T lam|_inf / (1 + |grad f0|_inf)
 
 
-def _newton_center(parts, y, budget, early_exit=None):
-    """Newton minimization of one barrier stage (B&V Algorithm 9.5).
+def _primal_dual(rows, g0, z, first, t, budget):
+    """Primal-dual interior-point iterates for min g0 . z s.t. rows(z) < 0
+    (B&V Algorithm 11.2), from a strictly feasible z whose order-2 evaluation
+    is `first`. Yields every iterate; the caller decides when to stop.
 
-    Away from the center (decrement >= 0.25) every step starts at the full
-    Newton step and halves it until the point lies inside the barrier domain
-    and passes the Armijo test. Near the center the full step is taken
-    without the sufficient-decrease test, halved once if it leaves the domain.
+    The multipliers start on the central path of barrier parameter t, and t
+    is held there until the iterate is centered (scaled dual residual at most
+    eta / m); after that t = mu m / eta. The objective is linear, so the
+    Newton matrix is sum lam_i Hess f_i + J^T diag(lam / -f) J. The step
+    goes BOUNDARY_FRACTION of the way to the nearest lambda = 0 at most, and
+    backtracks until the point lies inside the domain (tested at order 0)
+    and the residual norm ||(r_dual, r_cent)|| falls enough.
     """
-    best_lam = math.inf
-    stalled = 0
-    for _ in range(_MAX_CENTER_STEPS):
+    f, jac, hess = first
+    lam = 1.0 / (t * -f)
+    m = f.size
+    scale = 1.0 + float(np.max(np.abs(g0)))
+    held = True
+    while True:
+        r_dual = g0 + jac.T @ lam
+        eta = -float(f @ lam)
+        dual = float(np.max(np.abs(r_dual))) / scale
+        yield _Iterate(z, f, lam, eta, dual)
         budget.spend()
-        val, grad, hess = parts(y, 2)
-        if not math.isfinite(val):
-            raise GpError("barrier evaluated outside its domain")
-        step = _newton_direction(hess, grad)
-        decrement2 = float(-grad @ step)
-        if decrement2 / 2.0 <= _NEWTON_DECREMENT_TOL + 8e-15 * abs(val):
-            return y
-        lam = math.sqrt(max(decrement2, 0.0))
-        if lam < 0.9 * best_lam:
-            best_lam, stalled = lam, 0
-        else:
-            stalled += 1
-            if stalled >= 6 and lam < 0.1:
-                return y    # float-precision plateau near the stage center
-
-        if lam < 0.25:
-            # quadratic-convergence region: expected decrease may sit below
-            # float resolution of the barrier value, so skip the sufficient-
-            # decrease test and only keep the step inside the domain
-            cand = y + step
-            if not math.isfinite(_trial_value(parts, cand)):
-                cand = y + 0.5 * step
-                if not math.isfinite(_trial_value(parts, cand)):
-                    return y
-        else:
-            a = 1.0
-            slope = ARMIJO_SLOPE * float(grad @ step)
-            for _ in range(60):
-                cand = y + a * step
-                cand_val = _trial_value(parts, cand)
-                if math.isfinite(cand_val) and cand_val <= val + a * slope:
+        if held and dual <= eta / m:
+            held = False
+        if not held:
+            t = GAP_REDUCTION * m / eta
+        inv = 1.0 / (t * -f)
+        d = lam / -f
+        step = _newton_direction(hess(lam) + jac.T @ (d[:, None] * jac),
+                                 g0 + jac.T @ inv)
+        dlam = d * (jac @ step) - lam + inv
+        shrinking = dlam < 0
+        s = min(1.0, float(np.min(-lam[shrinking] / dlam[shrinking]))) \
+            if np.any(shrinking) else 1.0
+        s *= BOUNDARY_FRACTION
+        norm = math.hypot(np.linalg.norm(r_dual), np.linalg.norm(lam * -f - 1.0 / t))
+        for _ in range(_MAX_BACKTRACKS):
+            cand = z + s * step
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                inside = bool(np.all(rows(cand, 0)[0] < 0))
+            if inside:
+                cf, cjac, chess = rows(cand, 2)
+                clam = lam + s * dlam
+                cnorm = math.hypot(np.linalg.norm(g0 + cjac.T @ clam),
+                                   np.linalg.norm(clam * -cf - 1.0 / t))
+                if cnorm <= (1.0 - RESIDUAL_DECREASE * s) * norm:
                     break
-                a *= BACKTRACK_SHRINK
-            else:
-                return y    # no float-representable progress left
-            if a * lam < 1e-13:
-                return y    # progress below float resolution
-        y = cand
-        if early_exit is not None and early_exit(y):
-            raise _EarlyExit(y)
-    return y
-
-
-def _trial_value(parts, y):
-    """Barrier value at a line-search trial point. A full step can land far
-    outside the domain, where exponentials overflow; that only makes the
-    value non-finite, which rejects the point, so the warnings are muted."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return parts(y, 0)[0]
+            s *= BACKTRACK_SHRINK
+        else:
+            raise GpError("primal-dual line search made no progress")
+        z, f, jac, hess, lam = cand, cf, cjac, chess, clam
 
 
 def _newton_direction(hess, grad):
     """Newton step -hess^-1 grad on the equilibrated Hessian.
 
-    Barrier Hessians become badly scaled near active constraints, so rows and
+    Newton matrices become badly scaled near active constraints, so rows and
     columns are scaled to a unit diagonal first. A Cholesky factorization
     tests positive definiteness and drives a growing ridge; the step itself
     comes from one dense solve of the same ridged matrix, since numpy has no
@@ -694,37 +632,3 @@ def _newton_direction(hess, grad):
         except np.linalg.LinAlgError:
             ridge = 1e-14 if ridge == 0.0 else ridge * 100.0
     raise GpError("Newton system could not be factorized")
-
-
-def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
-    """Lawson-Hanson non-negative least squares: min ||a x - b||, x >= 0.
-
-    Deterministic active-set loop; sizes here are tiny (constraint counts).
-    """
-    n, m = a.shape
-    x = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
-    resid = b - a @ x
-    max_iter = max_iter or 3 * m + 10
-    for _ in range(max_iter):
-        w = a.T @ resid
-        w[passive] = -np.inf
-        if not np.any(~passive) or float(w.max()) <= 1e-12 * (1.0 + float(np.abs(b).max())):
-            break
-        passive[int(np.argmax(w))] = True
-        while True:
-            idx = np.flatnonzero(passive)
-            z, *_ = np.linalg.lstsq(a[:, idx], b, rcond=None)
-            if np.all(z > 0):
-                x = np.zeros(m)
-                x[idx] = z
-                break
-            bad = z <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = x[idx] / (x[idx] - z)
-            alpha = float(np.min(steps[bad]))
-            x[idx] = x[idx] + alpha * (z - x[idx])
-            passive[x <= 1e-300] = False
-            x[~passive] = 0.0
-        resid = b - a @ x
-    return x

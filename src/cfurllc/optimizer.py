@@ -497,11 +497,7 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
         m, point, read = step(alloc, chi, w_hat)
         # previous iterate must stay feasible in the refreshed GP
         trace.carryover_margin.append(float(m.constraint_margins(point).max()))
-        if warm is None:
-            # by name: a named start's logs come from math.log, which can
-            # differ from np.log of the same array in the last bit
-            warm = dict(zip(m.names, point))
-        sol = m.solve(tol=cfg.gp_tolerance, start=warm)
+        sol = m.solve(tol=cfg.gp_tolerance, start=point if warm is None else warm)
         warm = sol.interior
         if sol.status != "optimal":
             status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
@@ -610,9 +606,9 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     pd_max = model.energy / cfg.blocklength      # leftover budget per data symbol
     floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
     stats = estimation_stats(model, pilot)
-    n, coherent, noise, cross = fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder)
+    pieces = fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder)
+    n, coherent, noise, cross = pieces
     gain = n * coherent
-    lb_sinr = fbl.lb_sinr_mrc if decoder == MRC else fbl.lb_sinr_fzf
 
     def build(w_hat):
         """The step GP for exponents w_hat; the max-slack GP when w_hat is None.
@@ -656,6 +652,6 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     if sol.status == "infeasible" or sol["phi"] < FEASIBILITY_MARGIN:
         return _no_allocation("infeasible", "fixed-pilot floors unreachable")
     return _run_sca(model, cfg, params, floors, read(sol),
-                    lambda alloc: lb_sinr(model, stats, alloc.payload, cfg.antennas_per_ap),
+                    lambda alloc: fbl.lb_sinr(pieces, alloc.payload),
                     lambda alloc, chi, w_hat: (build(w_hat),
                                                np.concatenate([chi, alloc.payload]), read))

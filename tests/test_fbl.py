@@ -112,6 +112,25 @@ def test_kernel_inverse_rejects_unattainable():
         rate_kernel_inverse(0.0, 0.1)
 
 
+def test_cached_floor_inverses_match_the_uncached_functions():
+    for alpha in (0.0, 0.01, 0.0717, 0.2, 0.5):
+        limit = inv_sinr_limit(alpha)
+        assert limit == inv_sinr_limit.__wrapped__(alpha)
+        assert inv_sinr_limit(alpha) is limit                    # served from the cache
+        for y in (0.05, 0.7, 3.0):
+            assert rate_kernel_inverse(y, alpha) == rate_kernel_inverse.__wrapped__(y, alpha)
+    # failures are not cached: every call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-negative"):
+            inv_sinr_limit(-0.1)
+        with pytest.raises(ValueError, match="too large"):
+            inv_sinr_limit(1e300)
+        with pytest.raises(fbl.InfeasibleRateError):
+            rate_kernel_inverse(0.0, 0.1)
+        with pytest.raises(fbl.InfeasibleRateError, match="unattainable"):
+            rate_kernel_inverse(800.0, 0.1)
+
+
 def test_checked_kernel_reports_boundary():
     alpha = 0.2
     limit = inv_sinr_limit(alpha)

@@ -183,15 +183,6 @@ def test_optimal_solutions_satisfy_all_constraints(rng):
         assert sol.kkt_residual < 1e-8
 
 
-def test_stage_objectives_monotone(rng):
-    from cfurllc.cli import random_two_var_problem
-    for i in range(10):
-        prob = random_two_var_problem(np.random.default_rng(300 + i))
-        sol = prob.solve()
-        stages = np.array(sol.stage_objectives)
-        assert np.all(np.diff(stages) >= -1e-7 * np.abs(stages[:-1]))
-
-
 def test_grid_oracle_agreement(rng):
     from cfurllc.cli import grid_optimum, random_two_var_problem
     for i in range(12):
@@ -234,6 +225,23 @@ def test_warm_start_agrees_with_cold(rng):
     prob2 = random_two_var_problem(np.random.default_rng(7))
     warm = prob2.solve(start={"x": cold["x"] * 0.8, "y": cold["y"] * 0.8})
     assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
+
+
+def test_dict_and_array_starts_give_identical_iterates():
+    from cfurllc.cli import random_two_var_problem
+    # prefer values whose math.log and np.log differ in the last bit, where
+    # two ways of taking the logs would part
+    values = np.random.default_rng(5).uniform(0.05, 3.0, 200_000)
+    differ = values[np.log(values) != np.array([math.log(v) for v in values])]
+    pairs = (differ if differ.size >= 8 else values)[:8].reshape(4, 2)
+    for seed, (x, y) in enumerate(pairs):
+        by_name = random_two_var_problem(np.random.default_rng(seed)).solve(
+            start={"x": float(x), "y": float(y)})
+        by_array = random_two_var_problem(np.random.default_rng(seed)).solve(
+            start=np.array([x, y]))
+        assert by_name.status == by_array.status == "optimal"
+        assert by_name.x.tobytes() == by_array.x.tobytes()
+        assert by_name.iterations == by_array.iterations
 
 
 def test_dump_is_parenthesized_text():
@@ -346,8 +354,23 @@ def test_solver_failure_is_a_status(monkeypatch):
         assert np.all(np.isfinite(sol.x))
 
 
+def test_newton_budget_is_a_status():
+    from cfurllc.cli import random_two_var_problem
+    for start in (None, {"x": 50.0, "y": 50.0}):     # feasible start, then phase one
+        full = random_two_var_problem(np.random.default_rng(3)).solve(start=start)
+        assert full.status == "optimal"
+        for budget in (1, full.iterations - 1):
+            prob = random_two_var_problem(np.random.default_rng(3))
+            short = prob.solve(start=start, max_newton=budget)
+            assert short.status == "max_iterations"
+            assert short.iterations == budget
+            assert np.all(np.isfinite(short.x))
+        # out of steps in phase two: the last iterate is still strictly feasible
+        assert float(prob.constraint_margins(short.x).max()) < 0
+
+
 # --------------------------------------------------------------------------
-# Newton steps and the warm barrier start
+# the primal-dual iteration and its warm start
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -375,24 +398,27 @@ def desk_step_gps():
     return captured
 
 
-def record_barrier(monkeypatch):
-    """Every (t, y, order, model) the barrier stages evaluate, in call order.
-
-    The warm start evaluates the bare barrier (t = 0) before the first stage.
-    """
+def record_iterates(monkeypatch):
+    """Every (t0, iterate) the primal-dual iteration yields, phase one
+    included, in call order; t0 is the barrier parameter it starts from."""
     seen = []
-    original = GpModel._barrier_parts
+    original = gp._primal_dual
 
-    def spy(self, y, order, t, f0_ref=0.0):
-        seen.append((t, y.copy(), order, self))
-        return original(self, y, order, t, f0_ref)
+    def spy(rows, g0, z, first, t, budget):
+        for it in original(rows, g0, z, first, t, budget):
+            seen.append((t, it))
+            yield it
 
-    monkeypatch.setattr(GpModel, "_barrier_parts", spy)
+    monkeypatch.setattr(gp, "_primal_dual", spy)
     return seen
 
 
-def first_stage_t(seen):
-    return next(t for t, _, _, _ in seen if t > 0)
+def warm_solves(desk_step_gps, decoder):
+    """The step GPs the SCA started from a strictly feasible interior point."""
+    out = [g for g in desk_step_gps[decoder] if isinstance(g[1], np.ndarray)
+           and float(g[0].constraint_margins(g[1]).max()) < 0]
+    assert out, "the SCA never warm-started a step GP from an interior point"
+    return out
 
 
 def t_max(model, tol):
@@ -402,41 +428,115 @@ def t_max(model, tol):
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_warm_interior_start_reaches_cold_optimum_in_fewer_steps(
         decoder, desk_step_gps, monkeypatch):
-    warm_solves = [g for g in desk_step_gps[decoder] if isinstance(g[1], np.ndarray)]
-    assert warm_solves, "the SCA never warm-started a step GP from an interior point"
-    for model, start, sol, tol in warm_solves:
+    for model, start, sol, tol in warm_solves(desk_step_gps, decoder):
         cold = model.solve(tol=tol)
         assert cold.status == sol.status == "optimal"
         assert sol.objective == pytest.approx(cold.objective, rel=1e-7)
         assert sol.iterations < cold.iterations
-        with monkeypatch.context() as mp:
-            mp.setattr(GpModel, "_warm_barrier_t", lambda self, y, t_max: gp.BARRIER_T0)
-            at_t0 = model.solve(tol=tol, start=start)
-        assert at_t0.objective == pytest.approx(cold.objective, rel=1e-7)
-        assert sol.iterations < at_t0.iterations
+        # the warm solve skips phase one: one primal-dual run over the n variables
+        seen = record_iterates(monkeypatch)
+        again = model.solve(tol=tol, start=start)
+        assert again.iterations == sol.iterations
+        assert {it.z.size for _, it in seen} == {len(model.names)}
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
-def test_barrier_start_is_clamped_and_falls_back(decoder, desk_step_gps, monkeypatch):
-    seen = record_barrier(monkeypatch)
-    model, start, sol, tol = desk_step_gps[decoder][-1]
-    # phase one runs from the all-ones point, so the barrier starts cold
-    assert float(model.constraint_margins(np.ones(len(model.names))).max()) > 0
-    model.solve(tol=tol)
-    assert first_stage_t(seen) == gp.BARRIER_T0
-    # the previous interior point starts strictly inside the clamp
-    seen.clear()
-    model.solve(tol=tol, start=start)
-    assert gp.BARRIER_T0 < first_stage_t(seen) < t_max(model, tol)
-    # the optimum is centered for a huge t, which the clamp caps so the
-    # first stage still runs above the KKT check's m/t threshold
-    seen.clear()
-    again = model.solve(tol=tol, start=sol.x)
-    assert first_stage_t(seen) == pytest.approx(t_max(model, tol), rel=1e-12)
+def test_every_iterate_is_strictly_feasible_with_positive_multipliers(
+        decoder, desk_step_gps, monkeypatch):
+    seen = record_iterates(monkeypatch)
+    for model, start, _, tol in desk_step_gps[decoder]:
+        before = len(seen)
+        model.solve(tol=tol, start=start)
+        n = len(model.names)
+        for _, it in seen[before:]:
+            assert np.all(it.f < 0) and np.all(it.lam > 0)
+            if it.z.size == n:      # phase two: the rows are the model's own
+                assert np.array_equal(it.f, model._constraint_eval(it.z, 0)[0])
+            else:                   # phase one: rows f_i(y) - s
+                assert np.array_equal(
+                    it.f, model._constraint_eval(it.z[:n], 0)[0] - it.z[n])
+    assert len(seen) > 40
+
+
+def independent_certificate(model, y, lam):
+    """Surrogate gap and scaled dual residual of (y, lam), recomputed from
+    the model's rows and objective."""
+    f, jac, _ = model._constraint_eval(y, 1)
+    g0 = -model._objective.log_eval(y, 1)[1]
+    dual = np.max(np.abs(g0 + jac.T @ lam)) / (1.0 + np.max(np.abs(g0)))
+    return -float(f @ lam), float(dual)
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_optimal_return_meets_the_gap_and_dual_residual_tolerance(
+        decoder, desk_step_gps, monkeypatch):
+    from cfurllc.cli import random_two_var_problem
+    seen = record_iterates(monkeypatch)
+    problems = [(g[0], g[1], g[3]) for g in desk_step_gps[decoder]]
+    problems += [(random_two_var_problem(np.random.default_rng(900 + i)), None, 1e-9)
+                 for i in range(6)]
+    for model, start, tol in problems:
+        sol = model.solve(tol=tol, start=start)
+        assert sol.status == "optimal"
+        last = seen[-1][1]
+        assert np.array_equal(np.exp(last.z), sol.x)
+        eta, dual = independent_certificate(model, last.z, last.lam)
+        assert eta <= tol and dual <= tol
+        assert 0.0 < sol.kkt_residual <= tol
+        # the certificate is the iterate's own: a step short of it is not optimal
+        if len(seen) >= 2 and seen[-2][1].z.size == last.z.size:
+            prev = seen[-2][1]
+            assert prev.eta > tol or prev.dual > tol
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_start_outside_the_domain_goes_through_phase_one(
+        decoder, desk_step_gps, monkeypatch):
+    model, _, sol, tol = desk_step_gps[decoder][-1]
+    outside = 1.5 * sol.x
+    assert float(model.constraint_margins(outside).max()) > 0
+    seen = record_iterates(monkeypatch)
+    again = model.solve(tol=tol, start=outside)
+    n = len(model.names)
+    sizes = [it.z.size for _, it in seen]
+    assert sizes[0] == n + 1 and sizes[-1] == n
+    assert sizes == sorted(sizes, reverse=True)     # phase one, then phase two
+    # phase one hands over the first point with margin below -_PHASE1_MARGIN
+    handover = seen[sizes.index(n)][1].z
+    assert float(model.constraint_margins(np.exp(handover)).max()) < -gp._PHASE1_MARGIN
+    assert again.status == "optimal"
     assert again.objective == pytest.approx(sol.objective, rel=1e-7)
 
 
-def test_barrier_start_falls_back_when_estimate_is_not_positive(monkeypatch):
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_first_multipliers_sit_on_the_central_path_of_the_clamped_t0(
+        decoder, desk_step_gps, monkeypatch):
+    seen = record_iterates(monkeypatch)
+    model, start, sol, tol = desk_step_gps[decoder][-1]
+    n = len(model.names)
+
+    def phase_two_t0():
+        t0, first = next((t, it) for t, it in seen if it.z.size == n)
+        assert np.allclose(first.lam, 1.0 / (t0 * -first.f), rtol=0, atol=0)
+        return t0
+
+    # phase one runs from the all-ones point, so phase two starts at BARRIER_T0
+    assert float(model.constraint_margins(np.ones(n)).max()) > 0
+    model.solve(tol=tol)
+    assert phase_two_t0() == gp.BARRIER_T0
+    # the previous interior point starts strictly inside the clamp
+    seen.clear()
+    model.solve(tol=tol, start=start)
+    assert gp.BARRIER_T0 < phase_two_t0() < t_max(model, tol)
+    # the optimum is centered for a huge t, which the clamp caps
+    seen.clear()
+    again = model.solve(tol=tol, start=sol.x)
+    assert phase_two_t0() == pytest.approx(t_max(model, tol), rel=1e-12)
+    assert again.objective == pytest.approx(sol.objective, rel=1e-7)
+
+
+def test_warm_start_falls_back_when_estimate_is_not_positive(monkeypatch):
     # maximize x on 1e-3 <= x <= 5: next to the lower bound the barrier
     # gradient pulls the same way as the objective, so no t > 0 centers it
     m = GpModel()
@@ -445,37 +545,42 @@ def test_barrier_start_falls_back_when_estimate_is_not_positive(monkeypatch):
     m.add_le(x, Const(5.0))
     m.add_le(Monomial(1e-3, {0: -1.0}), Const(1.0))
     y = np.log([1.1e-3])
-    assert m._warm_barrier_t(y, 1e6) == gp.BARRIER_T0
-    seen = record_barrier(monkeypatch)
+    g0 = -m._objective.log_eval(y, 1)[1]
+    assert m._warm_barrier_t(m._constraint_eval(y, 2), g0, 1e-9) == gp.BARRIER_T0
+    seen = record_iterates(monkeypatch)
     sol = m.solve(start=np.exp(y))
-    assert first_stage_t(seen) == gp.BARRIER_T0
+    assert seen[0][0] == gp.BARRIER_T0 and seen[0][1].z.size == 1
     assert sol.status == "optimal"
     assert sol["x"] == pytest.approx(5.0, rel=1e-7)
 
 
-@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
-def test_newton_center_accepts_only_strictly_feasible_points(
-        decoder, desk_step_gps, monkeypatch):
-    seen = record_barrier(monkeypatch)
-    for model, start, _, tol in desk_step_gps[decoder]:
+def test_line_search_tests_the_domain_before_the_residual(desk_step_gps, monkeypatch):
+    rejected = residuals = 0
+    for model, start, _, tol in (warm_solves(desk_step_gps, "mrc")
+                                 + warm_solves(desk_step_gps, "fzf")):
+        block = model._block()
+        calls = []
+        original = block.log_eval
+
+        def spy(y, order, original=original, calls=calls):
+            out = original(y, order)
+            calls.append((order, bool(np.all(out[0] < 0))))
+            return out
+
+        monkeypatch.setattr(block, "log_eval", spy)
         model.solve(tol=tol, start=start)
-    accepted = [(y, model) for _, y, order, model in seen if order == 2]
-    assert len(accepted) > 50
-    for y, model in accepted:
-        assert float(model._constraint_eval(y, 0)[0].max()) < 0
+        monkeypatch.undo()
+        # derivatives only ever at points inside the domain
+        assert all(inside for order, inside in calls if order >= 1)
+        rejected += sum(1 for order, inside in calls if order == 0 and not inside)
+        residuals += sum(1 for order, _ in calls if order >= 1)
+    assert rejected > 0 and residuals > 0
 
 
-def test_newton_center_takes_the_full_step_first():
-    # on a quadratic the full Newton step lands on the minimizer and passes
-    # the Armijo test, so one step and one stopping check are all it takes
-    a = np.array([[3.0, 1.0], [1.0, 2.0]])
-    b = np.array([1.0, -2.0])
-
-    def parts(y, order):
-        val = 0.5 * y @ a @ y - b @ y
-        return val, (a @ y - b if order >= 1 else None), (a if order == 2 else None)
-
-    budget = gp._IterBudget(50)
-    y = gp._newton_center(parts, np.array([40.0, -30.0]), budget)
-    assert np.allclose(y, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
-    assert budget.used == 2
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_warm_step_gps_converge_in_few_newton_steps(decoder, desk_step_gps):
+    # Newton directions from the full primal-dual matrix converge fast near
+    # the central path; a direction missing curvature or centering does not
+    steps = [sol.iterations for _, _, sol, _ in desk_step_gps[decoder]]
+    assert max(steps) <= 40
+    assert np.median(steps) <= 30
