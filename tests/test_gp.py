@@ -442,8 +442,10 @@ def test_warm_interior_start_reaches_cold_optimum_in_fewer_steps(
 
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
-def test_every_iterate_is_strictly_feasible_with_positive_multipliers(
+def test_newton_center_accepts_only_strictly_feasible_points(
         decoder, desk_step_gps, monkeypatch):
+    # each primal-dual step is a Newton step on the centered KKT system; the
+    # line search must accept only points with f < 0 and lambda > 0
     seen = record_iterates(monkeypatch)
     for model, start, _, tol in desk_step_gps[decoder]:
         before = len(seen)
@@ -510,7 +512,7 @@ def test_start_outside_the_domain_goes_through_phase_one(
 
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
-def test_first_multipliers_sit_on_the_central_path_of_the_clamped_t0(
+def test_barrier_start_is_clamped_and_falls_back(
         decoder, desk_step_gps, monkeypatch):
     seen = record_iterates(monkeypatch)
     model, start, sol, tol = desk_step_gps[decoder][-1]
@@ -536,7 +538,7 @@ def test_first_multipliers_sit_on_the_central_path_of_the_clamped_t0(
     assert again.objective == pytest.approx(sol.objective, rel=1e-7)
 
 
-def test_warm_start_falls_back_when_estimate_is_not_positive(monkeypatch):
+def test_barrier_start_falls_back_when_estimate_is_not_positive(monkeypatch):
     # maximize x on 1e-3 <= x <= 5: next to the lower bound the barrier
     # gradient pulls the same way as the objective, so no t > 0 centers it
     m = GpModel()
