@@ -6,7 +6,7 @@ and a Monte-Carlo link simulator validating every closed-form term.
 
 from .channel import EstimationStats, draw_channel, estimation_stats, substream
 from .fbl import FblParams, lb_rate, lb_sinr_fzf, lb_sinr_mrc, q_inverse
-from .montecarlo import RateReport, ergodic_rate, rate_report
+from .montecarlo import ergodic_rate
 from .optimizer import (PowerAllocation, SolveResult, benchmark_conventional,
                         benchmark_fixed_pilot, benchmark_upper_bound,
                         feasibility_init, solve_fzf, solve_mrc)
@@ -15,11 +15,11 @@ from .scenario import (LargeScaleModel, SystemConfig, generate_topology,
 
 __all__ = [
     "EstimationStats", "FblParams", "LargeScaleModel", "PowerAllocation",
-    "RateReport", "SolveResult", "SystemConfig", "benchmark_conventional",
+    "SolveResult", "SystemConfig", "benchmark_conventional",
     "benchmark_fixed_pilot", "benchmark_upper_bound", "draw_channel",
     "ergodic_rate", "estimation_stats", "feasibility_init", "generate_topology",
     "lb_rate", "lb_sinr_fzf", "lb_sinr_mrc", "load_config", "noise_power_w",
-    "path_loss_db", "q_inverse", "rate_report", "select_aps", "solve_fzf",
+    "path_loss_db", "q_inverse", "select_aps", "solve_fzf",
     "solve_mrc", "substream",
 ]
 

@@ -44,7 +44,6 @@ PROFILES = {
 
 THRESHOLD_GRID = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
 SCHEMES = ("proposed", "upper_bound", "conventional", "fixed_pilot")
-DECODERS = ("mrc", "fzf")
 
 
 def _fmt(value) -> str:
@@ -116,7 +115,7 @@ def _scheme_rates(task):
 
 
 def _tightness_grid(base: SystemConfig, profile: dict):
-    for decoder in DECODERS:
+    for decoder in fbl.DECODERS:
         for m in profile["tightness_aps"]:
             for mn in profile["tightness_mn"]:
                 n = mn // m
@@ -128,7 +127,7 @@ def _tightness_grid(base: SystemConfig, profile: dict):
 def _layouts(profile: dict):
     """(decoder, M, N) for every decoder and AP count, N = total antennas / M."""
     return [(decoder, m, profile["total_antennas"] // m)
-            for decoder in DECODERS for m in profile["ap_counts"]]
+            for decoder in fbl.DECODERS for m in profile["ap_counts"]]
 
 
 def _threshold_layout(profile: dict) -> dict:
@@ -138,7 +137,7 @@ def _threshold_layout(profile: dict) -> dict:
 
 def _threshold_grid(base: SystemConfig, profile: dict):
     layout = _threshold_layout(profile)
-    for decoder in DECODERS:
+    for decoder in fbl.DECODERS:
         for th in THRESHOLD_GRID:
             yield [decoder, th], base.replace(
                 num_aps=layout["M"], antennas_per_ap=layout["N"], ap_select_threshold=th,

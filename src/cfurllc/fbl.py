@@ -229,6 +229,15 @@ def weighted_lb_sum_rate(sinr: np.ndarray, weights: np.ndarray, params: FblParam
 # Closed-form lower-bound SINRs (statistical-CSI decoders)
 # ---------------------------------------------------------------------------
 
+DECODERS = ("mrc", "fzf")
+
+
+def check_decoder(decoder: str) -> None:
+    """Reject any decoder name other than "mrc" and "fzf"."""
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
+
+
 class SinrPieces(NamedTuple):
     """Constants of every device's lower-bound SINR for fixed pilots:
 
@@ -245,8 +254,7 @@ def sinr_pieces(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
                 decoder: str) -> SinrPieces:
     """The SINR constants of every device for decoder "mrc" or "fzf"."""
     kdev = model.num_devices
-    if decoder not in ("mrc", "fzf"):
-        raise ValueError(f"unknown decoder {decoder!r}")
+    check_decoder(decoder)
     if decoder == "fzf" and n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
     coherent = np.empty(kdev)

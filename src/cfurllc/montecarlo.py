@@ -1,12 +1,13 @@
 """Link-level simulation of both decoders.
 
-Each trial draws channels, runs pilot estimation, decodes with the
-statistical-CSI receiver and records the squared magnitudes of the desired,
-leaked, interference and noise terms, from which instantaneous SINRs and
-finite-blocklength rates follow. Trials are drawn TRIAL_BLOCK at a time, each
-block from its own counter-based substream in which every trial takes one
-contiguous run, so a trial's values depend on the seed, its index and
-TRIAL_BLOCK, but not on the trial count or the order of evaluation.
+Each trial draws channels, runs pilot estimation and combines with the
+statistical-CSI receiver. One kernel serves both receivers, which differ only in
+their combining vectors: the mean coherent gain is the desired term, and its
+deviation (leakage), the interference and the noise make up the rest, from which
+instantaneous SINRs and finite-blocklength rates follow. Trials are drawn
+TRIAL_BLOCK at a time, each block from its own counter-based substream in which
+every trial takes one contiguous run, so a trial's values depend on the seed,
+its index and TRIAL_BLOCK, but not on the trial count or the order of evaluation.
 """
 
 from __future__ import annotations
@@ -17,27 +18,24 @@ import numpy as np
 
 from . import fbl
 from .channel import (ChannelRealization, EstimationStats, draw_channel,
-                      estimation_stats, substream)
+                      substream)
 from .scenario import LargeScaleModel
 
 TRIAL_BLOCK = 64
 MIN_TRIALS = 100          # fewer trials give no meaningful ergodic-rate estimate
 REDRAWS = 3
 
-ANALYTIC = "analytic"
-PER_REALIZATION = "per_realization"
-
 
 @dataclass
 class TrialOutcome:
     """Per-trial decoder statistics for every device.
 
-    ds2 is deterministic under analytic normalization; the other terms are
-    one sample per trial. sinr and rate follow the instantaneous decomposition
-    with the rate clamped at zero.
+    ds2 is deterministic, the payload times the squared mean coherent gain;
+    the other terms are one sample per trial. sinr and rate follow the
+    instantaneous decomposition with the rate clamped at zero.
     """
 
-    ds2: np.ndarray      # (K,) or (T, K) for per-realization normalization
+    ds2: np.ndarray      # (K,)
     ls2: np.ndarray      # (T, K)
     ui2: np.ndarray      # (T, K, K), entry [t, k, j] = interference from j at k
     n2: np.ndarray       # (T, K)
@@ -49,10 +47,30 @@ class TrialOutcome:
         return self.ls2.shape[0]
 
 
-def _finish_outcome(ds2, ls2, ui2, n2, params: fbl.FblParams) -> TrialOutcome:
-    kdev = ls2.shape[1]
-    interference = ui2.sum(axis=2)      # own-device slot is kept at zero
-    sinr = ds2 / (ls2 + interference + n2)
+def _decode(real: ChannelRealization, model: LargeScaleModel, vectors: np.ndarray,
+            scale: np.ndarray, mean_gain: np.ndarray, payload: np.ndarray,
+            params: fbl.FblParams) -> TrialOutcome:
+    """Decoder terms of every device from its combining vectors.
+
+    Device k combines over its service set with vectors[:, m, k, :] (T, M, K, N)
+    times scale[m, k]; mean_gain[k] is the mean of its coherent gain.
+    """
+    trials, _, kdev, _ = real.g.shape
+    pd = np.asarray(payload, dtype=float)
+    ls2 = np.empty((trials, kdev))
+    ui2 = np.empty((trials, kdev, kdev))
+    n2 = np.empty((trials, kdev))
+    for k in range(kdev):
+        idx = list(model.service_sets[k])
+        a = vectors[:, idx, k, :] * scale[idx, k][None, :, None]
+        proj = np.einsum("tsn,tsjn->tj", a.conj(), real.g[:, idx, :, :])
+        ls2[:, k] = pd[k] * np.abs(proj[:, k] - mean_gain[k]) ** 2
+        ui2[:, k, :] = pd[None, :] * np.abs(proj) ** 2
+        ui2[:, k, k] = 0.0
+        nz = np.einsum("tsn,tsn->t", a.conj(), real.noise[:, idx, :])
+        n2[:, k] = np.abs(nz) ** 2
+    ds2 = pd * mean_gain ** 2
+    sinr = ds2 / (ls2 + ui2.sum(axis=2) + n2)
     rate = np.empty_like(sinr)
     for k in range(kdev):
         rate[:, k] = np.maximum(fbl.fbl_rate(sinr[:, k], params, k), 0.0)
@@ -62,79 +80,33 @@ def _finish_outcome(ds2, ls2, ui2, n2, params: fbl.FblParams) -> TrialOutcome:
 def decode_mrc(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams) -> TrialOutcome:
-    """Maximum-ratio combining with the mean coherent gain as the signal term."""
-    trials, _, kdev, _ = real.g.shape
-    pd = np.asarray(payload_power, dtype=float)
-    ds2 = np.empty(kdev)
-    ls2 = np.empty((trials, kdev))
-    ui2 = np.empty((trials, kdev, kdev))
-    n2 = np.empty((trials, kdev))
-    for k in range(kdev):
-        idx = list(model.service_sets[k])
-        a = real.g_hat[:, idx, k, :]
-        mean_gain = n_antennas * stats.lam[idx, k].sum()
-        proj = np.einsum("tsn,tsjn->tj", a.conj(), real.g[:, idx, :, :])
-        ds2[k] = pd[k] * mean_gain ** 2
-        ls2[:, k] = pd[k] * np.abs(proj[:, k] - mean_gain) ** 2
-        ui2[:, k, :] = pd[None, :] * np.abs(proj) ** 2
-        ui2[:, k, k] = 0.0
-        nz = np.einsum("tsn,tsn->t", a.conj(), real.noise[:, idx, :])
-        n2[:, k] = np.abs(nz) ** 2
-    return _finish_outcome(ds2, ls2, ui2, n2, params)
+    """Maximum-ratio combining with the estimates; the mean gain is N * sum lambda."""
+    mean_gain = np.array([n_antennas * stats.lam[list(aps), k].sum()
+                          for k, aps in enumerate(model.service_sets)])
+    return _decode(real, model, real.g_hat, np.ones_like(stats.lam), mean_gain,
+                   payload_power, params)
 
 
 def _fzf_vectors(g_hat: np.ndarray) -> np.ndarray:
-    """Unnormalized zero-forcing vectors per AP: G (G^H G)^-1, batched."""
+    """Unnormalized zero-forcing vectors per AP, G (G^H G)^-1, batched as (T, M, K, N)."""
     gh = np.swapaxes(g_hat, 2, 3)                       # (T, M, N, K)
     gram = np.einsum("tmnk,tmnj->tmkj", gh.conj(), gh)
-    return np.einsum("tmnk,tmkj->tmnj", gh, np.linalg.inv(gram))
+    return np.swapaxes(np.einsum("tmnk,tmkj->tmnj", gh, np.linalg.inv(gram)), 2, 3)
 
 
 def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
-               n_antennas: int, params: fbl.FblParams,
-               normalization: str = ANALYTIC) -> TrialOutcome:
-    """Full-pilot zero-forcing; needs more antennas than devices.
-
-    The default scales each vector by the closed-form root-mean gain; the
-    per-realization alternative normalizes each drawn vector to unit norm and
-    estimates the coherent gain from the sample mean.
-    """
-    trials, _, kdev, _ = real.g.shape
+               n_antennas: int, params: fbl.FblParams) -> TrialOutcome:
+    """Full-pilot zero-forcing, each AP's vector scaled by its root-mean gain
+    sqrt((N - K) lambda); needs more antennas than devices."""
+    kdev = real.g.shape[2]
     if n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
-    pd = np.asarray(payload_power, dtype=float)
-    vectors = _fzf_vectors(real.g_hat)                   # (T, M, N, K)
-    if normalization == PER_REALIZATION:
-        norms = np.linalg.norm(vectors, axis=2, keepdims=True)
-        vectors = vectors / norms
-    elif normalization != ANALYTIC:
-        raise ValueError(f"unknown normalization {normalization!r}")
-
-    ds2 = np.empty((trials, kdev)) if normalization == PER_REALIZATION else np.empty(kdev)
-    ls2 = np.empty((trials, kdev))
-    ui2 = np.empty((trials, kdev, kdev))
-    n2 = np.empty((trials, kdev))
-    for k in range(kdev):
-        idx = list(model.service_sets[k])
-        a = np.swapaxes(vectors[:, idx, :, k:k + 1], 2, 3)[:, :, 0, :]  # (T, S, N)
-        if normalization == ANALYTIC:
-            scale = np.sqrt((n_antennas - kdev) * stats.lam[idx, k])
-            a = a * scale[None, :, None]
-            mean_gain = scale.sum()
-        proj = np.einsum("tsn,tsjn->tj", a.conj(), real.g[:, idx, :, :])
-        if normalization == PER_REALIZATION:
-            coh = proj[:, k].real.mean()
-            ds2[:, k] = pd[k] * coh ** 2
-            ls2[:, k] = pd[k] * np.abs(proj[:, k] - coh) ** 2
-        else:
-            ds2[k] = pd[k] * mean_gain ** 2
-            ls2[:, k] = pd[k] * np.abs(proj[:, k] - mean_gain) ** 2
-        ui2[:, k, :] = pd[None, :] * np.abs(proj) ** 2
-        ui2[:, k, k] = 0.0
-        nz = np.einsum("tsn,tsn->t", a.conj(), real.noise[:, idx, :])
-        n2[:, k] = np.abs(nz) ** 2
-    return _finish_outcome(ds2, ls2, ui2, n2, params)
+    scale = np.sqrt((n_antennas - kdev) * stats.lam)
+    mean_gain = np.array([scale[list(aps), k].sum()
+                          for k, aps in enumerate(model.service_sets)])
+    return _decode(real, model, _fzf_vectors(real.g_hat), scale, mean_gain,
+                   payload_power, params)
 
 
 def _gram_screen(g_hat: np.ndarray) -> np.ndarray:
@@ -178,8 +150,7 @@ def _redraw_rank_deficient(real: ChannelRealization, model: LargeScaleModel,
 
 def simulate(model: LargeScaleModel, stats: EstimationStats,
              payload_power: np.ndarray, decoder: str, trials: int, seed: int,
-             n_antennas: int, params: fbl.FblParams,
-             normalization: str = ANALYTIC) -> TrialOutcome:
+             n_antennas: int, params: fbl.FblParams) -> TrialOutcome:
     """Run `trials` independent channel draws and concatenate the outcomes.
 
     Block b holds trials b*TRIAL_BLOCK onwards and is drawn by one
@@ -191,6 +162,9 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     trial is abandoned with an error; attempt 0 keeps the block key distinct
     from every redraw key.
     """
+    fbl.check_decoder(decoder)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     outcomes = []
     for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         count = min(TRIAL_BLOCK, trials - start)
@@ -202,62 +176,23 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
         else:
             _redraw_rank_deficient(real, model, stats, n_antennas, seed, start)
             outcomes.append(decode_fzf(real, model, stats, payload_power,
-                                       n_antennas, params, normalization))
-    first = outcomes[0]
-    ds2 = (np.concatenate([o.ds2 for o in outcomes])
-           if first.ds2.ndim == 2 else first.ds2)
-    return TrialOutcome(
-        ds2=ds2,
-        ls2=np.concatenate([o.ls2 for o in outcomes]),
-        ui2=np.concatenate([o.ui2 for o in outcomes]),
-        n2=np.concatenate([o.n2 for o in outcomes]),
-        sinr=np.concatenate([o.sinr for o in outcomes]),
-        rate=np.concatenate([o.rate for o in outcomes]),
-    )
+                                       n_antennas, params))
+    per_trial = {name: np.concatenate([getattr(o, name) for o in outcomes])
+                 for name in ("ls2", "ui2", "n2", "sinr", "rate")}
+    return TrialOutcome(ds2=outcomes[0].ds2, **per_trial)
 
 
 def ergodic_rate(model: LargeScaleModel, stats: EstimationStats,
                  payload_power: np.ndarray, decoder: str, trials: int, seed: int,
-                 n_antennas: int, params: fbl.FblParams,
-                 normalization: str = ANALYTIC) -> tuple[np.ndarray, np.ndarray]:
+                 n_antennas: int, params: fbl.FblParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-device mean rate and normal-approximation 95% confidence half-width."""
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful estimate")
     out = simulate(model, stats, payload_power, decoder, trials, seed,
-                   n_antennas, params, normalization)
+                   n_antennas, params)
     mean = out.rate.mean(axis=0)
     half = 1.96 * out.rate.std(axis=0, ddof=1) / np.sqrt(out.trials)
     return mean, half
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Closed-form bounds next to their simulated counterparts, per device."""
-
-    lb_sinr: np.ndarray
-    lb_rate: np.ndarray
-    ergodic_rate: np.ndarray
-    ci_half_width: np.ndarray
-    meets_requirement: np.ndarray    # bool, lower-bound rate vs requirement
-
-
-def rate_report(model: LargeScaleModel, pilot_power: np.ndarray,
-                payload_power: np.ndarray, decoder: str, trials: int, seed: int,
-                n_antennas: int, params: fbl.FblParams,
-                rate_req_bps: float = 0.0) -> RateReport:
-    """Evaluate one allocation both ways: closed-form bound and simulation."""
-    stats = estimation_stats(model, pilot_power)
-    if decoder == "mrc":
-        sinr = fbl.lb_sinr_mrc(model, stats, payload_power, n_antennas)
-    else:
-        sinr = fbl.lb_sinr_fzf(model, stats, payload_power, n_antennas)
-    lb = np.array([fbl.lb_rate(sinr[k], params, k)
-                   for k in range(model.num_devices)])
-    mean, ci = ergodic_rate(model, stats, payload_power, decoder, trials, seed,
-                            n_antennas, params)
-    return RateReport(lb_sinr=sinr, lb_rate=lb, ergodic_rate=mean,
-                      ci_half_width=ci,
-                      meets_requirement=lb >= rate_req_bps * (1 - 1e-9))
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,7 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
 def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                params: fbl.FblParams, start: PowerAllocation | None = None) -> SolveResult:
     """Joint pilot/payload SCA from `start`, or from feasibility_init."""
+    fbl.check_decoder(decoder)
     kdev = model.num_devices
     floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
     if start is None:
@@ -557,6 +558,7 @@ def solve_fzf(model: LargeScaleModel, cfg: SystemConfig,
 
 def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
           start: PowerAllocation | None = None) -> SolveResult:
+    fbl.check_decoder(decoder)
     return solve_mrc(model, cfg, start) if decoder == MRC else solve_fzf(model, cfg, start)
 
 

@@ -224,15 +224,22 @@ def test_gram_screen_is_superset_of_rank_check():
                           np.flatnonzero((ranks < 3).any(axis=1)))
 
 
-def test_per_realization_normalization_flag():
+@pytest.mark.parametrize("decoder", ["MRC", "zf"])
+def test_unknown_decoder_is_rejected(decoder):
     cfg, model, params, stats, pd = validation_setup()
-    out = mc.simulate(model, stats, pd, "fzf", 400, seed=8, n_antennas=8,
-                      params=params, normalization=mc.PER_REALIZATION)
-    assert out.ds2.shape == (400, 3)
-    assert np.all(out.sinr > 0)
-    with pytest.raises(ValueError):
-        mc.simulate(model, stats, pd, "fzf", 200, seed=8, n_antennas=8,
-                    params=params, normalization="bogus")
+    with pytest.raises(ValueError, match="unknown decoder"):
+        mc.simulate(model, stats, pd, decoder, 100, seed=8, n_antennas=8,
+                    params=params)
+    with pytest.raises(ValueError, match="unknown decoder"):
+        mc.ergodic_rate(model, stats, pd, decoder, 100, 8, 8, params)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_simulate_needs_a_trial(trials):
+    cfg, model, params, stats, pd = validation_setup()
+    with pytest.raises(ValueError, match="at least one trial"):
+        mc.simulate(model, stats, pd, "mrc", trials, seed=8, n_antennas=8,
+                    params=params)
 
 
 def test_ergodic_rate_needs_enough_trials():

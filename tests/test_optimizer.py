@@ -177,6 +177,18 @@ def test_antenna_headroom_enforced_in_config():
         SystemConfig(num_devices=5, antennas_per_ap=5)
 
 
+@pytest.mark.parametrize("decoder", ["MRC", "zf"])
+def test_unknown_decoder_is_rejected_before_any_gp(decoder, monkeypatch):
+    def no_gp(*args, **kwargs):
+        raise AssertionError("a GP was solved for an unknown decoder")
+
+    monkeypatch.setattr(gp.GpModel, "solve", no_gp)
+    model = desk_model()
+    for run in (optimizer.solve, benchmark_upper_bound):
+        with pytest.raises(ValueError, match="unknown decoder"):
+            run(model, DESK, decoder)
+
+
 # --------------------------------------------------------------------------
 # benchmark schemes
 # --------------------------------------------------------------------------
