@@ -25,10 +25,8 @@ def estimation_stats(model: LargeScaleModel, pilot_power: np.ndarray) -> Estimat
     the error variance is the complement b - lam.
     """
     p = np.asarray(pilot_power, dtype=float)
-    if p.ndim == 0:
-        p = np.full(model.num_devices, float(p))
     if p.shape != (model.num_devices,):
-        raise ValueError("pilot_power must be scalar or one value per device")
+        raise ValueError("pilot_power must hold one value per device")
     if np.any(p <= 0):
         raise ValueError("pilot powers must be strictly positive")
     kp = model.num_devices * p[None, :]
@@ -63,7 +61,7 @@ class ChannelRealization:
 
 
 def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
-                 seed_or_rng, trials: int = 1) -> ChannelRealization:
+                 rng: np.random.Generator, trials: int = 1) -> ChannelRealization:
     """Draw channels, pilot-based MMSE estimates and receiver noise for a block of trials.
 
     The pilot observation is the true channel plus noise of per-antenna
@@ -72,8 +70,6 @@ def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int
     one contiguous run (channel, pilot noise, receiver noise), so a trial's
     values do not depend on how many trials are drawn after it.
     """
-    rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else substream(int(seed_or_rng)))
     m, k = model.beta.shape
     mkn = m * k * n_antennas
     # (re, im) pairs viewed as unit-variance circularly-symmetric complex Gaussians

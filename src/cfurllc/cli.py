@@ -83,7 +83,7 @@ def _tightness_point(task):
     stats = estimation_stats(model, p)
     lb_sinr = fbl.lb_sinr_mrc if decoder == "mrc" else fbl.lb_sinr_fzf
     closed = lb_sinr(model, stats, p, cfg.antennas_per_ap)
-    lb = np.array([fbl.lb_rate(closed[i], params, i) for i in range(k)])
+    lb = fbl.lb_rate(closed, params, np.arange(k))
     mean, ci = montecarlo.ergodic_rate(model, stats, p, decoder, trials,
                                        seed + dep, cfg.antennas_per_ap, params)
     return (float(model.weights @ lb), float(model.weights @ mean),

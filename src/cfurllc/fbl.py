@@ -22,14 +22,6 @@ class InfeasibleRateError(ValueError):
     """Raised when a rate requirement cannot be met at any SINR."""
 
 
-class KernelDomainError(ValueError):
-    """Inverse SINR beyond the point where the rate drops below zero."""
-
-    def __init__(self, message: str, boundary: float):
-        super().__init__(message)
-        self.boundary = boundary
-
-
 def q_function(x: float) -> float:
     """Gaussian tail probability."""
     return 0.5 * math.erfc(x / _SQRT2)
@@ -82,15 +74,6 @@ def rate_kernel(x, alpha: float):
     x = np.asarray(x, dtype=float)
     out = np.log1p(1.0 / x) - alpha * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def rate_kernel_checked(x: float, alpha: float) -> float:
-    """Rate kernel restricted to the region where the rate is non-negative."""
-    limit = inv_sinr_limit(alpha)
-    if not 0.0 < x <= limit:
-        raise KernelDomainError(
-            f"inverse SINR {x} outside (0, {limit}]", boundary=limit)
-    return float(rate_kernel(x, alpha))
 
 
 def alpha_limit(x):
@@ -207,8 +190,9 @@ def fbl_rate(gamma, params: FblParams, k: int):
     return float(out) if out.ndim == 0 else out
 
 
-def lb_rate(gamma_lb, params: FblParams, k: int):
-    """Lower-bound rate (bits/s) from a lower-bound SINR, clamped at zero."""
+def lb_rate(gamma_lb, params: FblParams, k):
+    """Lower-bound rate (bits/s) of device k from a lower-bound SINR, clamped
+    at zero; an array of devices k takes an array of SINRs."""
     gamma_lb = np.asarray(gamma_lb, dtype=float)
     x = 1.0 / gamma_lb
     inside = x <= params.inv_sinr_max[k]
@@ -221,8 +205,7 @@ def lb_rate(gamma_lb, params: FblParams, k: int):
 
 def weighted_lb_sum_rate(sinr: np.ndarray, weights: np.ndarray, params: FblParams) -> float:
     """Weighted sum of lower-bound rates at the given per-device SINRs."""
-    return float(sum(weights[k] * lb_rate(sinr[k], params, k)
-                     for k in range(params.num_devices)))
+    return float(weights @ lb_rate(sinr, params, np.arange(params.num_devices)))
 
 
 # ---------------------------------------------------------------------------

@@ -428,17 +428,15 @@ class GpModel:
     # -- solving ------------------------------------------------------------
     def solve(self, tol: float = 1e-9, start=None, max_newton: int = 4000) -> GpSolution:
         """Primal-dual interior-point solve; deterministic for a given problem
-        and start. A start that is not strictly feasible goes through phase one."""
+        and start. The start is None (every variable 1) or an array of
+        positive values in variable order; a start that is not strictly
+        feasible goes through phase one."""
         if self._objective is None:
             raise GpModelError("objective not set")
         if not self._constraints:
             raise GpModelError("unconstrained GP is unbounded")
-        if start is None:
-            y0 = np.zeros(len(self._vars))
-        else:
-            if isinstance(start, dict):
-                start = [start.get(name, 1.0) for name in self.names]
-            y0 = np.log(np.asarray(start, dtype=float))
+        y0 = np.zeros(len(self._vars)) if start is None \
+            else np.log(np.asarray(start, dtype=float))
         rows = self._block().log_eval
         g0 = -self._objective.log_eval(y0, 1)[1]       # the solver minimizes -log objective
         budget = _IterBudget(max_newton)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -381,104 +382,134 @@ def _add_sinr_constraints(m: gp.GpModel, model: LargeScaleModel, decoder: str,
     m.add_block_le(block, rhs)
 
 
-def _build_joint_gp(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                    pilot_hat: np.ndarray, w_hat: np.ndarray | None, floors: np.ndarray):
-    """The per-iteration GP for exponents w_hat: tangent objective, fitted SINR
-    constraints, floors, energy. With w_hat None, the max-slack GP instead:
-    every SINR floor scaled by one common factor phi, which is maximized."""
-    kdev = model.num_devices
+def _scheme_gp(floors: np.ndarray, w_hat: np.ndarray | None):
+    """The start of every scheme's GP: head variables, objective and floor rows.
+
+    A step GP (exponents w_hat) maximizes prod_k chi_k^w_hat_k with every chi_k
+    at or above its floor; the max-slack GP (w_hat None) maximizes one phi that
+    scales every floor. Returns the model, the head of each device's SINR row,
+    the factor that row is scaled by (1 beside chi_k, the floor beside phi) and
+    `floor_row(k)`, which adds device k's floor row where the scheme puts it."""
+    kdev = floors.size
     m = gp.GpModel()
     if w_hat is None:
-        heads, log_heads = [m.variable("phi")] * kdev, np.log(floors)
-        m.maximize(heads[0])
-    else:
-        heads, log_heads = [m.variable(f"chi{k}") for k in range(kdev)], np.zeros(kdev)
-        m.maximize(gp.Monomial(1.0, {heads[k].index: float(w_hat[k]) for k in range(kdev)}))
-    pp = [m.variable(f"pp{k}") for k in range(kdev)]
-    pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    _add_sinr_constraints(m, model, decoder, heads, log_heads, pp, pd, pilot_hat,
-                          cfg.antennas_per_ap)
-    if w_hat is not None:
-        for k in range(kdev):
-            m.add_le(_mono_from_log(math.log(floors[k]), {heads[k].index: -1.0}),
-                     gp.Const(1.0))
-    for k in range(kdev):
-        lhs = gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
-                      gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})])
-        m.add_le(lhs, gp.Const(float(model.energy[k])))
-    return m
+        phi = m.variable("phi")
+        m.maximize(phi)
+        return m, [phi] * kdev, floors, lambda k: None
+    heads = [m.variable(f"chi{k}") for k in range(kdev)]
+    m.maximize(gp.Monomial(1.0, {heads[k].index: float(w_hat[k]) for k in range(kdev)}))
+
+    def floor_row(k):
+        m.add_le(_mono_from_log(math.log(floors[k]), {heads[k].index: -1.0}), gp.Const(1.0))
+    return m, heads, np.ones(kdev), floor_row
 
 
 # ---------------------------------------------------------------------------
-# Feasibility initialization and the SCA loop
+# The max-slack stage and the SCA loop
 # ---------------------------------------------------------------------------
 
-def _read_allocation(sol: gp.GpSolution, kdev: int) -> PowerAllocation:
-    """The pilots pp0.. and payloads pd0.. of a GP solution."""
-    return PowerAllocation(pilot=np.array([sol[f"pp{k}"] for k in range(kdev)]),
-                           payload=np.array([sol[f"pd{k}"] for k in range(kdev)]))
+class _Scheme(NamedTuple):
+    """What the max-slack stage and the SCA loop need of one scheme."""
+
+    build: Callable      # (pilot_hat, w_hat) -> its GP; w_hat None: the max-slack GP
+    read: Callable       # GP solution -> PowerAllocation, read by position
+    coords: Callable     # PowerAllocation -> its GP variables after the heads
+    sinr_of: Callable    # PowerAllocation -> lower-bound SINRs
 
 
-def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
-    """Find a power allocation meeting every SINR floor, or report infeasible.
-
-    Starts from the equal energy split and re-expands the monomial fits at the
-    max-slack optimum a few times, which can only raise the certified slack.
-    Returns the allocation (None when none is certified), the best slack and
-    an error message, empty unless a max-slack GP failed numerically.
-    """
+def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
+                  floors: np.ndarray) -> _Scheme:
+    """The joint allocation: SINR constraints fitted at pilot_hat, and the
+    energy budgets over the pilots and payloads."""
     kdev = model.num_devices
-    pilot_hat = model.energy / (2.0 * kdev)
-    payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))
-    start = {"phi": 1e-3}
-    for k in range(kdev):
-        start[f"pp{k}"] = 0.9 * pilot_hat[k]
-        start[f"pd{k}"] = 0.9 * payload0[k]
+
+    def build(pilot_hat, w_hat):
+        m, heads, scales, floor_row = _scheme_gp(floors, w_hat)
+        pp = [m.variable(f"pp{k}") for k in range(kdev)]
+        pd = [m.variable(f"pd{k}") for k in range(kdev)]
+        _add_sinr_constraints(m, model, decoder, heads, np.log(scales), pp, pd, pilot_hat,
+                              cfg.antennas_per_ap)
+        for k in range(kdev):
+            floor_row(k)
+        for k in range(kdev):
+            lhs = gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
+                          gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})])
+            m.add_le(lhs, gp.Const(float(model.energy[k])))
+        return m
+
+    return _Scheme(build=build,
+                   read=lambda sol: PowerAllocation(pilot=sol.x[-2 * kdev:-kdev],
+                                                    payload=sol.x[-kdev:]),
+                   coords=lambda alloc: np.concatenate([alloc.pilot, alloc.payload]),
+                   sinr_of=lambda alloc: true_sinr(model, alloc, cfg.antennas_per_ap, decoder))
+
+
+def _max_slack(scheme: _Scheme, cfg: SystemConfig, pilot_hat: np.ndarray,
+               start: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
+    """Find an allocation meeting every SINR floor, or report infeasible.
+
+    Solves the max-slack GP from `start` (phi first, then the scheme's
+    variables) and re-expands the fits at the optimum's pilots, which can
+    only raise the certified slack. Stops once comfortably feasible, when the
+    slack stalls, or when the pilots did not move, since the GP would then be
+    rebuilt unchanged. Returns the allocation (None when none is certified),
+    the best slack and an error message, empty unless a GP failed numerically.
+    """
     best_phi = -math.inf
     best_alloc = None
     prev_phi = -math.inf
     error = ""
     for _ in range(MAX_FEASIBILITY_ROUNDS):
-        m = _build_joint_gp(model, cfg, decoder, pilot_hat, None, floors)
-        sol = m.solve(tol=cfg.gp_tolerance, start=start)
+        sol = scheme.build(pilot_hat, None).solve(tol=cfg.gp_tolerance, start=start)
         if sol.status == "numerical_error":
             error = f"max-slack GP failed: {sol.message}"
             break
         if sol.status == "infeasible":
             break
-        phi = sol["phi"]
-        alloc = _read_allocation(sol, kdev)
+        phi = float(sol.x[0])
+        alloc = scheme.read(sol)
         if phi > best_phi:
             best_phi, best_alloc = phi, alloc
-        # stop once comfortably feasible, or when re-expansion stalls
-        if phi >= 1.05 * FEASIBILITY_MARGIN or phi <= prev_phi * 1.01:
+        if (phi >= 1.05 * FEASIBILITY_MARGIN or phi <= prev_phi * 1.01
+                or np.array_equal(alloc.pilot, pilot_hat)):
             break
         prev_phi = phi
         pilot_hat = alloc.pilot
-        start = {"phi": phi}
-        for k in range(kdev):
-            start[f"pp{k}"] = alloc.pilot[k]
-            start[f"pd{k}"] = alloc.payload[k]
+        start = sol.x
     if best_phi >= FEASIBILITY_MARGIN and best_alloc is not None:
         return best_alloc, best_phi, ""
     return None, best_phi, error
 
 
+def _unreachable(phi: float, error: str) -> SolveResult:
+    """The result of a max-slack stage that certified no allocation."""
+    return _no_allocation("aborted" if error else "infeasible",
+                          error or f"max floor slack {phi:.4f} < 1")
+
+
+def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
+                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
+    """The joint allocation's max-slack stage from the equal energy split:
+    the allocation (None when none is certified), the best slack and an error
+    message, empty unless a max-slack GP failed numerically."""
+    kdev = model.num_devices
+    pilot_hat = model.energy / (2.0 * kdev)
+    payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))
+    start = np.concatenate([[1e-3], 0.9 * pilot_hat, 0.9 * payload0])
+    return _max_slack(_joint_scheme(model, cfg, decoder, floors), cfg, pilot_hat, start)
+
+
 def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
-             floors: np.ndarray, alloc: PowerAllocation, sinr_of, step) -> SolveResult:
+             floors: np.ndarray, alloc: PowerAllocation, scheme: _Scheme) -> SolveResult:
     """The SCA iteration every scheme runs, from a feasible allocation.
 
-    `sinr_of(alloc)` gives the lower-bound SINRs of an allocation.
-    `step(alloc, chi, w_hat)` builds the iteration's GP around the current
-    iterate for the surrogate exponents w_hat, and returns it with the
-    iterate as a point of that GP (its warm start and carry-over check) and
-    a function reading the next allocation from the GP's solution. The loop
-    stops when the relative gain falls below cfg.sca_tolerance; the best
-    iterate of the trace is returned.
+    Each iteration builds the scheme's step GP around the current iterate for
+    the surrogate exponents w_hat; the iterate, as a point of that GP, is its
+    warm start and carry-over check. The loop stops when the relative gain
+    falls below cfg.sca_tolerance; the best iterate of the trace is returned.
     """
     trace = IterationTrace()
-    chi = sinr_of(alloc)
+    chi = scheme.sinr_of(alloc)
     if np.any(chi < floors * (1.0 - 1e-9)):
         return _no_allocation("infeasible", "starting point violates an SINR floor")
     obj = fbl.weighted_lb_sum_rate(chi, model.weights, params)
@@ -494,7 +525,8 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
             status, message = "aborted", str(exc)
             break
         trace.surrogate_clamped |= clamped
-        m, point, read = step(alloc, chi, w_hat)
+        m = scheme.build(alloc.pilot, w_hat)
+        point = np.concatenate([chi, scheme.coords(alloc)])
         # previous iterate must stay feasible in the refreshed GP
         trace.carryover_margin.append(float(m.constraint_margins(point).max()))
         sol = m.solve(tol=cfg.gp_tolerance, start=point if warm is None else warm)
@@ -502,8 +534,8 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
         if sol.status != "optimal":
             status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
             break
-        alloc = read(sol)
-        chi = sinr_of(alloc)
+        alloc = scheme.read(sol)
+        chi = scheme.sinr_of(alloc)
         obj_new = fbl.weighted_lb_sum_rate(chi, model.weights, params)
         trace.add(obj_new, chi, alloc, sol.status)
         gain = (obj_new - obj) / obj if obj > 0 else math.inf
@@ -513,7 +545,7 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
 
     best = int(np.argmax(trace.objective))
     chi = trace.sinr[best]
-    rates = np.array([fbl.lb_rate(chi[k], params, k) for k in range(model.num_devices)])
+    rates = fbl.lb_rate(chi, params, np.arange(model.num_devices))
     return SolveResult(status=status, allocation=trace.allocations[best], trace=trace,
                        sinr=chi, rates=rates,
                        weighted_sum_rate=float(model.weights @ rates),
@@ -524,42 +556,31 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                params: fbl.FblParams, start: PowerAllocation | None = None) -> SolveResult:
     """Joint pilot/payload SCA from `start`, or from feasibility_init."""
     fbl.check_decoder(decoder)
-    kdev = model.num_devices
-    floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
+    floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
     if start is None:
         start, phi, error = feasibility_init(model, cfg, decoder, floors)
         if start is None:
-            return _no_allocation("aborted" if error else "infeasible",
-                                  error or f"max floor slack {phi:.4f} < 1")
-
-    def step(alloc, chi, w_hat):
-        m = _build_joint_gp(model, cfg, decoder, alloc.pilot, w_hat, floors)
-        return (m, np.concatenate([chi, alloc.pilot, alloc.payload]),
-                lambda sol: _read_allocation(sol, kdev))
-
+            return _unreachable(phi, error)
     return _run_sca(model, cfg, params, floors, start,
-                    lambda alloc: true_sinr(model, alloc, cfg.antennas_per_ap, decoder),
-                    step)
+                    _joint_scheme(model, cfg, decoder, floors))
+
+
+def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
+          start: PowerAllocation | None = None) -> SolveResult:
+    """Joint pilot/payload allocation for decoder "mrc" or "fzf"."""
+    return _solve_sca(model, cfg, decoder, fbl.FblParams.from_config(cfg), start)
 
 
 def solve_mrc(model: LargeScaleModel, cfg: SystemConfig,
               start: PowerAllocation | None = None) -> SolveResult:
     """Joint pilot/payload allocation for the MRC decoder."""
-    return _solve_sca(model, cfg, MRC, fbl.FblParams.from_config(cfg), start)
+    return solve(model, cfg, MRC, start)
 
 
 def solve_fzf(model: LargeScaleModel, cfg: SystemConfig,
               start: PowerAllocation | None = None) -> SolveResult:
     """Joint pilot/payload allocation for the zero-forcing decoder."""
-    if cfg.antennas_per_ap <= cfg.num_devices:
-        raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
-    return _solve_sca(model, cfg, FZF, fbl.FblParams.from_config(cfg), start)
-
-
-def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-          start: PowerAllocation | None = None) -> SolveResult:
-    fbl.check_decoder(decoder)
-    return solve_mrc(model, cfg, start) if decoder == MRC else solve_fzf(model, cfg, start)
+    return solve(model, cfg, FZF, start)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +609,7 @@ def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig,
                            message="penalty-free stage infeasible")
     params = fbl.FblParams.from_config(cfg)
     chi = true_sinr(model, upper.allocation, cfg.antennas_per_ap, decoder)
-    rates = np.array([fbl.lb_rate(chi[k], params, k) for k in range(model.num_devices)])
+    rates = fbl.lb_rate(chi, params, np.arange(model.num_devices))
     if np.any(rates < cfg.rate_req_bps * (1.0 - 1e-9)):
         return SolveResult(status="infeasible", allocation=upper.allocation,
                            trace=upper.trace, sinr=chi, rates=rates,
@@ -612,48 +633,27 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     n, coherent, noise, cross = pieces
     gain = n * coherent
 
-    def build(w_hat):
-        """The step GP for exponents w_hat; the max-slack GP when w_hat is None.
-
-        Row k is head_k * (cross_k . pd + noise_k) / gain_k <= pd_k, with the
-        head (chi_k, or phi times the floor) folded into every term."""
-        m = gp.GpModel()
-        if w_hat is None:
-            phi = m.variable("phi")
-            m.maximize(phi)
-            heads, log_heads = [phi] * kdev, [math.log(f) for f in floors]
-        else:
-            heads = [m.variable(f"chi{k}") for k in range(kdev)]
-            m.maximize(gp.Monomial(1.0, {heads[k].index: float(w_hat[k])
-                                         for k in range(kdev)}))
-            log_heads = [0.0] * kdev
+    def build(pilot_hat, w_hat):
+        """Row k is head_k * (cross_k . pd + noise_k) / gain_k <= pd_k, with
+        the head folded into every term; exact, since no fit is involved."""
+        m, heads, scales, floor_row = _scheme_gp(floors, w_hat)
         pd = [m.variable(f"pd{k}") for k in range(kdev)]
         for k in range(kdev):
-            head = {heads[k].index: 1.0}
-            terms = [_mono_from_log(math.log(cross[k, j] / gain[k]) + log_heads[k],
+            head, log_scale = {heads[k].index: 1.0}, math.log(scales[k])
+            terms = [_mono_from_log(math.log(cross[k, j] / gain[k]) + log_scale,
                                     {pd[j].index: 1.0, **head}) for j in range(kdev)]
-            terms.append(_mono_from_log(math.log(noise[k] / gain[k]) + log_heads[k], head))
+            terms.append(_mono_from_log(math.log(noise[k] / gain[k]) + log_scale, head))
             m.add_le(gp.Sum(terms), pd[k])
-            if w_hat is not None:
-                m.add_le(_mono_from_log(math.log(floors[k]), {heads[k].index: -1.0}),
-                         gp.Const(1.0))
+            floor_row(k)
             m.add_le(pd[k], gp.Const(float(pd_max[k])))
         return m
 
-    def read(sol):
-        return PowerAllocation(pilot=pilot,
-                               payload=np.array([sol[f"pd{k}"] for k in range(kdev)]))
-
-    # feasibility stage (exact here: constraints carry no monomial fits)
-    m = build(None)
-    start = {"phi": 1e-3}
-    start.update({f"pd{k}": 0.5 * pd_max[k] for k in range(kdev)})
-    sol = m.solve(tol=cfg.gp_tolerance, start=start)
-    if sol.status == "numerical_error":
-        return _no_allocation("aborted", f"fixed-pilot max-slack GP failed: {sol.message}")
-    if sol.status == "infeasible" or sol["phi"] < FEASIBILITY_MARGIN:
-        return _no_allocation("infeasible", "fixed-pilot floors unreachable")
-    return _run_sca(model, cfg, params, floors, read(sol),
-                    lambda alloc: fbl.lb_sinr(pieces, alloc.payload),
-                    lambda alloc, chi, w_hat: (build(w_hat),
-                                               np.concatenate([chi, alloc.payload]), read))
+    scheme = _Scheme(build=build,
+                     read=lambda sol: PowerAllocation(pilot=pilot, payload=sol.x[-kdev:]),
+                     coords=lambda alloc: alloc.payload,
+                     sinr_of=lambda alloc: fbl.lb_sinr(pieces, alloc.payload))
+    alloc, phi, error = _max_slack(scheme, cfg, pilot,
+                                   np.concatenate([[1e-3], 0.5 * pd_max]))
+    if alloc is None:
+        return _unreachable(phi, error)
+    return _run_sca(model, cfg, params, floors, alloc, scheme)

@@ -48,6 +48,13 @@ def test_estimation_rejects_nonpositive_power():
         estimation_stats(model, np.array([0.0]))
 
 
+@pytest.mark.parametrize("power", [1.0, np.ones(3), np.ones((2, 1))])
+def test_estimation_needs_one_power_per_device(power):
+    model = toy_model(np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="one value per device"):
+        estimation_stats(model, power)
+
+
 def test_substream_determinism_and_independence():
     a = substream(5, 3).standard_normal(8)
     b = substream(5, 3).standard_normal(8)
@@ -98,14 +105,6 @@ def test_channel_draw_cross_device_independence():
     y = real.g[:, 0, 1, :].ravel()
     corr = np.mean(x.conj() * y)
     assert abs(corr) <= 3 / np.sqrt(x.size)
-
-
-def test_channel_draw_accepts_plain_seed():
-    model = toy_model(np.array([[1.0]]))
-    stats = estimation_stats(model, np.array([1.0]))
-    a = draw_channel(model, stats, 2, 42, trials=3)
-    b = draw_channel(model, stats, 2, 42, trials=3)
-    assert np.array_equal(a.g, b.g)
 
 
 @pytest.mark.parametrize("a,b", [(1, 2), (5, 64), (63, 65)])

@@ -131,15 +131,6 @@ def test_cached_floor_inverses_match_the_uncached_functions():
             rate_kernel_inverse(800.0, 0.1)
 
 
-def test_checked_kernel_reports_boundary():
-    alpha = 0.2
-    limit = inv_sinr_limit(alpha)
-    assert fbl.rate_kernel_checked(0.5 * limit, alpha) > 0.0
-    with pytest.raises(fbl.KernelDomainError) as err:
-        fbl.rate_kernel_checked(1.5 * limit, alpha)
-    assert err.value.boundary == pytest.approx(limit)
-
-
 # --------------------------------------------------------------------------
 # finite-blocklength rate
 # --------------------------------------------------------------------------

@@ -223,25 +223,8 @@ def test_warm_start_agrees_with_cold(rng):
     prob = random_two_var_problem(np.random.default_rng(7))
     cold = prob.solve()
     prob2 = random_two_var_problem(np.random.default_rng(7))
-    warm = prob2.solve(start={"x": cold["x"] * 0.8, "y": cold["y"] * 0.8})
+    warm = prob2.solve(start=cold.x * 0.8)
     assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
-
-
-def test_dict_and_array_starts_give_identical_iterates():
-    from cfurllc.cli import random_two_var_problem
-    # prefer values whose math.log and np.log differ in the last bit, where
-    # two ways of taking the logs would part
-    values = np.random.default_rng(5).uniform(0.05, 3.0, 200_000)
-    differ = values[np.log(values) != np.array([math.log(v) for v in values])]
-    pairs = (differ if differ.size >= 8 else values)[:8].reshape(4, 2)
-    for seed, (x, y) in enumerate(pairs):
-        by_name = random_two_var_problem(np.random.default_rng(seed)).solve(
-            start={"x": float(x), "y": float(y)})
-        by_array = random_two_var_problem(np.random.default_rng(seed)).solve(
-            start=np.array([x, y]))
-        assert by_name.status == by_array.status == "optimal"
-        assert by_name.x.tobytes() == by_array.x.tobytes()
-        assert by_name.iterations == by_array.iterations
 
 
 def test_dump_is_parenthesized_text():
@@ -347,7 +330,7 @@ def test_solver_failure_is_a_status(monkeypatch):
         raise gp.GpError("Newton system could not be factorized")
 
     monkeypatch.setattr(gp, "_newton_direction", broken)
-    for start in (None, {"x": 50.0, "y": 50.0}):     # feasible start, then phase one
+    for start in (None, np.array([50.0, 50.0])):     # feasible start, then phase one
         sol = random_two_var_problem(np.random.default_rng(3)).solve(start=start)
         assert sol.status == "numerical_error"
         assert sol.message == "Newton system could not be factorized"
@@ -356,7 +339,7 @@ def test_solver_failure_is_a_status(monkeypatch):
 
 def test_newton_budget_is_a_status():
     from cfurllc.cli import random_two_var_problem
-    for start in (None, {"x": 50.0, "y": 50.0}):     # feasible start, then phase one
+    for start in (None, np.array([50.0, 50.0])):     # feasible start, then phase one
         full = random_two_var_problem(np.random.default_rng(3)).solve(start=start)
         assert full.status == "optimal"
         for budget in (1, full.iterations - 1):

@@ -335,6 +335,40 @@ def test_fixed_pilot_sinrs_are_the_closed_form_bounds(decoder):
     assert checked >= 30
 
 
+@pytest.mark.parametrize("seed", [4, 5, 6, 8])
+def test_reported_rate_is_the_best_traced_objective(seed):
+    # the trace and the result score an iterate with the same weighted sum
+    model = desk_model(seed)
+    for res in (solve_mrc(model, DESK), benchmark_fixed_pilot(model, DESK, MRC)):
+        assert res.feasible
+        assert max(res.trace.objective) == res.weighted_sum_rate
+
+
+def count_gp_solves(monkeypatch):
+    solved = []
+    original = gp.GpModel.solve
+
+    def counted(self, *args, **kwargs):
+        solved.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(gp.GpModel, "solve", counted)
+    return solved
+
+
+def test_fixed_pilot_solves_one_max_slack_gp(monkeypatch):
+    # the pilots are frozen, so the max-slack GP is never re-expanded: one
+    # max-slack GP, then one GP per SCA step
+    solved = count_gp_solves(monkeypatch)
+    res = benchmark_fixed_pilot(desk_model(), DESK, MRC)
+    assert res.feasible and len(solved) == len(res.trace.objective)
+    assert "phi" in solved[0].names and "phi" not in solved[1].names
+    solved.clear()
+    cfg = DESK.replace(energy_budget=1e10)
+    res = benchmark_fixed_pilot(generate_topology(cfg, seed=3), cfg, MRC)
+    assert res.status == "infeasible" and len(solved) == 1
+
+
 def test_trace_rows_serialize():
     model = desk_model()
     res = solve_mrc(model, DESK)
