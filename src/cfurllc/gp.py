@@ -128,7 +128,8 @@ class GpSolution:
     x: np.ndarray
     names: tuple[str, ...]
     objective: float
-    status: str                  # optimal | infeasible | max_iterations | numerical_error
+    # optimal | target_reached | infeasible | max_iterations | numerical_error
+    status: str
     iterations: int
     kkt_residual: float
     message: str = ""
@@ -426,11 +427,14 @@ class GpModel:
         return self._block().log_eval(y, order)
 
     # -- solving ------------------------------------------------------------
-    def solve(self, tol: float = 1e-9, start=None, max_newton: int = 4000) -> GpSolution:
+    def solve(self, tol: float = 1e-9, start=None, max_newton: int = 4000,
+              target: float | None = None) -> GpSolution:
         """Primal-dual interior-point solve; deterministic for a given problem
         and start. The start is None (every variable 1) or an array of
         positive values in variable order; a start that is not strictly
-        feasible goes through phase one."""
+        feasible goes through phase one. With a target, the solve stops at
+        the first phase-two iterate whose objective reaches it (status
+        target_reached): every such iterate is strictly feasible."""
         if self._objective is None:
             raise GpModelError("objective not set")
         if not self._constraints:
@@ -464,6 +468,9 @@ class GpModel:
                     interior = it.z
                 if it.eta <= tol and it.dual <= tol:
                     status = "optimal"
+                    break
+                if target is not None and stages[-1] >= target:
+                    status = "target_reached"
                     break
         except _BudgetExhausted:
             pass

@@ -449,18 +449,24 @@ def _max_slack(scheme: _Scheme, cfg: SystemConfig, pilot_hat: np.ndarray,
     """Find an allocation meeting every SINR floor, or report infeasible.
 
     Solves the max-slack GP from `start` (phi first, then the scheme's
-    variables) and re-expands the fits at the optimum's pilots, which can
-    only raise the certified slack. Stops once comfortably feasible, when the
-    slack stalls, or when the pilots did not move, since the GP would then be
-    rebuilt unchanged. Returns the allocation (None when none is certified),
-    the best slack and an error message, empty unless a GP failed numerically.
+    variables) and re-expands the fits at the returned pilots, which can only
+    raise the certified slack. Each solve stops at its first strictly
+    feasible iterate with phi >= 1.05 (status target_reached), which
+    certifies the floors as well as the optimum would; a GP whose slack stays
+    below that is solved to its optimum. Stops once comfortably feasible, when
+    the slack stalls, or when the pilots did not move, since the GP would
+    then be rebuilt unchanged. Returns the allocation (None when none is
+    certified), the largest slack reached and an error message, empty unless
+    a GP failed numerically.
     """
+    target = 1.05 * FEASIBILITY_MARGIN
     best_phi = -math.inf
     best_alloc = None
     prev_phi = -math.inf
     error = ""
     for _ in range(MAX_FEASIBILITY_ROUNDS):
-        sol = scheme.build(pilot_hat, None).solve(tol=cfg.gp_tolerance, start=start)
+        sol = scheme.build(pilot_hat, None).solve(tol=cfg.gp_tolerance, start=start,
+                                                  target=target)
         if sol.status == "numerical_error":
             error = f"max-slack GP failed: {sol.message}"
             break
@@ -470,7 +476,7 @@ def _max_slack(scheme: _Scheme, cfg: SystemConfig, pilot_hat: np.ndarray,
         alloc = scheme.read(sol)
         if phi > best_phi:
             best_phi, best_alloc = phi, alloc
-        if (phi >= 1.05 * FEASIBILITY_MARGIN or phi <= prev_phi * 1.01
+        if (phi >= target or phi <= prev_phi * 1.01
                 or np.array_equal(alloc.pilot, pilot_hat)):
             break
         prev_phi = phi
@@ -490,8 +496,10 @@ def _unreachable(phi: float, error: str) -> SolveResult:
 def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                      floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
     """The joint allocation's max-slack stage from the equal energy split:
-    the allocation (None when none is certified), the best slack and an error
-    message, empty unless a max-slack GP failed numerically."""
+    the first iterate certified with slack >= 1.05, else the max-slack
+    optimum of largest slack when that slack is >= 1 (None when none is
+    certified); the largest slack reached; and an error message, empty
+    unless a max-slack GP failed numerically."""
     kdev = model.num_devices
     pilot_hat = model.energy / (2.0 * kdev)
     payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))

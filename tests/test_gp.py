@@ -227,6 +227,39 @@ def test_warm_start_agrees_with_cold(rng):
     assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
 
 
+STARTS = (None, np.array([50.0, 50.0]))     # feasible start, then phase one
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_target_below_the_optimum_stops_at_a_strictly_feasible_iterate(seed):
+    from cfurllc.cli import random_two_var_problem
+    for start in STARTS:
+        prob = random_two_var_problem(np.random.default_rng(seed))
+        full = prob.solve(start=start)
+        assert full.status == "optimal"
+        target = 0.9 * full.objective
+        early = prob.solve(start=start, target=target)
+        assert early.status == "target_reached"
+        assert early.objective >= target
+        assert float(prob.constraint_margins(early.x).max()) < 0
+        assert early.iterations < full.iterations
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_target_above_the_optimum_changes_nothing(seed):
+    from cfurllc.cli import random_two_var_problem
+    for start in STARTS:
+        full = random_two_var_problem(np.random.default_rng(seed)).solve(start=start)
+        prob = random_two_var_problem(np.random.default_rng(seed))
+        capped = prob.solve(start=start, target=1.01 * full.objective)
+        assert capped.status == full.status == "optimal"
+        assert np.array_equal(capped.x, full.x)
+        assert np.array_equal(capped.interior, full.interior)
+        assert (capped.objective, capped.iterations, capped.kkt_residual,
+                capped.stage_objectives) == (full.objective, full.iterations,
+                                             full.kkt_residual, full.stage_objectives)
+
+
 def test_dump_is_parenthesized_text():
     m = GpModel()
     x = m.variable("x")
@@ -367,8 +400,8 @@ def desk_step_gps():
     captured = {}
     original = GpModel.solve
 
-    def capture(self, tol=1e-9, start=None, max_newton=4000):
-        sol = original(self, tol, start, max_newton)
+    def capture(self, tol=1e-9, start=None, **kwargs):
+        sol = original(self, tol, start, **kwargs)
         if "chi0" in self.names:
             captured[decoder].append((self, start, sol, tol))
         return sol

@@ -126,6 +126,62 @@ def test_feasibility_boundary_from_grid_oracle():
         assert (alloc is not None) == expect
 
 
+# The verdict oracle's deployments: K=5 at both desk layouts, listed before
+# any was run, so none is picked by its outcome.
+VERDICT_DEPLOYMENTS = [(DESK.replace(num_aps=m, antennas_per_ap=n, energy_budget=e), seed, d)
+                       for m, n in ((4, 12), (1, 48)) for e in (2e12, 5e12)
+                       for seed in range(1, 7) for d in (MRC, FZF)]
+
+
+def max_slack_stages(cfg, seed, decoder):
+    """What `_max_slack` returned for the joint stage (feasibility_init)
+    and for the fixed-pilot stage, with each stage's scheme."""
+    model = generate_topology(cfg, seed=seed)
+    floors = sinr_floors(fbl.FblParams.from_config(cfg),
+                         np.full(cfg.num_devices, cfg.rate_req_bps))
+    stages = []
+    original = optimizer._max_slack
+
+    def spy(scheme, *args):
+        out = original(scheme, *args)
+        stages.append((scheme, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_max_slack", spy)
+        feasibility_init(model, cfg, decoder, floors)
+        benchmark_fixed_pilot(model, cfg, decoder)
+    return model, floors, stages
+
+
+def untargeted(solve):
+    """GpModel.solve with any objective target dropped: every GP to its optimum."""
+    def full(self, *args, target=None, **kwargs):
+        return solve(self, *args, **kwargs)
+    return full
+
+
+def test_early_max_slack_stop_keeps_every_verdict():
+    infeasible = 0
+    for cfg, seed, decoder in VERDICT_DEPLOYMENTS:
+        model, floors, stages = max_slack_stages(cfg, seed, decoder)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp.GpModel, "solve", untargeted(gp.GpModel.solve))
+            _, _, reference = max_slack_stages(cfg, seed, decoder)
+        assert len(stages) == len(reference) == 2
+        for (scheme, (alloc, phi, error)), (_, (ref_alloc, ref_phi, ref_error)) \
+                in zip(stages, reference):
+            assert error == ref_error == ""
+            assert (alloc is None) == (ref_alloc is None), (cfg, seed, decoder, phi, ref_phi)
+            if alloc is None:
+                infeasible += 1
+                continue
+            assert np.all(scheme.sinr_of(alloc) >= floors)
+            assert np.all(alloc.energy(cfg.num_devices, cfg.blocklength)
+                          <= model.energy * (1 + 1e-9))
+    assert infeasible >= 2
+
+
 # --------------------------------------------------------------------------
 # the iterative algorithms
 # --------------------------------------------------------------------------
