@@ -335,10 +335,10 @@ def run_gp_selftest(seed: int) -> int:
     # Jacobian of compiled posynomial rows against central differences
     prob = random_two_var_problem(rng)
     y0 = rng.normal(0.0, 0.5, 2)
-    _, jac, _ = prob._constraint_eval(y0, 1)
+    _, jac, _ = prob._constraint_eval(y0)
     eps = 1e-6
-    fd = np.column_stack([(prob._constraint_eval(y0 + d, 0)[0]
-                           - prob._constraint_eval(y0 - d, 0)[0]) / (2 * eps)
+    fd = np.column_stack([(prob._constraint_eval(y0 + d)[0]
+                           - prob._constraint_eval(y0 - d)[0]) / (2 * eps)
                           for d in eps * np.eye(2)])
     delta = float(np.max(np.abs(jac - fd)))
     check("posynomial-jacobian-fd", delta < 1e-6, f"delta={delta:.2e}")

@@ -174,22 +174,6 @@ class FblParams:
         return replace(self, alpha=np.zeros(k), inv_sinr_max=np.full(k, math.inf))
 
 
-def fbl_rate(gamma, params: FblParams, k: int):
-    """Achievable rate (bits/s) at SINR gamma under the normal approximation.
-
-    May be negative for tiny SINR; per-trial users clamp at zero.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    eta = params.eta
-    qinv = params.alpha[k] * math.sqrt(params.blocklength * (1.0 - eta))
-    dispersion = 1.0 - (1.0 + gamma) ** -2
-    out = params.bandwidth_hz * (
-        (1.0 - eta) * np.log2(1.0 + gamma)
-        - np.sqrt((1.0 - eta) * dispersion / params.blocklength) * qinv / LN2
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def lb_rate(gamma_lb, params: FblParams, k):
     """Lower-bound rate (bits/s) of device k from a lower-bound SINR, clamped
     at zero; an array of devices k takes an array of SINRs."""

@@ -8,8 +8,10 @@ other left-hand side is rejected when it is added.
 
 All evaluation happens in log variables, where a monomial row is affine and a
 posynomial row is a log-sum-exp. The rows of a model are compiled into one
-constraint block that returns the row values, the Jacobian and the weighted
-Hessian sum, never a Hessian per row.
+constraint block, f(y) = parts(y) - r - R y: the posynomial rows and the row
+blocks, minus one affine right-hand side that carries every other monomial.
+One call returns the row values, the Jacobian and the weighted Hessian sum,
+never a Hessian per row.
 
 The solver is one primal-dual interior-point iteration (Boyd & Vandenberghe,
 Convex Optimization, §11.7, Algorithm 11.2) that both phases run: phase two
@@ -18,6 +20,8 @@ f_i(y) - s <= 0 when the start is not strictly feasible. Each iteration
 takes one Newton step on the primal and dual variables together, with the
 surrogate duality gap eta = -f . lambda setting the barrier parameter, and
 the solve stops once eta and the scaled dual residual are both within tol.
+Each point, the start and every trial point of the line search, is evaluated
+once.
 """
 
 from __future__ import annotations
@@ -67,11 +71,9 @@ class Monomial(Expr):
         self._exp = np.fromiter(self.exponents.values(), dtype=float,
                                 count=len(self.exponents))
 
-    def log_eval(self, y: np.ndarray, order: int):
-        """log self(exp(y)) and, at order >= 1, its (constant) gradient."""
+    def log_eval(self, y: np.ndarray):
+        """log self(exp(y)) and its (constant) gradient."""
         val = self.log_coeff + float(y[self._idx] @ self._exp)
-        if order == 0:
-            return val, None
         g = np.zeros_like(y)
         g[self._idx] = self._exp
         return val, g
@@ -159,31 +161,21 @@ class _BlockConstraint:
 class RowBlock:
     """Several constraint left-hand sides evaluated together in log space.
 
-    `log_eval(y, order)` returns the log values (size,), at order >= 1 the
-    Jacobian (size, n), and at order 2 a function that maps row weights w
-    (size,) to the weighted Hessian sum  sum_i w_i * Hessian_i  (n, n). The
-    barrier only ever needs that sum, so no per-row Hessian is formed.
-    Outputs above the requested order are None.
+    `log_eval(y)` returns the log values (size,), the Jacobian (size, n) and
+    a function that maps row weights w (size,) to the weighted Hessian sum
+    sum_i w_i * Hessian_i  (n, n). The barrier only ever needs that sum, so
+    no per-row Hessian is formed. The solver evaluates every point once, trial
+    points outside the domain included, and calls the Hessian function only
+    at accepted points, so work that only the Hessian needs belongs in it.
     """
 
     size: int
 
-    def log_eval(self, y: np.ndarray, order: int):
+    def log_eval(self, y: np.ndarray):
         raise NotImplementedError
 
     def dump(self) -> str:
         raise NotImplementedError
-
-
-class _AffineRows(RowBlock):
-    """Monomial <= monomial rows: F(y) = F(0) + grad . y exactly."""
-
-    def __init__(self, rows: np.ndarray, offsets: np.ndarray):
-        self.rows, self.offsets = rows, offsets
-        self.size = offsets.size
-
-    def log_eval(self, y, order):
-        return self.rows @ y + self.offsets, self.rows if order >= 1 else None, None
 
 
 class _PosynomialRows(RowBlock):
@@ -202,18 +194,14 @@ class _PosynomialRows(RowBlock):
         self.seg = np.repeat(np.arange(counts.size), counts)
         self.size = counts.size
 
-    def log_eval(self, y, order):
+    def log_eval(self, y):
         z = self.c + self.a @ y
         top = np.maximum.reduceat(z, self.starts)
         w = np.exp(z - top[self.seg])
         total = np.add.reduceat(w, self.starts)
         vals = top + np.log(total)
-        if order == 0:
-            return vals, None, None
         pa = (w / total[self.seg])[:, None] * self.a         # term weight * exponents
         jac = np.add.reduceat(pa, self.starts, axis=0)
-        if order == 1:
-            return vals, jac, None
 
         def hess(weights):
             # per row: sum_j p_j a_j a_j^T - g g^T
@@ -222,46 +210,38 @@ class _PosynomialRows(RowBlock):
         return vals, jac, hess
 
 
-class _RhsDivided(RowBlock):
-    """Left-hand sides divided by affine (monomial) right-hand sides."""
-
-    def __init__(self, lhs: RowBlock, rows: np.ndarray, offsets: np.ndarray):
-        self.lhs, self.rows, self.offsets = lhs, rows, offsets
-        self.size = lhs.size
-
-    def log_eval(self, y, order):
-        vals, jac, hess = self.lhs.log_eval(y, order)
-        vals = vals - self.offsets - self.rows @ y
-        return vals, None if jac is None else jac - self.rows, hess
-
-
 class _ConstraintBlock(RowBlock):
-    """Every row of a GpModel: a few row blocks, each filling its row slots."""
+    """Every row of a GpModel: f(y) = parts(y) - r - R y.
 
-    def __init__(self, parts: list[tuple[object, RowBlock]], size: int):
+    The parts are row blocks, each filling its row slots (rows no part
+    fills are 0 there). r (m,) and R (m, n) hold the log coefficient and
+    exponents of every monomial right-hand side, and of the right-hand side
+    over the left-hand side for a monomial row, so one affine term carries
+    them all.
+    """
+
+    def __init__(self, parts: list[tuple[object, RowBlock]], rhs_log_coeffs: np.ndarray,
+                 rhs_exponents: np.ndarray):
         self.parts = parts        # (row slots as a slice or index array, block)
-        self.size = size
+        self.rhs_log_coeffs = rhs_log_coeffs
+        self.rhs_exponents = rhs_exponents
+        self.size = rhs_log_coeffs.size
 
-    def log_eval(self, y, order):
-        vals = np.empty(self.size)
-        jac = np.empty((self.size, y.size)) if order >= 1 else None
+    def log_eval(self, y):
+        vals = np.zeros(self.size)
+        jac = np.zeros((self.size, y.size))
         hessians = []
         for rows, block in self.parts:
-            v, j, h = block.log_eval(y, order)
-            vals[rows] = v
-            if order >= 1:
-                jac[rows] = j
-            if h is not None:
-                hessians.append((rows, h))
-        if order < 2:
-            return vals, jac, None
+            vals[rows], jac[rows], h = block.log_eval(y)
+            hessians.append((rows, h))
 
         def hess(weights):
             total = np.zeros((y.size, y.size))
             for rows, h in hessians:
                 total += h(weights[rows])
             return total
-        return vals, jac, hess
+        r, big_r = self.rhs_log_coeffs, self.rhs_exponents
+        return vals - r - big_r @ y, jac - big_r, hess
 
 
 def _slots(rows: list[int]):
@@ -273,7 +253,7 @@ def _slots(rows: list[int]):
 
 def _affine_form(expr: Monomial, n: int) -> tuple[float, np.ndarray]:
     """Log coefficient and exponent row of a monomial."""
-    return expr.log_eval(np.zeros(n), 1)
+    return expr.log_eval(np.zeros(n))
 
 
 def _posynomial_terms(expr: Sum, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,6 +269,7 @@ BOUNDARY_FRACTION = 0.99    # share of the step to the nearest lambda = 0 bounda
 RESIDUAL_DECREASE = 0.01    # alpha of the residual-norm line search
 BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
+MAX_NEWTON = 4000           # Newton steps per solve, both phases together
 _INTERIOR_GAP = 3e-2        # surrogate gap of the point kept as a warm start
 _PHASE1_MARGIN = 1e-3
 _PHASE1_SKIP = -1e-12
@@ -361,8 +342,7 @@ class GpModel:
     def constraint_margins(self, x: np.ndarray) -> np.ndarray:
         """Log-space slack log(lhs) - log(rhs) per constraint row; <= 0 means satisfied."""
         y = np.log(np.asarray(x, dtype=float))
-        fvals, _, _ = self._constraint_eval(y, 0)
-        return fvals
+        return self._constraint_eval(y)[0]
 
     def dump(self) -> str:
         lines = ["(gp", "  (vars " + " ".join(self.names) + ")"]
@@ -380,54 +360,45 @@ class GpModel:
     def _compile(self):
         """Fold every constraint row into one constraint block.
 
-        Monomial-vs-monomial rows become one affine matrix, since an affine
-        expression satisfies F(y) = F(0) + grad(0) . y exactly. Posynomial
-        rows become one term-exponent matrix with the right-hand side divided
-        in. Row blocks keep their own batched kernels.
+        Posynomial rows become one term-exponent matrix with the right-hand
+        side divided in, and row blocks keep their own batched kernels. Every
+        other monomial goes into the block's affine term: the right-hand side
+        of a block row, and the right-hand side over the left-hand side of a
+        monomial row, whose value is that affine term alone.
         """
         n = len(self._vars)
-        affine, posy, blocks = [], [], []
-        slot = 0
+        rhs, posy, blocks = [], [], []      # rhs: (log coefficient, exponents) per row
         for c in self._constraints:
+            slot = len(rhs)
             if isinstance(c, _BlockConstraint):
-                rhs = [_affine_form(r, n) for r in c.rhs]
-                blocks.append((list(range(slot, slot + c.lhs.size)), c.lhs, rhs))
-                slot += c.lhs.size
+                blocks.append((slice(slot, slot + c.lhs.size), c.lhs))
+                rhs += [_affine_form(r, n) for r in c.rhs]
                 continue
             rv, rg = _affine_form(c.rhs, n)
             if isinstance(c.lhs, Monomial):
                 lv, lg = _affine_form(c.lhs, n)
-                affine.append((slot, lv - rv, lg - rg))
+                rhs.append((rv - lv, rg - lg))
             else:
                 lv, lg = _posynomial_terms(c.lhs, n)
                 posy.append((slot, lv - rv, lg - rg[None, :]))
-            slot += 1
-
-        parts = []
-        if affine:
-            parts.append(([r[0] for r in affine], _AffineRows(
-                np.array([r[2] for r in affine]), np.array([r[1] for r in affine]))))
-        if posy:
-            parts.append(([r[0] for r in posy], _PosynomialRows(
-                np.concatenate([r[1] for r in posy]), np.vstack([r[2] for r in posy]),
-                [r[1].size for r in posy])))
-        for rows, block, rhs in blocks:
-            parts.append((rows, _RhsDivided(block, np.array([g for _, g in rhs]),
-                                            np.array([v for v, _ in rhs]))))
-        self._compiled = _ConstraintBlock(
-            [(_slots(rows), block) for rows, block in parts], slot)
+                rhs.append((0.0, np.zeros(n)))
+        parts = [(_slots([p[0] for p in posy]), _PosynomialRows(
+            np.concatenate([p[1] for p in posy]), np.vstack([p[2] for p in posy]),
+            [p[1].size for p in posy]))] if posy else []
+        self._compiled = _ConstraintBlock(parts + blocks, np.array([v for v, _ in rhs]),
+                                          np.array([g for _, g in rhs]))
 
     def _block(self) -> _ConstraintBlock:
         if self._compiled is None:
             self._compile()
         return self._compiled
 
-    def _constraint_eval(self, y, order):
+    def _constraint_eval(self, y):
         """Row values, Jacobian and the weighted-Hessian-sum function."""
-        return self._block().log_eval(y, order)
+        return self._block().log_eval(y)
 
     # -- solving ------------------------------------------------------------
-    def solve(self, tol: float = 1e-9, start=None, max_newton: int = 4000,
+    def solve(self, tol: float = 1e-9, start=None,
               target: float | None = None) -> GpSolution:
         """Primal-dual interior-point solve; deterministic for a given problem
         and start. The start is None (every variable 1) or an array of
@@ -442,15 +413,14 @@ class GpModel:
         y0 = np.zeros(len(self._vars)) if start is None \
             else np.log(np.asarray(start, dtype=float))
         rows = self._block().log_eval
-        g0 = -self._objective.log_eval(y0, 1)[1]       # the solver minimizes -log objective
-        budget = _IterBudget(max_newton)
+        g0 = -self._objective.log_eval(y0)[1]       # the solver minimizes -log objective
+        budget = _IterBudget(MAX_NEWTON)
 
-        warm = float(rows(y0, 0)[0].max()) < _PHASE1_SKIP
-        if warm:
-            y = y0
-        else:
+        y, first = y0, rows(y0)
+        warm = float(first[0].max()) < _PHASE1_SKIP
+        if not warm:
             try:
-                y, fail = self._phase_one(y0, budget)
+                y, first, fail = self._phase_one(y0, first, budget)
             except GpError as exc:
                 return self._finish(y0, "numerical_error", budget, math.inf,
                                     message=str(exc))
@@ -460,10 +430,9 @@ class GpModel:
         status, message = "max_iterations", ""
         interior, stages, it = None, [], None
         try:
-            first = rows(y, 2)
             t0 = self._warm_barrier_t(first, g0, tol) if warm else BARRIER_T0
             for it in _primal_dual(rows, g0, y, first, t0, budget):
-                stages.append(math.exp(self._objective.log_eval(it.z, 0)[0]))
+                stages.append(math.exp(self._objective.log_eval(it.z)[0]))
                 if interior is None and it.eta <= _INTERIOR_GAP:
                     interior = it.z
                 if it.eta <= tol and it.dual <= tol:
@@ -505,45 +474,53 @@ class GpModel:
             return BARRIER_T0
         return min(max(t, BARRIER_T0), f.size / max(tol, 1e-3) / 10.0)
 
-    def _phase_one(self, y0, budget):
+    def _phase_one(self, y0, start, budget):
         """Find a strictly feasible point, or detect infeasibility, by the same
-        primal-dual iteration on min s subject to f_i(y) - s <= 0."""
+        primal-dual iteration on min s subject to f_i(y) - s <= 0, from y0
+        whose rows are `start`. Returns the point, its rows and a failure
+        status or None."""
         n = y0.size
         rows = self._block().log_eval
+        # the rows at the point evaluated last; the line search evaluates an
+        # accepted point last, so these are the latest iterate's rows
+        last = start
 
-        def shifted(z, order):
-            f, jac, hess = rows(z[:n], order)
-            if order == 0:
-                return f - z[n], None, None
+        def shift(evaluation, s):
+            f, jac, hess = evaluation
 
             def hess_z(weights):
                 h = np.zeros((n + 1, n + 1))
                 h[:n, :n] = hess(weights)
                 return h
-            return f - z[n], np.hstack([jac, -np.ones((f.size, 1))]), hess_z
+            return f - s, np.hstack([jac, -np.ones((f.size, 1))]), hess_z
+
+        def shifted(z):
+            nonlocal last
+            last = rows(z[:n])
+            return shift(last, z[n])
 
         g0 = np.zeros(n + 1)
         g0[n] = 1.0
-        z = np.append(y0, float(rows(y0, 0)[0].max()) + 1.0)
+        z = np.append(y0, float(start[0].max()) + 1.0)
         try:
-            for it in _primal_dual(shifted, g0, z, shifted(z, 2), BARRIER_T0, budget):
+            for it in _primal_dual(shifted, g0, z, shift(start, z[n]), BARRIER_T0, budget):
                 z = it.z
                 if float(it.f.max()) + z[n] < -_PHASE1_MARGIN:
-                    return z[:n], None
+                    return z[:n], last, None
                 if it.eta <= _PHASE1_TOL and it.dual <= _PHASE1_TOL:
                     break
         except _BudgetExhausted:
-            return z[:n], "max_iterations"
-        if float(rows(z[:n], 0)[0].max()) < -1e-9:
-            return z[:n], None
-        return None, "infeasible"
+            return z[:n], last, "max_iterations"
+        if float(last[0].max()) < -1e-9:
+            return z[:n], last, None
+        return None, None, "infeasible"
 
     def _finish(self, y, status, budget, kkt, interior=None, stages=(), message=""):
         y = np.asarray(y, dtype=float)
         if status == "infeasible":
             obj = math.nan
         else:
-            obj = math.exp(self._objective.log_eval(y, 0)[0])
+            obj = math.exp(self._objective.log_eval(y)[0])
         return GpSolution(x=np.exp(y), names=self.names, objective=obj,
                           status=status, iterations=budget.used, kkt_residual=kkt,
                           message=message,
@@ -561,16 +538,18 @@ class _Iterate(NamedTuple):
 
 def _primal_dual(rows, g0, z, first, t, budget):
     """Primal-dual interior-point iterates for min g0 . z s.t. rows(z) < 0
-    (B&V Algorithm 11.2), from a strictly feasible z whose order-2 evaluation
-    is `first`. Yields every iterate; the caller decides when to stop.
+    (B&V Algorithm 11.2), from a strictly feasible z whose rows are `first`.
+    Yields every iterate; the caller decides when to stop.
 
     The multipliers start on the central path of barrier parameter t, and t
     is held there until the iterate is centered (scaled dual residual at most
     eta / m); after that t = mu m / eta. The objective is linear, so the
     Newton matrix is sum lam_i Hess f_i + J^T diag(lam / -f) J. The step
     goes BOUNDARY_FRACTION of the way to the nearest lambda = 0 at most, and
-    backtracks until the point lies inside the domain (tested at order 0)
-    and the residual norm ||(r_dual, r_cent)|| falls enough.
+    backtracks until the point lies inside the domain and the residual norm
+    ||(r_dual, r_cent)|| falls enough. Each trial point is evaluated once,
+    and an accepted point's rows serve its Newton step; the derivatives at
+    a point outside the domain may be inf or nan and are never used.
     """
     f, jac, hess = first
     lam = 1.0 / (t * -f)
@@ -600,9 +579,8 @@ def _primal_dual(rows, g0, z, first, t, budget):
         for _ in range(_MAX_BACKTRACKS):
             cand = z + s * step
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                inside = bool(np.all(rows(cand, 0)[0] < 0))
-            if inside:
-                cf, cjac, chess = rows(cand, 2)
+                cf, cjac, chess = rows(cand)
+            if np.all(cf < 0):
                 clam = lam + s * dlam
                 cnorm = math.hypot(np.linalg.norm(g0 + cjac.T @ clam),
                                    np.linalg.norm(clam * -cf - 1.0 / t))

@@ -71,9 +71,7 @@ def _decode(real: ChannelRealization, model: LargeScaleModel, vectors: np.ndarra
         n2[:, k] = np.abs(nz) ** 2
     ds2 = pd * mean_gain ** 2
     sinr = ds2 / (ls2 + ui2.sum(axis=2) + n2)
-    rate = np.empty_like(sinr)
-    for k in range(kdev):
-        rate[:, k] = np.maximum(fbl.fbl_rate(sinr[:, k], params, k), 0.0)
+    rate = fbl.lb_rate(sinr, params, np.arange(kdev))
     return TrialOutcome(ds2=ds2, ls2=ls2, ui2=ui2, n2=n2, sinr=sinr, rate=rate)
 
 

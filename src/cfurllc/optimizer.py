@@ -228,7 +228,7 @@ class MrcSinrBlock(_SinrBlock):
         self.c = np.concatenate([base[:, None, :] + cross.transpose(0, 2, 1),
                                  base[:, None, :]], axis=1)                # (K, K+1, S)
 
-    def log_eval(self, y, order):
+    def log_eval(self, y):
         ypp = y[self.pp_idx]
         t = self.b * np.exp(ypp)[:, None]                                  # (K, S)
         lt = np.log1p(t)
@@ -243,32 +243,27 @@ class MrcSinrBlock(_SinrBlock):
         wr = np.exp(rows - top[:, None])
         sr = wr.sum(axis=1)
         vals = self.log_head + y[self.head_idx] + ln_scale + top + np.log(sr)
-        if order == 0:
-            return vals, None, None
 
         wm /= sm[..., None]
         wr /= sr[:, None]
         s = t / (1.0 + t)
-        ss = s * (1.0 - s)
         s_sum = s.sum(axis=1)
-        ss_sum = ss.sum(axis=1)
         do = s_sum[:, None] - s                                            # (K, S)
-        d2o = ss_sum[:, None] - ss
         wdo = (wm @ do[..., None])[..., 0]                                 # (K, K+1)
-        d2 = (wm @ (d2o + do ** 2)[..., None])[..., 0] - wdo ** 2
         u = 1.0 + wdo                                                      # d rows / d yp
         gp_total = (wr * u).sum(axis=1)                                    # (K,)
         wpd = wr[:, :-1]
         n = y.size
         jac = self._jacobian(n, np.diag(s_sum + gp_total), wpd)     # own pilot only
-        if order == 1:
-            return vals, jac, None
-
-        # row k: log-sum-exp over rows r of (pp_k, pd_r) terms
-        hpp = ss_sum + (wr * (d2 + u ** 2)).sum(axis=1) - gp_total ** 2    # (K,)
-        cross = wpd * (u[:, :-1] - gp_total[:, None])                      # (K, K): k, pd_r
 
         def hess(weights):
+            ss = s * (1.0 - s)
+            ss_sum = ss.sum(axis=1)
+            d2o = ss_sum[:, None] - ss
+            d2 = (wm @ (d2o + do ** 2)[..., None])[..., 0] - wdo ** 2
+            # row k: log-sum-exp over rows r of (pp_k, pd_r) terms
+            hpp = ss_sum + (wr * (d2 + u ** 2)).sum(axis=1) - gp_total ** 2    # (K,)
+            cross = wpd * (u[:, :-1] - gp_total[:, None])                  # (K, K): k, pd_r
             wk = weights[:, None]
             return self._hessian(n, np.diag(weights * hpp), (wk * cross).T,
                                  np.diag((wk * wpd).sum(axis=0)) - wpd.T @ (wk * wpd))
@@ -298,7 +293,7 @@ class FzfSinrBlock(_SinrBlock):
         self.log_size = np.log(mask.sum(axis=1))
         self._diag = np.arange(kdev)
 
-    def log_eval(self, y, order):
+    def log_eval(self, y):
         kdev = self.size
         t = self.b * np.exp(y[self.pp_idx])                                # (K, S, K)
         lt = np.log1p(t)
@@ -316,18 +311,13 @@ class FzfSinrBlock(_SinrBlock):
         wr = np.exp(rows - top[:, None])
         sr = wr.sum(axis=1)
         vals = self.log_head + y[self.head_idx] + top + np.log(sr)
-        if order == 0:
-            return vals, None, None
 
         wm /= sm[:, None, :]
         wr /= sr[:, None]
         s = t / (1.0 + t)
-        ss = s * (1.0 - s)
         dv2 = s.sum(axis=1)                                                # (K, K)
-        d2v2 = ss.sum(axis=1)
         do = dv2[:, None, :] - s
         dmu = (wm * do).sum(axis=1)
-        d2mu = (wm * (d2v2[:, None, :] - ss + do ** 2)).sum(axis=1) - dmu ** 2
         # row gradients over the pilots: dv2 everywhere, the own pilot uses dmu
         grows = np.repeat(dv2[:, None, :], kdev + 1, axis=1)               # (K, K+1, K)
         grows[:, self._diag, self._diag] = dmu
@@ -335,14 +325,14 @@ class FzfSinrBlock(_SinrBlock):
         wpd = wr[:, :-1]
         n = y.size
         jac = self._jacobian(n, gpilot, wpd)
-        if order == 1:
-            return vals, jac, None
-
-        hrows = np.repeat(d2v2[:, None, :], kdev + 1, axis=1)
-        hrows[:, self._diag, self._diag] = d2mu
-        flat = grows.reshape(-1, kdev)
 
         def hess(weights):
+            ss = s * (1.0 - s)
+            d2v2 = ss.sum(axis=1)
+            d2mu = (wm * (d2v2[:, None, :] - ss + do ** 2)).sum(axis=1) - dmu ** 2
+            hrows = np.repeat(d2v2[:, None, :], kdev + 1, axis=1)
+            hrows[:, self._diag, self._diag] = d2mu
+            flat = grows.reshape(-1, kdev)
             wk = weights[:, None]
             omega = wk * wr                                                # (K, K+1)
             hpp = np.diag((omega[..., None] * hrows).sum(axis=(0, 1))) \

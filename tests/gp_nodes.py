@@ -20,7 +20,7 @@ from cfurllc import gp
 def log_eval(expr, y: np.ndarray):
     """(value, gradient (n,), Hessian (n, n)) of log expr(exp(y))."""
     if isinstance(expr, gp.Monomial):
-        v, g = expr.log_eval(y, 1)
+        v, g = expr.log_eval(y)
         return v, g, np.zeros((y.size, y.size))
     if isinstance(expr, gp.Sum):
         return Sum(expr.terms).log_eval(y)
@@ -103,11 +103,9 @@ class NodeRows(gp.RowBlock):
         self.lhs = list(lhs)
         self.size = len(self.lhs)
 
-    def log_eval(self, y, order):
+    def log_eval(self, y):
         parts = [log_eval(e, y) for e in self.lhs]
-        vals = np.array([p[0] for p in parts])
 
         def hess(weights):
             return sum(w * p[2] for w, p in zip(weights, parts))
-        return (vals, np.array([p[1] for p in parts]) if order >= 1 else None,
-                hess if order == 2 else None)
+        return np.array([p[0] for p in parts]), np.array([p[1] for p in parts]), hess

@@ -1,5 +1,6 @@
-"""Product-form rewrites of the closed-form SINR lower bounds, kept in the
-log domain: test oracles for `fbl.lb_sinr_*` and the gain fits in `approx`.
+"""Test oracles: product-form rewrites of the closed-form SINR lower bounds,
+kept in the log domain, for `fbl.lb_sinr_*` and the gain fits in `approx`;
+and the textbook normal-approximation rate, for `fbl.lb_rate`.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfurllc.fbl import _logsumexp
+from cfurllc.fbl import FblParams, _logsumexp
 from cfurllc.scenario import LargeScaleModel
 
 
@@ -77,6 +78,22 @@ def fzf_factors(model: LargeScaleModel, pilot_power: np.ndarray, k: int) -> FzfF
     log_residual = _logsumexp(np.log(beta_all) + others_all, axis=0)
     return FzfFactors(log_coherent=log_coherent, log_scale=np.asarray(log_scale),
                       log_residual=np.asarray(log_residual), set_size=s)
+
+
+def normal_approximation_rate(gamma: float, params: FblParams, k: int) -> float:
+    """Achievable rate (bits/s) at SINR gamma under the normal approximation,
+
+        B ((1 - eta) log2(1 + gamma) - sqrt((1 - eta) V / L) Q^-1(eps) / ln 2),
+
+    with dispersion V = 1 - (1 + gamma)^-2. Negative for tiny SINR, where
+    `fbl.lb_rate` clamps at zero.
+    """
+    eta = params.eta
+    qinv = params.alpha[k] * math.sqrt(params.blocklength * (1.0 - eta))
+    dispersion = 1.0 - (1.0 + gamma) ** -2
+    return params.bandwidth_hz * (
+        (1.0 - eta) * math.log2(1.0 + gamma)
+        - math.sqrt((1.0 - eta) * dispersion / params.blocklength) * qinv / math.log(2.0))
 
 
 def sinr_mrc_from_factors(factors: MrcFactors, payload_power: np.ndarray,

@@ -1,19 +1,20 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cfurllc import fbl
 from cfurllc.channel import estimation_stats
-from cfurllc.fbl import (FblParams, alpha_limit, fbl_rate, inv_sinr_limit, lb_rate,
+from cfurllc.fbl import (FblParams, alpha_limit, inv_sinr_limit, lb_rate,
                          lb_sinr_fzf, lb_sinr_mrc, penalty_factor, q_function,
                          q_inverse, rate_kernel, rate_kernel_inverse)
 from cfurllc.scenario import SystemConfig
 
 from conftest import random_model, toy_model
-from oracles import (fzf_factors, mrc_factors, sinr_fzf_from_factors,
-                     sinr_mrc_from_factors)
+from oracles import (fzf_factors, mrc_factors, normal_approximation_rate,
+                     sinr_fzf_from_factors, sinr_mrc_from_factors)
 
 
 def bisect_q(eps):
@@ -139,15 +140,31 @@ def test_rate_without_penalty_is_scaled_shannon():
     params = make_params(eps=0.5)
     gamma = 3.0
     expect = params.bandwidth_hz * (1 - params.eta) * math.log2(1 + gamma)
-    assert fbl_rate(gamma, params, 0) == pytest.approx(expect, rel=1e-12)
+    assert normal_approximation_rate(gamma, params, 0) == pytest.approx(expect, rel=1e-12)
+    assert lb_rate(gamma, params, 0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_rate_matches_kernel_identity(rng):
+    # lb_rate is the normal-approximation rate written through the kernel,
+    # clamped at zero below the kernel's domain end
     params = make_params()
     for _ in range(50):
         gamma = float(10 ** rng.uniform(-2, 4))
+        textbook = normal_approximation_rate(gamma, params, 0)
         via_kernel = params.rate_scale * rate_kernel(1.0 / gamma, params.alpha[0])
-        assert fbl_rate(gamma, params, 0) == pytest.approx(via_kernel, rel=1e-12)
+        assert textbook == pytest.approx(via_kernel, rel=1e-12)
+        assert lb_rate(gamma, params, 0) == pytest.approx(max(textbook, 0.0),
+                                                          rel=1e-12, abs=1e-6)
+    # trials x devices at once, as the Monte-Carlo decoders call it, with a
+    # dispersion coefficient per device
+    alpha = np.linspace(0.05, 0.3, params.num_devices)
+    params = replace(params, alpha=alpha,
+                     inv_sinr_max=np.array([inv_sinr_limit(a) for a in alpha]))
+    gammas = 10 ** rng.uniform(-2, 4, (7, params.num_devices))
+    batched = lb_rate(gammas, params, np.arange(params.num_devices))
+    want = [[max(normal_approximation_rate(g, params, k), 0.0) for k, g in enumerate(row)]
+            for row in gammas]
+    assert np.allclose(batched, want, rtol=1e-12, atol=1e-6)
 
 
 def test_rate_penalty_limit_at_high_sinr():
@@ -155,7 +172,9 @@ def test_rate_penalty_limit_at_high_sinr():
     qinv = params.alpha[0] * math.sqrt(params.blocklength * (1 - params.eta))
     gamma = 1e9
     shannon = params.bandwidth_hz * (1 - params.eta) * math.log2(1 + gamma)
-    penalty = shannon - fbl_rate(gamma, params, 0)
+    assert lb_rate(gamma, params, 0) == pytest.approx(
+        normal_approximation_rate(gamma, params, 0), rel=1e-12)
+    penalty = shannon - lb_rate(gamma, params, 0)
     expect = params.bandwidth_hz * math.sqrt((1 - params.eta) / params.blocklength) \
         * qinv / math.log(2.0)
     assert penalty == pytest.approx(expect, rel=1e-6)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,10 +56,9 @@ def test_monomial_log_form_is_affine():
     y = m.variable("y")
     node = Monomial(3.0, {0: 2.0, 1: -0.5})
     pt = np.array([0.3, -0.7])
-    val, g = node.log_eval(pt, 1)
+    val, g = node.log_eval(pt)
     assert val == pytest.approx(math.log(3.0) + 2.0 * 0.3 - 0.5 * (-0.7))
     assert np.allclose(g, [2.0, -0.5])
-    assert node.log_eval(pt, 0) == (val, None)
 
 
 def test_constraint_rhs_must_be_monomial():
@@ -282,14 +282,14 @@ def node_walk(model, y, weights):
     vals, jac, hess = [], [], np.zeros((n, n))
     for c in model._constraints:
         if isinstance(c, gp._BlockConstraint):
-            v, j, h = c.lhs.log_eval(y, 2)
-            rhs = [r.log_eval(y, 1) for r in c.rhs]
+            v, j, h = c.lhs.log_eval(y)
+            rhs = [r.log_eval(y) for r in c.rhs]
             vals += list(v - [r[0] for r in rhs])
             jac += list(j - [r[1] for r in rhs])
             hess += h(weights[len(vals) - c.lhs.size:len(vals)])
             continue
         lv, lg, lh = nodes.log_eval(c.lhs, y)
-        rv, rg = c.rhs.log_eval(y, 1)
+        rv, rg = c.rhs.log_eval(y)
         vals.append(lv - rv)
         jac.append(lg - rg)
         hess += weights[len(vals) - 1] * lh
@@ -322,7 +322,7 @@ def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
         for _ in range(3):
             y = np.log(sol.x) + rng.normal(0.0, 0.3, sol.x.size)
             weights = rng.uniform(0.1, 3.0, m._block().size)
-            vals, jac, hess = m._constraint_eval(y, 2)
+            vals, jac, hess = m._constraint_eval(y)
             ref_vals, ref_jac, ref_hess = node_walk(m, y, weights)
             assert np.allclose(vals, ref_vals, rtol=1e-12, atol=1e-11)
             assert np.allclose(jac, ref_jac, rtol=1e-12, atol=1e-11)
@@ -346,9 +346,9 @@ def test_mixed_rows_solve_to_the_node_walk_optimum():
     for seed in range(8):
         mixed = build(500 + seed, walk=False)
         kinds = {type(block) for _, block in mixed._block().parts}
-        assert kinds == {gp._AffineRows, gp._PosynomialRows}
+        assert kinds == {gp._PosynomialRows}
         walked = build(500 + seed, walk=True)
-        assert {type(block) for _, block in walked._block().parts} == {gp._RhsDivided}
+        assert {type(block) for _, block in walked._block().parts} == {nodes.NodeRows}
         a, b = mixed.solve(), walked.solve()
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, rel=1e-8)
@@ -370,14 +370,16 @@ def test_solver_failure_is_a_status(monkeypatch):
         assert np.all(np.isfinite(sol.x))
 
 
-def test_newton_budget_is_a_status():
+def test_newton_budget_is_a_status(monkeypatch):
     from cfurllc.cli import random_two_var_problem
     for start in (None, np.array([50.0, 50.0])):     # feasible start, then phase one
         full = random_two_var_problem(np.random.default_rng(3)).solve(start=start)
         assert full.status == "optimal"
         for budget in (1, full.iterations - 1):
             prob = random_two_var_problem(np.random.default_rng(3))
-            short = prob.solve(start=start, max_newton=budget)
+            monkeypatch.setattr(gp, "MAX_NEWTON", budget)
+            short = prob.solve(start=start)
+            monkeypatch.undo()
             assert short.status == "max_iterations"
             assert short.iterations == budget
             assert np.all(np.isfinite(short.x))
@@ -470,18 +472,18 @@ def test_newton_center_accepts_only_strictly_feasible_points(
         for _, it in seen[before:]:
             assert np.all(it.f < 0) and np.all(it.lam > 0)
             if it.z.size == n:      # phase two: the rows are the model's own
-                assert np.array_equal(it.f, model._constraint_eval(it.z, 0)[0])
+                assert np.array_equal(it.f, model._constraint_eval(it.z)[0])
             else:                   # phase one: rows f_i(y) - s
                 assert np.array_equal(
-                    it.f, model._constraint_eval(it.z[:n], 0)[0] - it.z[n])
+                    it.f, model._constraint_eval(it.z[:n])[0] - it.z[n])
     assert len(seen) > 40
 
 
 def independent_certificate(model, y, lam):
     """Surrogate gap and scaled dual residual of (y, lam), recomputed from
     the model's rows and objective."""
-    f, jac, _ = model._constraint_eval(y, 1)
-    g0 = -model._objective.log_eval(y, 1)[1]
+    f, jac, _ = model._constraint_eval(y)
+    g0 = -model._objective.log_eval(y)[1]
     dual = np.max(np.abs(g0 + jac.T @ lam)) / (1.0 + np.max(np.abs(g0)))
     return -float(f @ lam), float(dual)
 
@@ -563,8 +565,8 @@ def test_barrier_start_falls_back_when_estimate_is_not_positive(monkeypatch):
     m.add_le(x, Const(5.0))
     m.add_le(Monomial(1e-3, {0: -1.0}), Const(1.0))
     y = np.log([1.1e-3])
-    g0 = -m._objective.log_eval(y, 1)[1]
-    assert m._warm_barrier_t(m._constraint_eval(y, 2), g0, 1e-9) == gp.BARRIER_T0
+    g0 = -m._objective.log_eval(y)[1]
+    assert m._warm_barrier_t(m._constraint_eval(y), g0, 1e-9) == gp.BARRIER_T0
     seen = record_iterates(monkeypatch)
     sol = m.solve(start=np.exp(y))
     assert seen[0][0] == gp.BARRIER_T0 and seen[0][1].z.size == 1
@@ -572,27 +574,39 @@ def test_barrier_start_falls_back_when_estimate_is_not_positive(monkeypatch):
     assert sol["x"] == pytest.approx(5.0, rel=1e-7)
 
 
-def test_line_search_tests_the_domain_before_the_residual(desk_step_gps, monkeypatch):
-    rejected = residuals = 0
+def test_line_search_evaluates_each_point_once(desk_step_gps, monkeypatch):
+    # the rows of an accepted trial point serve its Newton step, so no point
+    # is evaluated twice, and only points inside the domain become iterates
+    points = rejected = 0
     for model, start, _, tol in (warm_solves(desk_step_gps, "mrc")
                                  + warm_solves(desk_step_gps, "fzf")):
         block = model._block()
         calls = []
         original = block.log_eval
 
-        def spy(y, order, original=original, calls=calls):
-            out = original(y, order)
-            calls.append((order, bool(np.all(out[0] < 0))))
+        def spy(y, original=original, calls=calls):
+            out = original(y)
+            calls.append((y.tobytes(), bool(np.all(out[0] < 0))))
             return out
 
         monkeypatch.setattr(block, "log_eval", spy)
+        seen = record_iterates(monkeypatch)
         model.solve(tol=tol, start=start)
         monkeypatch.undo()
-        # derivatives only ever at points inside the domain
-        assert all(inside for order, inside in calls if order >= 1)
-        rejected += sum(1 for order, inside in calls if order == 0 and not inside)
-        residuals += sum(1 for order, _ in calls if order >= 1)
-    assert rejected > 0 and residuals > 0
+        assert len({y for y, _ in calls}) == len(calls)
+        assert seen and all(np.all(it.f < 0) for _, it in seen)
+        points += len(calls)
+        rejected += sum(1 for _, inside in calls if not inside)
+    assert rejected > 0 and points > rejected
+
+
+def test_step_gps_solve_without_floating_point_warnings(desk_step_gps):
+    # derivatives are computed at every trial point, the rejected ones too
+    for model, start, sol, tol in desk_step_gps["mrc"] + desk_step_gps["fzf"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = model.solve(tol=tol, start=start)
+        assert again.status == sol.status
 
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])

@@ -546,16 +546,11 @@ def test_fused_constraint_matches_generic_tree(decoder, rng):
             block, trees, y = _block_and_trees(model, decoder, trial % 2 == 1, rng)
             ref = [nodes.log_eval(t, y) for t in trees]
             weights = rng.uniform(0.1, 3.0, kdev)
-            v0, j0, h0 = block.log_eval(y, 0)
-            v1, j1, h1 = block.log_eval(y, 1)
-            v2, j2, h2 = block.log_eval(y, 2)
-            assert j0 is None and h0 is None and h1 is None
-            for vals in (v0, v1, v2):
-                assert np.allclose(vals, [r[0] for r in ref], rtol=0, atol=1e-11)
-            for jac in (j1, j2):
-                assert np.allclose(jac, [r[1] for r in ref], rtol=0, atol=1e-11)
+            vals, jac, hess = block.log_eval(y)
+            assert np.allclose(vals, [r[0] for r in ref], rtol=0, atol=1e-11)
+            assert np.allclose(jac, [r[1] for r in ref], rtol=0, atol=1e-11)
             want = sum(w * r[2] for w, r in zip(weights, ref))
-            assert np.allclose(h2(weights), want, rtol=0, atol=1e-10 * weights.sum())
+            assert np.allclose(hess(weights), want, rtol=0, atol=1e-10 * weights.sum())
 
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
@@ -564,14 +559,14 @@ def test_fused_constraint_matches_finite_differences(decoder, rng):
         block, _, y = _block_and_trees(model, decoder, False, rng)
         y[model.num_devices:3 * model.num_devices] -= 1.0     # away from saturation
         weights = rng.uniform(0.1, 3.0, model.num_devices)
-        _, jac, hess = block.log_eval(y, 2)
+        _, jac, hess = block.log_eval(y)
         h = hess(weights)
         eps = 1e-6
         for i in range(y.size):
             up, dn = y.copy(), y.copy()
             up[i] += eps
             dn[i] -= eps
-            fd = (block.log_eval(up, 0)[0] - block.log_eval(dn, 0)[0]) / (2 * eps)
-            assert np.allclose(jac[:, i], fd, rtol=0, atol=1e-6)
-            wg = (block.log_eval(up, 1)[1] - block.log_eval(dn, 1)[1]).T @ weights
+            (vu, ju, _), (vd, jd, _) = block.log_eval(up), block.log_eval(dn)
+            assert np.allclose(jac[:, i], (vu - vd) / (2 * eps), rtol=0, atol=1e-6)
+            wg = (ju - jd).T @ weights
             assert np.allclose(h[:, i], wg / (2 * eps), rtol=0, atol=1e-5)
