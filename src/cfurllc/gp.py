@@ -1,10 +1,12 @@
 """Geometric programs in the form the power allocation builds, solved from scratch.
 
-A GpModel maximizes a monomial subject to three kinds of rows: monomial <=
-monomial, posynomial (a sum of monomials) <= monomial, and batched row blocks
-such as the SINR constraints, which bring their own kernels (Boyd, Kim,
-Vandenberghe & Hassibi, "A tutorial on geometric programming", 2007). Any
-other left-hand side is rejected when it is added.
+A GpModel has three kinds of rows: monomial <= monomial, posynomial (a sum
+of monomials) <= monomial, and batched row blocks such as the SINR
+constraints, which bring their own kernels (Boyd, Kim, Vandenberghe &
+Hassibi, "A tutorial on geometric programming", 2007). Any other left-hand
+side is rejected when it is added. It maximizes a monomial times
+prod_i (rhs_i / lhs_i)^w_i over rows with objective weight w_i > 0, which in
+log variables is the convex -log monomial + sum_i w_i f_i (B&V §4.5.3).
 
 All evaluation happens in log variables, where a monomial row is affine and a
 posynomial row is a log-sum-exp. The rows of a model are compiled into one
@@ -15,7 +17,8 @@ never a Hessian per row.
 
 The solver is one primal-dual interior-point iteration (Boyd & Vandenberghe,
 Convex Optimization, §11.7, Algorithm 11.2) that both phases run: phase two
-on the log variables y, phase one on (y, s) for min s subject to
+on the log variables y, whose weighted rows add their Hessian sum to the
+Newton matrix, and phase one on (y, s) for min s subject to
 f_i(y) - s <= 0 when the start is not strictly feasible. Each iteration
 takes one Newton step on the primal and dual variables together, with the
 surrogate duality gap eta = -f . lambda setting the barrier parameter, and
@@ -66,10 +69,8 @@ class Monomial(Expr):
             raise GpModelError(f"monomial coefficient must be positive, got {coeff}")
         self.log_coeff = math.log(coeff)
         self.exponents = dict(exponents)
-        self._idx = np.fromiter(self.exponents.keys(), dtype=int,
-                                count=len(self.exponents))
-        self._exp = np.fromiter(self.exponents.values(), dtype=float,
-                                count=len(self.exponents))
+        self._idx = np.array(list(self.exponents), dtype=int)
+        self._exp = np.array(list(self.exponents.values()), dtype=float)
 
     def log_eval(self, y: np.ndarray):
         """log self(exp(y)) and its (constant) gradient."""
@@ -146,12 +147,14 @@ class GpSolution:
 class _Constraint:
     lhs: Monomial | Sum
     rhs: Monomial
+    weights: np.ndarray           # the row's objective weight, shape (1,)
 
 
 @dataclass
 class _BlockConstraint:
     lhs: RowBlock
     rhs: tuple[Monomial, ...]     # one per row
+    weights: np.ndarray           # objective weight per row
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +220,15 @@ class _ConstraintBlock(RowBlock):
     fills are 0 there). r (m,) and R (m, n) hold the log coefficient and
     exponents of every monomial right-hand side, and of the right-hand side
     over the left-hand side for a monomial row, so one affine term carries
-    them all.
+    them all. `weights` (m,) holds each row's objective weight.
     """
 
     def __init__(self, parts: list[tuple[object, RowBlock]], rhs_log_coeffs: np.ndarray,
-                 rhs_exponents: np.ndarray):
+                 rhs_exponents: np.ndarray, weights: np.ndarray):
         self.parts = parts        # (row slots as a slice or index array, block)
         self.rhs_log_coeffs = rhs_log_coeffs
         self.rhs_exponents = rhs_exponents
+        self.weights = weights
         self.size = rhs_log_coeffs.size
 
     def log_eval(self, y):
@@ -251,15 +255,16 @@ def _slots(rows: list[int]):
     return np.array(rows, dtype=int)
 
 
+def _row_weights(weights, size: int) -> np.ndarray:
+    w = np.zeros(size) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (size,) or not np.all(np.isfinite(w) & (w >= 0)):
+        raise GpModelError(f"need {size} finite, nonnegative row weights, got {weights!r}")
+    return w
+
+
 def _affine_form(expr: Monomial, n: int) -> tuple[float, np.ndarray]:
     """Log coefficient and exponent row of a monomial."""
     return expr.log_eval(np.zeros(n))
-
-
-def _posynomial_terms(expr: Sum, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Log coefficients (T,) and exponent rows (T, n) of a posynomial's terms."""
-    forms = [_affine_form(t, n) for t in expr.terms]
-    return np.array([c for c, _ in forms]), np.array([a for _, a in forms])
 
 
 # Constants of the primal-dual interior-point method (B&V §11.7).
@@ -292,13 +297,14 @@ class _IterBudget:
 
 
 class GpModel:
-    """Positive-variable program: maximize a monomial subject to monomial or
-    posynomial <= monomial rows and row blocks."""
+    """Positive-variable program: maximize a monomial (1 unless set) times
+    prod_i (rhs_i / lhs_i)^w_i subject to monomial or posynomial <= monomial
+    rows and row blocks."""
 
     def __init__(self):
         self._vars: list[Var] = []
         self._constraints: list[_Constraint | _BlockConstraint] = []
-        self._objective: Monomial | None = None
+        self._objective: Monomial = Const(1.0)
         self._compiled = None
 
     # -- modeling -----------------------------------------------------------
@@ -317,26 +323,27 @@ class GpModel:
             raise GpModelError("only a monomial can be maximized")
         self._objective = expr
 
-    def add_le(self, lhs, rhs):
+    def add_le(self, lhs, rhs, weight: float = 0.0):
         """The constraint lhs <= rhs: a monomial or a Sum of monomials under a
-        monomial."""
+        monomial. A weight w > 0 also multiplies the objective by (rhs/lhs)^w."""
         lhs, rhs = _coerce(lhs), _coerce(rhs)
         if not isinstance(rhs, Monomial):
             raise GpModelError("constraint right-hand side must be a monomial")
         if not isinstance(lhs, (Monomial, Sum)):
             raise GpModelError("constraint left-hand side must be a monomial or a "
                                f"posynomial, got {type(lhs).__name__}")
-        self._constraints.append(_Constraint(lhs, rhs))
+        self._constraints.append(_Constraint(lhs, rhs, _row_weights([weight], 1)))
         self._compiled = None
 
-    def add_block_le(self, lhs: RowBlock, rhs):
-        """Constraints lhs_i <= rhs_i for every row i of a row block."""
+    def add_block_le(self, lhs: RowBlock, rhs, weights=None):
+        """Constraints lhs_i <= rhs_i for every row i of a row block, with
+        objective weights as in add_le (None: all 0)."""
         rhs = tuple(_coerce(r) for r in rhs)
         if len(rhs) != lhs.size:
             raise GpModelError(f"block has {lhs.size} rows but {len(rhs)} right-hand sides")
         if not all(isinstance(r, Monomial) for r in rhs):
             raise GpModelError("constraint right-hand side must be a monomial")
-        self._constraints.append(_BlockConstraint(lhs, rhs))
+        self._constraints.append(_BlockConstraint(lhs, rhs, _row_weights(weights, lhs.size)))
         self._compiled = None
 
     def constraint_margins(self, x: np.ndarray) -> np.ndarray:
@@ -345,15 +352,15 @@ class GpModel:
         return self._constraint_eval(y)[0]
 
     def dump(self) -> str:
-        lines = ["(gp", "  (vars " + " ".join(self.names) + ")"]
-        if self._objective is not None:
-            lines.append(f"  (max {self._objective.dump()})")
+        lines = ["(gp", "  (vars " + " ".join(self.names) + ")",
+                 f"  (max {self._objective.dump()})"]
         for c in self._constraints:
+            w = " ".join(f"{v:.12g}" for v in c.weights)
             if isinstance(c, _BlockConstraint):
                 rhs = " ".join(r.dump() for r in c.rhs)
-                lines.append(f"  (le-block {c.lhs.dump()} ({rhs}))")
+                lines.append(f"  (le-block {c.lhs.dump()} ({rhs}) (w {w}))")
             else:
-                lines.append(f"  (le {c.lhs.dump()} {c.rhs.dump()})")
+                lines.append(f"  (le {c.lhs.dump()} {c.rhs.dump()} (w {w}))")
         return "\n".join(lines) + ")"
 
     # -- evaluation ----------------------------------------------------------
@@ -379,14 +386,16 @@ class GpModel:
                 lv, lg = _affine_form(c.lhs, n)
                 rhs.append((rv - lv, rg - lg))
             else:
-                lv, lg = _posynomial_terms(c.lhs, n)
+                forms = [_affine_form(t, n) for t in c.lhs.terms]    # one per term
+                lv, lg = np.array([v for v, _ in forms]), np.array([g for _, g in forms])
                 posy.append((slot, lv - rv, lg - rg[None, :]))
                 rhs.append((0.0, np.zeros(n)))
         parts = [(_slots([p[0] for p in posy]), _PosynomialRows(
             np.concatenate([p[1] for p in posy]), np.vstack([p[2] for p in posy]),
             [p[1].size for p in posy]))] if posy else []
         self._compiled = _ConstraintBlock(parts + blocks, np.array([v for v, _ in rhs]),
-                                          np.array([g for _, g in rhs]))
+                                          np.array([g for _, g in rhs]),
+                                          np.concatenate([c.weights for c in self._constraints]))
 
     def _block(self) -> _ConstraintBlock:
         if self._compiled is None:
@@ -397,6 +406,10 @@ class GpModel:
         """Row values, Jacobian and the weighted-Hessian-sum function."""
         return self._block().log_eval(y)
 
+    def _log_objective(self, y, f):
+        """Log objective at y, whose row values are f."""
+        return self._objective.log_eval(y)[0] - float(self._block().weights @ f)
+
     # -- solving ------------------------------------------------------------
     def solve(self, tol: float = 1e-9, start=None,
               target: float | None = None) -> GpSolution:
@@ -406,13 +419,12 @@ class GpModel:
         feasible goes through phase one. With a target, the solve stops at
         the first phase-two iterate whose objective reaches it (status
         target_reached): every such iterate is strictly feasible."""
-        if self._objective is None:
-            raise GpModelError("objective not set")
         if not self._constraints:
             raise GpModelError("unconstrained GP is unbounded")
         y0 = np.zeros(len(self._vars)) if start is None \
             else np.log(np.asarray(start, dtype=float))
-        rows = self._block().log_eval
+        block = self._block()
+        rows, c = block.log_eval, block.weights
         g0 = -self._objective.log_eval(y0)[1]       # the solver minimizes -log objective
         budget = _IterBudget(MAX_NEWTON)
 
@@ -422,17 +434,17 @@ class GpModel:
             try:
                 y, first, fail = self._phase_one(y0, first, budget)
             except GpError as exc:
-                return self._finish(y0, "numerical_error", budget, math.inf,
+                return self._finish(y0, first[0], "numerical_error", budget, math.inf,
                                     message=str(exc))
             if fail is not None:
-                return self._finish(y0 if y is None else y, fail, budget, math.inf)
+                return self._finish(y, first[0], fail, budget, math.inf)
 
         status, message = "max_iterations", ""
         interior, stages, it = None, [], None
         try:
-            t0 = self._warm_barrier_t(first, g0, tol) if warm else BARRIER_T0
-            for it in _primal_dual(rows, g0, y, first, t0, budget):
-                stages.append(math.exp(self._objective.log_eval(it.z)[0]))
+            t0 = self._warm_barrier_t(first, g0 + first[1].T @ c, tol) if warm else BARRIER_T0
+            for it in _primal_dual(rows, g0, c, y, first, t0, budget):
+                stages.append(math.exp(self._log_objective(it.z, it.f)))
                 if interior is None and it.eta <= _INTERIOR_GAP:
                     interior = it.z
                 if it.eta <= tol and it.dual <= tol:
@@ -446,21 +458,22 @@ class GpModel:
         except GpError as exc:
             status, message = "numerical_error", str(exc)
         if it is None:
-            return self._finish(y, status, budget, math.inf, message=message)
+            return self._finish(y, first[0], status, budget, math.inf, message=message)
         # first-order certificate from the iterate's own multipliers: the
         # worst of stationarity, complementarity and primal feasibility
-        complementarity = float(np.max(it.lam * -it.f)) / (1.0 + float(np.max(np.abs(g0))))
+        complementarity = float(np.max(it.lam * -it.f)) / (1.0 + float(np.max(np.abs(it.grad))))
         kkt = max(it.dual, complementarity, float(np.max(it.f)))
-        return self._finish(it.z, status, budget, kkt, interior, stages, message)
+        return self._finish(it.z, it.f, status, budget, kkt, interior, stages, message)
 
     def _warm_barrier_t(self, first, g0, tol):
         """Barrier parameter for a strictly feasible start (B&V §11.3.1).
 
-        Picks t = argmin ||t grad f0 + grad phi|| in the norm of the inverse
-        barrier Hessian, the t at which the start is closest to the central
-        path, clamped to [BARRIER_T0, m / (10 max(tol, 1e-3))].
-        A non-positive estimate means the start is near no central point, so
-        the cold BARRIER_T0 is kept.
+        Picks t = argmin ||t g0 + grad phi|| in the norm of the inverse
+        barrier Hessian, g0 the objective's gradient at the start: the t at
+        which the start is closest to the central path, clamped to
+        [BARRIER_T0, m / (10 max(tol, 1e-3))]. A non-positive estimate
+        means the start is near no central point, so the cold BARRIER_T0 is
+        kept.
         """
         f, jac, hess = first
         inv = 1.0 / -f
@@ -477,8 +490,8 @@ class GpModel:
     def _phase_one(self, y0, start, budget):
         """Find a strictly feasible point, or detect infeasibility, by the same
         primal-dual iteration on min s subject to f_i(y) - s <= 0, from y0
-        whose rows are `start`. Returns the point, its rows and a failure
-        status or None."""
+        whose rows are `start`. Returns a point, its rows and a failure
+        status or None: y0 and `start` when infeasible."""
         n = y0.size
         rows = self._block().log_eval
         # the rows at the point evaluated last; the line search evaluates an
@@ -503,7 +516,8 @@ class GpModel:
         g0[n] = 1.0
         z = np.append(y0, float(start[0].max()) + 1.0)
         try:
-            for it in _primal_dual(shifted, g0, z, shift(start, z[n]), BARRIER_T0, budget):
+            for it in _primal_dual(shifted, g0, np.zeros(start[0].size), z,
+                                   shift(start, z[n]), BARRIER_T0, budget):
                 z = it.z
                 if float(it.f.max()) + z[n] < -_PHASE1_MARGIN:
                     return z[:n], last, None
@@ -513,14 +527,11 @@ class GpModel:
             return z[:n], last, "max_iterations"
         if float(last[0].max()) < -1e-9:
             return z[:n], last, None
-        return None, None, "infeasible"
+        return y0, start, "infeasible"
 
-    def _finish(self, y, status, budget, kkt, interior=None, stages=(), message=""):
-        y = np.asarray(y, dtype=float)
-        if status == "infeasible":
-            obj = math.nan
-        else:
-            obj = math.exp(self._objective.log_eval(y)[0])
+    def _finish(self, y, f, status, budget, kkt, interior=None, stages=(), message=""):
+        """The solution at y, whose row values are f."""
+        obj = math.nan if status == "infeasible" else math.exp(self._log_objective(y, f))
         return GpSolution(x=np.exp(y), names=self.names, objective=obj,
                           status=status, iterations=budget.used, kkt_residual=kkt,
                           message=message,
@@ -534,17 +545,20 @@ class _Iterate(NamedTuple):
     lam: np.ndarray      # multipliers, all > 0
     eta: float           # surrogate duality gap -f . lam
     dual: float          # scaled dual residual |grad f0 + J^T lam|_inf / (1 + |grad f0|_inf)
+    grad: np.ndarray     # objective gradient grad f0 = g0 + J^T c
 
 
-def _primal_dual(rows, g0, z, first, t, budget):
-    """Primal-dual interior-point iterates for min g0 . z s.t. rows(z) < 0
-    (B&V Algorithm 11.2), from a strictly feasible z whose rows are `first`.
-    Yields every iterate; the caller decides when to stop.
+def _primal_dual(rows, g0, c, z, first, t, budget):
+    """Primal-dual interior-point iterates for min g0 . z + c . rows(z) s.t.
+    rows(z) < 0, c >= 0 (B&V Algorithm 11.2), from a strictly feasible z
+    whose rows are `first`. Yields every iterate; the caller decides when to
+    stop.
 
     The multipliers start on the central path of barrier parameter t, and t
     is held there until the iterate is centered (scaled dual residual at most
-    eta / m); after that t = mu m / eta. The objective is linear, so the
-    Newton matrix is sum lam_i Hess f_i + J^T diag(lam / -f) J. The step
+    eta / m); after that t = mu m / eta. The objective's Hessian is
+    sum c_i Hess f_i, so the Newton matrix is sum (lam_i + c_i) Hess f_i +
+    J^T diag(lam / -f) J (B&V §11.7). The step
     goes BOUNDARY_FRACTION of the way to the nearest lambda = 0 at most, and
     backtracks until the point lies inside the domain and the residual norm
     ||(r_dual, r_cent)|| falls enough. Each trial point is evaluated once,
@@ -554,13 +568,13 @@ def _primal_dual(rows, g0, z, first, t, budget):
     f, jac, hess = first
     lam = 1.0 / (t * -f)
     m = f.size
-    scale = 1.0 + float(np.max(np.abs(g0)))
     held = True
     while True:
-        r_dual = g0 + jac.T @ lam
+        grad = g0 + jac.T @ c
+        r_dual = g0 + jac.T @ (lam + c)
         eta = -float(f @ lam)
-        dual = float(np.max(np.abs(r_dual))) / scale
-        yield _Iterate(z, f, lam, eta, dual)
+        dual = float(np.max(np.abs(r_dual))) / (1.0 + float(np.max(np.abs(grad))))
+        yield _Iterate(z, f, lam, eta, dual, grad)
         budget.spend()
         if held and dual <= eta / m:
             held = False
@@ -568,8 +582,8 @@ def _primal_dual(rows, g0, z, first, t, budget):
             t = GAP_REDUCTION * m / eta
         inv = 1.0 / (t * -f)
         d = lam / -f
-        step = _newton_direction(hess(lam) + jac.T @ (d[:, None] * jac),
-                                 g0 + jac.T @ inv)
+        step = _newton_direction(hess(lam + c) + jac.T @ (d[:, None] * jac),
+                                 grad + jac.T @ inv)
         dlam = d * (jac @ step) - lam + inv
         shrinking = dlam < 0
         s = min(1.0, float(np.min(-lam[shrinking] / dlam[shrinking]))) \
@@ -582,7 +596,7 @@ def _primal_dual(rows, g0, z, first, t, budget):
                 cf, cjac, chess = rows(cand)
             if np.all(cf < 0):
                 clam = lam + s * dlam
-                cnorm = math.hypot(np.linalg.norm(g0 + cjac.T @ clam),
+                cnorm = math.hypot(np.linalg.norm(g0 + cjac.T @ (clam + c)),
                                    np.linalg.norm(clam * -cf - 1.0 / t))
                 if cnorm <= (1.0 - RESIDUAL_DECREASE * s) * norm:
                     break

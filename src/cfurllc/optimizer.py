@@ -144,35 +144,23 @@ def _surrogate_exponents(chi_hat: np.ndarray, params: fbl.FblParams,
     return w_hat / w_hat.sum(), clamped
 
 
-def _mono_from_log(log_coeff: float, exponents: dict) -> gp.Monomial:
-    mono = gp.Monomial(1.0, exponents)
-    mono.log_coeff = log_coeff
-    return mono
-
-
 class _SinrBlock(gp.RowBlock):
-    """Shared layout of the batched SINR left-hand sides: row k is scaled by
-    head_k * exp(log_head_k) (chi_k in a step GP, phi times the floor in the
-    feasibility GP) and depends on the pilots and payloads, whose weighted
-    Hessian sum fills the (pp, pd) sub-block."""
+    """Shared layout of the batched SINR left-hand sides: row k depends on
+    the pilots and payloads only, whose weighted Hessian sum fills the
+    (pp, pd) sub-block; the floors (and phi) sit in the right-hand sides."""
 
-    def __init__(self, head, log_head, pp, pd):
+    def __init__(self, pp, pd):
         self.size = len(pp)
-        self.head_idx = np.array([v.index for v in head])
-        self.log_head = np.asarray(log_head, dtype=float)
         self.pp_idx = np.array([v.index for v in pp])
         self.pd_idx = np.array([v.index for v in pd])
         both = np.concatenate([self.pp_idx, self.pd_idx])
         self._sub = np.ix_(both, both)
 
     def _jacobian(self, n, d_pp, d_pd):
-        """Rows: 1 on the head, d_pp (K, K) on the pilots, d_pd (K, K) on
-        the payloads."""
-        kdev = self.size
-        jac = np.zeros((kdev, n))
+        """Rows: d_pp (K, K) on the pilots, d_pd (K, K) on the payloads."""
+        jac = np.zeros((self.size, n))
         jac[:, self.pd_idx] = d_pd
-        jac[:, self.pp_idx] += d_pp
-        jac[np.arange(kdev), self.head_idx] += 1.0
+        jac[:, self.pp_idx] = d_pp
         return jac
 
     def _hessian(self, n, hpp, hpd_pp, hpd):
@@ -187,9 +175,7 @@ class _SinrBlock(gp.RowBlock):
         return h
 
     def dump(self):
-        return (f"({self.kind} (head {' '.join(str(i) for i in self.head_idx)}) "
-                f"(log-head {' '.join(f'{v:.12g}' for v in self.log_head)}) "
-                f"(pp {' '.join(str(i) for i in self.pp_idx)}) "
+        return (f"({self.kind} (pp {' '.join(str(i) for i in self.pp_idx)}) "
                 f"(pd {' '.join(str(i) for i in self.pd_idx)}))")
 
 
@@ -207,7 +193,7 @@ def _padded_sets(model: LargeScaleModel):
 class MrcSinrBlock(_SinrBlock):
     """All K MRC constraint left-hand sides, in batched arrays:
 
-        head_k * scale_k(pp_k) * (sum_j pd_j cross_kj(pp_k) + gain_k(pp_k)),
+        scale_k(pp_k) * (sum_j pd_j cross_kj(pp_k) + gain_k(pp_k)),
 
     with the factors of the service set of device k. Padded service-set slots
     carry b = 0 and log-coefficient -inf, so they add nothing.
@@ -215,8 +201,8 @@ class MrcSinrBlock(_SinrBlock):
 
     kind = "mrc-sinr-block"
 
-    def __init__(self, model: LargeScaleModel, head, log_head, pp, pd):
-        super().__init__(head, log_head, pp, pd)
+    def __init__(self, model: LargeScaleModel, pp, pd):
+        super().__init__(pp, pd)
         kdev = model.num_devices
         idx, mask = _padded_sets(model)
         own = np.where(mask, model.beta[idx, np.arange(kdev)[:, None]], 0.0)   # (K, S)
@@ -242,7 +228,7 @@ class MrcSinrBlock(_SinrBlock):
         top = rows.max(axis=1)
         wr = np.exp(rows - top[:, None])
         sr = wr.sum(axis=1)
-        vals = self.log_head + y[self.head_idx] + ln_scale + top + np.log(sr)
+        vals = ln_scale + top + np.log(sr)
 
         wm /= sm[..., None]
         wr /= sr[:, None]
@@ -273,8 +259,8 @@ class MrcSinrBlock(_SinrBlock):
 class FzfSinrBlock(_SinrBlock):
     """All K zero-forcing constraint left-hand sides, in batched arrays:
 
-        head_k * (|set_k| prod_i scale_ki^2(pp_i)
-                  + sum_j pd_j resid_kj(pp_j) prod_{i != j} scale_ki^2(pp_i)),
+        |set_k| prod_i scale_ki^2(pp_i)
+        + sum_j pd_j resid_kj(pp_j) prod_{i != j} scale_ki^2(pp_i),
 
     over the service set of device k. Padded slots carry b = 0 and
     log-coefficient -inf, so they add nothing.
@@ -282,8 +268,8 @@ class FzfSinrBlock(_SinrBlock):
 
     kind = "fzf-sinr-block"
 
-    def __init__(self, model: LargeScaleModel, head, log_head, pp, pd):
-        super().__init__(head, log_head, pp, pd)
+    def __init__(self, model: LargeScaleModel, pp, pd):
+        super().__init__(pp, pd)
         kdev = model.num_devices
         idx, mask = _padded_sets(model)
         beta = np.where(mask[..., None], model.beta[idx, :], 0.0)         # (K, S, K)
@@ -310,7 +296,7 @@ class FzfSinrBlock(_SinrBlock):
         top = rows.max(axis=1)
         wr = np.exp(rows - top[:, None])
         sr = wr.sum(axis=1)
-        vals = self.log_head + y[self.head_idx] + top + np.log(sr)
+        vals = top + np.log(sr)
 
         wm /= sm[:, None, :]
         wr /= sr[:, None]
@@ -345,53 +331,52 @@ class FzfSinrBlock(_SinrBlock):
 
 
 def _add_sinr_constraints(m: gp.GpModel, model: LargeScaleModel, decoder: str,
-                          heads, log_heads, pp, pd, pilot_hat, n_antennas: int):
-    """All K SINR constraints as one block against their monomial fits at
-    the pilots pilot_hat:
+                          pp, pd, pilot_hat, n_antennas: int, rhs, weights):
+    """All K SINR constraints as one block under `rhs` (see _scheme_gp) of
+    their monomial fits at the pilots pilot_hat, with objective weights:
 
-    MRC:  head * scale * (sum_j pd_j cross_j + gain) <= fit of N gain^2 pd
-    FZF:  head * (|set| prod_j scale_j^2 + sum_j pd_j resid_j prod_{i!=j} scale_i^2)
+    MRC:  scale * (sum_j pd_j cross_j + gain) <= fit of N gain^2 pd
+    FZF:  |set| prod_j scale_j^2 + sum_j pd_j resid_j prod_{i!=j} scale_i^2
           <= fit of (N-K) coherent^2 prod_{j!=k} scale_j^2 pd_k
     """
     kdev = model.num_devices
-    rhs = []
+    fits = []
     if decoder == MRC:
-        block: gp.RowBlock = MrcSinrBlock(model, heads, log_heads, pp, pd)
+        block: gp.RowBlock = MrcSinrBlock(model, pp, pd)
         for k in range(kdev):
             fit = approx.mrc_gain_monomial(model, float(pilot_hat[k]), k)
-            rhs.append(_mono_from_log(math.log(n_antennas) + 2.0 * fit.log_coeff,
-                                      {pp[k].index: 2.0 * float(fit.exponents[0]),
-                                       pd[k].index: 1.0}))
+            fits.append(rhs(k, math.log(n_antennas) + 2.0 * fit.log_coeff,
+                            {pp[k].index: 2.0 * float(fit.exponents[0]), pd[k].index: 1.0}))
     else:
-        block = FzfSinrBlock(model, heads, log_heads, pp, pd)
+        block = FzfSinrBlock(model, pp, pd)
         for k in range(kdev):
             fit = approx.fzf_gain_monomial(model, pilot_hat, k)
             exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
-            exps[pd[k].index] = exps.get(pd[k].index, 0.0) + 1.0
-            rhs.append(_mono_from_log(math.log(n_antennas - kdev) + fit.log_coeff, exps))
-    m.add_block_le(block, rhs)
+            fits.append(rhs(k, math.log(n_antennas - kdev) + fit.log_coeff,
+                            {**exps, pd[k].index: 1.0}))
+    m.add_block_le(block, fits, weights)
 
 
 def _scheme_gp(floors: np.ndarray, w_hat: np.ndarray | None):
-    """The start of every scheme's GP: head variables, objective and floor rows.
+    """The start of every scheme's GP, whose SINR row k reads lhs_k <= rhs_k.
 
-    A step GP (exponents w_hat) maximizes prod_k chi_k^w_hat_k with every chi_k
-    at or above its floor; the max-slack GP (w_hat None) maximizes one phi that
-    scales every floor. Returns the model, the head of each device's SINR row,
-    the factor that row is scaled by (1 beside chi_k, the floor beside phi) and
-    `floor_row(k)`, which adds device k's floor row where the scheme puts it."""
-    kdev = floors.size
+    `rhs(k, log_coeff, exponents)` is the monomial right-hand side with the
+    scheme's fit divided by floor_k. The max-slack GP (w_hat None) also
+    divides it by one phi, which it maximizes; a step GP weights row k by
+    w_hat_k, so it maximizes prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs
+    over their floors. Returns the model, `rhs` and the SINR rows' weights."""
     m = gp.GpModel()
+    slack = {}
     if w_hat is None:
         phi = m.variable("phi")
         m.maximize(phi)
-        return m, [phi] * kdev, floors, lambda k: None
-    heads = [m.variable(f"chi{k}") for k in range(kdev)]
-    m.maximize(gp.Monomial(1.0, {heads[k].index: float(w_hat[k]) for k in range(kdev)}))
+        slack, w_hat = {phi.index: -1.0}, np.zeros(floors.size)
 
-    def floor_row(k):
-        m.add_le(_mono_from_log(math.log(floors[k]), {heads[k].index: -1.0}), gp.Const(1.0))
-    return m, heads, np.ones(kdev), floor_row
+    def rhs(k, log_coeff, exponents):
+        mono = gp.Monomial(1.0, {**exponents, **slack})
+        mono.log_coeff = log_coeff - math.log(floors[k])
+        return mono
+    return m, rhs, w_hat
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +388,7 @@ class _Scheme(NamedTuple):
 
     build: Callable      # (pilot_hat, w_hat) -> its GP; w_hat None: the max-slack GP
     read: Callable       # GP solution -> PowerAllocation, read by position
-    coords: Callable     # PowerAllocation -> its GP variables after the heads
+    coords: Callable     # PowerAllocation -> its step GP's variables (phi aside)
     sinr_of: Callable    # PowerAllocation -> lower-bound SINRs
 
 
@@ -414,13 +399,11 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     kdev = model.num_devices
 
     def build(pilot_hat, w_hat):
-        m, heads, scales, floor_row = _scheme_gp(floors, w_hat)
+        m, rhs, weights = _scheme_gp(floors, w_hat)
         pp = [m.variable(f"pp{k}") for k in range(kdev)]
         pd = [m.variable(f"pd{k}") for k in range(kdev)]
-        _add_sinr_constraints(m, model, decoder, heads, np.log(scales), pp, pd, pilot_hat,
-                              cfg.antennas_per_ap)
-        for k in range(kdev):
-            floor_row(k)
+        _add_sinr_constraints(m, model, decoder, pp, pd, pilot_hat, cfg.antennas_per_ap,
+                              rhs, weights)
         for k in range(kdev):
             lhs = gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
                           gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})])
@@ -524,7 +507,7 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
             break
         trace.surrogate_clamped |= clamped
         m = scheme.build(alloc.pilot, w_hat)
-        point = np.concatenate([chi, scheme.coords(alloc)])
+        point = scheme.coords(alloc)
         # previous iterate must stay feasible in the refreshed GP
         trace.carryover_margin.append(float(m.constraint_margins(point).max()))
         sol = m.solve(tol=cfg.gp_tolerance, start=point if warm is None else warm)
@@ -632,17 +615,14 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     gain = n * coherent
 
     def build(pilot_hat, w_hat):
-        """Row k is head_k * (cross_k . pd + noise_k) / gain_k <= pd_k, with
-        the head folded into every term; exact, since no fit is involved."""
-        m, heads, scales, floor_row = _scheme_gp(floors, w_hat)
+        """Row k is (cross_k . pd + noise_k) / gain_k <= pd_k under `rhs` of
+        _scheme_gp; exact, since no fit is involved."""
+        m, rhs, weights = _scheme_gp(floors, w_hat)
         pd = [m.variable(f"pd{k}") for k in range(kdev)]
         for k in range(kdev):
-            head, log_scale = {heads[k].index: 1.0}, math.log(scales[k])
-            terms = [_mono_from_log(math.log(cross[k, j] / gain[k]) + log_scale,
-                                    {pd[j].index: 1.0, **head}) for j in range(kdev)]
-            terms.append(_mono_from_log(math.log(noise[k] / gain[k]) + log_scale, head))
-            m.add_le(gp.Sum(terms), pd[k])
-            floor_row(k)
+            terms = [gp.Monomial(cross[k, j] / gain[k], {pd[j].index: 1.0}) for j in range(kdev)]
+            terms.append(gp.Const(noise[k] / gain[k]))
+            m.add_le(gp.Sum(terms), rhs(k, 0.0, {pd[k].index: 1.0}), weights[k])
             m.add_le(pd[k], gp.Const(float(pd_max[k])))
         return m
 

@@ -50,6 +50,12 @@ class SystemConfig:
     far_breakpoint_m: float = 50.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name, low in (("num_devices", 1), ("num_aps", 1), ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.num_devices >= self.antennas_per_ap:
             raise ConfigError(
                 f"num_devices ({self.num_devices}) must be smaller than "
@@ -62,7 +68,7 @@ class SystemConfig:
         if not 0.0 < self.dep_target <= 0.5:
             raise ConfigError("dep_target must lie in (0, 0.5]")
         for name in ("bandwidth_hz", "rate_req_bps", "energy_budget", "area_side_m",
-                     "carrier_freq_mhz", "ap_height_m", "device_height_m"):
+                     "carrier_freq_mhz", "ap_height_m", "device_height_m", "gp_tolerance"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.near_breakpoint_m <= 0 or self.far_breakpoint_m <= self.near_breakpoint_m:

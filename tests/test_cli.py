@@ -97,6 +97,19 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     rc = cli.main(["--config", str(bad), "converge"])
     assert rc == 2
     assert "nonsense_key" in capsys.readouterr().err
+    # values that used to hang (a GP tolerance of 0 runs every GP to its
+    # Newton budget) or die in a traceback deep in the solver
+    out = tmp_path / "out"
+    for line in ("gp_tolerance = 0", "gp_tolerance = -1", "energy_budget = nan",
+                 "rate_req_bps = inf", "num_devices = 0", "num_aps = 0",
+                 "master_seed = -3"):
+        bad.write_text(line + "\n")
+        rc = cli.main(["--config", str(bad), "--out", str(out), "converge"])
+        assert rc == 2, line
+        assert line.split()[0] in capsys.readouterr().err, line
+    assert cli.main(["--seed", "-3", "--out", str(out), "converge"]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])

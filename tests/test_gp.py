@@ -260,6 +260,54 @@ def test_target_above_the_optimum_changes_nothing(seed):
                                              full.kkt_residual, full.stage_objectives)
 
 
+def weighted_two_var_problem(seed, epigraph):
+    """random_two_var_problem plus a posynomial row lhs = c0 + c1 x^a y^b
+    <= rhs of weight w; w a and w b exceed the objective's exponents, so
+    the optimum leaves the other rows' corner. In epigraph form a third
+    variable t replaces the weight: maximize objective * t^w subject to
+    t * lhs <= rhs and t >= 1."""
+    from cfurllc.cli import random_two_var_problem
+    rng = np.random.default_rng(700 + seed)
+    m = random_two_var_problem(rng)
+    w = float(rng.uniform(1.0, 2.0))
+    exps = [{}, {0: float(rng.uniform(1.5, 3.0)), 1: float(rng.uniform(1.5, 3.0))}]
+    coeffs = rng.uniform(0.2, 1.0, 2)
+    rhs = Const(float(rng.uniform(5.0, 20.0)))
+    if not epigraph:
+        m.add_le(Sum([Monomial(c, e) for c, e in zip(coeffs, exps)]), rhs, weight=w)
+        return m
+    t = m.variable("t")
+    m.add_le(Sum([Monomial(c, {**e, t.index: 1.0}) for c, e in zip(coeffs, exps)]), rhs)
+    m.add_le(Monomial(1.0, {t.index: -1.0}), Const(1.0))
+    m.maximize(Monomial(1.0, {**m._objective.exponents, t.index: w}))
+    return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weighted_row_reaches_its_epigraph_optimum(seed):
+    weighted = weighted_two_var_problem(seed, epigraph=False)
+    sol = weighted.solve(tol=1e-11)
+    ref = weighted_two_var_problem(seed, epigraph=True).solve(tol=1e-11)
+    assert sol.status == ref.status == "optimal"
+    assert np.allclose(sol.x, ref.x[:2], rtol=1e-7, atol=0)
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+    # the weight moves the optimum: without it the GP is another problem
+    plain = weighted_two_var_problem(seed, epigraph=False)
+    plain._constraints[-1].weights[0] = 0.0
+    assert not np.allclose(plain.solve(tol=1e-11).x, sol.x, rtol=1e-3)
+
+
+def test_row_weights_must_be_finite_and_nonnegative():
+    m = GpModel()
+    x = m.variable("x")
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(GpModelError):
+            m.add_le(x, Const(2.0), weight=bad)
+    with pytest.raises(GpModelError):
+        m.add_block_le(nodes.NodeRows([x, x]), [Const(2.0)] * 2, weights=[1.0])
+    assert m._constraints == []
+
+
 def test_dump_is_parenthesized_text():
     m = GpModel()
     x = m.variable("x")
@@ -393,26 +441,27 @@ def test_newton_budget_is_a_status(monkeypatch):
 
 @pytest.fixture(scope="module")
 def desk_step_gps():
-    """Step GPs of one desk MRC and one desk FZF solve, with their starts."""
+    """Step GPs of desk MRC and FZF solves at two energy budgets, with their
+    starts; the 5e12 solve's GPs come last."""
     from cfurllc import optimizer
     from cfurllc.scenario import SystemConfig, generate_topology
-    cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
-                       energy_budget=5e12)
-    model = generate_topology(cfg, seed=7)
-    captured = {}
+    captured = {"mrc": [], "fzf": []}
     original = GpModel.solve
 
     def capture(self, tol=1e-9, start=None, **kwargs):
         sol = original(self, tol, start, **kwargs)
-        if "chi0" in self.names:
+        if "phi" not in self.names:
             captured[decoder].append((self, start, sol, tol))
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GpModel, "solve", capture)
-        for decoder in ("mrc", "fzf"):
-            captured[decoder] = []
-            assert optimizer.solve(model, cfg, decoder).status == "optimal"
+        for energy in (2e12, 5e12):
+            cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
+                               energy_budget=energy)
+            model = generate_topology(cfg, seed=7)
+            for decoder in ("mrc", "fzf"):
+                assert optimizer.solve(model, cfg, decoder).status == "optimal"
     return captured
 
 
@@ -422,8 +471,8 @@ def record_iterates(monkeypatch):
     seen = []
     original = gp._primal_dual
 
-    def spy(rows, g0, z, first, t, budget):
-        for it in original(rows, g0, z, first, t, budget):
+    def spy(rows, g0, c, z, first, t, budget):
+        for it in original(rows, g0, c, z, first, t, budget):
             seen.append((t, it))
             yield it
 
@@ -481,9 +530,10 @@ def test_newton_center_accepts_only_strictly_feasible_points(
 
 def independent_certificate(model, y, lam):
     """Surrogate gap and scaled dual residual of (y, lam), recomputed from
-    the model's rows and objective."""
+    the model's rows and objective: -log monomial + sum_i w_i f_i."""
     f, jac, _ = model._constraint_eval(y)
-    g0 = -model._objective.log_eval(y)[1]
+    weights = np.concatenate([c.weights for c in model._constraints])
+    g0 = -model._objective.log_eval(y)[1] + jac.T @ weights
     dual = np.max(np.abs(g0 + jac.T @ lam)) / (1.0 + np.max(np.abs(g0)))
     return -float(f @ lam), float(dual)
 

@@ -182,6 +182,28 @@ def test_early_max_slack_stop_keeps_every_verdict():
     assert infeasible >= 2
 
 
+def test_no_allocation_gp_runs_phase_one(monkeypatch):
+    # every GP starts strictly feasible: a max-slack GP at phi = 1e-3, the
+    # first SCA step GP at the feasible allocation it is fitted at (its
+    # SINR rows are then below the fitted SINR over the floor) and every
+    # later one at the previous step GP's interior point
+    phase_one, solved = [], count_gp_solves(monkeypatch)
+    original = gp.GpModel._phase_one
+
+    def spy(self, *args):
+        phase_one.append(self.names)
+        return original(self, *args)
+
+    monkeypatch.setattr(gp.GpModel, "_phase_one", spy)
+    feasible = 0
+    for cfg, seed, decoder in VERDICT_DEPLOYMENTS:
+        model = generate_topology(cfg, seed=seed)
+        for run in (optimizer.solve, benchmark_upper_bound, benchmark_fixed_pilot):
+            feasible += run(model, cfg, decoder).feasible
+    assert feasible >= 50 and len(solved) >= 300
+    assert phase_one == []
+
+
 # --------------------------------------------------------------------------
 # the iterative algorithms
 # --------------------------------------------------------------------------
@@ -462,7 +484,7 @@ def test_gp_numerical_error_does_not_escape(monkeypatch):
 # the batched SINR blocks against the generic node trees
 # --------------------------------------------------------------------------
 
-def _mrc_lhs_generic(model, k, chi_like, pp, pd):
+def _mrc_lhs_generic(model, k, pp, pd):
     """Node-tree form of the MRC constraint LHS (reference for the block)."""
     idx = list(model.service_sets[k])
     b = model.beta[idx, k]
@@ -478,10 +500,10 @@ def _mrc_lhs_generic(model, k, chi_like, pp, pd):
                                      np.ones(size), kdev * b, 1.0 - eye)
         terms.append(nodes.Product([pd[j], cross]))
     terms.append(gain)
-    return nodes.Product([chi_like, scale, nodes.Sum(terms)])
+    return nodes.Product([scale, nodes.Sum(terms)])
 
 
-def _fzf_lhs_generic(model, k, chi_like, pp, pd):
+def _fzf_lhs_generic(model, k, pp, pd):
     """Node-tree form of the zero-forcing constraint LHS."""
     idx = list(model.service_sets[k])
     kdev = model.num_devices
@@ -496,7 +518,7 @@ def _fzf_lhs_generic(model, k, chi_like, pp, pd):
     for j in range(kdev):
         terms.append(nodes.Product([pd[j], resid[j]]
                                    + [scale_sq[i] for i in range(kdev) if i != j]))
-    return nodes.Product([chi_like, nodes.Sum(terms)])
+    return nodes.Sum(terms)
 
 
 GENERIC = {MRC: _mrc_lhs_generic, FZF: _fzf_lhs_generic}
@@ -515,26 +537,19 @@ def _block_models(rng):
     return [desk_model(), big]
 
 
-def _block_and_trees(model, decoder, shared_head, rng):
+def _block_and_trees(model, decoder, rng):
     """A block over fresh variables, its K generic trees and a random point.
 
-    shared_head=False is the step-GP layout (head chi_k per row), True the
-    feasibility layout (one phi for every row, scaled by a per-row floor)."""
+    The variables are laid out as in the max-slack GP: phi, which no row
+    uses, then the pilots and the payloads."""
     kdev = model.num_devices
     m = gp.GpModel()
-    chi = [m.variable(f"chi{k}") for k in range(kdev)]
+    m.variable("phi")
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
     pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    phi = m.variable("phi")
-    heads = [phi] * kdev if shared_head else chi
-    log_heads = rng.normal(0.0, 0.5, kdev)
-    block = BLOCKS[decoder](model, heads, log_heads, pp, pd)
-    trees = [GENERIC[decoder](model, k,
-                              nodes.Product([heads[k], gp.Const(math.exp(log_heads[k]))]),
-                              pp, pd)
-             for k in range(kdev)]
-    y = np.concatenate([rng.normal(0, 2, kdev), rng.normal(22, 3, 2 * kdev),
-                        rng.normal(0, 1, 1)])
+    block = BLOCKS[decoder](model, pp, pd)
+    trees = [GENERIC[decoder](model, k, pp, pd) for k in range(kdev)]
+    y = np.concatenate([rng.normal(0, 1, 1), rng.normal(22, 3, 2 * kdev)])
     return block, trees, y
 
 
@@ -543,7 +558,7 @@ def test_fused_constraint_matches_generic_tree(decoder, rng):
     for model in _block_models(rng):
         kdev = model.num_devices
         for trial in range(6):
-            block, trees, y = _block_and_trees(model, decoder, trial % 2 == 1, rng)
+            block, trees, y = _block_and_trees(model, decoder, rng)
             ref = [nodes.log_eval(t, y) for t in trees]
             weights = rng.uniform(0.1, 3.0, kdev)
             vals, jac, hess = block.log_eval(y)
@@ -556,8 +571,8 @@ def test_fused_constraint_matches_generic_tree(decoder, rng):
 @pytest.mark.parametrize("decoder", [MRC, FZF])
 def test_fused_constraint_matches_finite_differences(decoder, rng):
     for model in _block_models(rng):
-        block, _, y = _block_and_trees(model, decoder, False, rng)
-        y[model.num_devices:3 * model.num_devices] -= 1.0     # away from saturation
+        block, _, y = _block_and_trees(model, decoder, rng)
+        y[1:] -= 1.0                                          # away from saturation
         weights = rng.uniform(0.1, 3.0, model.num_devices)
         _, jac, hess = block.log_eval(y)
         h = hess(weights)
@@ -570,3 +585,104 @@ def test_fused_constraint_matches_finite_differences(decoder, rng):
             assert np.allclose(jac[:, i], (vu - vd) / (2 * eps), rtol=0, atol=1e-6)
             wg = (ju - jd).T @ weights
             assert np.allclose(h[:, i], wg / (2 * eps), rtol=0, atol=1e-5)
+
+
+# --------------------------------------------------------------------------
+# the head-free step GP against its epigraph (chi) form
+# --------------------------------------------------------------------------
+
+def step_gps(run):
+    """(GP, start) of every SCA step GP that `run` solves."""
+    captured = []
+    original = gp.GpModel.solve
+
+    def capture(self, *args, **kwargs):
+        if "phi" not in self.names:
+            captured.append((self, kwargs["start"]))
+        return original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp.GpModel, "solve", capture)
+        assert run().feasible
+    return captured
+
+
+def _shifted(expr, offset, log_scale=0.0):
+    """A monomial or sum of the package with every variable index moved up
+    by offset and every coefficient times exp(log_scale)."""
+    if isinstance(expr, gp.Sum):
+        return gp.Sum([_shifted(t, offset, log_scale) for t in expr.terms])
+    mono = gp.Monomial(1.0, {i + offset: a for i, a in expr.exponents.items()})
+    mono.log_coeff = expr.log_coeff + log_scale
+    return mono
+
+
+def chi_form(step, floors, block_trees):
+    """The step GP in the epigraph form it replaced: head variables chi_k
+    ahead of the step GP's own, maximize prod_k chi_k^w_k subject to
+    chi_k * lhs_k <= floor_k * rhs_k for each weighted row k and the floor
+    rows floor_k / chi_k <= 1; unweighted rows are copied. A weighted
+    posynomial row keeps its sum; the rows of a block are the node trees
+    block_trees(pp, pd) over the new model's pilots and payloads."""
+    kdev = floors.size
+    m = gp.GpModel()
+    chi = [m.variable(f"chi{k}") for k in range(kdev)]
+    for name in step.names:
+        m.variable(name)
+    lhs, rhs, weights = [], [], []
+    for c in step._constraints:
+        if isinstance(c, gp._BlockConstraint):
+            lhs += block_trees(m._vars[kdev:2 * kdev], m._vars[2 * kdev:])
+        elif c.weights[0] > 0:
+            lhs.append(_shifted(c.lhs, kdev))
+        else:
+            m.add_le(_shifted(c.lhs, kdev), _shifted(c.rhs, kdev))
+            continue
+        rhs += list(c.rhs) if isinstance(c, gp._BlockConstraint) else [c.rhs]
+        weights += list(c.weights)
+    assert len(lhs) == len(rhs) == len(weights) == kdev
+    m.add_block_le(nodes.NodeRows([nodes.Product([chi[k], lhs[k]]) for k in range(kdev)]),
+                   [_shifted(r, kdev, math.log(floors[k])) for k, r in enumerate(rhs)])
+    for k in range(kdev):
+        m.add_le(gp.Monomial(float(floors[k]), {k: -1.0}), gp.Const(1.0))
+    m.maximize(gp.Monomial(1.0, dict(enumerate(weights))))
+    return m
+
+
+@pytest.mark.parametrize("scheme", [MRC, FZF, "fixed-pilot"])
+def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
+    model = desk_model()
+    kdev = model.num_devices
+    floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(kdev, DESK.rate_req_bps))
+    if scheme == "fixed-pilot":
+        steps = step_gps(lambda: benchmark_fixed_pilot(model, DESK, MRC))
+        trees = None
+    else:
+        steps = step_gps(lambda: optimizer.solve(model, DESK, scheme))
+        trees = lambda pp, pd: [GENERIC[scheme](model, k, pp, pd) for k in range(kdev)]
+    assert len(steps) >= 2
+    # the first step GP starts at the allocation its fits are exact at, where
+    # SINR row k reads log(floor_k / SINR_k): the floors sit in the rows
+    step, start = steps[0]
+    pilot = model.energy / DESK.blocklength if scheme == "fixed-pilot" else start[:kdev]
+    sinr = optimizer.true_sinr(model, optimizer.PowerAllocation(pilot, start[-kdev:]),
+                               DESK.antennas_per_ap, MRC if scheme == "fixed-pilot" else scheme)
+    margins = step.constraint_margins(start)[step._block().weights > 0]
+    assert np.allclose(margins, np.log(floors / sinr), rtol=0, atol=1e-9)
+    for step, start in steps:
+        # K or 2K variables and 2K rows: the SINR rows and the energy or
+        # payload-cap rows, the SINR rows weighted by the surrogate exponents
+        assert len(step.names) == (kdev if scheme == "fixed-pilot" else 2 * kdev)
+        weights = step._block().weights
+        assert weights.size == 2 * kdev and np.count_nonzero(weights) == kdev
+        assert sum(weights) == pytest.approx(1.0, rel=1e-12)
+        # both forms from the same strictly feasible point, chi_k halfway (in
+        # log) between the floor and the fitted SINR; both solved to 1e-11, so
+        # the barrier's distance from the active rows is far below 1e-7
+        margins = step.constraint_margins(start)
+        assert margins.max() < 0
+        chi = floors * np.exp(-0.5 * margins[weights > 0])
+        ref = chi_form(step, floors, trees).solve(tol=1e-11, start=np.concatenate([chi, start]))
+        sol = step.solve(tol=1e-11, start=start)
+        assert ref.status == sol.status == "optimal"
+        assert np.allclose(ref.x[kdev:], sol.x, rtol=1e-7, atol=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,15 @@ def test_config_validation():
         SystemConfig(dep_target=0.7)
     with pytest.raises(ConfigError):
         SystemConfig(num_devices=1200, antennas_per_ap=1300, blocklength=1000)
+    bad = [("gp_tolerance", 0.0), ("gp_tolerance", -1e-9), ("energy_budget", math.nan),
+           ("rate_req_bps", math.inf), ("noise_figure_db", -math.inf),
+           ("sca_tolerance", math.nan), ("num_devices", 0), ("num_aps", 0),
+           ("master_seed", -3)]
+    for name, value in bad:
+        with pytest.raises(ConfigError, match=name):
+            SystemConfig(**{name: value})
+    # the edges stay valid
+    SystemConfig(num_devices=1, num_aps=1, master_seed=0, gp_tolerance=1e-300)
 
 
 def test_config_file_roundtrip(tmp_path):
