@@ -81,8 +81,7 @@ def _tightness_point(task):
     k = cfg.num_devices
     p = np.full(k, power)
     stats = estimation_stats(model, p)
-    lb_sinr = fbl.lb_sinr_mrc if decoder == "mrc" else fbl.lb_sinr_fzf
-    closed = lb_sinr(model, stats, p, cfg.antennas_per_ap)
+    closed = fbl.lb_sinr(fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder), p)
     lb = fbl.lb_rate(closed, params, np.arange(k))
     mean, ci = montecarlo.ergodic_rate(model, stats, p, decoder, trials,
                                        seed + dep, cfg.antennas_per_ap, params)

@@ -406,9 +406,12 @@ class GpModel:
         """Row values, Jacobian and the weighted-Hessian-sum function."""
         return self._block().log_eval(y)
 
-    def _log_objective(self, y, f):
-        """Log objective at y, whose row values are f."""
-        return self._objective.log_eval(y)[0] - float(self._block().weights @ f)
+    def _objective_value(self, y, f):
+        """Objective at y, whose row values are f; inf past the float range."""
+        try:
+            return math.exp(self._objective.log_eval(y)[0] - float(self._block().weights @ f))
+        except OverflowError:
+            return math.inf
 
     # -- solving ------------------------------------------------------------
     def solve(self, tol: float = 1e-9, start=None,
@@ -444,7 +447,10 @@ class GpModel:
         try:
             t0 = self._warm_barrier_t(first, g0 + first[1].T @ c, tol) if warm else BARRIER_T0
             for it in _primal_dual(rows, g0, c, y, first, t0, budget):
-                stages.append(math.exp(self._log_objective(it.z, it.f)))
+                stages.append(self._objective_value(it.z, it.f))
+                if stages[-1] == math.inf:
+                    status, message = "numerical_error", "objective overflows: GP looks unbounded"
+                    break
                 if interior is None and it.eta <= _INTERIOR_GAP:
                     interior = it.z
                 if it.eta <= tol and it.dual <= tol:
@@ -531,8 +537,10 @@ class GpModel:
 
     def _finish(self, y, f, status, budget, kkt, interior=None, stages=(), message=""):
         """The solution at y, whose row values are f."""
-        obj = math.nan if status == "infeasible" else math.exp(self._log_objective(y, f))
-        return GpSolution(x=np.exp(y), names=self.names, objective=obj,
+        obj = math.nan if status == "infeasible" else self._objective_value(y, f)
+        with np.errstate(over="ignore"):                  # x of an unbounded GP is inf
+            x = np.exp(y)
+        return GpSolution(x=x, names=self.names, objective=obj,
                           status=status, iterations=budget.used, kkt_residual=kkt,
                           message=message,
                           interior=None if interior is None else np.exp(interior),

@@ -1,6 +1,7 @@
 """Test oracles: product-form rewrites of the closed-form SINR lower bounds,
 kept in the log domain, for `fbl.lb_sinr_*` and the gain fits in `approx`;
-and the textbook normal-approximation rate, for `fbl.lb_rate`.
+the textbook normal-approximation rate, for `fbl.lb_rate`; and the closed-form
+means of every decoder term, for the Monte-Carlo validator in `montecarlo`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cfurllc.channel import EstimationStats
 from cfurllc.fbl import FblParams, _logsumexp
 from cfurllc.scenario import LargeScaleModel
 
@@ -115,3 +117,54 @@ def sinr_fzf_from_factors(factors: FzfFactors, payload_power: np.ndarray,
     den = factors.set_size + float(
         pd @ np.exp(factors.log_residual - 2.0 * factors.log_scale))
     return num / den
+
+
+def expected_terms_mrc(model: LargeScaleModel, stats: EstimationStats,
+                       payload_power: np.ndarray, n_antennas: int) -> dict:
+    """Analytic means of |DS|^2, |LS|^2, |UI|^2 and |N|^2 for the MRC decoder.
+
+    The interference splits into a channel part and a pilot-noise part whose
+    scale carries the estimating device's own pilot power.
+    """
+    kdev = model.num_devices
+    pd = np.asarray(payload_power, dtype=float)
+    ds2 = np.empty(kdev)
+    ls2 = np.empty(kdev)
+    ui2 = np.zeros((kdev, kdev))
+    n2 = np.empty(kdev)
+    for k in range(kdev):
+        idx = list(model.service_sets[k])
+        lam = stats.lam[idx, k]
+        beta = model.beta[idx, k]
+        ds2[k] = n_antennas ** 2 * pd[k] * lam.sum() ** 2
+        ls2[k] = n_antennas * pd[k] * float((lam * beta).sum())
+        kp_own = kdev * stats.pilot_power[k]
+        for j in range(kdev):
+            if j == k:
+                continue
+            cross = model.beta[idx, j]
+            channel_part = n_antennas * float((lam ** 2 * cross / beta).sum())
+            pilot_part = n_antennas / kp_own * float(((lam / beta) ** 2 * cross).sum())
+            ui2[k, j] = pd[j] * (channel_part + pilot_part)
+        n2[k] = n_antennas * lam.sum()
+    return {"ds2": ds2, "ls2": ls2, "ui2": ui2, "n2": n2}
+
+
+def expected_terms_fzf(model: LargeScaleModel, stats: EstimationStats,
+                       payload_power: np.ndarray, n_antennas: int) -> dict:
+    """Analytic means of the decoder terms for zero-forcing."""
+    kdev = model.num_devices
+    pd = np.asarray(payload_power, dtype=float)
+    ds2 = np.empty(kdev)
+    ls2 = np.empty(kdev)
+    ui2 = np.zeros((kdev, kdev))
+    n2 = np.empty(kdev)
+    for k in range(kdev):
+        idx = list(model.service_sets[k])
+        ds2[k] = pd[k] * (n_antennas - kdev) * np.sqrt(stats.lam[idx, k]).sum() ** 2
+        ls2[k] = pd[k] * float(stats.err_var[idx, k].sum())
+        for j in range(kdev):
+            if j != k:
+                ui2[k, j] = pd[j] * float(stats.err_var[idx, j].sum())
+        n2[k] = float(len(idx))
+    return {"ds2": ds2, "ls2": ls2, "ui2": ui2, "n2": n2}

@@ -21,8 +21,8 @@ from cfurllc.gp import Const, GpModel, Monomial, Sum
 from cfurllc.scenario import SystemConfig, generate_topology
 
 from conftest import random_model
-from oracles import (fzf_factors, mrc_factors, sinr_fzf_from_factors,
-                     sinr_mrc_from_factors)
+from oracles import (expected_terms_fzf, expected_terms_mrc, fzf_factors, mrc_factors,
+                     sinr_fzf_from_factors, sinr_mrc_from_factors)
 
 
 def report(num, name, passed, detail=""):
@@ -71,8 +71,8 @@ def test_criterion_2_term_validation():
     pd = np.full(3, 2e10)
     stats = estimation_stats(model, pp)
     failures = []
-    for decoder, expect_fn in (("mrc", mc.expected_terms_mrc),
-                               ("fzf", mc.expected_terms_fzf)):
+    for decoder, expect_fn in (("mrc", expected_terms_mrc),
+                               ("fzf", expected_terms_fzf)):
         out = mc.simulate(model, stats, pd, decoder, 10000, seed=17,
                           n_antennas=8, params=params)
         expected = expect_fn(model, stats, pd, 8)

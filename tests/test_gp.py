@@ -418,6 +418,18 @@ def test_solver_failure_is_a_status(monkeypatch):
         assert np.all(np.isfinite(sol.x))
 
 
+def test_unbounded_gp_is_a_status():
+    m = GpModel()
+    m.variable("x")
+    m.maximize(Monomial(1.0, {0: 1.0}))
+    m.add_le(Monomial(1.0, {0: -1.0}), Const(1.0))       # 1/x <= 1
+    for start in (None, np.array([2.0])):     # through phase one, then a feasible start
+        sol = m.solve(start=start)
+        assert sol.status == "numerical_error"
+        assert "overflow" in sol.message
+        assert sol.objective == math.inf
+
+
 def test_newton_budget_is_a_status(monkeypatch):
     from cfurllc.cli import random_two_var_problem
     for start in (None, np.array([50.0, 50.0])):     # feasible start, then phase one

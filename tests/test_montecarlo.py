@@ -6,6 +6,8 @@ from cfurllc.channel import estimation_stats, substream
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.scenario import SystemConfig, generate_topology
 
+from oracles import expected_terms_fzf, expected_terms_mrc
+
 
 def validation_setup(pilot=2e10, payload=2e10):
     cfg = SystemConfig(num_devices=3, num_aps=4, antennas_per_ap=8,
@@ -30,8 +32,8 @@ def test_decoder_terms_match_closed_forms(decoder):
     cfg, model, params, stats, pd = validation_setup()
     out = mc.simulate(model, stats, pd, decoder, 10000, seed=17,
                       n_antennas=8, params=params)
-    expected = (mc.expected_terms_mrc if decoder == "mrc"
-                else mc.expected_terms_fzf)(model, stats, pd, 8)
+    expected = (expected_terms_mrc if decoder == "mrc"
+                else expected_terms_fzf)(model, stats, pd, 8)
     assert np.allclose(out.ds2, expected["ds2"], rtol=1e-12)   # deterministic
     assert three_sigma(out.ls2, expected["ls2"]).all()
     assert three_sigma(out.n2, expected["n2"]).all()
@@ -102,109 +104,36 @@ def test_simulation_deterministic_and_order_independent():
 
 
 def _block_stream_key(seed, trial):
-    return substream(seed, trial // mc.TRIAL_BLOCK, 0).bit_generator.state["state"]["key"]
-
-
-def test_block_keys_never_equal_redraw_keys():
-    seed = 5
-    redraw = {tuple(substream(seed, t, att).bit_generator.state["state"]["key"])
-              for t in range(4 * mc.TRIAL_BLOCK) for att in range(1, mc.REDRAWS + 1)}
-    blocks = {tuple(_block_stream_key(seed, t))
-              for t in range(0, 4 * mc.TRIAL_BLOCK, mc.TRIAL_BLOCK)}
-    assert len(blocks) == 4 and not blocks & redraw
-    # substream mixes (i, j) to (i+1)*phi + j + 1 mod 2^64 with phi odd; equal
-    # keys for (b, 0) and (t, a) need b - t = a * phi^-1 mod 2^64, which is
-    # more than 2^59 away from zero for every attempt a
-    phi = 0x9E3779B97F4A7C15
-    for att in range(1, mc.REDRAWS + 1):
-        gap = att * pow(phi, -1, 2 ** 64) % 2 ** 64
-        assert min(gap, 2 ** 64 - gap) > 2 ** 59
-
-
-class _Degenerate:
-    """Wrap draw_channel; make chosen (trial, attempt) estimates rank-deficient.
-
-    `bad` maps a trial to the attempts (0 = the block draw) whose g_hat gets a
-    column of the N x K estimate at AP 1 zeroed or copied from another device.
-    """
-
-    def __init__(self, seed, bad, kind):
-        self.seed, self.bad, self.kind = seed, bad, kind
-        self.keys = []
-        self.corrupted = []
-
-    def _corrupt(self, g_hat, j):
-        if self.kind == "zero":
-            g_hat[j, 1, 2, :] = 0.0
-        else:
-            g_hat[j, 1, 2, :] = g_hat[j, 1, 0, :]
-
-    def __call__(self, model, stats, n_antennas, rng, trials=1):
-        real = _DRAW(model, stats, n_antennas, rng, trials)
-        key = rng.bit_generator.state["state"]["key"].tolist()
-        self.keys.append(key)
-        for trial, attempts in self.bad.items():
-            if 0 in attempts and key == _block_stream_key(self.seed, trial).tolist():
-                self._corrupt(real.g_hat, trial % mc.TRIAL_BLOCK)
-                self.corrupted.append(real.g_hat[trial % mc.TRIAL_BLOCK].copy())
-            for att in attempts - {0}:
-                if key == substream(self.seed, trial, att).bit_generator.state[
-                        "state"]["key"].tolist():
-                    self._corrupt(real.g_hat, 0)
-                    self.corrupted.append(real.g_hat[0].copy())
-        return real
-
-
-_DRAW = mc.draw_channel
+    rng = substream(seed, trial // mc.TRIAL_BLOCK, 0)
+    return rng.bit_generator.state["state"]["key"].tolist()
 
 
 @pytest.mark.parametrize("kind", ["zero", "duplicate"])
-def test_rank_deficient_trial_is_redrawn_from_its_own_stream(kind, monkeypatch):
+def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
     cfg, model, params, stats, pd = validation_setup()
-    seed, trials, target = 5, mc.TRIAL_BLOCK + 40, mc.TRIAL_BLOCK + 7
+    seed, target = 5, mc.TRIAL_BLOCK + 7
+    draw, keys = mc.draw_channel, []
 
-    def run():
-        return mc.simulate(model, stats, pd, "fzf", trials, seed=seed,
-                           n_antennas=8, params=params)
+    def degenerate(model, stats, n_antennas, rng, trials=1):
+        real = draw(model, stats, n_antennas, rng, trials)
+        keys.append(rng.bit_generator.state["state"]["key"].tolist())
+        if keys[-1] == _block_stream_key(seed, target):
+            # device 2's column of the N x K estimate at AP 1, zeroed or copied
+            # from device 0
+            j = target % mc.TRIAL_BLOCK
+            real.g_hat[j, 1, 2] = 0.0 if kind == "zero" else real.g_hat[j, 1, 0]
+        return real
 
-    clean = run()
-    # block draw and first redraw degenerate: the trial must come from attempt 2
-    fake = _Degenerate(seed, {target: {0, 1}}, kind)
-    monkeypatch.setattr(mc, "draw_channel", fake)
-    out = run()
-    expect_keys = [_block_stream_key(seed, 0).tolist(),
-                   _block_stream_key(seed, target).tolist()] + [
-        substream(seed, target, att).bit_generator.state["state"]["key"].tolist()
-        for att in (1, 2)]
-    assert fake.keys == expect_keys
-    assert len(fake.corrupted) == 2
-
-    others = np.arange(trials) != target
-    for name in ("ls2", "ui2", "n2", "sinr", "rate"):
-        assert np.array_equal(getattr(out, name)[others], getattr(clean, name)[others])
-    redraw = _DRAW(model, stats, 8, substream(seed, target, 2))
-    alone = mc.decode_fzf(redraw, model, stats, pd, 8, params)
-    assert np.array_equal(out.sinr[target], alone.sinr[0])
-    assert not np.array_equal(out.sinr[target], clean.sinr[target])
-
-    # the screen flags every stack that matrix_rank calls deficient
-    stacked = np.stack(fake.corrupted)
-    ranks = np.linalg.matrix_rank(np.swapaxes(stacked, 2, 3))
-    assert (ranks < 3).any()
-    assert np.all(mc._gram_screen(stacked)[ranks < 3])
+    monkeypatch.setattr(mc, "draw_channel", degenerate)
+    with pytest.raises(RuntimeError,
+                       match=f"^trial {target}: estimated channel rank-deficient$"):
+        mc.simulate(model, stats, pd, "fzf", 3 * mc.TRIAL_BLOCK, seed=seed,
+                    n_antennas=8, params=params)
+    # the block draws up to the failing trial's, and no draw after it
+    assert keys == [_block_stream_key(seed, 0), _block_stream_key(seed, target)]
 
 
-def test_persistently_degenerate_trial_raises(monkeypatch):
-    cfg, model, params, stats, pd = validation_setup()
-    target = 3
-    monkeypatch.setattr(mc, "draw_channel",
-                        _Degenerate(5, {target: {0, 1, 2, 3}}, "duplicate"))
-    with pytest.raises(RuntimeError, match=f"trial {target}: .*rank-deficient"):
-        mc.simulate(model, stats, pd, "fzf", 100, seed=5, n_antennas=8,
-                    params=params)
-
-
-def test_gram_screen_is_superset_of_rank_check():
+def test_rank_check_flags_exactly_the_deficient_stacks():
     rng = np.random.default_rng(12)
     g_hat = (rng.standard_normal((200, 2, 3, 8))
              + 1j * rng.standard_normal((200, 2, 3, 8)))
@@ -217,11 +146,24 @@ def test_gram_screen_is_superset_of_rank_check():
     g_hat[60:80, 1, 1] = 2.0 * g_hat[60:80, 1, 0] - 3j * g_hat[60:80, 1, 2]
     g_hat[80:90] = 0.0
     ranks = np.linalg.matrix_rank(np.swapaxes(g_hat, 2, 3))
-    flagged = mc._gram_screen(g_hat)
-    assert (ranks < 3).sum() >= 80
-    assert np.all(flagged[ranks < 3])
-    assert np.array_equal(mc._rank_deficient(g_hat),
-                          np.flatnonzero((ranks < 3).any(axis=1)))
+
+    def flagged(t, m):
+        try:
+            mc._fzf_vectors(g_hat[t:t + 1, m:m + 1], t)
+        except RuntimeError as exc:
+            assert str(exc).startswith(f"trial {t}:")
+            return True
+        return False
+
+    assert (ranks < 3).sum() == 100
+    assert np.array_equal([[flagged(t, m) for m in range(2)] for t in range(200)],
+                          ranks < 3)
+    # a block names its first deficient trial, counted from first_trial, be it
+    # exactly singular (5: zero column, inv raises) or nearly so (50:
+    # near-duplicated column), with the other one after it
+    for order in ([95, 50, 5], [95, 5, 50]):
+        with pytest.raises(RuntimeError, match="^trial 1001:"):
+            mc._fzf_vectors(g_hat[order], 1000)
 
 
 @pytest.mark.parametrize("decoder", ["MRC", "zf"])
