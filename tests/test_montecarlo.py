@@ -133,6 +133,30 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
     assert keys == [_block_stream_key(seed, 0), _block_stream_key(seed, target)]
 
 
+def test_persistently_degenerate_trial_raises(monkeypatch):
+    cfg, model, params, stats, pd = validation_setup()
+    target, draw = 3, mc.draw_channel
+
+    def degenerate(model, stats, n_antennas, rng, trials=1):
+        # from trial 3 on, every draw copies device 0's estimate at AP 1 into
+        # device 2's
+        real = draw(model, stats, n_antennas, rng, trials)
+        real.g_hat[target:, 1, 2] = real.g_hat[target:, 1, 0]
+        return real
+
+    monkeypatch.setattr(mc, "draw_channel", degenerate)
+    match = f"^trial {target}: estimated channel rank-deficient$"
+    with pytest.raises(RuntimeError, match=match):
+        mc.simulate(model, stats, pd, "fzf", 100, seed=5, n_antennas=8,
+                    params=params)
+    with pytest.raises(RuntimeError, match=match):
+        mc.ergodic_rate(model, stats, pd, "fzf", 100, 5, 8, params)
+    # maximum-ratio combining needs no rank, so the same draws decode
+    out = mc.simulate(model, stats, pd, "mrc", 100, seed=5, n_antennas=8,
+                      params=params)
+    assert np.all(np.isfinite(out.sinr)) and np.all(out.sinr > 0)
+
+
 def test_rank_check_flags_exactly_the_deficient_stacks():
     rng = np.random.default_rng(12)
     g_hat = (rng.standard_normal((200, 2, 3, 8))
