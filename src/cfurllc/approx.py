@@ -52,9 +52,6 @@ class MonomialFit:
     exponents: np.ndarray   # per pilot-power variable
     log_coeff: float
 
-    def log_value(self, pilot_power: np.ndarray) -> float:
-        return self.log_coeff + float(self.exponents @ np.log(pilot_power))
-
 
 def mrc_gain_monomial(model: LargeScaleModel, pilot_hat: float, k: int) -> MonomialFit:
     """Monomial lower bound of the MRC coherent-gain posynomial, tight at pilot_hat.

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -15,48 +16,18 @@ from .channel import EstimationStats
 from .scenario import LargeScaleModel, SystemConfig
 
 LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 
 
 class InfeasibleRateError(ValueError):
     """Raised when a rate requirement cannot be met at any SINR."""
 
 
-def q_function(x: float) -> float:
-    """Gaussian tail probability."""
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
 def q_inverse(eps: float) -> float:
-    """Inverse Gaussian tail, by safeguarded Newton on the complementary CDF.
-
-    Accepts eps in (0, 0.5]; the boundary value 0.5 maps to exactly 0.
-    """
+    """Inverse Gaussian tail, for eps in (0, 0.5]; 0.5 maps to exactly 0."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"tail probability must lie in (0, 0.5], got {eps}")
-    if eps == 0.5:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while q_function(hi) > eps:
-        hi *= 2.0
-        if hi > 1e4:
-            raise ValueError("tail probability too small to invert")
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = q_function(x) - eps
-        if abs(f) <= 1e-13 * eps + 1e-300:
-            break
-        if f > 0:
-            lo = x
-        else:
-            hi = x
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        step = f / pdf if pdf > 0 else 0.0
-        x_new = x + step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    return x
+    # 0.0 - z rather than -z: the median gives +0.0, not -0.0
+    return 0.0 - statistics.NormalDist().inv_cdf(eps)
 
 
 def penalty_factor(x):
@@ -69,60 +40,30 @@ def penalty_factor(x):
 def rate_kernel(x, alpha: float):
     """Normalized rate as a function of the inverse SINR x.
 
-    Decreasing and convex on (0, inv_sinr_limit(alpha)]; negative beyond it.
+    Decreasing and convex while positive; for alpha > 0 it crosses zero once
+    and stays negative beyond.
     """
     x = np.asarray(x, dtype=float)
     out = np.log1p(1.0 / x) - alpha * np.sqrt(2.0 * x + 1.0) / (x + 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def alpha_limit(x):
-    """Largest dispersion coefficient with non-negative rate at inverse SINR x.
-
-    Monotonically decreasing in x; its inverse bounds the kernel's domain.
-    """
-    x = np.asarray(x, dtype=float)
-    out = (x + 1.0) * np.log1p(1.0 / x) / np.sqrt(2.0 * x + 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-@functools.lru_cache(maxsize=4096)
-def inv_sinr_limit(alpha: float) -> float:
-    """Inverse of alpha_limit: the upper end of the rate kernel's domain."""
-    if alpha < 0:
-        raise ValueError("dispersion coefficient must be non-negative")
-    if alpha == 0.0:
-        return math.inf
-    lo, hi = 1.0, 1.0
-    while alpha_limit(hi) > alpha:
-        hi *= 4.0
-    while alpha_limit(lo) < alpha:
-        lo /= 4.0
-        if lo < 1e-300:
-            raise ValueError("dispersion coefficient too large")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if alpha_limit(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * mid:
-            break
-    return 0.5 * (lo + hi)
-
-
 @functools.lru_cache(maxsize=4096)
 def rate_kernel_inverse(y: float, alpha: float) -> float:
-    """Solve rate_kernel(x, alpha) = y for x by bisection (kernel is monotone).
+    """Solve rate_kernel(x, alpha) = y for x by bisection.
 
-    y must be positive; any positive target is attainable at small enough x.
+    y must be positive. The kernel decreases while positive and is negative
+    past its zero, so it crosses y exactly once; the bracket grows from x = 1
+    until the kernel drops to y.
     """
     if y <= 0:
         raise InfeasibleRateError("rate requirement must be positive")
-    hi = inv_sinr_limit(alpha)
-    if not math.isfinite(hi):
+    if alpha == 0.0:
         # zero dispersion penalty: closed form of the log term
         return 1.0 / math.expm1(y)
+    hi = 1.0
+    while rate_kernel(hi, alpha) > y:
+        hi *= 4.0
     lo = hi
     while rate_kernel(lo, alpha) < y:
         lo /= 4.0
@@ -147,17 +88,14 @@ class FblParams:
     blocklength: int
     num_devices: int
     alpha: np.ndarray       # (K,) dispersion coefficient per device
-    inv_sinr_max: np.ndarray  # (K,) domain end of the rate kernel per device
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "FblParams":
         k = config.num_devices
         eta = config.pilot_fraction
         a = q_inverse(config.dep_target) / math.sqrt(config.blocklength * (1.0 - eta))
-        alpha = np.full(k, a)
         return cls(bandwidth_hz=config.bandwidth_hz,
-                   blocklength=config.blocklength, num_devices=k, alpha=alpha,
-                   inv_sinr_max=np.array([inv_sinr_limit(ai) for ai in alpha]))
+                   blocklength=config.blocklength, num_devices=k, alpha=np.full(k, a))
 
     @property
     def eta(self) -> float:
@@ -169,21 +107,16 @@ class FblParams:
         return self.bandwidth_hz * (1.0 - self.eta) / LN2
 
     def with_zero_dispersion(self) -> "FblParams":
-        """Infinite-blocklength variant: no penalty, unbounded kernel domain."""
-        k = self.num_devices
-        return replace(self, alpha=np.zeros(k), inv_sinr_max=np.full(k, math.inf))
+        """Infinite-blocklength variant: no dispersion penalty."""
+        return replace(self, alpha=np.zeros(self.num_devices))
 
 
 def lb_rate(gamma_lb, params: FblParams, k):
     """Lower-bound rate (bits/s) of device k from a lower-bound SINR, clamped
     at zero; an array of devices k takes an array of SINRs."""
     gamma_lb = np.asarray(gamma_lb, dtype=float)
-    x = 1.0 / gamma_lb
-    inside = x <= params.inv_sinr_max[k]
-    out = np.where(inside,
-                   params.rate_scale * rate_kernel(np.where(inside, x, 1.0), params.alpha[k]),
-                   0.0)
-    out = np.maximum(out, 0.0)
+    # past the kernel's zero the kernel is negative, so the clamp zeroes it
+    out = np.maximum(params.rate_scale * rate_kernel(1.0 / gamma_lb, params.alpha[k]), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -486,7 +486,9 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
 
     Each iteration builds the scheme's step GP around the current iterate for
     the surrogate exponents w_hat; the iterate, as a point of that GP, is its
-    warm start and carry-over check. The loop stops when the relative gain
+    carry-over check. The first step GP starts from the iterate; later ones
+    start from the previous GP's interior point, or from the iterate when
+    that GP returned none. The loop stops when the relative gain
     falls below cfg.sca_tolerance; the best iterate of the trace is returned.
     """
     trace = IterationTrace()

@@ -1,7 +1,9 @@
 """Test oracles: product-form rewrites of the closed-form SINR lower bounds,
 kept in the log domain, for `fbl.lb_sinr_*` and the gain fits in `approx`;
-the textbook normal-approximation rate, for `fbl.lb_rate`; and the closed-form
-means of every decoder term, for the Monte-Carlo validator in `montecarlo`.
+the textbook normal-approximation rate, for `fbl.lb_rate`; a bisection that
+starts at the rate kernel's zero, for `fbl.rate_kernel_inverse`; and the
+closed-form means of every decoder term, for the Monte-Carlo validator in
+`montecarlo`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfurllc.channel import EstimationStats
-from cfurllc.fbl import FblParams, _logsumexp
+from cfurllc.approx import MonomialFit
+from cfurllc.fbl import FblParams, _logsumexp, rate_kernel
 from cfurllc.scenario import LargeScaleModel
 
 
@@ -96,6 +99,59 @@ def normal_approximation_rate(gamma: float, params: FblParams, k: int) -> float:
     return params.bandwidth_hz * (
         (1.0 - eta) * math.log2(1.0 + gamma)
         - math.sqrt((1.0 - eta) * dispersion / params.blocklength) * qinv / math.log(2.0))
+
+
+def monomial_log_value(fit: MonomialFit, pilot_power: np.ndarray) -> float:
+    """Log of a fitted monomial at the given pilot powers."""
+    return fit.log_coeff + float(fit.exponents @ np.log(pilot_power))
+
+
+def alpha_limit(x):
+    """Largest dispersion coefficient with a non-negative kernel at inverse
+    SINR x; decreasing in x, so its inverse is the kernel's zero."""
+    x = np.asarray(x, dtype=float)
+    return (x + 1.0) * np.log1p(1.0 / x) / np.sqrt(2.0 * x + 1.0)
+
+
+def kernel_zero(alpha: float) -> float:
+    """Inverse SINR at which `fbl.rate_kernel` crosses zero, by bisection on
+    alpha_limit; infinite without a dispersion penalty."""
+    if alpha == 0.0:
+        return math.inf
+    lo, hi = 1.0, 1.0
+    while alpha_limit(hi) > alpha:
+        hi *= 4.0
+    while alpha_limit(lo) < alpha:
+        lo /= 4.0
+        if lo < 1e-300:
+            raise ValueError("dispersion coefficient too large")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if alpha_limit(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * mid:
+            break
+    return 0.5 * (lo + hi)
+
+
+def kernel_inverse_from_zero(y: float, alpha: float) -> float:
+    """Solve rate_kernel(x, alpha) = y, y > 0 and alpha > 0, by bisection
+    bracketed from the kernel's zero downwards."""
+    hi = kernel_zero(alpha)
+    lo = hi
+    while rate_kernel(lo, alpha) < y:
+        lo /= 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if rate_kernel(mid, alpha) > y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * mid:
+            break
+    return 0.5 * (lo + hi)
 
 
 def sinr_mrc_from_factors(factors: MrcFactors, payload_power: np.ndarray,

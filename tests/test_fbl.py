@@ -7,14 +7,19 @@ import pytest
 
 from cfurllc import fbl
 from cfurllc.channel import estimation_stats
-from cfurllc.fbl import (FblParams, alpha_limit, inv_sinr_limit, lb_rate,
-                         lb_sinr_fzf, lb_sinr_mrc, penalty_factor, q_function,
+from cfurllc.fbl import (FblParams, lb_rate, lb_sinr_fzf, lb_sinr_mrc, penalty_factor,
                          q_inverse, rate_kernel, rate_kernel_inverse)
 from cfurllc.scenario import SystemConfig
 
 from conftest import random_model, toy_model
-from oracles import (fzf_factors, mrc_factors, normal_approximation_rate,
-                     sinr_fzf_from_factors, sinr_mrc_from_factors)
+from oracles import (alpha_limit, fzf_factors, kernel_inverse_from_zero, kernel_zero,
+                     mrc_factors, normal_approximation_rate, sinr_fzf_from_factors,
+                     sinr_mrc_from_factors)
+
+
+def q_tail(x):
+    """Gaussian tail probability."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def bisect_q(eps):
@@ -22,7 +27,7 @@ def bisect_q(eps):
     lo, hi = 0.0, 60.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if q_function(mid) > eps:
+        if q_tail(mid) > eps:
             lo = mid
         else:
             hi = mid
@@ -32,8 +37,7 @@ def bisect_q(eps):
 def make_params(eps=1e-5, k=10, blocklength=1000, bandwidth=10e6):
     alpha = q_inverse(eps) / math.sqrt(blocklength * (1 - k / blocklength))
     return FblParams(bandwidth_hz=bandwidth, blocklength=blocklength,
-                     num_devices=k, alpha=np.full(k, alpha),
-                     inv_sinr_max=np.full(k, inv_sinr_limit(alpha)))
+                     num_devices=k, alpha=np.full(k, alpha))
 
 
 # --------------------------------------------------------------------------
@@ -48,9 +52,16 @@ def test_q_inverse_reference_value():
 
 def test_q_inverse_boundary_and_roundtrip(rng):
     assert q_inverse(0.5) == 0.0
+    assert math.copysign(1.0, q_inverse(0.5)) == 1.0
     for _ in range(100):
         eps = float(10 ** rng.uniform(-9, math.log10(0.49)))
-        assert q_function(q_inverse(eps)) == pytest.approx(eps, rel=1e-10)
+        assert q_tail(q_inverse(eps)) == pytest.approx(eps, rel=1e-10)
+
+
+def test_q_inverse_deep_tail_matches_bisection():
+    for k in range(1, 301):
+        eps = 10.0 ** -k
+        assert q_inverse(eps) == pytest.approx(bisect_q(eps), rel=1e-12), k
 
 
 def test_q_inverse_domain():
@@ -70,7 +81,7 @@ def test_kernel_reduces_to_log_without_penalty():
 def test_kernel_monotone_and_convex_on_domain(rng):
     for _ in range(100):
         alpha = float(rng.uniform(0.01, 0.4))
-        xmax = inv_sinr_limit(alpha)
+        xmax = kernel_zero(alpha)
         a, b = np.sort(rng.uniform(1e-3 * xmax, xmax, size=2))
         if a == b:
             continue
@@ -80,10 +91,13 @@ def test_kernel_monotone_and_convex_on_domain(rng):
 
 
 def test_kernel_zero_at_domain_end():
+    # the kernel is negative past its zero, which lets lb_rate clamp instead of mask
     alpha = 0.135
-    xmax = inv_sinr_limit(alpha)
+    xmax = kernel_zero(alpha)
     assert rate_kernel(xmax, alpha) == pytest.approx(0.0, abs=1e-10)
     assert alpha_limit(xmax) == pytest.approx(alpha, rel=1e-10)
+    beyond = xmax * np.logspace(1e-6, 8, 200, base=2.0)
+    assert np.all(rate_kernel(beyond, alpha) < 0)
 
 
 def test_alpha_limit_monotone_decreasing():
@@ -113,19 +127,21 @@ def test_kernel_inverse_rejects_unattainable():
         rate_kernel_inverse(0.0, 0.1)
 
 
+def test_kernel_inverse_matches_bisection_from_kernel_zero():
+    for alpha in (1e-4, 0.0717, 0.135, 0.5, 3.0):
+        for y in np.logspace(-6, math.log10(5.0), 40):
+            want = kernel_inverse_from_zero(float(y), alpha)
+            assert rate_kernel_inverse(float(y), alpha) == pytest.approx(want, rel=1e-11)
+
+
 def test_cached_floor_inverses_match_the_uncached_functions():
     for alpha in (0.0, 0.01, 0.0717, 0.2, 0.5):
-        limit = inv_sinr_limit(alpha)
-        assert limit == inv_sinr_limit.__wrapped__(alpha)
-        assert inv_sinr_limit(alpha) is limit                    # served from the cache
         for y in (0.05, 0.7, 3.0):
-            assert rate_kernel_inverse(y, alpha) == rate_kernel_inverse.__wrapped__(y, alpha)
+            x = rate_kernel_inverse(y, alpha)
+            assert x == rate_kernel_inverse.__wrapped__(y, alpha)
+            assert rate_kernel_inverse(y, alpha) is x            # served from the cache
     # failures are not cached: every call raises again
     for _ in range(2):
-        with pytest.raises(ValueError, match="non-negative"):
-            inv_sinr_limit(-0.1)
-        with pytest.raises(ValueError, match="too large"):
-            inv_sinr_limit(1e300)
         with pytest.raises(fbl.InfeasibleRateError):
             rate_kernel_inverse(0.0, 0.1)
         with pytest.raises(fbl.InfeasibleRateError, match="unattainable"):
@@ -158,8 +174,7 @@ def test_rate_matches_kernel_identity(rng):
     # trials x devices at once, as the Monte-Carlo decoders call it, with a
     # dispersion coefficient per device
     alpha = np.linspace(0.05, 0.3, params.num_devices)
-    params = replace(params, alpha=alpha,
-                     inv_sinr_max=np.array([inv_sinr_limit(a) for a in alpha]))
+    params = replace(params, alpha=alpha)
     gammas = 10 ** rng.uniform(-2, 4, (7, params.num_devices))
     batched = lb_rate(gammas, params, np.arange(params.num_devices))
     want = [[max(normal_approximation_rate(g, params, k), 0.0) for k, g in enumerate(row)]
@@ -184,6 +199,23 @@ def test_lb_rate_clamps_to_zero():
     params = make_params()
     assert lb_rate(1e-9, params, 0) == 0.0
     assert lb_rate(5.0, params, 0) > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_lb_rate_is_the_clamped_kernel_on_both_sides_of_its_zero():
+    gamma = np.logspace(-6, 4, 20001)
+    for params in (make_params(), make_params().with_zero_dispersion()):
+        alpha = float(params.alpha[0])
+        want = np.maximum(params.rate_scale * rate_kernel(1.0 / gamma, alpha), 0.0)
+        got = lb_rate(gamma, params, 0)
+        assert np.array_equal(got, want)
+        assert all(lb_rate(float(g), params, 0) == w for g, w in zip(gamma[::500], want[::500]))
+        x = 1.0 / gamma
+        zero = kernel_zero(alpha)
+        assert np.all(got[x < zero * (1 - 1e-9)] > 0)
+        assert np.all(got[x > zero] == 0)
+        if alpha > 0:
+            assert np.count_nonzero(x > zero) > 1000 and np.count_nonzero(x < zero) > 1000
 
 
 # --------------------------------------------------------------------------
@@ -294,4 +326,5 @@ def test_params_from_config():
     assert params.eta == pytest.approx(0.005)
     assert params.alpha.shape == (5,)
     zero = params.with_zero_dispersion()
-    assert np.all(zero.alpha == 0) and np.all(np.isinf(zero.inv_sinr_max))
+    assert zero.alpha.shape == (5,) and np.all(zero.alpha == 0)
+    assert lb_rate(1e-9, zero, 0) > 0.0       # no penalty: every SINR has a rate

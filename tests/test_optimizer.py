@@ -44,12 +44,7 @@ def grid_best_rate(cfg, beta, decoder, points=900):
     else:
         gamma = pdg * (n - 1) * lam / (1.0 + pdg * (beta - lam))
     alpha = float(params.alpha[0])
-    xmax = float(params.inv_sinr_max[0])
-    x = 1.0 / gamma
-    rate = np.where(x <= xmax,
-                    params.rate_scale * fbl.rate_kernel(np.minimum(x, xmax), alpha),
-                    0.0)
-    rate = np.maximum(rate, 0.0)
+    rate = np.maximum(params.rate_scale * fbl.rate_kernel(1.0 / gamma, alpha), 0.0)
     rate[~ok] = 0.0
     best_any = float(rate.max())
     rate[rate < cfg.rate_req_bps] = 0.0
@@ -327,8 +322,7 @@ def test_surrogate_guard_rejects_nonpositive_exponent():
                                                     antennas_per_ap=8))
     big_alpha = fbl.FblParams(bandwidth_hz=params.bandwidth_hz,
                               blocklength=params.blocklength, num_devices=2,
-                              alpha=np.array([3.0, 3.0]),
-                              inv_sinr_max=params.inv_sinr_max)
+                              alpha=np.array([3.0, 3.0]))
     with pytest.raises(SurrogateError):
         optimizer._surrogate_exponents(np.array([0.3, 0.3]), big_alpha,
                                        np.array([1.0, 1.0]))
