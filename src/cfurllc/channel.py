@@ -76,10 +76,11 @@ def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int
     z = rng.standard_normal((trials, 2 * (2 * mkn + m * n_antennas))).view(complex)
     z *= np.sqrt(0.5)
     shape = (trials, m, k, n_antennas)
-    g = np.sqrt(model.beta)[None, :, :, None] * z[:, :mkn].reshape(shape)
+    g, g_hat = z[:, :mkn].reshape(shape), z[:, mkn:2 * mkn].reshape(shape)   # views of z
+    g *= np.sqrt(model.beta)[None, :, :, None]
     kp = model.num_devices * stats.pilot_power
-    pilot_noise = z[:, mkn:2 * mkn].reshape(shape) / np.sqrt(kp)[None, None, :, None]
-    gain = (kp[None, :] * model.beta / (kp[None, :] * model.beta + 1.0))
-    g_hat = gain[None, :, :, None] * (g + pilot_noise)
+    g_hat /= np.sqrt(kp)[None, None, :, None]        # the pilot noise
+    g_hat += g
+    g_hat *= (kp[None, :] * model.beta / (kp[None, :] * model.beta + 1.0))[None, :, :, None]
     noise = z[:, 2 * mkn:].reshape(trials, m, n_antennas)
     return ChannelRealization(g=g, g_hat=g_hat, noise=noise)

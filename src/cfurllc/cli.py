@@ -84,7 +84,7 @@ def _tightness_point(task):
     closed = fbl.lb_sinr(fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder), p)
     lb = fbl.lb_rate(closed, params, np.arange(k))
     mean, ci = montecarlo.ergodic_rate(model, stats, p, decoder, trials,
-                                       seed + dep, cfg.antennas_per_ap, params)
+                                       seed + dep, cfg.antennas_per_ap, params, workers=1)
     return (float(model.weights @ lb), float(model.weights @ mean),
             float(model.weights @ ci))
 

@@ -566,12 +566,12 @@ def _primal_dual(rows, g0, c, z, first, t, budget):
     is held there until the iterate is centered (scaled dual residual at most
     eta / m); after that t = mu m / eta. The objective's Hessian is
     sum c_i Hess f_i, so the Newton matrix is sum (lam_i + c_i) Hess f_i +
-    J^T diag(lam / -f) J (B&V §11.7). The step
-    goes BOUNDARY_FRACTION of the way to the nearest lambda = 0 at most, and
-    backtracks until the point lies inside the domain and the residual norm
-    ||(r_dual, r_cent)|| falls enough. Each trial point is evaluated once,
-    and an accepted point's rows serve its Newton step; the derivatives at
-    a point outside the domain may be inf or nan and are never used.
+    J^T diag(lam / -f) J (B&V §11.7). The step goes BOUNDARY_FRACTION of the
+    way to the nearest lambda = 0 at most, and backtracks until the point lies
+    inside the domain and the residual norm ||(r_dual, r_cent)|| falls enough.
+    It skips the trial points where the convex rows' lower bound f + s J step
+    is positive and evaluates every other one once; an accepted point's rows
+    serve its Newton step, and derivatives off the domain (inf, nan) go unused.
     """
     f, jac, hess = first
     lam = 1.0 / (t * -f)
@@ -592,22 +592,24 @@ def _primal_dual(rows, g0, c, z, first, t, budget):
         d = lam / -f
         step = _newton_direction(hess(lam + c) + jac.T @ (d[:, None] * jac),
                                  grad + jac.T @ inv)
-        dlam = d * (jac @ step) - lam + inv
+        jd = jac @ step
+        dlam = d * jd - lam + inv
         shrinking = dlam < 0
         s = min(1.0, float(np.min(-lam[shrinking] / dlam[shrinking]))) \
             if np.any(shrinking) else 1.0
         s *= BOUNDARY_FRACTION
         norm = math.hypot(np.linalg.norm(r_dual), np.linalg.norm(lam * -f - 1.0 / t))
         for _ in range(_MAX_BACKTRACKS):
-            cand = z + s * step
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                cf, cjac, chess = rows(cand)
-            if np.all(cf < 0):
-                clam = lam + s * dlam
-                cnorm = math.hypot(np.linalg.norm(g0 + cjac.T @ (clam + c)),
-                                   np.linalg.norm(clam * -cf - 1.0 / t))
-                if cnorm <= (1.0 - RESIDUAL_DECREASE * s) * norm:
-                    break
+            if not np.any(f + s * jd > 0):
+                cand = z + s * step
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    cf, cjac, chess = rows(cand)
+                if np.all(cf < 0):
+                    clam = lam + s * dlam
+                    cnorm = math.hypot(np.linalg.norm(g0 + cjac.T @ (clam + c)),
+                                       np.linalg.norm(clam * -cf - 1.0 / t))
+                    if cnorm <= (1.0 - RESIDUAL_DECREASE * s) * norm:
+                        break
             s *= BACKTRACK_SHRINK
         else:
             raise GpError("primal-dual line search made no progress")

@@ -12,6 +12,8 @@ its index and TRIAL_BLOCK, but not on the trial count or the order of evaluation
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +130,8 @@ def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
 
 def simulate(model: LargeScaleModel, stats: EstimationStats,
              payload_power: np.ndarray, decoder: str, trials: int, seed: int,
-             n_antennas: int, params: fbl.FblParams) -> TrialOutcome:
+             n_antennas: int, params: fbl.FblParams, *,
+             workers: int | None = None) -> TrialOutcome:
     """Run `trials` independent channel draws and concatenate the outcomes.
 
     Block b holds trials b*TRIAL_BLOCK onwards and is drawn by one
@@ -137,19 +140,42 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     its index and TRIAL_BLOCK, not on the trial count or the order of
     evaluation. A rank-deficient zero-forcing estimate raises RuntimeError
     naming the trial: it has probability zero, and a degenerate input (a zero
-    estimate when K p beta underflows) recurs on every draw.
+    estimate when K p beta underflows) recurs on every draw. Blocks run on
+    `workers` threads (None: all usable CPUs; 1: no pool) and are consumed in
+    order; block b + workers starts once block b is consumed.
     """
     fbl.check_decoder(decoder)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    outcomes = []
-    for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
-        count = min(TRIAL_BLOCK, trials - start)
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be None or an int >= 1, got {workers!r}")
+    blocks = range(-(-trials // TRIAL_BLOCK))
+    workers = min(workers, len(blocks))
+
+    def run(block):
+        start = block * TRIAL_BLOCK
         real = draw_channel(model, stats, n_antennas, substream(seed, block, 0),
-                            trials=count)
-        outcomes.append(
-            decode_mrc(real, model, stats, payload_power, n_antennas, params) if decoder == "mrc"
-            else decode_fzf(real, model, stats, payload_power, n_antennas, params, start))
+                            trials=min(TRIAL_BLOCK, trials - start))
+        if decoder == "mrc":
+            return decode_mrc(real, model, stats, payload_power, n_antennas, params)
+        return decode_fzf(real, model, stats, payload_power, n_antennas, params, start)
+    if workers == 1:
+        outcomes = [run(block) for block in blocks]
+    else:
+        outcomes, window = [], []
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                for block in blocks:
+                    window.append(pool.submit(run, block))
+                    if len(window) == workers:
+                        outcomes.append(window.pop(0).result())
+                outcomes.extend(future.result() for future in window)
+            finally:     # after a failure no queued block starts; read the started ones
+                for future in window:
+                    future.cancel() or future.exception()
     per_trial = {name: np.concatenate([getattr(o, name) for o in outcomes])
                  for name in ("ls2", "ui2", "n2", "sinr", "rate")}
     return TrialOutcome(ds2=outcomes[0].ds2, **per_trial)
@@ -157,12 +183,13 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
 
 def ergodic_rate(model: LargeScaleModel, stats: EstimationStats,
                  payload_power: np.ndarray, decoder: str, trials: int, seed: int,
-                 n_antennas: int, params: fbl.FblParams) -> tuple[np.ndarray, np.ndarray]:
+                 n_antennas: int, params: fbl.FblParams, *,
+                 workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-device mean rate and normal-approximation 95% confidence half-width."""
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful estimate")
     out = simulate(model, stats, payload_power, decoder, trials, seed,
-                   n_antennas, params)
+                   n_antennas, params, workers=workers)
     mean = out.rate.mean(axis=0)
     half = 1.96 * out.rate.std(axis=0, ddof=1) / np.sqrt(out.trials)
     return mean, half

@@ -3,7 +3,8 @@ kept in the log domain, for `fbl.lb_sinr_*` and the gain fits in `approx`;
 the textbook normal-approximation rate, for `fbl.lb_rate`; a bisection that
 starts at the rate kernel's zero, for `fbl.rate_kernel_inverse`; and the
 closed-form means of every decoder term, for the Monte-Carlo validator in
-`montecarlo`.
+`montecarlo`; and the out-of-place channel-draw arithmetic, for the in-place
+`channel.draw_channel`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfurllc.channel import EstimationStats
+from cfurllc.channel import ChannelRealization, EstimationStats
 from cfurllc.approx import MonomialFit
 from cfurllc.fbl import FblParams, _logsumexp, rate_kernel
 from cfurllc.scenario import LargeScaleModel
@@ -224,3 +225,22 @@ def expected_terms_fzf(model: LargeScaleModel, stats: EstimationStats,
                 ui2[k, j] = pd[j] * float(stats.err_var[idx, j].sum())
         n2[k] = float(len(idx))
     return {"ds2": ds2, "ls2": ls2, "ui2": ui2, "n2": n2}
+
+
+def draw_channel_out_of_place(model: LargeScaleModel, stats: EstimationStats,
+                              n_antennas: int, rng: np.random.Generator,
+                              trials: int = 1) -> ChannelRealization:
+    """`channel.draw_channel` with a new array for every intermediate: the same
+    fill and the same multiplications in the same order."""
+    m, k = model.beta.shape
+    mkn = m * k * n_antennas
+    z = rng.standard_normal((trials, 2 * (2 * mkn + m * n_antennas))).view(complex)
+    z *= np.sqrt(0.5)
+    shape = (trials, m, k, n_antennas)
+    g = np.sqrt(model.beta)[None, :, :, None] * z[:, :mkn].reshape(shape)
+    kp = model.num_devices * stats.pilot_power
+    pilot_noise = z[:, mkn:2 * mkn].reshape(shape) / np.sqrt(kp)[None, None, :, None]
+    gain = (kp[None, :] * model.beta / (kp[None, :] * model.beta + 1.0))
+    g_hat = gain[None, :, :, None] * (g + pilot_noise)
+    noise = z[:, 2 * mkn:].reshape(trials, m, n_antennas)
+    return ChannelRealization(g=g, g_hat=g_hat, noise=noise)

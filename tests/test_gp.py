@@ -678,3 +678,75 @@ def test_warm_step_gps_converge_in_few_newton_steps(decoder, desk_step_gps):
     steps = [sol.iterations for _, _, sol, _ in desk_step_gps[decoder]]
     assert max(steps) <= 40
     assert np.median(steps) <= 30
+
+
+def test_line_search_skips_only_points_outside_the_domain(monkeypatch):
+    # the rows are convex in the log variables, so f + s J d bounds them from
+    # below and a positive bound rules a trial point out unevaluated; replay
+    # every line search of desk solves' max-slack and step GPs, evaluate each
+    # skipped point anyway and find a row >= 0 there
+    from cfurllc import optimizer
+    from cfurllc.scenario import SystemConfig, generate_topology
+    searches, active = [], []
+    original, direction = gp._primal_dual, gp._newton_direction
+
+    def spy(rows, g0, c, z, first, t, budget):
+        run = {"rows": rows, "t": t, "iterates": [], "steps": [],
+               "evals": {z.tobytes(): first[:2]}}
+
+        def recorded(y):
+            out = rows(y)
+            run["evals"][y.tobytes()] = out[:2]
+            return out
+
+        searches.append(run)
+        iterates = original(recorded, g0, c, z, first, t, budget)
+        while True:
+            active.append(run)
+            try:
+                it = next(iterates)
+            finally:
+                active.pop()
+            run["iterates"].append(it)
+            yield it
+
+    def newton(hess, grad):
+        step = direction(hess, grad)
+        if active:
+            active[-1]["steps"].append(step)
+        return step
+
+    monkeypatch.setattr(gp, "_primal_dual", spy)
+    monkeypatch.setattr(gp, "_newton_direction", newton)
+    cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12, energy_budget=5e12)
+    model = generate_topology(cfg, seed=1)
+    for decoder in ("mrc", "fzf"):
+        del searches[:]
+        assert optimizer.solve(model, cfg, decoder).status == "optimal"
+        skipped = evaluated = 0
+        for run in searches:
+            t, held = run["t"], True
+            for it, step in zip(run["iterates"], run["steps"]):
+                # the barrier parameter and multiplier step of _primal_dual
+                m = it.f.size
+                if held and it.dual <= it.eta / m:
+                    held = False
+                if not held:
+                    t = gp.GAP_REDUCTION * m / it.eta
+                f, jac = run["evals"][it.z.tobytes()]
+                jd = jac @ step
+                dlam = it.lam / -f * jd - it.lam + 1.0 / (t * -f)
+                shrinking = dlam < 0
+                s = min(1.0, float(np.min(-it.lam[shrinking] / dlam[shrinking]))) \
+                    if np.any(shrinking) else 1.0
+                s *= gp.BOUNDARY_FRACTION
+                while np.any(f + s * jd > 0):
+                    with np.errstate(all="ignore"):
+                        cf = run["rows"](it.z + s * step)[0]
+                    assert np.any(cf >= 0)
+                    skipped += 1
+                    s *= gp.BACKTRACK_SHRINK
+                # the replay is exact: the first point not skipped was evaluated
+                assert (it.z + s * step).tobytes() in run["evals"]
+                evaluated += 1
+        assert skipped > 0 and evaluated > 20, (decoder, skipped, evaluated)

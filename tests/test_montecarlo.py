@@ -1,12 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from cfurllc import fbl, montecarlo as mc
-from cfurllc.channel import estimation_stats, substream
+from cfurllc.channel import draw_channel, estimation_stats, substream
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.scenario import SystemConfig, generate_topology
 
-from oracles import expected_terms_fzf, expected_terms_mrc
+from oracles import draw_channel_out_of_place, expected_terms_fzf, expected_terms_mrc
 
 
 def validation_setup(pilot=2e10, payload=2e10):
@@ -103,6 +106,61 @@ def test_simulation_deterministic_and_order_independent():
         assert not np.array_equal(a.sinr, d.sinr)
 
 
+def _simulate_within(seconds, *args, **kwargs):
+    """mc.simulate on its own thread; fails instead of hanging past `seconds`."""
+    out = []
+    runner = threading.Thread(target=lambda: out.append(mc.simulate(*args, **kwargs)),
+                              daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive() and len(out) == 1
+    return out[0]
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_simulation_identical_on_any_number_of_workers(decoder):
+    cfg, model, params, stats, pd = validation_setup()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often to shake out interleavings
+    try:
+        for count in (1, mc.TRIAL_BLOCK - 1, mc.TRIAL_BLOCK, mc.TRIAL_BLOCK + 1,
+                      2 * mc.TRIAL_BLOCK + 1, 300):
+            # 8 workers: more threads than cores, and than blocks at most counts
+            runs = [_simulate_within(60, model, stats, pd, decoder, count, seed=5,
+                                     n_antennas=8, params=params, workers=workers)
+                    for workers in (1, 2, 8)]
+            for out in runs[1:]:
+                assert np.array_equal(out.ds2, runs[0].ds2)
+                for name in ("ls2", "ui2", "n2", "sinr", "rate"):
+                    assert np.array_equal(getattr(out, name), getattr(runs[0], name)), \
+                        (decoder, count, name)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+def test_workers_must_be_a_positive_int(workers):
+    cfg, model, params, stats, pd = validation_setup()
+    with pytest.raises(ValueError, match="workers must be"):
+        mc.simulate(model, stats, pd, "mrc", 100, seed=8, n_antennas=8,
+                    params=params, workers=workers)
+    with pytest.raises(ValueError, match="workers must be"):
+        mc.ergodic_rate(model, stats, pd, "mrc", 100, 8, 8, params, workers=workers)
+
+
+@pytest.mark.parametrize("aps", [1, 4, 9])
+def test_in_place_draw_matches_out_of_place_arithmetic(aps):
+    cfg = SystemConfig(num_devices=3, num_aps=aps, antennas_per_ap=8)
+    model = generate_topology(cfg, seed=3)
+    stats = estimation_stats(model, np.array([2e10, 3e9, 7e11]))
+    for trials in (1, mc.TRIAL_BLOCK):
+        got = draw_channel(model, stats, 8, substream(5, 1, 0), trials=trials)
+        want = draw_channel_out_of_place(model, stats, 8, substream(5, 1, 0),
+                                         trials=trials)
+        for name in ("g", "g_hat", "noise"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def _block_stream_key(seed, trial):
     rng = substream(seed, trial // mc.TRIAL_BLOCK, 0)
     return rng.bit_generator.state["state"]["key"].tolist()
@@ -128,9 +186,36 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
     with pytest.raises(RuntimeError,
                        match=f"^trial {target}: estimated channel rank-deficient$"):
         mc.simulate(model, stats, pd, "fzf", 3 * mc.TRIAL_BLOCK, seed=seed,
-                    n_antennas=8, params=params)
+                    n_antennas=8, params=params, workers=1)
     # the block draws up to the failing trial's, and no draw after it
     assert keys == [_block_stream_key(seed, 0), _block_stream_key(seed, target)]
+
+
+def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
+    cfg, model, params, stats, pd = validation_setup()
+    seed, blocks = 5, 6
+    targets = (mc.TRIAL_BLOCK + 7, 2 * mc.TRIAL_BLOCK + 3)     # blocks 1 and 2
+    draw, keys = mc.draw_channel, []
+
+    def degenerate(model, stats, n_antennas, rng, trials=1):
+        real = draw(model, stats, n_antennas, rng, trials)
+        keys.append(rng.bit_generator.state["state"]["key"].tolist())
+        for target in targets:
+            if keys[-1] == _block_stream_key(seed, target):
+                real.g_hat[target % mc.TRIAL_BLOCK, 1, 2] = 0.0
+        return real
+
+    monkeypatch.setattr(mc, "draw_channel", degenerate)
+    with pytest.raises(RuntimeError,
+                       match=f"^trial {targets[0]}: estimated channel rank-deficient$"):
+        mc.simulate(model, stats, pd, "fzf", blocks * mc.TRIAL_BLOCK, seed=seed,
+                    n_antennas=8, params=params, workers=2)
+    # each block is drawn at most once, and with two in flight nothing past
+    # block 2 starts once block 1 fails
+    block_keys = [_block_stream_key(seed, b * mc.TRIAL_BLOCK) for b in range(blocks)]
+    assert len(set(map(tuple, keys))) == len(keys)
+    assert all(key in block_keys[:3] for key in keys)
+    assert block_keys[1] in keys
 
 
 def test_persistently_degenerate_trial_raises(monkeypatch):
