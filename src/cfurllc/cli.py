@@ -6,16 +6,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import math
 import os
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import approx, fbl, montecarlo, optimizer
+from . import fbl, montecarlo, optimizer
 from .channel import estimation_stats
-from .gp import Const, GpModel, Monomial, Sum
 from .scenario import (ConfigError, SystemConfig, config_hash, generate_topology,
                        load_config)
 
@@ -153,7 +151,7 @@ def _converge_rows(key, res):
     """Every iterate of the one (decoder, M, N) solve."""
     return [key + [rec["iteration"], rec["objective"], rec["gp_status"]]
             + rec["sinr"] + rec["pilot"] + rec["payload"]
-            for rec in res[0].trace.rows(key[0])]
+            for rec in res[0].trace.rows()]
 
 
 def _threshold_rows(key, res):
@@ -251,118 +249,6 @@ def run_experiment(name: str, base: SystemConfig, profile: dict, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# GP self-test
-# ---------------------------------------------------------------------------
-
-def random_two_var_problem(rng: np.random.Generator) -> GpModel:
-    """Bounded random GP in two variables with a monomial objective."""
-    m = GpModel()
-    x = m.variable("x")
-    y = m.variable("y")
-    m.maximize(Monomial(1.0, {0: float(rng.uniform(0.2, 1.5)),
-                              1: float(rng.uniform(0.2, 1.5))}))
-    cap = float(rng.uniform(2.0, 8.0))
-    m.add_le(Sum([x, y]), Const(cap))
-    for _ in range(rng.integers(1, 3)):
-        terms = [Monomial(float(rng.uniform(0.2, 2.0)),
-                          {0: float(rng.uniform(0.0, 2.0)),
-                           1: float(rng.uniform(0.0, 2.0))})
-                 for _ in range(rng.integers(1, 4))]
-        m.add_le(Sum(terms), Const(float(rng.uniform(2.0, 30.0))))
-    return m
-
-
-def _eval_on_grid(expr, logx: np.ndarray, logy: np.ndarray) -> np.ndarray:
-    """Vectorized positive-space value of a monomial or a sum of monomials."""
-    if isinstance(expr, Monomial):
-        e = dict(expr.exponents)
-        return np.exp(expr.log_coeff + e.get(0, 0.0) * logx + e.get(1, 0.0) * logy)
-    if isinstance(expr, Sum):
-        return sum(_eval_on_grid(t, logx, logy) for t in expr.terms)
-    raise TypeError(f"grid oracle cannot evaluate {type(expr).__name__}")
-
-
-def grid_optimum(m: GpModel, span=(1e-3, 10.0), coarse=1000, refine=1000) -> float:
-    """Two-stage log-grid enumeration of a 2-variable GP's optimum."""
-    lo, hi = math.log(span[0]), math.log(span[1])
-
-    def stage(l0, l1, m0, m1, points):
-        gx = np.linspace(l0, l1, points)
-        gy = np.linspace(m0, m1, points)
-        xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        feas = np.ones(xx.shape, dtype=bool)
-        for c in m._constraints:
-            feas &= (_eval_on_grid(c.lhs, xx, yy)
-                     <= _eval_on_grid(c.rhs, xx, yy) * (1 + 1e-12))
-        objs = _eval_on_grid(m._objective, xx, yy)
-        objs[~feas] = -np.inf
-        best = np.unravel_index(int(np.argmax(objs)), objs.shape)
-        return float(objs[best]), (gx[best[0]], gy[best[1]]), (gx[1] - gx[0], gy[1] - gy[0])
-
-    val, pt, step = stage(lo, hi, lo, hi, coarse)
-    val2, _, _ = stage(pt[0] - 2 * step[0], pt[0] + 2 * step[0],
-                       pt[1] - 2 * step[1], pt[1] + 2 * step[1], refine)
-    return max(val, val2)
-
-
-def run_gp_selftest(seed: int) -> int:
-    failures = 0
-
-    def check(name, ok, detail=""):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
-        failures += 0 if ok else 1
-
-    rng = np.random.default_rng(seed)
-    # tangent-bound suites
-    worst = 0.0
-    for _ in range(1000):
-        x_hat = float(rng.uniform(0.05, 20.0))
-        x = float(rng.uniform(0.001, 50.0))
-        rho, delta = approx.log1p_tangent(x_hat)
-        worst = min(worst, math.log1p(x) - (rho * math.log(x) + delta))
-    check("log1p-tangent-lower-bound", worst >= -1e-12, f"worst={worst:.2e}")
-
-    worst = 0.0
-    for _ in range(1000):
-        x_hat = float(rng.uniform(approx.PENALTY_TANGENT_MIN, 20.0))
-        x = float(rng.uniform(approx.PENALTY_TANGENT_MIN, 50.0))
-        rho_t, delta_t = approx.penalty_tangent(x_hat)
-        worst = min(worst, (rho_t * math.log(x) + delta_t) - fbl.penalty_factor(x))
-    check("penalty-tangent-upper-bound", worst >= -1e-12, f"worst={worst:.2e}")
-
-    # Jacobian of compiled posynomial rows against central differences
-    prob = random_two_var_problem(rng)
-    y0 = rng.normal(0.0, 0.5, 2)
-    _, jac, _ = prob._constraint_eval(y0)
-    eps = 1e-6
-    fd = np.column_stack([(prob._constraint_eval(y0 + d)[0]
-                           - prob._constraint_eval(y0 - d)[0]) / (2 * eps)
-                          for d in eps * np.eye(2)])
-    delta = float(np.max(np.abs(jac - fd)))
-    check("posynomial-jacobian-fd", delta < 1e-6, f"delta={delta:.2e}")
-
-    # solver vs grid enumeration
-    worst_rel = 0.0
-    sample_dump = None
-    for i in range(10):
-        prob = random_two_var_problem(np.random.default_rng(seed + i))
-        if sample_dump is None:
-            sample_dump = prob.dump()
-        sol = prob.solve()
-        if sol.status != "optimal":
-            check(f"gp-oracle-{i}", False, f"status={sol.status}")
-            continue
-        ref = grid_optimum(prob)
-        rel = abs(sol.objective - ref) / ref
-        worst_rel = max(worst_rel, rel)
-    check("gp-grid-oracle", worst_rel < 1e-3, f"worst rel={worst_rel:.2e}")
-    print("sample normalized problem (s-expression):")
-    print(sample_dump)
-    return failures
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -389,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"Monte-Carlo trials per point (>= {montecarlo.MIN_TRIALS})")
     parser.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="worker processes for independent deployments (>= 1)")
-    parser.add_argument("experiment", choices=[*EXPERIMENTS, "gp-selftest"])
+    parser.add_argument("experiment", choices=list(EXPERIMENTS))
     return parser
 
 
@@ -409,9 +295,6 @@ def main(argv=None) -> int:
     seed = base.master_seed
     trials = args.trials if args.trials is not None else profile["trials"]
     os.makedirs(args.out, exist_ok=True)
-
-    if args.experiment == "gp-selftest":
-        return 1 if run_gp_selftest(seed) else 0
     print(run_experiment(args.experiment, base, profile, seed, args.out, trials,
                          args.threads))
     return 0

@@ -48,20 +48,15 @@ class GpModelError(GpError):
 # Expressions: monomials and sums of monomials
 # ---------------------------------------------------------------------------
 
-class Expr:
-    def dump(self) -> str:
-        raise NotImplementedError
-
-
-def _coerce(obj) -> Expr:
-    if isinstance(obj, Expr):
+def _coerce(obj) -> Monomial | Sum:
+    if isinstance(obj, (Monomial, Sum)):
         return obj
     if isinstance(obj, (int, float)):
         return Const(float(obj))
     raise GpModelError(f"cannot use {obj!r} in a GP expression")
 
 
-class Monomial(Expr):
+class Monomial:
     """coeff * prod_i x_i^a_i for positive coeff: affine in log variables."""
 
     def __init__(self, coeff: float, exponents: dict[int, float]):
@@ -79,19 +74,12 @@ class Monomial(Expr):
         g[self._idx] = self._exp
         return val, g
 
-    def dump(self):
-        parts = " ".join(f"(v{i} {a:.12g})" for i, a in sorted(self.exponents.items()))
-        return f"(mono {math.exp(self.log_coeff):.12g} {parts})"
-
 
 class Const(Monomial):
     def __init__(self, value: float):
         if not (value > 0 and math.isfinite(value)):
             raise GpModelError(f"constants must be positive and finite, got {value}")
         super().__init__(value, {})
-
-    def dump(self):
-        return f"(const {math.exp(self.log_coeff):.12g})"
 
 
 class Var(Monomial):
@@ -100,11 +88,8 @@ class Var(Monomial):
         self.index = index
         self.name = name
 
-    def dump(self):
-        return f"(var {self.name})"
 
-
-class Sum(Expr):
+class Sum:
     """A posynomial: a sum of monomials, nested sums flattened."""
 
     def __init__(self, terms):
@@ -114,12 +99,7 @@ class Sum(Expr):
             flat.extend(t.terms if isinstance(t, Sum) else [t])
         if not flat:
             raise GpModelError("empty sum")
-        if not all(isinstance(t, Monomial) for t in flat):
-            raise GpModelError("every term of a sum must be a monomial")
         self.terms = flat
-
-    def dump(self):
-        return "(+ " + " ".join(t.dump() for t in self.terms) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +155,6 @@ class RowBlock:
     size: int
 
     def log_eval(self, y: np.ndarray):
-        raise NotImplementedError
-
-    def dump(self) -> str:
         raise NotImplementedError
 
 
@@ -329,9 +306,6 @@ class GpModel:
         lhs, rhs = _coerce(lhs), _coerce(rhs)
         if not isinstance(rhs, Monomial):
             raise GpModelError("constraint right-hand side must be a monomial")
-        if not isinstance(lhs, (Monomial, Sum)):
-            raise GpModelError("constraint left-hand side must be a monomial or a "
-                               f"posynomial, got {type(lhs).__name__}")
         self._constraints.append(_Constraint(lhs, rhs, _row_weights([weight], 1)))
         self._compiled = None
 
@@ -350,18 +324,6 @@ class GpModel:
         """Log-space slack log(lhs) - log(rhs) per constraint row; <= 0 means satisfied."""
         y = np.log(np.asarray(x, dtype=float))
         return self._constraint_eval(y)[0]
-
-    def dump(self) -> str:
-        lines = ["(gp", "  (vars " + " ".join(self.names) + ")",
-                 f"  (max {self._objective.dump()})"]
-        for c in self._constraints:
-            w = " ".join(f"{v:.12g}" for v in c.weights)
-            if isinstance(c, _BlockConstraint):
-                rhs = " ".join(r.dump() for r in c.rhs)
-                lines.append(f"  (le-block {c.lhs.dump()} ({rhs}) (w {w}))")
-            else:
-                lines.append(f"  (le {c.lhs.dump()} {c.rhs.dump()} (w {w}))")
-        return "\n".join(lines) + ")"
 
     # -- evaluation ----------------------------------------------------------
     def _compile(self):

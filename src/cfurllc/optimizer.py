@@ -60,11 +60,11 @@ class IterationTrace:
         self.allocations.append(alloc)
         self.gp_status.append(gp_status)
 
-    def rows(self, decoder: str):
+    def rows(self):
         for i, obj in enumerate(self.objective):
             alloc = self.allocations[i]
             yield {
-                "decoder": decoder, "iteration": i, "objective": obj,
+                "iteration": i, "objective": obj,
                 "sinr": list(self.sinr[i]), "pilot": list(alloc.pilot),
                 "payload": list(alloc.payload),
                 "gp_status": self.gp_status[i],
@@ -174,10 +174,6 @@ class _SinrBlock(gp.RowBlock):
         h[self._sub] = sub
         return h
 
-    def dump(self):
-        return (f"({self.kind} (pp {' '.join(str(i) for i in self.pp_idx)}) "
-                f"(pd {' '.join(str(i) for i in self.pd_idx)}))")
-
 
 def _padded_sets(model: LargeScaleModel):
     """Service sets padded to a common size: (K, S) AP indices and a mask."""
@@ -198,8 +194,6 @@ class MrcSinrBlock(_SinrBlock):
     with the factors of the service set of device k. Padded service-set slots
     carry b = 0 and log-coefficient -inf, so they add nothing.
     """
-
-    kind = "mrc-sinr-block"
 
     def __init__(self, model: LargeScaleModel, pp, pd):
         super().__init__(pp, pd)
@@ -265,8 +259,6 @@ class FzfSinrBlock(_SinrBlock):
     over the service set of device k. Padded slots carry b = 0 and
     log-coefficient -inf, so they add nothing.
     """
-
-    kind = "fzf-sinr-block"
 
     def __init__(self, model: LargeScaleModel, pp, pd):
         super().__init__(pp, pd)

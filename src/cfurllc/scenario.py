@@ -68,7 +68,8 @@ class SystemConfig:
         if not 0.0 < self.dep_target <= 0.5:
             raise ConfigError("dep_target must lie in (0, 0.5]")
         for name in ("bandwidth_hz", "rate_req_bps", "energy_budget", "area_side_m",
-                     "carrier_freq_mhz", "ap_height_m", "device_height_m", "gp_tolerance"):
+                     "carrier_freq_mhz", "ap_height_m", "device_height_m", "gp_tolerance",
+                     "sca_tolerance"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.near_breakpoint_m <= 0 or self.far_breakpoint_m <= self.near_breakpoint_m:

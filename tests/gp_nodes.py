@@ -6,6 +6,9 @@ monomials and sums and the nodes defined here: sums of any nodes, products,
 powers and the fused single-variable family `PosyProductSum`. The compiled
 constraint rows of `cfurllc.gp` and the batched SINR blocks of
 `cfurllc.optimizer` are checked against it.
+
+`random_two_var_problem` and `grid_optimum` are the second oracle: bounded
+random GPs in two variables and their optimum by log-grid enumeration.
 """
 
 from __future__ import annotations
@@ -109,3 +112,54 @@ class NodeRows(gp.RowBlock):
         def hess(weights):
             return sum(w * p[2] for w, p in zip(weights, parts))
         return np.array([p[0] for p in parts]), np.array([p[1] for p in parts]), hess
+
+
+def random_two_var_problem(rng: np.random.Generator) -> gp.GpModel:
+    """Bounded random GP in two variables with a monomial objective."""
+    m = gp.GpModel()
+    x = m.variable("x")
+    y = m.variable("y")
+    m.maximize(gp.Monomial(1.0, {0: float(rng.uniform(0.2, 1.5)),
+                                 1: float(rng.uniform(0.2, 1.5))}))
+    cap = float(rng.uniform(2.0, 8.0))
+    m.add_le(gp.Sum([x, y]), gp.Const(cap))
+    for _ in range(rng.integers(1, 3)):
+        terms = [gp.Monomial(float(rng.uniform(0.2, 2.0)),
+                             {0: float(rng.uniform(0.0, 2.0)),
+                              1: float(rng.uniform(0.0, 2.0))})
+                 for _ in range(rng.integers(1, 4))]
+        m.add_le(gp.Sum(terms), gp.Const(float(rng.uniform(2.0, 30.0))))
+    return m
+
+
+def _eval_on_grid(expr, logx: np.ndarray, logy: np.ndarray) -> np.ndarray:
+    """Vectorized positive-space value of a monomial or a sum of monomials."""
+    if isinstance(expr, gp.Monomial):
+        e = dict(expr.exponents)
+        return np.exp(expr.log_coeff + e.get(0, 0.0) * logx + e.get(1, 0.0) * logy)
+    if isinstance(expr, gp.Sum):
+        return sum(_eval_on_grid(t, logx, logy) for t in expr.terms)
+    raise TypeError(f"grid oracle cannot evaluate {type(expr).__name__}")
+
+
+def grid_optimum(m: gp.GpModel, span=(1e-3, 10.0), coarse=1000, refine=1000) -> float:
+    """Two-stage log-grid enumeration of a 2-variable GP's optimum."""
+    lo, hi = math.log(span[0]), math.log(span[1])
+
+    def stage(l0, l1, m0, m1, points):
+        gx = np.linspace(l0, l1, points)
+        gy = np.linspace(m0, m1, points)
+        xx, yy = np.meshgrid(gx, gy, indexing="ij")
+        feas = np.ones(xx.shape, dtype=bool)
+        for c in m._constraints:
+            feas &= (_eval_on_grid(c.lhs, xx, yy)
+                     <= _eval_on_grid(c.rhs, xx, yy) * (1 + 1e-12))
+        objs = _eval_on_grid(m._objective, xx, yy)
+        objs[~feas] = -np.inf
+        best = np.unravel_index(int(np.argmax(objs)), objs.shape)
+        return float(objs[best]), (gx[best[0]], gy[best[1]]), (gx[1] - gx[0], gy[1] - gy[0])
+
+    val, pt, step = stage(lo, hi, lo, hi, coarse)
+    val2, _, _ = stage(pt[0] - 2 * step[0], pt[0] + 2 * step[0],
+                       pt[1] - 2 * step[1], pt[1] + 2 * step[1], refine)
+    return max(val, val2)

@@ -102,7 +102,7 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     out = tmp_path / "out"
     for line in ("gp_tolerance = 0", "gp_tolerance = -1", "energy_budget = nan",
                  "rate_req_bps = inf", "num_devices = 0", "num_aps = 0",
-                 "master_seed = -3"):
+                 "master_seed = -3", "sca_tolerance = -1"):
         bad.write_text(line + "\n")
         rc = cli.main(["--config", str(bad), "--out", str(out), "converge"])
         assert rc == 2, line
@@ -128,14 +128,6 @@ def test_main_rejects_too_few_trials(trials, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
-
-
-def test_main_runs_gp_selftest(capsys):
-    rc = cli.main(["--seed", "3", "gp-selftest"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "PASS posynomial-jacobian-fd" in out
-    assert "PASS gp-grid-oracle" in out
 
 
 def test_threshold_sweep_emits_both_statistics(tmp_path):

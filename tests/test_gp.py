@@ -6,7 +6,8 @@ import pytest
 
 import gp_nodes as nodes
 from cfurllc import gp
-from cfurllc.gp import Const, Expr, GpModel, GpModelError, Monomial, Sum
+from cfurllc.gp import Const, GpModel, GpModelError, Monomial, Sum
+from gp_nodes import grid_optimum, random_two_var_problem
 
 
 def random_expr(rng, n_vars, model, depth=0):
@@ -76,9 +77,8 @@ def test_objective_must_be_monomial_for_max():
 
 
 def test_foreign_left_hand_side_rejected_when_added():
-    class Foreign(Expr):
-        def dump(self):
-            return "(foreign)"
+    class Foreign:
+        pass
 
     m = GpModel()
     x = m.variable("x")
@@ -174,7 +174,6 @@ def test_infeasible_detection():
 
 
 def test_optimal_solutions_satisfy_all_constraints(rng):
-    from cfurllc.cli import random_two_var_problem
     for i in range(20):
         prob = random_two_var_problem(np.random.default_rng(100 + i))
         sol = prob.solve()
@@ -184,7 +183,6 @@ def test_optimal_solutions_satisfy_all_constraints(rng):
 
 
 def test_grid_oracle_agreement(rng):
-    from cfurllc.cli import grid_optimum, random_two_var_problem
     for i in range(12):
         prob = random_two_var_problem(np.random.default_rng(40 + i))
         sol = prob.solve()
@@ -219,7 +217,6 @@ def test_scaling_invariance(rng):
 
 
 def test_warm_start_agrees_with_cold(rng):
-    from cfurllc.cli import random_two_var_problem
     prob = random_two_var_problem(np.random.default_rng(7))
     cold = prob.solve()
     prob2 = random_two_var_problem(np.random.default_rng(7))
@@ -232,7 +229,6 @@ STARTS = (None, np.array([50.0, 50.0]))     # feasible start, then phase one
 
 @pytest.mark.parametrize("seed", range(10))
 def test_target_below_the_optimum_stops_at_a_strictly_feasible_iterate(seed):
-    from cfurllc.cli import random_two_var_problem
     for start in STARTS:
         prob = random_two_var_problem(np.random.default_rng(seed))
         full = prob.solve(start=start)
@@ -247,7 +243,6 @@ def test_target_below_the_optimum_stops_at_a_strictly_feasible_iterate(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_target_above_the_optimum_changes_nothing(seed):
-    from cfurllc.cli import random_two_var_problem
     for start in STARTS:
         full = random_two_var_problem(np.random.default_rng(seed)).solve(start=start)
         prob = random_two_var_problem(np.random.default_rng(seed))
@@ -266,7 +261,6 @@ def weighted_two_var_problem(seed, epigraph):
     the optimum leaves the other rows' corner. In epigraph form a third
     variable t replaces the weight: maximize objective * t^w subject to
     t * lhs <= rhs and t >= 1."""
-    from cfurllc.cli import random_two_var_problem
     rng = np.random.default_rng(700 + seed)
     m = random_two_var_problem(rng)
     w = float(rng.uniform(1.0, 2.0))
@@ -306,17 +300,6 @@ def test_row_weights_must_be_finite_and_nonnegative():
     with pytest.raises(GpModelError):
         m.add_block_le(nodes.NodeRows([x, x]), [Const(2.0)] * 2, weights=[1.0])
     assert m._constraints == []
-
-
-def test_dump_is_parenthesized_text():
-    m = GpModel()
-    x = m.variable("x")
-    m.maximize(x)
-    m.add_le(Sum([x, Monomial(1.0, {0: -1.0})]), Const(2.0))
-    text = m.dump()
-    assert text.startswith("(gp")
-    assert "(vars x)" in text
-    assert "(le (+ " in text
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +362,6 @@ def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
 
 
 def test_mixed_rows_solve_to_the_node_walk_optimum():
-    from cfurllc.cli import random_two_var_problem
 
     def build(seed, walk):
         prob = random_two_var_problem(np.random.default_rng(seed))
@@ -405,7 +387,6 @@ def test_mixed_rows_solve_to_the_node_walk_optimum():
 
 
 def test_solver_failure_is_a_status(monkeypatch):
-    from cfurllc.cli import random_two_var_problem
 
     def broken(hess, grad):
         raise gp.GpError("Newton system could not be factorized")
@@ -431,7 +412,6 @@ def test_unbounded_gp_is_a_status():
 
 
 def test_newton_budget_is_a_status(monkeypatch):
-    from cfurllc.cli import random_two_var_problem
     for start in (None, np.array([50.0, 50.0])):     # feasible start, then phase one
         full = random_two_var_problem(np.random.default_rng(3)).solve(start=start)
         assert full.status == "optimal"
@@ -553,7 +533,6 @@ def independent_certificate(model, y, lam):
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_optimal_return_meets_the_gap_and_dual_residual_tolerance(
         decoder, desk_step_gps, monkeypatch):
-    from cfurllc.cli import random_two_var_problem
     seen = record_iterates(monkeypatch)
     problems = [(g[0], g[1], g[3]) for g in desk_step_gps[decoder]]
     problems += [(random_two_var_problem(np.random.default_rng(900 + i)), None, 1e-9)

@@ -444,7 +444,7 @@ def test_fixed_pilot_solves_one_max_slack_gp(monkeypatch):
 def test_trace_rows_serialize():
     model = desk_model()
     res = solve_mrc(model, DESK)
-    rows = list(res.trace.rows(MRC))
+    rows = list(res.trace.rows())
     assert rows[0]["iteration"] == 0
     assert len(rows[0]["sinr"]) == 5
     assert rows[-1]["objective"] == max(r["objective"] for r in rows)

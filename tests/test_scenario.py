@@ -135,8 +135,8 @@ def test_config_validation():
         SystemConfig(num_devices=1200, antennas_per_ap=1300, blocklength=1000)
     bad = [("gp_tolerance", 0.0), ("gp_tolerance", -1e-9), ("energy_budget", math.nan),
            ("rate_req_bps", math.inf), ("noise_figure_db", -math.inf),
-           ("sca_tolerance", math.nan), ("num_devices", 0), ("num_aps", 0),
-           ("master_seed", -3)]
+           ("sca_tolerance", math.nan), ("sca_tolerance", 0.0), ("sca_tolerance", -0.01),
+           ("num_devices", 0), ("num_aps", 0), ("master_seed", -3)]
     for name, value in bad:
         with pytest.raises(ConfigError, match=name):
             SystemConfig(**{name: value})
