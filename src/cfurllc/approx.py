@@ -85,7 +85,7 @@ def fzf_gain_monomial(model: LargeScaleModel, pilot_hat: np.ndarray, k: int) -> 
     everywhere. Exponent j is the log-derivative with respect to pilot j.
     """
     p_hat = np.asarray(pilot_hat, dtype=float)
-    if np.any(p_hat <= 0):
+    if (p_hat <= 0).any():
         raise ValueError("expansion pilot powers must be positive")
     idx = list(model.service_sets[k])
     size = len(idx)

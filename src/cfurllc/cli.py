@@ -73,7 +73,7 @@ def _pool_map(fn, tasks, workers: int):
 # ---------------------------------------------------------------------------
 
 def _tightness_point(task):
-    cfg, seed, dep, decoder, power, trials = task
+    cfg, seed, dep, decoder, power, trials, workers = task
     model = generate_topology(cfg, seed=seed + dep)
     params = fbl.FblParams.from_config(cfg)
     k = cfg.num_devices
@@ -82,7 +82,7 @@ def _tightness_point(task):
     closed = fbl.lb_sinr(fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder), p)
     lb = fbl.lb_rate(closed, params, np.arange(k))
     mean, ci = montecarlo.ergodic_rate(model, stats, p, decoder, trials,
-                                       seed + dep, cfg.antennas_per_ap, params, workers=1)
+                                       seed + dep, cfg.antennas_per_ap, params, workers=workers)
     return (float(model.weights @ lb), float(model.weights @ mean),
             float(model.weights @ ci))
 
@@ -175,7 +175,7 @@ class Experiment(NamedTuple):
     grid: Callable          # (base, profile) -> iterable of (key columns, cfg, decoder)
     deployments: str | None  # profile key of deployments per point; None: one, seed + 0
     point: Callable         # task (cfg, seed, deployment, decoder, *args) -> result
-    args: Callable          # (profile, trials) -> the task's args
+    args: Callable          # (profile, trials, workers) -> the task's args
     aggregate: Callable     # (key columns, results of one grid point) -> rows
     header: Callable        # num_devices -> column names
     extra: Callable         # (profile, trials) -> config-hash fields besides the name
@@ -188,7 +188,10 @@ EXPERIMENTS = {
         grid=_tightness_grid,
         deployments="tightness_deployments",
         point=_tightness_point,
-        args=lambda profile, trials: (profile["tightness_power"], trials),
+        # one process: the Monte-Carlo blocks run on its thread pool; several:
+        # the worker processes are the only parallelism
+        args=lambda profile, trials, workers: (profile["tightness_power"], trials,
+                                               None if workers == 1 else 1),
         aggregate=lambda key, res: [key + [float(np.mean([r[i] for r in res]))
                                            for i in range(3)]],
         header=lambda k: ["decoder", "M", "N", "MN", "lb_rate", "ergodic_rate", "ci"],
@@ -197,14 +200,14 @@ EXPERIMENTS = {
         grid=lambda base, profile: [
             ([d, m, n], base.replace(num_aps=m, antennas_per_ap=n), d)
             for d, m, n in _layouts(profile) if n > base.num_devices],
-        deployments=None, point=_solve_point, args=lambda profile, trials: (),
+        deployments=None, point=_solve_point, args=lambda profile, trials, workers: (),
         aggregate=_converge_rows,
         header=lambda k: (["decoder", "M", "N", "iteration", "objective", "gp_status"]
                           + [f"{v}_{i}" for v in ("chi", "pp", "pd") for i in range(k)]),
         extra=lambda profile, trials: {}),
     "threshold-sweep": Experiment(
         grid=_threshold_grid,
-        deployments="deployments", point=_solve_point, args=lambda profile, trials: (),
+        deployments="deployments", point=_solve_point, args=lambda profile, trials, workers: (),
         aggregate=_threshold_rows,
         header=lambda k: ["decoder", "threshold"] + _SUMMARY,
         extra=lambda profile, trials: _threshold_layout(profile)),
@@ -213,7 +216,7 @@ EXPERIMENTS = {
             ([d, m, e], base.replace(num_aps=m, antennas_per_ap=n, energy_budget=e), d)
             for d, m, n in _layouts(profile) if n > base.num_devices
             for e in profile["energy_grid"]],
-        deployments="deployments", point=_scheme_rates, args=lambda profile, trials: (),
+        deployments="deployments", point=_scheme_rates, args=lambda profile, trials, workers: (),
         aggregate=_scheme_rows,
         header=lambda k: ["decoder", "M", "scheme", "energy"] + _SUMMARY,
         extra=lambda profile, trials: {}),
@@ -221,7 +224,7 @@ EXPERIMENTS = {
         grid=lambda base, profile: [
             ([d, m, k], base.replace(num_aps=m, antennas_per_ap=n, num_devices=k), d)
             for d, m, n in _layouts(profile) for k in profile["devices_grid"] if k < n],
-        deployments="deployments", point=_scheme_rates, args=lambda profile, trials: (),
+        deployments="deployments", point=_scheme_rates, args=lambda profile, trials, workers: (),
         aggregate=_scheme_rows,
         header=lambda k: ["decoder", "M", "scheme", "num_devices"] + _SUMMARY,
         extra=lambda profile, trials: {}),
@@ -235,7 +238,7 @@ def run_experiment(name: str, base: SystemConfig, profile: dict, seed: int,
     exp = EXPERIMENTS[name]
     grid = list(exp.grid(base, profile))
     deps = profile[exp.deployments] if exp.deployments else 1
-    args = exp.args(profile, trials)
+    args = exp.args(profile, trials, workers)
     tasks = [(cfg, seed, dep, decoder, *args)
              for _, cfg, decoder in grid for dep in range(deps)]
     res = _pool_map(exp.point, tasks, workers)
@@ -279,6 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     profile = PROFILES[args.profile]
@@ -290,11 +298,15 @@ def main(argv=None) -> int:
         if args.seed is not None:
             base = base.replace(master_seed=args.seed)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
+    except OSError as exc:
+        return _usage_error(f"--config {args.config}: {exc.strerror}")
     seed = base.master_seed
     trials = args.trials if args.trials is not None else profile["trials"]
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _usage_error(f"--out {args.out}: {exc.strerror}")
     print(run_experiment(args.experiment, base, profile, seed, args.out, trials,
                          args.threads))
     return 0

@@ -207,6 +207,5 @@ def lb_sinr_fzf(model: LargeScaleModel, stats: EstimationStats,
 # ---------------------------------------------------------------------------
 
 def _logsumexp(a: np.ndarray, axis=None):
-    m = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m)
-    return out
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze()

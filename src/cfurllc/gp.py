@@ -29,6 +29,7 @@ once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,15 +65,30 @@ class Monomial:
             raise GpModelError(f"monomial coefficient must be positive, got {coeff}")
         self.log_coeff = math.log(coeff)
         self.exponents = dict(exponents)
-        self._idx = np.array(list(self.exponents), dtype=int)
-        self._exp = np.array(list(self.exponents.values()), dtype=float)
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and values of the exponents, made on first evaluation."""
+        return (np.array(tuple(self.exponents), dtype=int),
+                np.array(tuple(self.exponents.values()), dtype=float))
+
+    @staticmethod
+    def from_log(log_coeff: float, exponents: np.ndarray) -> Monomial:
+        """The monomial whose log is log_coeff + exponents . y."""
+        mono = Monomial(1.0, {i: float(a) for i, a in enumerate(exponents) if a != 0.0})
+        mono.log_coeff = float(log_coeff)
+        return mono
+
+    def log_value(self, y: np.ndarray) -> float:
+        """log self(exp(y))."""
+        idx, exp = self._arrays
+        return self.log_coeff + float(y[idx] @ exp)
 
     def log_eval(self, y: np.ndarray):
         """log self(exp(y)) and its (constant) gradient."""
-        val = self.log_coeff + float(y[self._idx] @ self._exp)
         g = np.zeros_like(y)
-        g[self._idx] = self._exp
-        return val, g
+        g[self._arrays[0]] = self._arrays[1]
+        return self.log_value(y), g
 
 
 class Const(Monomial):
@@ -133,8 +149,16 @@ class _Constraint:
 @dataclass
 class _BlockConstraint:
     lhs: RowBlock
-    rhs: tuple[Monomial, ...]     # one per row
+    rhs_log_coeffs: np.ndarray    # r: log coefficient of each row's right-hand side
+    rhs_exponents: np.ndarray     # R: its exponents, one row per row (fewer columns
+                                  # than variables when variables came later)
     weights: np.ndarray           # objective weight per row
+
+    @property
+    def rhs(self) -> tuple[Monomial, ...]:
+        """The right-hand sides as monomials, one per row."""
+        return tuple(Monomial.from_log(c, a)
+                     for c, a in zip(self.rhs_log_coeffs, self.rhs_exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +245,10 @@ class _ConstraintBlock(RowBlock):
             for rows, h in hessians:
                 total += h(weights[rows])
             return total
-        r, big_r = self.rhs_log_coeffs, self.rhs_exponents
-        return vals - r - big_r @ y, jac - big_r, hess
+        vals -= self.rhs_log_coeffs
+        vals -= self.rhs_exponents @ y
+        jac -= self.rhs_exponents
+        return vals, jac, hess
 
 
 def _slots(rows: list[int]):
@@ -232,16 +258,33 @@ def _slots(rows: list[int]):
     return np.array(rows, dtype=int)
 
 
+def _posynomial_rows(posy, n: int) -> _PosynomialRows:
+    """Posynomial rows (slot, terms, rhs log coefficient, rhs exponents) with
+    each right-hand side divided into its row's terms."""
+    terms = [t for _, ts, _, _ in posy for t in ts]
+    counts = [len(ts) for _, ts, _, _ in posy]
+    exps = np.zeros((len(terms), n))
+    for row, t in zip(exps, terms):
+        for i, a in t.exponents.items():
+            row[i] = a
+    return _PosynomialRows(np.array([t.log_coeff for t in terms])
+                           - np.repeat([p[2] for p in posy], counts),
+                           exps - np.repeat([p[3] for p in posy], counts, axis=0), counts)
+
+
 def _row_weights(weights, size: int) -> np.ndarray:
-    w = np.zeros(size) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (size,) or not np.all(np.isfinite(w) & (w >= 0)):
+    w = np.zeros(size) if weights is None else np.array(weights, dtype=float)
+    if w.shape != (size,) or not all(0.0 <= v < math.inf for v in w.tolist()):
         raise GpModelError(f"need {size} finite, nonnegative row weights, got {weights!r}")
     return w
 
 
 def _affine_form(expr: Monomial, n: int) -> tuple[float, np.ndarray]:
     """Log coefficient and exponent row of a monomial."""
-    return expr.log_eval(np.zeros(n))
+    g = np.zeros(n)
+    for i, a in expr.exponents.items():
+        g[i] = a
+    return expr.log_coeff, g
 
 
 # Constants of the primal-dual interior-point method (B&V §11.7).
@@ -294,6 +337,11 @@ class GpModel:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self._vars)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The objective weight of every row, in row order."""
+        return self._block().weights.copy()
+
     def maximize(self, expr):
         expr = _coerce(expr)
         if not isinstance(expr, Monomial):
@@ -317,8 +365,47 @@ class GpModel:
             raise GpModelError(f"block has {lhs.size} rows but {len(rhs)} right-hand sides")
         if not all(isinstance(r, Monomial) for r in rhs):
             raise GpModelError("constraint right-hand side must be a monomial")
-        self._constraints.append(_BlockConstraint(lhs, rhs, _row_weights(weights, lhs.size)))
+        weights = _row_weights(weights, lhs.size)
+        forms = [_affine_form(r, len(self._vars)) for r in rhs]
+        self._constraints.append(_BlockConstraint(
+            lhs, np.array([v for v, _ in forms]), np.array([g for _, g in forms]), weights))
         self._compiled = None
+
+    def reaimed(self, weights, block_rhs=None) -> GpModel:
+        """This GP under new objective weights, one per row in row order, and,
+        given block_rhs = (r, R), new right-hand sides for the rows of its row
+        blocks, in order: log coefficients r and exponent rows R.
+
+        The copy shares the variables, the objective, every other constraint
+        and the compiled posynomial rows and row blocks; only the weights and
+        the affine right-hand side are new, so nothing is compiled again.
+        """
+        block = self._block()
+        weights = _row_weights(weights, block.size)
+        r, big_r = block.rhs_log_coeffs, block.rhs_exponents
+        if block_rhs is not None:
+            r, big_r = r.copy(), big_r.copy()
+        constraints, slot, done = [], 0, 0
+        for c in self._constraints:
+            size = c.lhs.size if isinstance(c, _BlockConstraint) else 1
+            rows = slice(slot, slot + size)
+            if not isinstance(c, _BlockConstraint):
+                c = _Constraint(c.lhs, c.rhs, weights[rows])
+            else:
+                if block_rhs is not None:
+                    r[rows] = block_rhs[0][done:done + size]
+                    big_r[rows] = block_rhs[1][done:done + size]
+                    done += size
+                c = _BlockConstraint(c.lhs, r[rows], big_r[rows], weights[rows])
+            constraints.append(c)
+            slot += size
+        if block_rhs is not None and done != len(block_rhs[0]):
+            raise GpModelError(f"{len(block_rhs[0])} right-hand sides for {done} block rows")
+        copy = GpModel()
+        copy._vars, copy._objective = list(self._vars), self._objective
+        copy._constraints = constraints
+        copy._compiled = _ConstraintBlock(block.parts, r, big_r, weights)
+        return copy
 
     def constraint_margins(self, x: np.ndarray) -> np.ndarray:
         """Log-space slack log(lhs) - log(rhs) per constraint row; <= 0 means satisfied."""
@@ -336,28 +423,26 @@ class GpModel:
         monomial row, whose value is that affine term alone.
         """
         n = len(self._vars)
-        rhs, posy, blocks = [], [], []      # rhs: (log coefficient, exponents) per row
+        weights = np.concatenate([c.weights for c in self._constraints])
+        r, big_r = np.zeros(weights.size), np.zeros((weights.size, n))    # posynomial rows: 0
+        posy, blocks, slot = [], [], 0      # posy: (slot, terms, rhs log coefficient, exponents)
         for c in self._constraints:
-            slot = len(rhs)
             if isinstance(c, _BlockConstraint):
-                blocks.append((slice(slot, slot + c.lhs.size), c.lhs))
-                rhs += [_affine_form(r, n) for r in c.rhs]
+                rows = slice(slot, slot + c.lhs.size)
+                blocks.append((rows, c.lhs))
+                r[rows] = c.rhs_log_coeffs
+                big_r[rows, :c.rhs_exponents.shape[1]] = c.rhs_exponents
+                slot += c.lhs.size
                 continue
             rv, rg = _affine_form(c.rhs, n)
             if isinstance(c.lhs, Monomial):
                 lv, lg = _affine_form(c.lhs, n)
-                rhs.append((rv - lv, rg - lg))
+                r[slot], big_r[slot] = rv - lv, rg - lg
             else:
-                forms = [_affine_form(t, n) for t in c.lhs.terms]    # one per term
-                lv, lg = np.array([v for v, _ in forms]), np.array([g for _, g in forms])
-                posy.append((slot, lv - rv, lg - rg[None, :]))
-                rhs.append((0.0, np.zeros(n)))
-        parts = [(_slots([p[0] for p in posy]), _PosynomialRows(
-            np.concatenate([p[1] for p in posy]), np.vstack([p[2] for p in posy]),
-            [p[1].size for p in posy]))] if posy else []
-        self._compiled = _ConstraintBlock(parts + blocks, np.array([v for v, _ in rhs]),
-                                          np.array([g for _, g in rhs]),
-                                          np.concatenate([c.weights for c in self._constraints]))
+                posy.append((slot, c.lhs.terms, rv, rg))
+            slot += 1
+        parts = [(_slots([p[0] for p in posy]), _posynomial_rows(posy, n))] if posy else []
+        self._compiled = _ConstraintBlock(parts + blocks, r, big_r, weights)
 
     def _block(self) -> _ConstraintBlock:
         if self._compiled is None:
@@ -371,7 +456,7 @@ class GpModel:
     def _objective_value(self, y, f):
         """Objective at y, whose row values are f; inf past the float range."""
         try:
-            return math.exp(self._objective.log_eval(y)[0] - float(self._block().weights @ f))
+            return math.exp(self._objective.log_value(y) - float(self._block().weights @ f))
         except OverflowError:
             return math.inf
 
@@ -429,8 +514,8 @@ class GpModel:
             return self._finish(y, first[0], status, budget, math.inf, message=message)
         # first-order certificate from the iterate's own multipliers: the
         # worst of stationarity, complementarity and primal feasibility
-        complementarity = float(np.max(it.lam * -it.f)) / (1.0 + float(np.max(np.abs(it.grad))))
-        kkt = max(it.dual, complementarity, float(np.max(it.f)))
+        complementarity = float((it.lam * -it.f).max()) / (1.0 + float(np.abs(it.grad).max()))
+        kkt = max(it.dual, complementarity, float(it.f.max()))
         return self._finish(it.z, it.f, status, budget, kkt, interior, stages, message)
 
     def _warm_barrier_t(self, first, g0, tol):
@@ -537,45 +622,53 @@ def _primal_dual(rows, g0, c, z, first, t, budget):
     """
     f, jac, hess = first
     lam = 1.0 / (t * -f)
+    lc = lam + c
+    r_dual = g0 + jac.T @ lc        # an accepted trial point brings its own
     m = f.size
     held = True
     while True:
-        grad = g0 + jac.T @ c
-        r_dual = g0 + jac.T @ (lam + c)
+        jac_t = jac.T
+        grad = g0 + jac_t @ c
         eta = -float(f @ lam)
-        dual = float(np.max(np.abs(r_dual))) / (1.0 + float(np.max(np.abs(grad))))
+        dual = float(np.abs(r_dual).max()) / (1.0 + float(np.abs(grad).max()))
         yield _Iterate(z, f, lam, eta, dual, grad)
         budget.spend()
         if held and dual <= eta / m:
             held = False
         if not held:
             t = GAP_REDUCTION * m / eta
-        inv = 1.0 / (t * -f)
-        d = lam / -f
-        step = _newton_direction(hess(lam + c) + jac.T @ (d[:, None] * jac),
-                                 grad + jac.T @ inv)
+        neg_f = -f
+        inv = 1.0 / (t * neg_f)
+        d = lam / neg_f
+        step = _newton_direction(hess(lc) + jac_t @ (d[:, None] * jac), grad + jac_t @ inv)
         jd = jac @ step
         dlam = d * jd - lam + inv
         shrinking = dlam < 0
-        s = min(1.0, float(np.min(-lam[shrinking] / dlam[shrinking]))) \
-            if np.any(shrinking) else 1.0
+        s = min(1.0, float((-lam[shrinking] / dlam[shrinking]).min())) \
+            if shrinking.any() else 1.0
         s *= BOUNDARY_FRACTION
-        norm = math.hypot(np.linalg.norm(r_dual), np.linalg.norm(lam * -f - 1.0 / t))
+        norm = math.hypot(_norm(r_dual), _norm(lam * neg_f - 1.0 / t))
         for _ in range(_MAX_BACKTRACKS):
-            if not np.any(f + s * jd > 0):
+            if not (f + s * jd > 0).any():
                 cand = z + s * step
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     cf, cjac, chess = rows(cand)
-                if np.all(cf < 0):
+                if (cf < 0).all():
                     clam = lam + s * dlam
-                    cnorm = math.hypot(np.linalg.norm(g0 + cjac.T @ (clam + c)),
-                                       np.linalg.norm(clam * -cf - 1.0 / t))
+                    clc = clam + c
+                    cr_dual = g0 + cjac.T @ clc
+                    cnorm = math.hypot(_norm(cr_dual), _norm(clam * -cf - 1.0 / t))
                     if cnorm <= (1.0 - RESIDUAL_DECREASE * s) * norm:
                         break
             s *= BACKTRACK_SHRINK
         else:
             raise GpError("primal-dual line search made no progress")
-        z, f, jac, hess, lam = cand, cf, cjac, chess, clam
+        z, f, jac, hess, lam, lc, r_dual = cand, cf, cjac, chess, clam, clc, cr_dual
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, the same bits as np.linalg.norm with less dispatch."""
+    return math.sqrt(v @ v)
 
 
 def _newton_direction(hess, grad):
@@ -587,14 +680,13 @@ def _newton_direction(hess, grad):
     comes from one dense solve of the same ridged matrix, since numpy has no
     triangular solve to reuse the factor with.
     """
-    n = grad.size
     hess = 0.5 * (hess + hess.T)
-    d = np.sqrt(np.maximum(np.abs(np.diag(hess)), 1e-300))
+    d = np.sqrt(np.maximum(np.abs(hess.diagonal()), 1e-300))
     scaled = hess / d[:, None] / d[None, :]
     rhs = grad / d
     ridge = 0.0
     for _ in range(40):
-        shifted = scaled + ridge * np.eye(n)
+        shifted = scaled if ridge == 0.0 else scaled + ridge * np.eye(grad.size)
         try:
             np.linalg.cholesky(shifted)
             return -np.linalg.solve(shifted, rhs) / d

@@ -109,7 +109,7 @@ def _fzf_vectors(g_hat: np.ndarray, first_trial: int) -> np.ndarray:
     bad = np.flatnonzero(~(worst < limit).all(axis=1))  # NaN counts as bad
     if bad.size:
         raise RuntimeError(f"trial {first_trial + bad[0]}: estimated channel rank-deficient")
-    return np.swapaxes(np.einsum("tmnk,tmkj->tmnj", gh, inv), 2, 3)
+    return np.swapaxes(gh @ inv, 2, 3)
 
 
 def decode_fzf(real: ChannelRealization, model: LargeScaleModel,

@@ -144,34 +144,38 @@ def _surrogate_exponents(chi_hat: np.ndarray, params: fbl.FblParams,
     return w_hat / w_hat.sum(), clamped
 
 
+def _columns(xs) -> slice:
+    """The columns of the variables xs, which must be consecutive."""
+    start = xs[0].index
+    if [v.index for v in xs] != list(range(start, start + len(xs))):
+        raise ValueError("the pilots and the payloads must each be consecutive variables")
+    return slice(start, start + len(xs))
+
+
 class _SinrBlock(gp.RowBlock):
     """Shared layout of the batched SINR left-hand sides: row k depends on
-    the pilots and payloads only, whose weighted Hessian sum fills the
-    (pp, pd) sub-block; the floors (and phi) sit in the right-hand sides."""
+    the pilots and payloads only, each a run of consecutive variables, whose
+    weighted Hessian sum fills the (pp, pd) sub-blocks; the floors (and phi)
+    sit in the right-hand sides."""
 
     def __init__(self, pp, pd):
         self.size = len(pp)
-        self.pp_idx = np.array([v.index for v in pp])
-        self.pd_idx = np.array([v.index for v in pd])
-        both = np.concatenate([self.pp_idx, self.pd_idx])
-        self._sub = np.ix_(both, both)
+        self.pp, self.pd = _columns(pp), _columns(pd)
+        own = np.arange(self.size)
+        self._own_pp = (own, self.pp.start + own)     # row k, column of pilot k
 
-    def _jacobian(self, n, d_pp, d_pd):
-        """Rows: d_pp (K, K) on the pilots, d_pd (K, K) on the payloads."""
+    def _jacobian(self, n, d_pd):
+        """Rows with d_pd (K, K) on the payloads; the caller fills the pilots."""
         jac = np.zeros((self.size, n))
-        jac[:, self.pd_idx] = d_pd
-        jac[:, self.pp_idx] = d_pp
+        jac[:, self.pd] = d_pd
         return jac
 
     def _hessian(self, n, hpp, hpd_pp, hpd):
-        kdev = self.size
-        sub = np.empty((2 * kdev, 2 * kdev))
-        sub[:kdev, :kdev] = hpp
-        sub[:kdev, kdev:] = hpd_pp.T
-        sub[kdev:, :kdev] = hpd_pp
-        sub[kdev:, kdev:] = hpd
         h = np.zeros((n, n))
-        h[self._sub] = sub
+        h[self.pp, self.pp] = hpp
+        h[self.pp, self.pd] = hpd_pp.T
+        h[self.pd, self.pp] = hpd_pp
+        h[self.pd, self.pd] = hpd
         return h
 
 
@@ -209,7 +213,7 @@ class MrcSinrBlock(_SinrBlock):
                                  base[:, None, :]], axis=1)                # (K, K+1, S)
 
     def log_eval(self, y):
-        ypp = y[self.pp_idx]
+        ypp = y[self.pp]
         t = self.b * np.exp(ypp)[:, None]                                  # (K, S)
         lt = np.log1p(t)
         ln_scale = lt.sum(axis=1)
@@ -218,7 +222,7 @@ class MrcSinrBlock(_SinrBlock):
         wm = np.exp(inner - top_m[..., None])
         sm = wm.sum(axis=2)
         rows = ypp[:, None] + top_m + np.log(sm)                           # (K, K+1)
-        rows[:, :-1] += y[self.pd_idx]
+        rows[:, :-1] += y[self.pd]
         top = rows.max(axis=1)
         wr = np.exp(rows - top[:, None])
         sr = wr.sum(axis=1)
@@ -234,7 +238,8 @@ class MrcSinrBlock(_SinrBlock):
         gp_total = (wr * u).sum(axis=1)                                    # (K,)
         wpd = wr[:, :-1]
         n = y.size
-        jac = self._jacobian(n, np.diag(s_sum + gp_total), wpd)     # own pilot only
+        jac = self._jacobian(n, wpd)
+        jac[self._own_pp] = s_sum + gp_total                               # own pilot only
 
         def hess(weights):
             ss = s * (1.0 - s)
@@ -273,7 +278,7 @@ class FzfSinrBlock(_SinrBlock):
 
     def log_eval(self, y):
         kdev = self.size
-        t = self.b * np.exp(y[self.pp_idx])                                # (K, S, K)
+        t = self.b * np.exp(y[self.pp])                                    # (K, S, K)
         lt = np.log1p(t)
         ln_v2 = lt.sum(axis=1)                                             # (K, K) log scale^2
         v2_total = ln_v2.sum(axis=1)
@@ -282,7 +287,7 @@ class FzfSinrBlock(_SinrBlock):
         wm = np.exp(inner - top_m[:, None, :])
         sm = wm.sum(axis=1)
         rows = np.empty((kdev, kdev + 1))
-        rows[:, :-1] = y[self.pd_idx] + top_m + np.log(sm) \
+        rows[:, :-1] = y[self.pd] + top_m + np.log(sm) \
             + (v2_total[:, None] - ln_v2)
         rows[:, -1] = self.log_size + v2_total
         top = rows.max(axis=1)
@@ -302,7 +307,8 @@ class FzfSinrBlock(_SinrBlock):
         gpilot = (wr[..., None] * grows).sum(axis=1)                       # (K, K)
         wpd = wr[:, :-1]
         n = y.size
-        jac = self._jacobian(n, gpilot, wpd)
+        jac = self._jacobian(n, wpd)
+        jac[:, self.pp] = gpilot
 
         def hess(weights):
             ss = s * (1.0 - s)
@@ -322,53 +328,77 @@ class FzfSinrBlock(_SinrBlock):
         return vals, jac, hess
 
 
-def _add_sinr_constraints(m: gp.GpModel, model: LargeScaleModel, decoder: str,
-                          pp, pd, pilot_hat, n_antennas: int, rhs, weights):
-    """All K SINR constraints as one block under `rhs` (see _scheme_gp) of
-    their monomial fits at the pilots pilot_hat, with objective weights:
+def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
+               pilot_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monomial fits at the pilots pilot_hat on the right of the SINR
+    rows, before the floors: log coefficients (K,) and exponents (K, 2K) over
+    the pilots, then the payloads, of
 
     MRC:  scale * (sum_j pd_j cross_j + gain) <= fit of N gain^2 pd
     FZF:  |set| prod_j scale_j^2 + sum_j pd_j resid_j prod_{i!=j} scale_i^2
           <= fit of (N-K) coherent^2 prod_{j!=k} scale_j^2 pd_k
     """
     kdev = model.num_devices
-    fits = []
+    own = np.arange(kdev)
+    exponents = np.zeros((kdev, 2 * kdev))
+    exponents[own, kdev + own] = 1.0
     if decoder == MRC:
-        block: gp.RowBlock = MrcSinrBlock(model, pp, pd)
-        for k in range(kdev):
-            fit = approx.mrc_gain_monomial(model, float(pilot_hat[k]), k)
-            fits.append(rhs(k, math.log(n_antennas) + 2.0 * fit.log_coeff,
-                            {pp[k].index: 2.0 * float(fit.exponents[0]), pd[k].index: 1.0}))
-    else:
-        block = FzfSinrBlock(model, pp, pd)
-        for k in range(kdev):
-            fit = approx.fzf_gain_monomial(model, pilot_hat, k)
-            exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
-            fits.append(rhs(k, math.log(n_antennas - kdev) + fit.log_coeff,
-                            {**exps, pd[k].index: 1.0}))
-    m.add_block_le(block, fits, weights)
+        fits = [approx.mrc_gain_monomial(model, float(pilot_hat[k]), k) for k in range(kdev)]
+        exponents[own, own] = [2.0 * float(f.exponents[0]) for f in fits]
+        return math.log(n_antennas) + 2.0 * np.array([f.log_coeff for f in fits]), exponents
+    fits = [approx.fzf_gain_monomial(model, pilot_hat, k) for k in range(kdev)]
+    exponents[:, :kdev] = [f.exponents for f in fits]
+    return math.log(n_antennas - kdev) + np.array([f.log_coeff for f in fits]), exponents
 
 
-def _scheme_gp(floors: np.ndarray, w_hat: np.ndarray | None):
-    """The start of every scheme's GP, whose SINR row k reads lhs_k <= rhs_k.
+def _scheme_gp(floors: np.ndarray, names: list[str], add_rows: Callable) -> Callable:
+    """Every GP of one scheme, from two GPs assembled once and re-aimed.
 
-    `rhs(k, log_coeff, exponents)` is the monomial right-hand side with the
-    scheme's fit divided by floor_k. The max-slack GP (w_hat None) also
-    divides it by one phi, which it maximizes; a step GP weights row k by
-    w_hat_k, so it maximizes prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs
-    over their floors. Returns the model, `rhs` and the SINR rows' weights."""
-    m = gp.GpModel()
-    slack = {}
-    if w_hat is None:
-        phi = m.variable("phi")
-        m.maximize(phi)
-        slack, w_hat = {phi.index: -1.0}, np.zeros(floors.size)
+    `add_rows(m, xs, rhs)` adds the scheme's rows over its variables xs,
+    SINR row k as lhs_k <= rhs(k, exponents), the monomial prod x^exponents
+    over floor_k, and returns the slots of the SINR rows. The max-slack GP
+    also divides each right-hand side by phi, its first variable, which it
+    maximizes; a step GP weights SINR row k by w_hat_k, so it maximizes
+    prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs over their floors.
 
-    def rhs(k, log_coeff, exponents):
-        mono = gp.Monomial(1.0, {**exponents, **slack})
-        mono.log_coeff = log_coeff - math.log(floors[k])
-        return mono
-    return m, rhs, w_hat
+    Returns gp_for(w_hat, fit=None), the GP of one round (w_hat None: the
+    max-slack GP). A round writes only the row weights and, for SINR rows
+    that form a row block, their right-hand sides: the fits before the
+    floors, fit = (log coefficients (K,), exponents (K, len(names))).
+    """
+    log_floors = np.array([math.log(f) for f in floors])
+    layouts = {}
+
+    def layout(slack):
+        m = gp.GpModel()
+        shift = {}
+        if slack:
+            phi = m.variable("phi")
+            m.maximize(phi)
+            shift = {phi.index: -1.0}
+
+        def rhs(k, exponents):
+            mono = gp.Monomial(1.0, {**exponents, **shift})
+            mono.log_coeff = -log_floors[k]
+            return mono
+        sinr = add_rows(m, [m.variable(name) for name in names], rhs)
+        return m, sinr, m.weights
+
+    def gp_for(w_hat, fit=None):
+        slack = w_hat is None
+        if slack not in layouts:
+            layouts[slack] = layout(slack)
+        m, sinr, weights = layouts[slack]
+        if not slack:
+            weights = weights.copy()
+            weights[sinr] = w_hat
+        if fit is None:
+            return m.reaimed(weights)
+        log_coeffs, exponents = fit
+        if slack:
+            exponents = np.hstack([np.full((floors.size, 1), -1.0), exponents])
+        return m.reaimed(weights, (log_coeffs - log_floors, exponents))
+    return gp_for
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +420,20 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     energy budgets over the pilots and payloads."""
     kdev = model.num_devices
 
-    def build(pilot_hat, w_hat):
-        m, rhs, weights = _scheme_gp(floors, w_hat)
-        pp = [m.variable(f"pp{k}") for k in range(kdev)]
-        pd = [m.variable(f"pd{k}") for k in range(kdev)]
-        _add_sinr_constraints(m, model, decoder, pp, pd, pilot_hat, cfg.antennas_per_ap,
-                              rhs, weights)
+    def add_rows(m, xs, rhs):
+        pp, pd = xs[:kdev], xs[kdev:]
+        block = MrcSinrBlock(model, pp, pd) if decoder == MRC else FzfSinrBlock(model, pp, pd)
+        m.add_block_le(block, [rhs(k, {}) for k in range(kdev)])    # fits come per round
         for k in range(kdev):
             lhs = gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
                           gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})])
             m.add_le(lhs, gp.Const(float(model.energy[k])))
-        return m
+        return slice(0, kdev)
 
-    return _Scheme(build=build,
+    gp_for = _scheme_gp(floors, [f"pp{k}" for k in range(kdev)]
+                        + [f"pd{k}" for k in range(kdev)], add_rows)
+    return _Scheme(build=lambda pilot_hat, w_hat: gp_for(
+                       w_hat, _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat)),
                    read=lambda sol: PowerAllocation(pilot=sol.x[-2 * kdev:-kdev],
                                                     payload=sol.x[-kdev:]),
                    coords=lambda alloc: np.concatenate([alloc.pilot, alloc.payload]),
@@ -459,17 +490,21 @@ def _unreachable(phi: float, error: str) -> SolveResult:
 
 
 def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
+                     floors: np.ndarray, scheme: _Scheme | None = None
+                     ) -> tuple[PowerAllocation | None, float, str]:
     """The joint allocation's max-slack stage from the equal energy split:
     the first iterate certified with slack >= 1.05, else the max-slack
     optimum of largest slack when that slack is >= 1 (None when none is
     certified); the largest slack reached; and an error message, empty
-    unless a max-slack GP failed numerically."""
+    unless a max-slack GP failed numerically. `scheme` is the joint scheme
+    of these arguments when the caller has it already."""
     kdev = model.num_devices
     pilot_hat = model.energy / (2.0 * kdev)
     payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))
     start = np.concatenate([[1e-3], 0.9 * pilot_hat, 0.9 * payload0])
-    return _max_slack(_joint_scheme(model, cfg, decoder, floors), cfg, pilot_hat, start)
+    if scheme is None:
+        scheme = _joint_scheme(model, cfg, decoder, floors)
+    return _max_slack(scheme, cfg, pilot_hat, start)
 
 
 def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
@@ -532,12 +567,12 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     """Joint pilot/payload SCA from `start`, or from feasibility_init."""
     fbl.check_decoder(decoder)
     floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
+    scheme = _joint_scheme(model, cfg, decoder, floors)
     if start is None:
-        start, phi, error = feasibility_init(model, cfg, decoder, floors)
+        start, phi, error = feasibility_init(model, cfg, decoder, floors, scheme)
         if start is None:
             return _unreachable(phi, error)
-    return _run_sca(model, cfg, params, floors, start,
-                    _joint_scheme(model, cfg, decoder, floors))
+    return _run_sca(model, cfg, params, floors, start, scheme)
 
 
 def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
@@ -608,19 +643,18 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     n, coherent, noise, cross = pieces
     gain = n * coherent
 
-    def build(pilot_hat, w_hat):
+    def add_rows(m, pd, rhs):
         """Row k is (cross_k . pd + noise_k) / gain_k <= pd_k under `rhs` of
-        _scheme_gp; exact, since no fit is involved."""
-        m, rhs, weights = _scheme_gp(floors, w_hat)
-        pd = [m.variable(f"pd{k}") for k in range(kdev)]
+        _scheme_gp, exact since no fit is involved, then the cap on pd_k."""
         for k in range(kdev):
             terms = [gp.Monomial(cross[k, j] / gain[k], {pd[j].index: 1.0}) for j in range(kdev)]
             terms.append(gp.Const(noise[k] / gain[k]))
-            m.add_le(gp.Sum(terms), rhs(k, 0.0, {pd[k].index: 1.0}), weights[k])
+            m.add_le(gp.Sum(terms), rhs(k, {pd[k].index: 1.0}))
             m.add_le(pd[k], gp.Const(float(pd_max[k])))
-        return m
+        return slice(0, 2 * kdev, 2)
 
-    scheme = _Scheme(build=build,
+    gp_for = _scheme_gp(floors, [f"pd{k}" for k in range(kdev)], add_rows)
+    scheme = _Scheme(build=lambda pilot_hat, w_hat: gp_for(w_hat),
                      read=lambda sol: PowerAllocation(pilot=pilot, payload=sol.x[-kdev:]),
                      coords=lambda alloc: alloc.payload,
                      sinr_of=lambda alloc: fbl.lb_sinr(pieces, alloc.payload))

@@ -112,6 +112,23 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_missing_config_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(tmp_path / "missing.cfg"), "--out", str(out), "converge"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config") and "missing.cfg" in err
+    assert not out.exists()
+
+
+def test_main_rejects_out_naming_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert cli.main(["--out", str(taken), "converge"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {taken}")
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])
 def test_main_rejects_bad_thread_count(threads, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -302,6 +302,50 @@ def test_row_weights_must_be_finite_and_nonnegative():
     assert m._constraints == []
 
 
+def reaim_problem(rhs_coeffs, weights):
+    """A posynomial row, a two-row block and a monomial row: maximize
+    sqrt(x y) times the weighted ratios, with block right-hand sides
+    c_i sqrt(y)."""
+    m = GpModel()
+    x, y = m.variable("x"), m.variable("y")
+    m.maximize(Monomial(1.0, {0: 0.5, 1: 0.5}))
+    m.add_le(Sum([Monomial(0.5, {0: 1.0}), Monomial(0.2, {1: 1.0})]), Const(3.0),
+             weight=weights[0])
+    m.add_block_le(nodes.NodeRows([x, nodes.Sum([x, y])]),
+                   [Monomial(c, {1: 0.5}) for c in rhs_coeffs], weights=weights[1:3])
+    m.add_le(Monomial(1.0, {0: -1.0, 1: -1.0}), Const(4.0), weight=weights[3])
+    return m
+
+
+def test_reaimed_copy_matches_a_fresh_build_and_leaves_its_template():
+    template = reaim_problem((2.0, 3.0), (0.0, 0.0, 0.0, 0.0))
+    block = template._block()
+    before = [a.copy() for a in (block.rhs_log_coeffs, block.rhs_exponents, block.weights)]
+    weights = np.array([0.3, 0.0, 0.7, 0.2])
+    log_coeffs = np.array([math.log(1.5), math.log(2.5)])
+    copy = template.reaimed(weights, (log_coeffs, np.array([[0.0, 0.5], [0.0, 0.5]])))
+    fresh = reaim_problem((1.5, 2.5), weights)
+    got, want = copy._block(), fresh._block()
+    for name in ("rhs_log_coeffs", "rhs_exponents", "weights"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    # the copy's constraints say what it solves; the template keeps its own
+    for a, b in zip(copy._constraints, fresh._constraints):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        rhs_a = a.rhs if isinstance(a, gp._BlockConstraint) else [a.rhs]
+        rhs_b = b.rhs if isinstance(b, gp._BlockConstraint) else [b.rhs]
+        assert [(r.log_coeff, r.exponents) for r in rhs_a] \
+            == [(r.log_coeff, r.exponents) for r in rhs_b]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        before, (block.rhs_log_coeffs, block.rhs_exponents, block.weights)))
+    a, b = copy.solve(tol=1e-10), fresh.solve(tol=1e-10)
+    assert a.status == b.status == "optimal"
+    assert a.x.tobytes() == b.x.tobytes() and a.objective == b.objective
+    with pytest.raises(GpModelError):
+        template.reaimed(weights, (log_coeffs[:1], np.zeros((1, 2))))
+    with pytest.raises(GpModelError):
+        template.reaimed(-weights)
+
+
 # --------------------------------------------------------------------------
 # the compiled constraint block
 # --------------------------------------------------------------------------

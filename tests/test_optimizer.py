@@ -548,6 +548,16 @@ def _block_and_trees(model, decoder, rng):
 
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_sinr_block_needs_consecutive_pilots_and_payloads(decoder):
+    # the kernels address each group as one contiguous slice of columns
+    model = desk_model()
+    m = gp.GpModel()
+    xs = [m.variable(f"x{i}") for i in range(2 * model.num_devices)]
+    with pytest.raises(ValueError, match="consecutive"):
+        BLOCKS[decoder](model, xs[0::2], xs[1::2])
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
 def test_fused_constraint_matches_generic_tree(decoder, rng):
     for model in _block_models(rng):
         kdev = model.num_devices
@@ -680,3 +690,121 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
         sol = step.solve(tol=1e-11, start=start)
         assert ref.status == sol.status == "optimal"
         assert np.allclose(ref.x[kdev:], sol.x, rtol=1e-7, atol=0)
+
+
+# --------------------------------------------------------------------------
+# re-aimed GPs against GPs built through the public modeling API
+# --------------------------------------------------------------------------
+
+def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
+    """One round's GP built row by row with add_le/add_block_le: the
+    max-slack GP when w_hat is None (phi first and maximized, every SINR
+    right-hand side also divided by phi), else the step GP, SINR row k
+    weighted by w_hat_k. scheme is MRC or FZF (the joint allocation, fitted
+    at pilot_hat) or ("fixed-pilot", decoder)."""
+    kdev = model.num_devices
+    m = gp.GpModel()
+    slack = {}
+    if w_hat is None:
+        phi = m.variable("phi")
+        m.maximize(phi)
+        slack = {phi.index: -1.0}
+    weights = np.zeros(kdev) if w_hat is None else w_hat
+
+    def rhs(k, log_coeff, exponents):
+        mono = gp.Monomial(1.0, {**exponents, **slack})
+        mono.log_coeff = log_coeff - math.log(floors[k])
+        return mono
+
+    if isinstance(scheme, tuple):
+        pd = [m.variable(f"pd{k}") for k in range(kdev)]
+        pd_max = model.energy / cfg.blocklength
+        stats = estimation_stats(model, model.energy / cfg.blocklength)
+        n, coherent, noise, cross = fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, scheme[1])
+        gain = n * coherent
+        for k in range(kdev):
+            terms = [gp.Monomial(cross[k, j] / gain[k], {pd[j].index: 1.0})
+                     for j in range(kdev)] + [gp.Const(noise[k] / gain[k])]
+            m.add_le(gp.Sum(terms), rhs(k, 0.0, {pd[k].index: 1.0}), weights[k])
+            m.add_le(pd[k], gp.Const(float(pd_max[k])))
+        return m
+    pp = [m.variable(f"pp{k}") for k in range(kdev)]
+    pd = [m.variable(f"pd{k}") for k in range(kdev)]
+    fits = []
+    for k in range(kdev):
+        if scheme == MRC:
+            fit = approx.mrc_gain_monomial(model, float(pilot_hat[k]), k)
+            fits.append(rhs(k, math.log(cfg.antennas_per_ap) + 2.0 * fit.log_coeff,
+                            {pp[k].index: 2.0 * float(fit.exponents[0]), pd[k].index: 1.0}))
+        else:
+            fit = approx.fzf_gain_monomial(model, pilot_hat, k)
+            exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
+            fits.append(rhs(k, math.log(cfg.antennas_per_ap - kdev) + fit.log_coeff,
+                            {**exps, pd[k].index: 1.0}))
+    m.add_block_le(BLOCKS[scheme](model, pp, pd), fits, weights)
+    for k in range(kdev):
+        m.add_le(gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
+                         gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})]),
+                 gp.Const(float(model.energy[k])))
+    return m
+
+
+def recorded_rounds(run):
+    """(pilot_hat, w_hat, GP, solve keywords, solution) of every GP that
+    run's max-slack stage and SCA loop build, in order."""
+    built, solved = [], {}
+    original_solve = gp.GpModel.solve
+
+    def solve(self, **kwargs):
+        solved[id(self)] = (kwargs, original_solve(self, **kwargs))
+        return solved[id(self)][1]
+
+    def recording(stage):
+        def wrapped(*args):
+            def build(scheme):
+                def record(pilot_hat, w_hat):
+                    m = scheme.build(pilot_hat, w_hat)
+                    built.append((np.copy(pilot_hat), None if w_hat is None else np.copy(w_hat), m))
+                    return m
+                return scheme._replace(build=record)
+            return stage(*[build(a) if isinstance(a, optimizer._Scheme) else a for a in args])
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp.GpModel, "solve", solve)
+        mp.setattr(optimizer, "_max_slack", recording(optimizer._max_slack))
+        mp.setattr(optimizer, "_run_sca", recording(optimizer._run_sca))
+        assert run().feasible
+    return [(p, w, m) + solved[id(m)] for p, w, m in built]
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("scheme", [MRC, FZF, ("fixed-pilot", MRC), ("fixed-pilot", FZF)])
+def test_reaimed_gps_match_gps_built_through_the_public_api(scheme):
+    model = desk_model()
+    kdev = model.num_devices
+    floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(kdev, DESK.rate_req_bps))
+    if isinstance(scheme, tuple):
+        rounds = recorded_rounds(lambda: benchmark_fixed_pilot(model, DESK, scheme[1]))
+    else:
+        rounds = recorded_rounds(lambda: optimizer.solve(model, DESK, scheme))
+    # the max-slack layout and at least two SCA steps in the step layout
+    assert rounds[0][1] is None
+    assert sum(w_hat is not None for _, w_hat, *_ in rounds) >= 2
+    for pilot_hat, w_hat, step, kwargs, sol in rounds:
+        ref = public_api_gp(model, DESK, scheme, floors, pilot_hat, w_hat)
+        assert step.names == ref.names
+        got, want = step._block(), ref._block()
+        for name in ("rhs_log_coeffs", "rhs_exponents", "weights"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+        assert [type(b) for _, b in got.parts] == [type(b) for _, b in want.parts]
+        for (_, a), (_, b) in zip(got.parts, want.parts):
+            if isinstance(a, gp._PosynomialRows):
+                assert _bits(a.c) == _bits(b.c) and _bits(a.a) == _bits(b.a)
+        again = ref.solve(**kwargs)
+        assert (again.status, again.iterations) == (sol.status, sol.iterations)
+        assert _bits(again.x) == _bits(sol.x)
+        assert again.stage_objectives == sol.stage_objectives
