@@ -72,13 +72,6 @@ class Monomial:
         return (np.array(tuple(self.exponents), dtype=int),
                 np.array(tuple(self.exponents.values()), dtype=float))
 
-    @staticmethod
-    def from_log(log_coeff: float, exponents: np.ndarray) -> Monomial:
-        """The monomial whose log is log_coeff + exponents . y."""
-        mono = Monomial(1.0, {i: float(a) for i, a in enumerate(exponents) if a != 0.0})
-        mono.log_coeff = float(log_coeff)
-        return mono
-
     def log_value(self, y: np.ndarray) -> float:
         """log self(exp(y))."""
         idx, exp = self._arrays
@@ -153,12 +146,6 @@ class _BlockConstraint:
     rhs_exponents: np.ndarray     # R: its exponents, one row per row (fewer columns
                                   # than variables when variables came later)
     weights: np.ndarray           # objective weight per row
-
-    @property
-    def rhs(self) -> tuple[Monomial, ...]:
-        """The right-hand sides as monomials, one per row."""
-        return tuple(Monomial.from_log(c, a)
-                     for c, a in zip(self.rhs_log_coeffs, self.rhs_exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +352,14 @@ class GpModel:
             raise GpModelError(f"block has {lhs.size} rows but {len(rhs)} right-hand sides")
         if not all(isinstance(r, Monomial) for r in rhs):
             raise GpModelError("constraint right-hand side must be a monomial")
+        n = len(self._vars)
+        for r in rhs:
+            late = [i for i in r.exponents if not 0 <= i < n]
+            if late:
+                raise GpModelError(f"block right-hand side names variable {late[0]}, "
+                                   f"but only {n} are declared")
         weights = _row_weights(weights, lhs.size)
-        forms = [_affine_form(r, len(self._vars)) for r in rhs]
+        forms = [_affine_form(r, n) for r in rhs]
         self._constraints.append(_BlockConstraint(
             lhs, np.array([v for v, _ in forms]), np.array([g for _, g in forms]), weights))
         self._compiled = None
@@ -384,6 +377,12 @@ class GpModel:
         weights = _row_weights(weights, block.size)
         r, big_r = block.rhs_log_coeffs, block.rhs_exponents
         if block_rhs is not None:
+            m = sum(c.lhs.size for c in self._constraints if isinstance(c, _BlockConstraint))
+            new_r, new_big_r = (np.asarray(a, dtype=float) for a in block_rhs)
+            if new_r.shape != (m,) or new_big_r.shape != (m, big_r.shape[1]) \
+                    or not (np.isfinite(new_r).all() and np.isfinite(new_big_r).all()):
+                raise GpModelError(f"need finite right-hand sides r ({m},) and "
+                                   f"R ({m}, {big_r.shape[1]}) for the block rows")
             r, big_r = r.copy(), big_r.copy()
         constraints, slot, done = [], 0, 0
         for c in self._constraints:
@@ -393,14 +392,12 @@ class GpModel:
                 c = _Constraint(c.lhs, c.rhs, weights[rows])
             else:
                 if block_rhs is not None:
-                    r[rows] = block_rhs[0][done:done + size]
-                    big_r[rows] = block_rhs[1][done:done + size]
+                    r[rows] = new_r[done:done + size]
+                    big_r[rows] = new_big_r[done:done + size]
                     done += size
                 c = _BlockConstraint(c.lhs, r[rows], big_r[rows], weights[rows])
             constraints.append(c)
             slot += size
-        if block_rhs is not None and done != len(block_rhs[0]):
-            raise GpModelError(f"{len(block_rhs[0])} right-hand sides for {done} block rows")
         copy = GpModel()
         copy._vars, copy._objective = list(self._vars), self._objective
         copy._constraints = constraints

@@ -490,21 +490,17 @@ def _unreachable(phi: float, error: str) -> SolveResult:
 
 
 def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                     floors: np.ndarray, scheme: _Scheme | None = None
-                     ) -> tuple[PowerAllocation | None, float, str]:
+                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
     """The joint allocation's max-slack stage from the equal energy split:
     the first iterate certified with slack >= 1.05, else the max-slack
     optimum of largest slack when that slack is >= 1 (None when none is
     certified); the largest slack reached; and an error message, empty
-    unless a max-slack GP failed numerically. `scheme` is the joint scheme
-    of these arguments when the caller has it already."""
+    unless a max-slack GP failed numerically."""
     kdev = model.num_devices
     pilot_hat = model.energy / (2.0 * kdev)
     payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))
     start = np.concatenate([[1e-3], 0.9 * pilot_hat, 0.9 * payload0])
-    if scheme is None:
-        scheme = _joint_scheme(model, cfg, decoder, floors)
-    return _max_slack(scheme, cfg, pilot_hat, start)
+    return _max_slack(_joint_scheme(model, cfg, decoder, floors), cfg, pilot_hat, start)
 
 
 def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
@@ -567,12 +563,12 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     """Joint pilot/payload SCA from `start`, or from feasibility_init."""
     fbl.check_decoder(decoder)
     floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
-    scheme = _joint_scheme(model, cfg, decoder, floors)
     if start is None:
-        start, phi, error = feasibility_init(model, cfg, decoder, floors, scheme)
+        start, phi, error = feasibility_init(model, cfg, decoder, floors)
         if start is None:
             return _unreachable(phi, error)
-    return _run_sca(model, cfg, params, floors, start, scheme)
+    return _run_sca(model, cfg, params, floors, start,
+                    _joint_scheme(model, cfg, decoder, floors))
 
 
 def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,

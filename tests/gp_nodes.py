@@ -5,7 +5,8 @@ by walking the expression one node at a time. It reads the package's
 monomials and sums and the nodes defined here: sums of any nodes, products,
 powers and the fused single-variable family `PosyProductSum`. The compiled
 constraint rows of `cfurllc.gp` and the batched SINR blocks of
-`cfurllc.optimizer` are checked against it.
+`cfurllc.optimizer` are checked against it; `block_rhs` reads a block
+constraint's right-hand sides back as monomials for it.
 
 `random_two_var_problem` and `grid_optimum` are the second oracle: bounded
 random GPs in two variables and their optimum by log-grid enumeration.
@@ -112,6 +113,17 @@ class NodeRows(gp.RowBlock):
         def hess(weights):
             return sum(w * p[2] for w, p in zip(weights, parts))
         return np.array([p[0] for p in parts]), np.array([p[1] for p in parts]), hess
+
+
+def block_rhs(c) -> list[gp.Monomial]:
+    """The right-hand sides of a block constraint as monomials, one per row,
+    read back from its log coefficients r and exponent rows R."""
+    rhs = []
+    for log_coeff, exponents in zip(c.rhs_log_coeffs, c.rhs_exponents):
+        mono = gp.Monomial(1.0, {i: float(a) for i, a in enumerate(exponents) if a != 0.0})
+        mono.log_coeff = float(log_coeff)
+        rhs.append(mono)
+    return rhs
 
 
 def random_two_var_problem(rng: np.random.Generator) -> gp.GpModel:

@@ -331,8 +331,8 @@ def test_reaimed_copy_matches_a_fresh_build_and_leaves_its_template():
     # the copy's constraints say what it solves; the template keeps its own
     for a, b in zip(copy._constraints, fresh._constraints):
         assert a.weights.tobytes() == b.weights.tobytes()
-        rhs_a = a.rhs if isinstance(a, gp._BlockConstraint) else [a.rhs]
-        rhs_b = b.rhs if isinstance(b, gp._BlockConstraint) else [b.rhs]
+        rhs_a = nodes.block_rhs(a) if isinstance(a, gp._BlockConstraint) else [a.rhs]
+        rhs_b = nodes.block_rhs(b) if isinstance(b, gp._BlockConstraint) else [b.rhs]
         assert [(r.log_coeff, r.exponents) for r in rhs_a] \
             == [(r.log_coeff, r.exponents) for r in rhs_b]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(
@@ -340,10 +340,30 @@ def test_reaimed_copy_matches_a_fresh_build_and_leaves_its_template():
     a, b = copy.solve(tol=1e-10), fresh.solve(tol=1e-10)
     assert a.status == b.status == "optimal"
     assert a.x.tobytes() == b.x.tobytes() and a.objective == b.objective
-    with pytest.raises(GpModelError):
-        template.reaimed(weights, (log_coeffs[:1], np.zeros((1, 2))))
+    exponents = np.array([[0.0, 0.5], [0.0, 0.5]])
+    bad_rhs = [(log_coeffs[:1], np.zeros((1, 2))),             # too few rows
+               (log_coeffs[:1], exponents),                     # short r
+               (np.append(log_coeffs, 0.0), np.zeros((3, 2))),  # too many rows
+               (log_coeffs, exponents[:, :1]),                  # too few columns
+               (log_coeffs, np.zeros((2, 3))),                  # too many columns
+               (np.array([math.nan, 0.0]), exponents),
+               (log_coeffs, np.array([[0.0, math.inf], [0.0, 0.5]]))]
+    for bad in bad_rhs:
+        with pytest.raises(GpModelError):
+            template.reaimed(weights, bad)
     with pytest.raises(GpModelError):
         template.reaimed(-weights)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        before, (block.rhs_log_coeffs, block.rhs_exponents, block.weights)))
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_block_right_hand_side_must_name_declared_variables(index):
+    m = GpModel()
+    x = m.variable("x")
+    with pytest.raises(GpModelError, match=f"variable {index}"):
+        m.add_block_le(nodes.NodeRows([x]), [Monomial(2.0, {index: 1.0})])
+    assert m._constraints == []
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +378,7 @@ def node_walk(model, y, weights):
     for c in model._constraints:
         if isinstance(c, gp._BlockConstraint):
             v, j, h = c.lhs.log_eval(y)
-            rhs = [r.log_eval(y) for r in c.rhs]
+            rhs = [r.log_eval(y) for r in nodes.block_rhs(c)]
             vals += list(v - [r[0] for r in rhs])
             jac += list(j - [r[1] for r in rhs])
             hess += h(weights[len(vals) - c.lhs.size:len(vals)])

@@ -642,7 +642,7 @@ def chi_form(step, floors, block_trees):
         else:
             m.add_le(_shifted(c.lhs, kdev), _shifted(c.rhs, kdev))
             continue
-        rhs += list(c.rhs) if isinstance(c, gp._BlockConstraint) else [c.rhs]
+        rhs += nodes.block_rhs(c) if isinstance(c, gp._BlockConstraint) else [c.rhs]
         weights += list(c.weights)
     assert len(lhs) == len(rhs) == len(weights) == kdev
     m.add_block_le(nodes.NodeRows([nodes.Product([chi[k], lhs[k]]) for k in range(kdev)]),
