@@ -1,5 +1,5 @@
-"""Finite-blocklength rate math: dispersion penalty, rate kernel and its
-inverse, and the closed-form SINR lower bounds of both decoders.
+"""Finite-blocklength rate math: the rate kernel with its dispersion penalty
+and its inverse, and the closed-form SINR lower bounds of both decoders.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ def q_inverse(eps: float) -> float:
         raise ValueError(f"tail probability must lie in (0, 0.5], got {eps}")
     # 0.0 - z rather than -z: the median gives +0.0, not -0.0
     return 0.0 - statistics.NormalDist().inv_cdf(eps)
-
-
-def penalty_factor(x):
-    """Square root of the channel dispersion as a function of the SINR."""
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt(x * (x + 2.0)) / (1.0 + x)
-    return float(out) if out.ndim == 0 else out
 
 
 def rate_kernel(x, alpha: float):

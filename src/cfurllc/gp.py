@@ -4,9 +4,10 @@ A GpModel has three kinds of rows: monomial <= monomial, posynomial (a sum
 of monomials) <= monomial, and batched row blocks such as the SINR
 constraints, which bring their own kernels (Boyd, Kim, Vandenberghe &
 Hassibi, "A tutorial on geometric programming", 2007). Any other left-hand
-side is rejected when it is added. It maximizes a monomial times
-prod_i (rhs_i / lhs_i)^w_i over rows with objective weight w_i > 0, which in
-log variables is the convex -log monomial + sum_i w_i f_i (B&V §4.5.3).
+side, and any monomial naming an undeclared variable, is rejected when it is
+added. It maximizes a monomial times prod_i (rhs_i / lhs_i)^w_i over rows
+with objective weight w_i > 0, which in log variables is the convex
+-log monomial + sum_i w_i f_i (B&V §4.5.3).
 
 All evaluation happens in log variables, where a monomial row is affine and a
 posynomial row is a log-sum-exp. The rows of a model are compiled into one
@@ -133,15 +134,10 @@ class GpSolution:
 
 
 @dataclass
-class _Constraint:
-    lhs: Monomial | Sum
-    rhs: Monomial
-    weights: np.ndarray           # the row's objective weight, shape (1,)
+class _Rows:
+    """The rows lhs_i <= rhs_i of one add_le or add_block_le call."""
 
-
-@dataclass
-class _BlockConstraint:
-    lhs: RowBlock
+    lhs: Monomial | Sum | RowBlock
     rhs_log_coeffs: np.ndarray    # r: log coefficient of each row's right-hand side
     rhs_exponents: np.ndarray     # R: its exponents, one row per row (fewer columns
                                   # than variables when variables came later)
@@ -245,18 +241,15 @@ def _slots(rows: list[int]):
     return np.array(rows, dtype=int)
 
 
-def _posynomial_rows(posy, n: int) -> _PosynomialRows:
-    """Posynomial rows (slot, terms, rhs log coefficient, rhs exponents) with
-    each right-hand side divided into its row's terms."""
-    terms = [t for _, ts, _, _ in posy for t in ts]
-    counts = [len(ts) for _, ts, _, _ in posy]
-    exps = np.zeros((len(terms), n))
-    for row, t in zip(exps, terms):
-        for i, a in t.exponents.items():
-            row[i] = a
-    return _PosynomialRows(np.array([t.log_coeff for t in terms])
-                           - np.repeat([p[2] for p in posy], counts),
-                           exps - np.repeat([p[3] for p in posy], counts, axis=0), counts)
+def _posynomial_rows(posy: list[_Rows], n: int) -> _PosynomialRows:
+    """Posynomial rows, each right-hand side divided into its row's terms."""
+    counts = [len(c.lhs.terms) for c in posy]
+    log_coeffs, exps = _log_forms([t for c in posy for t in c.lhs.terms], n)
+    rhs_exps = np.zeros((len(posy), n))
+    for row, c in enumerate(posy):
+        rhs_exps[row, :c.rhs_exponents.shape[1]] = c.rhs_exponents[0]
+    return _PosynomialRows(log_coeffs - np.repeat([c.rhs_log_coeffs[0] for c in posy], counts),
+                           exps - np.repeat(rhs_exps, counts, axis=0), counts)
 
 
 def _row_weights(weights, size: int) -> np.ndarray:
@@ -266,12 +259,16 @@ def _row_weights(weights, size: int) -> np.ndarray:
     return w
 
 
-def _affine_form(expr: Monomial, n: int) -> tuple[float, np.ndarray]:
-    """Log coefficient and exponent row of a monomial."""
-    g = np.zeros(n)
-    for i, a in expr.exponents.items():
-        g[i] = a
-    return expr.log_coeff, g
+def _log_forms(monomials, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log coefficients (len,) and exponent rows (len, n) of monomials over
+    the n declared variables; a monomial naming any other index is rejected."""
+    exps = np.zeros((len(monomials), n))
+    for row, mono in enumerate(monomials):
+        for i, a in mono.exponents.items():
+            if not 0 <= i < n:
+                raise GpModelError(f"monomial names variable {i}, but only {n} are declared")
+            exps[row, i] = a
+    return np.array([mono.log_coeff for mono in monomials]), exps
 
 
 # Constants of the primal-dual interior-point method (B&V §11.7).
@@ -310,7 +307,7 @@ class GpModel:
 
     def __init__(self):
         self._vars: list[Var] = []
-        self._constraints: list[_Constraint | _BlockConstraint] = []
+        self._constraints: list[_Rows] = []
         self._objective: Monomial = Const(1.0)
         self._compiled = None
 
@@ -318,6 +315,7 @@ class GpModel:
     def variable(self, name: str) -> Var:
         v = Var(len(self._vars), name)
         self._vars.append(v)
+        self._compiled = None
         return v
 
     @property
@@ -333,35 +331,30 @@ class GpModel:
         expr = _coerce(expr)
         if not isinstance(expr, Monomial):
             raise GpModelError("only a monomial can be maximized")
+        _log_forms([expr], len(self._vars))
         self._objective = expr
 
     def add_le(self, lhs, rhs, weight: float = 0.0):
         """The constraint lhs <= rhs: a monomial or a Sum of monomials under a
         monomial. A weight w > 0 also multiplies the objective by (rhs/lhs)^w."""
-        lhs, rhs = _coerce(lhs), _coerce(rhs)
-        if not isinstance(rhs, Monomial):
-            raise GpModelError("constraint right-hand side must be a monomial")
-        self._constraints.append(_Constraint(lhs, rhs, _row_weights([weight], 1)))
-        self._compiled = None
+        lhs = _coerce(lhs)
+        _log_forms(lhs.terms if isinstance(lhs, Sum) else [lhs], len(self._vars))
+        self._add(lhs, [_coerce(rhs)], [weight])
 
     def add_block_le(self, lhs: RowBlock, rhs, weights=None):
         """Constraints lhs_i <= rhs_i for every row i of a row block, with
         objective weights as in add_le (None: all 0)."""
-        rhs = tuple(_coerce(r) for r in rhs)
+        rhs = [_coerce(r) for r in rhs]
         if len(rhs) != lhs.size:
             raise GpModelError(f"block has {lhs.size} rows but {len(rhs)} right-hand sides")
+        self._add(lhs, rhs, weights)
+
+    def _add(self, lhs, rhs, weights):
+        """One record of the rows lhs_i <= rhs_i, rhs_i monomials."""
         if not all(isinstance(r, Monomial) for r in rhs):
             raise GpModelError("constraint right-hand side must be a monomial")
-        n = len(self._vars)
-        for r in rhs:
-            late = [i for i in r.exponents if not 0 <= i < n]
-            if late:
-                raise GpModelError(f"block right-hand side names variable {late[0]}, "
-                                   f"but only {n} are declared")
-        weights = _row_weights(weights, lhs.size)
-        forms = [_affine_form(r, n) for r in rhs]
-        self._constraints.append(_BlockConstraint(
-            lhs, np.array([v for v, _ in forms]), np.array([g for _, g in forms]), weights))
+        weights = _row_weights(weights, len(rhs))
+        self._constraints.append(_Rows(lhs, *_log_forms(rhs, len(self._vars)), weights))
         self._compiled = None
 
     def reaimed(self, weights, block_rhs=None) -> GpModel:
@@ -369,7 +362,7 @@ class GpModel:
         given block_rhs = (r, R), new right-hand sides for the rows of its row
         blocks, in order: log coefficients r and exponent rows R.
 
-        The copy shares the variables, the objective, every other constraint
+        The copy shares the variables, the objective, every left-hand side
         and the compiled posynomial rows and row blocks; only the weights and
         the affine right-hand side are new, so nothing is compiled again.
         """
@@ -377,7 +370,7 @@ class GpModel:
         weights = _row_weights(weights, block.size)
         r, big_r = block.rhs_log_coeffs, block.rhs_exponents
         if block_rhs is not None:
-            m = sum(c.lhs.size for c in self._constraints if isinstance(c, _BlockConstraint))
+            m = sum(c.lhs.size for c in self._constraints if isinstance(c.lhs, RowBlock))
             new_r, new_big_r = (np.asarray(a, dtype=float) for a in block_rhs)
             if new_r.shape != (m,) or new_big_r.shape != (m, big_r.shape[1]) \
                     or not (np.isfinite(new_r).all() and np.isfinite(new_big_r).all()):
@@ -386,16 +379,14 @@ class GpModel:
             r, big_r = r.copy(), big_r.copy()
         constraints, slot, done = [], 0, 0
         for c in self._constraints:
-            size = c.lhs.size if isinstance(c, _BlockConstraint) else 1
+            size = c.weights.size
             rows = slice(slot, slot + size)
-            if not isinstance(c, _BlockConstraint):
-                c = _Constraint(c.lhs, c.rhs, weights[rows])
+            if block_rhs is not None and isinstance(c.lhs, RowBlock):
+                r[rows], big_r[rows] = new_r[done:done + size], new_big_r[done:done + size]
+                done += size
+                c = _Rows(c.lhs, r[rows], big_r[rows], weights[rows])
             else:
-                if block_rhs is not None:
-                    r[rows] = new_r[done:done + size]
-                    big_r[rows] = new_big_r[done:done + size]
-                    done += size
-                c = _BlockConstraint(c.lhs, r[rows], big_r[rows], weights[rows])
+                c = _Rows(c.lhs, c.rhs_log_coeffs, c.rhs_exponents, weights[rows])
             constraints.append(c)
             slot += size
         copy = GpModel()
@@ -406,10 +397,17 @@ class GpModel:
 
     def constraint_margins(self, x: np.ndarray) -> np.ndarray:
         """Log-space slack log(lhs) - log(rhs) per constraint row; <= 0 means satisfied."""
-        y = np.log(np.asarray(x, dtype=float))
-        return self._constraint_eval(y)[0]
+        return self._constraint_eval(self._log_point(x))[0]
 
     # -- evaluation ----------------------------------------------------------
+    def _log_point(self, x) -> np.ndarray:
+        """log x, for x of one positive, finite value per variable."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (len(self._vars),) or not (np.isfinite(x).all() and (x > 0).all()):
+            raise GpModelError(f"need {len(self._vars)} positive, finite values "
+                               f"in variable order, got {x!r}")
+        return np.log(x)
+
     def _compile(self):
         """Fold every constraint row into one constraint block.
 
@@ -422,23 +420,23 @@ class GpModel:
         n = len(self._vars)
         weights = np.concatenate([c.weights for c in self._constraints])
         r, big_r = np.zeros(weights.size), np.zeros((weights.size, n))    # posynomial rows: 0
-        posy, blocks, slot = [], [], 0      # posy: (slot, terms, rhs log coefficient, exponents)
+        posy, slots, blocks, slot = [], [], [], 0
         for c in self._constraints:
-            if isinstance(c, _BlockConstraint):
-                rows = slice(slot, slot + c.lhs.size)
-                blocks.append((rows, c.lhs))
-                r[rows] = c.rhs_log_coeffs
-                big_r[rows, :c.rhs_exponents.shape[1]] = c.rhs_exponents
-                slot += c.lhs.size
+            rows = slice(slot, slot + c.weights.size)
+            slot += c.weights.size
+            if isinstance(c.lhs, Sum):          # the right-hand side moves into the terms
+                posy.append(c)
+                slots.append(rows.start)
                 continue
-            rv, rg = _affine_form(c.rhs, n)
-            if isinstance(c.lhs, Monomial):
-                lv, lg = _affine_form(c.lhs, n)
-                r[slot], big_r[slot] = rv - lv, rg - lg
+            r[rows] = c.rhs_log_coeffs
+            big_r[rows, :c.rhs_exponents.shape[1]] = c.rhs_exponents
+            if isinstance(c.lhs, RowBlock):
+                blocks.append((rows, c.lhs))
             else:
-                posy.append((slot, c.lhs.terms, rv, rg))
-            slot += 1
-        parts = [(_slots([p[0] for p in posy]), _posynomial_rows(posy, n))] if posy else []
+                lhs_r, lhs_big_r = _log_forms([c.lhs], n)
+                r[rows] -= lhs_r
+                big_r[rows] -= lhs_big_r
+        parts = [(_slots(slots), _posynomial_rows(posy, n))] if posy else []
         self._compiled = _ConstraintBlock(parts + blocks, r, big_r, weights)
 
     def _block(self) -> _ConstraintBlock:
@@ -462,14 +460,14 @@ class GpModel:
               target: float | None = None) -> GpSolution:
         """Primal-dual interior-point solve; deterministic for a given problem
         and start. The start is None (every variable 1) or an array of
-        positive values in variable order; a start that is not strictly
-        feasible goes through phase one. With a target, the solve stops at
-        the first phase-two iterate whose objective reaches it (status
-        target_reached): every such iterate is strictly feasible."""
+        positive, finite values in variable order, else GpModelError; a start
+        that is not strictly feasible goes through phase one. With a target,
+        the solve stops at the first phase-two iterate whose objective
+        reaches it (status target_reached): every such iterate is strictly
+        feasible."""
         if not self._constraints:
             raise GpModelError("unconstrained GP is unbounded")
-        y0 = np.zeros(len(self._vars)) if start is None \
-            else np.log(np.asarray(start, dtype=float))
+        y0 = np.zeros(len(self._vars)) if start is None else self._log_point(start)
         block = self._block()
         rows, c = block.log_eval, block.weights
         g0 = -self._objective.log_eval(y0)[1]       # the solver minimizes -log objective

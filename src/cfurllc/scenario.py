@@ -214,7 +214,7 @@ def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                if _FIELD_TYPES[key] == "int" or _FIELD_TYPES[key] is int:
+                if _FIELD_TYPES[key] == "int":
                     values[key] = int(text)
                 else:
                     values[key] = float(text)

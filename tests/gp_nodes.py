@@ -5,8 +5,8 @@ by walking the expression one node at a time. It reads the package's
 monomials and sums and the nodes defined here: sums of any nodes, products,
 powers and the fused single-variable family `PosyProductSum`. The compiled
 constraint rows of `cfurllc.gp` and the batched SINR blocks of
-`cfurllc.optimizer` are checked against it; `block_rhs` reads a block
-constraint's right-hand sides back as monomials for it.
+`cfurllc.optimizer` are checked against it; `block_rhs` reads the
+right-hand sides of a model's constraint record back as monomials for it.
 
 `random_two_var_problem` and `grid_optimum` are the second oracle: bounded
 random GPs in two variables and their optimum by log-grid enumeration.
@@ -116,7 +116,7 @@ class NodeRows(gp.RowBlock):
 
 
 def block_rhs(c) -> list[gp.Monomial]:
-    """The right-hand sides of a block constraint as monomials, one per row,
+    """The right-hand sides of a constraint record as monomials, one per row,
     read back from its log coefficients r and exponent rows R."""
     rhs = []
     for log_coeff, exponents in zip(c.rhs_log_coeffs, c.rhs_exponents):
@@ -165,7 +165,7 @@ def grid_optimum(m: gp.GpModel, span=(1e-3, 10.0), coarse=1000, refine=1000) -> 
         feas = np.ones(xx.shape, dtype=bool)
         for c in m._constraints:
             feas &= (_eval_on_grid(c.lhs, xx, yy)
-                     <= _eval_on_grid(c.rhs, xx, yy) * (1 + 1e-12))
+                     <= _eval_on_grid(block_rhs(c)[0], xx, yy) * (1 + 1e-12))
         objs = _eval_on_grid(m._objective, xx, yy)
         objs[~feas] = -np.inf
         best = np.unravel_index(int(np.argmax(objs)), objs.shape)

@@ -1,4 +1,5 @@
-"""Test oracles: product-form rewrites of the closed-form SINR lower bounds,
+"""Test oracles: the dispersion penalty factor, for the penalty tangent in
+`approx`; product-form rewrites of the closed-form SINR lower bounds,
 kept in the log domain, for `fbl.lb_sinr_*` and the gain fits in `approx`;
 the textbook normal-approximation rate, for `fbl.lb_rate`; a bisection that
 starts at the rate kernel's zero, for `fbl.rate_kernel_inverse`; and the
@@ -18,6 +19,13 @@ from cfurllc.channel import ChannelRealization, EstimationStats
 from cfurllc.approx import MonomialFit
 from cfurllc.fbl import FblParams, _logsumexp, rate_kernel
 from cfurllc.scenario import LargeScaleModel
+
+
+def penalty_factor(x):
+    """Square root of the channel dispersion as a function of the SINR."""
+    x = np.asarray(x, dtype=float)
+    out = np.sqrt(x * (x + 2.0)) / (1.0 + x)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

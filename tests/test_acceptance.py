@@ -16,13 +16,14 @@ from cfurllc import cli, fbl, montecarlo as mc, optimizer
 from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, log1p_tangent,
                             mrc_gain_monomial, penalty_tangent)
 from cfurllc.channel import estimation_stats
-from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc, penalty_factor
+from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.gp import Const, GpModel, Monomial, Sum
 from cfurllc.scenario import SystemConfig, generate_topology
 
 from conftest import random_model
 from oracles import (expected_terms_fzf, expected_terms_mrc, fzf_factors, mrc_factors,
-                     monomial_log_value, sinr_fzf_from_factors, sinr_mrc_from_factors)
+                     monomial_log_value, penalty_factor, sinr_fzf_from_factors,
+                     sinr_mrc_from_factors)
 
 
 def report(num, name, passed, detail=""):

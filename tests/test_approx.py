@@ -5,10 +5,8 @@ import pytest
 
 from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, log1p_tangent,
                             mrc_gain_monomial, penalty_tangent)
-from cfurllc.fbl import penalty_factor
-
 from conftest import random_model, toy_model
-from oracles import fzf_factors, monomial_log_value
+from oracles import fzf_factors, monomial_log_value, penalty_factor
 
 
 def mrc_gain_value(model, pilot, k):

@@ -7,14 +7,14 @@ import pytest
 
 from cfurllc import fbl
 from cfurllc.channel import estimation_stats
-from cfurllc.fbl import (FblParams, lb_rate, lb_sinr_fzf, lb_sinr_mrc, penalty_factor,
-                         q_inverse, rate_kernel, rate_kernel_inverse)
+from cfurllc.fbl import (FblParams, lb_rate, lb_sinr_fzf, lb_sinr_mrc, q_inverse,
+                         rate_kernel, rate_kernel_inverse)
 from cfurllc.scenario import SystemConfig
 
 from conftest import random_model, toy_model
 from oracles import (alpha_limit, fzf_factors, kernel_inverse_from_zero, kernel_zero,
-                     mrc_factors, normal_approximation_rate, sinr_fzf_from_factors,
-                     sinr_mrc_from_factors)
+                     mrc_factors, normal_approximation_rate, penalty_factor,
+                     sinr_fzf_from_factors, sinr_mrc_from_factors)
 
 
 def q_tail(x):

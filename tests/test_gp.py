@@ -331,10 +331,8 @@ def test_reaimed_copy_matches_a_fresh_build_and_leaves_its_template():
     # the copy's constraints say what it solves; the template keeps its own
     for a, b in zip(copy._constraints, fresh._constraints):
         assert a.weights.tobytes() == b.weights.tobytes()
-        rhs_a = nodes.block_rhs(a) if isinstance(a, gp._BlockConstraint) else [a.rhs]
-        rhs_b = nodes.block_rhs(b) if isinstance(b, gp._BlockConstraint) else [b.rhs]
-        assert [(r.log_coeff, r.exponents) for r in rhs_a] \
-            == [(r.log_coeff, r.exponents) for r in rhs_b]
+        assert [(r.log_coeff, r.exponents) for r in nodes.block_rhs(a)] \
+            == [(r.log_coeff, r.exponents) for r in nodes.block_rhs(b)]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(
         before, (block.rhs_log_coeffs, block.rhs_exponents, block.weights)))
     a, b = copy.solve(tol=1e-10), fresh.solve(tol=1e-10)
@@ -366,6 +364,51 @@ def test_block_right_hand_side_must_name_declared_variables(index):
     assert m._constraints == []
 
 
+@pytest.mark.parametrize("index", [2, -1])
+def test_every_monomial_must_name_declared_variables(index):
+    # like a block right-hand side, each is rejected when it is added and
+    # leaves the model as it was
+    m = GpModel()
+    x, y = m.variable("x"), m.variable("y")
+    objective = m._objective
+    late = Monomial(1.0, {index: 1.0})
+    for add in (lambda: m.maximize(late),
+                lambda: m.add_le(late, Const(2.0)),
+                lambda: m.add_le(Sum([late, Const(0.5)]), Const(2.0)),
+                lambda: m.add_le(Sum([x, y]), Monomial(2.0, {index: 1.0}))):
+        with pytest.raises(GpModelError, match=f"variable {index}"):
+            add()
+        assert m._constraints == [] and m._objective is objective
+
+
+def test_variable_added_after_a_compile_is_solved_for():
+    m = GpModel()
+    x = m.variable("x")
+    m.maximize(x)
+    m.add_le(x, Const(2.0))
+    assert m.constraint_margins([1.0]) == pytest.approx([-math.log(2.0)])
+    m.variable("y")
+    sol = m.solve(tol=1e-10)
+    assert sol.status == "optimal" and sol.x.shape == (2,)
+    assert sol["x"] == pytest.approx(2.0, rel=1e-8)
+    assert m.constraint_margins(sol.x).shape == (1,)
+
+
+@pytest.mark.parametrize("point", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]],
+                                   [0.0, 1.0], [1.0, -1.0], [math.nan, 1.0],
+                                   [1.0, math.inf]])
+def test_points_must_be_positive_and_one_per_variable(point):
+    m = GpModel()
+    x, y = m.variable("x"), m.variable("y")
+    m.maximize(Monomial(1.0, {0: 1.0, 1: 1.0}))
+    m.add_le(Sum([x, y]), Const(2.0))
+    with pytest.raises(GpModelError, match="2 positive, finite values"):
+        m.solve(start=point)
+    with pytest.raises(GpModelError, match="2 positive, finite values"):
+        m.constraint_margins(point)
+    assert m.solve(start=[0.5, 0.5]).status == "optimal"
+
+
 # --------------------------------------------------------------------------
 # the compiled constraint block
 # --------------------------------------------------------------------------
@@ -376,17 +419,16 @@ def node_walk(model, y, weights):
     n = y.size
     vals, jac, hess = [], [], np.zeros((n, n))
     for c in model._constraints:
-        if isinstance(c, gp._BlockConstraint):
+        rhs = [r.log_eval(y) for r in nodes.block_rhs(c)]
+        if isinstance(c.lhs, gp.RowBlock):
             v, j, h = c.lhs.log_eval(y)
-            rhs = [r.log_eval(y) for r in nodes.block_rhs(c)]
             vals += list(v - [r[0] for r in rhs])
             jac += list(j - [r[1] for r in rhs])
             hess += h(weights[len(vals) - c.lhs.size:len(vals)])
             continue
         lv, lg, lh = nodes.log_eval(c.lhs, y)
-        rv, rg = c.rhs.log_eval(y)
-        vals.append(lv - rv)
-        jac.append(lg - rg)
+        vals.append(lv - rhs[0][0])
+        jac.append(lg - rhs[0][1])
         hess += weights[len(vals) - 1] * lh
     return np.array(vals), np.array(jac), hess
 
@@ -434,7 +476,7 @@ def test_mixed_rows_solve_to_the_node_walk_optimum():
             # every row in one block that walks its node graph
             rows, prob._constraints = prob._constraints, []
             prob.add_block_le(nodes.NodeRows([c.lhs for c in rows]),
-                              [c.rhs for c in rows])
+                              [r for c in rows for r in nodes.block_rhs(c)])
         return prob
 
     for seed in range(8):

@@ -635,14 +635,14 @@ def chi_form(step, floors, block_trees):
         m.variable(name)
     lhs, rhs, weights = [], [], []
     for c in step._constraints:
-        if isinstance(c, gp._BlockConstraint):
+        if isinstance(c.lhs, gp.RowBlock):
             lhs += block_trees(m._vars[kdev:2 * kdev], m._vars[2 * kdev:])
         elif c.weights[0] > 0:
             lhs.append(_shifted(c.lhs, kdev))
         else:
-            m.add_le(_shifted(c.lhs, kdev), _shifted(c.rhs, kdev))
+            m.add_le(_shifted(c.lhs, kdev), _shifted(nodes.block_rhs(c)[0], kdev))
             continue
-        rhs += nodes.block_rhs(c) if isinstance(c, gp._BlockConstraint) else [c.rhs]
+        rhs += nodes.block_rhs(c)
         weights += list(c.weights)
     assert len(lhs) == len(rhs) == len(weights) == kdev
     m.add_block_le(nodes.NodeRows([nodes.Product([chi[k], lhs[k]]) for k in range(kdev)]),
