@@ -35,16 +35,13 @@ def estimation_stats(model: LargeScaleModel, pilot_power: np.ndarray) -> Estimat
 
 
 def substream(master_seed: int, *indices: int) -> np.random.Generator:
-    """Counter-based substream keyed by (master_seed, indices).
+    """PCG64 substream seeded by SeedSequence(master_seed, spawn_key=indices).
 
     Streams are independent for distinct keys, so trials and deployments can
     be drawn in any order, or in parallel, without changing the results.
     """
-    mixed = 0
-    for idx in indices:     # uint64 arithmetic, wrapping without overflow warnings
-        mixed = (mixed * 0x9E3779B97F4A7C15 + int(idx) + 1) % 2 ** 64
-    key = np.array([np.uint64(master_seed), np.uint64(mixed)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(master_seed, spawn_key=indices)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 @dataclass(frozen=True)

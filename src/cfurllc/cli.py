@@ -179,6 +179,7 @@ class Experiment(NamedTuple):
     aggregate: Callable     # (key columns, results of one grid point) -> rows
     header: Callable        # num_devices -> column names
     extra: Callable         # (profile, trials) -> config-hash fields besides the name
+    monte_carlo: bool = False  # whether it reads --trials
 
 
 _SUMMARY = ["mean_wsr", "mean_wsr_feasible", "feasible_count", "deployments"]
@@ -195,7 +196,8 @@ EXPERIMENTS = {
         aggregate=lambda key, res: [key + [float(np.mean([r[i] for r in res]))
                                            for i in range(3)]],
         header=lambda k: ["decoder", "M", "N", "MN", "lb_rate", "ergodic_rate", "ci"],
-        extra=lambda profile, trials: {"trials": trials}),
+        extra=lambda profile, trials: {"trials": trials},
+        monte_carlo=True),
     "converge": Experiment(
         grid=lambda base, profile: [
             ([d, m, n], base.replace(num_aps=m, antennas_per_ap=n), d)
@@ -289,6 +291,8 @@ def _usage_error(message: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trials is not None and not EXPERIMENTS[args.experiment].monte_carlo:
+        return _usage_error(f"--trials: {args.experiment} runs no Monte Carlo")
     profile = PROFILES[args.profile]
     try:
         # the profile sets the default device count; a config file overrides it

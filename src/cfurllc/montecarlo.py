@@ -4,10 +4,11 @@ Each trial draws channels, runs pilot estimation and combines with the
 statistical-CSI receiver. One kernel serves both receivers, which differ only in
 their combining vectors: the mean coherent gain is the desired term, and its
 deviation (leakage), the interference and the noise make up the rest, from which
-instantaneous SINRs and finite-blocklength rates follow. Trials are drawn
-TRIAL_BLOCK at a time, each block from its own counter-based substream in which
-every trial takes one contiguous run, so a trial's values depend on the seed,
-its index and TRIAL_BLOCK, but not on the trial count or the order of evaluation.
+instantaneous SINRs and finite-blocklength rates follow. Only the APs that
+serve some device are drawn. Trials are drawn TRIAL_BLOCK at a time, each block
+from its own SeedSequence-keyed PCG64 substream in which every trial takes one
+contiguous run, so a trial's values depend on the seed, its index, TRIAL_BLOCK
+and which APs serve, but not on the trial count or the order of evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import fbl
 from .channel import (ChannelRealization, EstimationStats, draw_channel,
-                      substream)
+                      estimation_stats, substream)
 from .scenario import LargeScaleModel
 
 TRIAL_BLOCK = 64
@@ -134,15 +135,20 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
              workers: int | None = None) -> TrialOutcome:
     """Run `trials` independent channel draws and concatenate the outcomes.
 
+    Only the APs that serve some device are drawn: the trials run on
+    `model.serving_subset()`, with statistics from `estimation_stats` at
+    `stats.pilot_power`, so each device's trials keep their law and an AP
+    that serves nobody can neither be rank-deficient nor cost a draw.
     Block b holds trials b*TRIAL_BLOCK onwards and is drawn by one
     `draw_channel` call on the substream (seed, b, 0), whose trailing 0 stays
     so that every trial keeps its stream. A trial's values depend on the seed,
-    its index and TRIAL_BLOCK, not on the trial count or the order of
-    evaluation. A rank-deficient zero-forcing estimate raises RuntimeError
-    naming the trial: it has probability zero, and a degenerate input (a zero
-    estimate when K p beta underflows) recurs on every draw. Blocks run on
-    `workers` threads (None: all usable CPUs; 1: no pool) and are consumed in
-    order; block b + workers starts once block b is consumed.
+    its index, TRIAL_BLOCK and which APs serve, not on the trial count or the
+    order of evaluation. A rank-deficient zero-forcing estimate raises
+    RuntimeError naming the trial: it has probability zero, and a degenerate
+    input (a zero estimate at a serving AP when K p beta underflows) recurs
+    on every draw. Blocks run on `workers` threads (None: all usable CPUs;
+    1: no pool) and are consumed in order; block b + workers starts once
+    block b is consumed.
     """
     fbl.check_decoder(decoder)
     if trials < 1:
@@ -154,14 +160,16 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
         raise ValueError(f"workers must be None or an int >= 1, got {workers!r}")
     blocks = range(-(-trials // TRIAL_BLOCK))
     workers = min(workers, len(blocks))
+    serving = model.serving_subset()      # no decoder reads the other APs
+    stats = estimation_stats(serving, stats.pilot_power)
 
     def run(block):
         start = block * TRIAL_BLOCK
-        real = draw_channel(model, stats, n_antennas, substream(seed, block, 0),
+        real = draw_channel(serving, stats, n_antennas, substream(seed, block, 0),
                             trials=min(TRIAL_BLOCK, trials - start))
         if decoder == "mrc":
-            return decode_mrc(real, model, stats, payload_power, n_antennas, params)
-        return decode_fzf(real, model, stats, payload_power, n_antennas, params, start)
+            return decode_mrc(real, serving, stats, payload_power, n_antennas, params)
+        return decode_fzf(real, serving, stats, payload_power, n_antennas, params, start)
     if workers == 1:
         outcomes = [run(block) for block in blocks]
     else:

@@ -103,6 +103,21 @@ class LargeScaleModel:
     def num_devices(self) -> int:
         return self.beta.shape[1]
 
+    def serving_subset(self) -> "LargeScaleModel":
+        """The deployment restricted to the APs that serve at least one device.
+
+        Their beta rows and positions keep their order, and each service set
+        is re-indexed to the kept rows; self when every AP serves.
+        """
+        kept = sorted(set().union(*self.service_sets))
+        if len(kept) == self.num_aps:
+            return self
+        new_index = {m: i for i, m in enumerate(kept)}
+        return dataclasses.replace(
+            self, beta=self.beta[kept], positions_ap=self.positions_ap[kept],
+            service_sets=tuple(tuple(new_index[m] for m in aps)
+                               for aps in self.service_sets))
+
 
 def loss_constant_db(cfg: SystemConfig) -> float:
     """Frequency/height dependent constant of the three-slope path-loss model."""
@@ -198,10 +213,10 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
 def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
     """Read a plain-text ``key = value`` configuration file.
 
-    Unknown keys and malformed lines raise ConfigError with the line number.
-    Lines starting with '#' and blank lines are ignored.
+    Unknown keys, repeated keys and malformed lines raise ConfigError with the
+    line number. Lines starting with '#' and blank lines are ignored.
     """
-    values = {}
+    values, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -213,6 +228,10 @@ def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
             key, text = key.strip(), text.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key '{key}' repeated, "
+                                  f"first set on line {seen[key]}")
+            seen[key] = lineno
             try:
                 if _FIELD_TYPES[key] == "int":
                     values[key] = int(text)

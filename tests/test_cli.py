@@ -107,6 +107,11 @@ def test_main_rejects_bad_config(tmp_path, capsys):
         rc = cli.main(["--config", str(bad), "--out", str(out), "converge"])
         assert rc == 2, line
         assert line.split()[0] in capsys.readouterr().err, line
+    # a repeated key names both of its lines instead of keeping the last value
+    bad.write_text("num_devices = 4\n# the device count again\nnum_devices = 6\n")
+    assert cli.main(["--config", str(bad), "--out", str(out), "converge"]) == 2
+    err = capsys.readouterr().err
+    assert ":3:" in err and "'num_devices' repeated" in err and "line 1" in err
     assert cli.main(["--seed", "-3", "--out", str(out), "converge"]) == 2
     assert "master_seed" in capsys.readouterr().err
     assert not out.exists()
@@ -145,6 +150,15 @@ def test_main_rejects_too_few_trials(trials, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("experiment",
+                         ["converge", "threshold-sweep", "energy-compare", "devices-sweep"])
+def test_main_rejects_trials_without_monte_carlo(experiment, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["--trials", "100", "--out", str(out), experiment]) == 2
+    assert capsys.readouterr().err == f"error: --trials: {experiment} runs no Monte Carlo\n"
+    assert not out.exists()
 
 
 def test_threshold_sweep_emits_both_statistics(tmp_path):

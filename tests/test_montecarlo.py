@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -9,6 +10,7 @@ from cfurllc.channel import draw_channel, estimation_stats, substream
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.scenario import SystemConfig, generate_topology
 
+from conftest import toy_model
 from oracles import draw_channel_out_of_place, expected_terms_fzf, expected_terms_mrc
 
 
@@ -162,22 +164,34 @@ def test_in_place_draw_matches_out_of_place_arithmetic(aps):
 
 
 def _block_stream_key(seed, trial):
-    rng = substream(seed, trial // mc.TRIAL_BLOCK, 0)
-    return rng.bit_generator.state["state"]["key"].tolist()
+    return (seed, trial // mc.TRIAL_BLOCK, 0)
+
+
+def _record_stream_keys(monkeypatch):
+    """Map each substream that `simulate` makes to the key it was made with."""
+    made, keys = mc.substream, {}
+
+    def keyed(*key):
+        rng = made(*key)
+        keys[id(rng)] = key
+        return rng
+
+    monkeypatch.setattr(mc, "substream", keyed)
+    return keys
 
 
 @pytest.mark.parametrize("kind", ["zero", "duplicate"])
 def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
     cfg, model, params, stats, pd = validation_setup()
     seed, target = 5, mc.TRIAL_BLOCK + 7
-    draw, keys = mc.draw_channel, []
+    draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
     def degenerate(model, stats, n_antennas, rng, trials=1):
         real = draw(model, stats, n_antennas, rng, trials)
-        keys.append(rng.bit_generator.state["state"]["key"].tolist())
+        keys.append(stream_keys[id(rng)])
         if keys[-1] == _block_stream_key(seed, target):
-            # device 2's column of the N x K estimate at AP 1, zeroed or copied
-            # from device 0
+            # device 2's column of the N x K estimate at serving AP 1, zeroed
+            # or copied from device 0
             j = target % mc.TRIAL_BLOCK
             real.g_hat[j, 1, 2] = 0.0 if kind == "zero" else real.g_hat[j, 1, 0]
         return real
@@ -195,11 +209,11 @@ def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
     cfg, model, params, stats, pd = validation_setup()
     seed, blocks = 5, 6
     targets = (mc.TRIAL_BLOCK + 7, 2 * mc.TRIAL_BLOCK + 3)     # blocks 1 and 2
-    draw, keys = mc.draw_channel, []
+    draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
     def degenerate(model, stats, n_antennas, rng, trials=1):
         real = draw(model, stats, n_antennas, rng, trials)
-        keys.append(rng.bit_generator.state["state"]["key"].tolist())
+        keys.append(stream_keys[id(rng)])
         for target in targets:
             if keys[-1] == _block_stream_key(seed, target):
                 real.g_hat[target % mc.TRIAL_BLOCK, 1, 2] = 0.0
@@ -213,7 +227,7 @@ def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
     # each block is drawn at most once, and with two in flight nothing past
     # block 2 starts once block 1 fails
     block_keys = [_block_stream_key(seed, b * mc.TRIAL_BLOCK) for b in range(blocks)]
-    assert len(set(map(tuple, keys))) == len(keys)
+    assert len(set(keys)) == len(keys)
     assert all(key in block_keys[:3] for key in keys)
     assert block_keys[1] in keys
 
@@ -223,8 +237,8 @@ def test_persistently_degenerate_trial_raises(monkeypatch):
     target, draw = 3, mc.draw_channel
 
     def degenerate(model, stats, n_antennas, rng, trials=1):
-        # from trial 3 on, every draw copies device 0's estimate at AP 1 into
-        # device 2's
+        # from trial 3 on, every draw copies device 0's estimate at serving
+        # AP 1 into device 2's
         real = draw(model, stats, n_antennas, rng, trials)
         real.g_hat[target:, 1, 2] = real.g_hat[target:, 1, 0]
         return real
@@ -239,6 +253,42 @@ def test_persistently_degenerate_trial_raises(monkeypatch):
     # maximum-ratio combining needs no rank, so the same draws decode
     out = mc.simulate(model, stats, pd, "mrc", 100, seed=5, n_antennas=8,
                       params=params)
+    assert np.all(np.isfinite(out.sinr)) and np.all(out.sinr > 0)
+
+
+def _without_aps(model, dropped):
+    """The deployment with the APs in `dropped` deleted and the service sets
+    re-indexed to the remaining rows."""
+    kept = [m for m in range(model.num_aps) if m not in dropped]
+    return dataclasses.replace(
+        model, beta=model.beta[kept], positions_ap=model.positions_ap[kept],
+        service_sets=tuple(tuple(kept.index(m) for m in aps) for aps in model.service_sets))
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_non_serving_aps_change_no_trial(decoder):
+    cfg, model, params, stats, pd = validation_setup()
+    idle = set(range(model.num_aps)) - set().union(*model.service_sets)
+    assert idle == {0, 3}
+    bare = _without_aps(model, idle)
+    runs = [mc.simulate(m, estimation_stats(m, stats.pilot_power), pd, decoder,
+                        2 * mc.TRIAL_BLOCK + 1, seed=5, n_antennas=8, params=params,
+                        workers=1)
+            for m in (model, bare)]
+    for name in ("ds2", "ls2", "ui2", "n2", "sinr", "rate"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+
+def test_zero_estimate_at_a_non_serving_ap_is_not_drawn():
+    # AP 2 serves nobody, and device 0's gain there is so small that its
+    # estimate is exactly zero: that AP's Gram matrix would be singular
+    model = toy_model(np.array([[2.0, 0.5], [0.3, 1.5], [1e-320, 0.8]]),
+                      service_sets=((0,), (1,)))
+    stats = estimation_stats(model, np.full(2, 10.0))
+    assert stats.lam[2, 0] == 0.0
+    params = fbl.FblParams.from_config(SystemConfig(num_devices=2))
+    out = mc.simulate(model, stats, np.full(2, 10.0), "fzf", 100, seed=3,
+                      n_antennas=4, params=params, workers=1)
     assert np.all(np.isfinite(out.sinr)) and np.all(out.sinr > 0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from cfurllc.scenario import (ConfigError, SystemConfig, config_hash, generate_topology,
                               load_config, loss_constant_db, noise_power_w,
                               path_loss_db, select_aps)
+
+from conftest import toy_model
 
 
 def test_loss_constant_default_frequency_and_heights():
@@ -169,6 +172,27 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     path.write_text("num_devices = abc\n")
     with pytest.raises(ConfigError, match=":1:"):
         load_config(str(path))
+    # a repeated key is an error, not a silent override, even with one value
+    for text in ("num_devices = 4\nbandwidth_hz = 5e6\nnum_devices = 6\n",
+                 "num_devices = 4\nbandwidth_hz = 5e6\nnum_devices = 4\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=":3: key 'num_devices' repeated, "
+                                              "first set on line 1$"):
+            load_config(str(path))
+
+
+def test_serving_subset_keeps_the_serving_aps_in_order():
+    model = dataclasses.replace(
+        toy_model(np.arange(1.0, 13.0).reshape(4, 3), service_sets=((3, 1), (1,), (3,))),
+        positions_ap=np.arange(8.0).reshape(4, 2))
+    sub = model.serving_subset()
+    assert np.array_equal(sub.beta, model.beta[[1, 3]])
+    assert np.array_equal(sub.positions_ap, model.positions_ap[[1, 3]])
+    assert sub.service_sets == ((1, 0), (0,), (1,))
+    for name in ("positions_dev", "weights", "energy"):
+        assert getattr(sub, name) is getattr(model, name)
+    every = toy_model(model.beta, service_sets=((0, 1), (2,), (3,)))
+    assert every.serving_subset() is every
 
 
 def test_config_hash_stable_and_sensitive():
