@@ -9,7 +9,7 @@ from .fbl import FblParams, lb_rate, lb_sinr_fzf, lb_sinr_mrc, q_inverse
 from .montecarlo import ergodic_rate
 from .optimizer import (PowerAllocation, SolveResult, benchmark_conventional,
                         benchmark_fixed_pilot, benchmark_upper_bound,
-                        feasibility_init, solve_fzf, solve_mrc)
+                        feasibility_init, solve)
 from .scenario import (LargeScaleModel, SystemConfig, generate_topology,
                        load_config, noise_power_w, path_loss_db, select_aps)
 
@@ -19,8 +19,7 @@ __all__ = [
     "benchmark_fixed_pilot", "benchmark_upper_bound", "draw_channel",
     "ergodic_rate", "estimation_stats", "feasibility_init", "generate_topology",
     "lb_rate", "lb_sinr_fzf", "lb_sinr_mrc", "load_config", "noise_power_w",
-    "path_loss_db", "q_inverse", "select_aps", "solve_fzf",
-    "solve_mrc", "substream",
+    "path_loss_db", "q_inverse", "select_aps", "solve", "substream",
 ]
 
 __version__ = "0.1.0"

@@ -3,8 +3,12 @@
 Each iteration replaces the weighted-sum-rate objective by its log-linear
 tangent surrogate and the coherent-gain posynomials by their best local
 monomials, yielding a GP whose solution can only improve the true objective.
-A max-slack GP provides the feasible starting point; benchmark schemes reuse
-the same machinery with the dispersion penalty removed or the pilots frozen.
+A max-slack GP, in `feasibility_init`, provides the feasible starting point;
+the infinite-blocklength benchmark reuses it with the dispersion penalty
+removed. The fixed-pilot benchmark freezes the pilots, so its SINR floors are
+linear in the payloads: one linear solve gives the least payloads meeting them
+and decides feasibility (Yates, IEEE JSAC 13(7), 1995), and the SCA starts
+above those payloads.
 """
 
 from __future__ import annotations
@@ -356,10 +360,11 @@ def _scheme_gp(floors: np.ndarray, names: list[str], add_rows: Callable) -> Call
 
     `add_rows(m, xs, rhs)` adds the scheme's rows over its variables xs,
     SINR row k as lhs_k <= rhs(k, exponents), the monomial prod x^exponents
-    over floor_k, and returns the slots of the SINR rows. The max-slack GP
-    also divides each right-hand side by phi, its first variable, which it
-    maximizes; a step GP weights SINR row k by w_hat_k, so it maximizes
-    prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs over their floors.
+    over floor_k, and returns the slots of the SINR rows. A step GP weights
+    SINR row k by w_hat_k, so it maximizes prod_k (rhs_k / lhs_k)^w_hat_k,
+    the fitted SINRs over their floors. The joint scheme's max-slack GP, the
+    only one (`feasibility_init`), also divides each right-hand side by phi,
+    its first variable, which it maximizes.
 
     Returns gp_for(w_hat, fit=None), the GP of one round (w_hat None: the
     max-slack GP). A round writes only the row weights and, for SINR rows
@@ -408,7 +413,7 @@ def _scheme_gp(floors: np.ndarray, names: list[str], add_rows: Callable) -> Call
 class _Scheme(NamedTuple):
     """What the max-slack stage and the SCA loop need of one scheme."""
 
-    build: Callable      # (pilot_hat, w_hat) -> its GP; w_hat None: the max-slack GP
+    build: Callable      # (pilot_hat, w_hat) -> its GP; w_hat None: the joint max-slack GP
     read: Callable       # GP solution -> PowerAllocation, read by position
     coords: Callable     # PowerAllocation -> its step GP's variables (phi aside)
     sinr_of: Callable    # PowerAllocation -> lower-bound SINRs
@@ -440,21 +445,26 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                    sinr_of=lambda alloc: true_sinr(model, alloc, cfg.antennas_per_ap, decoder))
 
 
-def _max_slack(scheme: _Scheme, cfg: SystemConfig, pilot_hat: np.ndarray,
-               start: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
-    """Find an allocation meeting every SINR floor, or report infeasible.
+def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
+                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
+    """Find a joint allocation meeting every SINR floor, or report infeasible.
 
-    Solves the max-slack GP from `start` (phi first, then the scheme's
-    variables) and re-expands the fits at the returned pilots, which can only
-    raise the certified slack. Each solve stops at its first strictly
-    feasible iterate with phi >= 1.05 (status target_reached), which
+    Solves the max-slack GP from the equal energy split (phi first, then the
+    pilots and payloads) and re-expands the fits at the returned pilots,
+    which can only raise the certified slack. Each solve stops at its first
+    strictly feasible iterate with phi >= 1.05 (status target_reached), which
     certifies the floors as well as the optimum would; a GP whose slack stays
     below that is solved to its optimum. Stops once comfortably feasible, when
     the slack stalls, or when the pilots did not move, since the GP would
     then be rebuilt unchanged. Returns the allocation (None when none is
-    certified), the largest slack reached and an error message, empty unless
-    a GP failed numerically.
+    certified with slack >= 1), the largest slack reached and an error
+    message, empty unless a GP failed numerically.
     """
+    kdev = model.num_devices
+    scheme = _joint_scheme(model, cfg, decoder, floors)
+    pilot_hat = model.energy / (2.0 * kdev)
+    payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))
+    start = np.concatenate([[1e-3], 0.9 * pilot_hat, 0.9 * payload0])
     target = 1.05 * FEASIBILITY_MARGIN
     best_phi = -math.inf
     best_alloc = None
@@ -481,26 +491,6 @@ def _max_slack(scheme: _Scheme, cfg: SystemConfig, pilot_hat: np.ndarray,
     if best_phi >= FEASIBILITY_MARGIN and best_alloc is not None:
         return best_alloc, best_phi, ""
     return None, best_phi, error
-
-
-def _unreachable(phi: float, error: str) -> SolveResult:
-    """The result of a max-slack stage that certified no allocation."""
-    return _no_allocation("aborted" if error else "infeasible",
-                          error or f"max floor slack {phi:.4f} < 1")
-
-
-def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
-    """The joint allocation's max-slack stage from the equal energy split:
-    the first iterate certified with slack >= 1.05, else the max-slack
-    optimum of largest slack when that slack is >= 1 (None when none is
-    certified); the largest slack reached; and an error message, empty
-    unless a max-slack GP failed numerically."""
-    kdev = model.num_devices
-    pilot_hat = model.energy / (2.0 * kdev)
-    payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))
-    start = np.concatenate([[1e-3], 0.9 * pilot_hat, 0.9 * payload0])
-    return _max_slack(_joint_scheme(model, cfg, decoder, floors), cfg, pilot_hat, start)
 
 
 def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
@@ -566,7 +556,8 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     if start is None:
         start, phi, error = feasibility_init(model, cfg, decoder, floors)
         if start is None:
-            return _unreachable(phi, error)
+            return _no_allocation("aborted" if error else "infeasible",
+                                  error or f"max floor slack {phi:.4f} < 1")
     return _run_sca(model, cfg, params, floors, start,
                     _joint_scheme(model, cfg, decoder, floors))
 
@@ -575,18 +566,6 @@ def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
           start: PowerAllocation | None = None) -> SolveResult:
     """Joint pilot/payload allocation for decoder "mrc" or "fzf"."""
     return _solve_sca(model, cfg, decoder, fbl.FblParams.from_config(cfg), start)
-
-
-def solve_mrc(model: LargeScaleModel, cfg: SystemConfig,
-              start: PowerAllocation | None = None) -> SolveResult:
-    """Joint pilot/payload allocation for the MRC decoder."""
-    return solve(model, cfg, MRC, start)
-
-
-def solve_fzf(model: LargeScaleModel, cfg: SystemConfig,
-              start: PowerAllocation | None = None) -> SolveResult:
-    """Joint pilot/payload allocation for the zero-forcing decoder."""
-    return solve(model, cfg, FZF, start)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +607,16 @@ def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig,
 
 def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
                           decoder: str) -> SolveResult:
-    """Pilot power frozen at energy/blocklength; only payloads are optimized."""
+    """Pilot power frozen at energy/blocklength; only payloads are optimized.
+
+    The SINR floors then read pd >= A pd + b, with A = diag(floor/gain) cross
+    >= 0 and b = floor noise/gain > 0, so the least payloads meeting them are
+    pd* = (I - A)^-1 b. The floors can be met under the payload cap exactly
+    when pd* is positive and below the cap (Yates, IEEE JSAC 13(7), 1995);
+    b > 0 makes a positive pd* imply that A has spectral radius below 1. The
+    SCA starts from s pd*, s halfway between 1 and the cap's least headroom
+    over pd*, where (I - A) s pd* = s b > b meets every floor strictly.
+    """
     params = fbl.FblParams.from_config(cfg)
     kdev = model.num_devices
     pilot = model.energy / cfg.blocklength
@@ -638,6 +626,13 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     pieces = fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder)
     n, coherent, noise, cross = pieces
     gain = n * coherent
+    lift = floors / gain
+    try:
+        least = np.linalg.solve(np.eye(kdev) - lift[:, None] * cross, lift * noise)
+    except np.linalg.LinAlgError:
+        least = np.full(kdev, np.nan)
+    if not np.all((least > 0) & (least < pd_max)):
+        return _no_allocation("infeasible", "no payload under the cap meets every SINR floor")
 
     def add_rows(m, pd, rhs):
         """Row k is (cross_k . pd + noise_k) / gain_k <= pd_k under `rhs` of
@@ -654,8 +649,6 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
                      read=lambda sol: PowerAllocation(pilot=pilot, payload=sol.x[-kdev:]),
                      coords=lambda alloc: alloc.payload,
                      sinr_of=lambda alloc: fbl.lb_sinr(pieces, alloc.payload))
-    alloc, phi, error = _max_slack(scheme, cfg, pilot,
-                                   np.concatenate([[1e-3], 0.5 * pd_max]))
-    if alloc is None:
-        return _unreachable(phi, error)
-    return _run_sca(model, cfg, params, floors, alloc, scheme)
+    scale = 0.5 * (1.0 + float((pd_max / least).min()))
+    return _run_sca(model, cfg, params, floors,
+                    PowerAllocation(pilot=pilot, payload=scale * least), scheme)

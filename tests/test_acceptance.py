@@ -376,15 +376,14 @@ def test_criterion_6_sca_behavior():
 def test_criterion_7_single_device_oracle():
     from test_optimizer import grid_best_rate
     worst = 0.0
-    for decoder, solve in (("mrc", optimizer.solve_mrc),
-                           ("fzf", optimizer.solve_fzf)):
+    for decoder in ("mrc", "fzf"):
         cfg = SystemConfig(num_devices=1, num_aps=1, antennas_per_ap=4,
                            energy_budget=1e13, gp_tolerance=1e-8)
         model = generate_topology(cfg, seed=5)
         model.weights[0] = 1.0
         best, _ = grid_best_rate(cfg, float(model.beta[0, 0]), decoder,
                                  points=1400)
-        res = solve(model, cfg)
+        res = optimizer.solve(model, cfg, decoder)
         worst = max(worst, abs(res.weighted_sum_rate - best) / best)
     report(7, "single-device grid oracle", worst < 0.01, f"worst rel {worst:.3%}")
 
@@ -425,7 +424,7 @@ def test_criterion_9_threshold_sweep():
         vals = []
         for dep in range(deployments):
             model = generate_topology(cfg, seed=700 + dep)
-            res = optimizer.solve_mrc(model, cfg)
+            res = optimizer.solve(model, cfg, "mrc")
             vals.append(res.weighted_sum_rate if res.feasible else 0.0)
         means.append(float(np.mean(vals)))
     means = np.array(means)

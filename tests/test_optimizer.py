@@ -10,7 +10,7 @@ from cfurllc import approx, fbl, gp, optimizer
 from cfurllc.channel import estimation_stats
 from cfurllc.optimizer import (FZF, MRC, SurrogateError, benchmark_conventional, benchmark_fixed_pilot,
                                benchmark_upper_bound, feasibility_init,
-                               sinr_floor, sinr_floors, solve_fzf, solve_mrc)
+                               sinr_floor, sinr_floors)
 from cfurllc.scenario import SystemConfig, generate_topology
 
 DESK = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
@@ -128,25 +128,19 @@ VERDICT_DEPLOYMENTS = [(DESK.replace(num_aps=m, antennas_per_ap=n, energy_budget
                        for seed in range(1, 7) for d in (MRC, FZF)]
 
 
-def max_slack_stages(cfg, seed, decoder):
-    """What `_max_slack` returned for the joint stage (feasibility_init)
-    and for the fixed-pilot stage, with each stage's scheme."""
+# The desk layouts at E = 6e11, the lowest energy of the desk energy grid,
+# where most fixed-pilot instances are out of reach.
+LOW_ENERGY_DEPLOYMENTS = [(DESK.replace(num_aps=m, antennas_per_ap=n, energy_budget=6e11), seed, d)
+                          for m, n in ((1, 48), (4, 12)) for seed in range(1, 5)
+                          for d in (MRC, FZF)]
+
+
+def joint_stage(cfg, seed, decoder):
+    """The deployment, its floors and what feasibility_init returns."""
     model = generate_topology(cfg, seed=seed)
     floors = sinr_floors(fbl.FblParams.from_config(cfg),
                          np.full(cfg.num_devices, cfg.rate_req_bps))
-    stages = []
-    original = optimizer._max_slack
-
-    def spy(scheme, *args):
-        out = original(scheme, *args)
-        stages.append((scheme, out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_max_slack", spy)
-        feasibility_init(model, cfg, decoder, floors)
-        benchmark_fixed_pilot(model, cfg, decoder)
-    return model, floors, stages
+    return model, floors, feasibility_init(model, cfg, decoder, floors)
 
 
 def untargeted(solve):
@@ -159,22 +153,60 @@ def untargeted(solve):
 def test_early_max_slack_stop_keeps_every_verdict():
     infeasible = 0
     for cfg, seed, decoder in VERDICT_DEPLOYMENTS:
-        model, floors, stages = max_slack_stages(cfg, seed, decoder)
+        model, floors, (alloc, phi, error) = joint_stage(cfg, seed, decoder)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp.GpModel, "solve", untargeted(gp.GpModel.solve))
-            _, _, reference = max_slack_stages(cfg, seed, decoder)
-        assert len(stages) == len(reference) == 2
-        for (scheme, (alloc, phi, error)), (_, (ref_alloc, ref_phi, ref_error)) \
-                in zip(stages, reference):
-            assert error == ref_error == ""
-            assert (alloc is None) == (ref_alloc is None), (cfg, seed, decoder, phi, ref_phi)
-            if alloc is None:
-                infeasible += 1
-                continue
-            assert np.all(scheme.sinr_of(alloc) >= floors)
-            assert np.all(alloc.energy(cfg.num_devices, cfg.blocklength)
-                          <= model.energy * (1 + 1e-9))
+            _, _, (ref_alloc, ref_phi, ref_error) = joint_stage(cfg, seed, decoder)
+        assert error == ref_error == ""
+        assert (alloc is None) == (ref_alloc is None), (cfg, seed, decoder, phi, ref_phi)
+        if alloc is None:
+            infeasible += 1
+            continue
+        assert np.all(optimizer.true_sinr(model, alloc, cfg.antennas_per_ap, decoder) >= floors)
+        assert np.all(alloc.energy(cfg.num_devices, cfg.blocklength)
+                      <= model.energy * (1 + 1e-9))
     assert infeasible >= 2
+
+
+def least_payloads(model, cfg, decoder, floors):
+    """Yates' fixed-point iteration pd <- floor (cross pd + noise) / gain from
+    pd = 0 at the fixed pilots: it rises to the least payloads meeting every
+    floor when they exist; None when it passes the payload cap first."""
+    pilot = model.energy / cfg.blocklength
+    n, coherent, noise, cross = fbl.sinr_pieces(model, estimation_stats(model, pilot),
+                                                cfg.antennas_per_ap, decoder)
+    pd = np.zeros(model.num_devices)
+    for _ in range(100_000):
+        nxt = floors * (cross @ pd + noise) / (n * coherent)
+        if np.any(nxt >= pilot):
+            return None
+        if np.all(nxt - pd <= 1e-14 * nxt):
+            return nxt
+        pd = nxt
+    raise AssertionError("the fixed-point iteration did not settle")
+
+
+def test_fixed_pilot_verdict_matches_its_max_slack_gp():
+    # oracle: the fixed-pilot max-slack GP built through the public API and
+    # solved to its optimum from the point the solver once started it at
+    verdicts = []
+    for cfg, seed, decoder in VERDICT_DEPLOYMENTS + LOW_ENERGY_DEPLOYMENTS:
+        model = generate_topology(cfg, seed=seed)
+        floors = sinr_floors(fbl.FblParams.from_config(cfg),
+                             np.full(cfg.num_devices, cfg.rate_req_bps))
+        slack = public_api_gp(model, cfg, ("fixed-pilot", decoder), floors, None, None)
+        start = np.concatenate([[1e-3], 0.5 * model.energy / cfg.blocklength])
+        ref = slack.solve(tol=cfg.gp_tolerance, start=start)
+        assert ref.status == "optimal"
+        res = benchmark_fixed_pilot(model, cfg, decoder)
+        assert res.feasible == (ref.x[0] >= 1.0), (cfg, seed, decoder, ref.x[0])
+        least = least_payloads(model, cfg, decoder, floors)
+        assert (least is not None) == res.feasible
+        verdicts.append(res.feasible)
+        if res.feasible:
+            for alloc in res.trace.allocations:
+                assert np.all(alloc.payload >= least)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_no_allocation_gp_runs_phase_one(monkeypatch):
@@ -191,7 +223,7 @@ def test_no_allocation_gp_runs_phase_one(monkeypatch):
 
     monkeypatch.setattr(gp.GpModel, "_phase_one", spy)
     feasible = 0
-    for cfg, seed, decoder in VERDICT_DEPLOYMENTS:
+    for cfg, seed, decoder in VERDICT_DEPLOYMENTS + LOW_ENERGY_DEPLOYMENTS:
         model = generate_topology(cfg, seed=seed)
         for run in (optimizer.solve, benchmark_upper_bound, benchmark_fixed_pilot):
             feasible += run(model, cfg, decoder).feasible
@@ -203,11 +235,13 @@ def test_no_allocation_gp_runs_phase_one(monkeypatch):
 # the iterative algorithms
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("decoder,solve,cap", [(MRC, solve_mrc, 10),
-                                               (FZF, solve_fzf, 25)])
-def test_sca_trace_properties(decoder, solve, cap):
+# the case ids keep the names these cases had when each decoder had its
+# own solve_mrc / solve_fzf wrapper
+@pytest.mark.parametrize("decoder,cap", [pytest.param(MRC, 10, id="mrc-solve_mrc-10"),
+                                         pytest.param(FZF, 25, id="fzf-solve_fzf-25")])
+def test_sca_trace_properties(decoder, cap):
     model = desk_model()
-    res = solve(model, DESK)
+    res = optimizer.solve(model, DESK, decoder)
     assert res.status == "optimal"
     obj = np.array(res.trace.objective)
     assert len(obj) - 1 <= cap
@@ -226,20 +260,21 @@ def test_sca_trace_properties(decoder, solve, cap):
 def test_infeasible_reports_zero_rate():
     cfg = DESK.replace(energy_budget=1e10)
     model = generate_topology(cfg, seed=3)
-    res = solve_mrc(model, cfg)
+    res = optimizer.solve(model, cfg, MRC)
     assert res.status == "infeasible"
     assert res.weighted_sum_rate == 0.0
     assert res.allocation is None
 
 
-@pytest.mark.parametrize("decoder,solve", [(MRC, solve_mrc), (FZF, solve_fzf)])
-def test_single_device_matches_grid_oracle(decoder, solve):
+@pytest.mark.parametrize("decoder", [pytest.param(MRC, id="mrc-solve_mrc"),
+                                     pytest.param(FZF, id="fzf-solve_fzf")])
+def test_single_device_matches_grid_oracle(decoder):
     cfg = SystemConfig(num_devices=1, num_aps=1, antennas_per_ap=4,
                        energy_budget=1e13, gp_tolerance=1e-8)
     model = generate_topology(cfg, seed=5)
     model.weights[0] = 1.0
     best, _ = grid_best_rate(cfg, float(model.beta[0, 0]), decoder)
-    res = solve(model, cfg)
+    res = optimizer.solve(model, cfg, decoder)
     assert res.status == "optimal"
     assert res.weighted_sum_rate == pytest.approx(best, rel=0.01)
     assert res.weighted_sum_rate >= best * (1 - 0.01)
@@ -269,7 +304,7 @@ def test_unknown_decoder_is_rejected_before_any_gp(decoder, monkeypatch):
 def test_upper_bound_dominates_proposed():
     for seed in (1, 2, 3):
         model = desk_model(seed)
-        proposed = solve_mrc(model, DESK)
+        proposed = optimizer.solve(model, DESK, MRC)
         upper = benchmark_upper_bound(model, DESK, MRC)
         assert upper.weighted_sum_rate >= proposed.weighted_sum_rate * (1 - 1e-6)
 
@@ -294,7 +329,7 @@ def test_conventional_can_be_infeasible_when_proposed_is_not():
         cfg = DESK.replace(energy_budget=energy)
         for seed in range(8):
             model = generate_topology(cfg, seed=seed)
-            prop = solve_mrc(model, cfg)
+            prop = optimizer.solve(model, cfg, MRC)
             conv = benchmark_conventional(model, cfg, MRC)
             if prop.feasible and not conv.feasible:
                 found = True
@@ -309,9 +344,9 @@ def test_fixed_pilot_never_beats_proposed():
     for seed in (1, 4, 9):
         model = desk_model(seed)
         fixed = benchmark_fixed_pilot(model, DESK, MRC)
-        prop = solve_mrc(model, DESK)
+        prop = optimizer.solve(model, DESK, MRC)
         if fixed.feasible and prop.weighted_sum_rate < fixed.weighted_sum_rate:
-            prop = solve_mrc(model, DESK, start=fixed.allocation)
+            prop = optimizer.solve(model, DESK, MRC, start=fixed.allocation)
         assert prop.weighted_sum_rate >= fixed.weighted_sum_rate * (1 - 1e-9)
         assert np.allclose(fixed.allocation.pilot,
                            model.energy / DESK.blocklength)
@@ -356,7 +391,7 @@ def test_driver_carries_surrogate_clamping_into_the_trace(scheme, monkeypatch):
 
     def run():
         if scheme == "joint":
-            return solve_mrc(model, DESK)
+            return optimizer.solve(model, DESK, MRC)
         return benchmark_fixed_pilot(model, DESK, MRC)
 
     plain = run()
@@ -411,7 +446,7 @@ def test_fixed_pilot_sinrs_are_the_closed_form_bounds(decoder):
 def test_reported_rate_is_the_best_traced_objective(seed):
     # the trace and the result score an iterate with the same weighted sum
     model = desk_model(seed)
-    for res in (solve_mrc(model, DESK), benchmark_fixed_pilot(model, DESK, MRC)):
+    for res in (optimizer.solve(model, DESK, MRC), benchmark_fixed_pilot(model, DESK, MRC)):
         assert res.feasible
         assert max(res.trace.objective) == res.weighted_sum_rate
 
@@ -428,22 +463,23 @@ def count_gp_solves(monkeypatch):
     return solved
 
 
-def test_fixed_pilot_solves_one_max_slack_gp(monkeypatch):
-    # the pilots are frozen, so the max-slack GP is never re-expanded: one
-    # max-slack GP, then one GP per SCA step
+def test_fixed_pilot_solves_one_gp_per_sca_step(monkeypatch):
+    # one linear solve decides feasibility and gives the SCA start: no
+    # max-slack (phi) GP, then one GP per SCA step, and none at all for an
+    # infeasible instance
     solved = count_gp_solves(monkeypatch)
     res = benchmark_fixed_pilot(desk_model(), DESK, MRC)
-    assert res.feasible and len(solved) == len(res.trace.objective)
-    assert "phi" in solved[0].names and "phi" not in solved[1].names
+    assert res.feasible and len(solved) == len(res.trace.objective) - 1 >= 1
+    assert all("phi" not in m.names for m in solved)
     solved.clear()
     cfg = DESK.replace(energy_budget=1e10)
     res = benchmark_fixed_pilot(generate_topology(cfg, seed=3), cfg, MRC)
-    assert res.status == "infeasible" and len(solved) == 1
+    assert res.status == "infeasible" and res.allocation is None and solved == []
 
 
 def test_trace_rows_serialize():
     model = desk_model()
-    res = solve_mrc(model, DESK)
+    res = optimizer.solve(model, DESK, MRC)
     rows = list(res.trace.rows())
     assert rows[0]["iteration"] == 0
     assert len(rows[0]["sinr"]) == 5
@@ -452,8 +488,8 @@ def test_trace_rows_serialize():
 
 def test_solver_is_deterministic():
     model = desk_model()
-    a = solve_mrc(model, DESK)
-    b = solve_mrc(model, DESK)
+    a = optimizer.solve(model, DESK, MRC)
+    b = optimizer.solve(model, DESK, MRC)
     assert np.array_equal(a.allocation.pilot, b.allocation.pilot)
     assert np.array_equal(a.allocation.payload, b.allocation.payload)
     assert a.trace.objective == b.trace.objective
@@ -470,8 +506,14 @@ def test_gp_numerical_error_does_not_escape(monkeypatch):
         assert isinstance(res, optimizer.SolveResult)
         assert res.status == "aborted" and not res.feasible
         assert "could not be factorized" in res.message
+    # the fixed-pilot start is certified without a GP, so a failed first
+    # step GP leaves that start as a degraded result
     fixed = benchmark_fixed_pilot(model, DESK, MRC)
-    assert fixed.status == "aborted" and "could not be factorized" in fixed.message
+    assert fixed.status == "degraded" and "could not be factorized" in fixed.message
+    assert fixed.trace.gp_status == ["init"] and fixed.allocation is fixed.trace.allocations[0]
+    floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(5, DESK.rate_req_bps))
+    assert np.all(fixed.sinr > floors)
+    assert np.all(fixed.allocation.payload < model.energy / DESK.blocklength)
 
 
 # --------------------------------------------------------------------------
@@ -751,29 +793,32 @@ def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
 
 def recorded_rounds(run):
     """(pilot_hat, w_hat, GP, solve keywords, solution) of every GP that
-    run's max-slack stage and SCA loop build, in order."""
-    built, solved = [], {}
+    run's max-slack stage and SCA loop build, in order: each joint scheme
+    records as it is made, any other as it enters the SCA loop."""
+    built, solved, recorders = [], {}, []
     original_solve = gp.GpModel.solve
+    joint_scheme, run_sca = optimizer._joint_scheme, optimizer._run_sca
 
     def solve(self, **kwargs):
         solved[id(self)] = (kwargs, original_solve(self, **kwargs))
         return solved[id(self)][1]
 
-    def recording(stage):
-        def wrapped(*args):
-            def build(scheme):
-                def record(pilot_hat, w_hat):
-                    m = scheme.build(pilot_hat, w_hat)
-                    built.append((np.copy(pilot_hat), None if w_hat is None else np.copy(w_hat), m))
-                    return m
-                return scheme._replace(build=record)
-            return stage(*[build(a) if isinstance(a, optimizer._Scheme) else a for a in args])
-        return wrapped
+    def recording(scheme):
+        def record(pilot_hat, w_hat):
+            m = scheme.build(pilot_hat, w_hat)
+            built.append((np.copy(pilot_hat), None if w_hat is None else np.copy(w_hat), m))
+            return m
+        recorders.append(record)
+        return scheme._replace(build=record)
+
+    def sca(*args):
+        *head, scheme = args
+        return run_sca(*head, scheme if scheme.build in recorders else recording(scheme))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gp.GpModel, "solve", solve)
-        mp.setattr(optimizer, "_max_slack", recording(optimizer._max_slack))
-        mp.setattr(optimizer, "_run_sca", recording(optimizer._run_sca))
+        mp.setattr(optimizer, "_joint_scheme", lambda *args: recording(joint_scheme(*args)))
+        mp.setattr(optimizer, "_run_sca", sca)
         assert run().feasible
     return [(p, w, m) + solved[id(m)] for p, w, m in built]
 
@@ -791,8 +836,9 @@ def test_reaimed_gps_match_gps_built_through_the_public_api(scheme):
         rounds = recorded_rounds(lambda: benchmark_fixed_pilot(model, DESK, scheme[1]))
     else:
         rounds = recorded_rounds(lambda: optimizer.solve(model, DESK, scheme))
-    # the max-slack layout and at least two SCA steps in the step layout
-    assert rounds[0][1] is None
+    # a max-slack round first for the joint scheme only, and at least two
+    # SCA steps in the step layout
+    assert (rounds[0][1] is None) == (not isinstance(scheme, tuple))
     assert sum(w_hat is not None for _, w_hat, *_ in rounds) >= 2
     for pilot_hat, w_hat, step, kwargs, sol in rounds:
         ref = public_api_gp(model, DESK, scheme, floors, pilot_hat, w_hat)
