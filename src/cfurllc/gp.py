@@ -1,20 +1,20 @@
 """Geometric programs in the form the power allocation builds, solved from scratch.
 
 A GpModel has three kinds of rows: monomial <= monomial, posynomial (a sum
-of monomials) <= monomial, and batched row blocks such as the SINR
-constraints, which bring their own kernels (Boyd, Kim, Vandenberghe &
-Hassibi, "A tutorial on geometric programming", 2007). Any other left-hand
-side, and any monomial naming an undeclared variable, is rejected when it is
-added. It maximizes a monomial times prod_i (rhs_i / lhs_i)^w_i over rows
-with objective weight w_i > 0, which in log variables is the convex
--log monomial + sum_i w_i f_i (B&V §4.5.3).
+of monomials) <= monomial, and row blocks such as the SINR constraints
+(Boyd, Kim, Vandenberghe & Hassibi, "A tutorial on geometric programming",
+2007). Any other left-hand side, and any monomial naming an undeclared
+variable, is rejected when it is added. It maximizes a monomial times
+prod_i (rhs_i / lhs_i)^w_i over rows with objective weight w_i > 0, which in
+log variables is the convex -log monomial + sum_i w_i f_i (B&V §4.5.3).
 
 All evaluation happens in log variables, where a monomial row is affine and a
 posynomial row is a log-sum-exp. The rows of a model are compiled into one
-constraint block, f(y) = parts(y) - r - R y: the posynomial rows and the row
-blocks, minus one affine right-hand side that carries every other monomial.
-One call returns the row values, the Jacobian and the weighted Hessian sum,
-never a Hessian per row.
+constraint block, f(y) = parts(y) - r - R y: row blocks, the posynomial rows
+one term table (`TermRows`: log-sum-exps of terms affine in y plus weighted
+factors log(1 + b e^{y_j}), which the SINR rows use), minus one affine
+right-hand side that carries every other monomial. One call returns the row
+values, the Jacobian and the weighted Hessian sum, never a Hessian per row.
 
 The solver is one primal-dual interior-point iteration (Boyd & Vandenberghe,
 Convex Optimization, §11.7, Algorithm 11.2) that both phases run: phase two
@@ -165,35 +165,68 @@ class RowBlock:
         raise NotImplementedError
 
 
-class _PosynomialRows(RowBlock):
-    """Posynomial <= monomial rows folded into one term-exponent matrix.
+class TermRows(RowBlock):
+    """Row i is log sum_{t in row i} exp(c_t + a_t . y + sum_f m_tf log(1 + b_f e^{y[v_f]}))
+    for factor coefficients b_f > 0 and weights m_tf >= 0, so every row is a
+    generalized posynomial (convex in y); without factors, a posynomial. Terms
+    are stored row by row, each row a segment of the term axis; factors that
+    no term weights are dropped.
 
-    Row i is  log sum_{j in row i} exp(c_j + a_j . y), with the right-hand
-    monomial already divided into every term; terms are stored row by row,
-    so each row is one segment of the term axis.
+    With p the term weights within their rows, G = a + M diag(s) V the term
+    gradients (V selects each factor's column, s = b x / (1 + b x)) and J the
+    Jacobian, the weighted Hessian sum is G^T diag(w p) G - J^T diag(w) J +
+    V^T diag(((w p)^T M) s (1 - s)) V. With factors, G - J replaces G and the
+    J term goes: the same matrix, without its cancellation where s nears 1.
     """
 
-    def __init__(self, log_coeffs: np.ndarray, exponents: np.ndarray, counts):
-        self.c = log_coeffs                                  # (P,)
-        self.a = exponents                                   # (P, n)
+    def __init__(self, log_coeffs, exponents, counts, factor_coeffs=(),
+                 factor_columns=(), factor_weights=None):
+        self.c = np.asarray(log_coeffs, dtype=float)                   # (T,)
+        self.a = np.asarray(exponents, dtype=float)                    # (T, n)
         counts = np.asarray(counts, dtype=int)
-        self.starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        b, v = np.asarray(factor_coeffs, dtype=float), np.asarray(factor_columns, dtype=int)
+        terms, n = self.a.shape
+        m = np.zeros((terms, b.size)) if factor_weights is None \
+            else np.asarray(factor_weights, dtype=float)
+        if not (self.c.shape == (terms,) and (counts > 0).all() and counts.sum() == terms
+                and m.shape == (terms, b.size) and v.shape == b.shape and (b > 0).all()
+                and (m >= 0).all() and np.isfinite(np.append(b, m)).all()
+                and ((v >= 0) & (v < n)).all()):
+            raise GpModelError(f"need {terms} terms in rows of at least one and, per factor, "
+                               f"a coefficient b > 0, a column in [0, {n}) and a weight "
+                               f">= 0 per term, all finite; got rows of {counts.tolist()}")
+        used = m.any(axis=0)
+        self.b, self.v, self.m = b[used], v[used], m[:, used]           # (F,), (F,), (T, F)
+        self.select = np.eye(n)[self.v]                                # V (F, n)
+        self.starts = np.cumsum(counts) - counts
         self.seg = np.repeat(np.arange(counts.size), counts)
         self.size = counts.size
 
     def log_eval(self, y):
         z = self.c + self.a @ y
+        g = self.a
+        if self.b.size:
+            t = self.b * np.exp(y[self.v])
+            s = t / (1.0 + t)
+            z = z + self.m @ np.log1p(t)
+            g = g + self.m @ (s[:, None] * self.select)
         top = np.maximum.reduceat(z, self.starts)
         w = np.exp(z - top[self.seg])
         total = np.add.reduceat(w, self.starts)
         vals = top + np.log(total)
-        pa = (w / total[self.seg])[:, None] * self.a         # term weight * exponents
-        jac = np.add.reduceat(pa, self.starts, axis=0)
+        p = w / total[self.seg]
+        pg = p[:, None] * g                                  # term weight * term gradient
+        jac = np.add.reduceat(pg, self.starts, axis=0)
 
         def hess(weights):
-            # per row: sum_j p_j a_j a_j^T - g g^T
-            return self.a.T @ (weights[self.seg][:, None] * pa) \
-                - jac.T @ (weights[:, None] * jac)
+            wseg = weights[self.seg]
+            if not self.b.size:
+                return g.T @ (wseg[:, None] * pg) - jac.T @ (weights[:, None] * jac)
+            gc, wp = g - jac[self.seg], wseg * p
+            h = gc.T @ (wp[:, None] * gc)
+            h.flat[::y.size + 1] += np.bincount(self.v, (wp @ self.m) * s * (1.0 - s),
+                                                minlength=y.size)
+            return h
         return vals, jac, hess
 
 
@@ -241,15 +274,15 @@ def _slots(rows: list[int]):
     return np.array(rows, dtype=int)
 
 
-def _posynomial_rows(posy: list[_Rows], n: int) -> _PosynomialRows:
+def _posynomial_rows(posy: list[_Rows], n: int) -> TermRows:
     """Posynomial rows, each right-hand side divided into its row's terms."""
     counts = [len(c.lhs.terms) for c in posy]
     log_coeffs, exps = _log_forms([t for c in posy for t in c.lhs.terms], n)
     rhs_exps = np.zeros((len(posy), n))
     for row, c in enumerate(posy):
         rhs_exps[row, :c.rhs_exponents.shape[1]] = c.rhs_exponents[0]
-    return _PosynomialRows(log_coeffs - np.repeat([c.rhs_log_coeffs[0] for c in posy], counts),
-                           exps - np.repeat(rhs_exps, counts, axis=0), counts)
+    return TermRows(log_coeffs - np.repeat([c.rhs_log_coeffs[0] for c in posy], counts),
+                    exps - np.repeat(rhs_exps, counts, axis=0), counts)
 
 
 def _row_weights(weights, size: int) -> np.ndarray:
@@ -411,11 +444,11 @@ class GpModel:
     def _compile(self):
         """Fold every constraint row into one constraint block.
 
-        Posynomial rows become one term-exponent matrix with the right-hand
-        side divided in, and row blocks keep their own batched kernels. Every
-        other monomial goes into the block's affine term: the right-hand side
-        of a block row, and the right-hand side over the left-hand side of a
-        monomial row, whose value is that affine term alone.
+        Posynomial rows become one term table without factors, the
+        right-hand side divided into their terms, and row blocks keep their
+        own kernels. Every other monomial goes into the block's affine term:
+        the right-hand side of a block row, and the right-hand side over the
+        left-hand side of a monomial row, whose value is that affine term.
         """
         n = len(self._vars)
         weights = np.concatenate([c.weights for c in self._constraints])

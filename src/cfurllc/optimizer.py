@@ -2,13 +2,14 @@
 
 Each iteration replaces the weighted-sum-rate objective by its log-linear
 tangent surrogate and the coherent-gain posynomials by their best local
-monomials, yielding a GP whose solution can only improve the true objective.
-A max-slack GP, in `feasibility_init`, provides the feasible starting point;
-the infinite-blocklength benchmark reuses it with the dispersion penalty
-removed. The fixed-pilot benchmark freezes the pilots, so its SINR floors are
-linear in the payloads: one linear solve gives the least payloads meeting them
-and decides feasibility (Yates, IEEE JSAC 13(7), 1995), and the SCA starts
-above those payloads.
+monomials (`approx`), yielding a GP whose solution can only improve the true
+objective. Joint SINR rows are one term table (`gp.TermRows`) per decoder, from
+`mrc_rows` or `fzf_rows`. A max-slack GP, in `feasibility_init`, provides the
+feasible starting point; the infinite-blocklength benchmark reuses it with the
+dispersion penalty removed. The fixed-pilot benchmark freezes the pilots, so
+its SINR floors are linear in the payloads: one linear solve gives the least
+payloads meeting them and decides feasibility (Yates, IEEE JSAC 13(7), 1995),
+and the SCA starts above those payloads.
 """
 
 from __future__ import annotations
@@ -148,207 +149,72 @@ def _surrogate_exponents(chi_hat: np.ndarray, params: fbl.FblParams,
     return w_hat / w_hat.sum(), clamped
 
 
-def _columns(xs) -> slice:
-    """The columns of the variables xs, which must be consecutive."""
-    start = xs[0].index
-    if [v.index for v in xs] != list(range(start, start + len(xs))):
-        raise ValueError("the pilots and the payloads must each be consecutive variables")
-    return slice(start, start + len(xs))
+def _sinr_table(model: LargeScaleModel, pp, pd, n: int, gain: bool):
+    """Row k's terms (r, m) of both SINR tables over n variables, r = 0..K-1
+    (and K given gain), m in S_k, the service set of device k: beta_mr pd_r,
+    or 1 for r = K. Returns per term its row, r and m, the log coefficients,
+    exponents, row sizes, the sets' indicator (K, M) and the factors
+    (AP m, device i) -> log(1 + K beta_mi pp_i), m K + i, b and columns."""
+    kdev = model.num_devices
+    sizes = np.array([len(aps) for aps in model.service_sets])
+    counts = (kdev + gain) * sizes
+    row = np.repeat(np.arange(kdev), counts)
+    local = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    r = local // sizes[row]
+    ap = np.concatenate(model.service_sets).astype(int)[
+        (np.cumsum(sizes) - sizes)[row] + local % sizes[row]]
+    pay = np.flatnonzero(r < kdev)
+    c = np.log(np.where(r < kdev, model.beta[ap, np.minimum(r, kdev - 1)], 1.0))
+    a = np.zeros((row.size, n))
+    a[pay, np.array([v.index for v in pd])[r[pay]]] = 1.0
+    in_set = np.zeros((kdev, model.num_aps))
+    in_set[row, ap] = 1.0
+    return (row, r, ap, c, a, counts, in_set, kdev * model.beta.ravel(),
+            np.tile([v.index for v in pp], model.num_aps))
 
 
-class _SinrBlock(gp.RowBlock):
-    """Shared layout of the batched SINR left-hand sides: row k depends on
-    the pilots and payloads only, each a run of consecutive variables, whose
-    weighted Hessian sum fills the (pp, pd) sub-blocks; the floors (and phi)
-    sit in the right-hand sides."""
-
-    def __init__(self, pp, pd):
-        self.size = len(pp)
-        self.pp, self.pd = _columns(pp), _columns(pd)
-        own = np.arange(self.size)
-        self._own_pp = (own, self.pp.start + own)     # row k, column of pilot k
-
-    def _jacobian(self, n, d_pd):
-        """Rows with d_pd (K, K) on the payloads; the caller fills the pilots."""
-        jac = np.zeros((self.size, n))
-        jac[:, self.pd] = d_pd
-        return jac
-
-    def _hessian(self, n, hpp, hpd_pp, hpd):
-        h = np.zeros((n, n))
-        h[self.pp, self.pp] = hpp
-        h[self.pp, self.pd] = hpd_pp.T
-        h[self.pd, self.pp] = hpd_pp
-        h[self.pd, self.pd] = hpd
-        return h
+def mrc_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
+    """The K MRC SINR left-hand sides scale_k (sum_r pd_r cross_kr + gain_k)
+    over the pilots pp and payloads pd: row k's term (r, m), r = 0..K, is K
+    beta_mk^2 pp_k times that of `_sinr_table`, with weight 2 on every factor
+    (m' in S_k, k) but 1 on (m, k)."""
+    kdev = model.num_devices
+    row, _, ap, c, a, counts, in_set, b, columns = _sinr_table(model, pp, pd, n, True)
+    c += np.log(kdev * model.beta[ap, row] ** 2)
+    a[np.arange(row.size), columns[row]] = 1.0                     # columns[k]: pilot k
+    weights = 2.0 * (in_set[:, :, None] * np.eye(kdev)[:, None, :]).reshape(kdev, -1)[row]
+    weights[np.arange(row.size), ap * kdev + row] = 1.0
+    return gp.TermRows(c, a, counts, b, columns, weights)
 
 
-def _padded_sets(model: LargeScaleModel):
-    """Service sets padded to a common size: (K, S) AP indices and a mask."""
-    size = max(len(s) for s in model.service_sets)
-    idx = np.zeros((model.num_devices, size), dtype=int)
-    mask = np.zeros((model.num_devices, size), dtype=bool)
-    for k, aps in enumerate(model.service_sets):
-        idx[k, :len(aps)] = aps
-        mask[k, :len(aps)] = True
-    return idx, mask
-
-
-class MrcSinrBlock(_SinrBlock):
-    """All K MRC constraint left-hand sides, in batched arrays:
-
-        scale_k(pp_k) * (sum_j pd_j cross_kj(pp_k) + gain_k(pp_k)),
-
-    with the factors of the service set of device k. Padded service-set slots
-    carry b = 0 and log-coefficient -inf, so they add nothing.
-    """
-
-    def __init__(self, model: LargeScaleModel, pp, pd):
-        super().__init__(pp, pd)
-        kdev = model.num_devices
-        idx, mask = _padded_sets(model)
-        own = np.where(mask, model.beta[idx, np.arange(kdev)[:, None]], 0.0)   # (K, S)
-        self.b = kdev * own
-        with np.errstate(divide="ignore"):
-            base = np.log(kdev * own ** 2)                                 # -inf when padded
-            cross = np.log(model.beta[idx, :])                             # (K, S, K)
-        # row r < K of device k: cross_kr terms; last row: gain terms
-        self.c = np.concatenate([base[:, None, :] + cross.transpose(0, 2, 1),
-                                 base[:, None, :]], axis=1)                # (K, K+1, S)
-
-    def log_eval(self, y):
-        ypp = y[self.pp]
-        t = self.b * np.exp(ypp)[:, None]                                  # (K, S)
-        lt = np.log1p(t)
-        ln_scale = lt.sum(axis=1)
-        inner = self.c + (ln_scale[:, None] - lt)[:, None, :]              # (K, K+1, S)
-        top_m = inner.max(axis=2)
-        wm = np.exp(inner - top_m[..., None])
-        sm = wm.sum(axis=2)
-        rows = ypp[:, None] + top_m + np.log(sm)                           # (K, K+1)
-        rows[:, :-1] += y[self.pd]
-        top = rows.max(axis=1)
-        wr = np.exp(rows - top[:, None])
-        sr = wr.sum(axis=1)
-        vals = ln_scale + top + np.log(sr)
-
-        wm /= sm[..., None]
-        wr /= sr[:, None]
-        s = t / (1.0 + t)
-        s_sum = s.sum(axis=1)
-        do = s_sum[:, None] - s                                            # (K, S)
-        wdo = (wm @ do[..., None])[..., 0]                                 # (K, K+1)
-        u = 1.0 + wdo                                                      # d rows / d yp
-        gp_total = (wr * u).sum(axis=1)                                    # (K,)
-        wpd = wr[:, :-1]
-        n = y.size
-        jac = self._jacobian(n, wpd)
-        jac[self._own_pp] = s_sum + gp_total                               # own pilot only
-
-        def hess(weights):
-            ss = s * (1.0 - s)
-            ss_sum = ss.sum(axis=1)
-            d2o = ss_sum[:, None] - ss
-            d2 = (wm @ (d2o + do ** 2)[..., None])[..., 0] - wdo ** 2
-            # row k: log-sum-exp over rows r of (pp_k, pd_r) terms
-            hpp = ss_sum + (wr * (d2 + u ** 2)).sum(axis=1) - gp_total ** 2    # (K,)
-            cross = wpd * (u[:, :-1] - gp_total[:, None])                  # (K, K): k, pd_r
-            wk = weights[:, None]
-            return self._hessian(n, np.diag(weights * hpp), (wk * cross).T,
-                                 np.diag((wk * wpd).sum(axis=0)) - wpd.T @ (wk * wpd))
-        return vals, jac, hess
-
-
-class FzfSinrBlock(_SinrBlock):
-    """All K zero-forcing constraint left-hand sides, in batched arrays:
-
-        |set_k| prod_i scale_ki^2(pp_i)
-        + sum_j pd_j resid_kj(pp_j) prod_{i != j} scale_ki^2(pp_i),
-
-    over the service set of device k. Padded slots carry b = 0 and
-    log-coefficient -inf, so they add nothing.
-    """
-
-    def __init__(self, model: LargeScaleModel, pp, pd):
-        super().__init__(pp, pd)
-        kdev = model.num_devices
-        idx, mask = _padded_sets(model)
-        beta = np.where(mask[..., None], model.beta[idx, :], 0.0)         # (K, S, K)
-        self.b = kdev * beta
-        with np.errstate(divide="ignore"):
-            self.log_beta = np.log(beta)
-        self.log_size = np.log(mask.sum(axis=1))
-        self._diag = np.arange(kdev)
-
-    def log_eval(self, y):
-        kdev = self.size
-        t = self.b * np.exp(y[self.pp])                                    # (K, S, K)
-        lt = np.log1p(t)
-        ln_v2 = lt.sum(axis=1)                                             # (K, K) log scale^2
-        v2_total = ln_v2.sum(axis=1)
-        inner = self.log_beta + (ln_v2[:, None, :] - lt)
-        top_m = inner.max(axis=1)
-        wm = np.exp(inner - top_m[:, None, :])
-        sm = wm.sum(axis=1)
-        rows = np.empty((kdev, kdev + 1))
-        rows[:, :-1] = y[self.pd] + top_m + np.log(sm) \
-            + (v2_total[:, None] - ln_v2)
-        rows[:, -1] = self.log_size + v2_total
-        top = rows.max(axis=1)
-        wr = np.exp(rows - top[:, None])
-        sr = wr.sum(axis=1)
-        vals = top + np.log(sr)
-
-        wm /= sm[:, None, :]
-        wr /= sr[:, None]
-        s = t / (1.0 + t)
-        dv2 = s.sum(axis=1)                                                # (K, K)
-        do = dv2[:, None, :] - s
-        dmu = (wm * do).sum(axis=1)
-        # row gradients over the pilots: dv2 everywhere, the own pilot uses dmu
-        grows = np.repeat(dv2[:, None, :], kdev + 1, axis=1)               # (K, K+1, K)
-        grows[:, self._diag, self._diag] = dmu
-        gpilot = (wr[..., None] * grows).sum(axis=1)                       # (K, K)
-        wpd = wr[:, :-1]
-        n = y.size
-        jac = self._jacobian(n, wpd)
-        jac[:, self.pp] = gpilot
-
-        def hess(weights):
-            ss = s * (1.0 - s)
-            d2v2 = ss.sum(axis=1)
-            d2mu = (wm * (d2v2[:, None, :] - ss + do ** 2)).sum(axis=1) - dmu ** 2
-            hrows = np.repeat(d2v2[:, None, :], kdev + 1, axis=1)
-            hrows[:, self._diag, self._diag] = d2mu
-            flat = grows.reshape(-1, kdev)
-            wk = weights[:, None]
-            omega = wk * wr                                                # (K, K+1)
-            hpp = np.diag((omega[..., None] * hrows).sum(axis=(0, 1))) \
-                + flat.T @ (omega.reshape(-1, 1) * flat) - gpilot.T @ (wk * gpilot)
-            hpd_pp = (omega[:, :-1, None] * grows[:, :-1]).sum(axis=0) \
-                - omega[:, :-1].T @ gpilot
-            hpd = np.diag(omega[:, :-1].sum(axis=0)) - wpd.T @ omega[:, :-1]
-            return self._hessian(n, hpp, hpd_pp, hpd)
-        return vals, jac, hess
+def fzf_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
+    """The K zero-forcing SINR left-hand sides |S_k| prod_i scale_ki^2 +
+    sum_j pd_j resid_kj prod_{i != j} scale_ki^2 over the pilots pp and
+    payloads pd: row k's terms (j, m) of `_sinr_table`, with weight 1 on every
+    factor (m' in S_k, i) but 0 on (m, j), and last |S_k| with weight 1 on all."""
+    kdev = model.num_devices
+    row, j, ap, c, a, counts, in_set, b, columns = _sinr_table(model, pp, pd, n, False)
+    every = np.repeat(in_set, kdev, axis=1)                        # (K, M K): (m' in S_k, i)
+    weights = every[row]
+    weights[np.arange(row.size), ap * kdev + j] = 0.0
+    ends = np.cumsum(counts)
+    return gp.TermRows(np.insert(c, ends, np.log(in_set.sum(axis=1))),
+                       np.insert(a, ends, 0.0, axis=0), counts + 1, b, columns,
+                       np.insert(weights, ends, every, axis=0))
 
 
 def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
                pilot_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The monomial fits at the pilots pilot_hat on the right of the SINR
-    rows, before the floors: log coefficients (K,) and exponents (K, 2K) over
-    the pilots, then the payloads, of
-
-    MRC:  scale * (sum_j pd_j cross_j + gain) <= fit of N gain^2 pd
-    FZF:  |set| prod_j scale_j^2 + sum_j pd_j resid_j prod_{i!=j} scale_i^2
-          <= fit of (N-K) coherent^2 prod_{j!=k} scale_j^2 pd_k
+    rows of `mrc_rows` and `fzf_rows`, before the floors: log coefficients
+    (K,) and exponents (K, 2K) over the pilots, then the payloads, of the fit
+    of N gain_k^2 pd_k (MRC) or (N-K) coherent_k^2 prod_{j!=k} scale_kj^2 pd_k (FZF).
     """
     kdev = model.num_devices
-    own = np.arange(kdev)
-    exponents = np.zeros((kdev, 2 * kdev))
-    exponents[own, kdev + own] = 1.0
+    exponents = np.hstack([np.zeros((kdev, kdev)), np.eye(kdev)])      # pd_k in row k
     if decoder == MRC:
         fits = [approx.mrc_gain_monomial(model, float(pilot_hat[k]), k) for k in range(kdev)]
-        exponents[own, own] = [2.0 * float(f.exponents[0]) for f in fits]
+        exponents[:, :kdev] = np.diag([2.0 * float(f.exponents[0]) for f in fits])
         return math.log(n_antennas) + 2.0 * np.array([f.log_coeff for f in fits]), exponents
     fits = [approx.fzf_gain_monomial(model, pilot_hat, k) for k in range(kdev)]
     exponents[:, :kdev] = [f.exponents for f in fits]
@@ -427,8 +293,8 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
 
     def add_rows(m, xs, rhs):
         pp, pd = xs[:kdev], xs[kdev:]
-        block = MrcSinrBlock(model, pp, pd) if decoder == MRC else FzfSinrBlock(model, pp, pd)
-        m.add_block_le(block, [rhs(k, {}) for k in range(kdev)])    # fits come per round
+        rows = (mrc_rows if decoder == MRC else fzf_rows)(model, pp, pd, len(m.names))
+        m.add_block_le(rows, [rhs(k, {}) for k in range(kdev)])    # fits come per round
         for k in range(kdev):
             lhs = gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
                           gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})])

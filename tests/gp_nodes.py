@@ -4,7 +4,7 @@
 by walking the expression one node at a time. It reads the package's
 monomials and sums and the nodes defined here: sums of any nodes, products,
 powers and the fused single-variable family `PosyProductSum`. The compiled
-constraint rows of `cfurllc.gp` and the batched SINR blocks of
+constraint rows and term tables of `cfurllc.gp` and the SINR tables of
 `cfurllc.optimizer` are checked against it; `block_rhs` reads the
 right-hand sides of a model's constraint record back as monomials for it.
 

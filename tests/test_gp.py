@@ -122,6 +122,74 @@ def test_fused_family_matches_generic_tree(rng):
         assert h1[0, 0] == pytest.approx(h2[0, 0], abs=1e-10)
 
 
+def random_table(rng, n_vars):
+    """A random term table over n_vars variables, its rows as node trees
+    over the same variables, and the model that declares them: uneven row
+    sizes, factor weights in {0, 1, 2} and factor columns in shuffled order."""
+    m = GpModel()
+    xs = [m.variable(f"v{i}") for i in range(n_vars)]
+    counts = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+    terms = int(counts.sum())
+    log_coeffs = rng.normal(0.0, 1.0, terms)
+    exponents = rng.uniform(-1.0, 2.0, (terms, n_vars)) * (rng.random((terms, n_vars)) < 0.6)
+    size = int(rng.integers(1, 7))
+    coeffs = 10 ** rng.uniform(-1.0, 1.0, size)
+    columns = rng.permutation(np.resize(np.arange(n_vars), size))
+    weights = rng.integers(0, 3, (terms, size)).astype(float)
+    rows = gp.TermRows(log_coeffs, exponents, counts, coeffs, columns, weights)
+    trees = []
+    for start, count in zip(np.cumsum(counts) - counts, counts):
+        row = []
+        for t in range(start, start + count):
+            mono = Monomial(math.exp(log_coeffs[t]),
+                            {i: float(a) for i, a in enumerate(exponents[t]) if a})
+            factors = [nodes.PosyProductSum(xs[columns[f]], [0.0], [0.0], [coeffs[f]],
+                                            [[weights[t, f]]])
+                       for f in range(size) if weights[t, f]]
+            row.append(nodes.Product([mono] + factors))
+        trees.append(nodes.Sum(row))
+    return rows, trees, m
+
+
+def test_term_rows_match_node_trees_and_finite_differences(rng):
+    for _ in range(30):
+        n_vars = int(rng.integers(1, 5))
+        rows, trees, _ = random_table(rng, n_vars)
+        y = rng.normal(0.0, 1.5, n_vars)
+        weights = rng.uniform(0.1, 3.0, rows.size)
+        vals, jac, hess = rows.log_eval(y)
+        ref = [nodes.log_eval(tree, y) for tree in trees]
+        assert np.allclose(vals, [r[0] for r in ref], rtol=0, atol=1e-12)
+        assert np.allclose(jac, [r[1] for r in ref], rtol=0, atol=1e-12)
+        want = sum(w * r[2] for w, r in zip(weights, ref))
+        assert np.allclose(hess(weights), want, rtol=0, atol=1e-11 * weights.sum())
+        eps = 1e-6
+        h = hess(weights)
+        for i in range(n_vars):
+            up, dn = y.copy(), y.copy()
+            up[i] += eps
+            dn[i] -= eps
+            (vu, ju, _), (vd, jd, _) = rows.log_eval(up), rows.log_eval(dn)
+            assert np.allclose(jac[:, i], (vu - vd) / (2 * eps), rtol=0, atol=1e-6)
+            assert np.allclose(h[:, i], (ju - jd).T @ weights / (2 * eps), rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("bad", [
+    {"factor_coeffs": [0.0]}, {"factor_coeffs": [-1.0]}, {"factor_coeffs": [math.inf]},
+    {"factor_weights": [[-1.0], [0.0], [1.0]]}, {"factor_weights": [[math.nan], [0.0], [1.0]]},
+    {"factor_weights": [[math.inf], [0.0], [1.0]]},
+    {"factor_columns": [2]}, {"factor_columns": [-1]},
+    {"counts": [3, 0]}, {"counts": [2]},
+])
+def test_term_table_rejects_bad_entries(bad):
+    table = {"log_coeffs": [0.0, 0.1, 0.2], "exponents": np.eye(3, 2), "counts": [2, 1],
+             "factor_coeffs": [1.0], "factor_columns": [1],
+             "factor_weights": [[1.0], [2.0], [0.0]]}
+    gp.TermRows(**table)
+    with pytest.raises(GpModelError):
+        gp.TermRows(**{**table, **bad})
+
+
 def test_posynomial_boundary_tightness():
     # x + 1/x <= 2 touches exactly at x = 1
     m = GpModel()
@@ -454,8 +522,10 @@ def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
     assert optimizer.benchmark_fixed_pilot(model, cfg, "fzf").feasible
     folded = 0
     for m, sol in solved:
-        parts = [type(block) for _, block in m._block().parts]
-        folded += parts.count(gp._PosynomialRows)
+        # one factor-free table holds every posynomial row; the joint
+        # scheme's SINR rows are a second table, with factors
+        folded += sum(isinstance(block, gp.TermRows) and block.b.size == 0
+                      for _, block in m._block().parts)
         for _ in range(3):
             y = np.log(sol.x) + rng.normal(0.0, 0.3, sol.x.size)
             weights = rng.uniform(0.1, 3.0, m._block().size)
@@ -482,7 +552,7 @@ def test_mixed_rows_solve_to_the_node_walk_optimum():
     for seed in range(8):
         mixed = build(500 + seed, walk=False)
         kinds = {type(block) for _, block in mixed._block().parts}
-        assert kinds == {gp._PosynomialRows}
+        assert kinds == {gp.TermRows}
         walked = build(500 + seed, walk=True)
         assert {type(block) for _, block in walked._block().parts} == {nodes.NodeRows}
         a, b = mixed.solve(), walked.solve()

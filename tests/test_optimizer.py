@@ -517,11 +517,11 @@ def test_gp_numerical_error_does_not_escape(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the batched SINR blocks against the generic node trees
+# the SINR term tables against the generic node trees
 # --------------------------------------------------------------------------
 
 def _mrc_lhs_generic(model, k, pp, pd):
-    """Node-tree form of the MRC constraint LHS (reference for the block)."""
+    """Node-tree form of the MRC constraint LHS (reference for the rows)."""
     idx = list(model.service_sets[k])
     b = model.beta[idx, k]
     kdev = model.num_devices
@@ -558,7 +558,7 @@ def _fzf_lhs_generic(model, k, pp, pd):
 
 
 GENERIC = {MRC: _mrc_lhs_generic, FZF: _fzf_lhs_generic}
-BLOCKS = {MRC: optimizer.MrcSinrBlock, FZF: optimizer.FzfSinrBlock}
+BLOCKS = {MRC: optimizer.mrc_rows, FZF: optimizer.fzf_rows}
 
 
 def _block_models(rng):
@@ -574,7 +574,7 @@ def _block_models(rng):
 
 
 def _block_and_trees(model, decoder, rng):
-    """A block over fresh variables, its K generic trees and a random point.
+    """SINR rows over fresh variables, their K generic trees and a random point.
 
     The variables are laid out as in the max-slack GP: phi, which no row
     uses, then the pilots and the payloads."""
@@ -583,20 +583,35 @@ def _block_and_trees(model, decoder, rng):
     m.variable("phi")
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
     pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    block = BLOCKS[decoder](model, pp, pd)
+    block = BLOCKS[decoder](model, pp, pd, len(m.names))
     trees = [GENERIC[decoder](model, k, pp, pd) for k in range(kdev)]
     y = np.concatenate([rng.normal(0, 1, 1), rng.normal(22, 3, 2 * kdev)])
     return block, trees, y
 
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
-def test_sinr_block_needs_consecutive_pilots_and_payloads(decoder):
-    # the kernels address each group as one contiguous slice of columns
-    model = desk_model()
-    m = gp.GpModel()
-    xs = [m.variable(f"x{i}") for i in range(2 * model.num_devices)]
-    with pytest.raises(ValueError, match="consecutive"):
-        BLOCKS[decoder](model, xs[0::2], xs[1::2])
+def test_sinr_rows_over_interleaved_columns_match_consecutive_ones(decoder, rng):
+    # the tables name each pilot's and payload's column, so the rows over
+    # pilots and payloads that alternate are the rows over consecutive runs
+    # with their columns permuted
+    for model in _block_models(rng):
+        kdev = model.num_devices
+        m = gp.GpModel()
+        xs = [m.variable(f"x{i}") for i in range(2 * kdev)]
+        runs = BLOCKS[decoder](model, xs[:kdev], xs[kdev:], 2 * kdev)
+        interleaved = BLOCKS[decoder](model, xs[0::2], xs[1::2], 2 * kdev)
+        # column i of the runs layout is column perm[i] of the interleaved one
+        perm = np.concatenate([np.arange(0, 2 * kdev, 2), np.arange(1, 2 * kdev, 2)])
+        for _ in range(3):
+            y = rng.normal(22, 3, 2 * kdev)
+            moved = np.empty_like(y)
+            moved[perm] = y
+            weights = rng.uniform(0.1, 3.0, kdev)
+            vals, jac, hess = runs.log_eval(y)
+            ivals, ijac, ihess = interleaved.log_eval(moved)
+            assert np.array_equal(ivals, vals)
+            assert np.array_equal(ijac[:, perm], jac)
+            assert np.array_equal(ihess(weights)[np.ix_(perm, perm)], hess(weights))
 
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
@@ -783,7 +798,7 @@ def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
             exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
             fits.append(rhs(k, math.log(cfg.antennas_per_ap - kdev) + fit.log_coeff,
                             {**exps, pd[k].index: 1.0}))
-    m.add_block_le(BLOCKS[scheme](model, pp, pd), fits, weights)
+    m.add_block_le(BLOCKS[scheme](model, pp, pd, len(m.names)), fits, weights)
     for k in range(kdev):
         m.add_le(gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
                          gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})]),
@@ -847,9 +862,10 @@ def test_reaimed_gps_match_gps_built_through_the_public_api(scheme):
         for name in ("rhs_log_coeffs", "rhs_exponents", "weights"):
             assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
         assert [type(b) for _, b in got.parts] == [type(b) for _, b in want.parts]
+        assert {type(b) for _, b in got.parts} == {gp.TermRows}
         for (_, a), (_, b) in zip(got.parts, want.parts):
-            if isinstance(a, gp._PosynomialRows):
-                assert _bits(a.c) == _bits(b.c) and _bits(a.a) == _bits(b.a)
+            for name in ("c", "a", "b", "v", "m"):
+                assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
         again = ref.solve(**kwargs)
         assert (again.status, again.iterations) == (sol.status, sol.iterations)
         assert _bits(again.x) == _bits(sol.x)
