@@ -1,9 +1,13 @@
 """Local bounds that make each allocation subproblem a geometric program.
 
 Two log-linear tangents handle the objective (a lower bound on log(1+x), an
-upper bound on the dispersion penalty factor), and two best-local monomial
-fits handle the coherent-gain posynomials in the SINR constraints. All four
-touch the exact function, in value and log-gradient, at the expansion point.
+upper bound on the dispersion penalty factor), and best local monomials
+handle the coherent-gain posynomials in the SINR constraints. All touch the
+exact function, in value and log-gradient, at the expansion point. The K
+gains of a decoder are one term table (`gp.TermRows`) over the log pilots,
+a row per device, and their fits are its values and Jacobian at the
+expansion point (Boyd, Kim, Vandenberghe & Hassibi, "A tutorial on
+geometric programming", Optim. Eng. 8, 2007), with no derivative of their own.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbl import _logsumexp
+from . import gp
 from .scenario import LargeScaleModel
 
 # The penalty factor is log-concave only from this point on; tangent upper
@@ -47,67 +51,74 @@ def penalty_tangent(x_hat: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MonomialFit:
-    """Best local monomial c * prod(p_j ** e_j) of a coherent-gain posynomial."""
+    """Best local monomials c_k * prod_j p_j ** e_kj of K coherent gains."""
 
-    exponents: np.ndarray   # per pilot-power variable
-    log_coeff: float
-
-
-def mrc_gain_monomial(model: LargeScaleModel, pilot_hat: float, k: int) -> MonomialFit:
-    """Monomial lower bound of the MRC coherent-gain posynomial, tight at pilot_hat.
-
-    The exponent is the log-derivative at the expansion point; convexity of the
-    gain in the log of the pilot power makes the tangent a global lower bound.
-    """
-    if pilot_hat <= 0:
-        raise ValueError("expansion pilot power must be positive")
-    idx = list(model.service_sets[k])
-    b = model.beta[idx, k]
-    kp = model.num_devices * pilot_hat
-    t = kp * b + 1.0
-    s_frac = kp * b / t                                # per-factor log-slopes
-    size = len(idx)
-    mask = ~np.eye(size, dtype=bool)
-    log_u = 2.0 * np.log(b) + (np.log(t)[None, :] * mask).sum(axis=1)
-    w = np.exp(log_u - log_u.max())
-    w /= w.sum()
-    exponent = 1.0 + float(w @ (mask.astype(float) @ s_frac))
-    log_gain_hat = math.log(kp) + float(_logsumexp(log_u))
-    return MonomialFit(exponents=np.array([exponent]),
-                       log_coeff=log_gain_hat - exponent * math.log(pilot_hat))
+    exponents: np.ndarray   # (K, K): row k over the pilot powers
+    log_coeff: np.ndarray   # (K,)
 
 
-def fzf_gain_monomial(model: LargeScaleModel, pilot_hat: np.ndarray, k: int) -> MonomialFit:
-    """Monomial lower bound of the zero-forcing coherent-gain product.
+def service_terms(model: LargeScaleModel, copies: int = 1):
+    """Row k's terms (r, m), r = 0..copies-1 and m in S_k, the service set of
+    device k, row by row: per term its row, r and m, then the row sizes, the
+    sets' indicator (K, M) and the coefficients K beta_mi of the factors
+    (AP m, device i) -> log(1 + K beta_mi p_i), factor m K + i."""
+    kdev = model.num_devices
+    sizes = np.array([len(aps) for aps in model.service_sets])
+    counts = copies * sizes
+    row = np.repeat(np.arange(kdev), counts)
+    local = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ap = np.concatenate(model.service_sets).astype(int)[
+        (np.cumsum(sizes) - sizes)[row] + local % sizes[row]]
+    in_set = np.zeros((kdev, model.num_aps))
+    in_set[row, ap] = 1.0
+    return row, local // sizes[row], ap, counts, in_set, kdev * model.beta.ravel()
 
-    Tight at the expansion pilot vector; the product's Hessian in the log of
-    the pilot powers is positive semi-definite, so the tangent bounds it below
-    everywhere. Exponent j is the log-derivative with respect to pilot j.
-    """
+
+def mrc_gain_rows(model: LargeScaleModel) -> gp.TermRows:
+    """The K MRC coherent gains sum_{m in S_k} K p_k beta_mk^2 prod_{m' != m}
+    (1 + K beta_m'k p_k) over y = log p: row k's term m of `service_terms`
+    has weight 1 on every factor (m' in S_k, k) but 0 on (m, k)."""
+    kdev = model.num_devices
+    row, _, ap, counts, in_set, b = service_terms(model)
+    weights = (in_set[:, :, None] * np.eye(kdev)[:, None, :]).reshape(kdev, -1)[row]
+    weights[np.arange(row.size), ap * kdev + row] = 0.0
+    return gp.TermRows(np.log(kdev * model.beta[ap, row] ** 2), np.eye(kdev)[row], counts,
+                       b, np.tile(np.arange(kdev), model.num_aps), weights)
+
+
+def fzf_gain_rows(model: LargeScaleModel) -> gp.TermRows:
+    """The K zero-forcing gains coherent_k prod_{i != k} scale_ki over
+    y = log p, with coherent_k = sum_{m in S_k} sqrt(K p_k) beta_mk
+    prod_{m' != m} (1 + K beta_m'k p_k)^(1/2) and scale_ki = prod_{m' in S_k}
+    (1 + K beta_m'i p_i)^(1/2): row k's term m of `service_terms` has weight
+    1/2 on every factor (m' in S_k, i) but 0 on (m, k)."""
+    kdev = model.num_devices
+    row, _, ap, counts, in_set, b = service_terms(model)
+    weights = 0.5 * np.repeat(in_set, kdev, axis=1)[row]
+    weights[np.arange(row.size), ap * kdev + row] = 0.0
+    return gp.TermRows(np.log(math.sqrt(kdev) * model.beta[ap, row]), 0.5 * np.eye(kdev)[row],
+                       counts, b, np.tile(np.arange(kdev), model.num_aps), weights)
+
+
+def _fit(rows: gp.TermRows, pilot_hat: np.ndarray, power: float) -> MonomialFit:
+    """The rows to the given power, each replaced by its tangent in the log
+    pilots at pilot_hat: a monomial, tight there and, since each row is
+    convex in the log pilots, below the row everywhere."""
     p_hat = np.asarray(pilot_hat, dtype=float)
     if (p_hat <= 0).any():
         raise ValueError("expansion pilot powers must be positive")
-    idx = list(model.service_sets[k])
-    size = len(idx)
-    kdev = model.num_devices
-    mask = ~np.eye(size, dtype=bool)
+    y = np.log(p_hat)
+    vals, jac, _ = rows.log_eval(y)
+    return MonomialFit(exponents=power * jac, log_coeff=power * (vals - jac @ y))
 
-    beta_all = model.beta[idx, :]                      # (S, K)
-    t_all = kdev * p_hat[None, :] * beta_all + 1.0
-    s_all = 1.0 - 1.0 / t_all                          # (S, K) per-factor slopes
 
-    exponents = s_all.sum(axis=0)                      # doubled half-power slopes
-    b_own = beta_all[:, k]
-    logt_own = np.log(t_all[:, k])
-    log_v = 0.5 * (math.log(kdev * p_hat[k]) + 2.0 * np.log(b_own)) \
-        + 0.5 * (logt_own[None, :] * mask).sum(axis=1)
-    w = np.exp(log_v - log_v.max())
-    w /= w.sum()
-    exponents[k] = float(w @ (1.0 + mask.astype(float) @ s_all[:, k]))
+def mrc_gain_monomial(model: LargeScaleModel, pilot_hat: np.ndarray) -> MonomialFit:
+    """Monomial lower bounds of the K MRC coherent gains, tight at the pilot
+    powers pilot_hat (K,); row k depends on pilot k alone."""
+    return _fit(mrc_gain_rows(model), pilot_hat, 1.0)
 
-    log_coherent_hat = float(_logsumexp(log_v))
-    log_scale_hat = 0.5 * np.log(t_all).sum(axis=0)    # (K,)
-    log_value_hat = 2.0 * log_coherent_hat + float(
-        2.0 * log_scale_hat.sum() - 2.0 * log_scale_hat[k])
-    return MonomialFit(exponents=exponents,
-                       log_coeff=log_value_hat - float(exponents @ np.log(p_hat)))
+
+def fzf_gain_monomial(model: LargeScaleModel, pilot_hat: np.ndarray) -> MonomialFit:
+    """Monomial lower bounds of the K zero-forcing products coherent_k^2
+    prod_{j != k} scale_kj^2, tight at the pilot powers pilot_hat (K,)."""
+    return _fit(fzf_gain_rows(model), pilot_hat, 2.0)

@@ -194,11 +194,3 @@ def lb_sinr_fzf(model: LargeScaleModel, stats: EstimationStats,
     antennas than devices."""
     return lb_sinr(sinr_pieces(model, stats, n_antennas, "fzf"), payload_power)
 
-
-# ---------------------------------------------------------------------------
-# Log-domain helper
-# ---------------------------------------------------------------------------
-
-def _logsumexp(a: np.ndarray, axis=None):
-    m = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze()

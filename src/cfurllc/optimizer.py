@@ -2,11 +2,13 @@
 
 Each iteration replaces the weighted-sum-rate objective by its log-linear
 tangent surrogate and the coherent-gain posynomials by their best local
-monomials (`approx`), yielding a GP whose solution can only improve the true
-objective. Joint SINR rows are one term table (`gp.TermRows`) per decoder, from
-`mrc_rows` or `fzf_rows`. A max-slack GP, in `feasibility_init`, provides the
-feasible starting point; the infinite-blocklength benchmark reuses it with the
-dispersion penalty removed. The fixed-pilot benchmark freezes the pilots, so
+monomials (`approx`, all K devices in one call), yielding a GP whose solution
+can only improve the true objective. Joint SINR rows are one term table
+(`gp.TermRows`) per decoder, from `mrc_rows` or `fzf_rows`, over the
+service-set terms and factors of `approx.service_terms`, as the gain tables
+are. A max-slack GP, in `feasibility_init`, provides the feasible starting
+point; the infinite-blocklength benchmark reuses it with the dispersion
+penalty removed. The fixed-pilot benchmark freezes the pilots, so
 its SINR floors are linear in the payloads: one linear solve gives the least
 payloads meeting them and decides feasibility (Yates, IEEE JSAC 13(7), 1995),
 and the SCA starts above those payloads.
@@ -150,26 +152,17 @@ def _surrogate_exponents(chi_hat: np.ndarray, params: fbl.FblParams,
 
 
 def _sinr_table(model: LargeScaleModel, pp, pd, n: int, gain: bool):
-    """Row k's terms (r, m) of both SINR tables over n variables, r = 0..K-1
-    (and K given gain), m in S_k, the service set of device k: beta_mr pd_r,
-    or 1 for r = K. Returns per term its row, r and m, the log coefficients,
-    exponents, row sizes, the sets' indicator (K, M) and the factors
-    (AP m, device i) -> log(1 + K beta_mi pp_i), m K + i, b and columns."""
+    """Row k's terms (r, m) of `approx.service_terms` for both SINR tables over
+    n variables, r = 0..K-1 (and K given gain): beta_mr pd_r, or 1 for r = K.
+    Returns per term its row, r and m, the log coefficients, exponents, row
+    sizes, the sets' indicator (K, M) and the factors' b and columns."""
     kdev = model.num_devices
-    sizes = np.array([len(aps) for aps in model.service_sets])
-    counts = (kdev + gain) * sizes
-    row = np.repeat(np.arange(kdev), counts)
-    local = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    r = local // sizes[row]
-    ap = np.concatenate(model.service_sets).astype(int)[
-        (np.cumsum(sizes) - sizes)[row] + local % sizes[row]]
+    row, r, ap, counts, in_set, b = approx.service_terms(model, kdev + gain)
     pay = np.flatnonzero(r < kdev)
     c = np.log(np.where(r < kdev, model.beta[ap, np.minimum(r, kdev - 1)], 1.0))
     a = np.zeros((row.size, n))
     a[pay, np.array([v.index for v in pd])[r[pay]]] = 1.0
-    in_set = np.zeros((kdev, model.num_aps))
-    in_set[row, ap] = 1.0
-    return (row, r, ap, c, a, counts, in_set, kdev * model.beta.ravel(),
+    return (row, r, ap, c, a, counts, in_set, b,
             np.tile([v.index for v in pp], model.num_aps))
 
 
@@ -208,17 +201,17 @@ def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
     """The monomial fits at the pilots pilot_hat on the right of the SINR
     rows of `mrc_rows` and `fzf_rows`, before the floors: log coefficients
     (K,) and exponents (K, 2K) over the pilots, then the payloads, of the fit
-    of N gain_k^2 pd_k (MRC) or (N-K) coherent_k^2 prod_{j!=k} scale_kj^2 pd_k (FZF).
+    of N gain_k^2 pd_k (MRC) or (N-K) coherent_k^2 prod_{j!=k} scale_kj^2 pd_k
+    (FZF), from one batched `approx` fit of all K gains.
     """
     kdev = model.num_devices
-    exponents = np.hstack([np.zeros((kdev, kdev)), np.eye(kdev)])      # pd_k in row k
     if decoder == MRC:
-        fits = [approx.mrc_gain_monomial(model, float(pilot_hat[k]), k) for k in range(kdev)]
-        exponents[:, :kdev] = np.diag([2.0 * float(f.exponents[0]) for f in fits])
-        return math.log(n_antennas) + 2.0 * np.array([f.log_coeff for f in fits]), exponents
-    fits = [approx.fzf_gain_monomial(model, pilot_hat, k) for k in range(kdev)]
-    exponents[:, :kdev] = [f.exponents for f in fits]
-    return math.log(n_antennas - kdev) + np.array([f.log_coeff for f in fits]), exponents
+        fit = approx.mrc_gain_monomial(model, pilot_hat)
+        log_coeffs, exponents = math.log(n_antennas) + 2.0 * fit.log_coeff, 2.0 * fit.exponents
+    else:
+        fit = approx.fzf_gain_monomial(model, pilot_hat)
+        log_coeffs, exponents = math.log(n_antennas - kdev) + fit.log_coeff, fit.exponents
+    return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
 
 
 def _scheme_gp(floors: np.ndarray, names: list[str], add_rows: Callable) -> Callable:

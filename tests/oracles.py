@@ -1,6 +1,8 @@
 """Test oracles: the dispersion penalty factor, for the penalty tangent in
 `approx`; product-form rewrites of the closed-form SINR lower bounds,
 kept in the log domain, for `fbl.lb_sinr_*` and the gain fits in `approx`;
+the gain fits written out by hand, one device at a time, for the batched
+fits of `approx`;
 the textbook normal-approximation rate, for `fbl.lb_rate`; a bisection that
 starts at the rate kernel's zero, for `fbl.rate_kernel_inverse`; and the
 closed-form means of every decoder term, for the Monte-Carlo validator in
@@ -17,8 +19,13 @@ import numpy as np
 
 from cfurllc.channel import ChannelRealization, EstimationStats
 from cfurllc.approx import MonomialFit
-from cfurllc.fbl import FblParams, _logsumexp, rate_kernel
+from cfurllc.fbl import FblParams, rate_kernel
 from cfurllc.scenario import LargeScaleModel
+
+
+def _logsumexp(a: np.ndarray, axis=None):
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze()
 
 
 def penalty_factor(x):
@@ -110,9 +117,62 @@ def normal_approximation_rate(gamma: float, params: FblParams, k: int) -> float:
         - math.sqrt((1.0 - eta) * dispersion / params.blocklength) * qinv / math.log(2.0))
 
 
-def monomial_log_value(fit: MonomialFit, pilot_power: np.ndarray) -> float:
-    """Log of a fitted monomial at the given pilot powers."""
-    return fit.log_coeff + float(fit.exponents @ np.log(pilot_power))
+def monomial_log_value(fit: MonomialFit, pilot_power: np.ndarray, k: int) -> float:
+    """Log of device k's fitted monomial at the given pilot powers (K,)."""
+    return float(fit.log_coeff[k] + fit.exponents[k] @ np.log(pilot_power))
+
+
+def mrc_gain_fit_by_hand(model: LargeScaleModel, pilot_hat: float,
+                         k: int) -> tuple[float, np.ndarray]:
+    """Log coefficient and exponents (K,) over the pilots of the best local
+    monomial of device k's MRC coherent gain at its pilot power pilot_hat,
+    from the gain's value and log-derivative written out by hand."""
+    idx = list(model.service_sets[k])
+    b = model.beta[idx, k]
+    kp = model.num_devices * pilot_hat
+    t = kp * b + 1.0
+    s_frac = kp * b / t                                # per-factor log-slopes
+    size = len(idx)
+    mask = ~np.eye(size, dtype=bool)
+    log_u = 2.0 * np.log(b) + (np.log(t)[None, :] * mask).sum(axis=1)
+    w = np.exp(log_u - log_u.max())
+    w /= w.sum()
+    exponent = 1.0 + float(w @ (mask.astype(float) @ s_frac))
+    log_gain_hat = math.log(kp) + float(_logsumexp(log_u))
+    exponents = np.zeros(model.num_devices)
+    exponents[k] = exponent
+    return log_gain_hat - exponent * math.log(pilot_hat), exponents
+
+
+def fzf_gain_fit_by_hand(model: LargeScaleModel, pilot_hat: np.ndarray,
+                         k: int) -> tuple[float, np.ndarray]:
+    """Log coefficient and exponents (K,) of the best local monomial of device
+    k's zero-forcing product coherent_k^2 prod_{j != k} scale_kj^2 at the
+    pilots pilot_hat, from its value and log-gradient written out by hand."""
+    p_hat = np.asarray(pilot_hat, dtype=float)
+    idx = list(model.service_sets[k])
+    size = len(idx)
+    kdev = model.num_devices
+    mask = ~np.eye(size, dtype=bool)
+
+    beta_all = model.beta[idx, :]                      # (S, K)
+    t_all = kdev * p_hat[None, :] * beta_all + 1.0
+    s_all = 1.0 - 1.0 / t_all                          # (S, K) per-factor slopes
+
+    exponents = s_all.sum(axis=0)                      # doubled half-power slopes
+    b_own = beta_all[:, k]
+    logt_own = np.log(t_all[:, k])
+    log_v = 0.5 * (math.log(kdev * p_hat[k]) + 2.0 * np.log(b_own)) \
+        + 0.5 * (logt_own[None, :] * mask).sum(axis=1)
+    w = np.exp(log_v - log_v.max())
+    w /= w.sum()
+    exponents[k] = float(w @ (1.0 + mask.astype(float) @ s_all[:, k]))
+
+    log_coherent_hat = float(_logsumexp(log_v))
+    log_scale_hat = 0.5 * np.log(t_all).sum(axis=0)    # (K,)
+    log_value_hat = 2.0 * log_coherent_hat + float(
+        2.0 * log_scale_hat.sum() - 2.0 * log_scale_hat[k])
+    return log_value_hat - float(exponents @ np.log(p_hat)), exponents
 
 
 def alpha_limit(x):

@@ -180,15 +180,16 @@ def test_criterion_4_approximation_suites():
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
         p_hat = float(10 ** rng.uniform(-2, 2))
-        fit = mrc_gain_monomial(model, p_hat, k)
+        fit = mrc_gain_monomial(model, np.full(model.num_devices, p_hat))
         exact_hat = mrc_gain(model, p_hat, k)
-        if abs(math.exp(monomial_log_value(fit, np.array([p_hat]))) - exact_hat) \
-                > 1e-12 * exact_hat:
+        if abs(math.exp(monomial_log_value(fit, np.full(model.num_devices, p_hat), k))
+               - exact_hat) > 1e-12 * exact_hat:
             issues.append("mrc fit equality")
             break
         p = float(10 ** rng.uniform(-3, 3))
         exact = mrc_gain(model, p, k)
-        if exact - math.exp(monomial_log_value(fit, np.array([p]))) < -1e-9 * exact:
+        if exact - math.exp(monomial_log_value(fit, np.full(model.num_devices, p), k)) \
+                < -1e-9 * exact:
             issues.append("mrc fit bound")
             break
     # log-gradient tangency against central differences
@@ -196,10 +197,10 @@ def test_criterion_4_approximation_suites():
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
         p_hat = float(10 ** rng.uniform(-1, 1))
-        fit = mrc_gain_monomial(model, p_hat, k)
+        fit = mrc_gain_monomial(model, np.full(model.num_devices, p_hat))
         fd = (math.log(mrc_gain(model, p_hat * math.exp(eps), k))
               - math.log(mrc_gain(model, p_hat * math.exp(-eps), k))) / (2 * eps)
-        if abs(fit.exponents[0] - fd) > 1e-6:
+        if abs(fit.exponents[k, k] - fd) > 1e-6:
             issues.append("mrc fit gradient")
             break
 
@@ -211,25 +212,25 @@ def test_criterion_4_approximation_suites():
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat, k)
-        if abs(monomial_log_value(fit, p_hat) - fzf_log_gain(model, p_hat, k)) > 1e-12:
+        fit = fzf_gain_monomial(model, p_hat)
+        if abs(monomial_log_value(fit, p_hat, k) - fzf_log_gain(model, p_hat, k)) > 1e-12:
             issues.append("fzf fit equality")
             break
         p = np.exp(rng.normal(0.0, 1.5, model.num_devices))
-        if fzf_log_gain(model, p, k) - monomial_log_value(fit, p) < -1e-9:
+        if fzf_log_gain(model, p, k) - monomial_log_value(fit, p, k) < -1e-9:
             issues.append("fzf fit bound")
             break
     for _ in range(30):
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat, k)
+        fit = fzf_gain_monomial(model, p_hat)
         for j in range(model.num_devices):
             up, dn = p_hat.copy(), p_hat.copy()
             up[j] *= math.exp(eps)
             dn[j] *= math.exp(-eps)
             fd = (fzf_log_gain(model, up, k) - fzf_log_gain(model, dn, k)) / (2 * eps)
-            if abs(fit.exponents[j] - fd) > 1e-6:
+            if abs(fit.exponents[k, j] - fd) > 1e-6:
                 issues.append("fzf fit gradient")
                 break
 

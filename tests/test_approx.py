@@ -5,8 +5,10 @@ import pytest
 
 from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, log1p_tangent,
                             mrc_gain_monomial, penalty_tangent)
+from cfurllc.scenario import SystemConfig, generate_topology
 from conftest import random_model, toy_model
-from oracles import fzf_factors, monomial_log_value, penalty_factor
+from oracles import (fzf_factors, fzf_gain_fit_by_hand, monomial_log_value, mrc_gain_fit_by_hand,
+                     penalty_factor)
 
 
 def mrc_gain_value(model, pilot, k):
@@ -106,11 +108,11 @@ def test_tangency_first_order(rng):
 def test_mrc_monomial_single_ap_is_exact():
     beta = 0.7
     model = toy_model(np.array([[beta]]))
-    fit = mrc_gain_monomial(model, 2.0, 0)
-    assert fit.exponents[0] == pytest.approx(1.0, abs=1e-12)
-    assert fit.log_coeff == pytest.approx(math.log(1 * beta ** 2), abs=1e-12)
+    fit = mrc_gain_monomial(model, np.array([2.0]))
+    assert fit.exponents[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert fit.log_coeff[0] == pytest.approx(math.log(1 * beta ** 2), abs=1e-12)
     for p in (0.1, 2.0, 50.0):
-        assert math.exp(monomial_log_value(fit, np.array([p]))) == pytest.approx(
+        assert math.exp(monomial_log_value(fit, np.array([p]), 0)) == pytest.approx(
             mrc_gain_value(model, p, 0), rel=1e-12)
 
 
@@ -118,22 +120,23 @@ def test_mrc_monomial_exponent_at_least_one(rng):
     for _ in range(100):
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
-        fit = mrc_gain_monomial(model, float(10 ** rng.uniform(-2, 2)), k)
-        assert fit.exponents[0] >= 1.0 - 1e-12
+        fit = mrc_gain_monomial(model, np.full(model.num_devices, 10 ** rng.uniform(-2, 2)))
+        assert fit.exponents[k, k] >= 1.0 - 1e-12
 
 
 def test_mrc_monomial_is_tight_lower_bound(rng):
     for _ in range(1000):
         model = random_model(rng)
-        k = int(rng.integers(model.num_devices))
+        kdev = model.num_devices
+        k = int(rng.integers(kdev))
         p_hat = float(10 ** rng.uniform(-2, 2))
-        fit = mrc_gain_monomial(model, p_hat, k)
+        fit = mrc_gain_monomial(model, np.full(kdev, p_hat))
         exact_hat = mrc_gain_value(model, p_hat, k)
-        assert math.exp(monomial_log_value(fit, np.array([p_hat]))) == pytest.approx(
+        assert math.exp(monomial_log_value(fit, np.full(kdev, p_hat), k)) == pytest.approx(
             exact_hat, rel=1e-12)
         p = float(10 ** rng.uniform(-3, 3))
         exact = mrc_gain_value(model, p, k)
-        assert exact - math.exp(monomial_log_value(fit, np.array([p]))) >= -1e-9 * exact
+        assert exact - math.exp(monomial_log_value(fit, np.full(kdev, p), k)) >= -1e-9 * exact
 
 
 def test_mrc_monomial_matches_log_derivative(rng):
@@ -142,10 +145,10 @@ def test_mrc_monomial_matches_log_derivative(rng):
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
         p_hat = float(10 ** rng.uniform(-1, 1))
-        fit = mrc_gain_monomial(model, p_hat, k)
+        fit = mrc_gain_monomial(model, np.full(model.num_devices, p_hat))
         fd = (math.log(mrc_gain_value(model, p_hat * math.exp(eps), k))
               - math.log(mrc_gain_value(model, p_hat * math.exp(-eps), k))) / (2 * eps)
-        assert fit.exponents[0] == pytest.approx(fd, abs=1e-6)
+        assert fit.exponents[k, k] == pytest.approx(fd, abs=1e-6)
 
 
 def test_fzf_monomial_is_tight_lower_bound(rng):
@@ -153,12 +156,12 @@ def test_fzf_monomial_is_tight_lower_bound(rng):
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat, k)
+        fit = fzf_gain_monomial(model, p_hat)
         log_exact_hat = fzf_gain_log_value(model, p_hat, k)
-        assert monomial_log_value(fit, p_hat) == pytest.approx(log_exact_hat, abs=1e-12)
+        assert monomial_log_value(fit, p_hat, k) == pytest.approx(log_exact_hat, abs=1e-12)
         p = np.exp(rng.normal(0.0, 1.5, model.num_devices))
         log_exact = fzf_gain_log_value(model, p, k)
-        assert log_exact - monomial_log_value(fit, p) >= -1e-9
+        assert log_exact - monomial_log_value(fit, p, k) >= -1e-9
 
 
 def test_fzf_monomial_matches_log_gradient(rng):
@@ -167,14 +170,58 @@ def test_fzf_monomial_matches_log_gradient(rng):
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat, k)
+        fit = fzf_gain_monomial(model, p_hat)
         for j in range(model.num_devices):
             up, dn = p_hat.copy(), p_hat.copy()
             up[j] *= math.exp(eps)
             dn[j] *= math.exp(-eps)
             fd = (fzf_gain_log_value(model, up, k)
                   - fzf_gain_log_value(model, dn, k)) / (2 * eps)
-            assert fit.exponents[j] == pytest.approx(fd, abs=1e-6)
+            assert fit.exponents[k, j] == pytest.approx(fd, abs=1e-6)
+
+
+@pytest.mark.parametrize("fit", [mrc_gain_monomial, fzf_gain_monomial])
+def test_gain_fits_reject_nonpositive_pilots(fit):
+    model = toy_model(np.array([[0.7, 0.2], [0.3, 0.5]]))
+    for pilot in ([1.0, 0.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError):
+            fit(model, np.array(pilot))
+
+
+FIT_DEPLOYMENTS = {
+    "desk": SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12),
+    "paper": SystemConfig(num_devices=10, num_aps=9, antennas_per_ap=16),
+    "threshold-1": SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
+                                ap_select_threshold=1.0),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(FIT_DEPLOYMENTS))
+def test_batched_fits_match_the_fits_by_hand(layout, rng):
+    # all K fits from one table evaluation against the per-device value and
+    # log-gradient written out by hand, at pilots from 1e6 to 1e13; each
+    # exponent row is compared against its largest entry, since the
+    # hand-written slope 1 - 1/t loses the small ones to cancellation
+    cfg = FIT_DEPLOYMENTS[layout]
+    for seed in range(5):
+        model = generate_topology(cfg, seed=seed)
+        kdev = model.num_devices
+        for _ in range(4):
+            p_hat = 10 ** rng.uniform(6.0, 13.0, kdev)
+            for batched, by_hand in ((mrc_gain_monomial(model, p_hat),
+                                      [mrc_gain_fit_by_hand(model, float(p_hat[k]), k)
+                                       for k in range(kdev)]),
+                                     (fzf_gain_monomial(model, p_hat),
+                                      [fzf_gain_fit_by_hand(model, p_hat, k)
+                                       for k in range(kdev)])):
+                log_coeffs = np.array([c for c, _ in by_hand])
+                exponents = np.array([e for _, e in by_hand])
+                assert batched.log_coeff.shape == (kdev,)
+                assert batched.exponents.shape == (kdev, kdev)
+                # 1e-12 relative in the coefficients
+                assert np.abs(batched.log_coeff - log_coeffs).max() <= 1e-12
+                scale = np.abs(exponents).max(axis=1, keepdims=True)
+                assert (np.abs(batched.exponents - exponents) <= 1e-12 * scale).all()
 
 
 def test_objective_surrogate_ordering(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gp_nodes as nodes
-from cfurllc import gp
+from cfurllc import approx, gp
 from cfurllc.gp import Const, GpModel, GpModelError, Monomial, Sum
 from gp_nodes import grid_optimum, random_two_var_problem
 
@@ -122,10 +122,11 @@ def test_fused_family_matches_generic_tree(rng):
         assert h1[0, 0] == pytest.approx(h2[0, 0], abs=1e-10)
 
 
-def random_table(rng, n_vars):
+def random_table(rng, n_vars, halves=False):
     """A random term table over n_vars variables, its rows as node trees
     over the same variables, and the model that declares them: uneven row
-    sizes, factor weights in {0, 1, 2} and factor columns in shuffled order."""
+    sizes, factor weights in {0, 1, 2} (with halves: in {0, 1/2, ..., 2}) and
+    factor columns in shuffled order."""
     m = GpModel()
     xs = [m.variable(f"v{i}") for i in range(n_vars)]
     counts = rng.integers(1, 5, size=int(rng.integers(1, 5)))
@@ -135,7 +136,8 @@ def random_table(rng, n_vars):
     size = int(rng.integers(1, 7))
     coeffs = 10 ** rng.uniform(-1.0, 1.0, size)
     columns = rng.permutation(np.resize(np.arange(n_vars), size))
-    weights = rng.integers(0, 3, (terms, size)).astype(float)
+    weights = rng.integers(0, 5, (terms, size)) / 2.0 if halves \
+        else rng.integers(0, 3, (terms, size)).astype(float)
     rows = gp.TermRows(log_coeffs, exponents, counts, coeffs, columns, weights)
     trees = []
     for start, count in zip(np.cumsum(counts) - counts, counts):
@@ -172,6 +174,22 @@ def test_term_rows_match_node_trees_and_finite_differences(rng):
             (vu, ju, _), (vd, jd, _) = rows.log_eval(up), rows.log_eval(dn)
             assert np.allclose(jac[:, i], (vu - vd) / (2 * eps), rtol=0, atol=1e-6)
             assert np.allclose(h[:, i], (ju - jd).T @ weights / (2 * eps), rtol=0, atol=1e-5)
+
+
+def test_term_row_tangents_touch_and_stay_below_their_rows(rng):
+    # the best local monomial of each row, exp(vals + J (y - y_hat)) (the
+    # gain fits of `approx`), meets the row at y_hat and, each row being
+    # convex in y, lies below it everywhere, also for fractional weights
+    for _ in range(200):
+        n_vars = int(rng.integers(1, 5))
+        rows, _, _ = random_table(rng, n_vars, halves=True)
+        y_hat = rng.normal(0.0, 3.0, n_vars)
+        fit = approx._fit(rows, np.exp(y_hat), 1.0)
+        vals = rows.log_eval(y_hat)[0]
+        assert np.allclose(fit.log_coeff + fit.exponents @ y_hat, vals, rtol=0, atol=1e-12)
+        for _ in range(5):
+            y = y_hat + rng.normal(0.0, 3.0, n_vars)
+            assert (rows.log_eval(y)[0] - (fit.log_coeff + fit.exponents @ y) >= -1e-12).all()
 
 
 @pytest.mark.parametrize("bad", [

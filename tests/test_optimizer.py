@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -557,8 +558,39 @@ def _fzf_lhs_generic(model, k, pp, pd):
     return nodes.Sum(terms)
 
 
+def _mrc_gain_generic(model, k, pp, pd):
+    """Node-tree form of device k's MRC coherent gain (reference for the rows
+    of `approx.mrc_gain_rows`)."""
+    idx = list(model.service_sets[k])
+    b = model.beta[idx, k]
+    kdev = model.num_devices
+    return nodes.PosyProductSum(pp[k], np.log(kdev * b ** 2), np.ones(len(idx)), kdev * b,
+                                1.0 - np.eye(len(idx)))
+
+
+def _fzf_gain_generic(model, k, pp, pd):
+    """Node-tree form of device k's zero-forcing gain coherent_k prod_{i != k}
+    scale_ki (reference for the rows of `approx.fzf_gain_rows`)."""
+    idx = list(model.service_sets[k])
+    kdev = model.num_devices
+    size = len(idx)
+    b = model.beta[idx, k]
+    coherent = nodes.PosyProductSum(pp[k], np.log(math.sqrt(kdev) * b), np.full(size, 0.5),
+                                    kdev * b, 0.5 * (1.0 - np.eye(size)))
+    return nodes.Product([coherent] + [
+        nodes.PosyProductSum(pp[i], [0.0], [0.0], kdev * model.beta[idx, i],
+                             np.full((1, size), 0.5)) for i in range(kdev) if i != k])
+
+
 GENERIC = {MRC: _mrc_lhs_generic, FZF: _fzf_lhs_generic}
 BLOCKS = {MRC: optimizer.mrc_rows, FZF: optimizer.fzf_rows}
+# every term table with its row trees: the SINR rows over phi, the pilots and
+# the payloads, and the gain tables of `approx` over the pilots alone
+TABLES = {MRC: (BLOCKS[MRC], _mrc_lhs_generic), FZF: (BLOCKS[FZF], _fzf_lhs_generic),
+          "mrc-gain": (lambda model, pp, pd, n: approx.mrc_gain_rows(model), _mrc_gain_generic),
+          "fzf-gain": (lambda model, pp, pd, n: approx.fzf_gain_rows(model), _fzf_gain_generic)}
+# (mean, spread) of the log powers: every factor saturated, or none
+REGIMES = {"saturated": (22.0, 3.0), "unsaturated": (0.0, 1.5)}
 
 
 def _block_models(rng):
@@ -573,19 +605,24 @@ def _block_models(rng):
     return [desk_model(), big]
 
 
-def _block_and_trees(model, decoder, rng):
-    """SINR rows over fresh variables, their K generic trees and a random point.
+def _block_and_trees(model, table, regime, rng):
+    """A term table of TABLES over fresh variables, its K generic trees and a
+    random point whose log powers are drawn from the regime.
 
-    The variables are laid out as in the max-slack GP: phi, which no row
+    The SINR rows are laid out as in the max-slack GP: phi, which no row
     uses, then the pilots and the payloads."""
     kdev = model.num_devices
     m = gp.GpModel()
-    m.variable("phi")
+    sinr = table in (MRC, FZF)
+    if sinr:
+        m.variable("phi")
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
-    pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    block = BLOCKS[decoder](model, pp, pd, len(m.names))
-    trees = [GENERIC[decoder](model, k, pp, pd) for k in range(kdev)]
-    y = np.concatenate([rng.normal(0, 1, 1), rng.normal(22, 3, 2 * kdev)])
+    pd = [m.variable(f"pd{k}") for k in range(kdev)] if sinr else []
+    build, tree = TABLES[table]
+    block = build(model, pp, pd, len(m.names))
+    trees = [tree(model, k, pp, pd) for k in range(kdev)]
+    y = np.concatenate([rng.normal(0, 1, int(sinr)),
+                        rng.normal(*REGIMES[regime], len(pp) + len(pd))])
     return block, trees, y
 
 
@@ -614,12 +651,12 @@ def test_sinr_rows_over_interleaved_columns_match_consecutive_ones(decoder, rng)
             assert np.array_equal(ihess(weights)[np.ix_(perm, perm)], hess(weights))
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
-def test_fused_constraint_matches_generic_tree(decoder, rng):
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_fused_constraint_matches_generic_tree(table, rng):
     for model in _block_models(rng):
         kdev = model.num_devices
-        for trial in range(6):
-            block, trees, y = _block_and_trees(model, decoder, rng)
+        for regime, trial in itertools.product(REGIMES, range(6)):
+            block, trees, y = _block_and_trees(model, table, regime, rng)
             ref = [nodes.log_eval(t, y) for t in trees]
             weights = rng.uniform(0.1, 3.0, kdev)
             vals, jac, hess = block.log_eval(y)
@@ -629,11 +666,11 @@ def test_fused_constraint_matches_generic_tree(decoder, rng):
             assert np.allclose(hess(weights), want, rtol=0, atol=1e-10 * weights.sum())
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
-def test_fused_constraint_matches_finite_differences(decoder, rng):
-    for model in _block_models(rng):
-        block, _, y = _block_and_trees(model, decoder, rng)
-        y[1:] -= 1.0                                          # away from saturation
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_fused_constraint_matches_finite_differences(table, rng):
+    for model, regime in itertools.product(_block_models(rng), REGIMES):
+        block, _, y = _block_and_trees(model, table, regime, rng)
+        y -= 1.0                                   # away from saturation; phi is in no row
         weights = rng.uniform(0.1, 3.0, model.num_devices)
         _, jac, hess = block.log_eval(y)
         h = hess(weights)
@@ -787,16 +824,16 @@ def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
         return m
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
     pd = [m.variable(f"pd{k}") for k in range(kdev)]
+    fit = (approx.mrc_gain_monomial if scheme == MRC else approx.fzf_gain_monomial)(
+        model, pilot_hat)
     fits = []
     for k in range(kdev):
         if scheme == MRC:
-            fit = approx.mrc_gain_monomial(model, float(pilot_hat[k]), k)
-            fits.append(rhs(k, math.log(cfg.antennas_per_ap) + 2.0 * fit.log_coeff,
-                            {pp[k].index: 2.0 * float(fit.exponents[0]), pd[k].index: 1.0}))
+            fits.append(rhs(k, math.log(cfg.antennas_per_ap) + 2.0 * float(fit.log_coeff[k]),
+                            {pp[k].index: 2.0 * float(fit.exponents[k, k]), pd[k].index: 1.0}))
         else:
-            fit = approx.fzf_gain_monomial(model, pilot_hat, k)
-            exps = {pp[j].index: float(fit.exponents[j]) for j in range(kdev)}
-            fits.append(rhs(k, math.log(cfg.antennas_per_ap - kdev) + fit.log_coeff,
+            exps = {pp[j].index: float(fit.exponents[k, j]) for j in range(kdev)}
+            fits.append(rhs(k, math.log(cfg.antennas_per_ap - kdev) + float(fit.log_coeff[k]),
                             {**exps, pd[k].index: 1.0}))
     m.add_block_le(BLOCKS[scheme](model, pp, pd, len(m.names)), fits, weights)
     for k in range(kdev):
