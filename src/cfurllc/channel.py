@@ -46,10 +46,15 @@ def substream(master_seed: int, *indices: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """True channel, its MMSE estimate and the receiver noise for one trial block.
+    """True channels, MMSE estimates and receiver noise of one trial block, in
+    an orthonormal basis of each AP's estimate span.
 
-    Channel arrays have shape (T, M, K, N): trials, APs, devices, antennas per
-    AP; the payload-phase receiver noise has shape (T, M, N).
+    Channel arrays have shape (T, M, K, r): trials, APs, devices and the
+    r = min(N, K) coordinates of each channel in that AP's basis; the
+    payload-phase receiver noise has shape (T, M, r). Every combining vector
+    the decoders build lies in the span of its AP's estimates, so the inner
+    products it takes with the channels and the noise are those of these
+    coordinates.
     """
 
     g: np.ndarray
@@ -58,26 +63,45 @@ class ChannelRealization:
 
 
 def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
-                 rng: np.random.Generator, trials: int = 1) -> ChannelRealization:
+                 rng: np.random.Generator, trials: int = 1, *,
+                 diag_rng: np.random.Generator | None = None) -> ChannelRealization:
     """Draw channels, pilot-based MMSE estimates and receiver noise for a block of trials.
 
-    The pilot observation is the true channel plus noise of per-antenna
-    variance 1/(K*p); the estimate scales it by K*p*b/(K*p*b + 1). All values
-    come from one standard-normal fill laid out trial-major: each trial takes
-    one contiguous run (channel, pilot noise, receiver noise), so a trial's
-    values do not depend on how many trials are drawn after it.
+    AP m's N x K estimate is Q R diag(sqrt(lam_m)) with Q orthonormal and R
+    the r x K factor of an i.i.d. CN(0, 1) matrix, whose entries are
+    independent: R_ii = sqrt(Gamma(N - i, 1)), CN(0, 1) above the diagonal
+    and 0 below it (Bartlett; Edelman & Rao, Acta Numerica 14, 2005, sec. 5).
+    Q is dropped: the arrays hold coordinates in its columns. The estimation
+    error, independent of the estimate, has CN(0, err_var I_r) coordinates
+    there, and the receiver noise CN(0, I_r). The entries above the diagonal,
+    the error and the noise come from one standard-normal fill of rng laid
+    out trial-major, each trial one contiguous run; the diagonal comes from
+    diag_rng (None: `rng.bit_generator.jumped()`, taken before the fill),
+    trial-major too. So a trial's values do not depend on how many trials
+    are drawn after it.
     """
+    if n_antennas < 1:
+        raise ValueError(f"n_antennas must be at least 1, got {n_antennas}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if diag_rng is None:
+        diag_rng = np.random.Generator(rng.bit_generator.jumped())
     m, k = model.beta.shape
-    mkn = m * k * n_antennas
+    r = min(n_antennas, k)
+    rows, cols = np.triu_indices(r, 1, k)        # R's strictly upper entries
+    upper, mkr = m * rows.size, m * k * r
     # (re, im) pairs viewed as unit-variance circularly-symmetric complex Gaussians
-    z = rng.standard_normal((trials, 2 * (2 * mkn + m * n_antennas))).view(complex)
+    z = rng.standard_normal((trials, 2 * (upper + mkr + m * r))).view(complex)
     z *= np.sqrt(0.5)
-    shape = (trials, m, k, n_antennas)
-    g, g_hat = z[:, :mkn].reshape(shape), z[:, mkn:2 * mkn].reshape(shape)   # views of z
-    g *= np.sqrt(model.beta)[None, :, :, None]
-    kp = model.num_devices * stats.pilot_power
-    g_hat /= np.sqrt(kp)[None, None, :, None]        # the pilot noise
-    g_hat += g
-    g_hat *= (kp[None, :] * model.beta / (kp[None, :] * model.beta + 1.0))[None, :, :, None]
-    noise = z[:, 2 * mkn:].reshape(trials, m, n_antennas)
+    g_hat = np.zeros((trials, m, k, r), dtype=complex)     # [t, m, j, i] = R_ij
+    g_hat[:, :, cols, rows] = z[:, :upper].reshape(trials, m, rows.size)
+    diag = np.arange(r)
+    g_hat[:, :, diag, diag] = np.sqrt(
+        diag_rng.standard_gamma(n_antennas - diag, size=(trials, m, r)))
+    g_hat *= np.sqrt(stats.lam)[None, :, :, None]
+    g = z[:, upper:upper + mkr].reshape(trials, m, k, r)   # a view of z
+    # b - lam rounds below zero once K p b passes about 1e16
+    g *= np.sqrt(np.maximum(stats.err_var, 0.0))[None, :, :, None]
+    g += g_hat
+    noise = z[:, upper + mkr:].reshape(trials, m, r)
     return ChannelRealization(g=g, g_hat=g_hat, noise=noise)

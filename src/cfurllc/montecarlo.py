@@ -5,10 +5,14 @@ statistical-CSI receiver. One kernel serves both receivers, which differ only in
 their combining vectors: the mean coherent gain is the desired term, and its
 deviation (leakage), the interference and the noise make up the rest, from which
 instantaneous SINRs and finite-blocklength rates follow. Only the APs that
-serve some device are drawn. Trials are drawn TRIAL_BLOCK at a time, each block
-from its own SeedSequence-keyed PCG64 substream in which every trial takes one
-contiguous run, so a trial's values depend on the seed, its index, TRIAL_BLOCK
-and which APs serve, but not on the trial count or the order of evaluation.
+serve some device are drawn, each in an orthonormal basis of its estimate's
+span (`channel.draw_channel`): every combining vector lies in that span, so
+min(N, K) coordinates per channel give the same inner products as N antennas.
+Trials are drawn TRIAL_BLOCK at a time, each block from its own pair of
+SeedSequence-keyed PCG64 substreams, one for the normal fill, in which every
+trial takes one contiguous run, and one for the Bartlett diagonal, so a
+trial's values depend on the seed, its index, TRIAL_BLOCK and which APs
+serve, but not on the trial count or the order of evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .channel import (ChannelRealization, EstimationStats, draw_channel,
                       estimation_stats, substream)
 from .scenario import LargeScaleModel
 
-TRIAL_BLOCK = 64
+TRIAL_BLOCK = 128
 MIN_TRIALS = 100          # fewer trials give no meaningful ergodic-rate estimate
 
 
@@ -54,7 +58,7 @@ def _decode(real: ChannelRealization, model: LargeScaleModel, vectors: np.ndarra
             params: fbl.FblParams) -> TrialOutcome:
     """Decoder terms of every device from its combining vectors.
 
-    Device k combines over its service set with vectors[:, m, k, :] (T, M, K, N)
+    Device k combines over its service set with vectors[:, m, k, :] (T, M, K, r)
     times scale[m, k]; mean_gain[k] is the mean of its coherent gain.
     """
     trials, _, kdev, _ = real.g.shape
@@ -87,16 +91,17 @@ def decode_mrc(real: ChannelRealization, model: LargeScaleModel,
                    payload_power, params)
 
 
-def _fzf_vectors(g_hat: np.ndarray, first_trial: int) -> np.ndarray:
-    """Unnormalized zero-forcing vectors per AP, G (G^H G)^-1, batched as (T, M, K, N).
+def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int) -> np.ndarray:
+    """Unnormalized zero-forcing vectors per AP, G (G^H G)^-1, batched as (T, M, K, r).
 
     Raises RuntimeError naming the first trial (counted from first_trial) with a
     rank-deficient estimate at some AP: inv finds its Gram matrix singular, or its
     inverse scaled by the Gram diagonal, |inv_ij| d_i d_j with d = sqrt(diag),
-    reaches 1 / (eps max(1e3, 2K(N + K))), whatever the size of each device's channel.
+    reaches 1 / (eps max(1e3, 2K(N + K))) for N = n_antennas, whatever the size
+    of each device's channel.
     """
-    _, _, kdev, n = g_hat.shape
-    gh = np.swapaxes(g_hat, 2, 3)                       # (T, M, N, K)
+    kdev = g_hat.shape[2]
+    gh = np.swapaxes(g_hat, 2, 3)                       # (T, M, r, K)
     gram = np.einsum("tmnk,tmnj->tmkj", gh.conj(), gh)
     try:
         inv = np.linalg.inv(gram)
@@ -106,7 +111,7 @@ def _fzf_vectors(g_hat: np.ndarray, first_trial: int) -> np.ndarray:
         inv[regular] = np.linalg.inv(gram[regular])
     d = np.sqrt(np.einsum("tmkk->tmk", gram).real)
     worst = (np.abs(inv) * d[..., :, None] * d[..., None, :]).max(axis=(2, 3))
-    limit = 1.0 / (np.finfo(float).eps * max(1e3, 2.0 * kdev * (n + kdev)))
+    limit = 1.0 / (np.finfo(float).eps * max(1e3, 2.0 * kdev * (n_antennas + kdev)))
     bad = np.flatnonzero(~(worst < limit).all(axis=1))  # NaN counts as bad
     if bad.size:
         raise RuntimeError(f"trial {first_trial + bad[0]}: estimated channel rank-deficient")
@@ -125,8 +130,8 @@ def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
     scale = np.sqrt((n_antennas - kdev) * stats.lam)
     mean_gain = np.array([scale[list(aps), k].sum()
                           for k, aps in enumerate(model.service_sets)])
-    return _decode(real, model, _fzf_vectors(real.g_hat, first_trial), scale, mean_gain,
-                   payload_power, params)
+    return _decode(real, model, _fzf_vectors(real.g_hat, n_antennas, first_trial), scale,
+                   mean_gain, payload_power, params)
 
 
 def simulate(model: LargeScaleModel, stats: EstimationStats,
@@ -140,15 +145,16 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     `stats.pilot_power`, so each device's trials keep their law and an AP
     that serves nobody can neither be rank-deficient nor cost a draw.
     Block b holds trials b*TRIAL_BLOCK onwards and is drawn by one
-    `draw_channel` call on the substream (seed, b, 0), whose trailing 0 stays
-    so that every trial keeps its stream. A trial's values depend on the seed,
-    its index, TRIAL_BLOCK and which APs serve, not on the trial count or the
-    order of evaluation. A rank-deficient zero-forcing estimate raises
-    RuntimeError naming the trial: it has probability zero, and a degenerate
-    input (a zero estimate at a serving AP when K p beta underflows) recurs
-    on every draw. Blocks run on `workers` threads (None: all usable CPUs;
-    1: no pool) and are consumed in order; block b + workers starts once
-    block b is consumed.
+    `draw_channel` call, in each serving AP's estimate basis, with its normal
+    fill from the substream (seed, b, 0) and the diagonal of its Bartlett
+    factors from the sibling substream (seed, b, 1). A trial's values depend
+    on the seed, its index, TRIAL_BLOCK and which APs serve, not on the trial
+    count or the order of evaluation. A rank-deficient zero-forcing estimate
+    raises RuntimeError naming the trial: it has probability zero, and a
+    degenerate input (a zero estimate at a serving AP when K p beta
+    underflows) recurs on every draw. Blocks run on `workers` threads (None:
+    all usable CPUs; 1: no pool) and are consumed in order; block b + workers
+    starts once block b is consumed.
     """
     fbl.check_decoder(decoder)
     if trials < 1:
@@ -166,7 +172,8 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     def run(block):
         start = block * TRIAL_BLOCK
         real = draw_channel(serving, stats, n_antennas, substream(seed, block, 0),
-                            trials=min(TRIAL_BLOCK, trials - start))
+                            trials=min(TRIAL_BLOCK, trials - start),
+                            diag_rng=substream(seed, block, 1))
         if decoder == "mrc":
             return decode_mrc(real, serving, stats, payload_power, n_antennas, params)
         return decode_fzf(real, serving, stats, payload_power, n_antennas, params, start)

@@ -197,19 +197,20 @@ def fzf_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
 
 
 def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
-               pilot_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               pilot_hat: np.ndarray, gain_rows: gp.TermRows) -> tuple[np.ndarray, np.ndarray]:
     """The monomial fits at the pilots pilot_hat on the right of the SINR
     rows of `mrc_rows` and `fzf_rows`, before the floors: log coefficients
     (K,) and exponents (K, 2K) over the pilots, then the payloads, of the fit
     of N gain_k^2 pd_k (MRC) or (N-K) coherent_k^2 prod_{j!=k} scale_kj^2 pd_k
-    (FZF), from one batched `approx` fit of all K gains.
+    (FZF), from one batched `approx` fit of the K gains of gain_rows, the
+    model's `approx.mrc_gain_rows` or `fzf_gain_rows`.
     """
     kdev = model.num_devices
     if decoder == MRC:
-        fit = approx.mrc_gain_monomial(model, pilot_hat)
+        fit = approx.mrc_gain_monomial(model, pilot_hat, gain_rows)
         log_coeffs, exponents = math.log(n_antennas) + 2.0 * fit.log_coeff, 2.0 * fit.exponents
     else:
-        fit = approx.fzf_gain_monomial(model, pilot_hat)
+        fit = approx.fzf_gain_monomial(model, pilot_hat, gain_rows)
         log_coeffs, exponents = math.log(n_antennas - kdev) + fit.log_coeff, fit.exponents
     return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
 
@@ -296,8 +297,10 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
 
     gp_for = _scheme_gp(floors, [f"pp{k}" for k in range(kdev)]
                         + [f"pd{k}" for k in range(kdev)], add_rows)
+    gain_rows = (approx.mrc_gain_rows if decoder == MRC else approx.fzf_gain_rows)(model)
     return _Scheme(build=lambda pilot_hat, w_hat: gp_for(
-                       w_hat, _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat)),
+                       w_hat, _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat,
+                                         gain_rows)),
                    read=lambda sol: PowerAllocation(pilot=sol.x[-2 * kdev:-kdev],
                                                     payload=sol.x[-kdev:]),
                    coords=lambda alloc: np.concatenate([alloc.pilot, alloc.payload]),

@@ -6,8 +6,8 @@ fits of `approx`;
 the textbook normal-approximation rate, for `fbl.lb_rate`; a bisection that
 starts at the rate kernel's zero, for `fbl.rate_kernel_inverse`; and the
 closed-form means of every decoder term, for the Monte-Carlo validator in
-`montecarlo`; and the out-of-place channel-draw arithmetic, for the in-place
-`channel.draw_channel`.
+`montecarlo`; and the channel draw at every antenna, for the law of
+`channel.draw_channel`, which draws in the span of each AP's estimate.
 """
 
 from __future__ import annotations
@@ -295,11 +295,14 @@ def expected_terms_fzf(model: LargeScaleModel, stats: EstimationStats,
     return {"ds2": ds2, "ls2": ls2, "ui2": ui2, "n2": n2}
 
 
-def draw_channel_out_of_place(model: LargeScaleModel, stats: EstimationStats,
+def draw_channel_full_antenna(model: LargeScaleModel, stats: EstimationStats,
                               n_antennas: int, rng: np.random.Generator,
                               trials: int = 1) -> ChannelRealization:
-    """`channel.draw_channel` with a new array for every intermediate: the same
-    fill and the same multiplications in the same order."""
+    """Channels, MMSE estimates and receiver noise at all N antennas of every
+    AP, (T, M, K, N) and (T, M, N): the true channel is CN(0, beta), the pilot
+    observation adds noise of per-antenna variance 1/(K p), and the estimate
+    scales it by K p beta / (K p beta + 1). All values come from one
+    trial-major standard-normal fill."""
     m, k = model.beta.shape
     mkn = m * k * n_antennas
     z = rng.standard_normal((trials, 2 * (2 * mkn + m * n_antennas))).view(complex)

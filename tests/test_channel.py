@@ -4,6 +4,7 @@ import pytest
 from cfurllc.channel import draw_channel, estimation_stats, substream
 
 from conftest import toy_model
+from oracles import draw_channel_full_antenna
 
 
 def test_estimate_variance_hand_values():
@@ -65,36 +66,107 @@ def test_substream_determinism_and_independence():
     assert not np.array_equal(a, d)
 
 
-def test_channel_draw_moments():
-    beta = np.array([[0.8, 2.0], [1.5, 0.4]])
-    model = toy_model(beta)
-    pilot = np.array([0.9, 2.5])
-    stats = estimation_stats(model, pilot)
-    n_ant = 4
-    trials = 4000
-    real = draw_channel(model, stats, n_ant, substream(11, 0), trials=trials)
-    n_samples = trials * n_ant
-    g_tilde = real.g - real.g_hat
+def _decoder_inputs(real):
+    """The inner products every decoder reads, per trial and AP: the Gram
+    matrix G^H G and G^H g_j, both (T, M, K, K) with entry [k, j] = g_hat_k^H
+    g_j, and G^H w (T, M, K)."""
+    gram = np.einsum("tmkn,tmjn->tmkj", real.g_hat.conj(), real.g_hat)
+    cross = np.einsum("tmkn,tmjn->tmkj", real.g_hat.conj(), real.g)
+    noise = np.einsum("tmkn,tmn->tmk", real.g_hat.conj(), real.noise)
+    return gram, cross, noise
 
-    for m in range(2):
-        for k in range(2):
-            var_hat = np.mean(np.abs(real.g_hat[:, m, k, :]) ** 2)
-            lam = stats.lam[m, k]
-            assert abs(var_hat - lam) <= 3 * lam / np.sqrt(n_samples)
-            var_err = np.mean(np.abs(g_tilde[:, m, k, :]) ** 2)
-            err = stats.err_var[m, k]
-            assert abs(var_err - err) <= 3 * err / np.sqrt(n_samples)
-            # estimate/error orthogonality in aggregate
-            inner = np.mean(real.g_hat[:, m, k, :].conj() * g_tilde[:, m, k, :])
-            se = np.sqrt(lam * err / n_samples)
-            assert abs(inner) <= 3 * se
-    # receiver noise: unit power, circular, independent of the channel
-    assert real.noise.shape == (trials, 2, n_ant)
-    n_noise = real.noise.size
-    assert abs(np.mean(np.abs(real.noise) ** 2) - 1.0) <= 3 / np.sqrt(n_noise)
-    assert abs(np.mean(real.noise.real ** 2) - 0.5) <= 3 / np.sqrt(n_noise)
-    corr = np.mean(real.noise.conj() * real.g[:, :, 0, :])
-    assert abs(corr) <= 3 * np.sqrt(beta.max() / n_noise)
+
+def _normalized_moments(real, stats, n_ant):
+    """Per trial, the means over APs and devices of the decoder inputs'
+    entries and squared magnitudes, each divided by its closed-form scale:
+    E Gamma_kk = N lam_k, E|Gamma_kk|^2 = N(N+1) lam_k^2, E|Gamma_kj|^2 = N
+    lam_k lam_j, E g_hat_k^H g_k = N lam_k, E|g_hat_k^H g_k|^2 = N(N+1) lam_k^2
+    + N lam_k err_k, E|g_hat_k^H g_j|^2 = N lam_k beta_j, E|g_hat_k^H w|^2 = N
+    lam_k; the entries of mean zero (Gamma_kj, g_hat_k^H g_j for k != j and
+    g_hat_k^H w) scaled to unit variance. Every column has mean 1, or 0 for
+    the last two."""
+    gram, cross, noise = _decoder_inputs(real)
+    lam, err = stats.lam, stats.err_var
+    beta = lam + err
+    n = float(n_ant)
+    k = lam.shape[1]
+    diag, off = np.eye(k, dtype=bool), ~np.eye(k, dtype=bool)
+    ll = n * lam[:, :, None] * lam[:, None, :]                 # (M, K, K)
+    lb = n * lam[:, :, None] * beta[:, None, :]
+    own2 = n * (n + 1.0) * lam ** 2 + n * lam * err
+    zero_mean = np.concatenate([
+        (gram / np.sqrt(ll))[:, :, off], (cross / np.sqrt(lb))[:, :, off],
+        noise / np.sqrt(n * lam)], axis=2)
+    cols = [
+        gram[:, :, diag].real / (n * lam),
+        np.abs(gram[:, :, diag]) ** 2 / (n * (n + 1.0) * lam ** 2),
+        np.abs(gram[:, :, off]) ** 2 / ll[:, off],
+        cross[:, :, diag].real / (n * lam),
+        np.abs(cross[:, :, diag]) ** 2 / own2,
+        np.abs(cross[:, :, off]) ** 2 / lb[:, off],
+        np.abs(noise) ** 2 / (n * lam),
+        zero_mean.real,
+        zero_mean.imag,
+    ]
+    return np.stack([c.mean(axis=(1, 2)) for c in cols], axis=1)
+
+
+@pytest.mark.parametrize("n_ant", [5, 3, 2])     # N > K, N = K, N < K
+def test_draw_matches_full_antenna_law(n_ant):
+    """The decoders' inputs from the estimate-span draw have the closed-form
+    means and second moments, and those of the draw at every antenna, within
+    3 sigma."""
+    beta = np.array([[0.8, 2.0, 0.3], [1.5, 0.4, 5.0]])
+    model = toy_model(beta)
+    stats = estimation_stats(model, np.array([0.9, 2.5, 0.2]))
+    trials = 20000
+    span = draw_channel(model, stats, n_ant, substream(31, n_ant, 0), trials=trials)
+    r = min(n_ant, 3)
+    assert span.g.shape == span.g_hat.shape == (trials, 2, 3, r)
+    assert span.noise.shape == (trials, 2, r)
+    full = draw_channel_full_antenna(model, stats, n_ant, substream(32, n_ant), trials=trials)
+    expected = np.array([1.0] * 7 + [0.0] * 2)
+    got, ref = (_normalized_moments(real, stats, n_ant) for real in (span, full))
+    se_got, se_ref = (x.std(axis=0, ddof=1) / np.sqrt(trials) for x in (got, ref))
+    assert np.all(np.abs(got.mean(axis=0) - expected) <= 3 * se_got)
+    assert np.all(np.abs(got.mean(axis=0) - ref.mean(axis=0))
+                  <= 3 * np.hypot(se_got, se_ref))
+
+
+def test_draw_keeps_estimate_in_its_span():
+    # the estimate's coordinates form the upper-triangular Bartlett factor
+    # times diag(sqrt(lam)): zero below the diagonal, real positive on it
+    model = toy_model(np.array([[0.8, 2.0, 0.3], [1.5, 0.4, 5.0]]))
+    stats = estimation_stats(model, np.array([0.9, 2.5, 0.2]))
+    for n_ant in (2, 3, 7):
+        g_hat = draw_channel(model, stats, n_ant, substream(4, 0), trials=50).g_hat
+        r = min(n_ant, 3)
+        rows, cols = np.indices((3, r))         # g_hat[..., j, i] = R_ij
+        assert np.all(g_hat[:, :, rows < cols] == 0.0)
+        diag = g_hat[:, :, np.arange(r), np.arange(r)]
+        assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+
+
+def test_draw_is_finite_where_the_error_variance_rounds_below_zero():
+    model = toy_model(np.array([[1.3, 1.3]]))
+    stats = estimation_stats(model, np.full(2, 1e17))
+    assert np.all(stats.err_var < 0.0)
+    real = draw_channel(model, stats, 4, substream(2, 0), trials=10)
+    for name in ("g", "g_hat", "noise"):
+        assert np.all(np.isfinite(getattr(real, name))), name
+    assert np.array_equal(real.g, real.g_hat)
+
+
+@pytest.mark.parametrize("kwargs,name", [({"n_antennas": 0}, "n_antennas"),
+                                         ({"n_antennas": -3}, "n_antennas"),
+                                         ({"trials": 0}, "trials"),
+                                         ({"trials": -1}, "trials")])
+def test_draw_rejects_empty_sizes(kwargs, name):
+    model = toy_model(np.array([[1.0, 2.0]]))
+    stats = estimation_stats(model, np.array([1.0, 1.0]))
+    args = {"n_antennas": 4, "trials": 2, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        draw_channel(model, stats, args["n_antennas"], substream(1, 0), trials=args["trials"])
 
 
 def test_channel_draw_cross_device_independence():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from cfurllc import fbl, montecarlo as mc
-from cfurllc.channel import draw_channel, estimation_stats, substream
+from cfurllc.channel import estimation_stats, substream
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.scenario import SystemConfig, generate_topology
 
 from conftest import toy_model
-from oracles import draw_channel_out_of_place, expected_terms_fzf, expected_terms_mrc
+from oracles import draw_channel_full_antenna, expected_terms_fzf, expected_terms_mrc
 
 
 def validation_setup(pilot=2e10, payload=2e10):
@@ -150,17 +150,34 @@ def test_workers_must_be_a_positive_int(workers):
         mc.ergodic_rate(model, stats, pd, "mrc", 100, 8, 8, params, workers=workers)
 
 
-@pytest.mark.parametrize("aps", [1, 4, 9])
-def test_in_place_draw_matches_out_of_place_arithmetic(aps):
-    cfg = SystemConfig(num_devices=3, num_aps=aps, antennas_per_ap=8)
-    model = generate_topology(cfg, seed=3)
-    stats = estimation_stats(model, np.array([2e10, 3e9, 7e11]))
-    for trials in (1, mc.TRIAL_BLOCK):
-        got = draw_channel(model, stats, 8, substream(5, 1, 0), trials=trials)
-        want = draw_channel_out_of_place(model, stats, 8, substream(5, 1, 0),
-                                         trials=trials)
-        for name in ("g", "g_hat", "noise"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+# Bound on each two-sample z-score below, fixed before the test first ran:
+# 30 device terms over both decoders at |z| <= 4 give a family-wise
+# false-alarm probability of about 30 * 6.3e-5 = 0.2% under the same law.
+TWO_SAMPLE_Z = 4.0
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_simulate_matches_decoders_fed_the_full_antenna_draw(decoder):
+    cfg, model, params, stats, pd = validation_setup()
+    trials = 20000
+    out = mc.simulate(model, stats, pd, decoder, trials, seed=41, n_antennas=8,
+                      params=params)
+    serving = model.serving_subset()
+    serving_stats = estimation_stats(serving, stats.pilot_power)
+    decode = mc.decode_mrc if decoder == "mrc" else mc.decode_fzf
+    blocks = [decode(draw_channel_full_antenna(serving, serving_stats, 8,
+                                               substream(42, b), trials=2000),
+                     serving, serving_stats, pd, 8, params)
+              for b in range(trials // 2000)]
+    off_diag = ~np.eye(3, dtype=bool)
+    for name in ("ls2", "n2", "ui2", "rate"):
+        got = getattr(out, name).reshape(trials, -1)
+        ref = np.concatenate([getattr(o, name) for o in blocks]).reshape(trials, -1)
+        if name == "ui2":
+            got, ref = got[:, off_diag.ravel()], ref[:, off_diag.ravel()]
+        se = np.hypot(got.std(axis=0, ddof=1), ref.std(axis=0, ddof=1)) / np.sqrt(trials)
+        z = (got.mean(axis=0) - ref.mean(axis=0)) / se
+        assert np.all(np.abs(z) <= TWO_SAMPLE_Z), (name, z)
 
 
 def _block_stream_key(seed, trial):
@@ -186,8 +203,8 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
     seed, target = 5, mc.TRIAL_BLOCK + 7
     draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
-    def degenerate(model, stats, n_antennas, rng, trials=1):
-        real = draw(model, stats, n_antennas, rng, trials)
+    def degenerate(model, stats, n_antennas, rng, trials=1, **kwargs):
+        real = draw(model, stats, n_antennas, rng, trials, **kwargs)
         keys.append(stream_keys[id(rng)])
         if keys[-1] == _block_stream_key(seed, target):
             # device 2's column of the N x K estimate at serving AP 1, zeroed
@@ -211,8 +228,8 @@ def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
     targets = (mc.TRIAL_BLOCK + 7, 2 * mc.TRIAL_BLOCK + 3)     # blocks 1 and 2
     draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
-    def degenerate(model, stats, n_antennas, rng, trials=1):
-        real = draw(model, stats, n_antennas, rng, trials)
+    def degenerate(model, stats, n_antennas, rng, trials=1, **kwargs):
+        real = draw(model, stats, n_antennas, rng, trials, **kwargs)
         keys.append(stream_keys[id(rng)])
         for target in targets:
             if keys[-1] == _block_stream_key(seed, target):
@@ -236,10 +253,10 @@ def test_persistently_degenerate_trial_raises(monkeypatch):
     cfg, model, params, stats, pd = validation_setup()
     target, draw = 3, mc.draw_channel
 
-    def degenerate(model, stats, n_antennas, rng, trials=1):
+    def degenerate(model, stats, n_antennas, rng, trials=1, **kwargs):
         # from trial 3 on, every draw copies device 0's estimate at serving
         # AP 1 into device 2's
-        real = draw(model, stats, n_antennas, rng, trials)
+        real = draw(model, stats, n_antennas, rng, trials, **kwargs)
         real.g_hat[target:, 1, 2] = real.g_hat[target:, 1, 0]
         return real
 
@@ -293,9 +310,10 @@ def test_zero_estimate_at_a_non_serving_ap_is_not_drawn():
 
 
 def test_rank_check_flags_exactly_the_deficient_stacks():
+    # estimates of 3 devices at N = 8 antennas, in r = 3 coordinates of their span
     rng = np.random.default_rng(12)
-    g_hat = (rng.standard_normal((200, 2, 3, 8))
-             + 1j * rng.standard_normal((200, 2, 3, 8)))
+    g_hat = (rng.standard_normal((200, 2, 3, 3))
+             + 1j * rng.standard_normal((200, 2, 3, 3)))
     # scale devices over twelve orders of magnitude, then make some stacks
     # deficient: zero, duplicated, near-duplicated and combined columns
     g_hat *= 10.0 ** rng.uniform(-6, 6, size=(200, 2, 3, 1))
@@ -308,7 +326,7 @@ def test_rank_check_flags_exactly_the_deficient_stacks():
 
     def flagged(t, m):
         try:
-            mc._fzf_vectors(g_hat[t:t + 1, m:m + 1], t)
+            mc._fzf_vectors(g_hat[t:t + 1, m:m + 1], 8, t)
         except RuntimeError as exc:
             assert str(exc).startswith(f"trial {t}:")
             return True
@@ -322,7 +340,7 @@ def test_rank_check_flags_exactly_the_deficient_stacks():
     # near-duplicated column), with the other one after it
     for order in ([95, 50, 5], [95, 5, 50]):
         with pytest.raises(RuntimeError, match="^trial 1001:"):
-            mc._fzf_vectors(g_hat[order], 1000)
+            mc._fzf_vectors(g_hat[order], 8, 1000)
 
 
 @pytest.mark.parametrize("decoder", ["MRC", "zf"])

@@ -232,6 +232,29 @@ def test_no_allocation_gp_runs_phase_one(monkeypatch):
     assert phase_one == []
 
 
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_gain_table_is_built_once_per_scheme(decoder, monkeypatch):
+    # the gain table depends on the deployment alone, so each joint scheme
+    # builds it once and every SCA round only evaluates it
+    calls = {"scheme": 0, "rows": 0, "fit": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rows, fit = (("mrc_gain_rows", "mrc_gain_monomial") if decoder == MRC
+                 else ("fzf_gain_rows", "fzf_gain_monomial"))
+    monkeypatch.setattr(optimizer, "_joint_scheme", counted("scheme", optimizer._joint_scheme))
+    monkeypatch.setattr(approx, rows, counted("rows", getattr(approx, rows)))
+    monkeypatch.setattr(approx, fit, counted("fit", getattr(approx, fit)))
+    res = optimizer.solve(desk_model(), DESK, decoder)
+    assert res.status == "optimal"
+    assert calls["rows"] == calls["scheme"] >= 1
+    assert calls["fit"] > calls["rows"]
+
+
 # --------------------------------------------------------------------------
 # the iterative algorithms
 # --------------------------------------------------------------------------
