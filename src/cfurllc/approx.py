@@ -112,17 +112,15 @@ def _fit(rows: gp.TermRows, pilot_hat: np.ndarray, power: float) -> MonomialFit:
     return MonomialFit(exponents=power * jac, log_coeff=power * (vals - jac @ y))
 
 
-def mrc_gain_monomial(model: LargeScaleModel, pilot_hat: np.ndarray,
-                      rows: gp.TermRows | None = None) -> MonomialFit:
-    """Monomial lower bounds of the K MRC coherent gains, tight at the pilot
-    powers pilot_hat (K,); row k depends on pilot k alone. rows is the
-    model's `mrc_gain_rows`, built here when None."""
-    return _fit(mrc_gain_rows(model) if rows is None else rows, pilot_hat, 1.0)
+def mrc_gain_monomial(rows: gp.TermRows, pilot_hat: np.ndarray) -> MonomialFit:
+    """Monomial lower bounds of the K MRC coherent gains of rows, a model's
+    `mrc_gain_rows`, tight at the pilot powers pilot_hat (K,); row k depends
+    on pilot k alone."""
+    return _fit(rows, pilot_hat, 1.0)
 
 
-def fzf_gain_monomial(model: LargeScaleModel, pilot_hat: np.ndarray,
-                      rows: gp.TermRows | None = None) -> MonomialFit:
+def fzf_gain_monomial(rows: gp.TermRows, pilot_hat: np.ndarray) -> MonomialFit:
     """Monomial lower bounds of the K zero-forcing products coherent_k^2
-    prod_{j != k} scale_kj^2, tight at the pilot powers pilot_hat (K,). rows
-    is the model's `fzf_gain_rows`, built here when None."""
-    return _fit(fzf_gain_rows(model) if rows is None else rows, pilot_hat, 2.0)
+    prod_{j != k} scale_kj^2 of rows, a model's `fzf_gain_rows`, tight at the
+    pilot powers pilot_hat (K,)."""
+    return _fit(rows, pilot_hat, 2.0)

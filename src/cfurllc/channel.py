@@ -63,8 +63,8 @@ class ChannelRealization:
 
 
 def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
-                 rng: np.random.Generator, trials: int = 1, *,
-                 diag_rng: np.random.Generator | None = None) -> ChannelRealization:
+                 rng: np.random.Generator, diag_rng: np.random.Generator,
+                 trials: int = 1) -> ChannelRealization:
     """Draw channels, pilot-based MMSE estimates and receiver noise for a block of trials.
 
     AP m's N x K estimate is Q R diag(sqrt(lam_m)) with Q orthonormal and R
@@ -76,16 +76,14 @@ def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int
     there, and the receiver noise CN(0, I_r). The entries above the diagonal,
     the error and the noise come from one standard-normal fill of rng laid
     out trial-major, each trial one contiguous run; the diagonal comes from
-    diag_rng (None: `rng.bit_generator.jumped()`, taken before the fill),
-    trial-major too. So a trial's values do not depend on how many trials
-    are drawn after it.
+    diag_rng, a stream independent of rng (`simulate` passes the sibling
+    substream), trial-major too. So a trial's values do not depend on how
+    many trials are drawn after it.
     """
     if n_antennas < 1:
         raise ValueError(f"n_antennas must be at least 1, got {n_antennas}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if diag_rng is None:
-        diag_rng = np.random.Generator(rng.bit_generator.jumped())
     m, k = model.beta.shape
     r = min(n_antennas, k)
     rows, cols = np.triu_indices(r, 1, k)        # R's strictly upper entries

@@ -172,8 +172,7 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     def run(block):
         start = block * TRIAL_BLOCK
         real = draw_channel(serving, stats, n_antennas, substream(seed, block, 0),
-                            trials=min(TRIAL_BLOCK, trials - start),
-                            diag_rng=substream(seed, block, 1))
+                            substream(seed, block, 1), min(TRIAL_BLOCK, trials - start))
         if decoder == "mrc":
             return decode_mrc(real, serving, stats, payload_power, n_antennas, params)
         return decode_fzf(real, serving, stats, payload_power, n_antennas, params, start)

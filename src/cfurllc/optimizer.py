@@ -207,10 +207,10 @@ def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
     """
     kdev = model.num_devices
     if decoder == MRC:
-        fit = approx.mrc_gain_monomial(model, pilot_hat, gain_rows)
+        fit = approx.mrc_gain_monomial(gain_rows, pilot_hat)
         log_coeffs, exponents = math.log(n_antennas) + 2.0 * fit.log_coeff, 2.0 * fit.exponents
     else:
-        fit = approx.fzf_gain_monomial(model, pilot_hat, gain_rows)
+        fit = approx.fzf_gain_monomial(gain_rows, pilot_hat)
         log_coeffs, exponents = math.log(n_antennas - kdev) + fit.log_coeff, fit.exponents
     return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
 

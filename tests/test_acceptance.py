@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from cfurllc import cli, fbl, montecarlo as mc, optimizer
-from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, log1p_tangent,
-                            mrc_gain_monomial, penalty_tangent)
+from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, fzf_gain_rows,
+                            log1p_tangent, mrc_gain_monomial, mrc_gain_rows, penalty_tangent)
 from cfurllc.channel import estimation_stats
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.gp import Const, GpModel, Monomial, Sum
@@ -180,7 +180,7 @@ def test_criterion_4_approximation_suites():
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
         p_hat = float(10 ** rng.uniform(-2, 2))
-        fit = mrc_gain_monomial(model, np.full(model.num_devices, p_hat))
+        fit = mrc_gain_monomial(mrc_gain_rows(model), np.full(model.num_devices, p_hat))
         exact_hat = mrc_gain(model, p_hat, k)
         if abs(math.exp(monomial_log_value(fit, np.full(model.num_devices, p_hat), k))
                - exact_hat) > 1e-12 * exact_hat:
@@ -197,7 +197,7 @@ def test_criterion_4_approximation_suites():
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
         p_hat = float(10 ** rng.uniform(-1, 1))
-        fit = mrc_gain_monomial(model, np.full(model.num_devices, p_hat))
+        fit = mrc_gain_monomial(mrc_gain_rows(model), np.full(model.num_devices, p_hat))
         fd = (math.log(mrc_gain(model, p_hat * math.exp(eps), k))
               - math.log(mrc_gain(model, p_hat * math.exp(-eps), k))) / (2 * eps)
         if abs(fit.exponents[k, k] - fd) > 1e-6:
@@ -212,7 +212,7 @@ def test_criterion_4_approximation_suites():
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat)
+        fit = fzf_gain_monomial(fzf_gain_rows(model), p_hat)
         if abs(monomial_log_value(fit, p_hat, k) - fzf_log_gain(model, p_hat, k)) > 1e-12:
             issues.append("fzf fit equality")
             break
@@ -224,7 +224,7 @@ def test_criterion_4_approximation_suites():
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat)
+        fit = fzf_gain_monomial(fzf_gain_rows(model), p_hat)
         for j in range(model.num_devices):
             up, dn = p_hat.copy(), p_hat.copy()
             up[j] *= math.exp(eps)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, log1p_tangent,
-                            mrc_gain_monomial, penalty_tangent)
+from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, fzf_gain_rows,
+                            log1p_tangent, mrc_gain_monomial, mrc_gain_rows, penalty_tangent)
 from cfurllc.scenario import SystemConfig, generate_topology
 from conftest import random_model, toy_model
 from oracles import (fzf_factors, fzf_gain_fit_by_hand, monomial_log_value, mrc_gain_fit_by_hand,
@@ -108,7 +108,7 @@ def test_tangency_first_order(rng):
 def test_mrc_monomial_single_ap_is_exact():
     beta = 0.7
     model = toy_model(np.array([[beta]]))
-    fit = mrc_gain_monomial(model, np.array([2.0]))
+    fit = mrc_gain_monomial(mrc_gain_rows(model), np.array([2.0]))
     assert fit.exponents[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert fit.log_coeff[0] == pytest.approx(math.log(1 * beta ** 2), abs=1e-12)
     for p in (0.1, 2.0, 50.0):
@@ -120,7 +120,8 @@ def test_mrc_monomial_exponent_at_least_one(rng):
     for _ in range(100):
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
-        fit = mrc_gain_monomial(model, np.full(model.num_devices, 10 ** rng.uniform(-2, 2)))
+        p_hat = np.full(model.num_devices, 10 ** rng.uniform(-2, 2))
+        fit = mrc_gain_monomial(mrc_gain_rows(model), p_hat)
         assert fit.exponents[k, k] >= 1.0 - 1e-12
 
 
@@ -130,7 +131,7 @@ def test_mrc_monomial_is_tight_lower_bound(rng):
         kdev = model.num_devices
         k = int(rng.integers(kdev))
         p_hat = float(10 ** rng.uniform(-2, 2))
-        fit = mrc_gain_monomial(model, np.full(kdev, p_hat))
+        fit = mrc_gain_monomial(mrc_gain_rows(model), np.full(kdev, p_hat))
         exact_hat = mrc_gain_value(model, p_hat, k)
         assert math.exp(monomial_log_value(fit, np.full(kdev, p_hat), k)) == pytest.approx(
             exact_hat, rel=1e-12)
@@ -145,7 +146,7 @@ def test_mrc_monomial_matches_log_derivative(rng):
         model = random_model(rng)
         k = int(rng.integers(model.num_devices))
         p_hat = float(10 ** rng.uniform(-1, 1))
-        fit = mrc_gain_monomial(model, np.full(model.num_devices, p_hat))
+        fit = mrc_gain_monomial(mrc_gain_rows(model), np.full(model.num_devices, p_hat))
         fd = (math.log(mrc_gain_value(model, p_hat * math.exp(eps), k))
               - math.log(mrc_gain_value(model, p_hat * math.exp(-eps), k))) / (2 * eps)
         assert fit.exponents[k, k] == pytest.approx(fd, abs=1e-6)
@@ -156,7 +157,7 @@ def test_fzf_monomial_is_tight_lower_bound(rng):
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat)
+        fit = fzf_gain_monomial(fzf_gain_rows(model), p_hat)
         log_exact_hat = fzf_gain_log_value(model, p_hat, k)
         assert monomial_log_value(fit, p_hat, k) == pytest.approx(log_exact_hat, abs=1e-12)
         p = np.exp(rng.normal(0.0, 1.5, model.num_devices))
@@ -170,7 +171,7 @@ def test_fzf_monomial_matches_log_gradient(rng):
         model = random_model(rng, num_devices=int(rng.integers(2, 5)))
         k = int(rng.integers(model.num_devices))
         p_hat = np.exp(rng.normal(0.0, 1.0, model.num_devices))
-        fit = fzf_gain_monomial(model, p_hat)
+        fit = fzf_gain_monomial(fzf_gain_rows(model), p_hat)
         for j in range(model.num_devices):
             up, dn = p_hat.copy(), p_hat.copy()
             up[j] *= math.exp(eps)
@@ -183,9 +184,10 @@ def test_fzf_monomial_matches_log_gradient(rng):
 @pytest.mark.parametrize("fit", [mrc_gain_monomial, fzf_gain_monomial])
 def test_gain_fits_reject_nonpositive_pilots(fit):
     model = toy_model(np.array([[0.7, 0.2], [0.3, 0.5]]))
+    rows = {mrc_gain_monomial: mrc_gain_rows, fzf_gain_monomial: fzf_gain_rows}[fit](model)
     for pilot in ([1.0, 0.0], [-1.0, 1.0]):
         with pytest.raises(ValueError):
-            fit(model, np.array(pilot))
+            fit(rows, np.array(pilot))
 
 
 FIT_DEPLOYMENTS = {
@@ -208,10 +210,10 @@ def test_batched_fits_match_the_fits_by_hand(layout, rng):
         kdev = model.num_devices
         for _ in range(4):
             p_hat = 10 ** rng.uniform(6.0, 13.0, kdev)
-            for batched, by_hand in ((mrc_gain_monomial(model, p_hat),
+            for batched, by_hand in ((mrc_gain_monomial(mrc_gain_rows(model), p_hat),
                                       [mrc_gain_fit_by_hand(model, float(p_hat[k]), k)
                                        for k in range(kdev)]),
-                                     (fzf_gain_monomial(model, p_hat),
+                                     (fzf_gain_monomial(fzf_gain_rows(model), p_hat),
                                       [fzf_gain_fit_by_hand(model, p_hat, k)
                                        for k in range(kdev)])):
                 log_coeffs = np.array([c for c, _ in by_hand])

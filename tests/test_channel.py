@@ -120,7 +120,8 @@ def test_draw_matches_full_antenna_law(n_ant):
     model = toy_model(beta)
     stats = estimation_stats(model, np.array([0.9, 2.5, 0.2]))
     trials = 20000
-    span = draw_channel(model, stats, n_ant, substream(31, n_ant, 0), trials=trials)
+    span = draw_channel(model, stats, n_ant, substream(31, n_ant, 0), substream(31, n_ant, 1),
+                        trials=trials)
     r = min(n_ant, 3)
     assert span.g.shape == span.g_hat.shape == (trials, 2, 3, r)
     assert span.noise.shape == (trials, 2, r)
@@ -139,7 +140,8 @@ def test_draw_keeps_estimate_in_its_span():
     model = toy_model(np.array([[0.8, 2.0, 0.3], [1.5, 0.4, 5.0]]))
     stats = estimation_stats(model, np.array([0.9, 2.5, 0.2]))
     for n_ant in (2, 3, 7):
-        g_hat = draw_channel(model, stats, n_ant, substream(4, 0), trials=50).g_hat
+        g_hat = draw_channel(model, stats, n_ant, substream(4, 0), substream(4, 1),
+                             trials=50).g_hat
         r = min(n_ant, 3)
         rows, cols = np.indices((3, r))         # g_hat[..., j, i] = R_ij
         assert np.all(g_hat[:, :, rows < cols] == 0.0)
@@ -151,7 +153,7 @@ def test_draw_is_finite_where_the_error_variance_rounds_below_zero():
     model = toy_model(np.array([[1.3, 1.3]]))
     stats = estimation_stats(model, np.full(2, 1e17))
     assert np.all(stats.err_var < 0.0)
-    real = draw_channel(model, stats, 4, substream(2, 0), trials=10)
+    real = draw_channel(model, stats, 4, substream(2, 0), substream(2, 1), trials=10)
     for name in ("g", "g_hat", "noise"):
         assert np.all(np.isfinite(getattr(real, name))), name
     assert np.array_equal(real.g, real.g_hat)
@@ -166,13 +168,14 @@ def test_draw_rejects_empty_sizes(kwargs, name):
     stats = estimation_stats(model, np.array([1.0, 1.0]))
     args = {"n_antennas": 4, "trials": 2, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
-        draw_channel(model, stats, args["n_antennas"], substream(1, 0), trials=args["trials"])
+        draw_channel(model, stats, args["n_antennas"], substream(1, 0), substream(1, 1),
+                     trials=args["trials"])
 
 
 def test_channel_draw_cross_device_independence():
     model = toy_model(np.array([[1.0, 1.0]]))
     stats = estimation_stats(model, np.array([1.0, 1.0]))
-    real = draw_channel(model, stats, 2, substream(3, 0), trials=5000)
+    real = draw_channel(model, stats, 2, substream(3, 0), substream(3, 1), trials=5000)
     x = real.g[:, 0, 0, :].ravel()
     y = real.g[:, 0, 1, :].ravel()
     corr = np.mean(x.conj() * y)
@@ -183,7 +186,7 @@ def test_channel_draw_cross_device_independence():
 def test_channel_draw_prefix_independent_of_trial_count(a, b):
     model = toy_model(np.array([[0.8, 2.0, 1.1], [1.5, 0.4, 0.7]]))
     stats = estimation_stats(model, np.array([0.9, 2.5, 1.3]))
-    short = draw_channel(model, stats, 4, substream(9, 2, 0), trials=a)
-    full = draw_channel(model, stats, 4, substream(9, 2, 0), trials=b)
+    short = draw_channel(model, stats, 4, substream(9, 2, 0), substream(9, 2, 1), trials=a)
+    full = draw_channel(model, stats, 4, substream(9, 2, 0), substream(9, 2, 1), trials=b)
     for name in ("g", "g_hat", "noise"):
         assert np.array_equal(getattr(short, name), getattr(full, name)[:a]), name

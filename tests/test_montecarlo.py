@@ -203,8 +203,8 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
     seed, target = 5, mc.TRIAL_BLOCK + 7
     draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
-    def degenerate(model, stats, n_antennas, rng, trials=1, **kwargs):
-        real = draw(model, stats, n_antennas, rng, trials, **kwargs)
+    def degenerate(model, stats, n_antennas, rng, diag_rng, trials=1):
+        real = draw(model, stats, n_antennas, rng, diag_rng, trials)
         keys.append(stream_keys[id(rng)])
         if keys[-1] == _block_stream_key(seed, target):
             # device 2's column of the N x K estimate at serving AP 1, zeroed
@@ -228,8 +228,8 @@ def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
     targets = (mc.TRIAL_BLOCK + 7, 2 * mc.TRIAL_BLOCK + 3)     # blocks 1 and 2
     draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
-    def degenerate(model, stats, n_antennas, rng, trials=1, **kwargs):
-        real = draw(model, stats, n_antennas, rng, trials, **kwargs)
+    def degenerate(model, stats, n_antennas, rng, diag_rng, trials=1):
+        real = draw(model, stats, n_antennas, rng, diag_rng, trials)
         keys.append(stream_keys[id(rng)])
         for target in targets:
             if keys[-1] == _block_stream_key(seed, target):
@@ -253,10 +253,10 @@ def test_persistently_degenerate_trial_raises(monkeypatch):
     cfg, model, params, stats, pd = validation_setup()
     target, draw = 3, mc.draw_channel
 
-    def degenerate(model, stats, n_antennas, rng, trials=1, **kwargs):
+    def degenerate(model, stats, n_antennas, rng, diag_rng, trials=1):
         # from trial 3 on, every draw copies device 0's estimate at serving
         # AP 1 into device 2's
-        real = draw(model, stats, n_antennas, rng, trials, **kwargs)
+        real = draw(model, stats, n_antennas, rng, diag_rng, trials)
         real.g_hat[target:, 1, 2] = real.g_hat[target:, 1, 0]
         return real
 

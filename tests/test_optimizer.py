@@ -847,8 +847,8 @@ def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
         return m
     pp = [m.variable(f"pp{k}") for k in range(kdev)]
     pd = [m.variable(f"pd{k}") for k in range(kdev)]
-    fit = (approx.mrc_gain_monomial if scheme == MRC else approx.fzf_gain_monomial)(
-        model, pilot_hat)
+    fit = (approx.mrc_gain_monomial(approx.mrc_gain_rows(model), pilot_hat) if scheme == MRC
+           else approx.fzf_gain_monomial(approx.fzf_gain_rows(model), pilot_hat))
     fits = []
     for k in range(kdev):
         if scheme == MRC:
