@@ -1,20 +1,16 @@
-"""Geometric programs in the form the power allocation builds, solved from scratch.
+"""Geometric programs given as arrays, solved from scratch.
 
-A GpModel has three kinds of rows: monomial <= monomial, posynomial (a sum
-of monomials) <= monomial, and row blocks such as the SINR constraints
-(Boyd, Kim, Vandenberghe & Hassibi, "A tutorial on geometric programming",
-2007). Any other left-hand side, and any monomial naming an undeclared
-variable, is rejected when it is added. It maximizes a monomial times
-prod_i (rhs_i / lhs_i)^w_i over rows with objective weight w_i > 0, which in
-log variables is the convex -log monomial + sum_i w_i f_i (B&V §4.5.3).
-
-All evaluation happens in log variables, where a monomial row is affine and a
-posynomial row is a log-sum-exp. The rows of a model are compiled into one
-constraint block, f(y) = parts(y) - r - R y: row blocks, the posynomial rows
-one term table (`TermRows`: log-sum-exps of terms affine in y plus weighted
-factors log(1 + b e^{y_j}), which the SINR rows use), minus one affine
-right-hand side that carries every other monomial. One call returns the row
-values, the Jacobian and the weighted Hessian sum, never a Hessian per row.
+A GpModel is a GP in the log variables y = log x (Boyd, Kim, Vandenberghe &
+Hassibi, "A tutorial on geometric programming", 2007). Its rows are
+f(y) = (the rows of its tables, concatenated) - r - R y, each constraint
+f_i(y) <= 0, and it maximizes exp(c0 + a0 . y) prod_i exp(-w_i f_i(y)) for
+row weights w_i >= 0: in log variables the convex -(c0 + a0 . y) +
+sum_i w_i f_i (B&V §4.5.3). A table is any object with `size` rows over
+`columns` variables and a `log_eval`; the package's is `TermRows`, whose rows
+are log-sum-exps of terms affine in y plus weighted factors log(1 + b e^{y_j}),
+which the SINR rows use. A monomial row is a one-term row. One call returns
+the row values, the Jacobian and the weighted Hessian sum, never a Hessian per
+row.
 
 The solver is one primal-dual interior-point iteration (Boyd & Vandenberghe,
 Convex Optimization, §11.7, Algorithm 11.2) that both phases run: phase two
@@ -30,7 +26,6 @@ once.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,78 +38,8 @@ class GpError(Exception):
 
 
 class GpModelError(GpError):
-    """The expression is not a monomial or posynomial where one is required."""
+    """A table, right-hand side, weight, objective or point of the wrong shape or value."""
 
-
-# ---------------------------------------------------------------------------
-# Expressions: monomials and sums of monomials
-# ---------------------------------------------------------------------------
-
-def _coerce(obj) -> Monomial | Sum:
-    if isinstance(obj, (Monomial, Sum)):
-        return obj
-    if isinstance(obj, (int, float)):
-        return Const(float(obj))
-    raise GpModelError(f"cannot use {obj!r} in a GP expression")
-
-
-class Monomial:
-    """coeff * prod_i x_i^a_i for positive coeff: affine in log variables."""
-
-    def __init__(self, coeff: float, exponents: dict[int, float]):
-        if not (coeff > 0 and math.isfinite(coeff)):
-            raise GpModelError(f"monomial coefficient must be positive, got {coeff}")
-        self.log_coeff = math.log(coeff)
-        self.exponents = dict(exponents)
-
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and values of the exponents, made on first evaluation."""
-        return (np.array(tuple(self.exponents), dtype=int),
-                np.array(tuple(self.exponents.values()), dtype=float))
-
-    def log_value(self, y: np.ndarray) -> float:
-        """log self(exp(y))."""
-        idx, exp = self._arrays
-        return self.log_coeff + float(y[idx] @ exp)
-
-    def log_eval(self, y: np.ndarray):
-        """log self(exp(y)) and its (constant) gradient."""
-        g = np.zeros_like(y)
-        g[self._arrays[0]] = self._arrays[1]
-        return self.log_value(y), g
-
-
-class Const(Monomial):
-    def __init__(self, value: float):
-        if not (value > 0 and math.isfinite(value)):
-            raise GpModelError(f"constants must be positive and finite, got {value}")
-        super().__init__(value, {})
-
-
-class Var(Monomial):
-    def __init__(self, index: int, name: str):
-        super().__init__(1.0, {index: 1.0})
-        self.index = index
-        self.name = name
-
-
-class Sum:
-    """A posynomial: a sum of monomials, nested sums flattened."""
-
-    def __init__(self, terms):
-        flat = []
-        for t in terms:
-            t = _coerce(t)
-            flat.extend(t.terms if isinstance(t, Sum) else [t])
-        if not flat:
-            raise GpModelError("empty sum")
-        self.terms = flat
-
-
-# ---------------------------------------------------------------------------
-# Problem container and solver
-# ---------------------------------------------------------------------------
 
 @dataclass
 class GpSolution:
@@ -133,44 +58,18 @@ class GpSolution:
         return float(self.x[self.names.index(name)])
 
 
-@dataclass
-class _Rows:
-    """The rows lhs_i <= rhs_i of one add_le or add_block_le call."""
-
-    lhs: Monomial | Sum | RowBlock
-    rhs_log_coeffs: np.ndarray    # r: log coefficient of each row's right-hand side
-    rhs_exponents: np.ndarray     # R: its exponents, one row per row (fewer columns
-                                  # than variables when variables came later)
-    weights: np.ndarray           # objective weight per row
-
-
-# ---------------------------------------------------------------------------
-# Constraint rows, evaluated a block at a time
-# ---------------------------------------------------------------------------
-
-class RowBlock:
-    """Several constraint left-hand sides evaluated together in log space.
-
-    `log_eval(y)` returns the log values (size,), the Jacobian (size, n) and
-    a function that maps row weights w (size,) to the weighted Hessian sum
-    sum_i w_i * Hessian_i  (n, n). The barrier only ever needs that sum, so
-    no per-row Hessian is formed. The solver evaluates every point once, trial
-    points outside the domain included, and calls the Hessian function only
-    at accepted points, so work that only the Hessian needs belongs in it.
-    """
-
-    size: int
-
-    def log_eval(self, y: np.ndarray):
-        raise NotImplementedError
-
-
-class TermRows(RowBlock):
+class TermRows:
     """Row i is log sum_{t in row i} exp(c_t + a_t . y + sum_f m_tf log(1 + b_f e^{y[v_f]}))
     for factor coefficients b_f > 0 and weights m_tf >= 0, so every row is a
     generalized posynomial (convex in y); without factors, a posynomial. Terms
     are stored row by row, each row a segment of the term axis; factors that
     no term weights are dropped.
+
+    `log_eval(y)` returns the row values (size,), the Jacobian (size, columns)
+    and a function that maps row weights w (size,) to the weighted Hessian sum
+    sum_i w_i * Hessian_i. The solver evaluates every point once, trial points
+    outside the domain included, and calls the Hessian function only at
+    accepted points, so work that only the Hessian needs belongs in it.
 
     With p the term weights within their rows, G = a + M diag(s) V the term
     gradients (V selects each factor's column, s = b x / (1 + b x)) and J the
@@ -200,7 +99,7 @@ class TermRows(RowBlock):
         self.select = np.eye(n)[self.v]                                # V (F, n)
         self.starts = np.cumsum(counts) - counts
         self.seg = np.repeat(np.arange(counts.size), counts)
-        self.size = counts.size
+        self.size, self.columns = counts.size, n
 
     def log_eval(self, y):
         z = self.c + self.a @ y
@@ -228,80 +127,6 @@ class TermRows(RowBlock):
                                                 minlength=y.size)
             return h
         return vals, jac, hess
-
-
-class _ConstraintBlock(RowBlock):
-    """Every row of a GpModel: f(y) = parts(y) - r - R y.
-
-    The parts are row blocks, each filling its row slots (rows no part
-    fills are 0 there). r (m,) and R (m, n) hold the log coefficient and
-    exponents of every monomial right-hand side, and of the right-hand side
-    over the left-hand side for a monomial row, so one affine term carries
-    them all. `weights` (m,) holds each row's objective weight.
-    """
-
-    def __init__(self, parts: list[tuple[object, RowBlock]], rhs_log_coeffs: np.ndarray,
-                 rhs_exponents: np.ndarray, weights: np.ndarray):
-        self.parts = parts        # (row slots as a slice or index array, block)
-        self.rhs_log_coeffs = rhs_log_coeffs
-        self.rhs_exponents = rhs_exponents
-        self.weights = weights
-        self.size = rhs_log_coeffs.size
-
-    def log_eval(self, y):
-        vals = np.zeros(self.size)
-        jac = np.zeros((self.size, y.size))
-        hessians = []
-        for rows, block in self.parts:
-            vals[rows], jac[rows], h = block.log_eval(y)
-            hessians.append((rows, h))
-
-        def hess(weights):
-            total = np.zeros((y.size, y.size))
-            for rows, h in hessians:
-                total += h(weights[rows])
-            return total
-        vals -= self.rhs_log_coeffs
-        vals -= self.rhs_exponents @ y
-        jac -= self.rhs_exponents
-        return vals, jac, hess
-
-
-def _slots(rows: list[int]):
-    """A slice when the row slots are contiguous, else an index array."""
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        return slice(rows[0], rows[0] + len(rows))
-    return np.array(rows, dtype=int)
-
-
-def _posynomial_rows(posy: list[_Rows], n: int) -> TermRows:
-    """Posynomial rows, each right-hand side divided into its row's terms."""
-    counts = [len(c.lhs.terms) for c in posy]
-    log_coeffs, exps = _log_forms([t for c in posy for t in c.lhs.terms], n)
-    rhs_exps = np.zeros((len(posy), n))
-    for row, c in enumerate(posy):
-        rhs_exps[row, :c.rhs_exponents.shape[1]] = c.rhs_exponents[0]
-    return TermRows(log_coeffs - np.repeat([c.rhs_log_coeffs[0] for c in posy], counts),
-                    exps - np.repeat(rhs_exps, counts, axis=0), counts)
-
-
-def _row_weights(weights, size: int) -> np.ndarray:
-    w = np.zeros(size) if weights is None else np.array(weights, dtype=float)
-    if w.shape != (size,) or not all(0.0 <= v < math.inf for v in w.tolist()):
-        raise GpModelError(f"need {size} finite, nonnegative row weights, got {weights!r}")
-    return w
-
-
-def _log_forms(monomials, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Log coefficients (len,) and exponent rows (len, n) of monomials over
-    the n declared variables; a monomial naming any other index is rejected."""
-    exps = np.zeros((len(monomials), n))
-    for row, mono in enumerate(monomials):
-        for i, a in mono.exponents.items():
-            if not 0 <= i < n:
-                raise GpModelError(f"monomial names variable {i}, but only {n} are declared")
-            exps[row, i] = a
-    return np.array([mono.log_coeff for mono in monomials]), exps
 
 
 # Constants of the primal-dual interior-point method (B&V §11.7).
@@ -334,157 +159,68 @@ class _IterBudget:
 
 
 class GpModel:
-    """Positive-variable program: maximize a monomial (1 unless set) times
-    prod_i (rhs_i / lhs_i)^w_i subject to monomial or posynomial <= monomial
-    rows and row blocks."""
+    """Maximize exp(c0 + a0 . y - w . f(y)) subject to f(y) <= 0 in y = log x,
+    x the variables `names`, for f(y) = (the rows of `tables`, concatenated)
+    - r - R y, row weights w and objective = (c0, a0).
 
-    def __init__(self):
-        self._vars: list[Var] = []
-        self._constraints: list[_Rows] = []
-        self._objective: Monomial = Const(1.0)
-        self._compiled = None
+    Each table must span the len(names) columns, r and R hold one finite row
+    per table row, w one finite, nonnegative weight and a0 one finite exponent
+    per variable; anything else is a GpModelError.
+    """
 
-    # -- modeling -----------------------------------------------------------
-    def variable(self, name: str) -> Var:
-        v = Var(len(self._vars), name)
-        self._vars.append(v)
-        self._compiled = None
-        return v
+    def __init__(self, names, tables, r, big_r, weights, objective):
+        self.names = tuple(names)
+        self.tables = tuple(tables)
+        n = len(self.names)
+        if any(t.columns != n for t in self.tables):
+            raise GpModelError(f"every table must span the {n} variables, got "
+                               f"{[t.columns for t in self.tables]} columns")
+        ends = np.cumsum([t.size for t in self.tables], dtype=int)
+        self._rows = [slice(end - t.size, end) for t, end in zip(self.tables, ends)]
+        size = int(ends[-1]) if ends.size else 0
+        if not size:
+            raise GpModelError("a GP without rows is unbounded")
+        self.r, self.big_r = np.asarray(r, dtype=float), np.asarray(big_r, dtype=float)
+        if self.r.shape != (size,) or self.big_r.shape != (size, n) \
+                or not (np.isfinite(self.r).all() and np.isfinite(self.big_r).all()):
+            raise GpModelError(f"need finite right-hand sides r ({size},) and R ({size}, {n})")
+        self.weights = np.array(weights, dtype=float)
+        if self.weights.shape != (size,) \
+                or not all(0.0 <= w < math.inf for w in self.weights.tolist()):
+            raise GpModelError(f"need {size} finite, nonnegative row weights, got {weights!r}")
+        log_coeff, exponents = objective
+        self.objective = (float(log_coeff), np.asarray(exponents, dtype=float))
+        if self.objective[1].shape != (n,) \
+                or not np.isfinite(np.append(self.objective[1], log_coeff)).all():
+            raise GpModelError(f"need a finite objective log coefficient and {n} exponents")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self._vars)
+    def log_eval(self, y: np.ndarray):
+        """Row values, Jacobian and the weighted-Hessian-sum function at y."""
+        parts = [t.log_eval(y) for t in self.tables]
+        vals = np.concatenate([p[0] for p in parts]) - self.r - self.big_r @ y
+        jac = np.concatenate([p[1] for p in parts]) - self.big_r
 
-    @property
-    def weights(self) -> np.ndarray:
-        """The objective weight of every row, in row order."""
-        return self._block().weights.copy()
-
-    def maximize(self, expr):
-        expr = _coerce(expr)
-        if not isinstance(expr, Monomial):
-            raise GpModelError("only a monomial can be maximized")
-        _log_forms([expr], len(self._vars))
-        self._objective = expr
-
-    def add_le(self, lhs, rhs, weight: float = 0.0):
-        """The constraint lhs <= rhs: a monomial or a Sum of monomials under a
-        monomial. A weight w > 0 also multiplies the objective by (rhs/lhs)^w."""
-        lhs = _coerce(lhs)
-        _log_forms(lhs.terms if isinstance(lhs, Sum) else [lhs], len(self._vars))
-        self._add(lhs, [_coerce(rhs)], [weight])
-
-    def add_block_le(self, lhs: RowBlock, rhs, weights=None):
-        """Constraints lhs_i <= rhs_i for every row i of a row block, with
-        objective weights as in add_le (None: all 0)."""
-        rhs = [_coerce(r) for r in rhs]
-        if len(rhs) != lhs.size:
-            raise GpModelError(f"block has {lhs.size} rows but {len(rhs)} right-hand sides")
-        self._add(lhs, rhs, weights)
-
-    def _add(self, lhs, rhs, weights):
-        """One record of the rows lhs_i <= rhs_i, rhs_i monomials."""
-        if not all(isinstance(r, Monomial) for r in rhs):
-            raise GpModelError("constraint right-hand side must be a monomial")
-        weights = _row_weights(weights, len(rhs))
-        self._constraints.append(_Rows(lhs, *_log_forms(rhs, len(self._vars)), weights))
-        self._compiled = None
-
-    def reaimed(self, weights, block_rhs=None) -> GpModel:
-        """This GP under new objective weights, one per row in row order, and,
-        given block_rhs = (r, R), new right-hand sides for the rows of its row
-        blocks, in order: log coefficients r and exponent rows R.
-
-        The copy shares the variables, the objective, every left-hand side
-        and the compiled posynomial rows and row blocks; only the weights and
-        the affine right-hand side are new, so nothing is compiled again.
-        """
-        block = self._block()
-        weights = _row_weights(weights, block.size)
-        r, big_r = block.rhs_log_coeffs, block.rhs_exponents
-        if block_rhs is not None:
-            m = sum(c.lhs.size for c in self._constraints if isinstance(c.lhs, RowBlock))
-            new_r, new_big_r = (np.asarray(a, dtype=float) for a in block_rhs)
-            if new_r.shape != (m,) or new_big_r.shape != (m, big_r.shape[1]) \
-                    or not (np.isfinite(new_r).all() and np.isfinite(new_big_r).all()):
-                raise GpModelError(f"need finite right-hand sides r ({m},) and "
-                                   f"R ({m}, {big_r.shape[1]}) for the block rows")
-            r, big_r = r.copy(), big_r.copy()
-        constraints, slot, done = [], 0, 0
-        for c in self._constraints:
-            size = c.weights.size
-            rows = slice(slot, slot + size)
-            if block_rhs is not None and isinstance(c.lhs, RowBlock):
-                r[rows], big_r[rows] = new_r[done:done + size], new_big_r[done:done + size]
-                done += size
-                c = _Rows(c.lhs, r[rows], big_r[rows], weights[rows])
-            else:
-                c = _Rows(c.lhs, c.rhs_log_coeffs, c.rhs_exponents, weights[rows])
-            constraints.append(c)
-            slot += size
-        copy = GpModel()
-        copy._vars, copy._objective = list(self._vars), self._objective
-        copy._constraints = constraints
-        copy._compiled = _ConstraintBlock(block.parts, r, big_r, weights)
-        return copy
+        def hess(weights):
+            return sum(h(weights[rows]) for rows, (_, _, h) in zip(self._rows, parts))
+        return vals, jac, hess
 
     def constraint_margins(self, x: np.ndarray) -> np.ndarray:
-        """Log-space slack log(lhs) - log(rhs) per constraint row; <= 0 means satisfied."""
-        return self._constraint_eval(self._log_point(x))[0]
+        """Log-space slack f(log x) per constraint row; <= 0 means satisfied."""
+        return self.log_eval(self._log_point(x))[0]
 
-    # -- evaluation ----------------------------------------------------------
     def _log_point(self, x) -> np.ndarray:
         """log x, for x of one positive, finite value per variable."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (len(self._vars),) or not (np.isfinite(x).all() and (x > 0).all()):
-            raise GpModelError(f"need {len(self._vars)} positive, finite values "
+        if x.shape != (len(self.names),) or not (np.isfinite(x).all() and (x > 0).all()):
+            raise GpModelError(f"need {len(self.names)} positive, finite values "
                                f"in variable order, got {x!r}")
         return np.log(x)
 
-    def _compile(self):
-        """Fold every constraint row into one constraint block.
-
-        Posynomial rows become one term table without factors, the
-        right-hand side divided into their terms, and row blocks keep their
-        own kernels. Every other monomial goes into the block's affine term:
-        the right-hand side of a block row, and the right-hand side over the
-        left-hand side of a monomial row, whose value is that affine term.
-        """
-        n = len(self._vars)
-        weights = np.concatenate([c.weights for c in self._constraints])
-        r, big_r = np.zeros(weights.size), np.zeros((weights.size, n))    # posynomial rows: 0
-        posy, slots, blocks, slot = [], [], [], 0
-        for c in self._constraints:
-            rows = slice(slot, slot + c.weights.size)
-            slot += c.weights.size
-            if isinstance(c.lhs, Sum):          # the right-hand side moves into the terms
-                posy.append(c)
-                slots.append(rows.start)
-                continue
-            r[rows] = c.rhs_log_coeffs
-            big_r[rows, :c.rhs_exponents.shape[1]] = c.rhs_exponents
-            if isinstance(c.lhs, RowBlock):
-                blocks.append((rows, c.lhs))
-            else:
-                lhs_r, lhs_big_r = _log_forms([c.lhs], n)
-                r[rows] -= lhs_r
-                big_r[rows] -= lhs_big_r
-        parts = [(_slots(slots), _posynomial_rows(posy, n))] if posy else []
-        self._compiled = _ConstraintBlock(parts + blocks, r, big_r, weights)
-
-    def _block(self) -> _ConstraintBlock:
-        if self._compiled is None:
-            self._compile()
-        return self._compiled
-
-    def _constraint_eval(self, y):
-        """Row values, Jacobian and the weighted-Hessian-sum function."""
-        return self._block().log_eval(y)
-
     def _objective_value(self, y, f):
         """Objective at y, whose row values are f; inf past the float range."""
+        log_coeff, exponents = self.objective
         try:
-            return math.exp(self._objective.log_value(y) - float(self._block().weights @ f))
+            return math.exp(log_coeff + float(exponents @ y) - float(self.weights @ f))
         except OverflowError:
             return math.inf
 
@@ -498,12 +234,9 @@ class GpModel:
         the solve stops at the first phase-two iterate whose objective
         reaches it (status target_reached): every such iterate is strictly
         feasible."""
-        if not self._constraints:
-            raise GpModelError("unconstrained GP is unbounded")
-        y0 = np.zeros(len(self._vars)) if start is None else self._log_point(start)
-        block = self._block()
-        rows, c = block.log_eval, block.weights
-        g0 = -self._objective.log_eval(y0)[1]       # the solver minimizes -log objective
+        y0 = np.zeros(len(self.names)) if start is None else self._log_point(start)
+        rows, c = self.log_eval, self.weights
+        g0 = -self.objective[1]                     # the solver minimizes -log objective
         budget = _IterBudget(MAX_NEWTON)
 
         y, first = y0, rows(y0)
@@ -574,7 +307,7 @@ class GpModel:
         whose rows are `start`. Returns a point, its rows and a failure
         status or None: y0 and `start` when infeasible."""
         n = y0.size
-        rows = self._block().log_eval
+        rows = self.log_eval
         # the rows at the point evaluated last; the line search evaluates an
         # accepted point last, so these are the latest iterate's rows
         last = start

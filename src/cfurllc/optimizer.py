@@ -16,6 +16,7 @@ and the SCA starts above those payloads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -151,9 +152,15 @@ def _surrogate_exponents(chi_hat: np.ndarray, params: fbl.FblParams,
     return w_hat / w_hat.sum(), clamped
 
 
+def _log(values) -> np.ndarray:
+    """math.log of every entry: the scalar log's bits, which the vector loops
+    of np.log can miss by an ulp."""
+    return np.array([math.log(v) for v in np.ravel(values)])
+
+
 def _sinr_table(model: LargeScaleModel, pp, pd, n: int, gain: bool):
     """Row k's terms (r, m) of `approx.service_terms` for both SINR tables over
-    n variables, r = 0..K-1 (and K given gain): beta_mr pd_r, or 1 for r = K.
+    n columns, r = 0..K-1 (and K given gain): beta_mr pd_r, or 1 for r = K.
     Returns per term its row, r and m, the log coefficients, exponents, row
     sizes, the sets' indicator (K, M) and the factors' b and columns."""
     kdev = model.num_devices
@@ -161,16 +168,15 @@ def _sinr_table(model: LargeScaleModel, pp, pd, n: int, gain: bool):
     pay = np.flatnonzero(r < kdev)
     c = np.log(np.where(r < kdev, model.beta[ap, np.minimum(r, kdev - 1)], 1.0))
     a = np.zeros((row.size, n))
-    a[pay, np.array([v.index for v in pd])[r[pay]]] = 1.0
-    return (row, r, ap, c, a, counts, in_set, b,
-            np.tile([v.index for v in pp], model.num_aps))
+    a[pay, np.asarray(pd)[r[pay]]] = 1.0
+    return row, r, ap, c, a, counts, in_set, b, np.tile(pp, model.num_aps)
 
 
 def mrc_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
     """The K MRC SINR left-hand sides scale_k (sum_r pd_r cross_kr + gain_k)
-    over the pilots pp and payloads pd: row k's term (r, m), r = 0..K, is K
-    beta_mk^2 pp_k times that of `_sinr_table`, with weight 2 on every factor
-    (m' in S_k, k) but 1 on (m, k)."""
+    over the pilot columns pp and payload columns pd of n: row k's term
+    (r, m), r = 0..K, is K beta_mk^2 pp_k times that of `_sinr_table`, with
+    weight 2 on every factor (m' in S_k, k) but 1 on (m, k)."""
     kdev = model.num_devices
     row, _, ap, c, a, counts, in_set, b, columns = _sinr_table(model, pp, pd, n, True)
     c += np.log(kdev * model.beta[ap, row] ** 2)
@@ -182,9 +188,10 @@ def mrc_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
 
 def fzf_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
     """The K zero-forcing SINR left-hand sides |S_k| prod_i scale_ki^2 +
-    sum_j pd_j resid_kj prod_{i != j} scale_ki^2 over the pilots pp and
-    payloads pd: row k's terms (j, m) of `_sinr_table`, with weight 1 on every
-    factor (m' in S_k, i) but 0 on (m, j), and last |S_k| with weight 1 on all."""
+    sum_j pd_j resid_kj prod_{i != j} scale_ki^2 over the pilot columns pp
+    and payload columns pd of n: row k's terms (j, m) of `_sinr_table`, with
+    weight 1 on every factor (m' in S_k, i) but 0 on (m, j), and last |S_k|
+    with weight 1 on all."""
     kdev = model.num_devices
     row, j, ap, c, a, counts, in_set, b, columns = _sinr_table(model, pp, pd, n, False)
     every = np.repeat(in_set, kdev, axis=1)                        # (K, M K): (m' in S_k, i)
@@ -194,6 +201,17 @@ def fzf_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
     return gp.TermRows(np.insert(c, ends, np.log(in_set.sum(axis=1))),
                        np.insert(a, ends, 0.0, axis=0), counts + 1, b, columns,
                        np.insert(weights, ends, every, axis=0))
+
+
+def _energy_rows(model: LargeScaleModel, blocklength: int, pp, pd, n: int) -> gp.TermRows:
+    """The K energy rows K pp_k + (L - K) pd_k <= E_k over the pilot columns
+    pp and payload columns pd of n, each budget divided into its row's terms."""
+    kdev = model.num_devices
+    log_energy = _log(model.energy)
+    c = np.column_stack([math.log(kdev) - log_energy, math.log(blocklength - kdev) - log_energy])
+    a = np.zeros((2 * kdev, n))
+    a[np.arange(2 * kdev), np.column_stack([pp, pd]).ravel()] = 1.0
+    return gp.TermRows(c.ravel(), a, np.full(kdev, 2))
 
 
 def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
@@ -215,55 +233,28 @@ def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
     return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
 
 
-def _scheme_gp(floors: np.ndarray, names: list[str], add_rows: Callable) -> Callable:
-    """Every GP of one scheme, from two GPs assembled once and re-aimed.
-
-    `add_rows(m, xs, rhs)` adds the scheme's rows over its variables xs,
-    SINR row k as lhs_k <= rhs(k, exponents), the monomial prod x^exponents
-    over floor_k, and returns the slots of the SINR rows. A step GP weights
-    SINR row k by w_hat_k, so it maximizes prod_k (rhs_k / lhs_k)^w_hat_k,
-    the fitted SINRs over their floors. The joint scheme's max-slack GP, the
-    only one (`feasibility_init`), also divides each right-hand side by phi,
-    its first variable, which it maximizes.
-
-    Returns gp_for(w_hat, fit=None), the GP of one round (w_hat None: the
-    max-slack GP). A round writes only the row weights and, for SINR rows
-    that form a row block, their right-hand sides: the fits before the
-    floors, fit = (log coefficients (K,), exponents (K, len(names))).
+def _round_gp(names: list[str], tables: Callable, w_hat, r: np.ndarray,
+              big_r: np.ndarray) -> gp.GpModel:
+    """One round's GP over the variables `names`: the rows of tables(slack),
+    the K SINR rows first, whose right-hand sides over their floors are
+    exp(r + R y) in the log variables y; the other rows carry theirs in their
+    terms. A step GP weights SINR row k by w_hat_k, so it maximizes
+    prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs over their floors. The
+    max-slack GP, for w_hat None (slack), puts a variable phi first, divides
+    every SINR right-hand side by it and maximizes it.
     """
-    log_floors = np.array([math.log(f) for f in floors])
-    layouts = {}
-
-    def layout(slack):
-        m = gp.GpModel()
-        shift = {}
-        if slack:
-            phi = m.variable("phi")
-            m.maximize(phi)
-            shift = {phi.index: -1.0}
-
-        def rhs(k, exponents):
-            mono = gp.Monomial(1.0, {**exponents, **shift})
-            mono.log_coeff = -log_floors[k]
-            return mono
-        sinr = add_rows(m, [m.variable(name) for name in names], rhs)
-        return m, sinr, m.weights
-
-    def gp_for(w_hat, fit=None):
-        slack = w_hat is None
-        if slack not in layouts:
-            layouts[slack] = layout(slack)
-        m, sinr, weights = layouts[slack]
-        if not slack:
-            weights = weights.copy()
-            weights[sinr] = w_hat
-        if fit is None:
-            return m.reaimed(weights)
-        log_coeffs, exponents = fit
-        if slack:
-            exponents = np.hstack([np.full((floors.size, 1), -1.0), exponents])
-        return m.reaimed(weights, (log_coeffs - log_floors, exponents))
-    return gp_for
+    slack = w_hat is None
+    if slack:
+        names = ["phi", *names]
+        big_r = np.hstack([np.full((r.size, 1), -1.0), big_r])
+    rows = tables(slack)
+    n, rest = len(names), sum(t.size for t in rows) - r.size
+    objective = np.zeros(n)
+    objective[0] = slack                                # phi's exponent, if there is one
+    return gp.GpModel(names, rows, np.append(r, np.zeros(rest)),
+                      np.vstack([big_r, np.zeros((rest, n))]),
+                      np.zeros(r.size + rest) if slack else np.append(w_hat, np.zeros(rest)),
+                      (0.0, objective))
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +275,24 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     """The joint allocation: SINR constraints fitted at pilot_hat, and the
     energy budgets over the pilots and payloads."""
     kdev = model.num_devices
-
-    def add_rows(m, xs, rhs):
-        pp, pd = xs[:kdev], xs[kdev:]
-        rows = (mrc_rows if decoder == MRC else fzf_rows)(model, pp, pd, len(m.names))
-        m.add_block_le(rows, [rhs(k, {}) for k in range(kdev)])    # fits come per round
-        for k in range(kdev):
-            lhs = gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
-                          gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})])
-            m.add_le(lhs, gp.Const(float(model.energy[k])))
-        return slice(0, kdev)
-
-    gp_for = _scheme_gp(floors, [f"pp{k}" for k in range(kdev)]
-                        + [f"pd{k}" for k in range(kdev)], add_rows)
+    names = [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]
+    log_floors = _log(floors)
     gain_rows = (approx.mrc_gain_rows if decoder == MRC else approx.fzf_gain_rows)(model)
-    return _Scheme(build=lambda pilot_hat, w_hat: gp_for(
-                       w_hat, _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat,
-                                         gain_rows)),
+
+    @functools.cache
+    def tables(slack):
+        pp = slack + np.arange(kdev)
+        pd = pp + kdev
+        n = 2 * kdev + slack
+        return ((mrc_rows if decoder == MRC else fzf_rows)(model, pp, pd, n),
+                _energy_rows(model, cfg.blocklength, pp, pd, n))
+
+    def build(pilot_hat, w_hat):
+        log_coeffs, exponents = _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat,
+                                           gain_rows)
+        return _round_gp(names, tables, w_hat, log_coeffs - log_floors, exponents)
+
+    return _Scheme(build=build,
                    read=lambda sol: PowerAllocation(pilot=sol.x[-2 * kdev:-kdev],
                                                     payload=sol.x[-kdev:]),
                    coords=lambda alloc: np.concatenate([alloc.pilot, alloc.payload]),
@@ -496,18 +488,17 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     if not np.all((least > 0) & (least < pd_max)):
         return _no_allocation("infeasible", "no payload under the cap meets every SINR floor")
 
-    def add_rows(m, pd, rhs):
-        """Row k is (cross_k . pd + noise_k) / gain_k <= pd_k under `rhs` of
-        _scheme_gp, exact since no fit is involved, then the cap on pd_k."""
-        for k in range(kdev):
-            terms = [gp.Monomial(cross[k, j] / gain[k], {pd[j].index: 1.0}) for j in range(kdev)]
-            terms.append(gp.Const(noise[k] / gain[k]))
-            m.add_le(gp.Sum(terms), rhs(k, {pd[k].index: 1.0}))
-            m.add_le(pd[k], gp.Const(float(pd_max[k])))
-        return slice(0, 2 * kdev, 2)
-
-    gp_for = _scheme_gp(floors, [f"pd{k}" for k in range(kdev)], add_rows)
-    scheme = _Scheme(build=lambda pilot_hat, w_hat: gp_for(w_hat),
+    # row k: floor_k (cross_k . pd + noise_k) / gain_k <= pd_k, exact since no
+    # fit is involved, then the caps pd_k <= pd_max_k, each right-hand side
+    # divided into its row's terms
+    terms = _log(np.column_stack([cross, noise]) / gain[:, None]).reshape(kdev, kdev + 1)
+    ratios = np.eye(kdev + 1, kdev)[None, :, :] - np.eye(kdev)[:, None, :]      # pd_j / pd_k
+    table = gp.TermRows(np.append(terms + _log(floors)[:, None], -_log(pd_max)),
+                        np.vstack([ratios.reshape(-1, kdev), np.eye(kdev)]),
+                        np.append(np.full(kdev, kdev + 1), np.ones(kdev, dtype=int)))
+    scheme = _Scheme(build=lambda pilot_hat, w_hat: _round_gp(
+                         [f"pd{k}" for k in range(kdev)], lambda slack: (table,), w_hat,
+                         np.zeros(kdev), np.zeros((kdev, kdev))),
                      read=lambda sol: PowerAllocation(pilot=pilot, payload=sol.x[-kdev:]),
                      coords=lambda alloc: alloc.payload,
                      sinr_of=lambda alloc: fbl.lb_sinr(pieces, alloc.payload))

@@ -1,12 +1,20 @@
-"""Generic node walk over GP expressions, kept as a test oracle.
+"""A row-by-row GP builder and a generic node walk, kept as test oracles.
 
-`log_eval(expr, y)` returns log expr(exp(y)) with its gradient and Hessian
-by walking the expression one node at a time. It reads the package's
-monomials and sums and the nodes defined here: sums of any nodes, products,
-powers and the fused single-variable family `PosyProductSum`. The compiled
-constraint rows and term tables of `cfurllc.gp` and the SINR tables of
-`cfurllc.optimizer` are checked against it; `block_rhs` reads the
-right-hand sides of a model's constraint record back as monomials for it.
+`Problem` builds a `cfurllc.gp.GpModel` from expressions: `variable` declares
+a variable and returns it as a monomial, `maximize` sets a monomial
+objective, `add_le(lhs, rhs, weight)` adds lhs <= rhs for a monomial or a
+`Sum` of monomials under a monomial, and `add_block_le(table, rhs, weights)`
+adds the rows of a table under monomials. `model()` writes the arrays:
+consecutive `add_le` rows become one term table, each right-hand side divided
+into its row's terms, as the package's energy and fixed-pilot rows are; a
+block is a table of its own, its right-hand sides in r and R.
+
+Every node's `log_eval(y)` returns log node(exp(y)) with its gradient and
+Hessian by walking the expression one node at a time: monomials, sums of any nodes,
+products, powers and the fused single-variable family `PosyProductSum`.
+`table_trees` writes the rows of a term table as such trees, and `NodeRows`
+is a table evaluated by the walk. The term tables and GPs of `cfurllc.gp`
+and the SINR tables of `cfurllc.optimizer` are checked against it.
 
 `random_two_var_problem` and `grid_optimum` are the second oracle: bounded
 random GPs in two variables and their optimum by log-grid enumeration.
@@ -15,20 +23,47 @@ random GPs in two variables and their optimum by log-grid enumeration.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from cfurllc import gp
 
 
-def log_eval(expr, y: np.ndarray):
-    """(value, gradient (n,), Hessian (n, n)) of log expr(exp(y))."""
-    if isinstance(expr, gp.Monomial):
-        v, g = expr.log_eval(y)
-        return v, g, np.zeros((y.size, y.size))
-    if isinstance(expr, gp.Sum):
-        return Sum(expr.terms).log_eval(y)
-    return expr.log_eval(y)
+class Monomial:
+    """coeff * prod_i x_i^a_i for positive coeff: affine in log variables."""
+
+    def __init__(self, coeff: float, exponents: dict[int, float]):
+        self.log_coeff = math.log(coeff)
+        self.exponents = dict(exponents)
+
+    def dense(self, n: int) -> np.ndarray:
+        """The exponents over n variables."""
+        a = np.zeros(n)
+        for i, e in self.exponents.items():
+            a[i] = e
+        return a
+
+    def log_eval(self, y):
+        g = self.dense(y.size)
+        return self.log_coeff + float(g @ y), g, np.zeros((y.size, y.size))
+
+
+class Const(Monomial):
+    def __init__(self, value: float):
+        super().__init__(value, {})
+
+
+def var(index: int) -> Monomial:
+    """The variable of the given column."""
+    return Monomial(1.0, {index: 1.0})
+
+
+def log_monomial(log_coeff: float, exponents, offset: int = 0) -> Monomial:
+    """exp(log_coeff) prod_i x_{i + offset}^exponents_i."""
+    mono = Monomial(1.0, {i + offset: float(a) for i, a in enumerate(exponents) if a})
+    mono.log_coeff = float(log_coeff)
+    return mono
 
 
 class Sum:
@@ -36,7 +71,7 @@ class Sum:
         self.terms = list(terms)
 
     def log_eval(self, y):
-        parts = [log_eval(t, y) for t in self.terms]
+        parts = [t.log_eval(y) for t in self.terms]
         logs = np.array([p[0] for p in parts])
         top = float(logs.max())
         w = np.exp(logs - top)
@@ -52,7 +87,7 @@ class Product:
         self.factors = list(factors)
 
     def log_eval(self, y):
-        parts = [log_eval(f, y) for f in self.factors]
+        parts = [f.log_eval(y) for f in self.factors]
         return tuple(sum(p[i] for p in parts) for i in range(3))
 
 
@@ -61,19 +96,20 @@ class Power:
         self.base, self.exponent = base, float(exponent)
 
     def log_eval(self, y):
-        return tuple(self.exponent * p for p in log_eval(self.base, y))
+        return tuple(self.exponent * p for p in self.base.log_eval(y))
 
 
 class PosyProductSum:
-    """Fused single-variable family: sum_r c_r x^e_r prod_f (b_f x + 1)^s_rf.
+    """Fused single-variable family: sum_r c_r x^e_r prod_f (b_f x + 1)^s_rf
+    in the variable of column `column`.
 
     Covers every estimation-denominator product of the SINR constraints in a
     few vectorized operations; b_f > 0 and s_rf >= 0 keep it a generalized
     posynomial.
     """
 
-    def __init__(self, var: gp.Var, log_coeffs, plain_exps, factor_coeffs, factor_exps):
-        self.var = var
+    def __init__(self, column: int, log_coeffs, plain_exps, factor_coeffs, factor_exps):
+        self.column = int(column)
         self.log_c = np.asarray(log_coeffs, dtype=float)        # (R,)
         self.e = np.asarray(plain_exps, dtype=float)            # (R,)
         self.b = np.asarray(factor_coeffs, dtype=float)         # (F,)
@@ -82,7 +118,7 @@ class PosyProductSum:
         assert self.s.shape == (self.log_c.size, self.b.size)
 
     def log_eval(self, y):
-        i = self.var.index
+        i = self.column
         t = self.b * math.exp(y[i])                             # (F,)
         logs = self.log_c + self.e * y[i] + self.s @ np.log1p(t)
         top = float(logs.max())
@@ -100,61 +136,148 @@ class PosyProductSum:
         return top + math.log(total), g, h
 
 
-class NodeRows(gp.RowBlock):
-    """Constraint left-hand sides evaluated by the node walk, row by row."""
+def table_trees(log_coeffs, exponents, counts, factor_coeffs=(), factor_columns=(),
+                factor_weights=None, offset: int = 0) -> list[Sum]:
+    """The rows of the term table of these `gp.TermRows` arguments as node
+    trees, every column moved up by offset: term t is exp(c_t) x^a_t times
+    (1 + b_f x_{v_f})^{m_tf} for each factor f it weights."""
+    m = np.zeros((len(log_coeffs), 0)) if factor_weights is None else np.asarray(factor_weights)
+    trees, ends = [], np.cumsum(counts)
+    for start, end in zip(ends - counts, ends):
+        row = []
+        for t in range(start, end):
+            row.append(Product([log_monomial(log_coeffs[t], exponents[t], offset)] + [
+                PosyProductSum(v + offset, [0.0], [0.0], [b], [[m[t, f]]])
+                for f, (b, v) in enumerate(zip(factor_coeffs, factor_columns)) if m[t, f]]))
+        trees.append(Sum(row))
+    return trees
 
-    def __init__(self, lhs):
+
+def term_trees(table: gp.TermRows, offset: int = 0) -> list[Sum]:
+    """`table_trees` of a built table."""
+    counts = np.diff(np.append(table.starts, table.c.size))
+    return table_trees(table.c, table.a, counts, table.b, table.v, table.m, offset)
+
+
+def rhs_monomials(model: gp.GpModel, offset: int = 0) -> list[Monomial]:
+    """The right-hand side exp(r_i + R_i y) of every row of a model as a
+    monomial, every column moved up by offset."""
+    return [log_monomial(c, a, offset) for c, a in zip(model.r, model.big_r)]
+
+
+class NodeRows:
+    """A table of expressions over `columns` variables, evaluated by the node
+    walk, row by row."""
+
+    def __init__(self, lhs, columns: int):
         self.lhs = list(lhs)
-        self.size = len(self.lhs)
+        self.size, self.columns = len(self.lhs), columns
 
     def log_eval(self, y):
-        parts = [log_eval(e, y) for e in self.lhs]
+        parts = [e.log_eval(y) for e in self.lhs]
 
         def hess(weights):
             return sum(w * p[2] for w, p in zip(weights, parts))
         return np.array([p[0] for p in parts]), np.array([p[1] for p in parts]), hess
 
 
-def block_rhs(c) -> list[gp.Monomial]:
-    """The right-hand sides of a constraint record as monomials, one per row,
-    read back from its log coefficients r and exponent rows R."""
-    rhs = []
-    for log_coeff, exponents in zip(c.rhs_log_coeffs, c.rhs_exponents):
-        mono = gp.Monomial(1.0, {i: float(a) for i, a in enumerate(exponents) if a != 0.0})
-        mono.log_coeff = float(log_coeff)
-        rhs.append(mono)
-    return rhs
+@dataclass
+class Row:
+    lhs: Monomial | Sum      # of monomials
+    rhs: Monomial
+    weight: float
 
 
-def random_two_var_problem(rng: np.random.Generator) -> gp.GpModel:
+@dataclass
+class Block:
+    table: object
+    rhs: list[Monomial]
+    weights: list[float]
+
+
+def _terms(expr) -> list[Monomial]:
+    if isinstance(expr, Monomial):
+        return [expr]
+    return [t for term in expr.terms for t in _terms(term)]
+
+
+class Problem:
+    """A GP written row by row; `model()` gives its arrays."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.objective: Monomial = Const(1.0)
+        self.rows: list[Row | Block] = []
+
+    def variable(self, name: str) -> Monomial:
+        self.names.append(name)
+        return var(len(self.names) - 1)
+
+    def maximize(self, mono: Monomial):
+        self.objective = mono
+
+    def add_le(self, lhs, rhs: Monomial, weight: float = 0.0):
+        self.rows.append(Row(lhs, rhs, weight))
+
+    def add_block_le(self, table, rhs, weights=None):
+        self.rows.append(Block(table, list(rhs),
+                               [0.0] * table.size if weights is None else list(weights)))
+
+    def model(self) -> gp.GpModel:
+        n = len(self.names)
+        tables, r, big_r, weights, run = [], [], [], [], []
+
+        def fold():
+            """The rows of `run` as one table, right-hand sides in the terms."""
+            if run:
+                terms = [(t, row.rhs) for row in run for t in _terms(row.lhs)]
+                tables.append(gp.TermRows([t.log_coeff - rhs.log_coeff for t, rhs in terms],
+                                          [t.dense(n) - rhs.dense(n) for t, rhs in terms],
+                                          [len(_terms(row.lhs)) for row in run]))
+                r.extend([0.0] * len(run))
+                big_r.extend([np.zeros(n)] * len(run))
+                weights.extend(row.weight for row in run)
+                run.clear()
+
+        for row in self.rows:
+            if isinstance(row, Row):
+                run.append(row)
+                continue
+            fold()
+            tables.append(row.table)
+            r.extend(mono.log_coeff for mono in row.rhs)
+            big_r.extend(mono.dense(n) for mono in row.rhs)
+            weights.extend(row.weights)
+        fold()
+        return gp.GpModel(self.names, tables, r, np.reshape(big_r, (len(r), n)), weights,
+                          (self.objective.log_coeff, self.objective.dense(n)))
+
+
+def random_two_var_problem(rng: np.random.Generator) -> Problem:
     """Bounded random GP in two variables with a monomial objective."""
-    m = gp.GpModel()
+    m = Problem()
     x = m.variable("x")
     y = m.variable("y")
-    m.maximize(gp.Monomial(1.0, {0: float(rng.uniform(0.2, 1.5)),
-                                 1: float(rng.uniform(0.2, 1.5))}))
+    m.maximize(Monomial(1.0, {0: float(rng.uniform(0.2, 1.5)),
+                              1: float(rng.uniform(0.2, 1.5))}))
     cap = float(rng.uniform(2.0, 8.0))
-    m.add_le(gp.Sum([x, y]), gp.Const(cap))
+    m.add_le(Sum([x, y]), Const(cap))
     for _ in range(rng.integers(1, 3)):
-        terms = [gp.Monomial(float(rng.uniform(0.2, 2.0)),
-                             {0: float(rng.uniform(0.0, 2.0)),
-                              1: float(rng.uniform(0.0, 2.0))})
+        terms = [Monomial(float(rng.uniform(0.2, 2.0)),
+                          {0: float(rng.uniform(0.0, 2.0)),
+                           1: float(rng.uniform(0.0, 2.0))})
                  for _ in range(rng.integers(1, 4))]
-        m.add_le(gp.Sum(terms), gp.Const(float(rng.uniform(2.0, 30.0))))
+        m.add_le(Sum(terms), Const(float(rng.uniform(2.0, 30.0))))
     return m
 
 
 def _eval_on_grid(expr, logx: np.ndarray, logy: np.ndarray) -> np.ndarray:
     """Vectorized positive-space value of a monomial or a sum of monomials."""
-    if isinstance(expr, gp.Monomial):
-        e = dict(expr.exponents)
-        return np.exp(expr.log_coeff + e.get(0, 0.0) * logx + e.get(1, 0.0) * logy)
-    if isinstance(expr, gp.Sum):
-        return sum(_eval_on_grid(t, logx, logy) for t in expr.terms)
-    raise TypeError(f"grid oracle cannot evaluate {type(expr).__name__}")
+    return sum(np.exp(t.log_coeff + t.exponents.get(0, 0.0) * logx
+                      + t.exponents.get(1, 0.0) * logy) for t in _terms(expr))
 
 
-def grid_optimum(m: gp.GpModel, span=(1e-3, 10.0), coarse=1000, refine=1000) -> float:
+def grid_optimum(m: Problem, span=(1e-3, 10.0), coarse=1000, refine=1000) -> float:
     """Two-stage log-grid enumeration of a 2-variable GP's optimum."""
     lo, hi = math.log(span[0]), math.log(span[1])
 
@@ -163,10 +286,9 @@ def grid_optimum(m: gp.GpModel, span=(1e-3, 10.0), coarse=1000, refine=1000) -> 
         gy = np.linspace(m0, m1, points)
         xx, yy = np.meshgrid(gx, gy, indexing="ij")
         feas = np.ones(xx.shape, dtype=bool)
-        for c in m._constraints:
-            feas &= (_eval_on_grid(c.lhs, xx, yy)
-                     <= _eval_on_grid(block_rhs(c)[0], xx, yy) * (1 + 1e-12))
-        objs = _eval_on_grid(m._objective, xx, yy)
+        for row in m.rows:
+            feas &= _eval_on_grid(row.lhs, xx, yy) <= _eval_on_grid(row.rhs, xx, yy) * (1 + 1e-12)
+        objs = _eval_on_grid(m.objective, xx, yy)
         objs[~feas] = -np.inf
         best = np.unravel_index(int(np.argmax(objs)), objs.shape)
         return float(objs[best]), (gx[best[0]], gy[best[1]]), (gx[1] - gx[0], gy[1] - gy[0])

@@ -17,10 +17,10 @@ from cfurllc.approx import (PENALTY_TANGENT_MIN, fzf_gain_monomial, fzf_gain_row
                             log1p_tangent, mrc_gain_monomial, mrc_gain_rows, penalty_tangent)
 from cfurllc.channel import estimation_stats
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
-from cfurllc.gp import Const, GpModel, Monomial, Sum
 from cfurllc.scenario import SystemConfig, generate_topology
 
 from conftest import random_model
+from gp_nodes import Const, Monomial, Problem, Sum
 from oracles import (expected_terms_fzf, expected_terms_mrc, fzf_factors, mrc_factors,
                      monomial_log_value, penalty_factor, sinr_fzf_from_factors,
                      sinr_mrc_from_factors)
@@ -255,14 +255,14 @@ def _random_gp_data(rng):
 
 
 def _build_gp(obj, cons):
-    m = GpModel()
+    m = Problem()
     m.variable("x")
     m.variable("y")
     m.maximize(Monomial(1.0, {0: obj[0], 1: obj[1]}))
     for coeffs, exps, cap in cons:
         m.add_le(Sum([Monomial(c, {0: e[0], 1: e[1]})
                       for c, e in zip(coeffs, exps)]), Const(cap))
-    return m
+    return m.model()
 
 
 def _grid_max(obj, cons, window, points):
@@ -319,14 +319,14 @@ def test_criterion_5_gp_solver_oracle():
     # scaling invariance: x' = c x gives the rescaled optimizer exactly
     def build_scaled(scale):
         sx, sy = scale
-        m = GpModel()
+        m = Problem()
         m.variable("x")
         m.variable("y")
         m.maximize(Monomial(sx ** -1.2 * sy ** -0.7, {0: 1.2, 1: 0.7}))
         m.add_le(Sum([Monomial(1 / sx, {0: 1.0}), Monomial(1 / sy, {1: 1.0})]),
                  Const(5.0))
         m.add_le(Monomial(sx ** -1.0 * sy ** -0.5, {0: 1.0, 1: 0.5}), Const(3.0))
-        return m.solve()
+        return m.model().solve()
 
     base = build_scaled((1.0, 1.0))
     for scale in ((9.0, 0.05), (0.02, 4.0)):

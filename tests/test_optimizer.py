@@ -558,7 +558,7 @@ def _mrc_lhs_generic(model, k, pp, pd):
     for j in range(kdev):
         cross = nodes.PosyProductSum(pp[k], np.log(kdev * b ** 2 * model.beta[idx, j]),
                                      np.ones(size), kdev * b, 1.0 - eye)
-        terms.append(nodes.Product([pd[j], cross]))
+        terms.append(nodes.Product([nodes.var(pd[j]), cross]))
     terms.append(gain)
     return nodes.Product([scale, nodes.Sum(terms)])
 
@@ -574,9 +574,9 @@ def _fzf_lhs_generic(model, k, pp, pd):
     resid = [nodes.PosyProductSum(pp[j], np.log(model.beta[idx, j]), np.zeros(size),
                                   kdev * model.beta[idx, j], 1.0 - np.eye(size))
              for j in range(kdev)]
-    terms = [nodes.Product([gp.Const(float(size))] + scale_sq)]
+    terms = [nodes.Product([nodes.Const(float(size))] + scale_sq)]
     for j in range(kdev):
-        terms.append(nodes.Product([pd[j], resid[j]]
+        terms.append(nodes.Product([nodes.var(pd[j]), resid[j]]
                                    + [scale_sq[i] for i in range(kdev) if i != j]))
     return nodes.Sum(terms)
 
@@ -629,20 +629,17 @@ def _block_models(rng):
 
 
 def _block_and_trees(model, table, regime, rng):
-    """A term table of TABLES over fresh variables, its K generic trees and a
-    random point whose log powers are drawn from the regime.
+    """A term table of TABLES, its K generic trees and a random point whose
+    log powers are drawn from the regime.
 
     The SINR rows are laid out as in the max-slack GP: phi, which no row
     uses, then the pilots and the payloads."""
     kdev = model.num_devices
-    m = gp.GpModel()
     sinr = table in (MRC, FZF)
-    if sinr:
-        m.variable("phi")
-    pp = [m.variable(f"pp{k}") for k in range(kdev)]
-    pd = [m.variable(f"pd{k}") for k in range(kdev)] if sinr else []
+    pp = int(sinr) + np.arange(kdev)
+    pd = pp + kdev if sinr else []
     build, tree = TABLES[table]
-    block = build(model, pp, pd, len(m.names))
+    block = build(model, pp, pd, int(sinr) + len(pp) + len(pd))
     trees = [tree(model, k, pp, pd) for k in range(kdev)]
     y = np.concatenate([rng.normal(0, 1, int(sinr)),
                         rng.normal(*REGIMES[regime], len(pp) + len(pd))])
@@ -656,8 +653,7 @@ def test_sinr_rows_over_interleaved_columns_match_consecutive_ones(decoder, rng)
     # with their columns permuted
     for model in _block_models(rng):
         kdev = model.num_devices
-        m = gp.GpModel()
-        xs = [m.variable(f"x{i}") for i in range(2 * kdev)]
+        xs = np.arange(2 * kdev)
         runs = BLOCKS[decoder](model, xs[:kdev], xs[kdev:], 2 * kdev)
         interleaved = BLOCKS[decoder](model, xs[0::2], xs[1::2], 2 * kdev)
         # column i of the runs layout is column perm[i] of the interleaved one
@@ -680,7 +676,7 @@ def test_fused_constraint_matches_generic_tree(table, rng):
         kdev = model.num_devices
         for regime, trial in itertools.product(REGIMES, range(6)):
             block, trees, y = _block_and_trees(model, table, regime, rng)
-            ref = [nodes.log_eval(t, y) for t in trees]
+            ref = [t.log_eval(y) for t in trees]
             weights = rng.uniform(0.1, 3.0, kdev)
             vals, jac, hess = block.log_eval(y)
             assert np.allclose(vals, [r[0] for r in ref], rtol=0, atol=1e-11)
@@ -728,46 +724,33 @@ def step_gps(run):
     return captured
 
 
-def _shifted(expr, offset, log_scale=0.0):
-    """A monomial or sum of the package with every variable index moved up
-    by offset and every coefficient times exp(log_scale)."""
-    if isinstance(expr, gp.Sum):
-        return gp.Sum([_shifted(t, offset, log_scale) for t in expr.terms])
-    mono = gp.Monomial(1.0, {i + offset: a for i, a in expr.exponents.items()})
-    mono.log_coeff = expr.log_coeff + log_scale
-    return mono
-
-
 def chi_form(step, floors, block_trees):
     """The step GP in the epigraph form it replaced: head variables chi_k
     ahead of the step GP's own, maximize prod_k chi_k^w_k subject to
     chi_k * lhs_k <= floor_k * rhs_k for each weighted row k and the floor
-    rows floor_k / chi_k <= 1; unweighted rows are copied. A weighted
-    posynomial row keeps its sum; the rows of a block are the node trees
-    block_trees(pp, pd) over the new model's pilots and payloads."""
+    rows floor_k / chi_k <= 1; unweighted rows are copied. The rows are the
+    node trees of the step GP's tables, except that block_trees(pp, pd),
+    given, writes the first K over the new model's pilot and payload
+    columns."""
     kdev = floors.size
-    m = gp.GpModel()
+    m = nodes.Problem()
     chi = [m.variable(f"chi{k}") for k in range(kdev)]
     for name in step.names:
         m.variable(name)
-    lhs, rhs, weights = [], [], []
-    for c in step._constraints:
-        if isinstance(c.lhs, gp.RowBlock):
-            lhs += block_trees(m._vars[kdev:2 * kdev], m._vars[2 * kdev:])
-        elif c.weights[0] > 0:
-            lhs.append(_shifted(c.lhs, kdev))
-        else:
-            m.add_le(_shifted(c.lhs, kdev), _shifted(nodes.block_rhs(c)[0], kdev))
-            continue
-        rhs += nodes.block_rhs(c)
-        weights += list(c.weights)
-    assert len(lhs) == len(rhs) == len(weights) == kdev
-    m.add_block_le(nodes.NodeRows([nodes.Product([chi[k], lhs[k]]) for k in range(kdev)]),
-                   [_shifted(r, kdev, math.log(floors[k])) for k, r in enumerate(rhs)])
+    lhs = [tree for table in step.tables for tree in nodes.term_trees(table, kdev)]
+    if block_trees is not None:
+        lhs[:kdev] = block_trees(kdev + np.arange(kdev), 2 * kdev + np.arange(kdev))
+    rhs = nodes.rhs_monomials(step, kdev)
+    weighted = np.flatnonzero(step.weights)
+    assert np.array_equal(weighted, np.arange(kdev))           # the SINR rows come first
+    for k in weighted:
+        lhs[k] = nodes.Product([chi[k], lhs[k]])
+        rhs[k].log_coeff += math.log(floors[k])
+    m.add_block_le(nodes.NodeRows(lhs, len(m.names)), rhs)
     for k in range(kdev):
-        m.add_le(gp.Monomial(float(floors[k]), {k: -1.0}), gp.Const(1.0))
-    m.maximize(gp.Monomial(1.0, dict(enumerate(weights))))
-    return m
+        m.add_le(nodes.Monomial(float(floors[k]), {k: -1.0}), nodes.Const(1.0))
+    m.maximize(nodes.Monomial(1.0, dict(enumerate(step.weights[weighted]))))
+    return m.model()
 
 
 @pytest.mark.parametrize("scheme", [MRC, FZF, "fixed-pilot"])
@@ -788,13 +771,13 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
     pilot = model.energy / DESK.blocklength if scheme == "fixed-pilot" else start[:kdev]
     sinr = optimizer.true_sinr(model, optimizer.PowerAllocation(pilot, start[-kdev:]),
                                DESK.antennas_per_ap, MRC if scheme == "fixed-pilot" else scheme)
-    margins = step.constraint_margins(start)[step._block().weights > 0]
+    margins = step.constraint_margins(start)[step.weights > 0]
     assert np.allclose(margins, np.log(floors / sinr), rtol=0, atol=1e-9)
     for step, start in steps:
         # K or 2K variables and 2K rows: the SINR rows and the energy or
         # payload-cap rows, the SINR rows weighted by the surrogate exponents
         assert len(step.names) == (kdev if scheme == "fixed-pilot" else 2 * kdev)
-        weights = step._block().weights
+        weights = step.weights
         assert weights.size == 2 * kdev and np.count_nonzero(weights) == kdev
         assert sum(weights) == pytest.approx(1.0, rel=1e-12)
         # both forms from the same strictly feasible point, chi_k halfway (in
@@ -810,60 +793,65 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
 
 
 # --------------------------------------------------------------------------
-# re-aimed GPs against GPs built through the public modeling API
+# each round's GP against the same GP built row by row
 # --------------------------------------------------------------------------
 
 def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
-    """One round's GP built row by row with add_le/add_block_le: the
-    max-slack GP when w_hat is None (phi first and maximized, every SINR
-    right-hand side also divided by phi), else the step GP, SINR row k
-    weighted by w_hat_k. scheme is MRC or FZF (the joint allocation, fitted
-    at pilot_hat) or ("fixed-pilot", decoder)."""
+    """One round's GP built row by row by `gp_nodes.Problem`: the max-slack
+    GP when w_hat is None (phi first and maximized, every SINR right-hand
+    side also divided by phi), else the step GP, SINR row k weighted by
+    w_hat_k. scheme is MRC or FZF (the joint allocation, fitted at
+    pilot_hat) or ("fixed-pilot", decoder)."""
     kdev = model.num_devices
-    m = gp.GpModel()
+    m = nodes.Problem()
     slack = {}
     if w_hat is None:
         phi = m.variable("phi")
         m.maximize(phi)
-        slack = {phi.index: -1.0}
+        slack = {0: -1.0}
     weights = np.zeros(kdev) if w_hat is None else w_hat
 
     def rhs(k, log_coeff, exponents):
-        mono = gp.Monomial(1.0, {**exponents, **slack})
+        mono = nodes.Monomial(1.0, {**exponents, **slack})
         mono.log_coeff = log_coeff - math.log(floors[k])
         return mono
 
     if isinstance(scheme, tuple):
-        pd = [m.variable(f"pd{k}") for k in range(kdev)]
+        pd = [len(m.names) + k for k in range(kdev)]
+        for k in range(kdev):
+            m.variable(f"pd{k}")
         pd_max = model.energy / cfg.blocklength
         stats = estimation_stats(model, model.energy / cfg.blocklength)
         n, coherent, noise, cross = fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, scheme[1])
         gain = n * coherent
         for k in range(kdev):
-            terms = [gp.Monomial(cross[k, j] / gain[k], {pd[j].index: 1.0})
-                     for j in range(kdev)] + [gp.Const(noise[k] / gain[k])]
-            m.add_le(gp.Sum(terms), rhs(k, 0.0, {pd[k].index: 1.0}), weights[k])
-            m.add_le(pd[k], gp.Const(float(pd_max[k])))
-        return m
-    pp = [m.variable(f"pp{k}") for k in range(kdev)]
-    pd = [m.variable(f"pd{k}") for k in range(kdev)]
+            terms = [nodes.Monomial(cross[k, j] / gain[k], {pd[j]: 1.0})
+                     for j in range(kdev)] + [nodes.Const(noise[k] / gain[k])]
+            m.add_le(nodes.Sum(terms), rhs(k, 0.0, {pd[k]: 1.0}), weights[k])
+        for k in range(kdev):
+            m.add_le(nodes.var(pd[k]), nodes.Const(float(pd_max[k])))
+        return m.model()
+    pp = [len(m.names) + k for k in range(kdev)]
+    pd = [len(m.names) + kdev + k for k in range(kdev)]
+    for name in [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]:
+        m.variable(name)
     fit = (approx.mrc_gain_monomial(approx.mrc_gain_rows(model), pilot_hat) if scheme == MRC
            else approx.fzf_gain_monomial(approx.fzf_gain_rows(model), pilot_hat))
     fits = []
     for k in range(kdev):
         if scheme == MRC:
             fits.append(rhs(k, math.log(cfg.antennas_per_ap) + 2.0 * float(fit.log_coeff[k]),
-                            {pp[k].index: 2.0 * float(fit.exponents[k, k]), pd[k].index: 1.0}))
+                            {pp[k]: 2.0 * float(fit.exponents[k, k]), pd[k]: 1.0}))
         else:
-            exps = {pp[j].index: float(fit.exponents[k, j]) for j in range(kdev)}
+            exps = {pp[j]: float(fit.exponents[k, j]) for j in range(kdev)}
             fits.append(rhs(k, math.log(cfg.antennas_per_ap - kdev) + float(fit.log_coeff[k]),
-                            {**exps, pd[k].index: 1.0}))
+                            {**exps, pd[k]: 1.0}))
     m.add_block_le(BLOCKS[scheme](model, pp, pd, len(m.names)), fits, weights)
     for k in range(kdev):
-        m.add_le(gp.Sum([gp.Monomial(float(kdev), {pp[k].index: 1.0}),
-                         gp.Monomial(float(cfg.blocklength - kdev), {pd[k].index: 1.0})]),
-                 gp.Const(float(model.energy[k])))
-    return m
+        m.add_le(nodes.Sum([nodes.Monomial(float(kdev), {pp[k]: 1.0}),
+                            nodes.Monomial(float(cfg.blocklength - kdev), {pd[k]: 1.0})]),
+                 nodes.Const(float(model.energy[k])))
+    return m.model()
 
 
 def recorded_rounds(run):
@@ -918,13 +906,14 @@ def test_reaimed_gps_match_gps_built_through_the_public_api(scheme):
     for pilot_hat, w_hat, step, kwargs, sol in rounds:
         ref = public_api_gp(model, DESK, scheme, floors, pilot_hat, w_hat)
         assert step.names == ref.names
-        got, want = step._block(), ref._block()
-        for name in ("rhs_log_coeffs", "rhs_exponents", "weights"):
-            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
-        assert [type(b) for _, b in got.parts] == [type(b) for _, b in want.parts]
-        assert {type(b) for _, b in got.parts} == {gp.TermRows}
-        for (_, a), (_, b) in zip(got.parts, want.parts):
-            for name in ("c", "a", "b", "v", "m"):
+        for name in ("r", "big_r", "weights"):
+            assert _bits(getattr(step, name)) == _bits(getattr(ref, name)), name
+        assert step.objective[0] == ref.objective[0]
+        assert _bits(step.objective[1]) == _bits(ref.objective[1])
+        assert [type(t) for t in step.tables] == [type(t) for t in ref.tables]
+        assert {type(t) for t in step.tables} == {gp.TermRows}
+        for a, b in zip(step.tables, ref.tables, strict=True):
+            for name in ("c", "a", "b", "v", "m", "starts"):
                 assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
         again = ref.solve(**kwargs)
         assert (again.status, again.iterations) == (sol.status, sol.iterations)
