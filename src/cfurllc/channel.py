@@ -21,8 +21,9 @@ class EstimationStats:
 def estimation_stats(model: LargeScaleModel, pilot_power: np.ndarray) -> EstimationStats:
     """Estimate variance per link for orthogonal pilots of length num_devices.
 
-    For gain b and pilot power p the estimate variance is K*p*b^2 / (K*p*b + 1);
-    the error variance is the complement b - lam.
+    For gain b and pilot power p the estimate variance is K*p*b^2 / (K*p*b + 1)
+    and the error variance its complement b - lam, computed as b / (K*p*b + 1),
+    which does not cancel where lam nears b.
     """
     p = np.asarray(pilot_power, dtype=float)
     if p.shape != (model.num_devices,):
@@ -30,8 +31,9 @@ def estimation_stats(model: LargeScaleModel, pilot_power: np.ndarray) -> Estimat
     if np.any(p <= 0):
         raise ValueError("pilot powers must be strictly positive")
     kp = model.num_devices * p[None, :]
-    lam = kp * model.beta ** 2 / (kp * model.beta + 1.0)
-    return EstimationStats(lam=lam, err_var=model.beta - lam, pilot_power=p)
+    load = kp * model.beta + 1.0
+    return EstimationStats(lam=kp * model.beta ** 2 / load, err_var=model.beta / load,
+                           pilot_power=p)
 
 
 def substream(master_seed: int, *indices: int) -> np.random.Generator:
@@ -98,8 +100,7 @@ def draw_channel(model: LargeScaleModel, stats: EstimationStats, n_antennas: int
         diag_rng.standard_gamma(n_antennas - diag, size=(trials, m, r)))
     g_hat *= np.sqrt(stats.lam)[None, :, :, None]
     g = z[:, upper:upper + mkr].reshape(trials, m, k, r)   # a view of z
-    # b - lam rounds below zero once K p b passes about 1e16
-    g *= np.sqrt(np.maximum(stats.err_var, 0.0))[None, :, :, None]
+    g *= np.sqrt(stats.err_var)[None, :, :, None]
     g += g_hat
     noise = z[:, upper + mkr:].reshape(trials, m, r)
     return ChannelRealization(g=g, g_hat=g_hat, noise=noise)
