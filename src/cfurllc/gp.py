@@ -169,30 +169,27 @@ class GpModel:
     """
 
     def __init__(self, names, tables, r, big_r, weights, objective):
-        self.names = tuple(names)
-        self.tables = tuple(tables)
-        n = len(self.names)
-        if any(t.columns != n for t in self.tables):
-            raise GpModelError(f"every table must span the {n} variables, got "
-                               f"{[t.columns for t in self.tables]} columns")
-        ends = np.cumsum([t.size for t in self.tables], dtype=int)
-        self._rows = [slice(end - t.size, end) for t, end in zip(self.tables, ends)]
-        size = int(ends[-1]) if ends.size else 0
+        self.names, self.tables = tuple(names), tuple(tables)
+        n, size, self._rows = len(self.names), 0, []
+        for table in self.tables:
+            if table.columns != n:
+                raise GpModelError(f"a table spans {table.columns} columns of {n} variables")
+            self._rows.append(slice(size, size + table.size))
+            size += table.size
         if not size:
             raise GpModelError("a GP without rows is unbounded")
         self.r, self.big_r = np.asarray(r, dtype=float), np.asarray(big_r, dtype=float)
-        if self.r.shape != (size,) or self.big_r.shape != (size, n) \
-                or not (np.isfinite(self.r).all() and np.isfinite(self.big_r).all()):
-            raise GpModelError(f"need finite right-hand sides r ({size},) and R ({size}, {n})")
         self.weights = np.array(weights, dtype=float)
-        if self.weights.shape != (size,) \
-                or not all(0.0 <= w < math.inf for w in self.weights.tolist()):
-            raise GpModelError(f"need {size} finite, nonnegative row weights, got {weights!r}")
-        log_coeff, exponents = objective
-        self.objective = (float(log_coeff), np.asarray(exponents, dtype=float))
-        if self.objective[1].shape != (n,) \
-                or not np.isfinite(np.append(self.objective[1], log_coeff)).all():
-            raise GpModelError(f"need a finite objective log coefficient and {n} exponents")
+        self.objective = (float(objective[0]), np.asarray(objective[1], dtype=float))
+        if self.r.shape != (size,) or self.big_r.shape != (size, n) \
+                or self.weights.shape != (size,) or self.objective[1].shape != (n,):
+            raise GpModelError(f"need r ({size},), R ({size}, {n}), {size} row weights "
+                               f"and {n} objective exponents")
+        if not (np.isfinite(self.r).all() and np.isfinite(self.big_r).all()
+                and np.isfinite(self.objective[1]).all() and math.isfinite(self.objective[0])
+                and all(0.0 <= w < math.inf for w in self.weights.tolist())):
+            raise GpModelError("need finite r, R and objective and finite, nonnegative "
+                               f"row weights, got weights {weights!r}")
 
     def log_eval(self, y: np.ndarray):
         """Row values, Jacobian and the weighted-Hessian-sum function at y."""

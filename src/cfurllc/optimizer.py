@@ -233,28 +233,29 @@ def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
     return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
 
 
-def _round_gp(names: list[str], tables: Callable, w_hat, r: np.ndarray,
+def _round_gp(names: list[str], tables: tuple, w_hat, r: np.ndarray,
               big_r: np.ndarray) -> gp.GpModel:
-    """One round's GP over the variables `names`: the rows of tables(slack),
-    the K SINR rows first, whose right-hand sides over their floors are
+    """One round's GP over the variables `names`: the rows of `tables`, the K
+    SINR rows first, whose right-hand sides over their floors are
     exp(r + R y) in the log variables y; the other rows carry theirs in their
     terms. A step GP weights SINR row k by w_hat_k, so it maximizes
     prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs over their floors. The
-    max-slack GP, for w_hat None (slack), puts a variable phi first, divides
-    every SINR right-hand side by it and maximizes it.
+    max-slack GP, for w_hat None, puts a variable phi first, divides every
+    SINR right-hand side by it and maximizes it; its tables span phi too.
     """
     slack = w_hat is None
+    size, k, n = sum(t.size for t in tables), r.size, len(names) + slack
+    rhs, rhs_exponents = np.zeros(size), np.zeros((size, n))
+    weights, objective = np.zeros(size), np.zeros(n)
+    rhs[:k] = r
+    rhs_exponents[:k, slack:] = big_r
     if slack:
         names = ["phi", *names]
-        big_r = np.hstack([np.full((r.size, 1), -1.0), big_r])
-    rows = tables(slack)
-    n, rest = len(names), sum(t.size for t in rows) - r.size
-    objective = np.zeros(n)
-    objective[0] = slack                                # phi's exponent, if there is one
-    return gp.GpModel(names, rows, np.append(r, np.zeros(rest)),
-                      np.vstack([big_r, np.zeros((rest, n))]),
-                      np.zeros(r.size + rest) if slack else np.append(w_hat, np.zeros(rest)),
-                      (0.0, objective))
+        rhs_exponents[:k, 0] = -1.0
+        objective[0] = 1.0
+    else:
+        weights[:k] = w_hat
+    return gp.GpModel(names, tables, rhs, rhs_exponents, weights, (0.0, objective))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,8 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
 
     @functools.cache
     def tables(slack):
+        """The SINR rows, then the energy rows, over phi (given slack), the
+        pilots and the payloads."""
         pp = slack + np.arange(kdev)
         pd = pp + kdev
         n = 2 * kdev + slack
@@ -290,7 +293,8 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     def build(pilot_hat, w_hat):
         log_coeffs, exponents = _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat,
                                            gain_rows)
-        return _round_gp(names, tables, w_hat, log_coeffs - log_floors, exponents)
+        return _round_gp(names, tables(w_hat is None), w_hat, log_coeffs - log_floors,
+                         exponents)
 
     return _Scheme(build=build,
                    read=lambda sol: PowerAllocation(pilot=sol.x[-2 * kdev:-kdev],
@@ -497,8 +501,8 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
                         np.vstack([ratios.reshape(-1, kdev), np.eye(kdev)]),
                         np.append(np.full(kdev, kdev + 1), np.ones(kdev, dtype=int)))
     scheme = _Scheme(build=lambda pilot_hat, w_hat: _round_gp(
-                         [f"pd{k}" for k in range(kdev)], lambda slack: (table,), w_hat,
-                         np.zeros(kdev), np.zeros((kdev, kdev))),
+                         [f"pd{k}" for k in range(kdev)], (table,), w_hat, np.zeros(kdev),
+                         np.zeros((kdev, kdev))),
                      read=lambda sol: PowerAllocation(pilot=pilot, payload=sol.x[-kdev:]),
                      coords=lambda alloc: alloc.payload,
                      sinr_of=lambda alloc: fbl.lb_sinr(pieces, alloc.payload))
