@@ -113,14 +113,14 @@ def _fit(rows: gp.TermRows, pilot_hat: np.ndarray, power: float) -> MonomialFit:
 
 
 def mrc_gain_monomial(rows: gp.TermRows, pilot_hat: np.ndarray) -> MonomialFit:
-    """Monomial lower bounds of the K MRC coherent gains of rows, a model's
+    """The monomial lower bounds of the K MRC coherent gains of rows, a model's
     `mrc_gain_rows`, tight at the pilot powers pilot_hat (K,); row k depends
     on pilot k alone."""
     return _fit(rows, pilot_hat, 1.0)
 
 
 def fzf_gain_monomial(rows: gp.TermRows, pilot_hat: np.ndarray) -> MonomialFit:
-    """Monomial lower bounds of the K zero-forcing products coherent_k^2
+    """The monomial lower bounds of the K zero-forcing products coherent_k^2
     prod_{j != k} scale_kj^2 of rows, a model's `fzf_gain_rows`, tight at the
     pilot powers pilot_hat (K,)."""
     return _fit(rows, pilot_hat, 2.0)
