@@ -59,22 +59,27 @@ def _decode(real: ChannelRealization, model: LargeScaleModel, vectors: np.ndarra
     """Decoder terms of every device from its combining vectors.
 
     Device k combines over its service set with vectors[:, m, k, :] (T, M, K, r)
-    times scale[m, k]; mean_gain[k] is the mean of its coherent gain.
+    times scale[m, k]; mean_gain[k] is the mean of its coherent gain. With the
+    scales zeroed off each service set, one (T, K, M r) @ (T, M r, K + 1)
+    product takes every device's inner products with the channels and noise.
     """
-    trials, _, kdev, _ = real.g.shape
+    trials, aps, kdev, r = real.g.shape
     pd = np.asarray(payload, dtype=float)
-    ls2 = np.empty((trials, kdev))
-    ui2 = np.empty((trials, kdev, kdev))
-    n2 = np.empty((trials, kdev))
-    for k in range(kdev):
-        idx = list(model.service_sets[k])
-        a = vectors[:, idx, k, :] * scale[idx, k][None, :, None]
-        proj = np.einsum("tsn,tsjn->tj", a.conj(), real.g[:, idx, :, :])
-        ls2[:, k] = pd[k] * np.abs(proj[:, k] - mean_gain[k]) ** 2
-        ui2[:, k, :] = pd[None, :] * np.abs(proj) ** 2
-        ui2[:, k, k] = 0.0
-        nz = np.einsum("tsn,tsn->t", a.conj(), real.noise[:, idx, :])
-        n2[:, k] = np.abs(nz) ** 2
+    mask = np.zeros((kdev, aps))
+    for k, idx in enumerate(model.service_sets):
+        mask[k, list(idx)] = scale[list(idx), k]
+    a = np.empty((trials, kdev, aps, r), dtype=complex)     # C order: reshapes are views
+    np.conjugate(np.swapaxes(vectors, 1, 2), out=a)
+    a *= mask[:, :, None]
+    targets = np.empty((trials, aps, r, kdev + 1), dtype=complex)
+    targets[..., :kdev] = np.swapaxes(real.g, 2, 3)
+    targets[..., kdev] = real.noise
+    proj = a.reshape(trials, kdev, aps * r) @ targets.reshape(trials, aps * r, kdev + 1)
+    gain = np.diagonal(proj, axis1=1, axis2=2)
+    ls2 = pd * np.abs(gain - mean_gain) ** 2
+    ui2 = pd * np.abs(proj[..., :kdev]) ** 2
+    ui2[:, np.arange(kdev), np.arange(kdev)] = 0.0
+    n2 = np.abs(proj[..., kdev]) ** 2
     ds2 = pd * mean_gain ** 2
     sinr = ds2 / (ls2 + ui2.sum(axis=2) + n2)
     rate = fbl.lb_rate(sinr, params, np.arange(kdev))
@@ -92,37 +97,42 @@ def decode_mrc(real: ChannelRealization, model: LargeScaleModel,
 
 
 def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int) -> np.ndarray:
-    """Unnormalized zero-forcing vectors per AP, G (G^H G)^-1, batched as (T, M, K, r).
+    """Zero-forcing vectors per AP, G (G^H G)^-1 = G^-H for the square upper
+    triangular estimate G of `draw_channel` (another shape is a ValueError),
+    batched as (T, M, K, r): conj(X), with X = G^-1 from a back substitution
+    over the batch that reads only G's upper triangle.
 
     Raises RuntimeError naming the first trial (counted from first_trial) with a
-    rank-deficient estimate at some AP: inv finds its Gram matrix singular, or its
-    inverse scaled by the Gram diagonal, |inv_ij| d_i d_j with d = sqrt(diag),
-    reaches 1 / (eps max(1e3, 2K(N + K))) for N = n_antennas, whatever the size
-    of each device's channel.
+    rank-deficient estimate at some AP: G has a zero on its diagonal, or the
+    largest entry of (G^H G)^-1 = X X^H scaled by the Gram diagonal, which is
+    max_i |row i of X|^2 |column i of G|^2, reaches 1 / (eps max(1e3, 2K(N + K)))
+    for N = n_antennas, whatever the size of each device's channel.
     """
-    kdev = g_hat.shape[2]
-    gh = np.swapaxes(g_hat, 2, 3)                       # (T, M, r, K)
-    gram = np.einsum("tmnk,tmnj->tmkj", gh.conj(), gh)
-    try:
-        inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:     # some stack is exactly singular: leave it NaN
-        inv = np.full_like(gram, np.nan)
-        regular = np.linalg.slogdet(gram)[0] != 0
-        inv[regular] = np.linalg.inv(gram[regular])
-    d = np.sqrt(np.einsum("tmkk->tmk", gram).real)
-    worst = (np.abs(inv) * d[..., :, None] * d[..., None, :]).max(axis=(2, 3))
+    kdev, r = g_hat.shape[2:]
+    if r != kdev:
+        raise ValueError(f"zero-forcing needs a square triangular estimate, got {r} x {kdev}")
+    g_hat = np.ascontiguousarray(g_hat)
+    x = np.zeros_like(g_hat)                            # [t, m, i, :] = row i of G^-1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(kdev - 1, -1, -1):
+            row = -(g_hat[:, :, None, i + 1:, i] @ x[:, :, i + 1:, i:])[:, :, 0]
+            row[..., 0] += 1.0
+            x[:, :, i, i:] = row / g_hat[:, :, i, i, None]
+        xr, gr = x.view(float), g_hat.view(float)
+        worst = (np.einsum("tmkc,tmkc->tmk", xr, xr)
+                 * np.einsum("tmkc,tmkc->tmk", gr, gr)).max(axis=2)
     limit = 1.0 / (np.finfo(float).eps * max(1e3, 2.0 * kdev * (n_antennas + kdev)))
     bad = np.flatnonzero(~(worst < limit).all(axis=1))  # NaN counts as bad
     if bad.size:
         raise RuntimeError(f"trial {first_trial + bad[0]}: estimated channel rank-deficient")
-    return np.swapaxes(gh @ inv, 2, 3)
+    return np.conjugate(x, out=x)
 
 
 def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams, first_trial: int = 0) -> TrialOutcome:
-    """Full-pilot zero-forcing, each AP's vector scaled by its root-mean gain
-    sqrt((N - K) lambda); needs more antennas than devices. A rank-deficient
+    """Full-pilot zero-forcing, each AP's vector G^-H e_k scaled by its root-mean
+    gain sqrt((N - K) lambda); needs N > K, so that G is square. A rank-deficient
     estimate raises RuntimeError naming its trial, counted from first_trial."""
     kdev = real.g.shape[2]
     if n_antennas <= kdev:

@@ -6,8 +6,11 @@ fits of `approx`;
 the textbook normal-approximation rate, for `fbl.lb_rate`; a bisection that
 starts at the rate kernel's zero, for `fbl.rate_kernel_inverse`; and the
 closed-form means of every decoder term, for the Monte-Carlo validator in
-`montecarlo`; and the channel draw at every antenna, for the law of
-`channel.draw_channel`, which draws in the span of each AP's estimate.
+`montecarlo`; the channel draw at every antenna, for the law of
+`channel.draw_channel`, which draws in the span of each AP's estimate, and
+its projection onto that span, for the zero-forcing decode; and the
+zero-forcing vectors and rank check from the inverted Gram matrix, for the
+back substitution of `montecarlo._fzf_vectors`.
 """
 
 from __future__ import annotations
@@ -315,3 +318,47 @@ def draw_channel_full_antenna(model: LargeScaleModel, stats: EstimationStats,
     g_hat = gain[None, :, :, None] * (g + pilot_noise)
     noise = z[:, 2 * mkn:].reshape(trials, m, n_antennas)
     return ChannelRealization(g=g, g_hat=g_hat, noise=noise)
+
+
+def in_estimate_span(real: ChannelRealization) -> ChannelRealization:
+    """A full-antenna draw in the basis of each AP's estimate span: with the
+    reduced QR G_hat = Q R of every (trial, AP) stack, the estimate becomes R
+    and the channels and the noise their coordinates Q^H g and Q^H n. A
+    combining vector in the span has the same inner products there, so the
+    decoders' terms keep their law."""
+    q, r = np.linalg.qr(np.swapaxes(real.g_hat, 2, 3))     # (T, M, N, K), (T, M, K, K)
+    coords = q.conj().swapaxes(2, 3)
+    return ChannelRealization(g=np.swapaxes(coords @ np.swapaxes(real.g, 2, 3), 2, 3),
+                              g_hat=np.swapaxes(r, 2, 3),
+                              noise=(coords @ real.noise[..., None])[..., 0])
+
+
+def gram_rank_worst(g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse Gram matrix (G^H G)^-1 of every (trial, AP) estimate stack,
+    (T, M, K, K), NaN where inv finds it singular, and each stack's largest
+    entry of that inverse scaled by the Gram diagonal, max_ij |inv_ij| d_i d_j
+    with d = sqrt(diag(G^H G)), (T, M)."""
+    gh = np.swapaxes(g_hat, 2, 3)                       # (T, M, r, K)
+    gram = np.einsum("tmnk,tmnj->tmkj", gh.conj(), gh)
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:     # some stack is exactly singular: leave it NaN
+        inv = np.full_like(gram, np.nan)
+        regular = np.linalg.slogdet(gram)[0] != 0
+        inv[regular] = np.linalg.inv(gram[regular])
+    d = np.sqrt(np.einsum("tmkk->tmk", gram).real)
+    return inv, (np.abs(inv) * d[..., :, None] * d[..., None, :]).max(axis=(2, 3))
+
+
+def fzf_vectors_by_gram(g_hat: np.ndarray, n_antennas: int, first_trial: int) -> np.ndarray:
+    """Zero-forcing vectors G (G^H G)^-1 of estimates of any shape (T, M, K, r),
+    from the inverted Gram matrix, with the full-matrix rank check: RuntimeError
+    naming the first trial (counted from first_trial) whose scaled inverse
+    reaches 1 / (eps max(1e3, 2K(N + K))) at some AP, or is NaN."""
+    kdev = g_hat.shape[2]
+    inv, worst = gram_rank_worst(g_hat)
+    limit = 1.0 / (np.finfo(float).eps * max(1e3, 2.0 * kdev * (n_antennas + kdev)))
+    bad = np.flatnonzero(~(worst < limit).all(axis=1))  # NaN counts as bad
+    if bad.size:
+        raise RuntimeError(f"trial {first_trial + bad[0]}: estimated channel rank-deficient")
+    return np.swapaxes(np.swapaxes(g_hat, 2, 3) @ inv, 2, 3)

@@ -1,17 +1,19 @@
 import dataclasses
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from cfurllc import fbl, montecarlo as mc
-from cfurllc.channel import estimation_stats, substream
+from cfurllc.channel import draw_channel, estimation_stats, substream
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.scenario import SystemConfig, generate_topology
 
 from conftest import toy_model
-from oracles import draw_channel_full_antenna, expected_terms_fzf, expected_terms_mrc
+from oracles import (draw_channel_full_antenna, expected_terms_fzf, expected_terms_mrc,
+                     fzf_vectors_by_gram, gram_rank_worst, in_estimate_span)
 
 
 def validation_setup(pilot=2e10, payload=2e10):
@@ -165,8 +167,11 @@ def test_simulate_matches_decoders_fed_the_full_antenna_draw(decoder):
     serving = model.serving_subset()
     serving_stats = estimation_stats(serving, stats.pilot_power)
     decode = mc.decode_mrc if decoder == "mrc" else mc.decode_fzf
-    blocks = [decode(draw_channel_full_antenna(serving, serving_stats, 8,
-                                               substream(42, b), trials=2000),
+    # zero-forcing takes its square triangular estimate from the projection
+    # onto each AP's estimate span, which keeps every in-span inner product
+    project = (lambda real: real) if decoder == "mrc" else in_estimate_span
+    blocks = [decode(project(draw_channel_full_antenna(serving, serving_stats, 8,
+                                                       substream(42, b), trials=2000)),
                      serving, serving_stats, pd, 8, params)
               for b in range(trials // 2000)]
     off_diag = ~np.eye(3, dtype=bool)
@@ -214,8 +219,10 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
         return real
 
     monkeypatch.setattr(mc, "draw_channel", degenerate)
-    with pytest.raises(RuntimeError,
-                       match=f"^trial {target}: estimated channel rank-deficient$"):
+    # a zero on the estimate's diagonal raises, and issues no division warning
+    with warnings.catch_warnings(), pytest.raises(
+            RuntimeError, match=f"^trial {target}: estimated channel rank-deficient$"):
+        warnings.simplefilter("error")
         mc.simulate(model, stats, pd, "fzf", 3 * mc.TRIAL_BLOCK, seed=seed,
                     n_antennas=8, params=params, workers=1)
     # the block draws up to the failing trial's, and no draw after it
@@ -309,38 +316,83 @@ def test_zero_estimate_at_a_non_serving_ap_is_not_drawn():
     assert np.all(np.isfinite(out.sinr)) and np.all(out.sinr > 0)
 
 
-def test_rank_check_flags_exactly_the_deficient_stacks():
-    # estimates of 3 devices at N = 8 antennas, in r = 3 coordinates of their span
+def _rank_check_stacks():
+    """Triangular estimates of 3 devices at N = 8 antennas, (200, 2, 3, 3): the
+    R factors of dense stacks with devices scaled over twelve orders of
+    magnitude, 100 of them deficient (zero, duplicated, near-duplicated and
+    combined columns), and the rank of each."""
     rng = np.random.default_rng(12)
-    g_hat = (rng.standard_normal((200, 2, 3, 3))
+    dense = (rng.standard_normal((200, 2, 3, 3))
              + 1j * rng.standard_normal((200, 2, 3, 3)))
-    # scale devices over twelve orders of magnitude, then make some stacks
-    # deficient: zero, duplicated, near-duplicated and combined columns
-    g_hat *= 10.0 ** rng.uniform(-6, 6, size=(200, 2, 3, 1))
-    g_hat[0:20, 0, 1] = 0.0
-    g_hat[20:40, 1, 2] = g_hat[20:40, 1, 0]
-    g_hat[40:60, 0, 0] = g_hat[40:60, 0, 2] * (1 + 1e-15)
-    g_hat[60:80, 1, 1] = 2.0 * g_hat[60:80, 1, 0] - 3j * g_hat[60:80, 1, 2]
-    g_hat[80:90] = 0.0
-    ranks = np.linalg.matrix_rank(np.swapaxes(g_hat, 2, 3))
+    dense *= 10.0 ** rng.uniform(-6, 6, size=(200, 2, 3, 1))
+    dense[0:20, 0, 1] = 0.0
+    dense[20:40, 1, 2] = dense[20:40, 1, 0]
+    dense[40:60, 0, 0] = dense[40:60, 0, 2] * (1 + 1e-15)
+    dense[60:80, 1, 1] = 2.0 * dense[60:80, 1, 0] - 3j * dense[60:80, 1, 2]
+    dense[80:90] = 0.0
+    g_hat = np.swapaxes(np.linalg.qr(np.swapaxes(dense, 2, 3))[1], 2, 3)
+    return g_hat, np.linalg.matrix_rank(np.swapaxes(g_hat, 2, 3))
 
-    def flagged(t, m):
+
+def test_rank_check_flags_exactly_the_deficient_stacks():
+    g_hat, ranks = _rank_check_stacks()
+
+    def flagged(check, t, m):
         try:
-            mc._fzf_vectors(g_hat[t:t + 1, m:m + 1], 8, t)
+            check(g_hat[t:t + 1, m:m + 1], 8, t)
         except RuntimeError as exc:
             assert str(exc).startswith(f"trial {t}:")
             return True
         return False
 
     assert (ranks < 3).sum() == 100
-    assert np.array_equal([[flagged(t, m) for m in range(2)] for t in range(200)],
-                          ranks < 3)
+    for check in (mc._fzf_vectors, fzf_vectors_by_gram):
+        assert np.array_equal([[flagged(check, t, m) for m in range(2)]
+                               for t in range(200)], ranks < 3)
     # a block names its first deficient trial, counted from first_trial, be it
-    # exactly singular (5: zero column, inv raises) or nearly so (50:
-    # near-duplicated column), with the other one after it
+    # exactly singular (5: zero column, a zero on the diagonal) or nearly so
+    # (50: near-duplicated column), with the other one after it
     for order in ([95, 50, 5], [95, 5, 50]):
         with pytest.raises(RuntimeError, match="^trial 1001:"):
             mc._fzf_vectors(g_hat[order], 8, 1000)
+
+
+def test_rank_check_reads_the_full_matrix_worst_off_the_diagonal():
+    # (G^H G)^-1 = X X^H is positive semidefinite, so its largest entry scaled
+    # by the Gram diagonal sits on the diagonal: max_i |row i of X|^2 d_i^2
+    g_hat, ranks = _rank_check_stacks()
+    full = (ranks == 3).all(axis=1)
+    assert full.sum() == 110
+    vectors = mc._fzf_vectors(g_hat[full], 8, 0)
+    diagonal = ((np.abs(vectors) ** 2).sum(axis=3)
+                * (np.abs(g_hat[full]) ** 2).sum(axis=3)).max(axis=2)
+    assert np.allclose(diagonal, gram_rank_worst(g_hat[full])[1], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("kdev", [2, 5, 10])
+def test_fzf_vectors_match_the_gram_oracle(kdev):
+    # Bartlett estimates from the sampler, with gains spread over twelve
+    # orders of magnitude
+    rng = np.random.default_rng(kdev)
+    model = toy_model(10.0 ** rng.uniform(-6, 6, size=(3, kdev)))
+    stats = estimation_stats(model, np.full(kdev, 1e12))
+    real = draw_channel(model, stats, kdev + 2, substream(7, kdev, 0),
+                        substream(7, kdev, 1), trials=64)
+    vectors = mc._fzf_vectors(real.g_hat, kdev + 2, 0)
+    oracle = fzf_vectors_by_gram(real.g_hat, kdev + 2, 0)
+    norm = np.linalg.norm(oracle, axis=3, keepdims=True)
+    assert np.all(np.abs(vectors - oracle) <= 1e-12 * norm)
+    # v_k^H g_j = delta_kj at every AP, to rounding relative to |v_k| |g_j|
+    cross = np.einsum("tmkn,tmjn->tmkj", vectors.conj(), real.g_hat)
+    size = norm * np.linalg.norm(real.g_hat, axis=3)[:, :, None, :]
+    assert np.all(np.abs(cross - np.eye(kdev)) <= 1e-12 * size)
+
+
+def test_fzf_vectors_need_a_square_estimate():
+    cfg, model, params, stats, pd = validation_setup()
+    real = draw_channel_full_antenna(model, stats, 8, substream(3), trials=4)
+    with pytest.raises(ValueError, match="square triangular estimate, got 8 x 3"):
+        mc.decode_fzf(real, model, stats, pd, 8, params)
 
 
 @pytest.mark.parametrize("decoder", ["MRC", "zf"])
