@@ -150,24 +150,17 @@ def sinr_pieces(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
     check_decoder(decoder)
     if decoder == "fzf" and n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
-    coherent = np.empty(kdev)
-    noise = np.empty(kdev)
-    cross = np.empty((kdev, kdev))
-    for dev, aps in enumerate(model.service_sets):
-        idx = list(aps)
-        if not idx:
-            raise ValueError(f"device {dev} has an empty service set")
-        if decoder == "mrc":
-            lam = stats.lam[idx, dev]
-            coherent[dev] = lam.sum() ** 2
-            noise[dev] = lam.sum()
-            cross[dev] = (model.beta[idx, :] * lam[:, None]).sum(axis=0)
-        else:
-            coherent[dev] = np.sqrt(stats.lam[idx, dev]).sum() ** 2
-            noise[dev] = len(idx)
-            cross[dev] = stats.err_var[idx, :].sum(axis=0)
-    return SinrPieces(n_antennas if decoder == "mrc" else n_antennas - kdev,
-                      coherent, noise, cross)
+    sizes = [len(aps) for aps in model.service_sets]
+    if 0 in sizes:
+        raise ValueError(f"device {sizes.index(0)} has an empty service set")
+    in_set = np.zeros((kdev, model.num_aps))                       # (K, M): m in S_k
+    in_set[np.repeat(np.arange(kdev), sizes), np.concatenate(model.service_sets)] = 1.0
+    if decoder == "mrc":
+        served = in_set * stats.lam.T                              # lam_mk on S_k
+        noise = served.sum(axis=1)
+        return SinrPieces(n_antennas, noise ** 2, noise, served @ model.beta)
+    return SinrPieces(n_antennas - kdev, (in_set * np.sqrt(stats.lam.T)).sum(axis=1) ** 2,
+                      in_set.sum(axis=1), in_set @ stats.err_var)
 
 
 def lb_sinr(pieces: SinrPieces, payload_power: np.ndarray) -> np.ndarray:

@@ -2,15 +2,15 @@
 
 A GpModel is a GP in the log variables y = log x (Boyd, Kim, Vandenberghe &
 Hassibi, "A tutorial on geometric programming", 2007). Its rows are
-f(y) = (the rows of its tables, concatenated) - r - R y, each constraint
-f_i(y) <= 0, and it maximizes exp(c0 + a0 . y) prod_i exp(-w_i f_i(y)) for
-row weights w_i >= 0: in log variables the convex -(c0 + a0 . y) +
-sum_i w_i f_i (B&V §4.5.3). A table is any object with `size` rows over
-`columns` variables and a `log_eval`; the package's is `TermRows`, whose rows
-are log-sum-exps of terms affine in y plus weighted factors log(1 + b e^{y_j}),
-which the SINR rows use. A monomial row is a one-term row. One call returns
-the row values, the Jacobian and the weighted Hessian sum, never a Hessian per
-row.
+f(y) = the rows of its one table, each constraint f_i(y) <= 0, and it maximizes
+exp(c0 + a0 . y) prod_i exp(-w_i f_i(y)) for row weights w_i >= 0: in log
+variables the convex -(c0 + a0 . y) + sum_i w_i f_i (B&V §4.5.3). A table is
+any object with `size` rows over `columns` variables and a `log_eval`; the
+package's is `TermRows`, whose rows are log-sum-exps of terms affine in y plus
+weighted factors log(1 + b e^{y_j}), which the SINR rows use. A monomial row is
+a one-term row; `stack` joins tables, and `TermRows.fold` divides each row by
+its right-hand side. One call returns the row values, the Jacobian and the
+weighted Hessian sum, never a Hessian per row.
 
 The solver is one primal-dual interior-point iteration (Boyd & Vandenberghe,
 Convex Optimization, §11.7, Algorithm 11.2) that both phases run: phase two
@@ -26,6 +26,7 @@ once.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -97,9 +98,22 @@ class TermRows:
         used = m.any(axis=0)
         self.b, self.v, self.m = b[used], v[used], m[:, used]           # (F,), (F,), (T, F)
         self.select = np.eye(n)[self.v]                                # V (F, n)
-        self.starts = np.cumsum(counts) - counts
+        self.counts, self.starts = counts, np.cumsum(counts) - counts
         self.seg = np.repeat(np.arange(counts.size), counts)
         self.size, self.columns = counts.size, n
+
+    def fold(self, r, big_r) -> "TermRows":
+        """This table with row i divided by exp(r_i + R_i . y), for finite r
+        (size,) and R (size, columns): a copy with c - r[row] and a - R[row]
+        that shares every other array, none of which either table writes."""
+        r, big_r = np.asarray(r, dtype=float), np.asarray(big_r, dtype=float)
+        if r.shape != (self.size,) or big_r.shape != (self.size, self.columns) \
+                or not np.isfinite(np.append(r, big_r)).all():
+            raise GpModelError(f"need a finite r ({self.size},) and R ({self.size}, "
+                               f"{self.columns}), got {r.shape} and {big_r.shape}")
+        out = copy.copy(self)
+        out.c, out.a = self.c - r[self.seg], self.a - big_r[self.seg]
+        return out
 
     def log_eval(self, y):
         z = self.c + self.a @ y
@@ -127,6 +141,19 @@ class TermRows:
                                                 minlength=y.size)
             return h
         return vals, jac, hess
+
+
+def stack(tables) -> TermRows:
+    """The rows of term tables over the same columns, in order, as one table;
+    each factor weights the terms of its own table alone."""
+    if len({t.columns for t in tables}) != 1:
+        raise GpModelError(f"tables over {[t.columns for t in tables]} columns do not stack")
+    ends = np.cumsum([t.m.shape for t in tables], axis=0)             # (terms, factors)
+    m = np.zeros(ends[-1])
+    for t, (terms, factors) in zip(tables, ends):
+        m[terms - t.c.size:terms, factors - t.b.size:factors] = t.m
+    return TermRows(*(np.concatenate([getattr(t, k) for t in tables])
+                      for k in ("c", "a", "counts", "b", "v")), m)
 
 
 # Constants of the primal-dual interior-point method (B&V §11.7).
@@ -160,46 +187,31 @@ class _IterBudget:
 
 class GpModel:
     """Maximize exp(c0 + a0 . y - w . f(y)) subject to f(y) <= 0 in y = log x,
-    x the variables `names`, for f(y) = (the rows of `tables`, concatenated)
-    - r - R y, row weights w and objective = (c0, a0).
+    x the variables `names`, for f(y) = the rows of `table`, row weights w
+    and objective = (c0, a0).
 
-    Each table must span the len(names) columns, r and R hold one finite row
-    per table row, w one finite, nonnegative weight and a0 one finite exponent
-    per variable; anything else is a GpModelError.
+    The table must hold at least one row over the len(names) columns, w one
+    finite, nonnegative weight per row and a0 one finite exponent per
+    variable; anything else is a GpModelError. The table is checked where it
+    is built, not here.
     """
 
-    def __init__(self, names, tables, r, big_r, weights, objective):
-        self.names, self.tables = tuple(names), tuple(tables)
-        n, size, self._rows = len(self.names), 0, []
-        for table in self.tables:
-            if table.columns != n:
-                raise GpModelError(f"a table spans {table.columns} columns of {n} variables")
-            self._rows.append(slice(size, size + table.size))
-            size += table.size
-        if not size:
-            raise GpModelError("a GP without rows is unbounded")
-        self.r, self.big_r = np.asarray(r, dtype=float), np.asarray(big_r, dtype=float)
+    def __init__(self, names, table, weights, objective):
+        self.names, self.table = tuple(names), table
+        n = len(self.names)
+        if table.columns != n or not table.size:
+            raise GpModelError(f"need a table of rows over {n} columns, got "
+                               f"{table.size} rows over {table.columns}")
+        # row values, Jacobian and the weighted-Hessian-sum function at y
+        self.log_eval = table.log_eval
         self.weights = np.array(weights, dtype=float)
         self.objective = (float(objective[0]), np.asarray(objective[1], dtype=float))
-        if self.r.shape != (size,) or self.big_r.shape != (size, n) \
-                or self.weights.shape != (size,) or self.objective[1].shape != (n,):
-            raise GpModelError(f"need r ({size},), R ({size}, {n}), {size} row weights "
-                               f"and {n} objective exponents")
-        if not (np.isfinite(self.r).all() and np.isfinite(self.big_r).all()
-                and np.isfinite(self.objective[1]).all() and math.isfinite(self.objective[0])
-                and all(0.0 <= w < math.inf for w in self.weights.tolist())):
-            raise GpModelError("need finite r, R and objective and finite, nonnegative "
+        if self.weights.shape != (table.size,) or self.objective[1].shape != (n,):
+            raise GpModelError(f"need {table.size} row weights and {n} objective exponents")
+        if not (np.isfinite(self.objective[1]).all() and math.isfinite(self.objective[0])
+                and np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise GpModelError("need a finite objective and finite, nonnegative "
                                f"row weights, got weights {weights!r}")
-
-    def log_eval(self, y: np.ndarray):
-        """Row values, Jacobian and the weighted-Hessian-sum function at y."""
-        parts = [t.log_eval(y) for t in self.tables]
-        vals = np.concatenate([p[0] for p in parts]) - self.r - self.big_r @ y
-        jac = np.concatenate([p[1] for p in parts]) - self.big_r
-
-        def hess(weights):
-            return sum(h(weights[rows]) for rows, (_, _, h) in zip(self._rows, parts))
-        return vals, jac, hess
 
     def constraint_margins(self, x: np.ndarray) -> np.ndarray:
         """Log-space slack f(log x) per constraint row; <= 0 means satisfied."""

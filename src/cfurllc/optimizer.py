@@ -6,9 +6,10 @@ monomials (`approx`, all K devices in one call), yielding a GP whose solution
 can only improve the true objective. Joint SINR rows are one term table
 (`gp.TermRows`) per decoder, from `mrc_rows` or `fzf_rows`, over the
 service-set terms and factors of `approx.service_terms`, as the gain tables
-are. A max-slack GP, in `feasibility_init`, provides the feasible starting
-point; the infinite-blocklength benchmark reuses it with the dispersion
-penalty removed. The fixed-pilot benchmark freezes the pilots, so
+are; a scheme stacks them over its energy rows once, and each round folds its
+fits into that one table. A max-slack GP, in `feasibility_init`, provides the
+feasible starting point; the infinite-blocklength benchmark reuses it with the
+dispersion penalty removed. The fixed-pilot benchmark freezes the pilots, so
 its SINR floors are linear in the payloads: one linear solve gives the least
 payloads meeting them and decides feasibility (Yates, IEEE JSAC 13(7), 1995),
 and the SCA starts above those payloads.
@@ -16,7 +17,6 @@ and the SCA starts above those payloads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -203,15 +203,14 @@ def fzf_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
                        np.insert(weights, ends, every, axis=0))
 
 
-def _energy_rows(model: LargeScaleModel, blocklength: int, pp, pd, n: int) -> gp.TermRows:
-    """The K energy rows K pp_k + (L - K) pd_k <= E_k over the pilot columns
-    pp and payload columns pd of n, each budget divided into its row's terms."""
+def _energy_rows(model: LargeScaleModel, blocklength: int) -> gp.TermRows:
+    """The K energy rows K pp_k + (L - K) pd_k <= E_k over the K pilots, then
+    the K payloads, each budget divided into its row's terms."""
     kdev = model.num_devices
     log_energy = _log(model.energy)
     c = np.column_stack([math.log(kdev) - log_energy, math.log(blocklength - kdev) - log_energy])
-    a = np.zeros((2 * kdev, n))
-    a[np.arange(2 * kdev), np.column_stack([pp, pd]).ravel()] = 1.0
-    return gp.TermRows(c.ravel(), a, np.full(kdev, 2))
+    return gp.TermRows(c.ravel(), np.eye(2 * kdev)[np.arange(2 * kdev).reshape(2, -1).T.ravel()],
+                       np.full(kdev, 2))
 
 
 def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
@@ -233,18 +232,18 @@ def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
     return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
 
 
-def _round_gp(names: list[str], tables: tuple, w_hat, r: np.ndarray,
+def _round_gp(names: list[str], table: gp.TermRows, w_hat, r: np.ndarray,
               big_r: np.ndarray) -> gp.GpModel:
-    """One round's GP over the variables `names`: the rows of `tables`, the K
-    SINR rows first, whose right-hand sides over their floors are
-    exp(r + R y) in the log variables y; the other rows carry theirs in their
-    terms. A step GP weights SINR row k by w_hat_k, so it maximizes
+    """One round's GP over the variables `names`: the rows of `table`, the K
+    SINR rows first, whose right-hand sides over their floors, exp(r + R y)
+    in the log variables y, are folded into their terms; the other rows carry
+    theirs already. A step GP weights SINR row k by w_hat_k, so it maximizes
     prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs over their floors. The
     max-slack GP, for w_hat None, puts a variable phi first, divides every
-    SINR right-hand side by it and maximizes it; its tables span phi too.
+    SINR right-hand side by it and maximizes it; its table spans phi too.
     """
     slack = w_hat is None
-    size, k, n = sum(t.size for t in tables), r.size, len(names) + slack
+    size, k, n = table.size, r.size, len(names) + slack
     rhs, rhs_exponents = np.zeros(size), np.zeros((size, n))
     weights, objective = np.zeros(size), np.zeros(n)
     rhs[:k] = r
@@ -255,7 +254,7 @@ def _round_gp(names: list[str], tables: tuple, w_hat, r: np.ndarray,
         objective[0] = 1.0
     else:
         weights[:k] = w_hat
-    return gp.GpModel(names, tables, rhs, rhs_exponents, weights, (0.0, objective))
+    return gp.GpModel(names, table.fold(rhs, rhs_exponents), weights, (0.0, objective))
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +278,18 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     names = [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]
     log_floors = _log(floors)
     gain_rows = (approx.mrc_gain_rows if decoder == MRC else approx.fzf_gain_rows)(model)
-
-    @functools.cache
-    def tables(slack):
-        """The SINR rows, then the energy rows, over phi (given slack), the
-        pilots and the payloads."""
-        pp = slack + np.arange(kdev)
-        pd = pp + kdev
-        n = 2 * kdev + slack
-        return ((mrc_rows if decoder == MRC else fzf_rows)(model, pp, pd, n),
-                _energy_rows(model, cfg.blocklength, pp, pd, n))
+    # the SINR rows, then the energy rows, over the pilots and the payloads;
+    # the max-slack GP's table puts a column for phi, in no row, first
+    table = gp.stack([(mrc_rows if decoder == MRC else fzf_rows)(
+        model, np.arange(kdev), np.arange(kdev, 2 * kdev), 2 * kdev),
+        _energy_rows(model, cfg.blocklength)])
+    tables = (table, gp.TermRows(table.c, np.insert(table.a, 0, 0.0, axis=1), table.counts,
+                                 table.b, table.v + 1, table.m))
 
     def build(pilot_hat, w_hat):
         log_coeffs, exponents = _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat,
                                            gain_rows)
-        return _round_gp(names, tables(w_hat is None), w_hat, log_coeffs - log_floors,
+        return _round_gp(names, tables[w_hat is None], w_hat, log_coeffs - log_floors,
                          exponents)
 
     return _Scheme(build=build,
@@ -303,12 +299,12 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                    sinr_of=lambda alloc: true_sinr(model, alloc, cfg.antennas_per_ap, decoder))
 
 
-def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                     floors: np.ndarray) -> tuple[PowerAllocation | None, float, str]:
-    """Find a joint allocation meeting every SINR floor, or report infeasible.
+def feasibility_init(model: LargeScaleModel, cfg: SystemConfig,
+                     scheme: _Scheme) -> tuple[PowerAllocation | None, float, str]:
+    """Find a joint allocation meeting every SINR floor of `scheme`, or report infeasible.
 
-    Solves the max-slack GP from the equal energy split (phi first, then the
-    pilots and payloads) and re-expands the fits at the returned pilots,
+    Solves the scheme's max-slack GP from the equal energy split (phi first,
+    then the pilots and payloads) and re-expands the fits at the returned pilots,
     which can only raise the certified slack. Each solve stops at its first
     strictly feasible iterate with phi >= 1.05 (status target_reached), which
     certifies the floors as well as the optimum would; a GP whose slack stays
@@ -319,7 +315,6 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     message, empty unless a GP failed numerically.
     """
     kdev = model.num_devices
-    scheme = _joint_scheme(model, cfg, decoder, floors)
     pilot_hat = model.energy / (2.0 * kdev)
     payload0 = model.energy / (2.0 * (cfg.blocklength - kdev))
     start = np.concatenate([[1e-3], 0.9 * pilot_hat, 0.9 * payload0])
@@ -408,16 +403,16 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
 
 def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                params: fbl.FblParams, start: PowerAllocation | None = None) -> SolveResult:
-    """Joint pilot/payload SCA from `start`, or from feasibility_init."""
+    """Joint pilot/payload SCA on one scheme from `start`, or from feasibility_init."""
     fbl.check_decoder(decoder)
     floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
+    scheme = _joint_scheme(model, cfg, decoder, floors)
     if start is None:
-        start, phi, error = feasibility_init(model, cfg, decoder, floors)
+        start, phi, error = feasibility_init(model, cfg, scheme)
         if start is None:
             return _no_allocation("aborted" if error else "infeasible",
                                   error or f"max floor slack {phi:.4f} < 1")
-    return _run_sca(model, cfg, params, floors, start,
-                    _joint_scheme(model, cfg, decoder, floors))
+    return _run_sca(model, cfg, params, floors, start, scheme)
 
 
 def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
@@ -501,7 +496,7 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
                         np.vstack([ratios.reshape(-1, kdev), np.eye(kdev)]),
                         np.append(np.full(kdev, kdev + 1), np.ones(kdev, dtype=int)))
     scheme = _Scheme(build=lambda pilot_hat, w_hat: _round_gp(
-                         [f"pd{k}" for k in range(kdev)], (table,), w_hat, np.zeros(kdev),
+                         [f"pd{k}" for k in range(kdev)], table, w_hat, np.zeros(kdev),
                          np.zeros((kdev, kdev))),
                      read=lambda sol: PowerAllocation(pilot=pilot, payload=sol.x[-kdev:]),
                      coords=lambda alloc: alloc.payload,

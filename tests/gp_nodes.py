@@ -4,17 +4,20 @@
 a variable and returns it as a monomial, `maximize` sets a monomial
 objective, `add_le(lhs, rhs, weight)` adds lhs <= rhs for a monomial or a
 `Sum` of monomials under a monomial, and `add_block_le(table, rhs, weights)`
-adds the rows of a table under monomials. `model()` writes the arrays:
+adds the rows of a term table under monomials. `model()` writes the arrays:
 consecutive `add_le` rows become one term table, each right-hand side divided
 into its row's terms, as the package's energy and fixed-pilot rows are; a
-block is a table of its own, its right-hand sides in r and R.
+block's right-hand sides are folded into its table by `gp.TermRows.fold`, as
+each SCA round's are; and `gp.stack` joins the tables into the GP's one.
+`model(walk=True)` writes every row as node trees instead, one `NodeRows`.
 
 Every node's `log_eval(y)` returns log node(exp(y)) with its gradient and
 Hessian by walking the expression one node at a time: monomials, sums of any nodes,
 products, powers and the fused single-variable family `PosyProductSum`.
 `table_trees` writes the rows of a term table as such trees, and `NodeRows`
-is a table evaluated by the walk. The term tables and GPs of `cfurllc.gp`
-and the SINR tables of `cfurllc.optimizer` are checked against it.
+is a table of rows log(lhs / rhs) evaluated by the walk. The term tables and
+GPs of `cfurllc.gp` and the SINR tables of `cfurllc.optimizer` are checked
+against it.
 
 `random_two_var_problem` and `grid_optimum` are the second oracle: bounded
 random GPs in two variables and their optimum by log-grid enumeration.
@@ -22,6 +25,7 @@ random GPs in two variables and their optimum by log-grid enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -155,35 +159,30 @@ def table_trees(log_coeffs, exponents, counts, factor_coeffs=(), factor_columns=
 
 def term_trees(table: gp.TermRows, offset: int = 0) -> list[Sum]:
     """`table_trees` of a built table."""
-    counts = np.diff(np.append(table.starts, table.c.size))
-    return table_trees(table.c, table.a, counts, table.b, table.v, table.m, offset)
-
-
-def rhs_monomials(model: gp.GpModel, offset: int = 0) -> list[Monomial]:
-    """The right-hand side exp(r_i + R_i y) of every row of a model as a
-    monomial, every column moved up by offset."""
-    return [log_monomial(c, a, offset) for c, a in zip(model.r, model.big_r)]
+    return table_trees(table.c, table.a, table.counts, table.b, table.v, table.m, offset)
 
 
 class NodeRows:
-    """A table of expressions over `columns` variables, evaluated by the node
-    walk, row by row."""
+    """A table of the rows log(lhs_i / rhs_i) of expressions over `columns`
+    variables, evaluated by the node walk, row by row."""
 
-    def __init__(self, lhs, columns: int):
-        self.lhs = list(lhs)
+    def __init__(self, lhs, rhs, columns: int):
+        self.lhs, self.rhs = list(lhs), list(rhs)
+        assert len(self.lhs) == len(self.rhs)
         self.size, self.columns = len(self.lhs), columns
 
     def log_eval(self, y):
-        parts = [e.log_eval(y) for e in self.lhs]
+        parts = [(lhs.log_eval(y), rhs.log_eval(y)) for lhs, rhs in zip(self.lhs, self.rhs)]
 
         def hess(weights):
-            return sum(w * p[2] for w, p in zip(weights, parts))
-        return np.array([p[0] for p in parts]), np.array([p[1] for p in parts]), hess
+            return sum(w * (p[2] - q[2]) for w, (p, q) in zip(weights, parts))
+        return (np.array([p[0] - q[0] for p, q in parts]),
+                np.array([p[1] - q[1] for p, q in parts]), hess)
 
 
 @dataclass
 class Row:
-    lhs: Monomial | Sum      # of monomials
+    lhs: object              # a Monomial or Sum of monomials; any node for a walk
     rhs: Monomial
     weight: float
 
@@ -199,6 +198,25 @@ def _terms(expr) -> list[Monomial]:
     if isinstance(expr, Monomial):
         return [expr]
     return [t for term in expr.terms for t in _terms(term)]
+
+
+def lhs_nodes(problem: "Problem") -> list:
+    """The left-hand side of every row of a Problem as a node tree, in row
+    order; a block's rows through `term_trees`."""
+    return [node for row in problem.rows
+            for node in ([row.lhs] if isinstance(row, Row) else term_trees(row.table))]
+
+
+def rhs_monomials(problem: "Problem") -> list[Monomial]:
+    """The right-hand side of every row of a Problem, in row order."""
+    return [mono for row in problem.rows
+            for mono in ([row.rhs] if isinstance(row, Row) else row.rhs)]
+
+
+def row_weights(problem: "Problem") -> list[float]:
+    """The weight of every row of a Problem, in row order."""
+    return [w for row in problem.rows
+            for w in ([row.weight] if isinstance(row, Row) else row.weights)]
 
 
 class Problem:
@@ -223,33 +241,28 @@ class Problem:
         self.rows.append(Block(table, list(rhs),
                                [0.0] * table.size if weights is None else list(weights)))
 
-    def model(self) -> gp.GpModel:
+    def model(self, walk: bool = False) -> gp.GpModel:
         n = len(self.names)
-        tables, r, big_r, weights, run = [], [], [], [], []
-
-        def fold():
-            """The rows of `run` as one table, right-hand sides in the terms."""
-            if run:
-                terms = [(t, row.rhs) for row in run for t in _terms(row.lhs)]
-                tables.append(gp.TermRows([t.log_coeff - rhs.log_coeff for t, rhs in terms],
-                                          [t.dense(n) - rhs.dense(n) for t, rhs in terms],
-                                          [len(_terms(row.lhs)) for row in run]))
-                r.extend([0.0] * len(run))
-                big_r.extend([np.zeros(n)] * len(run))
-                weights.extend(row.weight for row in run)
-                run.clear()
-
-        for row in self.rows:
-            if isinstance(row, Row):
-                run.append(row)
-                continue
-            fold()
-            tables.append(row.table)
-            r.extend(mono.log_coeff for mono in row.rhs)
-            big_r.extend(mono.dense(n) for mono in row.rhs)
-            weights.extend(row.weights)
-        fold()
-        return gp.GpModel(self.names, tables, r, np.reshape(big_r, (len(r), n)), weights,
+        if walk:
+            table = NodeRows(lhs_nodes(self), rhs_monomials(self), n)
+        else:
+            tables = []
+            for plain, group in itertools.groupby(self.rows, lambda row: isinstance(row, Row)):
+                if plain:
+                    # the rows as one table, right-hand sides in the terms
+                    run = list(group)
+                    terms = [(t, row.rhs) for row in run for t in _terms(row.lhs)]
+                    tables.append(gp.TermRows(
+                        [t.log_coeff - rhs.log_coeff for t, rhs in terms],
+                        [t.dense(n) - rhs.dense(n) for t, rhs in terms],
+                        [len(_terms(row.lhs)) for row in run]))
+                    continue
+                for block in group:
+                    tables.append(block.table.fold(
+                        [mono.log_coeff for mono in block.rhs],
+                        np.reshape([mono.dense(n) for mono in block.rhs], (len(block.rhs), n))))
+            table = gp.stack(tables)
+        return gp.GpModel(self.names, table, row_weights(self),
                           (self.objective.log_coeff, self.objective.dense(n)))
 
 

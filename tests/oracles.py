@@ -10,7 +10,9 @@ closed-form means of every decoder term, for the Monte-Carlo validator in
 `channel.draw_channel`, which draws in the span of each AP's estimate, and
 its projection onto that span, for the zero-forcing decode; and the
 zero-forcing vectors and rank check from the inverted Gram matrix, for the
-back substitution of `montecarlo._fzf_vectors`.
+back substitution of `montecarlo._fzf_vectors`; and the SINR constants one
+device at a time, for the service-set indicator products of
+`fbl.sinr_pieces`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from cfurllc.channel import ChannelRealization, EstimationStats
 from cfurllc.approx import MonomialFit
-from cfurllc.fbl import FblParams, rate_kernel
+from cfurllc.fbl import FblParams, SinrPieces, rate_kernel
 from cfurllc.scenario import LargeScaleModel
 
 
@@ -362,3 +364,24 @@ def fzf_vectors_by_gram(g_hat: np.ndarray, n_antennas: int, first_trial: int) ->
     if bad.size:
         raise RuntimeError(f"trial {first_trial + bad[0]}: estimated channel rank-deficient")
     return np.swapaxes(np.swapaxes(g_hat, 2, 3) @ inv, 2, 3)
+
+
+def sinr_pieces_by_device(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
+                          decoder: str) -> SinrPieces:
+    """The SINR constants of `fbl.sinr_pieces`, a device at a time, each sum
+    taken over the service set in its own order."""
+    kdev = model.num_devices
+    coherent, noise, cross = np.empty(kdev), np.empty(kdev), np.empty((kdev, kdev))
+    for dev, aps in enumerate(model.service_sets):
+        idx = list(aps)
+        if decoder == "mrc":
+            lam = stats.lam[idx, dev]
+            coherent[dev] = lam.sum() ** 2
+            noise[dev] = lam.sum()
+            cross[dev] = (model.beta[idx, :] * lam[:, None]).sum(axis=0)
+        else:
+            coherent[dev] = np.sqrt(stats.lam[idx, dev]).sum() ** 2
+            noise[dev] = len(idx)
+            cross[dev] = stats.err_var[idx, :].sum(axis=0)
+    return SinrPieces(n_antennas if decoder == "mrc" else n_antennas - kdev,
+                      coherent, noise, cross)

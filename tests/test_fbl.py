@@ -13,7 +13,7 @@ from cfurllc.scenario import SystemConfig
 from conftest import random_model, toy_model
 from oracles import (alpha_limit, fzf_factors, kernel_inverse_from_zero, kernel_zero,
                      mrc_factors, normal_approximation_rate, penalty_factor,
-                     sinr_fzf_from_factors, sinr_mrc_from_factors)
+                     sinr_fzf_from_factors, sinr_mrc_from_factors, sinr_pieces_by_device)
 
 
 def q_tail(x):
@@ -263,6 +263,30 @@ def test_fzf_sinr_requires_more_antennas_than_devices():
     stats = estimation_stats(model, np.ones(4))
     with pytest.raises(ValueError):
         lb_sinr_fzf(model, stats, np.ones(4), 4)
+
+
+@pytest.mark.parametrize("kdev", [2, 5, 10])
+def test_sinr_pieces_match_the_per_device_loop(kdev, rng):
+    # the indicator products sum over every AP in index order, the loop over
+    # each service set in its own order: equal up to rounding
+    for size in range(1, 7):
+        model = random_model(rng, num_aps=6, num_devices=kdev, set_size=size)
+        stats = estimation_stats(model, np.exp(rng.normal(0.0, 2.0, kdev)))
+        for decoder in ("mrc", "fzf"):
+            got = fbl.sinr_pieces(model, stats, kdev + 4, decoder)
+            want = sinr_pieces_by_device(model, stats, kdev + 4, decoder)
+            assert got.antennas == want.antennas
+            for name in ("coherent", "noise", "cross"):
+                assert np.allclose(getattr(got, name), getattr(want, name),
+                                   rtol=1e-13, atol=0), (size, decoder, name)
+
+
+def test_sinr_pieces_reject_an_empty_service_set():
+    model = toy_model(np.ones((2, 3)), service_sets=[(0,), (), (0, 1)])
+    stats = estimation_stats(model, np.ones(3))
+    for decoder in ("mrc", "fzf"):
+        with pytest.raises(ValueError, match="device 1 has an empty service set"):
+            fbl.sinr_pieces(model, stats, 8, decoder)
 
 
 # --------------------------------------------------------------------------

@@ -172,14 +172,15 @@ def test_one_term_rows_are_affine_to_the_bit(rng):
         assert not hess(rng.uniform(0.0, 3.0, rows)).any()
 
 
-def gp_arrays():
-    """Arguments of a GpModel in two variables: x_0 <= 2 and x_0 + x_1 <= 3,
-    the second under weight 1, maximizing x_0 x_1 3 / (x_0 + x_1)."""
-    table = gp.TermRows(np.log([1.0, 1 / 3, 1 / 3]), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                        [1, 2])
-    return {"names": ["x0", "x1"], "tables": [table], "r": np.array([math.log(2.0), 0.0]),
-            "big_r": np.zeros((2, 2)), "weights": np.array([0.0, 1.0]),
-            "objective": (0.0, np.ones(2))}
+def gp_model(names=("x0", "x1"), table=None, r=(math.log(2.0), 0.0), big_r=np.zeros((2, 2)),
+             weights=(0.0, 1.0), objective=(0.0, np.ones(2))):
+    """A GpModel in two variables: x_0 <= 2 and x_0 + x_1 <= 3, the second
+    under weight 1, maximizing x_0 x_1 3 / (x_0 + x_1); the right-hand sides
+    exp(r + R y) are folded into the table."""
+    if table is None:
+        table = gp.TermRows(np.log([1.0, 1 / 3, 1 / 3]), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                            [1, 2])
+    return GpModel(names, table.fold(r, big_r), weights, objective)
 
 
 @pytest.mark.parametrize("bad", [
@@ -191,14 +192,25 @@ def gp_arrays():
     {"weights": [1.0]}, {"weights": [0.0, 1.0, 0.0]},
     {"objective": (0.0, np.ones(3))}, {"objective": (0.0, np.ones(1))},
     {"objective": (math.inf, np.ones(2))}, {"objective": (0.0, [1.0, math.nan])},
-    {"tables": []},
+    {"table": gp.TermRows([], np.zeros((0, 2)), []), "r": [], "big_r": np.zeros((0, 2)),
+     "weights": []},
 ])
 def test_model_rejects_inconsistent_arrays(bad):
-    sol = GpModel(**gp_arrays()).solve(tol=1e-10)
+    # the right-hand sides are checked where they are folded, the rest by
+    # the model
+    sol = gp_model().solve(tol=1e-10)
     assert sol.status == "optimal"
     assert sol.x == pytest.approx([1.5, 1.5], rel=1e-7)
     with pytest.raises(GpModelError):
-        GpModel(**{**gp_arrays(), **bad})
+        gp_model(**bad)
+
+
+def test_only_tables_over_the_same_columns_stack():
+    one = gp.TermRows([0.0], [[1.0, 0.0]], [1])
+    assert gp.stack([one, one]).size == 2
+    for tables in ([], [one, gp.TermRows([0.0], [[1.0]], [1])]):
+        with pytest.raises(GpModelError, match="do not stack"):
+            gp.stack(tables)
 
 
 def test_posynomial_boundary_tightness():
@@ -377,10 +389,12 @@ def test_row_weights_must_be_finite_and_nonnegative():
         with pytest.raises(GpModelError):
             m.model()
     m = Problem()
-    x = m.variable("x")
-    m.add_block_le(nodes.NodeRows([x, x], 1), [Const(2.0)] * 2, weights=[1.0])
-    with pytest.raises(GpModelError):
-        m.model()
+    m.variable("x")
+    m.add_block_le(gp.TermRows([0.0, 0.0], [[1.0], [1.0]], [1, 1]), [Const(2.0)] * 2,
+                   weights=[1.0])
+    for walk in (False, True):
+        with pytest.raises(GpModelError):
+            m.model(walk=walk)
 
 
 @pytest.mark.parametrize("point", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]],
@@ -404,20 +418,18 @@ def test_points_must_be_positive_and_one_per_variable(point):
 # --------------------------------------------------------------------------
 
 def node_walk(model, y, weights):
-    """Reference for a model's rows: every row of its tables on its own as a
-    node tree, minus its right-hand side, Hessians summed one dense matrix at
-    a time."""
-    trees = [tree for table in model.tables for tree in nodes.term_trees(table)]
-    parts = [tree.log_eval(y) for tree in trees]
-    rhs = [mono.log_eval(y) for mono in nodes.rhs_monomials(model)]
-    return (np.array([p[0] - r[0] for p, r in zip(parts, rhs)]),
-            np.array([p[1] - r[1] for p, r in zip(parts, rhs)]),
+    """Reference for a model's rows: every row of its table on its own as a
+    node tree, its right-hand side folded into its terms, Hessians summed one
+    dense matrix at a time."""
+    parts = [tree.log_eval(y) for tree in nodes.term_trees(model.table)]
+    return (np.array([p[0] for p in parts]), np.array([p[1] for p in parts]),
             sum(w * p[2] for w, p in zip(weights, parts)))
 
 
 def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
-    # capture the GPs of a joint solve (energy rows) and of the fixed-pilot
-    # scheme (its SINR and payload-cap rows are plain posynomials)
+    # capture the GPs of a joint solve (SINR rows with factors, energy rows)
+    # and of the fixed-pilot scheme (its SINR and payload-cap rows are plain
+    # posynomials): each is one term table, right-hand sides in its terms
     from cfurllc import optimizer
     from cfurllc.scenario import SystemConfig, generate_topology
     solved = []
@@ -434,12 +446,10 @@ def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
     model = generate_topology(cfg, seed=7)
     assert optimizer.solve(model, cfg, "mrc").feasible
     assert optimizer.benchmark_fixed_pilot(model, cfg, "fzf").feasible
-    folded = 0
+    assert all(type(m.table) is gp.TermRows for m, _ in solved)
+    # the joint GPs' tables have factors, the fixed-pilot ones none
+    assert {m.table.b.size == 0 for m, _ in solved} == {False, True}
     for m, sol in solved:
-        # one factor-free table holds every posynomial row; the joint
-        # scheme's SINR rows are a second table, with factors
-        folded += sum(isinstance(table, gp.TermRows) and table.b.size == 0
-                      for table in m.tables)
         for _ in range(3):
             y = np.log(sol.x) + rng.normal(0.0, 0.3, sol.x.size)
             weights = rng.uniform(0.1, 3.0, m.weights.size)
@@ -448,7 +458,6 @@ def test_posynomial_fold_matches_node_walk(monkeypatch, rng):
             assert np.allclose(vals, ref_vals, rtol=1e-12, atol=1e-11)
             assert np.allclose(jac, ref_jac, rtol=1e-12, atol=1e-11)
             assert np.allclose(hess(weights), ref_hess, rtol=1e-10, atol=1e-10)
-    assert folded == len(solved)
 
 
 def test_mixed_rows_solve_to_the_node_walk_optimum():
@@ -456,18 +465,14 @@ def test_mixed_rows_solve_to_the_node_walk_optimum():
     def build(seed, walk):
         prob = random_two_var_problem(np.random.default_rng(seed))
         prob.add_le(Monomial(0.5, {0: 1.0, 1: -0.3}), Const(40.0))
-        if walk:
-            # every row in one block that walks its node graph
-            rows, prob.rows = prob.rows, []
-            prob.add_block_le(nodes.NodeRows([row.lhs for row in rows], 2),
-                              [row.rhs for row in rows])
-        return prob.model()
+        # walk: every row in one table that walks its node graph
+        return prob.model(walk=walk)
 
     for seed in range(8):
         mixed = build(500 + seed, walk=False)
-        assert {type(table) for table in mixed.tables} == {gp.TermRows}
+        assert type(mixed.table) is gp.TermRows
         walked = build(500 + seed, walk=True)
-        assert {type(table) for table in walked.tables} == {nodes.NodeRows}
+        assert type(walked.table) is nodes.NodeRows
         a, b = mixed.solve(), walked.solve()
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, rel=1e-8)

@@ -85,12 +85,17 @@ def test_floor_monotone_in_reliability():
 # feasibility initialization
 # --------------------------------------------------------------------------
 
+def max_slack_stage(model, cfg, decoder, floors):
+    """feasibility_init on a new joint scheme of the decoder."""
+    return feasibility_init(model, cfg, optimizer._joint_scheme(model, cfg, decoder, floors))
+
+
 def test_feasibility_easy_instance():
     cfg = DESK.replace(energy_budget=1e14, rate_req_bps=1e5)
     model = generate_topology(cfg, seed=3)
     params = fbl.FblParams.from_config(cfg)
     floors = sinr_floors(params, np.full(5, cfg.rate_req_bps))
-    alloc, slack, error = feasibility_init(model, cfg, MRC, floors)
+    alloc, slack, error = max_slack_stage(model, cfg, MRC, floors)
     assert alloc is not None and slack >= 1.0 and error == ""
     used = alloc.energy(cfg.num_devices, cfg.blocklength)
     assert np.all(used <= model.energy * (1 + 1e-9))
@@ -103,7 +108,7 @@ def test_feasibility_impossible_instance():
     model = generate_topology(cfg, seed=3)
     params = fbl.FblParams.from_config(cfg)
     floors = sinr_floors(params, np.full(5, cfg.rate_req_bps))
-    alloc, slack, error = feasibility_init(model, cfg, MRC, floors)
+    alloc, slack, error = max_slack_stage(model, cfg, MRC, floors)
     assert alloc is None and slack < 1.0 and error == ""
 
 
@@ -118,7 +123,7 @@ def test_feasibility_boundary_from_grid_oracle():
         probe = cfg.replace(rate_req_bps=factor * capacity)
         params = fbl.FblParams.from_config(probe)
         floors = sinr_floors(params, np.full(1, probe.rate_req_bps))
-        alloc, _, _ = feasibility_init(model, probe, MRC, floors)
+        alloc, _, _ = max_slack_stage(model, probe, MRC, floors)
         assert (alloc is not None) == expect
 
 
@@ -141,7 +146,7 @@ def joint_stage(cfg, seed, decoder):
     model = generate_topology(cfg, seed=seed)
     floors = sinr_floors(fbl.FblParams.from_config(cfg),
                          np.full(cfg.num_devices, cfg.rate_req_bps))
-    return model, floors, feasibility_init(model, cfg, decoder, floors)
+    return model, floors, max_slack_stage(model, cfg, decoder, floors)
 
 
 def untargeted(solve):
@@ -234,8 +239,8 @@ def test_no_allocation_gp_runs_phase_one(monkeypatch):
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
 def test_gain_table_is_built_once_per_scheme(decoder, monkeypatch):
-    # the gain table depends on the deployment alone, so each joint scheme
-    # builds it once and every SCA round only evaluates it
+    # the gain table depends on the deployment alone, so the solve's one
+    # joint scheme builds it once and every round only evaluates it
     calls = {"scheme": 0, "rows": 0, "fit": 0}
 
     def counted(name, fn):
@@ -251,7 +256,7 @@ def test_gain_table_is_built_once_per_scheme(decoder, monkeypatch):
     monkeypatch.setattr(approx, fit, counted("fit", getattr(approx, fit)))
     res = optimizer.solve(desk_model(), DESK, decoder)
     assert res.status == "optimal"
-    assert calls["rows"] == calls["scheme"] >= 1
+    assert calls["rows"] == calls["scheme"] == 1
     assert calls["fit"] > calls["rows"]
 
 
@@ -708,49 +713,33 @@ def test_fused_constraint_matches_finite_differences(table, rng):
 # the head-free step GP against its epigraph (chi) form
 # --------------------------------------------------------------------------
 
-def step_gps(run):
-    """(GP, start) of every SCA step GP that `run` solves."""
-    captured = []
-    original = gp.GpModel.solve
-
-    def capture(self, *args, **kwargs):
-        if "phi" not in self.names:
-            captured.append((self, kwargs["start"]))
-        return original(self, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gp.GpModel, "solve", capture)
-        assert run().feasible
-    return captured
-
-
-def chi_form(step, floors, block_trees):
-    """The step GP in the epigraph form it replaced: head variables chi_k
-    ahead of the step GP's own, maximize prod_k chi_k^w_k subject to
-    chi_k * lhs_k <= floor_k * rhs_k for each weighted row k and the floor
-    rows floor_k / chi_k <= 1; unweighted rows are copied. The rows are the
-    node trees of the step GP's tables, except that block_trees(pp, pd),
-    given, writes the first K over the new model's pilot and payload
-    columns."""
-    kdev = floors.size
+def chi_form(problem, floors, block_trees):
+    """The step GP of `problem`, a `public_api_problem`, in the epigraph form
+    it replaced: head variables chi_k after the step GP's own, maximize
+    prod_k chi_k^w_k subject to chi_k * lhs_k <= floor_k * rhs_k for each
+    weighted row k and the floor rows floor_k / chi_k <= 1; unweighted rows
+    are copied. The rows are the node trees of the problem's rows, except
+    that block_trees(pp, pd), given, writes the first K over the pilot and
+    payload columns."""
+    kdev, n = floors.size, len(problem.names)
     m = nodes.Problem()
-    chi = [m.variable(f"chi{k}") for k in range(kdev)]
-    for name in step.names:
+    for name in problem.names:
         m.variable(name)
-    lhs = [tree for table in step.tables for tree in nodes.term_trees(table, kdev)]
+    chi = [m.variable(f"chi{k}") for k in range(kdev)]
+    lhs, rhs = nodes.lhs_nodes(problem), nodes.rhs_monomials(problem)
+    weights = np.array(nodes.row_weights(problem))
     if block_trees is not None:
-        lhs[:kdev] = block_trees(kdev + np.arange(kdev), 2 * kdev + np.arange(kdev))
-    rhs = nodes.rhs_monomials(step, kdev)
-    weighted = np.flatnonzero(step.weights)
-    assert np.array_equal(weighted, np.arange(kdev))           # the SINR rows come first
-    for k in weighted:
-        lhs[k] = nodes.Product([chi[k], lhs[k]])
-        rhs[k].log_coeff += math.log(floors[k])
-    m.add_block_le(nodes.NodeRows(lhs, len(m.names)), rhs)
+        lhs[:kdev] = block_trees(np.arange(kdev), kdev + np.arange(kdev))
+    assert np.array_equal(np.flatnonzero(weights), np.arange(kdev))   # the SINR rows come first
+    for k, (left, right) in enumerate(zip(lhs, rhs)):
+        if k < kdev:
+            left = nodes.Product([chi[k], left])
+            right = nodes.log_monomial(right.log_coeff + math.log(floors[k]), right.dense(n))
+        m.add_le(left, right)
     for k in range(kdev):
-        m.add_le(nodes.Monomial(float(floors[k]), {k: -1.0}), nodes.Const(1.0))
-    m.maximize(nodes.Monomial(1.0, dict(enumerate(step.weights[weighted]))))
-    return m.model()
+        m.add_le(nodes.Monomial(float(floors[k]), {n + k: -1.0}), nodes.Const(1.0))
+    m.maximize(nodes.Monomial(1.0, {n + k: weights[k] for k in range(kdev)}))
+    return m.model(walk=True)
 
 
 @pytest.mark.parametrize("scheme", [MRC, FZF, "fixed-pilot"])
@@ -759,21 +748,24 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
     kdev = model.num_devices
     floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(kdev, DESK.rate_req_bps))
     if scheme == "fixed-pilot":
-        steps = step_gps(lambda: benchmark_fixed_pilot(model, DESK, MRC))
-        trees = None
+        rounds = recorded_rounds(lambda: benchmark_fixed_pilot(model, DESK, MRC))
+        public, trees = ("fixed-pilot", MRC), None
     else:
-        steps = step_gps(lambda: optimizer.solve(model, DESK, scheme))
+        rounds = recorded_rounds(lambda: optimizer.solve(model, DESK, scheme))
+        public = scheme
         trees = lambda pp, pd: [GENERIC[scheme](model, k, pp, pd) for k in range(kdev)]
+    steps = [(pilot_hat, w_hat, step, kwargs["start"])
+             for pilot_hat, w_hat, step, kwargs, _ in rounds if w_hat is not None]
     assert len(steps) >= 2
     # the first step GP starts at the allocation its fits are exact at, where
     # SINR row k reads log(floor_k / SINR_k): the floors sit in the rows
-    step, start = steps[0]
+    _, _, step, start = steps[0]
     pilot = model.energy / DESK.blocklength if scheme == "fixed-pilot" else start[:kdev]
     sinr = optimizer.true_sinr(model, optimizer.PowerAllocation(pilot, start[-kdev:]),
                                DESK.antennas_per_ap, MRC if scheme == "fixed-pilot" else scheme)
     margins = step.constraint_margins(start)[step.weights > 0]
     assert np.allclose(margins, np.log(floors / sinr), rtol=0, atol=1e-9)
-    for step, start in steps:
+    for pilot_hat, w_hat, step, start in steps:
         # K or 2K variables and 2K rows: the SINR rows and the energy or
         # payload-cap rows, the SINR rows weighted by the surrogate exponents
         assert len(step.names) == (kdev if scheme == "fixed-pilot" else 2 * kdev)
@@ -786,10 +778,12 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
         margins = step.constraint_margins(start)
         assert margins.max() < 0
         chi = floors * np.exp(-0.5 * margins[weights > 0])
-        ref = chi_form(step, floors, trees).solve(tol=1e-11, start=np.concatenate([chi, start]))
+        problem = public_api_problem(model, DESK, public, floors, pilot_hat, w_hat)
+        ref = chi_form(problem, floors, trees).solve(tol=1e-11,
+                                                     start=np.concatenate([start, chi]))
         sol = step.solve(tol=1e-11, start=start)
         assert ref.status == sol.status == "optimal"
-        assert np.allclose(ref.x[kdev:], sol.x, rtol=1e-7, atol=0)
+        assert np.allclose(ref.x[:-kdev], sol.x, rtol=1e-7, atol=0)
 
 
 # --------------------------------------------------------------------------
@@ -797,7 +791,12 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
 # --------------------------------------------------------------------------
 
 def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
-    """One round's GP built row by row by `gp_nodes.Problem`: the max-slack
+    """The GP of `public_api_problem`."""
+    return public_api_problem(model, cfg, scheme, floors, pilot_hat, w_hat).model()
+
+
+def public_api_problem(model, cfg, scheme, floors, pilot_hat, w_hat):
+    """One round's GP written row by row as a `gp_nodes.Problem`: the max-slack
     GP when w_hat is None (phi first and maximized, every SINR right-hand
     side also divided by phi), else the step GP, SINR row k weighted by
     w_hat_k. scheme is MRC or FZF (the joint allocation, fitted at
@@ -830,7 +829,7 @@ def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
             m.add_le(nodes.Sum(terms), rhs(k, 0.0, {pd[k]: 1.0}), weights[k])
         for k in range(kdev):
             m.add_le(nodes.var(pd[k]), nodes.Const(float(pd_max[k])))
-        return m.model()
+        return m
     pp = [len(m.names) + k for k in range(kdev)]
     pd = [len(m.names) + kdev + k for k in range(kdev)]
     for name in [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]:
@@ -851,7 +850,7 @@ def public_api_gp(model, cfg, scheme, floors, pilot_hat, w_hat):
         m.add_le(nodes.Sum([nodes.Monomial(float(kdev), {pp[k]: 1.0}),
                             nodes.Monomial(float(cfg.blocklength - kdev), {pd[k]: 1.0})]),
                  nodes.Const(float(model.energy[k])))
-    return m.model()
+    return m
 
 
 def recorded_rounds(run):
@@ -906,16 +905,96 @@ def test_reaimed_gps_match_gps_built_through_the_public_api(scheme):
     for pilot_hat, w_hat, step, kwargs, sol in rounds:
         ref = public_api_gp(model, DESK, scheme, floors, pilot_hat, w_hat)
         assert step.names == ref.names
-        for name in ("r", "big_r", "weights"):
-            assert _bits(getattr(step, name)) == _bits(getattr(ref, name)), name
+        assert _bits(step.weights) == _bits(ref.weights)
         assert step.objective[0] == ref.objective[0]
         assert _bits(step.objective[1]) == _bits(ref.objective[1])
-        assert [type(t) for t in step.tables] == [type(t) for t in ref.tables]
-        assert {type(t) for t in step.tables} == {gp.TermRows}
-        for a, b in zip(step.tables, ref.tables, strict=True):
-            for name in ("c", "a", "b", "v", "m", "starts"):
-                assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+        # one term table, the fitted right-hand sides folded into its terms
+        assert type(step.table) is type(ref.table) is gp.TermRows
+        for name in ("c", "a", "b", "v", "m", "starts"):
+            assert _bits(getattr(step.table, name)) == _bits(getattr(ref.table, name)), name
         again = ref.solve(**kwargs)
         assert (again.status, again.iterations) == (sol.status, sol.iterations)
         assert _bits(again.x) == _bits(sol.x)
         assert again.stage_objectives == sol.stage_objectives
+
+
+@pytest.mark.parametrize("scheme", [MRC, FZF, ("fixed-pilot", MRC)])
+def test_folded_round_tables_match_the_row_by_row_walk(scheme, rng):
+    # every round's one table, fits folded into the SINR rows and stacked
+    # over the energy or payload-cap rows, against each row of the same
+    # round walked on its own: left-hand side minus right-hand side
+    model = desk_model()
+    kdev = model.num_devices
+    floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(kdev, DESK.rate_req_bps))
+    if isinstance(scheme, tuple):
+        rounds = recorded_rounds(lambda: benchmark_fixed_pilot(model, DESK, scheme[1]))
+    else:
+        rounds = recorded_rounds(lambda: optimizer.solve(model, DESK, scheme))
+    # the joint schemes' max-slack GPs and step GPs, the fixed-pilot step GPs
+    assert {w_hat is None for _, w_hat, *_ in rounds} == (
+        {False} if isinstance(scheme, tuple) else {True, False})
+    for pilot_hat, w_hat, step, _, sol in rounds:
+        walked = public_api_problem(model, DESK, scheme, floors, pilot_hat, w_hat).model(walk=True)
+        for _ in range(3):
+            y = np.log(sol.x) + rng.normal(0.0, 0.3, sol.x.size)
+            weights = rng.uniform(0.1, 3.0, step.weights.size)
+            vals, jac, hess = step.log_eval(y)
+            ref_vals, ref_jac, ref_hess = walked.log_eval(y)
+            assert np.allclose(vals, ref_vals, rtol=1e-12, atol=1e-11)
+            assert np.allclose(jac, ref_jac, rtol=1e-12, atol=1e-11)
+            assert np.allclose(hess(weights), ref_hess(weights), rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_folding_a_round_leaves_the_previous_rounds_gp_bit_identical(decoder, rng):
+    # a round's GP shares the scheme's factor arrays and row layout and
+    # writes none of them: building and solving the next round changes no
+    # bit of the last one's rows, Jacobian or Hessian
+    model = desk_model()
+    kdev = model.num_devices
+    floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(kdev, DESK.rate_req_bps))
+    scheme = optimizer._joint_scheme(model, DESK, decoder, floors)
+    pilots = [model.energy / (2.0 * kdev) * f for f in (1.0, 0.3)]
+    for w_hat in (None, np.full(kdev, 1.0 / kdev)):
+        first = scheme.build(pilots[0], w_hat)
+        y = rng.normal(20.0, 2.0, len(first.names))
+        weights = rng.uniform(0.1, 3.0, first.weights.size)
+        vals, jac, hess = first.log_eval(y)
+        before = [_bits(vals), _bits(jac), _bits(hess(weights))]
+        second = scheme.build(pilots[1], w_hat)
+        for name in ("b", "v", "m", "select", "starts", "seg"):
+            assert getattr(second.table, name) is getattr(first.table, name), name
+        assert not np.shares_memory(second.table.c, first.table.c)
+        assert not np.shares_memory(second.table.a, first.table.a)
+        assert _bits(second.table.c) != _bits(first.table.c)
+        second.log_eval(y)[2](weights)
+        second.solve(tol=DESK.gp_tolerance)
+        vals, jac, hess = first.log_eval(y)
+        assert [_bits(vals), _bits(jac), _bits(hess(weights))] == before
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_feasibility_init_on_the_solves_scheme_matches_a_fresh_scheme(decoder, monkeypatch):
+    # the solve hands its one scheme to the max-slack stage and the SCA
+    # loop; after every round is built, the stage still returns the bits a
+    # new scheme gives
+    model = desk_model()
+    floors = sinr_floors(fbl.FblParams.from_config(DESK),
+                         np.full(model.num_devices, DESK.rate_req_bps))
+    schemes = []
+    original = optimizer.feasibility_init
+
+    def spy(model, cfg, scheme):
+        schemes.append(scheme)
+        return original(model, cfg, scheme)
+
+    monkeypatch.setattr(optimizer, "feasibility_init", spy)
+    assert optimizer.solve(model, DESK, decoder).status == "optimal"
+    monkeypatch.undo()
+    (scheme,) = schemes
+    used = feasibility_init(model, DESK, scheme)
+    fresh = max_slack_stage(model, DESK, decoder, floors)
+    assert used[0] is not None
+    assert (used[1], used[2]) == (fresh[1], fresh[2])
+    assert _bits(used[0].pilot) == _bits(fresh[0].pilot)
+    assert _bits(used[0].payload) == _bits(fresh[0].payload)
