@@ -8,8 +8,7 @@ from .channel import EstimationStats, draw_channel, estimation_stats, substream
 from .fbl import FblParams, lb_rate, lb_sinr_fzf, lb_sinr_mrc, q_inverse
 from .montecarlo import ergodic_rate
 from .optimizer import (PowerAllocation, SolveResult, benchmark_conventional,
-                        benchmark_fixed_pilot, benchmark_upper_bound,
-                        feasibility_init, solve)
+                        benchmark_fixed_pilot, benchmark_upper_bound, solve)
 from .scenario import (LargeScaleModel, SystemConfig, generate_topology,
                        load_config, noise_power_w, path_loss_db, select_aps)
 
@@ -17,7 +16,7 @@ __all__ = [
     "EstimationStats", "FblParams", "LargeScaleModel", "PowerAllocation",
     "SolveResult", "SystemConfig", "benchmark_conventional",
     "benchmark_fixed_pilot", "benchmark_upper_bound", "draw_channel",
-    "ergodic_rate", "estimation_stats", "feasibility_init", "generate_topology",
+    "ergodic_rate", "estimation_stats", "generate_topology",
     "lb_rate", "lb_sinr_fzf", "lb_sinr_mrc", "load_config", "noise_power_w",
     "path_loss_db", "q_inverse", "select_aps", "solve", "substream",
 ]

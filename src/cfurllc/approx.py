@@ -25,27 +25,32 @@ from .scenario import LargeScaleModel
 PENALTY_TANGENT_MIN = (math.sqrt(17.0) - 3.0) / 4.0
 
 
-def log1p_tangent(x_hat: float) -> tuple[float, float]:
-    """Slope/intercept of the log-domain tangent under log(1+x), tight at x_hat."""
-    if x_hat <= 0:
+def log1p_tangent(x_hat):
+    """Slope/intercept of the log-domain tangent under log(1+x), tight at x_hat,
+    for a scalar or an array of expansion points; any point <= 0 is a ValueError."""
+    x_hat = np.asarray(x_hat, dtype=float)
+    if (x_hat <= 0).any():
         raise ValueError("expansion point must be positive")
     rho = x_hat / (1.0 + x_hat)
-    delta = math.log1p(x_hat) - rho * math.log(x_hat)
+    delta = np.log1p(x_hat) - rho * np.log(x_hat)
     return rho, delta
 
 
-def penalty_tangent(x_hat: float) -> tuple[float, float]:
-    """Slope/intercept of the log-domain tangent above the penalty factor.
+def penalty_tangent(x_hat):
+    """Slope/intercept of the log-domain tangent above the penalty factor, for
+    a scalar or an array of expansion points.
 
     Only valid for expansion points at or above PENALTY_TANGENT_MIN, where the
-    factor is concave in log(x).
+    factor is concave in log(x); any point below is a ValueError.
     """
-    if x_hat < PENALTY_TANGENT_MIN:
+    x_hat = np.asarray(x_hat, dtype=float)
+    below = x_hat[x_hat < PENALTY_TANGENT_MIN]
+    if below.size:
         raise ValueError(
-            f"expansion point {x_hat:.4f} below tangent domain {PENALTY_TANGENT_MIN:.4f}")
-    root = math.sqrt(x_hat * x_hat + 2.0 * x_hat)
+            f"expansion point {below[0]:.4f} below tangent domain {PENALTY_TANGENT_MIN:.4f}")
+    root = np.sqrt(x_hat * x_hat + 2.0 * x_hat)
     rho = x_hat / root - x_hat * root / (1.0 + x_hat) ** 2
-    delta = math.sqrt(1.0 - 1.0 / (1.0 + x_hat) ** 2) - rho * math.log(x_hat)
+    delta = np.sqrt(1.0 - 1.0 / (1.0 + x_hat) ** 2) - rho * np.log(x_hat)
     return rho, delta
 
 
@@ -59,9 +64,9 @@ class MonomialFit:
 
 def service_terms(model: LargeScaleModel, copies: int = 1):
     """Row k's terms (r, m), r = 0..copies-1 and m in S_k, the service set of
-    device k, row by row: per term its row, r and m, then the row sizes, the
-    sets' indicator (K, M) and the coefficients K beta_mi of the factors
-    (AP m, device i) -> log(1 + K beta_mi p_i), factor m K + i."""
+    device k, row by row: per term its row, r and m, then the row sizes and
+    the coefficients K beta_mi of the factors (AP m, device i) ->
+    log(1 + K beta_mi p_i), factor m K + i."""
     kdev = model.num_devices
     sizes = np.array([len(aps) for aps in model.service_sets])
     counts = copies * sizes
@@ -69,9 +74,7 @@ def service_terms(model: LargeScaleModel, copies: int = 1):
     local = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
     ap = np.concatenate(model.service_sets).astype(int)[
         (np.cumsum(sizes) - sizes)[row] + local % sizes[row]]
-    in_set = np.zeros((kdev, model.num_aps))
-    in_set[row, ap] = 1.0
-    return row, local // sizes[row], ap, counts, in_set, kdev * model.beta.ravel()
+    return row, local // sizes[row], ap, counts, kdev * model.beta.ravel()
 
 
 def mrc_gain_rows(model: LargeScaleModel) -> gp.TermRows:
@@ -79,8 +82,8 @@ def mrc_gain_rows(model: LargeScaleModel) -> gp.TermRows:
     (1 + K beta_m'k p_k) over y = log p: row k's term m of `service_terms`
     has weight 1 on every factor (m' in S_k, k) but 0 on (m, k)."""
     kdev = model.num_devices
-    row, _, ap, counts, in_set, b = service_terms(model)
-    weights = (in_set[:, :, None] * np.eye(kdev)[:, None, :]).reshape(kdev, -1)[row]
+    row, _, ap, counts, b = service_terms(model)
+    weights = (model.service_mask[:, :, None] * np.eye(kdev)[:, None, :]).reshape(kdev, -1)[row]
     weights[np.arange(row.size), ap * kdev + row] = 0.0
     return gp.TermRows(np.log(kdev * model.beta[ap, row] ** 2), np.eye(kdev)[row], counts,
                        b, np.tile(np.arange(kdev), model.num_aps), weights)
@@ -93,8 +96,8 @@ def fzf_gain_rows(model: LargeScaleModel) -> gp.TermRows:
     (1 + K beta_m'i p_i)^(1/2): row k's term m of `service_terms` has weight
     1/2 on every factor (m' in S_k, i) but 0 on (m, k)."""
     kdev = model.num_devices
-    row, _, ap, counts, in_set, b = service_terms(model)
-    weights = 0.5 * np.repeat(in_set, kdev, axis=1)[row]
+    row, _, ap, counts, b = service_terms(model)
+    weights = 0.5 * np.repeat(model.service_mask, kdev, axis=1)[row]
     weights[np.arange(row.size), ap * kdev + row] = 0.0
     return gp.TermRows(np.log(math.sqrt(kdev) * model.beta[ap, row]), 0.5 * np.eye(kdev)[row],
                        counts, b, np.tile(np.arange(kdev), model.num_aps), weights)

@@ -85,13 +85,14 @@ class FblParams:
     @classmethod
     def from_config(cls, config: SystemConfig) -> "FblParams":
         k = config.num_devices
-        eta = config.pilot_fraction
-        a = q_inverse(config.dep_target) / math.sqrt(config.blocklength * (1.0 - eta))
-        return cls(bandwidth_hz=config.bandwidth_hz,
-                   blocklength=config.blocklength, num_devices=k, alpha=np.full(k, a))
+        params = cls(bandwidth_hz=config.bandwidth_hz, blocklength=config.blocklength,
+                     num_devices=k, alpha=np.zeros(k))
+        a = q_inverse(config.dep_target) / math.sqrt(config.blocklength * (1.0 - params.eta))
+        return replace(params, alpha=np.full(k, a))
 
     @property
     def eta(self) -> float:
+        """Share of the block spent on pilots (the pilot length is num_devices)."""
         return self.num_devices / self.blocklength
 
     @property
@@ -150,11 +151,10 @@ def sinr_pieces(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
     check_decoder(decoder)
     if decoder == "fzf" and n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
-    sizes = [len(aps) for aps in model.service_sets]
-    if 0 in sizes:
-        raise ValueError(f"device {sizes.index(0)} has an empty service set")
-    in_set = np.zeros((kdev, model.num_aps))                       # (K, M): m in S_k
-    in_set[np.repeat(np.arange(kdev), sizes), np.concatenate(model.service_sets)] = 1.0
+    in_set = model.service_mask                                     # (K, M): m in S_k
+    empty = np.flatnonzero(~in_set.any(axis=1))
+    if empty.size:
+        raise ValueError(f"device {empty[0]} has an empty service set")
     if decoder == "mrc":
         served = in_set * stats.lam.T                              # lam_mk on S_k
         noise = served.sum(axis=1)
@@ -169,10 +169,7 @@ def lb_sinr(pieces: SinrPieces, payload_power: np.ndarray) -> np.ndarray:
     if np.any(pd <= 0):
         raise ValueError("payload powers must be strictly positive")
     n, coherent, noise, cross = pieces
-    # a device at a time: one matrix-vector product would round the
-    # interference sums in another order
-    return np.array([n * pd[k] * coherent[k] / (float(cross[k] @ pd) + noise[k])
-                     for k in range(coherent.size)])
+    return n * pd * coherent / (cross @ pd + noise)
 
 
 def lb_sinr_mrc(model: LargeScaleModel, stats: EstimationStats,

@@ -74,9 +74,10 @@ class TermRows:
 
     With p the term weights within their rows, G = a + M diag(s) V the term
     gradients (V selects each factor's column, s = b x / (1 + b x)) and J the
-    Jacobian, the weighted Hessian sum is G^T diag(w p) G - J^T diag(w) J +
-    V^T diag(((w p)^T M) s (1 - s)) V. With factors, G - J replaces G and the
-    J term goes: the same matrix, without its cancellation where s nears 1.
+    Jacobian, the weighted Hessian sum is (G - J)^T diag(w p) (G - J) +
+    V^T diag(((w p)^T M) s (1 - s)) V, each term's gradient less its row's
+    Jacobian: G^T diag(w p) G - J^T diag(w) J without that form's
+    cancellation, for every table, with factors or without.
     """
 
     def __init__(self, log_coeffs, exponents, counts, factor_coeffs=(),
@@ -116,13 +117,10 @@ class TermRows:
         return out
 
     def log_eval(self, y):
-        z = self.c + self.a @ y
-        g = self.a
-        if self.b.size:
-            t = self.b * np.exp(y[self.v])
-            s = t / (1.0 + t)
-            z = z + self.m @ np.log1p(t)
-            g = g + self.m @ (s[:, None] * self.select)
+        t = self.b * np.exp(y[self.v])
+        s = t / (1.0 + t)
+        z = self.c + self.a @ y + self.m @ np.log1p(t)
+        g = self.a + self.m @ (s[:, None] * self.select)
         top = np.maximum.reduceat(z, self.starts)
         w = np.exp(z - top[self.seg])
         total = np.add.reduceat(w, self.starts)
@@ -132,10 +130,7 @@ class TermRows:
         jac = np.add.reduceat(pg, self.starts, axis=0)
 
         def hess(weights):
-            wseg = weights[self.seg]
-            if not self.b.size:
-                return g.T @ (wseg[:, None] * pg) - jac.T @ (weights[:, None] * jac)
-            gc, wp = g - jac[self.seg], wseg * p
+            gc, wp = g - jac[self.seg], weights[self.seg] * p
             h = gc.T @ (wp[:, None] * gc)
             h.flat[::y.size + 1] += np.bincount(self.v, (wp @ self.m) * s * (1.0 - s),
                                                 minlength=y.size)

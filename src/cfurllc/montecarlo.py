@@ -65,9 +65,7 @@ def _decode(real: ChannelRealization, model: LargeScaleModel, vectors: np.ndarra
     """
     trials, aps, kdev, r = real.g.shape
     pd = np.asarray(payload, dtype=float)
-    mask = np.zeros((kdev, aps))
-    for k, idx in enumerate(model.service_sets):
-        mask[k, list(idx)] = scale[list(idx), k]
+    mask = model.service_mask * scale.T
     a = np.empty((trials, kdev, aps, r), dtype=complex)     # C order: reshapes are views
     np.conjugate(np.swapaxes(vectors, 1, 2), out=a)
     a *= mask[:, :, None]
@@ -90,8 +88,7 @@ def decode_mrc(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams) -> TrialOutcome:
     """Maximum-ratio combining with the estimates; the mean gain is N * sum lambda."""
-    mean_gain = np.array([n_antennas * stats.lam[list(aps), k].sum()
-                          for k, aps in enumerate(model.service_sets)])
+    mean_gain = n_antennas * (model.service_mask * stats.lam.T).sum(axis=1)
     return _decode(real, model, real.g_hat, np.ones_like(stats.lam), mean_gain,
                    payload_power, params)
 
@@ -138,8 +135,7 @@ def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
     if n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
     scale = np.sqrt((n_antennas - kdev) * stats.lam)
-    mean_gain = np.array([scale[list(aps), k].sum()
-                          for k, aps in enumerate(model.service_sets)])
+    mean_gain = (model.service_mask * scale.T).sum(axis=1)
     return _decode(real, model, _fzf_vectors(real.g_hat, n_antennas, first_trial), scale,
                    mean_gain, payload_power, params)
 

@@ -129,47 +129,33 @@ def _surrogate_exponents(chi_hat: np.ndarray, params: fbl.FblParams,
     """Normalized objective exponents from the two log tangents at chi_hat.
 
     Expansion points below the penalty tangent's domain are clamped up to its
-    boundary; the run records that the surrogate lost tightness there.
+    boundary; the run records that the surrogate lost tightness there, for
+    devices with a dispersion penalty (alpha > 0) only.
     """
-    k = params.num_devices
-    w_hat = np.empty(k)
-    clamped = False
-    for i in range(k):
-        rho, _ = approx.log1p_tangent(float(chi_hat[i]))
-        if params.alpha[i] == 0.0:
-            pen_slope = 0.0
-        else:
-            point = float(chi_hat[i])
-            if point < approx.PENALTY_TANGENT_MIN:
-                point = approx.PENALTY_TANGENT_MIN
-                clamped = True
-            pen_slope, _ = approx.penalty_tangent(point)
-        w_hat[i] = weights[i] * (rho - params.alpha[i] * pen_slope)
-        if w_hat[i] <= 0.0:
-            raise SurrogateError(
-                f"device {i}: surrogate exponent {w_hat[i]:.3e} is non-positive "
-                f"(expansion SINR {chi_hat[i]:.3e})")
+    rho, _ = approx.log1p_tangent(chi_hat)
+    pen_slope, _ = approx.penalty_tangent(np.maximum(chi_hat, approx.PENALTY_TANGENT_MIN))
+    w_hat = weights * (rho - params.alpha * pen_slope)
+    bad = np.flatnonzero(w_hat <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise SurrogateError(f"device {i}: surrogate exponent {w_hat[i]:.3e} is non-positive "
+                             f"(expansion SINR {chi_hat[i]:.3e})")
+    clamped = bool(((chi_hat < approx.PENALTY_TANGENT_MIN) & (params.alpha != 0.0)).any())
     return w_hat / w_hat.sum(), clamped
-
-
-def _log(values) -> np.ndarray:
-    """math.log of every entry: the scalar log's bits, which the vector loops
-    of np.log can miss by an ulp."""
-    return np.array([math.log(v) for v in np.ravel(values)])
 
 
 def _sinr_table(model: LargeScaleModel, pp, pd, n: int, gain: bool):
     """Row k's terms (r, m) of `approx.service_terms` for both SINR tables over
     n columns, r = 0..K-1 (and K given gain): beta_mr pd_r, or 1 for r = K.
     Returns per term its row, r and m, the log coefficients, exponents, row
-    sizes, the sets' indicator (K, M) and the factors' b and columns."""
+    sizes and the factors' b and columns."""
     kdev = model.num_devices
-    row, r, ap, counts, in_set, b = approx.service_terms(model, kdev + gain)
+    row, r, ap, counts, b = approx.service_terms(model, kdev + gain)
     pay = np.flatnonzero(r < kdev)
     c = np.log(np.where(r < kdev, model.beta[ap, np.minimum(r, kdev - 1)], 1.0))
     a = np.zeros((row.size, n))
     a[pay, np.asarray(pd)[r[pay]]] = 1.0
-    return row, r, ap, c, a, counts, in_set, b, np.tile(pp, model.num_aps)
+    return row, r, ap, c, a, counts, b, np.tile(pp, model.num_aps)
 
 
 def mrc_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
@@ -178,10 +164,11 @@ def mrc_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
     (r, m), r = 0..K, is K beta_mk^2 pp_k times that of `_sinr_table`, with
     weight 2 on every factor (m' in S_k, k) but 1 on (m, k)."""
     kdev = model.num_devices
-    row, _, ap, c, a, counts, in_set, b, columns = _sinr_table(model, pp, pd, n, True)
+    row, _, ap, c, a, counts, b, columns = _sinr_table(model, pp, pd, n, True)
     c += np.log(kdev * model.beta[ap, row] ** 2)
     a[np.arange(row.size), columns[row]] = 1.0                     # columns[k]: pilot k
-    weights = 2.0 * (in_set[:, :, None] * np.eye(kdev)[:, None, :]).reshape(kdev, -1)[row]
+    own = model.service_mask[:, :, None] * np.eye(kdev)[:, None, :]   # (K, M, K): m in S_k, k
+    weights = 2.0 * own.reshape(kdev, -1)[row]
     weights[np.arange(row.size), ap * kdev + row] = 1.0
     return gp.TermRows(c, a, counts, b, columns, weights)
 
@@ -193,7 +180,8 @@ def fzf_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
     weight 1 on every factor (m' in S_k, i) but 0 on (m, j), and last |S_k|
     with weight 1 on all."""
     kdev = model.num_devices
-    row, j, ap, c, a, counts, in_set, b, columns = _sinr_table(model, pp, pd, n, False)
+    row, j, ap, c, a, counts, b, columns = _sinr_table(model, pp, pd, n, False)
+    in_set = model.service_mask
     every = np.repeat(in_set, kdev, axis=1)                        # (K, M K): (m' in S_k, i)
     weights = every[row]
     weights[np.arange(row.size), ap * kdev + j] = 0.0
@@ -207,8 +195,8 @@ def _energy_rows(model: LargeScaleModel, blocklength: int) -> gp.TermRows:
     """The K energy rows K pp_k + (L - K) pd_k <= E_k over the K pilots, then
     the K payloads, each budget divided into its row's terms."""
     kdev = model.num_devices
-    log_energy = _log(model.energy)
-    c = np.column_stack([math.log(kdev) - log_energy, math.log(blocklength - kdev) - log_energy])
+    log_energy = np.log(model.energy)
+    c = np.column_stack([np.log(kdev) - log_energy, np.log(blocklength - kdev) - log_energy])
     return gp.TermRows(c.ravel(), np.eye(2 * kdev)[np.arange(2 * kdev).reshape(2, -1).T.ravel()],
                        np.full(kdev, 2))
 
@@ -225,10 +213,10 @@ def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
     kdev = model.num_devices
     if decoder == MRC:
         fit = approx.mrc_gain_monomial(gain_rows, pilot_hat)
-        log_coeffs, exponents = math.log(n_antennas) + 2.0 * fit.log_coeff, 2.0 * fit.exponents
+        log_coeffs, exponents = np.log(n_antennas) + 2.0 * fit.log_coeff, 2.0 * fit.exponents
     else:
         fit = approx.fzf_gain_monomial(gain_rows, pilot_hat)
-        log_coeffs, exponents = math.log(n_antennas - kdev) + fit.log_coeff, fit.exponents
+        log_coeffs, exponents = np.log(n_antennas - kdev) + fit.log_coeff, fit.exponents
     return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
 
 
@@ -276,7 +264,7 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     energy budgets over the pilots and payloads."""
     kdev = model.num_devices
     names = [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]
-    log_floors = _log(floors)
+    log_floors = np.log(floors)
     gain_rows = (approx.mrc_gain_rows if decoder == MRC else approx.fzf_gain_rows)(model)
     # the SINR rows, then the energy rows, over the pilots and the payloads;
     # the max-slack GP's table puts a column for phi, in no row, first
@@ -432,15 +420,14 @@ def benchmark_upper_bound(model: LargeScaleModel, cfg: SystemConfig,
     return _solve_sca(model, cfg, decoder, params)
 
 
-def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig,
-                           decoder: str,
-                           upper: SolveResult | None = None) -> SolveResult:
-    """Infinite-blocklength allocation re-evaluated under the true penalty.
+def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
+                           upper: SolveResult) -> SolveResult:
+    """The infinite-blocklength allocation `upper`, from `benchmark_upper_bound`,
+    re-evaluated under the true penalty.
 
     The instance counts as infeasible (rate zero) when any device then misses
     its requirement.
     """
-    upper = upper if upper is not None else benchmark_upper_bound(model, cfg, decoder)
     if not upper.feasible:
         return SolveResult(status="infeasible", allocation=None, trace=upper.trace,
                            sinr=None, rates=None, weighted_sum_rate=0.0,
@@ -490,9 +477,9 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     # row k: floor_k (cross_k . pd + noise_k) / gain_k <= pd_k, exact since no
     # fit is involved, then the caps pd_k <= pd_max_k, each right-hand side
     # divided into its row's terms
-    terms = _log(np.column_stack([cross, noise]) / gain[:, None]).reshape(kdev, kdev + 1)
+    terms = np.log(np.column_stack([cross, noise]) / gain[:, None])
     ratios = np.eye(kdev + 1, kdev)[None, :, :] - np.eye(kdev)[:, None, :]      # pd_j / pd_k
-    table = gp.TermRows(np.append(terms + _log(floors)[:, None], -_log(pd_max)),
+    table = gp.TermRows(np.append(terms + np.log(floors)[:, None], -np.log(pd_max)),
                         np.vstack([ratios.reshape(-1, kdev), np.eye(kdev)]),
                         np.append(np.full(kdev, kdev + 1), np.ones(kdev, dtype=int)))
     scheme = _Scheme(build=lambda pilot_hat, w_hat: _round_gp(

@@ -75,11 +75,6 @@ class SystemConfig:
         if self.near_breakpoint_m <= 0 or self.far_breakpoint_m <= self.near_breakpoint_m:
             raise ConfigError("breakpoints must satisfy 0 < near < far")
 
-    @property
-    def pilot_fraction(self) -> float:
-        """Fraction of the block spent on pilots (pilot length equals num_devices)."""
-        return self.num_devices / self.blocklength
-
     def replace(self, **changes) -> "SystemConfig":
         return dataclasses.replace(self, **changes)
 
@@ -102,6 +97,15 @@ class LargeScaleModel:
     @property
     def num_devices(self) -> int:
         return self.beta.shape[1]
+
+    @property
+    def service_mask(self) -> np.ndarray:
+        """(K, M) indicator of the service sets: entry (k, m) is 1 when m in S_k."""
+        sizes = [len(aps) for aps in self.service_sets]
+        mask = np.zeros((self.num_devices, self.num_aps))
+        mask[np.repeat(np.arange(self.num_devices), sizes),
+             np.concatenate(self.service_sets).astype(int)] = 1.0
+        return mask
 
     def serving_subset(self) -> "LargeScaleModel":
         """The deployment restricted to the APs that serve at least one device.

@@ -12,7 +12,9 @@ its projection onto that span, for the zero-forcing decode; and the
 zero-forcing vectors and rank check from the inverted Gram matrix, for the
 back substitution of `montecarlo._fzf_vectors`; and the SINR constants one
 device at a time, for the service-set indicator products of
-`fbl.sinr_pieces`.
+`fbl.sinr_pieces`; and the lower-bound SINRs and the surrogate exponents
+one device at a time, for the array forms of `fbl.lb_sinr` and
+`optimizer._surrogate_exponents`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cfurllc import approx
 from cfurllc.channel import ChannelRealization, EstimationStats
 from cfurllc.approx import MonomialFit
 from cfurllc.fbl import FblParams, SinrPieces, rate_kernel
+from cfurllc.optimizer import SurrogateError
 from cfurllc.scenario import LargeScaleModel
 
 
@@ -385,3 +389,40 @@ def sinr_pieces_by_device(model: LargeScaleModel, stats: EstimationStats, n_ante
             cross[dev] = stats.err_var[idx, :].sum(axis=0)
     return SinrPieces(n_antennas if decoder == "mrc" else n_antennas - kdev,
                       coherent, noise, cross)
+
+
+def lb_sinr_by_device(pieces: SinrPieces, payload_power: np.ndarray) -> np.ndarray:
+    """The lower-bound SINRs of `fbl.lb_sinr`, a device at a time, each
+    interference sum a dot product of its own row of cross."""
+    pd = np.asarray(payload_power, dtype=float)
+    n, coherent, noise, cross = pieces
+    return np.array([n * pd[k] * coherent[k] / (float(cross[k] @ pd) + noise[k])
+                     for k in range(coherent.size)])
+
+
+def surrogate_exponents_by_device(chi_hat: np.ndarray, params: FblParams,
+                                  weights: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The normalized objective exponents of `optimizer._surrogate_exponents`,
+    a device at a time from the scalar tangents: a device without dispersion
+    penalty has penalty slope 0, a device with one below the penalty tangent's
+    domain is clamped up to its boundary (and flagged), and the first device
+    whose exponent is not positive raises SurrogateError."""
+    k = params.num_devices
+    w_hat = np.empty(k)
+    clamped = False
+    for i in range(k):
+        rho, _ = approx.log1p_tangent(float(chi_hat[i]))
+        if params.alpha[i] == 0.0:
+            pen_slope = 0.0
+        else:
+            point = float(chi_hat[i])
+            if point < approx.PENALTY_TANGENT_MIN:
+                point = approx.PENALTY_TANGENT_MIN
+                clamped = True
+            pen_slope, _ = approx.penalty_tangent(point)
+        w_hat[i] = weights[i] * (rho - params.alpha[i] * pen_slope)
+        if w_hat[i] <= 0.0:
+            raise SurrogateError(
+                f"device {i}: surrogate exponent {w_hat[i]:.3e} is non-positive "
+                f"(expansion SINR {chi_hat[i]:.3e})")
+    return w_hat / w_hat.sum(), clamped

@@ -79,6 +79,27 @@ def test_penalty_tangent_slope_nonnegative():
 def test_penalty_tangent_domain_guard():
     with pytest.raises(ValueError):
         penalty_tangent(0.9 * PENALTY_TANGENT_MIN)
+    # an array is rejected for any entry outside the domain, naming the first
+    inside = np.array([PENALTY_TANGENT_MIN, 0.5, 2.0, 40.0])
+    below = np.insert(inside, 2, [0.5 * PENALTY_TANGENT_MIN, 0.1])
+    with pytest.raises(ValueError, match=f"expansion point {0.5 * PENALTY_TANGENT_MIN:.4f} "
+                                         f"below tangent domain {PENALTY_TANGENT_MIN:.4f}"):
+        penalty_tangent(below)
+    penalty_tangent(inside)               # the domain's boundary belongs to it
+    for bad in (0.0, -1.0):
+        for at in range(inside.size + 1):
+            with pytest.raises(ValueError, match="expansion point must be positive"):
+                log1p_tangent(np.insert(inside, at, bad))
+
+
+def test_tangents_take_arrays_entry_by_entry(rng):
+    x_hat = np.exp(rng.uniform(math.log(PENALTY_TANGENT_MIN), math.log(1e4), 64))
+    for tangent in (log1p_tangent, penalty_tangent):
+        rho, delta = tangent(x_hat)
+        assert rho.shape == delta.shape == x_hat.shape
+        each = np.array([tangent(float(x)) for x in x_hat])          # scalars in, scalars out
+        assert each.shape == (x_hat.size, 2)
+        assert np.allclose(each, np.column_stack([rho, delta]), rtol=1e-15, atol=0)
 
 
 def test_tangency_first_order(rng):

@@ -12,8 +12,9 @@ from cfurllc.scenario import SystemConfig
 
 from conftest import random_model, toy_model
 from oracles import (alpha_limit, fzf_factors, kernel_inverse_from_zero, kernel_zero,
-                     mrc_factors, normal_approximation_rate, penalty_factor,
-                     sinr_fzf_from_factors, sinr_mrc_from_factors, sinr_pieces_by_device)
+                     lb_sinr_by_device, mrc_factors, normal_approximation_rate,
+                     penalty_factor, sinr_fzf_from_factors, sinr_mrc_from_factors,
+                     sinr_pieces_by_device)
 
 
 def q_tail(x):
@@ -279,6 +280,20 @@ def test_sinr_pieces_match_the_per_device_loop(kdev, rng):
             for name in ("coherent", "noise", "cross"):
                 assert np.allclose(getattr(got, name), getattr(want, name),
                                    rtol=1e-13, atol=0), (size, decoder, name)
+
+
+@pytest.mark.parametrize("kdev", [2, 5, 10])
+def test_lb_sinr_matches_the_per_device_loop(kdev, rng):
+    # one matrix-vector product against a dot product per device: the
+    # interference sums may round in another order
+    for size in range(1, 7):
+        model = random_model(rng, num_aps=6, num_devices=kdev, set_size=size)
+        stats = estimation_stats(model, np.exp(rng.normal(0.0, 2.0, kdev)))
+        payload = np.exp(rng.normal(0.0, 2.0, kdev))
+        for decoder in ("mrc", "fzf"):
+            pieces = fbl.sinr_pieces(model, stats, kdev + 4, decoder)
+            assert np.allclose(fbl.lb_sinr(pieces, payload), lb_sinr_by_device(pieces, payload),
+                               rtol=1e-15, atol=0), (size, decoder)
 
 
 def test_sinr_pieces_reject_an_empty_service_set():

@@ -13,6 +13,7 @@ from cfurllc.optimizer import (FZF, MRC, SurrogateError, benchmark_conventional,
                                benchmark_upper_bound, feasibility_init,
                                sinr_floor, sinr_floors)
 from cfurllc.scenario import SystemConfig, generate_topology
+from oracles import surrogate_exponents_by_device
 
 DESK = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
                     ap_select_threshold=0.9, energy_budget=5e12,
@@ -359,7 +360,7 @@ def test_conventional_can_be_infeasible_when_proposed_is_not():
         for seed in range(8):
             model = generate_topology(cfg, seed=seed)
             prop = optimizer.solve(model, cfg, MRC)
-            conv = benchmark_conventional(model, cfg, MRC)
+            conv = benchmark_conventional(model, cfg, MRC, benchmark_upper_bound(model, cfg, MRC))
             if prop.feasible and not conv.feasible:
                 found = True
                 assert conv.weighted_sum_rate == 0.0
@@ -390,6 +391,14 @@ def test_surrogate_guard_rejects_nonpositive_exponent():
     with pytest.raises(SurrogateError):
         optimizer._surrogate_exponents(np.array([0.3, 0.3]), big_alpha,
                                        np.array([1.0, 1.0]))
+    # the error names the first device whose exponent is not positive
+    some = fbl.FblParams(bandwidth_hz=params.bandwidth_hz, blocklength=params.blocklength,
+                         num_devices=5, alpha=np.array([0.1, 3.0, 0.1, 3.0, 0.1]))
+    with pytest.raises(SurrogateError, match="^device 1: surrogate exponent") as got:
+        optimizer._surrogate_exponents(np.full(5, 0.3), some, np.ones(5))
+    with pytest.raises(SurrogateError) as want:
+        surrogate_exponents_by_device(np.full(5, 0.3), some, np.ones(5))
+    assert str(got.value) == str(want.value)
 
 
 def test_surrogate_clamps_below_the_penalty_tangent_domain():
@@ -412,6 +421,33 @@ def test_surrogate_clamps_below_the_penalty_tangent_domain():
 
     expect = np.array([exponent(0.5 * low, low)] + [exponent(x, x) for x in inside[1:]])
     assert np.allclose(w_hat, expect / expect.sum(), rtol=1e-12)
+
+    # without dispersion there is no penalty tangent, so no point is clamped
+    w_hat, clamped = optimizer._surrogate_exponents(below, params.with_zero_dispersion(),
+                                                    np.ones(5))
+    assert not clamped
+    rho = below / (1.0 + below)
+    assert np.allclose(w_hat, rho / rho.sum(), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("kdev", [2, 5, 10])
+def test_surrogate_exponents_match_the_per_device_loop(kdev, rng):
+    # expansion SINRs from a fifth of the penalty tangent's boundary up, under
+    # the full penalty, none and a penalty on some devices only
+    params = fbl.FblParams.from_config(SystemConfig(num_devices=kdev, antennas_per_ap=kdev + 4))
+    flags = set()
+    for _ in range(40):
+        chi = np.exp(rng.uniform(math.log(0.2 * approx.PENALTY_TANGENT_MIN), math.log(1e4), kdev))
+        weights = rng.uniform(0.05, 1.0, kdev)
+        some = dataclasses.replace(params,
+                                   alpha=np.where(rng.random(kdev) < 0.5, 0.0, params.alpha))
+        for case in (params, params.with_zero_dispersion(), some):
+            got, clamped = optimizer._surrogate_exponents(chi, case, weights)
+            want, want_clamped = surrogate_exponents_by_device(chi, case, weights)
+            assert clamped == want_clamped
+            assert np.allclose(got, want, rtol=1e-15, atol=0)
+            flags.add(clamped)
+    assert flags == {False, True}
 
 
 @pytest.mark.parametrize("scheme", ["joint", "fixed_pilot"])

@@ -8,7 +8,7 @@ from cfurllc.scenario import (ConfigError, SystemConfig, config_hash, generate_t
                               load_config, loss_constant_db, noise_power_w,
                               path_loss_db, select_aps)
 
-from conftest import toy_model
+from conftest import random_model, toy_model
 
 
 def test_loss_constant_default_frequency_and_heights():
@@ -193,6 +193,22 @@ def test_serving_subset_keeps_the_serving_aps_in_order():
         assert getattr(sub, name) is getattr(model, name)
     every = toy_model(model.beta, service_sets=((0, 1), (2,), (3,)))
     assert every.serving_subset() is every
+
+
+def test_service_mask_marks_each_service_set(rng):
+    models = [toy_model(np.arange(1.0, 13.0).reshape(4, 3), service_sets=((3, 1), (1,), (3,))),
+              toy_model(np.ones((2, 3)), service_sets=((0,), (), (1, 0))),
+              toy_model(np.array([[0.7]]))]
+    models += [random_model(rng, num_aps=6, set_size=size) for size in (1, 2, 3, None)
+               for _ in range(5)]
+    for model in models:
+        for m in (model, model.serving_subset()):
+            want = np.array([[ap in aps for ap in range(m.num_aps)] for aps in m.service_sets],
+                            dtype=float).reshape(m.num_devices, m.num_aps)
+            assert np.array_equal(m.service_mask, want)
+        # re-indexing keeps each device's set: the mask loses the idle APs' columns
+        served = model.service_mask.any(axis=0)
+        assert np.array_equal(model.serving_subset().service_mask, model.service_mask[:, served])
 
 
 def test_config_hash_stable_and_sensitive():
