@@ -5,23 +5,26 @@ Hassibi, "A tutorial on geometric programming", 2007). Its rows are
 f(y) = the rows of its one table, each constraint f_i(y) <= 0, and it maximizes
 exp(c0 + a0 . y) prod_i exp(-w_i f_i(y)) for row weights w_i >= 0: in log
 variables the convex -(c0 + a0 . y) + sum_i w_i f_i (B&V §4.5.3). A table is
-any object with `size` rows over `columns` variables and a `log_eval`; the
-package's is `TermRows`, whose rows are log-sum-exps of terms affine in y plus
-weighted factors log(1 + b e^{y_j}), which the SINR rows use. A monomial row is
-a one-term row; `stack` joins tables, and `TermRows.fold` divides each row by
-its right-hand side. One call returns the row values, the Jacobian and the
-weighted Hessian sum, never a Hessian per row.
+any object with `size` rows over `columns` variables, a `log_eval` and, for
+phase one, a `relax`; the package's is `TermRows`, whose rows are
+log-sum-exps of terms affine in y plus weighted factors log(1 + b e^{y_j}),
+which the SINR rows use. A monomial row is a one-term row; `stack` joins
+tables, and `TermRows.fold` divides each row by its right-hand side. One
+call returns the row values, the Jacobian and the weighted Hessian sum,
+never a Hessian per row.
 
 The solver is one primal-dual interior-point iteration (Boyd & Vandenberghe,
 Convex Optimization, §11.7, Algorithm 11.2) that both phases run: phase two
 on the log variables y, whose weighted rows add their Hessian sum to the
-Newton matrix, and phase one on (y, s) for min s subject to
-f_i(y) - s <= 0 when the start is not strictly feasible. Each iteration
-takes one Newton step on the primal and dual variables together, with the
-surrogate duality gap eta = -f . lambda setting the barrier parameter, and
-the solve stops once eta and the scaled dual residual are both within tol.
-Each point, the start and every trial point of the line search, is evaluated
-once.
+Newton matrix, and phase one, when the start is not strictly feasible, on
+the max-slack GP of every row (`TermRows.relax`, `max_slack`), which the
+optimizer's feasibility stage also builds. Each iteration takes one Newton
+step on the primal and dual variables together, with the surrogate duality
+gap eta = -f . lambda setting the barrier parameter, and the solve stops
+once eta and the scaled dual residual are both within tol, or after
+MAX_NEWTON steps of both phases. Each point, the start and every trial point
+of the line search, is evaluated once; phase one's start and hand-over point
+are evaluated in both tables.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class GpSolution:
     objective: float
     # optimal | target_reached | infeasible | max_iterations | numerical_error
     status: str
-    iterations: int
+    iterations: int                      # Newton steps of both phases that reached an iterate
     kkt_residual: float
     message: str = ""
     interior: np.ndarray | None = None   # first iterate with gap <= 3e-2: a warm start
@@ -116,6 +119,15 @@ class TermRows:
         out.c, out.a = self.c - r[self.seg], self.a - big_r[self.seg]
         return out
 
+    def relax(self, rows) -> "TermRows":
+        """This table over one more column, phi, first, with exponent 1 in
+        every term of the rows `rows` (an index of the row axis): those rows
+        become log(phi lhs_i), so they hold with slack phi where phi >= 1."""
+        chosen = np.zeros(self.size, dtype=bool)
+        chosen[rows] = True
+        return TermRows(self.c, np.column_stack([chosen[self.seg], self.a]), self.counts,
+                        self.b, self.v + 1, self.m)
+
     def log_eval(self, y):
         t = self.b * np.exp(y[self.v])
         s = t / (1.0 + t)
@@ -163,21 +175,6 @@ _INTERIOR_GAP = 3e-2        # surrogate gap of the point kept as a warm start
 _PHASE1_MARGIN = 1e-3
 _PHASE1_SKIP = -1e-12
 _PHASE1_TOL = 1e-10         # gap and dual residual at which phase one gives its verdict
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _IterBudget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self):
-        if self.used >= self.limit:
-            raise _BudgetExhausted
-        self.used += 1
 
 
 class GpModel:
@@ -234,31 +231,24 @@ class GpModel:
         """Primal-dual interior-point solve; deterministic for a given problem
         and start. The start is None (every variable 1) or an array of
         positive, finite values in variable order, else GpModelError; a start
-        that is not strictly feasible goes through phase one. With a target,
-        the solve stops at the first phase-two iterate whose objective
-        reaches it (status target_reached): every such iterate is strictly
-        feasible."""
+        that is not strictly feasible goes through phase one, which hands its
+        log point to phase two. With a target, the solve stops at the first
+        phase-two iterate whose objective reaches it (status target_reached):
+        every such iterate is strictly feasible."""
         y0 = np.zeros(len(self.names)) if start is None else self._log_point(start)
         rows, c = self.log_eval, self.weights
         g0 = -self.objective[1]                     # the solver minimizes -log objective
-        budget = _IterBudget(MAX_NEWTON)
-
-        y, first = y0, rows(y0)
+        y, first, steps = y0, rows(y0), 0           # steps: phase one's
         warm = float(first[0].max()) < _PHASE1_SKIP
-        if not warm:
-            try:
-                y, first, fail = self._phase_one(y0, first, budget)
-            except GpError as exc:
-                return self._finish(y0, first[0], "numerical_error", budget, math.inf,
-                                    message=str(exc))
-            if fail is not None:
-                return self._finish(y, first[0], fail, budget, math.inf)
-
         status, message = "max_iterations", ""
         interior, stages, it = None, [], None
         try:
+            if not warm:
+                y, first, steps, fail = self._phase_one(y0, first, MAX_NEWTON)
+                if fail is not None:
+                    return self._finish(y, first[0], fail, steps, math.inf)
             t0 = self._warm_barrier_t(first, g0 + first[1].T @ c, tol) if warm else BARRIER_T0
-            for it in _primal_dual(rows, g0, c, y, first, t0, budget):
+            for it in _primal_dual(rows, g0, c, y, first, t0, MAX_NEWTON - steps):
                 stages.append(self._objective_value(it.z, it.f))
                 if stages[-1] == math.inf:
                     status, message = "numerical_error", "objective overflows: GP looks unbounded"
@@ -271,17 +261,16 @@ class GpModel:
                 if target is not None and stages[-1] >= target:
                     status = "target_reached"
                     break
-        except _BudgetExhausted:
-            pass
         except GpError as exc:
             status, message = "numerical_error", str(exc)
         if it is None:
-            return self._finish(y, first[0], status, budget, math.inf, message=message)
+            return self._finish(y, first[0], status, steps, math.inf, message=message)
         # first-order certificate from the iterate's own multipliers: the
         # worst of stationarity, complementarity and primal feasibility
         complementarity = float((it.lam * -it.f).max()) / (1.0 + float(np.abs(it.grad).max()))
         kkt = max(it.dual, complementarity, float(it.f.max()))
-        return self._finish(it.z, it.f, status, budget, kkt, interior, stages, message)
+        return self._finish(it.z, it.f, status, steps + it.steps, kkt, interior, stages,
+                            message)
 
     def _warm_barrier_t(self, first, g0, tol):
         """Barrier parameter for a strictly feasible start (B&V §11.3.1).
@@ -305,58 +294,47 @@ class GpModel:
             return BARRIER_T0
         return min(max(t, BARRIER_T0), f.size / max(tol, 1e-3) / 10.0)
 
-    def _phase_one(self, y0, start, budget):
-        """Find a strictly feasible point, or detect infeasibility, by the same
-        primal-dual iteration on min s subject to f_i(y) - s <= 0, from y0
-        whose rows are `start`. Returns a point, its rows and a failure
-        status or None: y0 and `start` when infeasible."""
-        n = y0.size
-        rows = self.log_eval
-        # the rows at the point evaluated last; the line search evaluates an
-        # accepted point last, so these are the latest iterate's rows
-        last = start
+    def _phase_one(self, y0, start, limit):
+        """Find a strictly feasible point, or detect infeasibility, in at
+        most `limit` Newton steps of the primal-dual iteration on the max-slack
+        GP of every row, from BARRIER_T0 at log phi = -1 - max f(y0) and y0,
+        whose rows are `start`. It stops once the rows f(y) clear
+        -_PHASE1_MARGIN, or at a gap and dual residual within _PHASE1_TOL.
+        Returns y, its rows, the steps taken and a failure status or None:
+        y0 and `start` when infeasible."""
+        slack = max_slack(self.names, self.table.relax(np.arange(self.table.size)))
+        z = np.append(-1.0 - float(start[0].max()), y0)
+        for it in _primal_dual(slack.log_eval, -slack.objective[1], slack.weights, z,
+                               slack.log_eval(z), BARRIER_T0, limit):
+            if (float(it.f.max()) - it.z[0] < -_PHASE1_MARGIN
+                    or it.eta <= _PHASE1_TOL and it.dual <= _PHASE1_TOL):
+                break
+        else:
+            return it.z[1:], self.log_eval(it.z[1:]), it.steps, "max_iterations"
+        rows = self.log_eval(it.z[1:])
+        if float(rows[0].max()) < -1e-9:
+            return it.z[1:], rows, it.steps, None
+        return y0, start, it.steps, "infeasible"
 
-        def shift(evaluation, s):
-            f, jac, hess = evaluation
-
-            def hess_z(weights):
-                h = np.zeros((n + 1, n + 1))
-                h[:n, :n] = hess(weights)
-                return h
-            return f - s, np.hstack([jac, -np.ones((f.size, 1))]), hess_z
-
-        def shifted(z):
-            nonlocal last
-            last = rows(z[:n])
-            return shift(last, z[n])
-
-        g0 = np.zeros(n + 1)
-        g0[n] = 1.0
-        z = np.append(y0, float(start[0].max()) + 1.0)
-        try:
-            for it in _primal_dual(shifted, g0, np.zeros(start[0].size), z,
-                                   shift(start, z[n]), BARRIER_T0, budget):
-                z = it.z
-                if float(it.f.max()) + z[n] < -_PHASE1_MARGIN:
-                    return z[:n], last, None
-                if it.eta <= _PHASE1_TOL and it.dual <= _PHASE1_TOL:
-                    break
-        except _BudgetExhausted:
-            return z[:n], last, "max_iterations"
-        if float(last[0].max()) < -1e-9:
-            return z[:n], last, None
-        return y0, start, "infeasible"
-
-    def _finish(self, y, f, status, budget, kkt, interior=None, stages=(), message=""):
+    def _finish(self, y, f, status, steps, kkt, interior=None, stages=(), message=""):
         """The solution at y, whose row values are f."""
         obj = math.nan if status == "infeasible" else self._objective_value(y, f)
         with np.errstate(over="ignore"):                  # x of an unbounded GP is inf
             x = np.exp(y)
         return GpSolution(x=x, names=self.names, objective=obj,
-                          status=status, iterations=budget.used, kkt_residual=kkt,
+                          status=status, iterations=steps, kkt_residual=kkt,
                           message=message,
                           interior=None if interior is None else np.exp(interior),
                           stage_objectives=tuple(stages))
+
+
+def max_slack(names, table) -> GpModel:
+    """The GP over phi, then the variables `names`, that maximizes phi over
+    the rows of `table`, a `TermRows.relax` table, with no row weights: the
+    largest slack by which the relaxed rows can be tightened (B&V §11.4.1)."""
+    objective = np.zeros(table.columns)
+    objective[0] = 1.0
+    return GpModel(["phi", *names], table, np.zeros(table.size), (0.0, objective))
 
 
 class _Iterate(NamedTuple):
@@ -366,13 +344,15 @@ class _Iterate(NamedTuple):
     eta: float           # surrogate duality gap -f . lam
     dual: float          # scaled dual residual |grad f0 + J^T lam|_inf / (1 + |grad f0|_inf)
     grad: np.ndarray     # objective gradient grad f0 = g0 + J^T c
+    steps: int           # Newton steps taken to reach z
 
 
-def _primal_dual(rows, g0, c, z, first, t, budget):
+def _primal_dual(rows, g0, c, z, first, t, limit):
     """Primal-dual interior-point iterates for min g0 . z + c . rows(z) s.t.
     rows(z) < 0, c >= 0 (B&V Algorithm 11.2), from a strictly feasible z
-    whose rows are `first`. Yields every iterate; the caller decides when to
-    stop.
+    whose rows are `first`. Yields every iterate, stamped with the Newton
+    steps taken to reach it, up to the one reached in `limit` steps; the
+    caller decides when to stop before that.
 
     The multipliers start on the central path of barrier parameter t, and t
     is held there until the iterate is centered (scaled dual residual at most
@@ -391,13 +371,14 @@ def _primal_dual(rows, g0, c, z, first, t, budget):
     r_dual = g0 + jac.T @ lc        # an accepted trial point brings its own
     m = f.size
     held = True
-    while True:
+    for steps in range(limit + 1):
         jac_t = jac.T
         grad = g0 + jac_t @ c
         eta = -float(f @ lam)
         dual = float(np.abs(r_dual).max()) / (1.0 + float(np.abs(grad).max()))
-        yield _Iterate(z, f, lam, eta, dual, grad)
-        budget.spend()
+        yield _Iterate(z, f, lam, eta, dual, grad, steps)
+        if steps == limit:
+            return
         if held and dual <= eta / m:
             held = False
         if not held:

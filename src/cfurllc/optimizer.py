@@ -224,25 +224,23 @@ def _round_gp(names: list[str], table: gp.TermRows, w_hat, r: np.ndarray,
               big_r: np.ndarray) -> gp.GpModel:
     """One round's GP over the variables `names`: the rows of `table`, the K
     SINR rows first, whose right-hand sides over their floors, exp(r + R y)
-    in the log variables y, are folded into their terms; the other rows carry
-    theirs already. A step GP weights SINR row k by w_hat_k, so it maximizes
-    prod_k (rhs_k / lhs_k)^w_hat_k, the fitted SINRs over their floors. The
-    max-slack GP, for w_hat None, puts a variable phi first, divides every
-    SINR right-hand side by it and maximizes it; its table spans phi too.
+    in the log variables y of `names`, the table's last columns, are folded
+    into their terms; the other rows carry theirs already. A step GP weights
+    SINR row k by w_hat_k, so it maximizes prod_k (rhs_k / lhs_k)^w_hat_k,
+    the fitted SINRs over their floors. For w_hat None, `table` is relaxed
+    in its SINR rows (`gp.TermRows.relax`) and the GP is its max-slack GP
+    (`gp.max_slack`), phi first.
     """
-    slack = w_hat is None
-    size, k, n = table.size, r.size, len(names) + slack
-    rhs, rhs_exponents = np.zeros(size), np.zeros((size, n))
-    weights, objective = np.zeros(size), np.zeros(n)
+    k = r.size
+    rhs, rhs_exponents = np.zeros(table.size), np.zeros((table.size, table.columns))
     rhs[:k] = r
-    rhs_exponents[:k, slack:] = big_r
-    if slack:
-        names = ["phi", *names]
-        rhs_exponents[:k, 0] = -1.0
-        objective[0] = 1.0
-    else:
-        weights[:k] = w_hat
-    return gp.GpModel(names, table.fold(rhs, rhs_exponents), weights, (0.0, objective))
+    rhs_exponents[:k, table.columns - len(names):] = big_r
+    folded = table.fold(rhs, rhs_exponents)
+    if w_hat is None:
+        return gp.max_slack(names, folded)
+    weights = np.zeros(table.size)
+    weights[:k] = w_hat
+    return gp.GpModel(names, folded, weights, (0.0, np.zeros(len(names))))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +265,11 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     log_floors = np.log(floors)
     gain_rows = (approx.mrc_gain_rows if decoder == MRC else approx.fzf_gain_rows)(model)
     # the SINR rows, then the energy rows, over the pilots and the payloads;
-    # the max-slack GP's table puts a column for phi, in no row, first
+    # the max-slack GP's table is it relaxed in the SINR rows, once per scheme
     table = gp.stack([(mrc_rows if decoder == MRC else fzf_rows)(
         model, np.arange(kdev), np.arange(kdev, 2 * kdev), 2 * kdev),
         _energy_rows(model, cfg.blocklength)])
-    tables = (table, gp.TermRows(table.c, np.insert(table.a, 0, 0.0, axis=1), table.counts,
-                                 table.b, table.v + 1, table.m))
+    tables = (table, table.relax(np.arange(kdev)))
 
     def build(pilot_hat, w_hat):
         log_coeffs, exponents = _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat,

@@ -172,6 +172,29 @@ def test_one_term_rows_are_affine_to_the_bit(rng):
         assert not hess(rng.uniform(0.0, 3.0, rows)).any()
 
 
+def test_relaxed_rows_add_log_phi_to_the_chosen_rows(rng):
+    # relax(rows) puts phi first: the chosen rows become f_i(y) + log phi,
+    # Jacobian 1 on phi, and the others keep their values; phi adds no
+    # curvature, and max_slack maximizes phi with no row weights
+    for _ in range(30):
+        n_vars = int(rng.integers(1, 5))
+        rows, _ = random_table(rng, n_vars)
+        chosen = rng.random(rows.size) < 0.5
+        relaxed = rows.relax(np.flatnonzero(chosen))
+        y, log_phi = rng.normal(0.0, 1.5, n_vars), float(rng.normal(0.0, 2.0))
+        weights = rng.uniform(0.1, 3.0, rows.size)
+        vals, jac, hess = rows.log_eval(y)
+        rvals, rjac, rhess = relaxed.log_eval(np.append(log_phi, y))
+        assert np.allclose(rvals, vals + chosen * log_phi, rtol=0, atol=1e-12)
+        assert np.allclose(rjac, np.column_stack([chosen, jac]), rtol=0, atol=1e-12)
+        want = np.zeros((n_vars + 1, n_vars + 1))
+        want[1:, 1:] = hess(weights)
+        assert np.allclose(rhess(weights), want, rtol=0, atol=1e-11 * weights.sum())
+        model = gp.max_slack(("x",) * n_vars, relaxed)
+        assert model.names[0] == "phi" and not model.weights.any()
+        assert np.array_equal(model.objective[1], np.eye(n_vars + 1)[0])
+
+
 def gp_model(names=("x0", "x1"), table=None, r=(math.log(2.0), 0.0), big_r=np.zeros((2, 2)),
              weights=(0.0, 1.0), objective=(0.0, np.ones(2))):
     """A GpModel in two variables: x_0 <= 2 and x_0 + x_1 <= 3, the second
@@ -253,13 +276,17 @@ def test_symmetric_posynomial_minimum():
     assert sol.objective == pytest.approx(0.5, rel=1e-9)
 
 
-def test_infeasible_detection():
+def infeasible_problem():
     m = Problem()
     x = m.variable("x")
     m.maximize(x)
     m.add_le(Monomial(3.0, {0: -1.0}), Const(1.0))   # x >= 3
     m.add_le(x, Const(2.0))
-    sol = m.model().solve()
+    return m.model()
+
+
+def test_infeasible_detection():
+    sol = infeasible_problem().solve()
     assert sol.status == "infeasible"
     assert math.isnan(sol.objective)
 
@@ -557,8 +584,8 @@ def record_iterates(monkeypatch):
     seen = []
     original = gp._primal_dual
 
-    def spy(rows, g0, c, z, first, t, budget):
-        for it in original(rows, g0, c, z, first, t, budget):
+    def spy(rows, g0, c, z, first, t, limit):
+        for it in original(rows, g0, c, z, first, t, limit):
             seen.append((t, it))
             yield it
 
@@ -598,20 +625,32 @@ def test_warm_interior_start_reaches_cold_optimum_in_fewer_steps(
 def test_newton_center_accepts_only_strictly_feasible_points(
         decoder, desk_step_gps, monkeypatch):
     # each primal-dual step is a Newton step on the centered KKT system; the
-    # line search must accept only points with f < 0 and lambda > 0
+    # line search must accept only points with f < 0 and lambda > 0. Every
+    # GP is solved from its own start, strictly feasible, and from 1.5 times
+    # its optimum, outside the domain, so through phase one too
     seen = record_iterates(monkeypatch)
-    for model, start, _, tol in desk_step_gps[decoder]:
-        before = len(seen)
-        model.solve(tol=tol, start=start)
+    phase_one = 0
+    for model, start, sol, tol in desk_step_gps[decoder]:
         n = len(model.names)
-        for _, it in seen[before:]:
-            assert np.all(it.f < 0) and np.all(it.lam > 0)
-            if it.z.size == n:      # phase two: the rows are the model's own
-                assert np.array_equal(it.f, model.log_eval(it.z)[0])
-            else:                   # phase one: rows f_i(y) - s
-                assert np.array_equal(
-                    it.f, model.log_eval(it.z[:n])[0] - it.z[n])
-    assert len(seen) > 40
+        slack = gp.max_slack(model.names, model.table.relax(np.arange(model.table.size)))
+        outside = 1.5 * sol.x
+        assert float(model.constraint_margins(outside).max()) > 0
+        for begin in (start, outside):
+            before = len(seen)
+            again = model.solve(tol=tol, start=begin)
+            phases = {n + 1: [], n: []}
+            for _, it in seen[before:]:
+                assert np.all(it.f < 0) and np.all(it.lam > 0)
+                phases[it.z.size].append(it)
+                # phase two's rows are the model's own, phase one's those of
+                # the max-slack GP of every row
+                rows = model if it.z.size == n else slack
+                assert np.array_equal(it.f, rows.log_eval(it.z)[0])
+            for run in phases.values():
+                assert [it.steps for it in run] == list(range(len(run)))
+            assert again.iterations == sum(len(run) - 1 for run in phases.values() if run)
+            phase_one += bool(phases[n + 1])
+    assert phase_one == len(desk_step_gps[decoder]) and len(seen) > 40
 
 
 def independent_certificate(model, y, lam):
@@ -661,6 +700,36 @@ def test_start_outside_the_domain_goes_through_phase_one(
     assert float(model.constraint_margins(np.exp(handover)).max()) < -gp._PHASE1_MARGIN
     assert again.status == "optimal"
     assert again.objective == pytest.approx(sol.objective, rel=1e-7)
+
+
+def test_phase_one_from_random_starts(monkeypatch):
+    # log-uniform starts in [1e-2, 1e2] per variable, inside the domain and
+    # outside it: every solve reaches the optimum of the start=None solve,
+    # phase one hands over a point that clears every row by _PHASE1_MARGIN,
+    # and the infeasible GP stays infeasible from the same starts
+    rng = np.random.default_rng(2024)
+    infeasible = infeasible_problem()
+    seen = record_iterates(monkeypatch)
+    inside = outside = 0
+    for seed in range(8):
+        prob = random_two_var_problem(np.random.default_rng(seed)).model()
+        cold = prob.solve()
+        for _ in range(6):
+            start = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            before = len(seen)
+            sol = prob.solve(start=start)
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-7)
+            runs = [it for _, it in seen[before:]]
+            if runs[0].z.size == 2:
+                assert float(prob.constraint_margins(start).max()) < gp._PHASE1_SKIP
+                inside += 1
+            else:
+                handover = next(it.z for it in runs if it.z.size == 2)
+                assert float(prob.log_eval(handover)[0].max()) < -gp._PHASE1_MARGIN
+                outside += 1
+            assert infeasible.solve(start=start[:1]).status == "infeasible"
+    assert inside > 5 and outside > 5
 
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
@@ -761,7 +830,7 @@ def test_line_search_skips_only_points_outside_the_domain(monkeypatch):
     searches, active = [], []
     original, direction = gp._primal_dual, gp._newton_direction
 
-    def spy(rows, g0, c, z, first, t, budget):
+    def spy(rows, g0, c, z, first, t, limit):
         run = {"rows": rows, "t": t, "iterates": [], "steps": [],
                "evals": {z.tobytes(): first[:2]}}
 
@@ -771,7 +840,7 @@ def test_line_search_skips_only_points_outside_the_domain(monkeypatch):
             return out
 
         searches.append(run)
-        iterates = original(recorded, g0, c, z, first, t, budget)
+        iterates = original(recorded, g0, c, z, first, t, limit)
         while True:
             active.append(run)
             try:
