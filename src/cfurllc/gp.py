@@ -129,10 +129,12 @@ class TermRows:
                         self.b, self.v + 1, self.m)
 
     def log_eval(self, y):
-        t = self.b * np.exp(y[self.v])
-        s = t / (1.0 + t)
-        z = self.c + self.a @ y + self.m @ np.log1p(t)
-        g = self.a + self.m @ (s[:, None] * self.select)
+        z, g = self.c + self.a @ y, self.a
+        if self.b.size:                                      # a table without factors skips them
+            t = self.b * np.exp(y[self.v])
+            s = t / (1.0 + t)
+            z = z + self.m @ np.log1p(t)
+            g = g + self.m @ (s[:, None] * self.select)
         top = np.maximum.reduceat(z, self.starts)
         w = np.exp(z - top[self.seg])
         total = np.add.reduceat(w, self.starts)
@@ -144,8 +146,9 @@ class TermRows:
         def hess(weights):
             gc, wp = g - jac[self.seg], weights[self.seg] * p
             h = gc.T @ (wp[:, None] * gc)
-            h.flat[::y.size + 1] += np.bincount(self.v, (wp @ self.m) * s * (1.0 - s),
-                                                minlength=y.size)
+            if self.b.size:
+                h.flat[::y.size + 1] += np.bincount(self.v, (wp @ self.m) * s * (1.0 - s),
+                                                    minlength=y.size)
             return h
         return vals, jac, hess
 

@@ -5,14 +5,18 @@ statistical-CSI receiver. One kernel serves both receivers, which differ only in
 their combining vectors: the mean coherent gain is the desired term, and its
 deviation (leakage), the interference and the noise make up the rest, from which
 instantaneous SINRs and finite-blocklength rates follow. Only the APs that
-serve some device are drawn, each in an orthonormal basis of its estimate's
-span (`channel.draw_channel`): every combining vector lies in that span, so
-min(N, K) coordinates per channel give the same inner products as N antennas.
+serve some device are drawn, each in r = max |D_m| coordinates of an
+orthonormal basis of its estimate's span (`channel.span_layout`), D_m the
+devices AP m serves: the combining vector of every device an AP serves lies
+in them, so they give the same inner products as N antennas. The layout
+differs between the decoders, so MRC and zero-forcing runs of one
+deployment and seed share no random numbers.
 Trials are drawn TRIAL_BLOCK at a time, each block from its own pair of
 SeedSequence-keyed PCG64 substreams, one for the normal fill, in which every
 trial takes one contiguous run, and one for the Bartlett diagonal, so a
-trial's values depend on the seed, its index, TRIAL_BLOCK and which APs
-serve, but not on the trial count or the order of evaluation.
+trial's values depend on the seed, its index, TRIAL_BLOCK, the decoder and
+which APs serve which devices, but not on the trial count or the order of
+evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import fbl
 from .channel import (ChannelRealization, EstimationStats, draw_channel,
-                      estimation_stats, substream)
+                      estimation_stats, span_layout, substream)
 from .scenario import LargeScaleModel
 
 TRIAL_BLOCK = 128
@@ -53,26 +57,22 @@ class TrialOutcome:
         return self.ls2.shape[0]
 
 
-def _decode(real: ChannelRealization, model: LargeScaleModel, vectors: np.ndarray,
-            scale: np.ndarray, mean_gain: np.ndarray, payload: np.ndarray,
-            params: fbl.FblParams) -> TrialOutcome:
-    """Decoder terms of every device from its combining vectors.
+def _decode(real: ChannelRealization, coeffs: np.ndarray, mean_gain: np.ndarray,
+            payload: np.ndarray, params: fbl.FblParams) -> TrialOutcome:
+    """Decoder terms of every device from its combining coefficients.
 
-    Device k combines over its service set with vectors[:, m, k, :] (T, M, K, r)
-    times scale[m, k]; mean_gain[k] is the mean of its coherent gain. With the
-    scales zeroed off each service set, one (T, K, M r) @ (T, M r, K + 1)
-    product takes every device's inner products with the channels and noise.
+    coeffs[t, k, m, :] (T, K, M, r), in C order, is the conjugate of device
+    k's combining vector at AP m times its scale there, zero off its service
+    set; mean_gain[k] is the mean of its coherent gain. One
+    (T, K, M r) @ (T, M r, K + 1) product, r the realization's coordinates
+    per AP, takes every device's inner products with the channels and noise.
     """
     trials, aps, kdev, r = real.g.shape
     pd = np.asarray(payload, dtype=float)
-    mask = model.service_mask * scale.T
-    a = np.empty((trials, kdev, aps, r), dtype=complex)     # C order: reshapes are views
-    np.conjugate(np.swapaxes(vectors, 1, 2), out=a)
-    a *= mask[:, :, None]
     targets = np.empty((trials, aps, r, kdev + 1), dtype=complex)
     targets[..., :kdev] = np.swapaxes(real.g, 2, 3)
     targets[..., kdev] = real.noise
-    proj = a.reshape(trials, kdev, aps * r) @ targets.reshape(trials, aps * r, kdev + 1)
+    proj = coeffs.reshape(trials, kdev, aps * r) @ targets.reshape(trials, aps * r, kdev + 1)
     gain = np.diagonal(proj, axis1=1, axis2=2)
     ls2 = pd * np.abs(gain - mean_gain) ** 2
     ui2 = pd * np.abs(proj[..., :kdev]) ** 2
@@ -88,37 +88,45 @@ def decode_mrc(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams) -> TrialOutcome:
     """Maximum-ratio combining with the estimates; the mean gain is N * sum lambda."""
-    mean_gain = n_antennas * (model.service_mask * stats.lam.T).sum(axis=1)
-    return _decode(real, model, real.g_hat, np.ones_like(stats.lam), mean_gain,
-                   payload_power, params)
+    mask = model.service_mask
+    estimates = np.swapaxes(real.g_hat, 1, 2)
+    coeffs = np.empty(estimates.shape, dtype=complex)        # C order: reshapes are views
+    np.conjugate(estimates, out=coeffs)
+    coeffs *= mask[:, :, None]
+    mean_gain = n_antennas * (mask * stats.lam.T).sum(axis=1)
+    return _decode(real, coeffs, mean_gain, payload_power, params)
 
 
-def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int) -> np.ndarray:
-    """Zero-forcing vectors per AP, G (G^H G)^-1 = G^-H for the square upper
-    triangular estimate G of `draw_channel` (another shape is a ValueError),
-    batched as (T, M, K, r): conj(X), with X = G^-1 from a back substitution
-    over the batch that reads only G's upper triangle.
+def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int,
+                 num_devices: int) -> np.ndarray:
+    """Zero-forcing vectors per AP, G (G^H G)^-1 = G^-H for a square upper
+    triangular estimate G, batched as (T, M, r, r) in the layout of
+    `draw_channel`: conj(X), with X = G^-1 from a back substitution over the
+    batch, r steps that read only G's upper triangle. When G is the trailing
+    block R[K - r:, K - r:] diag(sqrt(lam)) of a K-device factor, row i of X
+    is that of the whole factor's inverse, which is zero off those
+    coordinates.
 
     Raises RuntimeError naming the first trial (counted from first_trial) with a
     rank-deficient estimate at some AP: G has a zero on its diagonal, or the
     largest entry of (G^H G)^-1 = X X^H scaled by the Gram diagonal, which is
     max_i |row i of X|^2 |column i of G|^2, reaches 1 / (eps max(1e3, 2K(N + K)))
-    for N = n_antennas, whatever the size of each device's channel.
+    for N = n_antennas and K = num_devices, whatever the size of each
+    device's channel.
     """
-    kdev, r = g_hat.shape[2:]
-    if r != kdev:
-        raise ValueError(f"zero-forcing needs a square triangular estimate, got {r} x {kdev}")
+    r = g_hat.shape[3]
     g_hat = np.ascontiguousarray(g_hat)
     x = np.zeros_like(g_hat)                            # [t, m, i, :] = row i of G^-1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(kdev - 1, -1, -1):
+        for i in range(r - 1, -1, -1):
             row = -(g_hat[:, :, None, i + 1:, i] @ x[:, :, i + 1:, i:])[:, :, 0]
             row[..., 0] += 1.0
             x[:, :, i, i:] = row / g_hat[:, :, i, i, None]
         xr, gr = x.view(float), g_hat.view(float)
         worst = (np.einsum("tmkc,tmkc->tmk", xr, xr)
                  * np.einsum("tmkc,tmkc->tmk", gr, gr)).max(axis=2)
-    limit = 1.0 / (np.finfo(float).eps * max(1e3, 2.0 * kdev * (n_antennas + kdev)))
+    limit = 1.0 / (np.finfo(float).eps
+                   * max(1e3, 2.0 * num_devices * (n_antennas + num_devices)))
     bad = np.flatnonzero(~(worst < limit).all(axis=1))  # NaN counts as bad
     if bad.size:
         raise RuntimeError(f"trial {first_trial + bad[0]}: estimated channel rank-deficient")
@@ -129,15 +137,24 @@ def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams, first_trial: int = 0) -> TrialOutcome:
     """Full-pilot zero-forcing, each AP's vector G^-H e_k scaled by its root-mean
-    gain sqrt((N - K) lambda); needs N > K, so that G is square. A rank-deficient
-    estimate raises RuntimeError naming its trial, counted from first_trial."""
-    kdev = real.g.shape[2]
+    gain sqrt((N - K) lambda); needs N > K. The r coordinates must be the last
+    r rows of each AP's triangular factor, the zero-forcing layout of
+    `draw_channel` (r = K: the whole factor); more than K is a ValueError. The
+    vectors of the devices in the last r columns come from that r x r block,
+    and the others are zero, which no served device needs. A rank-deficient
+    block raises RuntimeError naming its trial, counted from first_trial."""
+    kdev, r = real.g.shape[2:]
     if n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
-    scale = np.sqrt((n_antennas - kdev) * stats.lam)
-    mean_gain = (model.service_mask * scale.T).sum(axis=1)
-    return _decode(real, model, _fzf_vectors(real.g_hat, n_antennas, first_trial), scale,
-                   mean_gain, payload_power, params)
+    if r > kdev:
+        raise ValueError(f"zero-forcing needs a square triangular estimate, got {r} x {kdev}")
+    trials, aps = real.g.shape[:2]
+    block, ap = real.order[:, kdev - r:], np.arange(aps)[:, None]
+    vectors = _fzf_vectors(real.g_hat[:, ap, block], n_antennas, first_trial, kdev)
+    mask = model.service_mask * np.sqrt((n_antennas - kdev) * stats.lam).T
+    coeffs = np.zeros((trials, kdev, aps, r), dtype=complex)
+    coeffs[:, block, ap] = np.conjugate(vectors) * mask[block, ap][..., None]
+    return _decode(real, coeffs, mask.sum(axis=1), payload_power, params)
 
 
 def simulate(model: LargeScaleModel, stats: EstimationStats,
@@ -149,18 +166,20 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     Only the APs that serve some device are drawn: the trials run on
     `model.serving_subset()`, with statistics from `estimation_stats` at
     `stats.pilot_power`, so each device's trials keep their law and an AP
-    that serves nobody can neither be rank-deficient nor cost a draw.
-    Block b holds trials b*TRIAL_BLOCK onwards and is drawn by one
-    `draw_channel` call, in each serving AP's estimate basis, with its normal
+    that serves nobody can neither be rank-deficient nor cost a draw. Block
+    b holds trials b*TRIAL_BLOCK onwards and is drawn by one `draw_channel`
+    call in the decoder's `channel.span_layout`, built once, with its normal
     fill from the substream (seed, b, 0) and the diagonal of its Bartlett
     factors from the sibling substream (seed, b, 1). A trial's values depend
-    on the seed, its index, TRIAL_BLOCK and which APs serve, not on the trial
-    count or the order of evaluation. A rank-deficient zero-forcing estimate
-    raises RuntimeError naming the trial: it has probability zero, and a
-    degenerate input (a zero estimate at a serving AP when K p beta
-    underflows) recurs on every draw. Blocks run on `workers` threads (None:
-    all usable CPUs; 1: no pool) and are consumed in order; block b + workers
-    starts once block b is consumed.
+    on the seed, its index, TRIAL_BLOCK, the decoder and which APs serve
+    which devices, not on the trial count or the order of evaluation. A
+    rank-deficient zero-forcing estimate raises RuntimeError naming the
+    trial: it has probability zero, and a degenerate input recurs on every
+    draw. So a zero estimate at a serving AP (K p beta underflows), served
+    there or not, is found from lambda before the first draw and named as
+    trial 0, since the drawn block may not hold its column. Blocks run on
+    `workers` threads (None: all usable CPUs; 1: no pool) and are consumed
+    in order; block b + workers starts once block b is consumed.
     """
     fbl.check_decoder(decoder)
     if trials < 1:
@@ -174,11 +193,14 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     workers = min(workers, len(blocks))
     serving = model.serving_subset()      # no decoder reads the other APs
     stats = estimation_stats(serving, stats.pilot_power)
+    layout = span_layout(serving, stats, n_antennas, decoder == "fzf")
+    if decoder == "fzf" and not np.all(stats.lam > 0):
+        raise RuntimeError("trial 0: estimated channel rank-deficient")
 
     def run(block):
         start = block * TRIAL_BLOCK
-        real = draw_channel(serving, stats, n_antennas, substream(seed, block, 0),
-                            substream(seed, block, 1), min(TRIAL_BLOCK, trials - start))
+        real = draw_channel(layout, substream(seed, block, 0), substream(seed, block, 1),
+                            min(TRIAL_BLOCK, trials - start))
         if decoder == "mrc":
             return decode_mrc(real, serving, stats, payload_power, n_antennas, params)
         return decode_fzf(real, serving, stats, payload_power, n_antennas, params, start)

@@ -7,6 +7,7 @@ generation time, so every downstream SINR expression uses unit noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -98,13 +99,15 @@ class LargeScaleModel:
     def num_devices(self) -> int:
         return self.beta.shape[1]
 
-    @property
+    @functools.cached_property
     def service_mask(self) -> np.ndarray:
-        """(K, M) indicator of the service sets: entry (k, m) is 1 when m in S_k."""
+        """(K, M) indicator of the service sets: entry (k, m) is 1 when m in S_k.
+        Built once per deployment and read-only, since every caller shares it."""
         sizes = [len(aps) for aps in self.service_sets]
         mask = np.zeros((self.num_devices, self.num_aps))
         mask[np.repeat(np.arange(self.num_devices), sizes),
              np.concatenate(self.service_sets).astype(int)] = 1.0
+        mask.flags.writeable = False
         return mask
 
     def serving_subset(self) -> "LargeScaleModel":

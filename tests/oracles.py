@@ -323,7 +323,8 @@ def draw_channel_full_antenna(model: LargeScaleModel, stats: EstimationStats,
     gain = (kp[None, :] * model.beta / (kp[None, :] * model.beta + 1.0))
     g_hat = gain[None, :, :, None] * (g + pilot_noise)
     noise = z[:, 2 * mkn:].reshape(trials, m, n_antennas)
-    return ChannelRealization(g=g, g_hat=g_hat, noise=noise)
+    return ChannelRealization(g=g, g_hat=g_hat, noise=noise,
+                              order=np.tile(np.arange(k), (m, 1)))
 
 
 def in_estimate_span(real: ChannelRealization) -> ChannelRealization:
@@ -336,7 +337,8 @@ def in_estimate_span(real: ChannelRealization) -> ChannelRealization:
     coords = q.conj().swapaxes(2, 3)
     return ChannelRealization(g=np.swapaxes(coords @ np.swapaxes(real.g, 2, 3), 2, 3),
                               g_hat=np.swapaxes(r, 2, 3),
-                              noise=(coords @ real.noise[..., None])[..., 0])
+                              noise=(coords @ real.noise[..., None])[..., 0],
+                              order=real.order)
 
 
 def gram_rank_worst(g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

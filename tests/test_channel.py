@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfurllc.channel import draw_channel, estimation_stats, substream
+from cfurllc.channel import draw_channel, estimation_stats, span_layout, substream
 
 from conftest import toy_model
 from oracles import draw_channel_full_antenna
@@ -122,8 +122,8 @@ def test_draw_matches_full_antenna_law(n_ant):
     model = toy_model(beta)
     stats = estimation_stats(model, np.array([0.9, 2.5, 0.2]))
     trials = 20000
-    span = draw_channel(model, stats, n_ant, substream(31, n_ant, 0), substream(31, n_ant, 1),
-                        trials=trials)
+    span = draw_channel(span_layout(model, stats, n_ant, False), substream(31, n_ant, 0),
+                        substream(31, n_ant, 1), trials=trials)
     r = min(n_ant, 3)
     assert span.g.shape == span.g_hat.shape == (trials, 2, 3, r)
     assert span.noise.shape == (trials, 2, r)
@@ -142,13 +142,43 @@ def test_draw_keeps_estimate_in_its_span():
     model = toy_model(np.array([[0.8, 2.0, 0.3], [1.5, 0.4, 5.0]]))
     stats = estimation_stats(model, np.array([0.9, 2.5, 0.2]))
     for n_ant in (2, 3, 7):
-        g_hat = draw_channel(model, stats, n_ant, substream(4, 0), substream(4, 1),
-                             trials=50).g_hat
+        g_hat = draw_channel(span_layout(model, stats, n_ant, False), substream(4, 0),
+                             substream(4, 1), trials=50).g_hat
         r = min(n_ant, 3)
         rows, cols = np.indices((3, r))         # g_hat[..., j, i] = R_ij
         assert np.all(g_hat[:, :, rows < cols] == 0.0)
         diag = g_hat[:, :, np.arange(r), np.arange(r)]
         assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+
+
+@pytest.mark.parametrize("zero_forcing", [False, True])
+def test_layout_draws_the_rows_of_its_reordered_factor(zero_forcing):
+    # APs serving 1, 3 and 2 of 4 devices: each AP's factor takes its served
+    # devices first (MRC) or last (zero-forcing), each group in index order,
+    # and the draw keeps max |D_m| = 3 of its rows, the first or the last
+    model = toy_model(np.array([[0.8, 2.0, 0.3, 1.1], [1.5, 0.4, 5.0, 0.9],
+                                [0.6, 1.2, 2.2, 0.7]]),
+                      service_sets=((1,), (1, 2), (0, 2), (1,)))
+    stats = estimation_stats(model, np.array([0.9, 2.5, 0.2, 1.4]))
+    layout = span_layout(model, stats, 6, zero_forcing)
+    served = ([2], [0, 1, 3], [1, 2])
+    for order, devices in zip(layout.order, served):
+        rest = [k for k in range(4) if k not in devices]
+        assert list(order) == (rest + devices if zero_forcing else devices + rest)
+    assert layout.rows == (range(1, 4) if zero_forcing else range(3))
+    real = draw_channel(layout, substream(5, 0), substream(5, 1), trials=50)
+    assert real.g.shape == real.g_hat.shape == (50, 3, 4, 3)
+    assert real.noise.shape == (50, 3, 3)
+    assert np.array_equal(real.order, layout.order)
+    # the estimate columns in the factor's order hold its drawn rows: zero
+    # below the diagonal, real positive on it and nonzero above it
+    g_hat = np.take_along_axis(real.g_hat, layout.order[None, :, :, None], axis=2)
+    column, row = np.indices((4, 3))
+    row += layout.rows.start
+    assert np.all(g_hat[:, :, row > column] == 0.0)
+    assert np.all(g_hat[:, :, row < column] != 0.0)
+    diag = g_hat[:, :, row == column]
+    assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
 
 
 def test_error_variance_is_positive_and_within_4_ulp():
@@ -170,7 +200,8 @@ def test_draw_is_finite_where_the_error_variance_is_tiny_but_positive():
     model = toy_model(np.array([[1.3, 1.3]]))
     stats = estimation_stats(model, np.full(2, 1e17))
     assert np.all(stats.err_var > 0.0)
-    real = draw_channel(model, stats, 4, substream(2, 0), substream(2, 1), trials=10)
+    real = draw_channel(span_layout(model, stats, 4, False), substream(2, 0), substream(2, 1),
+                        trials=10)
     for name in ("g", "g_hat", "noise"):
         assert np.all(np.isfinite(getattr(real, name))), name
     error = np.abs(real.g - real.g_hat).max()
@@ -186,14 +217,15 @@ def test_draw_rejects_empty_sizes(kwargs, name):
     stats = estimation_stats(model, np.array([1.0, 1.0]))
     args = {"n_antennas": 4, "trials": 2, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
-        draw_channel(model, stats, args["n_antennas"], substream(1, 0), substream(1, 1),
-                     trials=args["trials"])
+        draw_channel(span_layout(model, stats, args["n_antennas"], False), substream(1, 0),
+                     substream(1, 1), trials=args["trials"])
 
 
 def test_channel_draw_cross_device_independence():
     model = toy_model(np.array([[1.0, 1.0]]))
     stats = estimation_stats(model, np.array([1.0, 1.0]))
-    real = draw_channel(model, stats, 2, substream(3, 0), substream(3, 1), trials=5000)
+    real = draw_channel(span_layout(model, stats, 2, False), substream(3, 0), substream(3, 1),
+                        trials=5000)
     x = real.g[:, 0, 0, :].ravel()
     y = real.g[:, 0, 1, :].ravel()
     corr = np.mean(x.conj() * y)
@@ -204,7 +236,8 @@ def test_channel_draw_cross_device_independence():
 def test_channel_draw_prefix_independent_of_trial_count(a, b):
     model = toy_model(np.array([[0.8, 2.0, 1.1], [1.5, 0.4, 0.7]]))
     stats = estimation_stats(model, np.array([0.9, 2.5, 1.3]))
-    short = draw_channel(model, stats, 4, substream(9, 2, 0), substream(9, 2, 1), trials=a)
-    full = draw_channel(model, stats, 4, substream(9, 2, 0), substream(9, 2, 1), trials=b)
+    layout = span_layout(model, stats, 4, False)
+    short = draw_channel(layout, substream(9, 2, 0), substream(9, 2, 1), trials=a)
+    full = draw_channel(layout, substream(9, 2, 0), substream(9, 2, 1), trials=b)
     for name in ("g", "g_hat", "noise"):
         assert np.array_equal(getattr(short, name), getattr(full, name)[:a]), name

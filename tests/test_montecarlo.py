@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import sys
 import threading
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfurllc import fbl, montecarlo as mc
-from cfurllc.channel import draw_channel, estimation_stats, substream
+from cfurllc.channel import draw_channel, estimation_stats, span_layout, substream
 from cfurllc.fbl import lb_rate, lb_sinr_fzf, lb_sinr_mrc
 from cfurllc.scenario import SystemConfig, generate_topology
 
@@ -152,37 +153,63 @@ def test_workers_must_be_a_positive_int(workers):
         mc.ergodic_rate(model, stats, pd, "mrc", 100, 8, 8, params, workers=workers)
 
 
+def padded_setup(pilot=2e10, payload=2e10):
+    """A deployment whose serving APs serve 1, 2, 2 and 3 of its 5 devices,
+    so every AP but one draws padding coordinates."""
+    cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=8,
+                       ap_select_threshold=0.9)
+    model = generate_topology(cfg, seed=2)
+    params = fbl.FblParams.from_config(cfg)
+    stats = estimation_stats(model, np.full(5, pilot))
+    return cfg, model, params, stats, np.full(5, payload)
+
+
 # Bound on each two-sample z-score below, fixed before the test first ran:
 # 30 device terms over both decoders at |z| <= 4 give a family-wise
-# false-alarm probability of about 30 * 6.3e-5 = 0.2% under the same law.
+# false-alarm probability of about 30 * 6.3e-5 = 0.2% under the same law;
+# the padded deployment's 70 more bring it to about 100 * 6.3e-5 = 0.6%.
 TWO_SAMPLE_Z = 4.0
 
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
-def test_simulate_matches_decoders_fed_the_full_antenna_draw(decoder):
-    cfg, model, params, stats, pd = validation_setup()
+def test_simulate_matches_decoders_fed_the_full_antenna_draw(decoder, monkeypatch):
+    draw, coordinates = mc.draw_channel, []
+
+    def counted(*args, **kwargs):
+        real = draw(*args, **kwargs)
+        coordinates.append(real.g.shape[3])
+        return real
+
+    monkeypatch.setattr(mc, "draw_channel", counted)
     trials = 20000
-    out = mc.simulate(model, stats, pd, decoder, trials, seed=41, n_antennas=8,
-                      params=params)
-    serving = model.serving_subset()
-    serving_stats = estimation_stats(serving, stats.pilot_power)
-    decode = mc.decode_mrc if decoder == "mrc" else mc.decode_fzf
-    # zero-forcing takes its square triangular estimate from the projection
-    # onto each AP's estimate span, which keeps every in-span inner product
-    project = (lambda real: real) if decoder == "mrc" else in_estimate_span
-    blocks = [decode(project(draw_channel_full_antenna(serving, serving_stats, 8,
-                                                       substream(42, b), trials=2000)),
-                     serving, serving_stats, pd, 8, params)
-              for b in range(trials // 2000)]
-    off_diag = ~np.eye(3, dtype=bool)
-    for name in ("ls2", "n2", "ui2", "rate"):
-        got = getattr(out, name).reshape(trials, -1)
-        ref = np.concatenate([getattr(o, name) for o in blocks]).reshape(trials, -1)
-        if name == "ui2":
-            got, ref = got[:, off_diag.ravel()], ref[:, off_diag.ravel()]
-        se = np.hypot(got.std(axis=0, ddof=1), ref.std(axis=0, ddof=1)) / np.sqrt(trials)
-        z = (got.mean(axis=0) - ref.mean(axis=0)) / se
-        assert np.all(np.abs(z) <= TWO_SAMPLE_Z), (name, z)
+    for setup in (validation_setup, padded_setup):
+        cfg, model, params, stats, pd = setup()
+        serving = model.serving_subset()
+        served = serving.service_mask.sum(axis=0).astype(int)          # |D_m|
+        assert served.max() < model.num_devices and served.min() < served.max()
+        coordinates.clear()
+        out = mc.simulate(model, stats, pd, decoder, trials, seed=41, n_antennas=8,
+                          params=params)
+        # each serving AP is drawn in max |D_m| coordinates, not in K
+        assert coordinates == [served.max()] * -(-trials // mc.TRIAL_BLOCK)
+        serving_stats = estimation_stats(serving, stats.pilot_power)
+        decode = mc.decode_mrc if decoder == "mrc" else mc.decode_fzf
+        # zero-forcing takes its square triangular estimate from the projection
+        # onto each AP's estimate span, which keeps every in-span inner product
+        project = (lambda real: real) if decoder == "mrc" else in_estimate_span
+        blocks = [decode(project(draw_channel_full_antenna(serving, serving_stats, 8,
+                                                           substream(42, b), trials=2000)),
+                         serving, serving_stats, pd, 8, params)
+                  for b in range(trials // 2000)]
+        off_diag = ~np.eye(model.num_devices, dtype=bool)
+        for name in ("ls2", "n2", "ui2", "rate"):
+            got = getattr(out, name).reshape(trials, -1)
+            ref = np.concatenate([getattr(o, name) for o in blocks]).reshape(trials, -1)
+            if name == "ui2":
+                got, ref = got[:, off_diag.ravel()], ref[:, off_diag.ravel()]
+            se = np.hypot(got.std(axis=0, ddof=1), ref.std(axis=0, ddof=1)) / np.sqrt(trials)
+            z = (got.mean(axis=0) - ref.mean(axis=0)) / se
+            assert np.all(np.abs(z) <= TWO_SAMPLE_Z), (setup.__name__, name, z)
 
 
 def _block_stream_key(seed, trial):
@@ -208,14 +235,15 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
     seed, target = 5, mc.TRIAL_BLOCK + 7
     draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
-    def degenerate(model, stats, n_antennas, rng, diag_rng, trials=1):
-        real = draw(model, stats, n_antennas, rng, diag_rng, trials)
+    def degenerate(layout, rng, diag_rng, trials=1):
+        real = draw(layout, rng, diag_rng, trials)
         keys.append(stream_keys[id(rng)])
         if keys[-1] == _block_stream_key(seed, target):
-            # device 2's column of the N x K estimate at serving AP 1, zeroed
-            # or copied from device 0
+            # the drawn estimate column of device 1, the one serving AP 1
+            # serves, zeroed or copied from device 2, the other column of
+            # that AP's zero-forcing block
             j = target % mc.TRIAL_BLOCK
-            real.g_hat[j, 1, 2] = 0.0 if kind == "zero" else real.g_hat[j, 1, 0]
+            real.g_hat[j, 1, 1] = 0.0 if kind == "zero" else real.g_hat[j, 1, 2]
         return real
 
     monkeypatch.setattr(mc, "draw_channel", degenerate)
@@ -235,12 +263,12 @@ def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
     targets = (mc.TRIAL_BLOCK + 7, 2 * mc.TRIAL_BLOCK + 3)     # blocks 1 and 2
     draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
-    def degenerate(model, stats, n_antennas, rng, diag_rng, trials=1):
-        real = draw(model, stats, n_antennas, rng, diag_rng, trials)
+    def degenerate(layout, rng, diag_rng, trials=1):
+        real = draw(layout, rng, diag_rng, trials)
         keys.append(stream_keys[id(rng)])
         for target in targets:
             if keys[-1] == _block_stream_key(seed, target):
-                real.g_hat[target % mc.TRIAL_BLOCK, 1, 2] = 0.0
+                real.g_hat[target % mc.TRIAL_BLOCK, 1, 1] = 0.0   # served by AP 1
         return real
 
     monkeypatch.setattr(mc, "draw_channel", degenerate)
@@ -260,11 +288,11 @@ def test_persistently_degenerate_trial_raises(monkeypatch):
     cfg, model, params, stats, pd = validation_setup()
     target, draw = 3, mc.draw_channel
 
-    def degenerate(model, stats, n_antennas, rng, diag_rng, trials=1):
-        # from trial 3 on, every draw copies device 0's estimate at serving
-        # AP 1 into device 2's
-        real = draw(model, stats, n_antennas, rng, diag_rng, trials)
-        real.g_hat[target:, 1, 2] = real.g_hat[target:, 1, 0]
+    def degenerate(layout, rng, diag_rng, trials=1):
+        # from trial 3 on, every draw copies device 2's estimate at serving
+        # AP 1 into that of device 1, the device AP 1 serves
+        real = draw(layout, rng, diag_rng, trials)
+        real.g_hat[target:, 1, 1] = real.g_hat[target:, 1, 2]
         return real
 
     monkeypatch.setattr(mc, "draw_channel", degenerate)
@@ -274,7 +302,7 @@ def test_persistently_degenerate_trial_raises(monkeypatch):
                     params=params)
     with pytest.raises(RuntimeError, match=match):
         mc.ergodic_rate(model, stats, pd, "fzf", 100, 5, 8, params)
-    # maximum-ratio combining needs no rank, so the same draws decode
+    # maximum-ratio combining needs no rank, so the same copies decode
     out = mc.simulate(model, stats, pd, "mrc", 100, seed=5, n_antennas=8,
                       params=params)
     assert np.all(np.isfinite(out.sinr)) and np.all(out.sinr > 0)
@@ -316,6 +344,27 @@ def test_zero_estimate_at_a_non_serving_ap_is_not_drawn():
     assert np.all(np.isfinite(out.sinr)) and np.all(out.sinr > 0)
 
 
+def test_zero_estimate_of_a_device_a_serving_ap_does_not_serve():
+    # AP 0 serves device 0 alone, and device 1's gain there is so small that
+    # its estimate is exactly zero. Full-pilot zero-forcing inverts every
+    # device's estimate at an AP, so every trial is rank-deficient, although
+    # AP 0's drawn block holds device 0's column alone; maximum-ratio
+    # combining needs no rank
+    model = toy_model(np.array([[2.0, 1e-320], [0.3, 1.5]]), service_sets=((0,), (1,)))
+    stats = estimation_stats(model, np.full(2, 10.0))
+    assert stats.lam[0, 1] == 0.0
+    params = fbl.FblParams.from_config(SystemConfig(num_devices=2))
+    match = "^trial 0: estimated channel rank-deficient$"
+    with pytest.raises(RuntimeError, match=match):
+        mc.simulate(model, stats, np.full(2, 10.0), "fzf", 100, seed=3, n_antennas=4,
+                    params=params)
+    with pytest.raises(RuntimeError, match=match):
+        mc.ergodic_rate(model, stats, np.full(2, 10.0), "fzf", 100, 3, 4, params)
+    out = mc.simulate(model, stats, np.full(2, 10.0), "mrc", 100, seed=3, n_antennas=4,
+                      params=params)
+    assert np.all(np.isfinite(out.sinr)) and np.all(out.sinr > 0)
+
+
 def _rank_check_stacks():
     """Triangular estimates of 3 devices at N = 8 antennas, (200, 2, 3, 3): the
     R factors of dense stacks with devices scaled over twelve orders of
@@ -346,7 +395,7 @@ def test_rank_check_flags_exactly_the_deficient_stacks():
         return False
 
     assert (ranks < 3).sum() == 100
-    for check in (mc._fzf_vectors, fzf_vectors_by_gram):
+    for check in (functools.partial(mc._fzf_vectors, num_devices=3), fzf_vectors_by_gram):
         assert np.array_equal([[flagged(check, t, m) for m in range(2)]
                                for t in range(200)], ranks < 3)
     # a block names its first deficient trial, counted from first_trial, be it
@@ -354,7 +403,7 @@ def test_rank_check_flags_exactly_the_deficient_stacks():
     # (50: near-duplicated column), with the other one after it
     for order in ([95, 50, 5], [95, 5, 50]):
         with pytest.raises(RuntimeError, match="^trial 1001:"):
-            mc._fzf_vectors(g_hat[order], 8, 1000)
+            mc._fzf_vectors(g_hat[order], 8, 1000, 3)
 
 
 def test_rank_check_reads_the_full_matrix_worst_off_the_diagonal():
@@ -363,7 +412,7 @@ def test_rank_check_reads_the_full_matrix_worst_off_the_diagonal():
     g_hat, ranks = _rank_check_stacks()
     full = (ranks == 3).all(axis=1)
     assert full.sum() == 110
-    vectors = mc._fzf_vectors(g_hat[full], 8, 0)
+    vectors = mc._fzf_vectors(g_hat[full], 8, 0, 3)
     diagonal = ((np.abs(vectors) ** 2).sum(axis=3)
                 * (np.abs(g_hat[full]) ** 2).sum(axis=3)).max(axis=2)
     assert np.allclose(diagonal, gram_rank_worst(g_hat[full])[1], rtol=1e-10, atol=0)
@@ -376,9 +425,9 @@ def test_fzf_vectors_match_the_gram_oracle(kdev):
     rng = np.random.default_rng(kdev)
     model = toy_model(10.0 ** rng.uniform(-6, 6, size=(3, kdev)))
     stats = estimation_stats(model, np.full(kdev, 1e12))
-    real = draw_channel(model, stats, kdev + 2, substream(7, kdev, 0),
+    real = draw_channel(span_layout(model, stats, kdev + 2, True), substream(7, kdev, 0),
                         substream(7, kdev, 1), trials=64)
-    vectors = mc._fzf_vectors(real.g_hat, kdev + 2, 0)
+    vectors = mc._fzf_vectors(real.g_hat, kdev + 2, 0, kdev)
     oracle = fzf_vectors_by_gram(real.g_hat, kdev + 2, 0)
     norm = np.linalg.norm(oracle, axis=3, keepdims=True)
     assert np.all(np.abs(vectors - oracle) <= 1e-12 * norm)

@@ -206,6 +206,8 @@ def test_service_mask_marks_each_service_set(rng):
             want = np.array([[ap in aps for ap in range(m.num_aps)] for aps in m.service_sets],
                             dtype=float).reshape(m.num_devices, m.num_aps)
             assert np.array_equal(m.service_mask, want)
+            # built once and shared by every caller, so nobody may write it
+            assert m.service_mask is m.service_mask and not m.service_mask.flags.writeable
         # re-indexing keeps each device's set: the mask loses the idle APs' columns
         served = model.service_mask.any(axis=0)
         assert np.array_equal(model.serving_subset().service_mask, model.service_mask[:, served])
