@@ -12,14 +12,15 @@ feasible starting point; the infinite-blocklength benchmark reuses it with the
 dispersion penalty removed. The fixed-pilot benchmark freezes the pilots, so
 its SINR floors are linear in the payloads: one linear solve gives the least
 payloads meeting them and decides feasibility (Yates, IEEE JSAC 13(7), 1995),
-and the SCA starts above those payloads.
+and the SCA starts above those payloads. A scheme is its step-GP builder;
+allocations are read by position, and every scheme is scored by `true_sinr`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -247,19 +248,10 @@ def _round_gp(names: list[str], table: gp.TermRows, w_hat, r: np.ndarray,
 # The max-slack stage and the SCA loop
 # ---------------------------------------------------------------------------
 
-class _Scheme(NamedTuple):
-    """What the max-slack stage and the SCA loop need of one scheme."""
-
-    build: Callable      # (pilot_hat, w_hat) -> its GP; w_hat None: the joint max-slack GP
-    read: Callable       # GP solution -> PowerAllocation, read by position
-    coords: Callable     # PowerAllocation -> its step GP's variables (phi aside)
-    sinr_of: Callable    # PowerAllocation -> lower-bound SINRs
-
-
 def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                  floors: np.ndarray) -> _Scheme:
-    """The joint allocation: SINR constraints fitted at pilot_hat, and the
-    energy budgets over the pilots and payloads."""
+                  floors: np.ndarray) -> Callable:
+    """The joint allocation's builder (pilot_hat, w_hat) -> step GP (w_hat None: max-slack
+    GP): SINR constraints fitted at pilot_hat, energy budgets over pilots and payloads."""
     kdev = model.num_devices
     names = [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]
     log_floors = np.log(floors)
@@ -277,16 +269,19 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
         return _round_gp(names, tables[w_hat is None], w_hat, log_coeffs - log_floors,
                          exponents)
 
-    return _Scheme(build=build,
-                   read=lambda sol: PowerAllocation(pilot=sol.x[-2 * kdev:-kdev],
-                                                    payload=sol.x[-kdev:]),
-                   coords=lambda alloc: np.concatenate([alloc.pilot, alloc.payload]),
-                   sinr_of=lambda alloc: true_sinr(model, alloc, cfg.antennas_per_ap, decoder))
+    return build
+
+
+def _read(x: np.ndarray, pilot: np.ndarray) -> PowerAllocation:
+    """The allocation at GP point x: the payloads are its last K variables, the
+    pilots the K before them, or the frozen `pilot` when the GP has only K."""
+    k = pilot.size
+    return PowerAllocation(pilot=x[-2 * k:-k] if x.size > k else pilot, payload=x[-k:])
 
 
 def feasibility_init(model: LargeScaleModel, cfg: SystemConfig,
-                     scheme: _Scheme) -> tuple[PowerAllocation | None, float, str]:
-    """Find a joint allocation meeting every SINR floor of `scheme`, or report infeasible.
+                     build: Callable) -> tuple[PowerAllocation | None, float, str]:
+    """Find a joint allocation meeting every SINR floor of `build`'s GPs, or report infeasible.
 
     Solves the scheme's max-slack GP from the equal energy split (phi first,
     then the pilots and payloads) and re-expands the fits at the returned pilots,
@@ -309,15 +304,14 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig,
     prev_phi = -math.inf
     error = ""
     for _ in range(MAX_FEASIBILITY_ROUNDS):
-        sol = scheme.build(pilot_hat, None).solve(tol=cfg.gp_tolerance, start=start,
-                                                  target=target)
+        sol = build(pilot_hat, None).solve(tol=cfg.gp_tolerance, start=start, target=target)
         if sol.status == "numerical_error":
             error = f"max-slack GP failed: {sol.message}"
             break
         if sol.status == "infeasible":
             break
         phi = float(sol.x[0])
-        alloc = scheme.read(sol)
+        alloc = _read(sol.x, pilot_hat)
         if phi > best_phi:
             best_phi, best_alloc = phi, alloc
         if (phi >= target or phi <= prev_phi * 1.01
@@ -331,8 +325,8 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig,
     return None, best_phi, error
 
 
-def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
-             floors: np.ndarray, alloc: PowerAllocation, scheme: _Scheme) -> SolveResult:
+def _run_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str, params: fbl.FblParams,
+             floors: np.ndarray, alloc: PowerAllocation, build: Callable) -> SolveResult:
     """The SCA iteration every scheme runs, from a feasible allocation.
 
     Each iteration builds the scheme's step GP around the current iterate for
@@ -343,7 +337,7 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
     falls below cfg.sca_tolerance; the best iterate of the trace is returned.
     """
     trace = IterationTrace()
-    chi = scheme.sinr_of(alloc)
+    chi = true_sinr(model, alloc, cfg.antennas_per_ap, decoder)
     if np.any(chi < floors * (1.0 - 1e-9)):
         return _no_allocation("infeasible", "starting point violates an SINR floor")
     obj = fbl.weighted_lb_sum_rate(chi, model.weights, params)
@@ -359,8 +353,8 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
             status, message = "aborted", str(exc)
             break
         trace.surrogate_clamped |= clamped
-        m = scheme.build(alloc.pilot, w_hat)
-        point = scheme.coords(alloc)
+        m = build(alloc.pilot, w_hat)
+        point = np.concatenate([alloc.pilot, alloc.payload])[-len(m.names):]
         # previous iterate must stay feasible in the refreshed GP
         trace.carryover_margin.append(float(m.constraint_margins(point).max()))
         sol = m.solve(tol=cfg.gp_tolerance, start=point if warm is None else warm)
@@ -368,8 +362,8 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
         if sol.status != "optimal":
             status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
             break
-        alloc = scheme.read(sol)
-        chi = scheme.sinr_of(alloc)
+        alloc = _read(sol.x, alloc.pilot)
+        chi = true_sinr(model, alloc, cfg.antennas_per_ap, decoder)
         obj_new = fbl.weighted_lb_sum_rate(chi, model.weights, params)
         trace.add(obj_new, chi, alloc, sol.status)
         gain = (obj_new - obj) / obj if obj > 0 else math.inf
@@ -391,13 +385,13 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     """Joint pilot/payload SCA on one scheme from `start`, or from feasibility_init."""
     fbl.check_decoder(decoder)
     floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
-    scheme = _joint_scheme(model, cfg, decoder, floors)
+    build = _joint_scheme(model, cfg, decoder, floors)
     if start is None:
-        start, phi, error = feasibility_init(model, cfg, scheme)
+        start, phi, error = feasibility_init(model, cfg, build)
         if start is None:
             return _no_allocation("aborted" if error else "infeasible",
                                   error or f"max floor slack {phi:.4f} < 1")
-    return _run_sca(model, cfg, params, floors, start, scheme)
+    return _run_sca(model, cfg, decoder, params, floors, start, build)
 
 
 def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
@@ -426,20 +420,15 @@ def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig, decoder: s
     its requirement.
     """
     if not upper.feasible:
-        return SolveResult(status="infeasible", allocation=None, trace=upper.trace,
-                           sinr=None, rates=None, weighted_sum_rate=0.0,
-                           message="penalty-free stage infeasible")
+        return replace(upper, status="infeasible", allocation=None, sinr=None, rates=None,
+                       weighted_sum_rate=0.0, message="penalty-free stage infeasible")
     params = fbl.FblParams.from_config(cfg)
     chi = true_sinr(model, upper.allocation, cfg.antennas_per_ap, decoder)
     rates = fbl.lb_rate(chi, params, np.arange(model.num_devices))
-    if np.any(rates < cfg.rate_req_bps * (1.0 - 1e-9)):
-        return SolveResult(status="infeasible", allocation=upper.allocation,
-                           trace=upper.trace, sinr=chi, rates=rates,
-                           weighted_sum_rate=0.0,
-                           message="allocation misses a rate requirement under penalty")
-    return SolveResult(status="optimal", allocation=upper.allocation, trace=upper.trace,
-                       sinr=chi, rates=rates,
-                       weighted_sum_rate=float(model.weights @ rates))
+    missed = bool(np.any(rates < cfg.rate_req_bps * (1.0 - 1e-9)))
+    return replace(upper, status="infeasible" if missed else "optimal", sinr=chi, rates=rates,
+                   weighted_sum_rate=0.0 if missed else float(model.weights @ rates),
+                   message="allocation misses a rate requirement under penalty" if missed else "")
 
 
 def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
@@ -456,12 +445,11 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     """
     params = fbl.FblParams.from_config(cfg)
     kdev = model.num_devices
-    pilot = model.energy / cfg.blocklength
-    pd_max = model.energy / cfg.blocklength      # leftover budget per data symbol
+    # at the frozen pilots E/L, the energy row K E/L + (L - K) pd <= E is exactly pd <= E/L
+    pilot = pd_max = model.energy / cfg.blocklength
     floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
-    stats = estimation_stats(model, pilot)
-    pieces = fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder)
-    n, coherent, noise, cross = pieces
+    n, coherent, noise, cross = fbl.sinr_pieces(model, estimation_stats(model, pilot),
+                                                cfg.antennas_per_ap, decoder)
     gain = n * coherent
     lift = floors / gain
     try:
@@ -479,12 +467,9 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     table = gp.TermRows(np.append(terms + np.log(floors)[:, None], -np.log(pd_max)),
                         np.vstack([ratios.reshape(-1, kdev), np.eye(kdev)]),
                         np.append(np.full(kdev, kdev + 1), np.ones(kdev, dtype=int)))
-    scheme = _Scheme(build=lambda pilot_hat, w_hat: _round_gp(
-                         [f"pd{k}" for k in range(kdev)], table, w_hat, np.zeros(kdev),
-                         np.zeros((kdev, kdev))),
-                     read=lambda sol: PowerAllocation(pilot=pilot, payload=sol.x[-kdev:]),
-                     coords=lambda alloc: alloc.payload,
-                     sinr_of=lambda alloc: fbl.lb_sinr(pieces, alloc.payload))
+    names = [f"pd{k}" for k in range(kdev)]
     scale = 0.5 * (1.0 + float((pd_max / least).min()))
-    return _run_sca(model, cfg, params, floors,
-                    PowerAllocation(pilot=pilot, payload=scale * least), scheme)
+    return _run_sca(model, cfg, decoder, params, floors,
+                    PowerAllocation(pilot=pilot, payload=scale * least),
+                    lambda _, w_hat: _round_gp(names, table, w_hat, np.zeros(kdev),
+                                               np.zeros((kdev, kdev))))

@@ -87,7 +87,7 @@ def test_floor_monotone_in_reliability():
 # --------------------------------------------------------------------------
 
 def max_slack_stage(model, cfg, decoder, floors):
-    """feasibility_init on a new joint scheme of the decoder."""
+    """feasibility_init on a new joint scheme builder of the decoder."""
     return feasibility_init(model, cfg, optimizer._joint_scheme(model, cfg, decoder, floors))
 
 
@@ -368,6 +368,51 @@ def test_conventional_can_be_infeasible_when_proposed_is_not():
         if found:
             break
     assert found, "no instance separated the penalty-blind benchmark"
+
+
+# Desk deployments fixed before the first run: every scheme feasible at
+# E = 5e12 (seed 7), the penalty-blind allocation missing a requirement at
+# E = 1.3e12 (seed 1), and the penalty-free stage infeasible at E = 1e10 (seed 3).
+SCORED_DEPLOYMENTS = [(DESK, 7), (DESK.replace(energy_budget=1.3e12), 1),
+                      (DESK.replace(energy_budget=1e10), 3)]
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("scheme", ["solve", "benchmark_upper_bound", "benchmark_conventional",
+                                    "benchmark_fixed_pilot"])
+def test_every_scheme_reports_the_true_sinr_of_its_allocation(scheme, decoder):
+    # wherever a result has an allocation, its SINRs and rates are those of
+    # `true_sinr` there, to the last bit; conventional's two infeasible
+    # branches keep their verdicts, allocations, traces and messages
+    branches = []
+    for cfg, seed in SCORED_DEPLOYMENTS:
+        model = generate_topology(cfg, seed=seed)
+        params = fbl.FblParams.from_config(cfg)
+        if scheme == "benchmark_conventional":
+            upper = benchmark_upper_bound(model, cfg, decoder)
+            res = benchmark_conventional(model, cfg, decoder, upper)
+        else:
+            res = getattr(optimizer, scheme)(model, cfg, decoder)
+        if scheme == "benchmark_upper_bound":
+            params = params.with_zero_dispersion()
+        if res.allocation is not None:
+            sinr = optimizer.true_sinr(model, res.allocation, cfg.antennas_per_ap, decoder)
+            assert _bits(res.sinr) == _bits(sinr)
+            assert _bits(res.rates) == _bits(fbl.lb_rate(sinr, params, np.arange(cfg.num_devices)))
+        if scheme == "benchmark_conventional" and not res.feasible:
+            assert (res.status, res.trace, res.weighted_sum_rate) == ("infeasible", upper.trace, 0.0)
+            if upper.feasible:
+                assert res.allocation is upper.allocation
+                assert res.message == "allocation misses a rate requirement under penalty"
+            else:
+                assert res.allocation is res.sinr is res.rates is None
+                assert res.message == "penalty-free stage infeasible"
+        branches.append(res.message if scheme == "benchmark_conventional" else res.feasible)
+    if scheme == "benchmark_conventional":
+        assert branches == ["", "allocation misses a rate requirement under penalty",
+                            "penalty-free stage infeasible"]
+    else:
+        assert branches[0] and not branches[2]
 
 
 def test_fixed_pilot_never_beats_proposed():
@@ -892,7 +937,7 @@ def public_api_problem(model, cfg, scheme, floors, pilot_hat, w_hat):
 def recorded_rounds(run):
     """(pilot_hat, w_hat, GP, solve keywords, solution) of every GP that
     run's max-slack stage and SCA loop build, in order: each joint scheme
-    records as it is made, any other as it enters the SCA loop."""
+    builder records as it is made, any other as it enters the SCA loop."""
     built, solved, recorders = [], {}, []
     original_solve = gp.GpModel.solve
     joint_scheme, run_sca = optimizer._joint_scheme, optimizer._run_sca
@@ -901,17 +946,17 @@ def recorded_rounds(run):
         solved[id(self)] = (kwargs, original_solve(self, **kwargs))
         return solved[id(self)][1]
 
-    def recording(scheme):
+    def recording(build):
         def record(pilot_hat, w_hat):
-            m = scheme.build(pilot_hat, w_hat)
+            m = build(pilot_hat, w_hat)
             built.append((np.copy(pilot_hat), None if w_hat is None else np.copy(w_hat), m))
             return m
         recorders.append(record)
-        return scheme._replace(build=record)
+        return record
 
     def sca(*args):
-        *head, scheme = args
-        return run_sca(*head, scheme if scheme.build in recorders else recording(scheme))
+        *head, build = args
+        return run_sca(*head, build if build in recorders else recording(build))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gp.GpModel, "solve", solve)
@@ -989,15 +1034,15 @@ def test_folding_a_round_leaves_the_previous_rounds_gp_bit_identical(decoder, rn
     model = desk_model()
     kdev = model.num_devices
     floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(kdev, DESK.rate_req_bps))
-    scheme = optimizer._joint_scheme(model, DESK, decoder, floors)
+    build = optimizer._joint_scheme(model, DESK, decoder, floors)
     pilots = [model.energy / (2.0 * kdev) * f for f in (1.0, 0.3)]
     for w_hat in (None, np.full(kdev, 1.0 / kdev)):
-        first = scheme.build(pilots[0], w_hat)
+        first = build(pilots[0], w_hat)
         y = rng.normal(20.0, 2.0, len(first.names))
         weights = rng.uniform(0.1, 3.0, first.weights.size)
         vals, jac, hess = first.log_eval(y)
         before = [_bits(vals), _bits(jac), _bits(hess(weights))]
-        second = scheme.build(pilots[1], w_hat)
+        second = build(pilots[1], w_hat)
         for name in ("b", "v", "m", "select", "starts", "seg"):
             assert getattr(second.table, name) is getattr(first.table, name), name
         assert not np.shares_memory(second.table.c, first.table.c)
@@ -1011,24 +1056,24 @@ def test_folding_a_round_leaves_the_previous_rounds_gp_bit_identical(decoder, rn
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
 def test_feasibility_init_on_the_solves_scheme_matches_a_fresh_scheme(decoder, monkeypatch):
-    # the solve hands its one scheme to the max-slack stage and the SCA
-    # loop; after every round is built, the stage still returns the bits a
-    # new scheme gives
+    # the solve hands its one scheme builder to the max-slack stage and the
+    # SCA loop; after every round is built, the stage still returns the bits
+    # a new builder gives
     model = desk_model()
     floors = sinr_floors(fbl.FblParams.from_config(DESK),
                          np.full(model.num_devices, DESK.rate_req_bps))
-    schemes = []
+    builders = []
     original = optimizer.feasibility_init
 
-    def spy(model, cfg, scheme):
-        schemes.append(scheme)
-        return original(model, cfg, scheme)
+    def spy(model, cfg, build):
+        builders.append(build)
+        return original(model, cfg, build)
 
     monkeypatch.setattr(optimizer, "feasibility_init", spy)
     assert optimizer.solve(model, DESK, decoder).status == "optimal"
     monkeypatch.undo()
-    (scheme,) = schemes
-    used = feasibility_init(model, DESK, scheme)
+    (build,) = builders
+    used = feasibility_init(model, DESK, build)
     fresh = max_slack_stage(model, DESK, decoder, floors)
     assert used[0] is not None
     assert (used[1], used[2]) == (fresh[1], fresh[2])
