@@ -15,7 +15,7 @@ import numpy as np
 from . import fbl, montecarlo, optimizer
 from .channel import estimation_stats
 from .scenario import (ConfigError, SystemConfig, config_hash, generate_topology,
-                       load_config)
+                       load_config, read_config)
 
 PROFILES = {
     # sizes chosen so the whole suite runs in minutes; the paper profile
@@ -117,8 +117,7 @@ def _tightness_grid(base: SystemConfig, profile: dict):
             for mn in profile["tightness_mn"]:
                 n = mn // m
                 if mn % m == 0 and n > base.num_devices:
-                    yield ([decoder, m, n, mn],
-                           base.replace(num_aps=m, antennas_per_ap=n), decoder)
+                    yield [decoder, m, n, mn], dict(num_aps=m, antennas_per_ap=n), decoder
 
 
 def _layouts(profile: dict):
@@ -136,7 +135,7 @@ def _threshold_grid(base: SystemConfig, profile: dict):
     layout = _threshold_layout(profile)
     for decoder in fbl.DECODERS:
         for th in THRESHOLD_GRID:
-            yield [decoder, th], base.replace(
+            yield [decoder, th], dict(
                 num_aps=layout["M"], antennas_per_ap=layout["N"], ap_select_threshold=th,
                 energy_budget=profile["threshold_energy"]), decoder
 
@@ -172,7 +171,7 @@ class Experiment(NamedTuple):
     """One CSV: every grid point runs on its deployments, and `aggregate`
     turns their results into that point's rows."""
 
-    grid: Callable          # (base, profile) -> iterable of (key columns, cfg, decoder)
+    grid: Callable          # (base, profile) -> iterable of (key columns, config changes, decoder)
     deployments: str | None  # profile key of deployments per point; None: one, seed + 0
     point: Callable         # task (cfg, seed, deployment, decoder, *args) -> result
     args: Callable          # (profile, trials, workers) -> the task's args
@@ -200,7 +199,7 @@ EXPERIMENTS = {
         monte_carlo=True),
     "converge": Experiment(
         grid=lambda base, profile: [
-            ([d, m, n], base.replace(num_aps=m, antennas_per_ap=n), d)
+            ([d, m, n], dict(num_aps=m, antennas_per_ap=n), d)
             for d, m, n in _layouts(profile) if n > base.num_devices],
         deployments=None, point=_solve_point, args=lambda profile, trials, workers: (),
         aggregate=_converge_rows,
@@ -215,7 +214,7 @@ EXPERIMENTS = {
         extra=lambda profile, trials: _threshold_layout(profile)),
     "energy-compare": Experiment(
         grid=lambda base, profile: [
-            ([d, m, e], base.replace(num_aps=m, antennas_per_ap=n, energy_budget=e), d)
+            ([d, m, e], dict(num_aps=m, antennas_per_ap=n, energy_budget=e), d)
             for d, m, n in _layouts(profile) if n > base.num_devices
             for e in profile["energy_grid"]],
         deployments="deployments", point=_scheme_rates, args=lambda profile, trials, workers: (),
@@ -224,7 +223,7 @@ EXPERIMENTS = {
         extra=lambda profile, trials: {}),
     "devices-sweep": Experiment(
         grid=lambda base, profile: [
-            ([d, m, k], base.replace(num_aps=m, antennas_per_ap=n, num_devices=k), d)
+            ([d, m, k], dict(num_aps=m, antennas_per_ap=n, num_devices=k), d)
             for d, m, n in _layouts(profile) for k in profile["devices_grid"] if k < n],
         deployments="deployments", point=_scheme_rates, args=lambda profile, trials, workers: (),
         aggregate=_scheme_rows,
@@ -233,12 +232,19 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, base: SystemConfig, profile: dict, seed: int,
-                   out_dir: str, trials: int, workers: int) -> str:
+def swept_keys(name: str, base: SystemConfig, profile: dict) -> set[str]:
+    """The config keys that the experiment's grid sets over `base`."""
+    return {key for _, changes, _ in EXPERIMENTS[name].grid(base, profile) for key in changes}
+
+
+def run_experiment(name: str, base: SystemConfig, profile: dict, out_dir: str, trials: int,
+                   workers: int) -> str:
     """Run one experiment, all its tasks through one worker pool, and write
-    its CSV; returns the path."""
+    its CSV, seeded by base.master_seed; returns the path."""
     exp = EXPERIMENTS[name]
-    grid = list(exp.grid(base, profile))
+    seed = base.master_seed
+    grid = [(key, base.replace(**changes), decoder)
+            for key, changes, decoder in exp.grid(base, profile)]
     deps = profile[exp.deployments] if exp.deployments else 1
     args = exp.args(profile, trials, workers)
     tasks = [(cfg, seed, dep, decoder, *args)
@@ -299,20 +305,23 @@ def main(argv=None) -> int:
         base = SystemConfig(num_devices=profile["num_devices"])
         if args.config:
             base = load_config(args.config, base)
+            swept = swept_keys(args.experiment, base, profile)
+            for key, (line, _) in read_config(args.config).items():
+                if key in swept:
+                    raise ConfigError(f"{args.config}:{line}: {args.experiment} sets "
+                                      f"'{key}' at its grid points; remove it")
         if args.seed is not None:
             base = base.replace(master_seed=args.seed)
     except ConfigError as exc:
         return _usage_error(str(exc))
     except OSError as exc:
         return _usage_error(f"--config {args.config}: {exc.strerror}")
-    seed = base.master_seed
     trials = args.trials if args.trials is not None else profile["trials"]
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         return _usage_error(f"--out {args.out}: {exc.strerror}")
-    print(run_experiment(args.experiment, base, profile, seed, args.out, trials,
-                         args.threads))
+    print(run_experiment(args.experiment, base, profile, args.out, trials, args.threads))
     return 0
 
 

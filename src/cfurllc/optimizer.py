@@ -6,14 +6,16 @@ monomials (`approx`, all K devices in one call), yielding a GP whose solution
 can only improve the true objective. Joint SINR rows are one term table
 (`gp.TermRows`) per decoder, from `mrc_rows` or `fzf_rows`, over the
 service-set terms and factors of `approx.service_terms`, as the gain tables
-are; a scheme stacks them over its energy rows once, and each round folds its
-fits into that one table. A max-slack GP, in `feasibility_init`, provides the
-feasible starting point; the infinite-blocklength benchmark reuses it with the
-dispersion penalty removed. The fixed-pilot benchmark freezes the pilots, so
-its SINR floors are linear in the payloads: one linear solve gives the least
-payloads meeting them and decides feasibility (Yates, IEEE JSAC 13(7), 1995),
-and the SCA starts above those payloads. A scheme is its step-GP builder;
-allocations are read by position, and every scheme is scored by `true_sinr`.
+are. The joint scheme picks its decoder's tables and fit once, stacks the SINR
+rows over its energy rows, and folds each round's fits into that one table; a
+step GP is a table plus row weights. A max-slack GP, in `feasibility_init`,
+provides the feasible starting point; the infinite-blocklength benchmark
+reuses it with the dispersion penalty removed. The fixed-pilot benchmark
+freezes the pilots, so its SINR floors are linear in the payloads: one linear
+solve gives the least payloads meeting them and decides feasibility (Yates,
+IEEE JSAC 13(7), 1995), and the SCA starts above those payloads. A scheme is
+its step-GP builder; allocations are read by position, and every scheme is
+scored by `true_sinr`.
 """
 
 from __future__ import annotations
@@ -202,46 +204,13 @@ def _energy_rows(model: LargeScaleModel, blocklength: int) -> gp.TermRows:
                        np.full(kdev, 2))
 
 
-def _sinr_fits(model: LargeScaleModel, decoder: str, n_antennas: int,
-               pilot_hat: np.ndarray, gain_rows: gp.TermRows) -> tuple[np.ndarray, np.ndarray]:
-    """The monomial fits at the pilots pilot_hat on the right of the SINR
-    rows of `mrc_rows` and `fzf_rows`, before the floors: log coefficients
-    (K,) and exponents (K, 2K) over the pilots, then the payloads, of the fit
-    of N gain_k^2 pd_k (MRC) or (N-K) coherent_k^2 prod_{j!=k} scale_kj^2 pd_k
-    (FZF), from one batched `approx` fit of the K gains of gain_rows, the
-    model's `approx.mrc_gain_rows` or `fzf_gain_rows`.
-    """
-    kdev = model.num_devices
-    if decoder == MRC:
-        fit = approx.mrc_gain_monomial(gain_rows, pilot_hat)
-        log_coeffs, exponents = np.log(n_antennas) + 2.0 * fit.log_coeff, 2.0 * fit.exponents
-    else:
-        fit = approx.fzf_gain_monomial(gain_rows, pilot_hat)
-        log_coeffs, exponents = np.log(n_antennas - kdev) + fit.log_coeff, fit.exponents
-    return log_coeffs, np.hstack([exponents, np.eye(kdev)])          # pd_k in row k
-
-
-def _round_gp(names: list[str], table: gp.TermRows, w_hat, r: np.ndarray,
-              big_r: np.ndarray) -> gp.GpModel:
-    """One round's GP over the variables `names`: the rows of `table`, the K
-    SINR rows first, whose right-hand sides over their floors, exp(r + R y)
-    in the log variables y of `names`, the table's last columns, are folded
-    into their terms; the other rows carry theirs already. A step GP weights
-    SINR row k by w_hat_k, so it maximizes prod_k (rhs_k / lhs_k)^w_hat_k,
-    the fitted SINRs over their floors. For w_hat None, `table` is relaxed
-    in its SINR rows (`gp.TermRows.relax`) and the GP is its max-slack GP
-    (`gp.max_slack`), phi first.
-    """
-    k = r.size
-    rhs, rhs_exponents = np.zeros(table.size), np.zeros((table.size, table.columns))
-    rhs[:k] = r
-    rhs_exponents[:k, table.columns - len(names):] = big_r
-    folded = table.fold(rhs, rhs_exponents)
-    if w_hat is None:
-        return gp.max_slack(names, folded)
+def _step_gp(names: list[str], table: gp.TermRows, w_hat: np.ndarray) -> gp.GpModel:
+    """The step GP over the variables `names` and the rows of `table`, the K
+    SINR rows first, weighted by w_hat, and every other row by 0: with SINR
+    row k a floor over a fitted SINR, it maximizes prod_k (SINR_k/floor_k)^w_hat_k."""
     weights = np.zeros(table.size)
-    weights[:k] = w_hat
-    return gp.GpModel(names, folded, weights, (0.0, np.zeros(len(names))))
+    weights[:w_hat.size] = w_hat
+    return gp.GpModel(names, table, weights, (0.0, np.zeros(len(names))))
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +220,34 @@ def _round_gp(names: list[str], table: gp.TermRows, w_hat, r: np.ndarray,
 def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                   floors: np.ndarray) -> Callable:
     """The joint allocation's builder (pilot_hat, w_hat) -> step GP (w_hat None: max-slack
-    GP): SINR constraints fitted at pilot_hat, energy budgets over pilots and payloads."""
+    GP): SINR constraints fitted at pilot_hat, energy budgets over pilots and payloads.
+
+    The decoder picks, once, the gain table, SINR rows and `approx` fit, the
+    antenna count N' (MRC: N; FZF: N - K) and the fit's scale s (MRC: 2, its
+    gain fit squared; FZF: 1): a round folds N' pd_k fit_k^s over floor_k into
+    SINR row k of the one table, or of its relaxed copy for the max-slack GP."""
     kdev = model.num_devices
     names = [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]
+    if decoder == MRC:
+        gain_rows, sinr_rows, fit = approx.mrc_gain_rows(model), mrc_rows, approx.mrc_gain_monomial
+        log_n, scale = np.log(cfg.antennas_per_ap), 2.0
+    else:
+        gain_rows, sinr_rows, fit = approx.fzf_gain_rows(model), fzf_rows, approx.fzf_gain_monomial
+        log_n, scale = np.log(cfg.antennas_per_ap - kdev), 1.0
     log_floors = np.log(floors)
-    gain_rows = (approx.mrc_gain_rows if decoder == MRC else approx.fzf_gain_rows)(model)
-    # the SINR rows, then the energy rows, over the pilots and the payloads;
-    # the max-slack GP's table is it relaxed in the SINR rows, once per scheme
-    table = gp.stack([(mrc_rows if decoder == MRC else fzf_rows)(
-        model, np.arange(kdev), np.arange(kdev, 2 * kdev), 2 * kdev),
-        _energy_rows(model, cfg.blocklength)])
+    table = gp.stack([sinr_rows(model, np.arange(kdev), np.arange(kdev, 2 * kdev), 2 * kdev),
+                      _energy_rows(model, cfg.blocklength)])
     tables = (table, table.relax(np.arange(kdev)))
 
     def build(pilot_hat, w_hat):
-        log_coeffs, exponents = _sinr_fits(model, decoder, cfg.antennas_per_ap, pilot_hat,
-                                           gain_rows)
-        return _round_gp(names, tables[w_hat is None], w_hat, log_coeffs - log_floors,
-                         exponents)
+        gains = fit(gain_rows, pilot_hat)
+        target = tables[w_hat is None]
+        r, big_r = np.zeros(target.size), np.zeros((target.size, target.columns))
+        r[:kdev] = log_n + scale * gains.log_coeff - log_floors
+        big_r[:kdev, -2 * kdev:-kdev] = scale * gains.exponents
+        big_r[np.arange(kdev), np.arange(-kdev, 0)] = 1.0               # pd_k in row k
+        folded = target.fold(r, big_r)
+        return gp.max_slack(names, folded) if w_hat is None else _step_gp(names, folded, w_hat)
 
     return build
 
@@ -471,5 +451,4 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     scale = 0.5 * (1.0 + float((pd_max / least).min()))
     return _run_sca(model, cfg, decoder, params, floors,
                     PowerAllocation(pilot=pilot, payload=scale * least),
-                    lambda _, w_hat: _round_gp(names, table, w_hat, np.zeros(kdev),
-                                               np.zeros((kdev, kdev))))
+                    lambda _, w_hat: _step_gp(names, table, w_hat))

@@ -217,13 +217,14 @@ def generate_topology(cfg: SystemConfig, seed: int) -> LargeScaleModel:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
 
 
-def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
-    """Read a plain-text ``key = value`` configuration file.
+def read_config(path: str) -> dict[str, tuple[int, int | float]]:
+    """The entries of a plain-text ``key = value`` configuration file, key ->
+    (line number, value).
 
     Unknown keys, repeated keys and malformed lines raise ConfigError with the
     line number. Lines starting with '#' and blank lines are ignored.
     """
-    values, seen = {}, {}
+    entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -235,17 +236,20 @@ def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
             key, text = key.strip(), text.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if key in seen:
+            if key in entries:
                 raise ConfigError(f"{path}:{lineno}: key '{key}' repeated, "
-                                  f"first set on line {seen[key]}")
-            seen[key] = lineno
+                                  f"first set on line {entries[key][0]}")
             try:
-                if _FIELD_TYPES[key] == "int":
-                    values[key] = int(text)
-                else:
-                    values[key] = float(text)
+                entries[key] = (lineno, int(text) if _FIELD_TYPES[key] == "int" else float(text))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {text}") from exc
+    return entries
+
+
+def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
+    """`base` (default: the defaults) with the entries of the configuration
+    file `path` (`read_config`); a value out of range raises ConfigError."""
+    values = {key: value for key, (_, value) in read_config(path).items()}
     base = base or SystemConfig()
     try:
         return base.replace(**values)

@@ -456,8 +456,8 @@ def test_criterion_10_determinism(tmp_path):
     for tag, workers in (("one", 1), ("rerun", 1), ("eight", 8)):
         out = tmp_path / tag
         os.makedirs(out, exist_ok=True)
-        p1 = cli.run_experiment("tightness", base, profile, 11, str(out), 400, workers)
-        p2 = cli.run_experiment("converge", base, profile, 11, str(out), 400, workers)
+        p1 = cli.run_experiment("tightness", base, profile, str(out), 400, workers)
+        p2 = cli.run_experiment("converge", base, profile, str(out), 400, workers)
         with open(p1, "rb") as fh:
             b1 = fh.read()
         with open(p2, "rb") as fh:

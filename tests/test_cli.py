@@ -1,9 +1,11 @@
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from cfurllc import cli, montecarlo
-from cfurllc.scenario import SystemConfig
+from cfurllc.scenario import SystemConfig, load_config
 
 TINY = {
     "num_devices": 3, "total_antennas": 16, "ap_counts": (1, 4),
@@ -25,7 +27,7 @@ def read(path):
 
 
 def test_tightness_csv_contract(tmp_path):
-    path = cli.run_experiment("tightness", BASE, TINY, seed=11, out_dir=str(tmp_path),
+    path = cli.run_experiment("tightness", BASE, TINY, out_dir=str(tmp_path),
                               trials=400, workers=1)
     lines = read(path).decode().splitlines()
     assert lines[0].startswith("# config_hash=")
@@ -39,7 +41,7 @@ def test_tightness_csv_contract(tmp_path):
 
 
 def test_converge_csv_monotone(tmp_path):
-    path = cli.run_experiment("converge", BASE, TINY, seed=11, out_dir=str(tmp_path),
+    path = cli.run_experiment("converge", BASE, TINY, out_dir=str(tmp_path),
                               trials=400, workers=1)
     lines = read(path).decode().splitlines()
     header = lines[2].split(",")
@@ -58,7 +60,7 @@ def test_converge_csv_identical_across_thread_counts(tmp_path):
     for workers in (1, 2):
         out = tmp_path / f"threads{workers}"
         os.makedirs(out)
-        paths.append(cli.run_experiment("converge", BASE, TINY, 11, str(out), 400,
+        paths.append(cli.run_experiment("converge", BASE, TINY, str(out), 400,
                                         workers=workers))
     assert read(paths[0]) == read(paths[1])
 
@@ -70,7 +72,7 @@ def test_byte_identical_reruns_and_worker_counts(tmp_path):
         for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
             out = tmp_path / experiment / tag
             os.makedirs(out)
-            blobs.append(read(cli.run_experiment(experiment, BASE, profile, 11, str(out),
+            blobs.append(read(cli.run_experiment(experiment, BASE, profile, str(out),
                                                  400, workers=workers)))
         assert blobs[0] == blobs[1] == blobs[2], experiment
 
@@ -163,7 +165,7 @@ def test_main_rejects_trials_without_monte_carlo(experiment, tmp_path, capsys):
 
 def test_threshold_sweep_emits_both_statistics(tmp_path):
     profile = dict(TINY, deployments=3)
-    path = cli.run_experiment("threshold-sweep", BASE, profile, seed=11,
+    path = cli.run_experiment("threshold-sweep", BASE, profile,
                               out_dir=str(tmp_path), trials=400, workers=1)
     lines = read(path).decode().splitlines()
     assert lines[2].split(",")[:3] == ["decoder", "threshold", "mean_wsr"]
@@ -176,7 +178,7 @@ def test_threshold_sweep_emits_both_statistics(tmp_path):
 
 def test_energy_compare_scheme_rows(tmp_path):
     profile = dict(TINY, deployments=2, ap_counts=(4,))
-    path = cli.run_experiment("energy-compare", BASE, profile, seed=11,
+    path = cli.run_experiment("energy-compare", BASE, profile,
                               out_dir=str(tmp_path), trials=400, workers=1)
     lines = read(path).decode().splitlines()
     rows = [ln.split(",") for ln in lines[3:]]
@@ -192,9 +194,63 @@ def test_energy_compare_scheme_rows(tmp_path):
 
 def test_devices_sweep_respects_antenna_limit(tmp_path):
     profile = dict(TINY, deployments=2, ap_counts=(4,), devices_grid=(2, 3, 16))
-    path = cli.run_experiment("devices-sweep", BASE, profile, seed=11,
+    path = cli.run_experiment("devices-sweep", BASE, profile,
                               out_dir=str(tmp_path), trials=400, workers=1)
     lines = read(path).decode().splitlines()
     rows = [ln.split(",") for ln in lines[3:]]
     counts = {int(r[3]) for r in rows}
     assert counts == {2, 3}          # 16 devices exceed the 4 antennas per AP
+
+
+@pytest.mark.parametrize("experiment, key, text", [
+    ("tightness", "antennas_per_ap", "antennas_per_ap = 16"),
+    ("converge", "num_aps", "num_aps = 9"),
+    ("threshold-sweep", "ap_select_threshold", "ap_select_threshold = 0.8"),
+    ("energy-compare", "energy_budget", "energy_budget = 1e13"),
+    ("devices-sweep", "num_devices", "num_devices = 3"),
+])
+def test_main_rejects_a_key_the_experiment_sets(experiment, key, text, tmp_path, capsys):
+    # the grid would override the file's value at every point while the
+    # config_hash line still hashed it
+    assert key in cli.swept_keys(experiment, SystemConfig(num_devices=5), cli.PROFILES["desk"])
+    cfg = tmp_path / "swept.cfg"
+    cfg.write_text(f"rate_req_bps = 5e6\n{text}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), experiment]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and f"'{key}'" in err and experiment in err
+    assert not out.exists()
+
+
+def test_main_runs_a_key_no_grid_sets(tmp_path):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("rate_req_bps = 4e6\n")
+    assert all("rate_req_bps" not in cli.swept_keys(name, SystemConfig(num_devices=5),
+                                                    cli.PROFILES["desk"])
+               for name in cli.EXPERIMENTS)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "converge"]) == 0
+    assert (tmp_path / "converge.csv").exists()
+
+
+def readme_blocks(lang):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.S | re.M), text
+
+
+def test_readme_quick_start_runs():
+    (block,), _ = readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_config_runs_and_lists_each_experiments_swept_keys(tmp_path):
+    (block,), text = readme_blocks("ini")
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(block)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "converge"]) == 0
+    # the table of keys each experiment sets, against its grid
+    table = text[text.index("| keys it sets |"):].split("\n\n")[0]
+    base = load_config(str(cfg), SystemConfig(num_devices=5))
+    for name in cli.EXPERIMENTS:
+        (row,) = re.findall(rf"^\| `{name}` +\| (.*) \|$", table, re.M)
+        assert set(re.findall(r"`(\w+)`", row)) == cli.swept_keys(name, base,
+                                                                  cli.PROFILES["desk"]), name

@@ -1055,6 +1055,21 @@ def test_folding_a_round_leaves_the_previous_rounds_gp_bit_identical(decoder, rn
 
 
 @pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_fixed_pilot_rounds_hold_the_schemes_one_table(decoder):
+    # a step GP is its table plus row weights: every fixed-pilot round holds
+    # the scheme's exact table itself, with no fold and no copy, and weights
+    # its K SINR rows by w_hat and its K payload caps by zero
+    model = desk_model()
+    kdev = model.num_devices
+    rounds = recorded_rounds(lambda: benchmark_fixed_pilot(model, DESK, decoder))
+    assert len(rounds) >= 2
+    first = rounds[0][2]
+    for _, w_hat, step, *_ in rounds:
+        assert step.table is first.table
+        assert _bits(step.weights) == _bits(np.append(w_hat, np.zeros(kdev)))
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
 def test_feasibility_init_on_the_solves_scheme_matches_a_fresh_scheme(decoder, monkeypatch):
     # the solve hands its one scheme builder to the max-slack stage and the
     # SCA loop; after every round is built, the stage still returns the bits
