@@ -4,11 +4,14 @@ vectors of the devices it serves use (`span_layout`, `draw_channel`)."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import LargeScaleModel
+
+TRIAL_BLOCK = 128    # trials per pair of substreams in a Monte-Carlo draw
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,11 @@ def substream(master_seed: int, *indices: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """True channels, MMSE estimates and receiver noise of one trial block, in
-    r coordinates of an orthonormal basis of each AP's estimate span.
+    """True channels, MMSE estimates and receiver noise of a block of trials,
+    in r coordinates of an orthonormal basis of each AP's estimate span.
 
-    Channel arrays have shape (T, M, K, r): trials, APs, devices and r
-    coordinates; the payload-phase receiver noise has shape (T, M, r).
+    received (T, M, r, K + 1) holds per AP and coordinate the K channels, then the
+    payload-phase noise: the matrix the decoders multiply. g and noise are views.
     order[m, p] is the device in column p of AP m's upper-triangular
     estimate factor, and the r coordinates are r of that factor's rows
     (`SpanLayout`). Every combining vector the decoders build for a device
@@ -62,10 +65,11 @@ class ChannelRealization:
     with the channels and the noise are those of these coordinates.
     """
 
-    g: np.ndarray
-    g_hat: np.ndarray
-    noise: np.ndarray
+    received: np.ndarray
+    g_hat: np.ndarray       # (T, M, K, r)
     order: np.ndarray
+    g = property(lambda self: np.swapaxes(self.received[..., :-1], 2, 3))    # (T, M, K, r)
+    noise = property(lambda self: self.received[..., -1])                   # (T, M, r)
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,9 @@ class SpanLayout:
     order: np.ndarray          # (M, K): device in each column of each AP's R
     rows: range                # the drawn rows of every AP's R
     upper: np.ndarray          # (M * entries,) flat index, AP-major then row-major
-    upper_scale: np.ndarray    # (M * entries,) sqrt(lam) of each entry's device
     diag: np.ndarray           # (M * r,) flat index of each drawn diagonal entry
-    diag_scale: np.ndarray     # (M * r,)
-    err_scale: np.ndarray      # (M, K, 1) sqrt(err_var)
+    diag_scale: np.ndarray     # (M * r,) sqrt(lam) of each diagonal entry's device
+    scale: np.ndarray          # complex factor of each normal: sqrt(lam), sqrt(err_var), 1
 
 
 def span_layout(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
@@ -116,17 +119,18 @@ def span_layout(model: LargeScaleModel, stats: EstimationStats, n_antennas: int,
     aps = np.arange(m)[:, None]
     diag = np.asarray(rows)
     sqrt_lam = np.sqrt(stats.lam)
+    scale = np.concatenate([sqrt_lam[aps, order[:, col]].ravel(),
+                            np.repeat(np.sqrt(stats.err_var).ravel(), r), np.ones(m * r)])
     return SpanLayout(
         n_antennas=n_antennas, order=order, rows=rows,
         upper=((aps * k + order[:, col]) * r + row - rows.start).ravel(),
-        upper_scale=sqrt_lam[aps, order[:, col]].ravel(),
         diag=((aps * k + order[:, diag]) * r + diag - rows.start).ravel(),
-        diag_scale=sqrt_lam[aps, order[:, diag]].ravel(),
-        err_scale=np.sqrt(stats.err_var)[:, :, None])
+        diag_scale=sqrt_lam[aps, order[:, diag]].ravel(), scale=scale.astype(complex))
 
 
-def draw_channel(layout: SpanLayout, rng: np.random.Generator,
-                 diag_rng: np.random.Generator, trials: int = 1) -> ChannelRealization:
+def draw_channel(layout: SpanLayout, rng: np.random.Generator | Sequence[np.random.Generator],
+                 diag_rng: np.random.Generator | Sequence[np.random.Generator],
+                 trials: int = 1) -> ChannelRealization:
     """Draw channels, pilot-based MMSE estimates and receiver noise for a block
     of trials in the layout's coordinates.
 
@@ -141,27 +145,42 @@ def draw_channel(layout: SpanLayout, rng: np.random.Generator,
     the receiver noise CN(0, I_r). The drawn entries above the diagonal, the
     error and the noise come from one standard-normal fill of rng laid out
     trial-major, each trial one contiguous run; the diagonal comes from
-    diag_rng, a stream independent of rng (`simulate` passes the sibling
-    substream), trial-major too. So a trial's values do not depend on how
-    many trials are drawn after it.
+    diag_rng, a stream independent of rng, trial-major too. So a trial's
+    values do not depend on how many trials are drawn after it.
+
+    rng and diag_rng may also be equal-length sequences of generators, one
+    pair per block of TRIAL_BLOCK trials (`simulate` passes a run's): pair i
+    fills rows i * TRIAL_BLOCK onwards in place, so each block holds what a
+    draw of its own pair gives, and the arithmetic after the fills runs once.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    rngs, diag_rngs = ([x] if isinstance(x, np.random.Generator) else list(x)
+                       for x in (rng, diag_rng))
+    starts = range(0, trials, TRIAL_BLOCK)[:len(rngs)]
+    if len(diag_rngs) != len(rngs) or len(starts) != len(rngs):
+        raise ValueError(f"{len(rngs)} and {len(diag_rngs)} streams for {trials} trials")
     m, k = layout.order.shape
     r = len(layout.rows)
     upper, mkr = layout.upper.size, m * k * r
+    fill = np.empty((trials, 2 * (upper + mkr + m * r)))
+    diag = np.empty((trials, m, r))
+    for normal, gamma, lo, hi in zip(rngs, diag_rngs, starts, [*starts[1:], trials]):
+        normal.standard_normal(out=fill[lo:hi])
+        gamma.standard_gamma(layout.n_antennas - np.asarray(layout.rows), out=diag[lo:hi])
     # (re, im) pairs viewed as unit-variance circularly-symmetric complex Gaussians
-    z = rng.standard_normal((trials, 2 * (upper + mkr + m * r))).view(complex)
+    z = fill.view(complex)
     z *= np.sqrt(0.5)
+    z *= layout.scale           # whole complex rows: numpy buffers strided or casting operands
+    diag = np.sqrt(diag, out=diag).reshape(trials, m * r)
+    diag *= layout.diag_scale
     # [t, m, order[m, p], i - rows.start] = R_ip sqrt(lam_m of that device)
     g_hat = np.zeros((trials, m, k, r), dtype=complex)
     flat = g_hat.reshape(trials, mkr)
-    flat[:, layout.upper] = z[:, :upper] * layout.upper_scale
-    diag = np.sqrt(diag_rng.standard_gamma(layout.n_antennas - np.asarray(layout.rows),
-                                           size=(trials, m, r)))
-    flat[:, layout.diag] = diag.reshape(trials, m * r) * layout.diag_scale
-    g = z[:, upper:upper + mkr].reshape(trials, m, k, r)   # a view of z
-    g *= layout.err_scale[None]
-    g += g_hat
-    noise = z[:, upper + mkr:].reshape(trials, m, r)
-    return ChannelRealization(g=g, g_hat=g_hat, noise=noise, order=layout.order)
+    flat[:, layout.upper] = z[:, :upper]
+    flat[:, layout.diag] = diag
+    z[:, upper:upper + mkr] += flat
+    received = np.empty((trials, m, r, k + 1), dtype=complex)
+    received[..., :k] = np.swapaxes(z[:, upper:upper + mkr].reshape(trials, m, k, r), 2, 3)
+    received[..., k] = z[:, upper + mkr:].reshape(trials, m, r)
+    return ChannelRealization(received=received, g_hat=g_hat, order=layout.order)

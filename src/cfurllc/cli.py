@@ -312,6 +312,8 @@ def main(argv=None) -> int:
                                       f"'{key}' at its grid points; remove it")
         if args.seed is not None:
             base = base.replace(master_seed=args.seed)
+        if not any(True for _ in EXPERIMENTS[args.experiment].grid(base, profile)):
+            raise ConfigError(f"{args.experiment}: empty grid at num_devices = {base.num_devices}")
     except ConfigError as exc:
         return _usage_error(str(exc))
     except OSError as exc:

@@ -11,12 +11,12 @@ devices AP m serves: the combining vector of every device an AP serves lies
 in them, so they give the same inner products as N antennas. The layout
 differs between the decoders, so MRC and zero-forcing runs of one
 deployment and seed share no random numbers.
-Trials are drawn TRIAL_BLOCK at a time, each block from its own pair of
+Trials come in blocks of TRIAL_BLOCK, each block from its own pair of
 SeedSequence-keyed PCG64 substreams, one for the normal fill, in which every
 trial takes one contiguous run, and one for the Bartlett diagonal, so a
 trial's values depend on the seed, its index, TRIAL_BLOCK, the decoder and
 which APs serve which devices, but not on the trial count or the order of
-evaluation.
+evaluation. A run of RUN_BLOCKS blocks is drawn and decoded by one call each.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fbl
-from .channel import (ChannelRealization, EstimationStats, draw_channel,
+from .channel import (TRIAL_BLOCK, ChannelRealization, EstimationStats, draw_channel,
                       estimation_stats, span_layout, substream)
 from .scenario import LargeScaleModel
 
-TRIAL_BLOCK = 128
+RUN_BLOCKS = 2            # blocks per draw and decode call, the unit of work
 MIN_TRIALS = 100          # fewer trials give no meaningful ergodic-rate estimate
 
 
@@ -69,15 +69,14 @@ def _decode(real: ChannelRealization, coeffs: np.ndarray, mean_gain: np.ndarray,
     """
     trials, aps, kdev, r = real.g.shape
     pd = np.asarray(payload, dtype=float)
-    targets = np.empty((trials, aps, r, kdev + 1), dtype=complex)
-    targets[..., :kdev] = np.swapaxes(real.g, 2, 3)
-    targets[..., kdev] = real.noise
-    proj = coeffs.reshape(trials, kdev, aps * r) @ targets.reshape(trials, aps * r, kdev + 1)
+    proj = coeffs.reshape(trials, kdev, aps * r) @ real.received.reshape(trials, aps * r, -1)
     gain = np.diagonal(proj, axis1=1, axis2=2)
     ls2 = pd * np.abs(gain - mean_gain) ** 2
-    ui2 = pd * np.abs(proj[..., :kdev]) ** 2
+    power = np.abs(proj)            # in place from here: a run's working set bounds its size
+    np.square(power, out=power)
+    power *= np.append(pd, 1.0)
+    ui2, n2 = power[..., :kdev], power[..., kdev]
     ui2[:, np.arange(kdev), np.arange(kdev)] = 0.0
-    n2 = np.abs(proj[..., kdev]) ** 2
     ds2 = pd * mean_gain ** 2
     sinr = ds2 / (ls2 + ui2.sum(axis=2) + n2)
     rate = fbl.lb_rate(sinr, params, np.arange(kdev))
@@ -119,12 +118,15 @@ def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int,
     x = np.zeros_like(g_hat)                            # [t, m, i, :] = row i of G^-1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(r - 1, -1, -1):
-            row = -(g_hat[:, :, None, i + 1:, i] @ x[:, :, i + 1:, i:])[:, :, 0]
+            row = (g_hat[:, :, None, i + 1:, i] @ x[:, :, i + 1:, i:])[:, :, 0]
+            np.negative(row, out=row)
             row[..., 0] += 1.0
-            x[:, :, i, i:] = row / g_hat[:, :, i, i, None]
+            x[:, :, i, i:] = np.divide(row, g_hat[:, :, i, i, None], out=row)
+        del row                 # in place and freed: a run's working set bounds its size
         xr, gr = x.view(float), g_hat.view(float)
-        worst = (np.einsum("tmkc,tmkc->tmk", xr, xr)
-                 * np.einsum("tmkc,tmkc->tmk", gr, gr)).max(axis=2)
+        scaled = np.einsum("tmkc,tmkc->tmk", xr, xr)
+        scaled *= np.einsum("tmkc,tmkc->tmk", gr, gr)
+        worst = scaled.max(axis=2)
     limit = 1.0 / (np.finfo(float).eps
                    * max(1e3, 2.0 * num_devices * (n_antennas + num_devices)))
     bad = np.flatnonzero(~(worst < limit).all(axis=1))  # NaN counts as bad
@@ -143,17 +145,22 @@ def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
     vectors of the devices in the last r columns come from that r x r block,
     and the others are zero, which no served device needs. A rank-deficient
     block raises RuntimeError naming its trial, counted from first_trial."""
-    kdev, r = real.g.shape[2:]
+    trials, aps, kdev, r = real.g_hat.shape
     if n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
     if r > kdev:
         raise ValueError(f"zero-forcing needs a square triangular estimate, got {r} x {kdev}")
-    trials, aps = real.g.shape[:2]
     block, ap = real.order[:, kdev - r:], np.arange(aps)[:, None]
-    vectors = _fzf_vectors(real.g_hat[:, ap, block], n_antennas, first_trial, kdev)
+    # the square blocks, gathered in C order (real.g_hat[:, ap, block] is not)
+    vectors = _fzf_vectors(np.take(real.g_hat.reshape(trials, aps * kdev, r),
+                                   (ap * kdev + block).ravel(), axis=1).reshape(trials, aps, r, r),
+                           n_antennas, first_trial, kdev)
     mask = model.service_mask * np.sqrt((n_antennas - kdev) * stats.lam).T
+    np.conjugate(vectors, out=vectors)
+    vectors *= mask[block, ap][..., None]
     coeffs = np.zeros((trials, kdev, aps, r), dtype=complex)
-    coeffs[:, block, ap] = np.conjugate(vectors) * mask[block, ap][..., None]
+    coeffs[:, block, ap] = vectors
+    del vectors                     # the working set of a run is what bounds its size
     return _decode(real, coeffs, mask.sum(axis=1), payload_power, params)
 
 
@@ -167,19 +174,20 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     `model.serving_subset()`, with statistics from `estimation_stats` at
     `stats.pilot_power`, so each device's trials keep their law and an AP
     that serves nobody can neither be rank-deficient nor cost a draw. Block
-    b holds trials b*TRIAL_BLOCK onwards and is drawn by one `draw_channel`
-    call in the decoder's `channel.span_layout`, built once, with its normal
-    fill from the substream (seed, b, 0) and the diagonal of its Bartlett
-    factors from the sibling substream (seed, b, 1). A trial's values depend
-    on the seed, its index, TRIAL_BLOCK, the decoder and which APs serve
-    which devices, not on the trial count or the order of evaluation. A
+    b holds trials b*TRIAL_BLOCK onwards, its normal fill from the substream
+    (seed, b, 0) and the diagonal of its Bartlett factors from the sibling
+    substream (seed, b, 1), in the decoder's `channel.span_layout`, built
+    once. A trial's values depend on the seed, its index, TRIAL_BLOCK, the
+    decoder and which APs serve which devices, not on the trial count or the
+    order of evaluation. A run of RUN_BLOCKS blocks, the unit of work, is one
+    `draw_channel` call given every block's substreams and one decode. A
     rank-deficient zero-forcing estimate raises RuntimeError naming the
     trial: it has probability zero, and a degenerate input recurs on every
     draw. So a zero estimate at a serving AP (K p beta underflows), served
     there or not, is found from lambda before the first draw and named as
-    trial 0, since the drawn block may not hold its column. Blocks run on
+    trial 0, since the drawn block may not hold its column. Runs go to
     `workers` threads (None: all usable CPUs; 1: no pool) and are consumed
-    in order; block b + workers starts once block b is consumed.
+    in order; run i + workers starts once run i is consumed.
     """
     fbl.check_decoder(decoder)
     if trials < 1:
@@ -189,33 +197,34 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
                    else os.cpu_count() or 1)
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be None or an int >= 1, got {workers!r}")
-    blocks = range(-(-trials // TRIAL_BLOCK))
-    workers = min(workers, len(blocks))
+    runs = range(0, -(-trials // TRIAL_BLOCK), RUN_BLOCKS)
+    workers = min(workers, len(runs))
     serving = model.serving_subset()      # no decoder reads the other APs
     stats = estimation_stats(serving, stats.pilot_power)
     layout = span_layout(serving, stats, n_antennas, decoder == "fzf")
     if decoder == "fzf" and not np.all(stats.lam > 0):
         raise RuntimeError("trial 0: estimated channel rank-deficient")
 
-    def run(block):
-        start = block * TRIAL_BLOCK
-        real = draw_channel(layout, substream(seed, block, 0), substream(seed, block, 1),
-                            min(TRIAL_BLOCK, trials - start))
+    def run(first):
+        start, blocks = first * TRIAL_BLOCK, range(first, min(first + RUN_BLOCKS, runs.stop))
+        real = draw_channel(layout, [substream(seed, b, 0) for b in blocks],
+                            [substream(seed, b, 1) for b in blocks],
+                            min(RUN_BLOCKS * TRIAL_BLOCK, trials - start))
         if decoder == "mrc":
             return decode_mrc(real, serving, stats, payload_power, n_antennas, params)
         return decode_fzf(real, serving, stats, payload_power, n_antennas, params, start)
     if workers == 1:
-        outcomes = [run(block) for block in blocks]
+        outcomes = [run(first) for first in runs]
     else:
         outcomes, window = [], []
         with ThreadPoolExecutor(workers) as pool:
             try:
-                for block in blocks:
-                    window.append(pool.submit(run, block))
+                for first in runs:
+                    window.append(pool.submit(run, first))
                     if len(window) == workers:
                         outcomes.append(window.pop(0).result())
                 outcomes.extend(future.result() for future in window)
-            finally:     # after a failure no queued block starts; read the started ones
+            finally:     # after a failure no queued run starts; read the started ones
                 for future in window:
                     future.cancel() or future.exception()
     per_trial = {name: np.concatenate([getattr(o, name) for o in outcomes])

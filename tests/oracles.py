@@ -8,7 +8,9 @@ starts at the rate kernel's zero, for `fbl.rate_kernel_inverse`; and the
 closed-form means of every decoder term, for the Monte-Carlo validator in
 `montecarlo`; the channel draw at every antenna, for the law of
 `channel.draw_channel`, which draws in the span of each AP's estimate, and
-its projection onto that span, for the zero-forcing decode; and the
+its projection onto that span, for the zero-forcing decode; the
+block-at-a-time Monte-Carlo loop, for the runs of blocks that
+`montecarlo.simulate` draws and decodes per call; and the
 zero-forcing vectors and rank check from the inverted Gram matrix, for the
 back substitution of `montecarlo._fzf_vectors`; and the SINR constants one
 device at a time, for the service-set indicator products of
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfurllc import approx
-from cfurllc.channel import ChannelRealization, EstimationStats
+from cfurllc import approx, montecarlo
+from cfurllc.channel import (ChannelRealization, EstimationStats, draw_channel,
+                             estimation_stats, span_layout, substream)
 from cfurllc.approx import MonomialFit
 from cfurllc.fbl import FblParams, SinrPieces, rate_kernel
 from cfurllc.optimizer import SurrogateError
@@ -323,8 +326,15 @@ def draw_channel_full_antenna(model: LargeScaleModel, stats: EstimationStats,
     gain = (kp[None, :] * model.beta / (kp[None, :] * model.beta + 1.0))
     g_hat = gain[None, :, :, None] * (g + pilot_noise)
     noise = z[:, 2 * mkn:].reshape(trials, m, n_antennas)
-    return ChannelRealization(g=g, g_hat=g_hat, noise=noise,
-                              order=np.tile(np.arange(k), (m, 1)))
+    return realization(g, g_hat, noise, np.tile(np.arange(k), (m, 1)))
+
+
+def realization(g: np.ndarray, g_hat: np.ndarray, noise: np.ndarray,
+                order: np.ndarray) -> ChannelRealization:
+    """The realization of channels g (T, M, K, r) and noise (T, M, r)."""
+    return ChannelRealization(
+        received=np.concatenate((np.swapaxes(g, 2, 3), noise[..., None]), axis=3),
+        g_hat=g_hat, order=order)
 
 
 def in_estimate_span(real: ChannelRealization) -> ChannelRealization:
@@ -335,10 +345,34 @@ def in_estimate_span(real: ChannelRealization) -> ChannelRealization:
     decoders' terms keep their law."""
     q, r = np.linalg.qr(np.swapaxes(real.g_hat, 2, 3))     # (T, M, N, K), (T, M, K, K)
     coords = q.conj().swapaxes(2, 3)
-    return ChannelRealization(g=np.swapaxes(coords @ np.swapaxes(real.g, 2, 3), 2, 3),
-                              g_hat=np.swapaxes(r, 2, 3),
-                              noise=(coords @ real.noise[..., None])[..., 0],
-                              order=real.order)
+    return realization(np.swapaxes(coords @ np.swapaxes(real.g, 2, 3), 2, 3),
+                       np.swapaxes(r, 2, 3), (coords @ real.noise[..., None])[..., 0],
+                       real.order)
+
+
+def simulate_by_block(model: LargeScaleModel, stats: EstimationStats,
+                      payload_power: np.ndarray, decoder: str, trials: int, seed: int,
+                      n_antennas: int, params: FblParams) -> montecarlo.TrialOutcome:
+    """`montecarlo.simulate` one block at a time, in order: block b, trials
+    b * TRIAL_BLOCK onwards, is drawn by its own `draw_channel` call from the
+    substreams (seed, b, 0) and (seed, b, 1) and decoded alone."""
+    serving = model.serving_subset()
+    stats = estimation_stats(serving, stats.pilot_power)
+    layout = span_layout(serving, stats, n_antennas, decoder == "fzf")
+    outcomes = []
+    for start in range(0, trials, montecarlo.TRIAL_BLOCK):
+        block = start // montecarlo.TRIAL_BLOCK
+        real = draw_channel(layout, substream(seed, block, 0), substream(seed, block, 1),
+                            min(montecarlo.TRIAL_BLOCK, trials - start))
+        if decoder == "mrc":
+            outcomes.append(montecarlo.decode_mrc(real, serving, stats, payload_power,
+                                                  n_antennas, params))
+        else:
+            outcomes.append(montecarlo.decode_fzf(real, serving, stats, payload_power,
+                                                  n_antennas, params, start))
+    return montecarlo.TrialOutcome(
+        ds2=outcomes[0].ds2, **{name: np.concatenate([getattr(o, name) for o in outcomes])
+                                for name in ("ls2", "ui2", "n2", "sinr", "rate")})
 
 
 def gram_rank_worst(g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

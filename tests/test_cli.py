@@ -222,6 +222,18 @@ def test_main_rejects_a_key_the_experiment_sets(experiment, key, text, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["converge", "energy-compare"])
+def test_main_rejects_an_empty_grid(experiment, tmp_path, capsys):
+    # every desk layout has N = 48 or 12 antennas per AP, at most 50 devices
+    cfg = tmp_path / "crowded.cfg"
+    cfg.write_text("num_devices = 50\nantennas_per_ap = 60\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), experiment]) == 2
+    err = capsys.readouterr().err
+    assert experiment in err and "num_devices = 50" in err
+    assert not out.exists()
+
+
 def test_main_runs_a_key_no_grid_sets(tmp_path):
     cfg = tmp_path / "rate.cfg"
     cfg.write_text("rate_req_bps = 4e6\n")

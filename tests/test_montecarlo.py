@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,8 @@ from cfurllc.scenario import SystemConfig, generate_topology
 
 from conftest import toy_model
 from oracles import (draw_channel_full_antenna, expected_terms_fzf, expected_terms_mrc,
-                     fzf_vectors_by_gram, gram_rank_worst, in_estimate_span)
+                     fzf_vectors_by_gram, gram_rank_worst, in_estimate_span,
+                     simulate_by_block)
 
 
 def validation_setup(pilot=2e10, payload=2e10):
@@ -143,6 +145,49 @@ def test_simulation_identical_on_any_number_of_workers(decoder):
         sys.setswitchinterval(interval)
 
 
+def tightness_setup(aps, antennas_per_ap, topology_seed=0, power=2e11):
+    """A desk tightness point: 5 devices on `aps` APs, pilot and payload
+    powers `power`."""
+    cfg = SystemConfig(num_devices=5, num_aps=aps, antennas_per_ap=antennas_per_ap,
+                       ap_select_threshold=0.9)
+    model = generate_topology(cfg, seed=topology_seed)
+    params = fbl.FblParams.from_config(cfg)
+    return model, params, estimation_stats(model, np.full(5, power)), np.full(5, power)
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_simulate_is_byte_equal_to_the_block_at_a_time_loop(decoder):
+    # runs of blocks on any number of workers give every trial the bytes of
+    # drawing and decoding its block alone, at and across block boundaries
+    for aps in (1, 4, 9):
+        model, params, stats, pd = tightness_setup(aps, 72 // aps)
+        for trials in (100, mc.TRIAL_BLOCK - 1, mc.TRIAL_BLOCK, mc.TRIAL_BLOCK + 1, 270):
+            want = simulate_by_block(model, stats, pd, decoder, trials, 3, 72 // aps, params)
+            for workers in (1, 2, 8):
+                got = mc.simulate(model, stats, pd, decoder, trials, 3, 72 // aps, params,
+                                  workers=workers)
+                for field in dataclasses.fields(mc.TrialOutcome):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                        (aps, trials, workers, field.name)
+
+
+# tracemalloc peak of this call at the parent of the run-of-blocks change,
+# which drew and decoded one block per call
+ONE_BLOCK_PEAK_BYTES = 1_388_256
+
+
+def test_run_working_set_stays_near_one_blocks():
+    model, params, stats, pd = tightness_setup(4, 18)
+    tracemalloc.start()
+    try:
+        mc.ergodic_rate(model, stats, pd, "fzf", 1000, 0, 18, params, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * ONE_BLOCK_PEAK_BYTES
+
+
 @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
 def test_workers_must_be_a_positive_int(workers):
     cfg, model, params, stats, pd = validation_setup()
@@ -173,11 +218,11 @@ TWO_SAMPLE_Z = 4.0
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_simulate_matches_decoders_fed_the_full_antenna_draw(decoder, monkeypatch):
-    draw, coordinates = mc.draw_channel, []
+    draw, shapes = mc.draw_channel, []
 
     def counted(*args, **kwargs):
         real = draw(*args, **kwargs)
-        coordinates.append(real.g.shape[3])
+        shapes.append(real.g.shape[::3])            # (trials, coordinates)
         return real
 
     monkeypatch.setattr(mc, "draw_channel", counted)
@@ -187,11 +232,13 @@ def test_simulate_matches_decoders_fed_the_full_antenna_draw(decoder, monkeypatc
         serving = model.serving_subset()
         served = serving.service_mask.sum(axis=0).astype(int)          # |D_m|
         assert served.max() < model.num_devices and served.min() < served.max()
-        coordinates.clear()
+        shapes.clear()
         out = mc.simulate(model, stats, pd, decoder, trials, seed=41, n_antennas=8,
                           params=params)
-        # each serving AP is drawn in max |D_m| coordinates, not in K
-        assert coordinates == [served.max()] * -(-trials // mc.TRIAL_BLOCK)
+        # each serving AP is drawn in max |D_m| coordinates, not in K, and
+        # the draws hold every trial once
+        assert {r for _, r in shapes} == {served.max()}
+        assert sum(t for t, _ in shapes) == trials
         serving_stats = estimation_stats(serving, stats.pilot_power)
         decode = mc.decode_mrc if decoder == "mrc" else mc.decode_fzf
         # zero-forcing takes its square triangular estimate from the projection
@@ -216,6 +263,15 @@ def _block_stream_key(seed, trial):
     return (seed, trial // mc.TRIAL_BLOCK, 0)
 
 
+def _row_in_run(run_keys, seed, trial):
+    """The row of `trial` in a draw of the blocks whose substreams have
+    run_keys, or None if they do not hold it."""
+    key = _block_stream_key(seed, trial)
+    if key not in run_keys:
+        return None
+    return run_keys.index(key) * mc.TRIAL_BLOCK + trial % mc.TRIAL_BLOCK
+
+
 def _record_stream_keys(monkeypatch):
     """Map each substream that `simulate` makes to the key it was made with."""
     made, keys = mc.substream, {}
@@ -237,12 +293,12 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
 
     def degenerate(layout, rng, diag_rng, trials=1):
         real = draw(layout, rng, diag_rng, trials)
-        keys.append(stream_keys[id(rng)])
-        if keys[-1] == _block_stream_key(seed, target):
+        keys.extend(stream_keys[id(block_rng)] for block_rng in rng)
+        j = _row_in_run(keys[-len(rng):], seed, target)
+        if j is not None:
             # the drawn estimate column of device 1, the one serving AP 1
             # serves, zeroed or copied from device 2, the other column of
             # that AP's zero-forcing block
-            j = target % mc.TRIAL_BLOCK
             real.g_hat[j, 1, 1] = 0.0 if kind == "zero" else real.g_hat[j, 1, 2]
         return real
 
@@ -253,22 +309,25 @@ def test_rank_deficient_trial_raises_naming_it(kind, monkeypatch):
         warnings.simplefilter("error")
         mc.simulate(model, stats, pd, "fzf", 3 * mc.TRIAL_BLOCK, seed=seed,
                     n_antennas=8, params=params, workers=1)
-    # the block draws up to the failing trial's, and no draw after it
-    assert keys == [_block_stream_key(seed, 0), _block_stream_key(seed, target)]
+    # the runs draw up to the failing trial's, and no run after it
+    run_end = (target // mc.TRIAL_BLOCK // mc.RUN_BLOCKS + 1) * mc.RUN_BLOCKS
+    assert keys == [_block_stream_key(seed, b * mc.TRIAL_BLOCK) for b in range(run_end)]
 
 
 def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
     cfg, model, params, stats, pd = validation_setup()
     seed, blocks = 5, 6
-    targets = (mc.TRIAL_BLOCK + 7, 2 * mc.TRIAL_BLOCK + 3)     # blocks 1 and 2
+    targets = (mc.TRIAL_BLOCK + 7, 2 * mc.TRIAL_BLOCK + 3)     # blocks 1 and 2, two runs
     draw, keys, stream_keys = mc.draw_channel, [], _record_stream_keys(monkeypatch)
 
     def degenerate(layout, rng, diag_rng, trials=1):
         real = draw(layout, rng, diag_rng, trials)
-        keys.append(stream_keys[id(rng)])
+        run_keys = [stream_keys[id(block_rng)] for block_rng in rng]
+        keys.extend(run_keys)
         for target in targets:
-            if keys[-1] == _block_stream_key(seed, target):
-                real.g_hat[target % mc.TRIAL_BLOCK, 1, 1] = 0.0   # served by AP 1
+            j = _row_in_run(run_keys, seed, target)
+            if j is not None:
+                real.g_hat[j, 1, 1] = 0.0                        # served by AP 1
         return real
 
     monkeypatch.setattr(mc, "draw_channel", degenerate)
@@ -276,11 +335,11 @@ def test_rank_deficient_trial_on_the_pool_names_the_first(monkeypatch):
                        match=f"^trial {targets[0]}: estimated channel rank-deficient$"):
         mc.simulate(model, stats, pd, "fzf", blocks * mc.TRIAL_BLOCK, seed=seed,
                     n_antennas=8, params=params, workers=2)
-    # each block is drawn at most once, and with two in flight nothing past
-    # block 2 starts once block 1 fails
+    # each block is drawn at most once, and with two runs in flight nothing
+    # past the second run starts once the first fails
     block_keys = [_block_stream_key(seed, b * mc.TRIAL_BLOCK) for b in range(blocks)]
     assert len(set(keys)) == len(keys)
-    assert all(key in block_keys[:3] for key in keys)
+    assert all(key in block_keys[:2 * mc.RUN_BLOCKS] for key in keys)
     assert block_keys[1] in keys
 
 
