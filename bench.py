@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parent
 WORKLOADS = ("alloc-sweep", "alloc-large", "mc-tightness")
 SEEDS = (1, 101)
 REPEATS = 5
-SECONDS = {"alloc-sweep": 1500, "alloc-large": 3000, "mc-tightness": 300}
+SECONDS = {"alloc-sweep": 1500, "alloc-large": 3000, "mc-tightness": 400}
 TRACED_SECONDS = 30
 # notes kept beside the metrics of every untraced run, and the process tree's
 # rusage, with their units
