@@ -122,7 +122,7 @@ def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int,
             np.negative(row, out=row)
             row[..., 0] += 1.0
             x[:, :, i, i:] = np.divide(row, g_hat[:, :, i, i, None], out=row)
-        del row                 # in place and freed: a run's working set bounds its size
+        del row                 # freed here: a run's working set bounds its size
         xr, gr = x.view(float), g_hat.view(float)
         scaled = np.einsum("tmkc,tmkc->tmk", xr, xr)
         scaled *= np.einsum("tmkc,tmkc->tmk", gr, gr)
@@ -160,7 +160,7 @@ def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
     vectors *= mask[block, ap][..., None]
     coeffs = np.zeros((trials, kdev, aps, r), dtype=complex)
     coeffs[:, block, ap] = vectors
-    del vectors                     # the working set of a run is what bounds its size
+    del vectors                     # freed here: a run's working set bounds its size
     return _decode(real, coeffs, mask.sum(axis=1), payload_power, params)
 
 

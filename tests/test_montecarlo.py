@@ -145,14 +145,14 @@ def test_simulation_identical_on_any_number_of_workers(decoder):
         sys.setswitchinterval(interval)
 
 
-def tightness_setup(aps, antennas_per_ap, topology_seed=0, power=2e11):
-    """A desk tightness point: 5 devices on `aps` APs, pilot and payload
-    powers `power`."""
+def tightness_setup(aps, antennas_per_ap):
+    """A desk tightness point, topology seed 0: 5 devices on `aps` APs, pilot
+    and payload powers 2e11."""
     cfg = SystemConfig(num_devices=5, num_aps=aps, antennas_per_ap=antennas_per_ap,
                        ap_select_threshold=0.9)
-    model = generate_topology(cfg, seed=topology_seed)
+    model = generate_topology(cfg, seed=0)
     params = fbl.FblParams.from_config(cfg)
-    return model, params, estimation_stats(model, np.full(5, power)), np.full(5, power)
+    return model, params, estimation_stats(model, np.full(5, 2e11)), np.full(5, 2e11)
 
 
 @pytest.mark.parametrize("decoder", ["mrc", "fzf"])
