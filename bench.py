@@ -15,7 +15,11 @@ each metric's median and interquartile range per workload and seed, the traced
 counts, the minor page faults and peak RSS the kernel reports for each run's
 process tree (an untraced run's tree includes its set-up probes; a traced run
 has none), and the host, Python, numpy, BLAS and commit of the checkout's
-`.bench_out/` records. Two files compare only when they come from one host.
+`.bench_out/` records. It also holds the wall time of each desk CLI experiment
+at `--seed 1 --threads 1` and of the Tier-1 suite, both run from the checkout's
+`src/`, WALL_REPEATS times each (the repeats outermost again), with their
+median, interquartile range and exit codes. Two files compare only when they
+come from one host.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
@@ -41,6 +47,9 @@ EXTRA_UNITS = {"raw_points_per_s": "1/s", "raw_op_s_p50": "s", "raw_op_s_tail": 
                "minflt": "count", "maxrss_mb": "MiB"}
 # per-layer metrics that count work; the traced times are left to the spans
 COUNT_UNITS = ("count",)
+DESK_EXPERIMENTS = ("converge", "tightness", "threshold-sweep", "energy-compare",
+                    "devices-sweep")
+WALL_REPEATS = 3
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -104,6 +113,35 @@ def traced_counts(record: dict) -> dict:
             if m["unit"] in COUNT_UNITS}
 
 
+def wall_commands(out_dir: str) -> dict[str, list[str]]:
+    """The timed commands by name: each desk experiment, writing its CSV to
+    out_dir, and the Tier-1 suite; each runs in the checkout with its `src/`
+    first on PYTHONPATH."""
+    commands = {f"desk {name}": [sys.executable, "-m", "cfurllc", "--seed", "1", "--threads",
+                                 "1", "--out", out_dir, name] for name in DESK_EXPERIMENTS}
+    commands["tier1"] = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    return commands
+
+
+def time_command(cmd: list[str], checkout: Path) -> tuple[float, int]:
+    """Wall time in seconds and exit code of one run of cmd in the checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    code = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+    return time.perf_counter() - start, code
+
+
+def wall_summary(runs: dict[str, list[tuple[float, int]]]) -> dict:
+    """Median and IQR of each command's wall times, beside every run's time
+    and exit code."""
+    return {name: dict(quartiles([t for t, _ in timed]), unit="s",
+                       runs_s=[t for t, _ in timed], exit_codes=[c for _, c in timed])
+            for name, timed in runs.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
@@ -132,14 +170,23 @@ def main(argv=None) -> int:
             traced[workload][str(seed)] = {"counts": traced_counts(record),
                                            "correct": record["correct"], **record["rusage"]}
 
+    wall = {}
+    with tempfile.TemporaryDirectory() as out_dir:
+        commands = wall_commands(out_dir)
+        for repeat in range(WALL_REPEATS):
+            for name, cmd in commands.items():
+                wall.setdefault(name, []).append(time_command(cmd, checkout))
+                print(f"repeat {repeat} {name}: {wall[name][-1][0]:.1f} s", flush=True)
+
     out = {"pr": args.pr, "checkout_commit": environment["commit"],
            "host": {key: environment[key] for key in ("cpu", "nproc", "python", "numpy",
                                                       "blas", "blas_threads")},
            "settings": {"repeats": REPEATS, "seeds": list(SEEDS), "seconds": SECONDS,
-                        "traced_seconds": TRACED_SECONDS},
+                        "traced_seconds": TRACED_SECONDS, "wall_repeats": WALL_REPEATS},
            "workloads": {w: {seed: {"summary": summarize(seed_runs, units), "runs": seed_runs,
                                     "traced": traced[w][seed]}
-                             for seed, seed_runs in runs[w].items()} for w in WORKLOADS}}
+                             for seed, seed_runs in runs[w].items()} for w in WORKLOADS},
+           "wall": wall_summary(wall)}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)

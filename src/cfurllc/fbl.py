@@ -45,12 +45,12 @@ def rate_kernel(x, alpha: float):
 def rate_kernel_inverse(y: float, alpha: float) -> float:
     """Solve rate_kernel(x, alpha) = y for x by bisection.
 
-    y must be positive. The kernel decreases while positive and is negative
-    past its zero, so it crosses y exactly once; the bracket grows from x = 1
-    until the kernel drops to y.
+    y must lie in (0, 700), as the kernel stays below 700 down to x = 1e-300. It
+    decreases while positive and is negative past its zero, so it crosses y
+    once; the bracket grows from x = 1 until the kernel drops to y.
     """
-    if y <= 0:
-        raise InfeasibleRateError("rate requirement must be positive")
+    if not 0.0 < y < 700.0:
+        raise InfeasibleRateError(f"rate target {y:g} unattainable outside (0, 700)")
     if alpha == 0.0:
         # zero dispersion penalty: closed form of the log term
         return 1.0 / math.expm1(y)

@@ -98,12 +98,12 @@ def decode_mrc(real: ChannelRealization, model: LargeScaleModel,
 
 def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int,
                  num_devices: int) -> np.ndarray:
-    """Zero-forcing vectors per AP, G (G^H G)^-1 = G^-H for a square upper
-    triangular estimate G, batched as (T, M, r, r) in the layout of
-    `draw_channel`: conj(X), with X = G^-1 from a back substitution over the
-    batch, r steps that read only G's upper triangle. When G is the trailing
-    block R[K - r:, K - r:] diag(sqrt(lam)) of a K-device factor, row i of X
-    is that of the whole factor's inverse, which is zero off those
+    """X = G^-1 for a square upper triangular estimate G, batched as (T, M, r, r)
+    in the layout of `draw_channel`, from a back substitution over the batch, r
+    steps that read only G's upper triangle: row i of X is the conjugate of
+    zero-forcing vector i, G (G^H G)^-1 = G^-H, at each AP. When G is the
+    trailing block R[K - r:, K - r:] diag(sqrt(lam)) of a K-device factor, row
+    i of X is that of the whole factor's inverse, which is zero off those
     coordinates.
 
     Raises RuntimeError naming the first trial (counted from first_trial) with a
@@ -132,19 +132,19 @@ def _fzf_vectors(g_hat: np.ndarray, n_antennas: int, first_trial: int,
     bad = np.flatnonzero(~(worst < limit).all(axis=1))  # NaN counts as bad
     if bad.size:
         raise RuntimeError(f"trial {first_trial + bad[0]}: estimated channel rank-deficient")
-    return np.conjugate(x, out=x)
+    return x
 
 
 def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
                stats: EstimationStats, payload_power: np.ndarray,
                n_antennas: int, params: fbl.FblParams, first_trial: int = 0) -> TrialOutcome:
-    """Full-pilot zero-forcing, each AP's vector G^-H e_k scaled by its root-mean
-    gain sqrt((N - K) lambda); needs N > K. The r coordinates must be the last
-    r rows of each AP's triangular factor, the zero-forcing layout of
-    `draw_channel` (r = K: the whole factor); more than K is a ValueError. The
-    vectors of the devices in the last r columns come from that r x r block,
-    and the others are zero, which no served device needs. A rank-deficient
-    block raises RuntimeError naming its trial, counted from first_trial."""
+    """Full-pilot zero-forcing, each AP's vector G^-H e_k (the conjugate of row k of
+    `_fzf_vectors`) scaled by its root-mean gain sqrt((N - K) lambda); needs N > K.
+    The r coordinates must be the last r rows of each AP's triangular factor, the
+    zero-forcing layout of `draw_channel` (r = K: the whole factor); more than K is
+    a ValueError. The vectors of the devices in the last r columns come from that
+    r x r block, and the others are zero, which no served device needs. A
+    rank-deficient block raises RuntimeError naming its trial, counted from first_trial."""
     trials, aps, kdev, r = real.g_hat.shape
     if n_antennas <= kdev:
         raise ValueError("zero-forcing needs antennas_per_ap > num_devices")
@@ -156,7 +156,6 @@ def decode_fzf(real: ChannelRealization, model: LargeScaleModel,
                                    (ap * kdev + block).ravel(), axis=1).reshape(trials, aps, r, r),
                            n_antennas, first_trial, kdev)
     mask = model.service_mask * np.sqrt((n_antennas - kdev) * stats.lam).T
-    np.conjugate(vectors, out=vectors)
     vectors *= mask[block, ap][..., None]
     coeffs = np.zeros((trials, kdev, aps, r), dtype=complex)
     coeffs[:, block, ap] = vectors

@@ -14,8 +14,8 @@ reuses it with the dispersion penalty removed. The fixed-pilot benchmark
 freezes the pilots, so its SINR floors are linear in the payloads: one linear
 solve gives the least payloads meeting them and decides feasibility (Yates,
 IEEE JSAC 13(7), 1995), and the SCA starts above those payloads. A scheme is
-its step-GP builder; allocations are read by position, and every scheme is
-scored by `true_sinr`.
+its step-GP builder and its SINR scorer, bound once to its decoder (and to the
+fixed pilots' statistics); allocations are read by position.
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ def sinr_floors(params: fbl.FblParams, rate_req_bps: np.ndarray) -> np.ndarray:
                      for k in range(params.num_devices)])
 
 
-def true_sinr(model: LargeScaleModel, alloc: PowerAllocation, n_antennas: int,
-              decoder: str) -> np.ndarray:
-    stats = estimation_stats(model, alloc.pilot)
-    if decoder == MRC:
-        return fbl.lb_sinr_mrc(model, stats, alloc.payload, n_antennas)
-    if decoder == FZF:
-        return fbl.lb_sinr_fzf(model, stats, alloc.payload, n_antennas)
-    raise ValueError(f"unknown decoder {decoder!r}")
-
-
 # ---------------------------------------------------------------------------
 # GP construction
 # ---------------------------------------------------------------------------
@@ -218,22 +208,22 @@ def _step_gp(names: list[str], table: gp.TermRows, w_hat: np.ndarray) -> gp.GpMo
 # ---------------------------------------------------------------------------
 
 def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
-                  floors: np.ndarray) -> Callable:
+                  floors: np.ndarray) -> tuple[Callable, Callable]:
     """The joint allocation's builder (pilot_hat, w_hat) -> step GP (w_hat None: max-slack
-    GP): SINR constraints fitted at pilot_hat, energy budgets over pilots and payloads.
+    GP), SINR constraints fitted at pilot_hat and energy budgets, and its scorer alloc -> SINRs.
 
-    The decoder picks, once, the gain table, SINR rows and `approx` fit, the
-    antenna count N' (MRC: N; FZF: N - K) and the fit's scale s (MRC: 2, its
+    The decoder picks, once, the gain table, SINR rows, `approx` fit and `fbl` bound,
+    the antenna count N' (MRC: N; FZF: N - K) and the fit's scale s (MRC: 2, its
     gain fit squared; FZF: 1): a round folds N' pd_k fit_k^s over floor_k into
     SINR row k of the one table, or of its relaxed copy for the max-slack GP."""
     kdev = model.num_devices
     names = [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]
     if decoder == MRC:
         gain_rows, sinr_rows, fit = approx.mrc_gain_rows(model), mrc_rows, approx.mrc_gain_monomial
-        log_n, scale = np.log(cfg.antennas_per_ap), 2.0
+        lb_sinr, log_n, scale = fbl.lb_sinr_mrc, np.log(cfg.antennas_per_ap), 2.0
     else:
         gain_rows, sinr_rows, fit = approx.fzf_gain_rows(model), fzf_rows, approx.fzf_gain_monomial
-        log_n, scale = np.log(cfg.antennas_per_ap - kdev), 1.0
+        lb_sinr, log_n, scale = fbl.lb_sinr_fzf, np.log(cfg.antennas_per_ap - kdev), 1.0
     log_floors = np.log(floors)
     table = gp.stack([sinr_rows(model, np.arange(kdev), np.arange(kdev, 2 * kdev), 2 * kdev),
                       _energy_rows(model, cfg.blocklength)])
@@ -249,7 +239,11 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
         folded = target.fold(r, big_r)
         return gp.max_slack(names, folded) if w_hat is None else _step_gp(names, folded, w_hat)
 
-    return build
+    def score(alloc):
+        return lb_sinr(model, estimation_stats(model, alloc.pilot), alloc.payload,
+                       cfg.antennas_per_ap)
+
+    return build, score
 
 
 def _read(x: np.ndarray, pilot: np.ndarray) -> PowerAllocation:
@@ -305,21 +299,19 @@ def feasibility_init(model: LargeScaleModel, cfg: SystemConfig,
     return None, best_phi, error
 
 
-def _run_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str, params: fbl.FblParams,
-             floors: np.ndarray, alloc: PowerAllocation, build: Callable) -> SolveResult:
+def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
+             alloc: PowerAllocation, build: Callable, score: Callable) -> SolveResult:
     """The SCA iteration every scheme runs, from a feasible allocation.
 
     Each iteration builds the scheme's step GP around the current iterate for
     the surrogate exponents w_hat; the iterate, as a point of that GP, is its
     carry-over check. The first step GP starts from the iterate; later ones
     start from the previous GP's interior point, or from the iterate when
-    that GP returned none. The loop stops when the relative gain
-    falls below cfg.sca_tolerance; the best iterate of the trace is returned.
+    that GP returned none. `score` gives each iterate's SINRs. The loop stops when
+    the relative gain falls below cfg.sca_tolerance; the best iterate is returned.
     """
     trace = IterationTrace()
-    chi = true_sinr(model, alloc, cfg.antennas_per_ap, decoder)
-    if np.any(chi < floors * (1.0 - 1e-9)):
-        return _no_allocation("infeasible", "starting point violates an SINR floor")
+    chi = score(alloc)
     obj = fbl.weighted_lb_sum_rate(chi, model.weights, params)
     trace.add(obj, chi, alloc, "init")
 
@@ -343,7 +335,7 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str, params: fb
             status, message = "degraded", f"GP step returned {sol.status} {sol.message}".strip()
             break
         alloc = _read(sol.x, alloc.pilot)
-        chi = true_sinr(model, alloc, cfg.antennas_per_ap, decoder)
+        chi = score(alloc)
         obj_new = fbl.weighted_lb_sum_rate(chi, model.weights, params)
         trace.add(obj_new, chi, alloc, sol.status)
         gain = (obj_new - obj) / obj if obj > 0 else math.inf
@@ -362,16 +354,21 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str, params: fb
 
 def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
                params: fbl.FblParams, start: PowerAllocation | None = None) -> SolveResult:
-    """Joint pilot/payload SCA on one scheme from `start`, or from feasibility_init."""
+    """Joint pilot/payload SCA on one scheme from `start`, floors checked, or feasibility_init."""
     fbl.check_decoder(decoder)
-    floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
-    build = _joint_scheme(model, cfg, decoder, floors)
+    try:
+        floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
+    except fbl.InfeasibleRateError as exc:
+        return _no_allocation("infeasible", f"rate requirement {cfg.rate_req_bps:g} bit/s: {exc}")
+    build, score = _joint_scheme(model, cfg, decoder, floors)
     if start is None:
         start, phi, error = feasibility_init(model, cfg, build)
         if start is None:
             return _no_allocation("aborted" if error else "infeasible",
                                   error or f"max floor slack {phi:.4f} < 1")
-    return _run_sca(model, cfg, decoder, params, floors, start, build)
+    elif np.any(score(start) < floors * (1.0 - 1e-9)):
+        return _no_allocation("infeasible", "starting point violates an SINR floor")
+    return _run_sca(model, cfg, params, start, build, score)
 
 
 def solve(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
@@ -402,9 +399,8 @@ def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig, decoder: s
     if not upper.feasible:
         return replace(upper, status="infeasible", allocation=None, sinr=None, rates=None,
                        weighted_sum_rate=0.0, message="penalty-free stage infeasible")
-    params = fbl.FblParams.from_config(cfg)
-    chi = true_sinr(model, upper.allocation, cfg.antennas_per_ap, decoder)
-    rates = fbl.lb_rate(chi, params, np.arange(model.num_devices))
+    chi = upper.sinr                        # only the rates carry the dispersion penalty
+    rates = fbl.lb_rate(chi, fbl.FblParams.from_config(cfg), np.arange(model.num_devices))
     missed = bool(np.any(rates < cfg.rate_req_bps * (1.0 - 1e-9)))
     return replace(upper, status="infeasible" if missed else "optimal", sinr=chi, rates=rates,
                    weighted_sum_rate=0.0 if missed else float(model.weights @ rates),
@@ -427,9 +423,12 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     kdev = model.num_devices
     # at the frozen pilots E/L, the energy row K E/L + (L - K) pd <= E is exactly pd <= E/L
     pilot = pd_max = model.energy / cfg.blocklength
-    floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
-    n, coherent, noise, cross = fbl.sinr_pieces(model, estimation_stats(model, pilot),
-                                                cfg.antennas_per_ap, decoder)
+    try:
+        floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
+    except fbl.InfeasibleRateError as exc:
+        return _no_allocation("infeasible", f"rate requirement {cfg.rate_req_bps:g} bit/s: {exc}")
+    pieces = fbl.sinr_pieces(model, estimation_stats(model, pilot), cfg.antennas_per_ap, decoder)
+    n, coherent, noise, cross = pieces
     gain = n * coherent
     lift = floors / gain
     try:
@@ -449,6 +448,6 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
                         np.append(np.full(kdev, kdev + 1), np.ones(kdev, dtype=int)))
     names = [f"pd{k}" for k in range(kdev)]
     scale = 0.5 * (1.0 + float((pd_max / least).min()))
-    return _run_sca(model, cfg, decoder, params, floors,
-                    PowerAllocation(pilot=pilot, payload=scale * least),
-                    lambda _, w_hat: _step_gp(names, table, w_hat))
+    return _run_sca(model, cfg, params, PowerAllocation(pilot=pilot, payload=scale * least),
+                    lambda _, w_hat: _step_gp(names, table, w_hat),
+                    lambda alloc: fbl.lb_sinr(pieces, alloc.payload))

@@ -16,7 +16,9 @@ back substitution of `montecarlo._fzf_vectors`; and the SINR constants one
 device at a time, for the service-set indicator products of
 `fbl.sinr_pieces`; and the lower-bound SINRs and the surrogate exponents
 one device at a time, for the array forms of `fbl.lb_sinr` and
-`optimizer._surrogate_exponents`.
+`optimizer._surrogate_exponents`; and the closed-form SINRs of an
+allocation, recomputed from its pilots for either decoder, for the SINRs
+every allocation scheme of `optimizer` reports.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfurllc import approx, montecarlo
+from cfurllc import approx, fbl, montecarlo
 from cfurllc.channel import (ChannelRealization, EstimationStats, draw_channel,
                              estimation_stats, span_layout, substream)
 from cfurllc.approx import MonomialFit
 from cfurllc.fbl import FblParams, SinrPieces, rate_kernel
-from cfurllc.optimizer import SurrogateError
+from cfurllc.optimizer import PowerAllocation, SurrogateError
 from cfurllc.scenario import LargeScaleModel
 
 
@@ -462,3 +464,15 @@ def surrogate_exponents_by_device(chi_hat: np.ndarray, params: FblParams,
                 f"device {i}: surrogate exponent {w_hat[i]:.3e} is non-positive "
                 f"(expansion SINR {chi_hat[i]:.3e})")
     return w_hat / w_hat.sum(), clamped
+
+
+def true_sinr(model: LargeScaleModel, alloc: PowerAllocation, n_antennas: int,
+              decoder: str) -> np.ndarray:
+    """The closed-form lower-bound SINRs at `alloc`: the estimation statistics
+    of its pilots, then `fbl.lb_sinr_mrc` or `fbl.lb_sinr_fzf`."""
+    stats = estimation_stats(model, alloc.pilot)
+    if decoder == "mrc":
+        return fbl.lb_sinr_mrc(model, stats, alloc.payload, n_antennas)
+    if decoder == "fzf":
+        return fbl.lb_sinr_fzf(model, stats, alloc.payload, n_antennas)
+    raise ValueError(f"unknown decoder {decoder!r}")

@@ -1,9 +1,12 @@
-"""The summary of `bench.py` on canned run records; no benchmark runs."""
+"""The summaries of `bench.py` on canned run records and timings; no benchmark
+or timed command runs."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from cfurllc import cli
 
 _spec = importlib.util.spec_from_file_location(
     "bench", Path(__file__).resolve().parent.parent / "bench.py")
@@ -53,3 +56,25 @@ def test_traced_counts_keep_only_counts():
     record = {"metrics": {"channel.draw_channel.calls": {"value": 96, "unit": "count"},
                           "channel.draw_channel.busy_s": {"value": 0.1, "unit": "s"}}}
     assert bench.traced_counts(record) == {"channel.draw_channel.calls": 96}
+
+
+def test_wall_summary_gives_median_and_interquartile_range_per_command():
+    runs = {"desk converge": [(0.30, 0), (0.20, 0), (0.25, 0)],
+            "tier1": [(27.0, 0), (25.0, 1), (26.0, 0)]}
+    summary = bench.wall_summary(runs)
+    assert set(summary) == {"desk converge", "tier1"}
+    # inclusive quartiles of 25, 26, 27
+    assert summary["tier1"] == {"median": 26.0, "q1": 25.5, "q3": 26.5, "iqr": 1.0, "n": 3,
+                                "unit": "s", "runs_s": [27.0, 25.0, 26.0],
+                                "exit_codes": [0, 1, 0]}
+    assert summary["desk converge"]["median"] == 0.25
+
+
+def test_wall_commands_run_every_desk_experiment_and_tier1():
+    commands = bench.wall_commands("out")
+    assert list(commands) == [f"desk {name}" for name in bench.DESK_EXPERIMENTS] + ["tier1"]
+    assert set(bench.DESK_EXPERIMENTS) == set(cli.EXPERIMENTS)
+    for name in bench.DESK_EXPERIMENTS:
+        assert commands[f"desk {name}"][1:] == ["-m", "cfurllc", "--seed", "1", "--threads", "1",
+                                                "--out", "out", name]
+    assert commands["tier1"][1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]

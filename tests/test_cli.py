@@ -244,6 +244,20 @@ def test_main_runs_a_key_no_grid_sets(tmp_path):
     assert (tmp_path / "converge.csv").exists()
 
 
+def test_energy_compare_with_an_unattainable_rate_counts_no_feasible_deployment(tmp_path):
+    # no SINR reaches 1 Tbit/s: every scheme of every deployment is
+    # infeasible before any GP is built, and the sweep still writes its CSV
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("rate_req_bps = 1e12\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "energy-compare"]) == 0
+    lines = read(tmp_path / "energy_compare.csv").decode().splitlines()
+    header = lines[2].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[3:]]
+    assert len(rows) == 2 * 2 * 5 * len(cli.SCHEMES)     # decoders x layouts x energies
+    assert {r["feasible_count"] for r in rows} == {"0"}
+    assert {r["mean_wsr"] for r in rows} == {"0"}
+
+
 def readme_blocks(lang):
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.S | re.M), text

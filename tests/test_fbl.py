@@ -127,6 +127,18 @@ def test_kernel_inverse_rejects_unattainable():
         rate_kernel_inverse(0.0, 0.1)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("y", [700.0, 710.0, 7e4, 1e300, math.inf, math.nan])
+def test_kernel_inverse_rejects_targets_past_the_float_range(y, alpha):
+    # the kernel stays below 700 down to x = 1e-300; without the penalty,
+    # 1/expm1(y) nears the smallest normal float at y = 700 and expm1
+    # overflows past 709.78
+    with pytest.raises(fbl.InfeasibleRateError, match="unattainable"):
+        rate_kernel_inverse(y, alpha)
+    x = rate_kernel_inverse(699.0, 0.0)
+    assert x == 1.0 / math.expm1(699.0) and x > np.finfo(float).tiny
+
+
 def test_kernel_inverse_matches_bisection_from_kernel_zero():
     for alpha in (1e-4, 0.0717, 0.135, 0.5, 3.0):
         for y in np.logspace(-6, math.log10(5.0), 40):

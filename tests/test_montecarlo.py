@@ -486,7 +486,7 @@ def test_fzf_vectors_match_the_gram_oracle(kdev):
     stats = estimation_stats(model, np.full(kdev, 1e12))
     real = draw_channel(span_layout(model, stats, kdev + 2, True), substream(7, kdev, 0),
                         substream(7, kdev, 1), trials=64)
-    vectors = mc._fzf_vectors(real.g_hat, kdev + 2, 0, kdev)
+    vectors = mc._fzf_vectors(real.g_hat, kdev + 2, 0, kdev).conj()     # G^-H, by rows
     oracle = fzf_vectors_by_gram(real.g_hat, kdev + 2, 0)
     norm = np.linalg.norm(oracle, axis=3, keepdims=True)
     assert np.all(np.abs(vectors - oracle) <= 1e-12 * norm)

@@ -13,7 +13,7 @@ from cfurllc.optimizer import (FZF, MRC, SurrogateError, benchmark_conventional,
                                benchmark_upper_bound, feasibility_init,
                                sinr_floor, sinr_floors)
 from cfurllc.scenario import SystemConfig, generate_topology
-from oracles import surrogate_exponents_by_device
+from oracles import surrogate_exponents_by_device, true_sinr
 
 DESK = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
                     ap_select_threshold=0.9, energy_budget=5e12,
@@ -88,7 +88,8 @@ def test_floor_monotone_in_reliability():
 
 def max_slack_stage(model, cfg, decoder, floors):
     """feasibility_init on a new joint scheme builder of the decoder."""
-    return feasibility_init(model, cfg, optimizer._joint_scheme(model, cfg, decoder, floors))
+    build, _ = optimizer._joint_scheme(model, cfg, decoder, floors)
+    return feasibility_init(model, cfg, build)
 
 
 def test_feasibility_easy_instance():
@@ -100,7 +101,7 @@ def test_feasibility_easy_instance():
     assert alloc is not None and slack >= 1.0 and error == ""
     used = alloc.energy(cfg.num_devices, cfg.blocklength)
     assert np.all(used <= model.energy * (1 + 1e-9))
-    sinr = optimizer.true_sinr(model, alloc, cfg.antennas_per_ap, MRC)
+    sinr = true_sinr(model, alloc, cfg.antennas_per_ap, MRC)
     assert np.all(sinr >= floors * (1 - 1e-9))
 
 
@@ -169,7 +170,7 @@ def test_early_max_slack_stop_keeps_every_verdict():
         if alloc is None:
             infeasible += 1
             continue
-        assert np.all(optimizer.true_sinr(model, alloc, cfg.antennas_per_ap, decoder) >= floors)
+        assert np.all(true_sinr(model, alloc, cfg.antennas_per_ap, decoder) >= floors)
         assert np.all(alloc.energy(cfg.num_devices, cfg.blocklength)
                       <= model.energy * (1 + 1e-9))
     assert infeasible >= 2
@@ -287,6 +288,44 @@ def test_sca_trace_properties(decoder, cap):
     assert np.all(res.sinr >= floors * (1 - 1e-9))
 
 
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("scheme", ["solve", "benchmark_upper_bound", "benchmark_conventional",
+                                    "benchmark_fixed_pilot"])
+def test_an_unattainable_rate_requirement_is_infeasible(scheme, decoder, monkeypatch):
+    # no SINR reaches 1 Tbit/s, with or without the dispersion penalty: every
+    # scheme says so, naming the requirement, and builds no GP
+    solved = count_gp_solves(monkeypatch)
+    cfg = DESK.replace(rate_req_bps=1e12)
+    model = generate_topology(cfg, seed=7)
+    if scheme == "benchmark_conventional":
+        upper = benchmark_upper_bound(model, cfg, decoder)
+        res = benchmark_conventional(model, cfg, decoder, upper)
+        assert res.message == "penalty-free stage infeasible"
+        verdict = upper.message
+    else:
+        res = getattr(optimizer, scheme)(model, cfg, decoder)
+        verdict = res.message
+    assert (res.status, res.allocation, res.weighted_sum_rate) == ("infeasible", None, 0.0)
+    assert verdict.startswith("rate requirement 1e+12 bit/s: ") and "unattainable" in verdict
+    assert solved == []
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_a_start_below_a_floor_is_rejected_before_any_gp(decoder, monkeypatch):
+    # a caller's start is the one start not feasible by construction: the
+    # solve checks it against the floors and builds no GP from it
+    solved = count_gp_solves(monkeypatch)
+    model = desk_model()
+    fixed = benchmark_fixed_pilot(model, DESK, decoder)
+    assert fixed.feasible
+    solved.clear()
+    low = optimizer.PowerAllocation(fixed.allocation.pilot, 1e-3 * fixed.allocation.payload)
+    res = optimizer.solve(model, DESK, decoder, start=low)
+    assert (res.status, res.allocation) == ("infeasible", None)
+    assert res.message == "starting point violates an SINR floor" and solved == []
+    assert optimizer.solve(model, DESK, decoder, start=fixed.allocation).feasible
+
+
 def test_infeasible_reports_zero_rate():
     cfg = DESK.replace(energy_budget=1e10)
     model = generate_topology(cfg, seed=3)
@@ -347,9 +386,31 @@ def test_conventional_reuses_upper_bound_allocation():
     assert conv.weighted_sum_rate <= upper.weighted_sum_rate
     # rates re-evaluated under the true dispersion penalty
     params = fbl.FblParams.from_config(DESK)
-    chi = optimizer.true_sinr(model, upper.allocation, DESK.antennas_per_ap, MRC)
+    chi = true_sinr(model, upper.allocation, DESK.antennas_per_ap, MRC)
     expect = sum(model.weights[k] * fbl.lb_rate(chi[k], params, k) for k in range(5))
     assert conv.weighted_sum_rate == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_conventional_reads_the_upper_bounds_sinrs(decoder, monkeypatch):
+    # the SINRs carry no dispersion penalty, so conventional recomputes no
+    # estimation statistics and no SINR bound, only the rates
+    uppers = [benchmark_upper_bound(generate_topology(cfg, seed=seed), cfg, decoder)
+              for cfg, seed in SCORED_DEPLOYMENTS[:2]]
+    assert all(upper.feasible for upper in uppers)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conventional recomputed an SINR")
+
+    monkeypatch.setattr(optimizer, "estimation_stats", forbidden)
+    for name in ("lb_sinr", "lb_sinr_mrc", "lb_sinr_fzf", "sinr_pieces"):
+        monkeypatch.setattr(fbl, name, forbidden)
+    verdicts = []
+    for (cfg, seed), upper in zip(SCORED_DEPLOYMENTS[:2], uppers):
+        conv = benchmark_conventional(generate_topology(cfg, seed=seed), cfg, decoder, upper)
+        assert conv.sinr is upper.sinr
+        verdicts.append(conv.feasible)
+    assert verdicts == [True, False]
 
 
 def test_conventional_can_be_infeasible_when_proposed_is_not():
@@ -396,7 +457,7 @@ def test_every_scheme_reports_the_true_sinr_of_its_allocation(scheme, decoder):
         if scheme == "benchmark_upper_bound":
             params = params.with_zero_dispersion()
         if res.allocation is not None:
-            sinr = optimizer.true_sinr(model, res.allocation, cfg.antennas_per_ap, decoder)
+            sinr = true_sinr(model, res.allocation, cfg.antennas_per_ap, decoder)
             assert _bits(res.sinr) == _bits(sinr)
             assert _bits(res.rates) == _bits(fbl.lb_rate(sinr, params, np.arange(cfg.num_devices)))
         if scheme == "benchmark_conventional" and not res.feasible:
@@ -571,6 +632,27 @@ def count_gp_solves(monkeypatch):
 
     monkeypatch.setattr(gp.GpModel, "solve", counted)
     return solved
+
+
+@pytest.mark.parametrize("decoder", [MRC, FZF])
+def test_fixed_pilot_computes_its_frozen_statistics_once(decoder, monkeypatch):
+    # the pilots never move, so one set of estimation statistics scores
+    # every iterate, however many SCA steps the run takes
+    calls = []
+    original = optimizer.estimation_stats
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "estimation_stats", counted)
+    steps = []
+    for seed in (7, 1, 4, 9):
+        calls.clear()
+        res = benchmark_fixed_pilot(desk_model(seed), DESK, decoder)
+        assert len(calls) == 1
+        steps.append(len(res.trace.objective) - 1)
+    assert sum(n >= 2 for n in steps) >= 2, steps
 
 
 def test_fixed_pilot_solves_one_gp_per_sca_step(monkeypatch):
@@ -842,8 +924,8 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
     # SINR row k reads log(floor_k / SINR_k): the floors sit in the rows
     _, _, step, start = steps[0]
     pilot = model.energy / DESK.blocklength if scheme == "fixed-pilot" else start[:kdev]
-    sinr = optimizer.true_sinr(model, optimizer.PowerAllocation(pilot, start[-kdev:]),
-                               DESK.antennas_per_ap, MRC if scheme == "fixed-pilot" else scheme)
+    sinr = true_sinr(model, optimizer.PowerAllocation(pilot, start[-kdev:]),
+                     DESK.antennas_per_ap, MRC if scheme == "fixed-pilot" else scheme)
     margins = step.constraint_margins(start)[step.weights > 0]
     assert np.allclose(margins, np.log(floors / sinr), rtol=0, atol=1e-9)
     for pilot_hat, w_hat, step, start in steps:
@@ -954,13 +1036,17 @@ def recorded_rounds(run):
         recorders.append(record)
         return record
 
-    def sca(*args):
-        *head, build = args
-        return run_sca(*head, build if build in recorders else recording(build))
+    def scheme(*args):
+        build, score = joint_scheme(*args)
+        return recording(build), score
+
+    def sca(model, cfg, params, alloc, build, score):
+        return run_sca(model, cfg, params, alloc,
+                       build if build in recorders else recording(build), score)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gp.GpModel, "solve", solve)
-        mp.setattr(optimizer, "_joint_scheme", lambda *args: recording(joint_scheme(*args)))
+        mp.setattr(optimizer, "_joint_scheme", scheme)
         mp.setattr(optimizer, "_run_sca", sca)
         assert run().feasible
     return [(p, w, m) + solved[id(m)] for p, w, m in built]
@@ -1034,7 +1120,7 @@ def test_folding_a_round_leaves_the_previous_rounds_gp_bit_identical(decoder, rn
     model = desk_model()
     kdev = model.num_devices
     floors = sinr_floors(fbl.FblParams.from_config(DESK), np.full(kdev, DESK.rate_req_bps))
-    build = optimizer._joint_scheme(model, DESK, decoder, floors)
+    build, _ = optimizer._joint_scheme(model, DESK, decoder, floors)
     pilots = [model.energy / (2.0 * kdev) * f for f in (1.0, 0.3)]
     for w_hat in (None, np.full(kdev, 1.0 / kdev)):
         first = build(pilots[0], w_hat)

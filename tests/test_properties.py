@@ -3,8 +3,11 @@
 Every deployment comes from `conftest.random_model` (1-5 APs, 1-5 devices,
 log-normal gains, energy 1e12 per device) with its gains scaled by a
 log-uniform factor in 1e-12 ... 1e-9, which spans instances from hopeless to
-comfortably feasible. Hypothesis runs derandomized, so the examples are the
-same on every run.
+comfortably feasible, and a rate requirement log-uniform in 1e6 ... 1e12 bit/s,
+drawn from the deployment's generator, whose top decades no SINR reaches. Each
+instance runs all four schemes: the upper bound is checked under zero-dispersion
+params, and conventional, built from that upper-bound result, under the true
+ones. Hypothesis runs derandomized, so the examples are the same on every run.
 """
 
 import numpy as np
@@ -15,16 +18,17 @@ from hypothesis import strategies as st
 from cfurllc import fbl, optimizer
 from cfurllc.scenario import SystemConfig
 
-SCHEMES = {"joint": optimizer.solve, "fixed_pilot": optimizer.benchmark_fixed_pilot}
 
-
-def check_result(res, model, cfg, scheme):
+def check_result(res, model, cfg, scheme, params, upper=None):
+    """The invariants of one scheme's result; `upper` is conventional's
+    upper-bound result, whose allocation and trace it keeps."""
     if not res.feasible:
         assert res.status == "infeasible", res.message
         assert res.weighted_sum_rate == 0.0
-        assert res.allocation is None
+        # conventional keeps a penalty-free allocation that misses a requirement
+        assert res.allocation is (None if upper is None or not upper.feasible
+                                  else upper.allocation)
         return
-    params = fbl.FblParams.from_config(cfg)
     floors = optimizer.sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
     assert np.all(res.sinr >= floors * (1 - 1e-9))
     assert np.all(res.rates >= cfg.rate_req_bps * (1 - 1e-9))
@@ -32,17 +36,29 @@ def check_result(res, model, cfg, scheme):
     assert np.all(used <= model.energy * (1 + 1e-9))
     obj = np.array(res.trace.objective)
     assert np.all(np.diff(obj) >= -1e-9 * obj[:-1])
-    assert max(res.trace.objective) == res.weighted_sum_rate
+    if upper is None:
+        assert max(res.trace.objective) == res.weighted_sum_rate
+    else:
+        # the same allocation, its rates now under the dispersion penalty
+        assert res.allocation is upper.allocation and res.trace is upper.trace
+        assert res.weighted_sum_rate <= upper.weighted_sum_rate
     if scheme == "fixed_pilot":
         assert np.array_equal(res.allocation.pilot, model.energy / cfg.blocklength)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-12.0, -9.0))
 def test_allocation_invariants(seed, log_scale):
-    model = random_model(np.random.default_rng(seed), beta_scale=10.0 ** log_scale)
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, beta_scale=10.0 ** log_scale)
     cfg = SystemConfig(num_devices=model.num_devices, num_aps=model.num_aps,
-                       antennas_per_ap=8)
-    for scheme, run in SCHEMES.items():
-        for decoder in fbl.DECODERS:
-            check_result(run(model, cfg, decoder), model, cfg, scheme)
+                       antennas_per_ap=8, rate_req_bps=10.0 ** rng.uniform(6.0, 12.0))
+    params = fbl.FblParams.from_config(cfg)
+    for decoder in fbl.DECODERS:
+        upper = optimizer.benchmark_upper_bound(model, cfg, decoder)
+        check_result(upper, model, cfg, "upper_bound", params.with_zero_dispersion())
+        check_result(optimizer.benchmark_conventional(model, cfg, decoder, upper),
+                     model, cfg, "conventional", params, upper)
+        check_result(optimizer.solve(model, cfg, decoder), model, cfg, "joint", params)
+        check_result(optimizer.benchmark_fixed_pilot(model, cfg, decoder),
+                     model, cfg, "fixed_pilot", params)
