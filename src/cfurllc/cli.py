@@ -41,7 +41,6 @@ PROFILES = {
 }
 
 THRESHOLD_GRID = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
-SCHEMES = ("proposed", "upper_bound", "conventional", "fixed_pilot")
 
 
 def _fmt(value) -> str:
@@ -96,19 +95,9 @@ def _solve_point(task):
 def _scheme_rates(task):
     """Weighted sum rate of every scheme on one deployment (0 when infeasible)."""
     cfg, seed, dep, decoder = task
-    model = generate_topology(cfg, seed=seed + dep)
-    proposed = optimizer.solve(model, cfg, decoder)
-    upper = optimizer.benchmark_upper_bound(model, cfg, decoder)
-    conventional = optimizer.benchmark_conventional(model, cfg, decoder, upper)
-    fixed = optimizer.benchmark_fixed_pilot(model, cfg, decoder)
-    # feasible-set inclusion: never return a joint allocation that loses to
-    # the fixed-pilot point it dominates; restart from that point if needed
-    if fixed.feasible and proposed.weighted_sum_rate < fixed.weighted_sum_rate:
-        retry = optimizer.solve(model, cfg, decoder, start=fixed.allocation)
-        if retry.weighted_sum_rate > proposed.weighted_sum_rate:
-            proposed = retry
+    results = optimizer.compare(generate_topology(cfg, seed=seed + dep), cfg, decoder)
     return {scheme: res.weighted_sum_rate if res.feasible else 0.0
-            for scheme, res in zip(SCHEMES, (proposed, upper, conventional, fixed))}
+            for scheme, res in results.items()}
 
 
 def _tightness_grid(base: SystemConfig, profile: dict):
@@ -146,25 +135,23 @@ def _summary(vals: np.ndarray, ok: np.ndarray) -> list:
             int(ok.sum()), len(vals)]
 
 
-def _converge_rows(key, res):
-    """Every iterate of the one (decoder, M, N) solve."""
+def _converge_rows(key, cfg, res):
+    """Every iterate of the one (decoder, M, N) solve; with none, its status at iteration 0."""
     return [key + [rec["iteration"], rec["objective"], rec["gp_status"]]
             + rec["sinr"] + rec["pilot"] + rec["payload"]
-            for rec in res[0].trace.rows()]
+            for rec in res[0].trace.rows()] or [
+        key + [0, 0.0, res[0].status] + [""] * (3 * cfg.num_devices)]
 
 
-def _threshold_rows(key, res):
+def _threshold_rows(key, cfg, res):
     vals = np.array([r.weighted_sum_rate if r.feasible else 0.0 for r in res])
     return [key + _summary(vals, np.array([r.feasible for r in res]))]
 
 
-def _scheme_rows(key, res):
+def _scheme_rows(key, cfg, res):
     """One row per scheme; a scheme counts as feasible where its rate is positive."""
-    rows = []
-    for scheme in SCHEMES:
-        vals = np.array([r[scheme] for r in res])
-        rows.append(key[:2] + [scheme] + key[2:] + _summary(vals, vals > 0))
-    return rows
+    vals = {scheme: np.array([r[scheme] for r in res]) for scheme in optimizer.SCHEMES}
+    return [key[:2] + [scheme] + key[2:] + _summary(v, v > 0) for scheme, v in vals.items()]
 
 
 class Experiment(NamedTuple):
@@ -175,7 +162,7 @@ class Experiment(NamedTuple):
     deployments: str | None  # profile key of deployments per point; None: one, seed + 0
     point: Callable         # task (cfg, seed, deployment, decoder, *args) -> result
     args: Callable          # (profile, trials, workers) -> the task's args
-    aggregate: Callable     # (key columns, results of one grid point) -> rows
+    aggregate: Callable     # (key columns, its config, results of one grid point) -> rows
     header: Callable        # num_devices -> column names
     extra: Callable         # (profile, trials) -> config-hash fields besides the name
     monte_carlo: bool = False  # whether it reads --trials
@@ -192,8 +179,8 @@ EXPERIMENTS = {
         # the worker processes are the only parallelism
         args=lambda profile, trials, workers: (profile["tightness_power"], trials,
                                                None if workers == 1 else 1),
-        aggregate=lambda key, res: [key + [float(np.mean([r[i] for r in res]))
-                                           for i in range(3)]],
+        aggregate=lambda key, cfg, res: [key + [float(np.mean([r[i] for r in res]))
+                                                for i in range(3)]],
         header=lambda k: ["decoder", "M", "N", "MN", "lb_rate", "ergodic_rate", "ci"],
         extra=lambda profile, trials: {"trials": trials},
         monte_carlo=True),
@@ -250,8 +237,8 @@ def run_experiment(name: str, base: SystemConfig, profile: dict, out_dir: str, t
     tasks = [(cfg, seed, dep, decoder, *args)
              for _, cfg, decoder in grid for dep in range(deps)]
     res = _pool_map(exp.point, tasks, workers)
-    rows = [row for i, (key, _, _) in enumerate(grid)
-            for row in exp.aggregate(key, res[i * deps:(i + 1) * deps])]
+    rows = [row for i, (key, cfg, _) in enumerate(grid)
+            for row in exp.aggregate(key, cfg, res[i * deps:(i + 1) * deps])]
     tag = name.replace("-", "_")
     path = os.path.join(out_dir, f"{tag}.csv")
     write_csv(path, exp.header(base.num_devices), rows, base, seed,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cfurllc import cli, montecarlo
+from cfurllc import cli, montecarlo, optimizer
 from cfurllc.scenario import SystemConfig, load_config
 
 TINY = {
@@ -91,6 +91,34 @@ def test_scheme_rates_are_parallel_safe(tmp_path):
     serial = cli._pool_map(cli._scheme_rates, tasks, 1)
     parallel = cli._pool_map(cli._scheme_rates, tasks, 2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
+def test_proposed_is_at_least_every_feasible_benchmark(decoder):
+    # criterion 8's deployments: a feasible conventional or fixed-pilot
+    # allocation is a feasible point of the proposed problem
+    cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12,
+                       ap_select_threshold=0.9, energy_budget=5e12, gp_tolerance=1e-8)
+    for dep in range(30):
+        rates = cli._scheme_rates((cfg, 900, dep, decoder))
+        for scheme in ("conventional", "fixed_pilot"):
+            assert rates[scheme] <= rates["proposed"] * (1 + 1e-9), (dep, scheme)
+
+
+def test_converge_writes_a_status_row_for_a_layout_with_no_allocation(tmp_path):
+    # no SINR reaches 1 Tbit/s: every layout's solve is infeasible before any
+    # GP, and each still writes one row saying so
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("rate_req_bps = 1e12\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "converge"]) == 0
+    lines = read(tmp_path / "converge.csv").decode().splitlines()
+    header = lines[2].split(",")
+    rows = [ln.split(",") for ln in lines[3:]]
+    assert [row[:3] for row in rows] == [["mrc", "1", "48"], ["mrc", "4", "12"],
+                                         ["fzf", "1", "48"], ["fzf", "4", "12"]]
+    for row in rows:
+        assert len(row) == len(header) == 6 + 3 * 5
+        assert row[3:6] == ["0", "0", "infeasible"] and set(row[6:]) == {""}
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):
@@ -185,7 +213,7 @@ def test_energy_compare_scheme_rows(tmp_path):
     # 2 decoders x 1 AP layout x 1 energy x 4 schemes
     assert len(rows) == 8
     schemes = {r[2] for r in rows}
-    assert schemes == set(cli.SCHEMES)
+    assert schemes == set(optimizer.SCHEMES)
     by_scheme = {(r[0], r[2]): float(r[4]) for r in rows}
     for dec in ("mrc", "fzf"):
         assert by_scheme[(dec, "upper_bound")] >= by_scheme[(dec, "proposed")] - 1e-6
@@ -253,7 +281,7 @@ def test_energy_compare_with_an_unattainable_rate_counts_no_feasible_deployment(
     lines = read(tmp_path / "energy_compare.csv").decode().splitlines()
     header = lines[2].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in lines[3:]]
-    assert len(rows) == 2 * 2 * 5 * len(cli.SCHEMES)     # decoders x layouts x energies
+    assert len(rows) == 2 * 2 * 5 * len(optimizer.SCHEMES)     # decoders x layouts x energies
     assert {r["feasible_count"] for r in rows} == {"0"}
     assert {r["mean_wsr"] for r in rows} == {"0"}
 

@@ -655,6 +655,24 @@ def test_fixed_pilot_computes_its_frozen_statistics_once(decoder, monkeypatch):
     assert sum(n >= 2 for n in steps) >= 2, steps
 
 
+def test_a_callers_start_is_scored_once(monkeypatch):
+    # the floor check's SINRs are the SCA's first iterate: one set of
+    # estimation statistics per scored iterate, the start's included
+    model = desk_model(7)
+    fixed = benchmark_fixed_pilot(model, DESK, MRC)
+    calls = []
+    original = optimizer.estimation_stats
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "estimation_stats", counted)
+    res = optimizer.solve(model, DESK, MRC, start=fixed.allocation)
+    assert res.feasible and len(res.trace.objective) >= 2
+    assert len(calls) == len(res.trace.objective)
+
+
 def test_fixed_pilot_solves_one_gp_per_sca_step(monkeypatch):
     # one linear solve decides feasibility and gives the SCA start: no
     # max-slack (phi) GP, then one GP per SCA step, and none at all for an
@@ -1040,9 +1058,9 @@ def recorded_rounds(run):
         build, score = joint_scheme(*args)
         return recording(build), score
 
-    def sca(model, cfg, params, alloc, build, score):
+    def sca(model, cfg, params, alloc, build, score, *chi):
         return run_sca(model, cfg, params, alloc,
-                       build if build in recorders else recording(build), score)
+                       build if build in recorders else recording(build), score, *chi)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gp.GpModel, "solve", solve)

@@ -5,9 +5,11 @@ log-normal gains, energy 1e12 per device) with its gains scaled by a
 log-uniform factor in 1e-12 ... 1e-9, which spans instances from hopeless to
 comfortably feasible, and a rate requirement log-uniform in 1e6 ... 1e12 bit/s,
 drawn from the deployment's generator, whose top decades no SINR reaches. Each
-instance runs all four schemes: the upper bound is checked under zero-dispersion
-params, and conventional, built from that upper-bound result, under the true
-ones. Hypothesis runs derandomized, so the examples are the same on every run.
+instance runs all four schemes through `optimizer.compare`: the upper bound is
+checked under zero-dispersion params, and conventional, built from that
+upper-bound result, under the true ones; proposed is at least every feasible
+benchmark it contains. Hypothesis runs derandomized, so the examples are the
+same on every run.
 """
 
 import numpy as np
@@ -55,10 +57,15 @@ def test_allocation_invariants(seed, log_scale):
                        antennas_per_ap=8, rate_req_bps=10.0 ** rng.uniform(6.0, 12.0))
     params = fbl.FblParams.from_config(cfg)
     for decoder in fbl.DECODERS:
-        upper = optimizer.benchmark_upper_bound(model, cfg, decoder)
+        res = optimizer.compare(model, cfg, decoder)
+        upper = res["upper_bound"]
         check_result(upper, model, cfg, "upper_bound", params.with_zero_dispersion())
-        check_result(optimizer.benchmark_conventional(model, cfg, decoder, upper),
-                     model, cfg, "conventional", params, upper)
-        check_result(optimizer.solve(model, cfg, decoder), model, cfg, "joint", params)
-        check_result(optimizer.benchmark_fixed_pilot(model, cfg, decoder),
-                     model, cfg, "fixed_pilot", params)
+        check_result(res["conventional"], model, cfg, "conventional", params, upper)
+        check_result(res["proposed"], model, cfg, "joint", params)
+        check_result(res["fixed_pilot"], model, cfg, "fixed_pilot", params)
+        # a feasible benchmark allocation is a feasible point of the proposed problem
+        for scheme in ("conventional", "fixed_pilot"):
+            if res[scheme].feasible:
+                assert res["proposed"].feasible
+                assert (res[scheme].weighted_sum_rate
+                        <= res["proposed"].weighted_sum_rate * (1 + 1e-9)), scheme
