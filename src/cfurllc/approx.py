@@ -64,9 +64,9 @@ class MonomialFit:
 
 def service_terms(model: LargeScaleModel, copies: int = 1):
     """Row k's terms (r, m), r = 0..copies-1 and m in S_k, the service set of
-    device k, row by row: per term its row, r and m, then the row sizes and
-    the coefficients K beta_mi of the factors (AP m, device i) ->
-    log(1 + K beta_mi p_i), factor m K + i."""
+    device k, row by row: per term its row, r and m, then the row sizes and the
+    coefficients K beta_mi and pilot columns i of the factors m K + i, (AP m,
+    device i) -> log(1 + K beta_mi p_i)."""
     kdev = model.num_devices
     sizes = np.array([len(aps) for aps in model.service_sets])
     counts = copies * sizes
@@ -74,7 +74,8 @@ def service_terms(model: LargeScaleModel, copies: int = 1):
     local = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
     ap = np.concatenate(model.service_sets).astype(int)[
         (np.cumsum(sizes) - sizes)[row] + local % sizes[row]]
-    return row, local // sizes[row], ap, counts, kdev * model.beta.ravel()
+    return (row, local // sizes[row], ap, counts, kdev * model.beta.ravel(),
+            np.tile(np.arange(kdev), model.num_aps))
 
 
 def mrc_gain_rows(model: LargeScaleModel) -> gp.TermRows:
@@ -82,11 +83,11 @@ def mrc_gain_rows(model: LargeScaleModel) -> gp.TermRows:
     (1 + K beta_m'k p_k) over y = log p: row k's term m of `service_terms`
     has weight 1 on every factor (m' in S_k, k) but 0 on (m, k)."""
     kdev = model.num_devices
-    row, _, ap, counts, b = service_terms(model)
+    row, _, ap, counts, b, columns = service_terms(model)
     weights = (model.service_mask[:, :, None] * np.eye(kdev)[:, None, :]).reshape(kdev, -1)[row]
     weights[np.arange(row.size), ap * kdev + row] = 0.0
     return gp.TermRows(np.log(kdev * model.beta[ap, row] ** 2), np.eye(kdev)[row], counts,
-                       b, np.tile(np.arange(kdev), model.num_aps), weights)
+                       b, columns, weights)
 
 
 def fzf_gain_rows(model: LargeScaleModel) -> gp.TermRows:
@@ -96,11 +97,11 @@ def fzf_gain_rows(model: LargeScaleModel) -> gp.TermRows:
     (1 + K beta_m'i p_i)^(1/2): row k's term m of `service_terms` has weight
     1/2 on every factor (m' in S_k, i) but 0 on (m, k)."""
     kdev = model.num_devices
-    row, _, ap, counts, b = service_terms(model)
+    row, _, ap, counts, b, columns = service_terms(model)
     weights = 0.5 * np.repeat(model.service_mask, kdev, axis=1)[row]
     weights[np.arange(row.size), ap * kdev + row] = 0.0
     return gp.TermRows(np.log(math.sqrt(kdev) * model.beta[ap, row]), 0.5 * np.eye(kdev)[row],
-                       counts, b, np.tile(np.arange(kdev), model.num_aps), weights)
+                       counts, b, columns, weights)
 
 
 def _fit(rows: gp.TermRows, pilot_hat: np.ndarray, power: float) -> MonomialFit:

@@ -48,7 +48,6 @@ class GpModelError(GpError):
 @dataclass
 class GpSolution:
     x: np.ndarray
-    names: tuple[str, ...]
     objective: float
     # optimal | target_reached | infeasible | max_iterations | numerical_error
     status: str
@@ -57,9 +56,6 @@ class GpSolution:
     message: str = ""
     interior: np.ndarray | None = None   # first iterate with gap <= 3e-2: a warm start
     stage_objectives: tuple[float, ...] = ()  # objective at each phase-two iterate
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.x[self.names.index(name)])
 
 
 class TermRows:
@@ -182,21 +178,18 @@ _PHASE1_TOL = 1e-10         # gap and dual residual at which phase one gives its
 
 class GpModel:
     """Maximize exp(c0 + a0 . y - w . f(y)) subject to f(y) <= 0 in y = log x,
-    x the variables `names`, for f(y) = the rows of `table`, row weights w
-    and objective = (c0, a0).
+    x the table's columns, for f(y) = the rows of `table`, row weights w and
+    objective = (c0, a0).
 
-    The table must hold at least one row over the len(names) columns, w one
-    finite, nonnegative weight per row and a0 one finite exponent per
-    variable; anything else is a GpModelError. The table is checked where it
-    is built, not here.
+    The table must hold at least one row, w one finite, nonnegative weight
+    per row and a0 one finite exponent per column; anything else is a
+    GpModelError. The table is checked where it is built, not here.
     """
 
-    def __init__(self, names, table, weights, objective):
-        self.names, self.table = tuple(names), table
-        n = len(self.names)
-        if table.columns != n or not table.size:
-            raise GpModelError(f"need a table of rows over {n} columns, got "
-                               f"{table.size} rows over {table.columns}")
+    def __init__(self, table, weights, objective):
+        self.table, n = table, table.columns
+        if not table.size:
+            raise GpModelError("need a table of at least one row")
         # row values, Jacobian and the weighted-Hessian-sum function at y
         self.log_eval = table.log_eval
         self.weights = np.array(weights, dtype=float)
@@ -215,8 +208,8 @@ class GpModel:
     def _log_point(self, x) -> np.ndarray:
         """log x, for x of one positive, finite value per variable."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (len(self.names),) or not (np.isfinite(x).all() and (x > 0).all()):
-            raise GpModelError(f"need {len(self.names)} positive, finite values "
+        if x.shape != (self.table.columns,) or not (np.isfinite(x).all() and (x > 0).all()):
+            raise GpModelError(f"need {self.table.columns} positive, finite values "
                                f"in variable order, got {x!r}")
         return np.log(x)
 
@@ -238,7 +231,7 @@ class GpModel:
         log point to phase two. With a target, the solve stops at the first
         phase-two iterate whose objective reaches it (status target_reached):
         every such iterate is strictly feasible."""
-        y0 = np.zeros(len(self.names)) if start is None else self._log_point(start)
+        y0 = np.zeros(self.table.columns) if start is None else self._log_point(start)
         rows, c = self.log_eval, self.weights
         g0 = -self.objective[1]                     # the solver minimizes -log objective
         y, first, steps = y0, rows(y0), 0           # steps: phase one's
@@ -305,7 +298,7 @@ class GpModel:
         -_PHASE1_MARGIN, or at a gap and dual residual within _PHASE1_TOL.
         Returns y, its rows, the steps taken and a failure status or None:
         y0 and `start` when infeasible."""
-        slack = max_slack(self.names, self.table.relax(np.arange(self.table.size)))
+        slack = max_slack(self.table.relax(np.arange(self.table.size)))
         z = np.append(-1.0 - float(start[0].max()), y0)
         for it in _primal_dual(slack.log_eval, -slack.objective[1], slack.weights, z,
                                slack.log_eval(z), BARRIER_T0, limit):
@@ -324,20 +317,19 @@ class GpModel:
         obj = math.nan if status == "infeasible" else self._objective_value(y, f)
         with np.errstate(over="ignore"):                  # x of an unbounded GP is inf
             x = np.exp(y)
-        return GpSolution(x=x, names=self.names, objective=obj,
-                          status=status, iterations=steps, kkt_residual=kkt,
-                          message=message,
+        return GpSolution(x=x, objective=obj, status=status, iterations=steps,
+                          kkt_residual=kkt, message=message,
                           interior=None if interior is None else np.exp(interior),
                           stage_objectives=tuple(stages))
 
 
-def max_slack(names, table) -> GpModel:
-    """The GP over phi, then the variables `names`, that maximizes phi over
-    the rows of `table`, a `TermRows.relax` table, with no row weights: the
-    largest slack by which the relaxed rows can be tightened (B&V §11.4.1)."""
+def max_slack(table) -> GpModel:
+    """The GP that maximizes phi, the first column, over the rows of `table`,
+    a `TermRows.relax` table, with no row weights: the largest slack by which
+    the relaxed rows can be tightened (B&V §11.4.1)."""
     objective = np.zeros(table.columns)
     objective[0] = 1.0
-    return GpModel(["phi", *names], table, np.zeros(table.size), (0.0, objective))
+    return GpModel(table, np.zeros(table.size), (0.0, objective))
 
 
 class _Iterate(NamedTuple):

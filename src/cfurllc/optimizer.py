@@ -103,15 +103,14 @@ def _no_allocation(status: str, message: str) -> SolveResult:
                        sinr=None, rates=None, weighted_sum_rate=0.0, message=message)
 
 
-def sinr_floor(params: fbl.FblParams, rate_req_bps: float, k: int) -> float:
-    """Minimum SINR at which the lower-bound rate reaches the requirement."""
+def sinr_floors(params: fbl.FblParams, rate_req_bps: float) -> np.ndarray:
+    """Minimum SINR per device at which the lower-bound rate reaches the requirement;
+    an InfeasibleRateError, naming the requirement, when no SINR reaches it."""
     y = rate_req_bps / params.rate_scale
-    return 1.0 / fbl.rate_kernel_inverse(y, float(params.alpha[k]))
-
-
-def sinr_floors(params: fbl.FblParams, rate_req_bps: np.ndarray) -> np.ndarray:
-    return np.array([sinr_floor(params, float(rate_req_bps[k]), k)
-                     for k in range(params.num_devices)])
+    try:
+        return np.array([1.0 / fbl.rate_kernel_inverse(y, float(a)) for a in params.alpha])
+    except fbl.InfeasibleRateError as exc:
+        raise fbl.InfeasibleRateError(f"rate requirement {rate_req_bps:g} bit/s: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -138,43 +137,42 @@ def _surrogate_exponents(chi_hat: np.ndarray, params: fbl.FblParams,
     return w_hat / w_hat.sum(), clamped
 
 
-def _sinr_table(model: LargeScaleModel, pp, pd, n: int, gain: bool):
+def _sinr_table(model: LargeScaleModel, gain: bool):
     """Row k's terms (r, m) of `approx.service_terms` for both SINR tables over
-    n columns, r = 0..K-1 (and K given gain): beta_mr pd_r, or 1 for r = K.
-    Returns per term its row, r and m, the log coefficients, exponents, row
-    sizes and the factors' b and columns."""
+    the K pilots, then the K payloads, r = 0..K-1 (and K given gain):
+    beta_mr pd_r, or 1 for r = K. Returns per term its row, r and m, the log
+    coefficients, exponents, row sizes and the factors' b and columns."""
     kdev = model.num_devices
-    row, r, ap, counts, b = approx.service_terms(model, kdev + gain)
+    row, r, ap, counts, b, columns = approx.service_terms(model, kdev + gain)
     pay = np.flatnonzero(r < kdev)
     c = np.log(np.where(r < kdev, model.beta[ap, np.minimum(r, kdev - 1)], 1.0))
-    a = np.zeros((row.size, n))
-    a[pay, np.asarray(pd)[r[pay]]] = 1.0
-    return row, r, ap, c, a, counts, b, np.tile(pp, model.num_aps)
+    a = np.zeros((row.size, 2 * kdev))
+    a[pay, kdev + r[pay]] = 1.0
+    return row, r, ap, c, a, counts, b, columns
 
 
-def mrc_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
+def mrc_rows(model: LargeScaleModel) -> gp.TermRows:
     """The K MRC SINR left-hand sides scale_k (sum_r pd_r cross_kr + gain_k)
-    over the pilot columns pp and payload columns pd of n: row k's term
-    (r, m), r = 0..K, is K beta_mk^2 pp_k times that of `_sinr_table`, with
-    weight 2 on every factor (m' in S_k, k) but 1 on (m, k)."""
+    over the K pilots, then the K payloads: row k's term (r, m), r = 0..K, is
+    K beta_mk^2 pp_k times that of `_sinr_table`, with weight 2 on every factor
+    (m' in S_k, k) but 1 on (m, k)."""
     kdev = model.num_devices
-    row, _, ap, c, a, counts, b, columns = _sinr_table(model, pp, pd, n, True)
+    row, _, ap, c, a, counts, b, columns = _sinr_table(model, True)
     c += np.log(kdev * model.beta[ap, row] ** 2)
-    a[np.arange(row.size), columns[row]] = 1.0                     # columns[k]: pilot k
+    a[np.arange(row.size), row] = 1.0                              # pilot k
     own = model.service_mask[:, :, None] * np.eye(kdev)[:, None, :]   # (K, M, K): m in S_k, k
     weights = 2.0 * own.reshape(kdev, -1)[row]
     weights[np.arange(row.size), ap * kdev + row] = 1.0
     return gp.TermRows(c, a, counts, b, columns, weights)
 
 
-def fzf_rows(model: LargeScaleModel, pp, pd, n: int) -> gp.TermRows:
+def fzf_rows(model: LargeScaleModel) -> gp.TermRows:
     """The K zero-forcing SINR left-hand sides |S_k| prod_i scale_ki^2 +
-    sum_j pd_j resid_kj prod_{i != j} scale_ki^2 over the pilot columns pp
-    and payload columns pd of n: row k's terms (j, m) of `_sinr_table`, with
-    weight 1 on every factor (m' in S_k, i) but 0 on (m, j), and last |S_k|
-    with weight 1 on all."""
+    sum_j pd_j resid_kj prod_{i != j} scale_ki^2 over the K pilots, then the
+    K payloads: row k's terms (j, m) of `_sinr_table`, with weight 1 on every
+    factor (m' in S_k, i) but 0 on (m, j), and last |S_k| with weight 1 on all."""
     kdev = model.num_devices
-    row, j, ap, c, a, counts, b, columns = _sinr_table(model, pp, pd, n, False)
+    row, j, ap, c, a, counts, b, columns = _sinr_table(model, False)
     in_set = model.service_mask
     every = np.repeat(in_set, kdev, axis=1)                        # (K, M K): (m' in S_k, i)
     weights = every[row]
@@ -195,13 +193,13 @@ def _energy_rows(model: LargeScaleModel, blocklength: int) -> gp.TermRows:
                        np.full(kdev, 2))
 
 
-def _step_gp(names: list[str], table: gp.TermRows, w_hat: np.ndarray) -> gp.GpModel:
-    """The step GP over the variables `names` and the rows of `table`, the K
-    SINR rows first, weighted by w_hat, and every other row by 0: with SINR
-    row k a floor over a fitted SINR, it maximizes prod_k (SINR_k/floor_k)^w_hat_k."""
+def _step_gp(table: gp.TermRows, w_hat: np.ndarray) -> gp.GpModel:
+    """The step GP over the rows of `table`, the K SINR rows first, weighted by
+    w_hat, and every other row by 0: with SINR row k a floor over a fitted
+    SINR, it maximizes prod_k (SINR_k/floor_k)^w_hat_k."""
     weights = np.zeros(table.size)
     weights[:w_hat.size] = w_hat
-    return gp.GpModel(names, table, weights, (0.0, np.zeros(len(names))))
+    return gp.GpModel(table, weights, (0.0, np.zeros(table.columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,6 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     gain fit squared; FZF: 1): a round folds N' pd_k fit_k^s over floor_k into
     SINR row k of the one table, or of its relaxed copy for the max-slack GP."""
     kdev = model.num_devices
-    names = [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]
     if decoder == MRC:
         gain_rows, sinr_rows, fit = approx.mrc_gain_rows(model), mrc_rows, approx.mrc_gain_monomial
         lb_sinr, log_n, scale = fbl.lb_sinr_mrc, np.log(cfg.antennas_per_ap), 2.0
@@ -226,8 +223,7 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
         gain_rows, sinr_rows, fit = approx.fzf_gain_rows(model), fzf_rows, approx.fzf_gain_monomial
         lb_sinr, log_n, scale = fbl.lb_sinr_fzf, np.log(cfg.antennas_per_ap - kdev), 1.0
     log_floors = np.log(floors)
-    table = gp.stack([sinr_rows(model, np.arange(kdev), np.arange(kdev, 2 * kdev), 2 * kdev),
-                      _energy_rows(model, cfg.blocklength)])
+    table = gp.stack([sinr_rows(model), _energy_rows(model, cfg.blocklength)])
     tables = (table, table.relax(np.arange(kdev)))
 
     def build(pilot_hat, w_hat):
@@ -238,7 +234,7 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
         big_r[:kdev, -2 * kdev:-kdev] = scale * gains.exponents
         big_r[np.arange(kdev), np.arange(-kdev, 0)] = 1.0               # pd_k in row k
         folded = target.fold(r, big_r)
-        return gp.max_slack(names, folded) if w_hat is None else _step_gp(names, folded, w_hat)
+        return gp.max_slack(folded) if w_hat is None else _step_gp(folded, w_hat)
 
     def score(alloc):
         return lb_sinr(model, estimation_stats(model, alloc.pilot), alloc.payload,
@@ -329,7 +325,7 @@ def _run_sca(model: LargeScaleModel, cfg: SystemConfig, params: fbl.FblParams,
             break
         trace.surrogate_clamped |= clamped
         m = build(alloc.pilot, w_hat)
-        point = np.concatenate([alloc.pilot, alloc.payload])[-len(m.names):]
+        point = np.concatenate([alloc.pilot, alloc.payload])[-m.table.columns:]
         # previous iterate must stay feasible in the refreshed GP
         trace.carryover_margin.append(float(m.constraint_margins(point).max()))
         sol = m.solve(tol=cfg.gp_tolerance, start=point if warm is None else warm)
@@ -360,9 +356,9 @@ def _solve_sca(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     """Joint pilot/payload SCA on one scheme from `start`, floors checked, or feasibility_init."""
     fbl.check_decoder(decoder)
     try:
-        floors = sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
+        floors = sinr_floors(params, cfg.rate_req_bps)
     except fbl.InfeasibleRateError as exc:
-        return _no_allocation("infeasible", f"rate requirement {cfg.rate_req_bps:g} bit/s: {exc}")
+        return _no_allocation("infeasible", str(exc))
     build, score = _joint_scheme(model, cfg, decoder, floors)
     chi = None if start is None else score(start)
     if start is None:
@@ -428,9 +424,9 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     # at the frozen pilots E/L, the energy row K E/L + (L - K) pd <= E is exactly pd <= E/L
     pilot = pd_max = model.energy / cfg.blocklength
     try:
-        floors = sinr_floors(params, np.full(kdev, cfg.rate_req_bps))
+        floors = sinr_floors(params, cfg.rate_req_bps)
     except fbl.InfeasibleRateError as exc:
-        return _no_allocation("infeasible", f"rate requirement {cfg.rate_req_bps:g} bit/s: {exc}")
+        return _no_allocation("infeasible", str(exc))
     pieces = fbl.sinr_pieces(model, estimation_stats(model, pilot), cfg.antennas_per_ap, decoder)
     n, coherent, noise, cross = pieces
     gain = n * coherent
@@ -450,10 +446,9 @@ def benchmark_fixed_pilot(model: LargeScaleModel, cfg: SystemConfig,
     table = gp.TermRows(np.append(terms + np.log(floors)[:, None], -np.log(pd_max)),
                         np.vstack([ratios.reshape(-1, kdev), np.eye(kdev)]),
                         np.append(np.full(kdev, kdev + 1), np.ones(kdev, dtype=int)))
-    names = [f"pd{k}" for k in range(kdev)]
     scale = 0.5 * (1.0 + float((pd_max / least).min()))
     return _run_sca(model, cfg, params, PowerAllocation(pilot=pilot, payload=scale * least),
-                    lambda _, w_hat: _step_gp(names, table, w_hat),
+                    lambda _, w_hat: _step_gp(table, w_hat),
                     lambda alloc: fbl.lb_sinr(pieces, alloc.payload))
 
 

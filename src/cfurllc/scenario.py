@@ -54,9 +54,11 @@ class SystemConfig:
         for f in dataclasses.fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name, low in (("num_devices", 1), ("num_aps", 1), ("master_seed", 0)):
+        for name, low in (("num_devices", 1), ("num_aps", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.num_devices >= self.antennas_per_ap:
             raise ConfigError(
                 f"num_devices ({self.num_devices}) must be smaller than "
@@ -197,7 +199,7 @@ def generate_topology(cfg: SystemConfig, seed: int) -> LargeScaleModel:
     Deterministic for a given (cfg, seed): positions, weights and gains are
     all drawn from one counter-based stream.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     aps = ap_grid(cfg.num_aps, cfg.area_side_m)
     devices = rng.uniform(0.0, cfg.area_side_m, size=(cfg.num_devices, 2))
     weights = rng.uniform(0.0, 1.0, size=cfg.num_devices)
@@ -222,27 +224,32 @@ def read_config(path: str) -> dict[str, tuple[int, int | float]]:
     (line number, value).
 
     Unknown keys, repeated keys and malformed lines raise ConfigError with the
-    line number. Lines starting with '#' and blank lines are ignored.
+    line number, and a file that is not UTF-8 one naming the file. Lines
+    starting with '#' and blank lines are ignored.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if key in entries:
-                raise ConfigError(f"{path}:{lineno}: key '{key}' repeated, "
-                                  f"first set on line {entries[key][0]}")
-            try:
-                entries[key] = (lineno, int(text) if _FIELD_TYPES[key] == "int" else float(text))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {text}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' repeated, "
+                              f"first set on line {entries[key][0]}")
+        try:
+            entries[key] = (lineno, int(text) if _FIELD_TYPES[key] == "int" else float(text))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {text}") from exc
     return entries
 
 

@@ -262,7 +262,7 @@ class Problem:
                         [mono.log_coeff for mono in block.rhs],
                         np.reshape([mono.dense(n) for mono in block.rhs], (len(block.rhs), n))))
             table = gp.stack(tables)
-        return gp.GpModel(self.names, table, row_weights(self),
+        return gp.GpModel(table, row_weights(self),
                           (self.objective.log_coeff, self.objective.dense(n)))
 
 

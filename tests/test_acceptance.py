@@ -332,8 +332,8 @@ def test_criterion_5_gp_solver_oracle():
     for scale in ((9.0, 0.05), (0.02, 4.0)):
         scaled = build_scaled(scale)
         scaling_err = max(scaling_err,
-                          abs(scaled["x"] - scale[0] * base["x"]) / (scale[0] * base["x"]),
-                          abs(scaled["y"] - scale[1] * base["y"]) / (scale[1] * base["y"]))
+                          abs(scaled.x[0] - scale[0] * base.x[0]) / (scale[0] * base.x[0]),
+                          abs(scaled.x[1] - scale[1] * base.x[1]) / (scale[1] * base.x[1]))
     report(5, "GP solver vs grid enumeration",
            worst < 1e-3 and scaling_err < 1e-6,
            f"worst rel {worst:.2e}, scaling err {scaling_err:.2e}")

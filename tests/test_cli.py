@@ -147,6 +147,26 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_a_master_seed_past_two_to_the_64(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["--seed", str(2 ** 64), "--out", str(out), "converge"]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"master_seed = {2 ** 64}\n")
+    assert cli.main(["--config", str(cfg), "--out", str(out), "converge"]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"rate_req_bps = 5e6 \xff\xfe\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(bad), "--out", str(out), "converge"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
+
+
 def test_main_rejects_missing_config_file(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["--config", str(tmp_path / "missing.cfg"), "--out", str(out), "converge"])

@@ -190,12 +190,12 @@ def test_relaxed_rows_add_log_phi_to_the_chosen_rows(rng):
         want = np.zeros((n_vars + 1, n_vars + 1))
         want[1:, 1:] = hess(weights)
         assert np.allclose(rhess(weights), want, rtol=0, atol=1e-11 * weights.sum())
-        model = gp.max_slack(("x",) * n_vars, relaxed)
-        assert model.names[0] == "phi" and not model.weights.any()
+        model = gp.max_slack(relaxed)
+        assert model.table is relaxed and not model.weights.any()
         assert np.array_equal(model.objective[1], np.eye(n_vars + 1)[0])
 
 
-def gp_model(names=("x0", "x1"), table=None, r=(math.log(2.0), 0.0), big_r=np.zeros((2, 2)),
+def gp_model(table=None, r=(math.log(2.0), 0.0), big_r=np.zeros((2, 2)),
              weights=(0.0, 1.0), objective=(0.0, np.ones(2))):
     """A GpModel in two variables: x_0 <= 2 and x_0 + x_1 <= 3, the second
     under weight 1, maximizing x_0 x_1 3 / (x_0 + x_1); the right-hand sides
@@ -203,11 +203,10 @@ def gp_model(names=("x0", "x1"), table=None, r=(math.log(2.0), 0.0), big_r=np.ze
     if table is None:
         table = gp.TermRows(np.log([1.0, 1 / 3, 1 / 3]), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                             [1, 2])
-    return GpModel(names, table.fold(r, big_r), weights, objective)
+    return GpModel(table.fold(r, big_r), weights, objective)
 
 
 @pytest.mark.parametrize("bad", [
-    {"names": ["x0", "x1", "x2"]}, {"names": ["x0"]},                 # columns != n
     {"r": np.zeros(3)}, {"r": np.zeros((2, 1))}, {"r": [math.nan, 0.0]},
     {"big_r": np.zeros((2, 3))}, {"big_r": np.zeros((1, 2))},
     {"big_r": [[0.0, math.inf], [0.0, 0.0]]},
@@ -257,7 +256,7 @@ def test_single_active_constraint():
     m.add_le(chi, Const(5.0))
     sol = m.model().solve()
     assert sol.status == "optimal"
-    assert sol["chi"] == pytest.approx(5.0, rel=1e-7)
+    assert sol.x[0] == pytest.approx(5.0, rel=1e-7)
     assert sol.kkt_residual < 1e-8
 
 
@@ -271,8 +270,8 @@ def test_symmetric_posynomial_minimum():
     m.add_le(x, Const(100.0))
     sol = m.model().solve()
     assert sol.status == "optimal"
-    assert sol["x"] == pytest.approx(1.0, abs=1e-5)
-    assert sol["t"] == pytest.approx(2.0, rel=1e-9)
+    assert sol.x[0] == pytest.approx(1.0, abs=1e-5)
+    assert sol.x[1] == pytest.approx(2.0, rel=1e-9)
     assert sol.objective == pytest.approx(0.5, rel=1e-9)
 
 
@@ -329,8 +328,8 @@ def test_scaling_invariance(rng):
     for scale in ((7.0, 0.2), (0.01, 3.0)):
         scaled = build(scale).solve()
         assert scaled.status == "optimal"
-        assert scaled["x"] == pytest.approx(scale[0] * base["x"], rel=1e-6)
-        assert scaled["y"] == pytest.approx(scale[1] * base["y"], rel=1e-6)
+        assert scaled.x[0] == pytest.approx(scale[0] * base.x[0], rel=1e-6)
+        assert scaled.x[1] == pytest.approx(scale[1] * base.x[1], rel=1e-6)
         assert scaled.objective == pytest.approx(base.objective, rel=1e-6)
 
 
@@ -563,7 +562,7 @@ def desk_step_gps():
 
     def capture(self, tol=1e-9, start=None, **kwargs):
         sol = original(self, tol, start, **kwargs)
-        if "phi" not in self.names:
+        if self.weights.any():                  # a step GP, not a max-slack one
             captured[decoder].append((self, start, sol, tol))
         return sol
 
@@ -617,7 +616,7 @@ def test_warm_interior_start_reaches_cold_optimum_in_fewer_steps(
         seen = record_iterates(monkeypatch)
         again = model.solve(tol=tol, start=start)
         assert again.iterations == sol.iterations
-        assert {it.z.size for _, it in seen} == {len(model.names)}
+        assert {it.z.size for _, it in seen} == {model.table.columns}
         monkeypatch.undo()
 
 
@@ -631,8 +630,8 @@ def test_newton_center_accepts_only_strictly_feasible_points(
     seen = record_iterates(monkeypatch)
     phase_one = 0
     for model, start, sol, tol in desk_step_gps[decoder]:
-        n = len(model.names)
-        slack = gp.max_slack(model.names, model.table.relax(np.arange(model.table.size)))
+        n = model.table.columns
+        slack = gp.max_slack(model.table.relax(np.arange(model.table.size)))
         outside = 1.5 * sol.x
         assert float(model.constraint_margins(outside).max()) > 0
         for begin in (start, outside):
@@ -691,7 +690,7 @@ def test_start_outside_the_domain_goes_through_phase_one(
     assert float(model.constraint_margins(outside).max()) > 0
     seen = record_iterates(monkeypatch)
     again = model.solve(tol=tol, start=outside)
-    n = len(model.names)
+    n = model.table.columns
     sizes = [it.z.size for _, it in seen]
     assert sizes[0] == n + 1 and sizes[-1] == n
     assert sizes == sorted(sizes, reverse=True)     # phase one, then phase two
@@ -737,7 +736,7 @@ def test_barrier_start_is_clamped_and_falls_back(
         decoder, desk_step_gps, monkeypatch):
     seen = record_iterates(monkeypatch)
     model, start, sol, tol = desk_step_gps[decoder][-1]
-    n = len(model.names)
+    n = model.table.columns
 
     def phase_two_t0():
         t0, first = next((t, it) for t, it in seen if it.z.size == n)
@@ -774,7 +773,7 @@ def test_barrier_start_falls_back_when_estimate_is_not_positive(monkeypatch):
     sol = m.solve(start=np.exp(y))
     assert seen[0][0] == gp.BARRIER_T0 and seen[0][1].z.size == 1
     assert sol.status == "optimal"
-    assert sol["x"] == pytest.approx(5.0, rel=1e-7)
+    assert sol.x[0] == pytest.approx(5.0, rel=1e-7)
 
 
 def test_line_search_evaluates_each_point_once(desk_step_gps, monkeypatch):

@@ -31,7 +31,7 @@ def check_result(res, model, cfg, scheme, params, upper=None):
         assert res.allocation is (None if upper is None or not upper.feasible
                                   else upper.allocation)
         return
-    floors = optimizer.sinr_floors(params, np.full(model.num_devices, cfg.rate_req_bps))
+    floors = optimizer.sinr_floors(params, cfg.rate_req_bps)
     assert np.all(res.sinr >= floors * (1 - 1e-9))
     assert np.all(res.rates >= cfg.rate_req_bps * (1 - 1e-9))
     used = res.allocation.energy(model.num_devices, cfg.blocklength)

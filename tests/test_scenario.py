@@ -127,6 +127,30 @@ def test_topology_deterministic_and_positive():
     assert not np.array_equal(a.beta, c.beta)
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_topology_stream_is_the_uint64_keyed_stream(seed):
+    # the seed is passed to Philox as an int, which draws what the uint64 key drew
+    cfg = SystemConfig(num_aps=4, num_devices=6, antennas_per_ap=16)
+    model = generate_topology(cfg, seed=seed)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    assert np.array_equal(model.positions_dev,
+                          rng.uniform(0.0, cfg.area_side_m, size=(cfg.num_devices, 2)))
+    assert np.array_equal(model.weights, rng.uniform(0.0, 1.0, size=cfg.num_devices))
+
+
+def test_topology_takes_a_seed_past_two_to_the_64():
+    # a master seed just below 2**64 plus a deployment index passes it
+    cfg = SystemConfig(num_aps=4, num_devices=6, antennas_per_ap=16)
+    model = generate_topology(cfg, seed=2 ** 64 + 29)
+    assert model.positions_dev.shape == (6, 2) and np.all(model.beta > 0)
+
+
+def test_master_seed_must_be_below_two_to_the_64():
+    SystemConfig(master_seed=2 ** 64 - 1)
+    with pytest.raises(ConfigError, match="master_seed"):
+        SystemConfig(master_seed=2 ** 64)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SystemConfig(num_devices=16, antennas_per_ap=16)   # needs K < N
