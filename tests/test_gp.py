@@ -207,6 +207,10 @@ def gp_model(table=None, r=(math.log(2.0), 0.0), big_r=np.zeros((2, 2)),
 
 
 @pytest.mark.parametrize("bad", [
+    {"table": gp.TermRows(np.log([1.0, 1 / 3, 1 / 3]), np.eye(3), [1, 2]),   # columns != 2
+     "big_r": np.zeros((2, 3))},
+    {"table": gp.TermRows(np.log([1.0, 1 / 3, 1 / 3]), np.ones((3, 1)), [1, 2]),
+     "big_r": np.zeros((2, 1))},
     {"r": np.zeros(3)}, {"r": np.zeros((2, 1))}, {"r": [math.nan, 0.0]},
     {"big_r": np.zeros((2, 3))}, {"big_r": np.zeros((1, 2))},
     {"big_r": [[0.0, math.inf], [0.0, 0.0]]},
