@@ -416,15 +416,23 @@ def _newton_direction(hess, grad):
     """Newton step -hess^-1 grad on the equilibrated Hessian.
 
     Newton matrices become badly scaled near active constraints, so rows and
-    columns are scaled to a unit diagonal first. A Cholesky factorization
-    tests positive definiteness and drives a growing ridge; the step itself
-    comes from one dense solve of the same ridged matrix, since numpy has no
-    triangular solve to reuse the factor with.
+    columns are scaled to a unit diagonal first. One dense solve gives the
+    step whenever it is finite and a descent direction (rhs . x > 0), as it
+    is for every positive definite matrix: one LAPACK call per step. Only
+    otherwise, a singular or indefinite matrix, does a Cholesky
+    factorization test a growing ridge for positive definiteness, and the
+    step comes from a solve of the first ridged matrix that passes.
     """
     hess = 0.5 * (hess + hess.T)
     d = np.sqrt(np.maximum(np.abs(hess.diagonal()), 1e-300))
     scaled = hess / d[:, None] / d[None, :]
     rhs = grad / d
+    try:
+        x = np.linalg.solve(scaled, rhs)
+        if np.isfinite(x).all() and float(rhs @ x) > 0.0:
+            return -x / d
+    except np.linalg.LinAlgError:
+        pass
     ridge = 0.0
     for _ in range(40):
         shifted = scaled if ridge == 0.0 else scaled + ridge * np.eye(grad.size)

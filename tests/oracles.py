@@ -18,7 +18,9 @@ device at a time, for the service-set indicator products of
 one device at a time, for the array forms of `fbl.lb_sinr` and
 `optimizer._surrogate_exponents`; and the closed-form SINRs of an
 allocation, recomputed from its pilots for either decoder, for the SINRs
-every allocation scheme of `optimizer` reports.
+every allocation scheme of `optimizer` reports; and the Newton step from a
+Cholesky test of every ridge, zero first, for `gp._newton_direction`, which
+tries one plain solve before its ridge loop.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfurllc import approx, fbl, montecarlo
+from cfurllc.gp import GpError
 from cfurllc.channel import (ChannelRealization, EstimationStats, draw_channel,
                              estimation_stats, span_layout, substream)
 from cfurllc.approx import MonomialFit
@@ -476,3 +479,22 @@ def true_sinr(model: LargeScaleModel, alloc: PowerAllocation, n_antennas: int,
     if decoder == "fzf":
         return fbl.lb_sinr_fzf(model, stats, alloc.payload, n_antennas)
     raise ValueError(f"unknown decoder {decoder!r}")
+
+
+def newton_direction_by_cholesky(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton step -hess^-1 grad on the equilibrated Hessian, from a solve of
+    the first ridged matrix (ridge 0, then 1e-14 growing 100-fold) that a
+    Cholesky factorization finds positive definite."""
+    hess = 0.5 * (hess + hess.T)
+    d = np.sqrt(np.maximum(np.abs(hess.diagonal()), 1e-300))
+    scaled = hess / d[:, None] / d[None, :]
+    rhs = grad / d
+    ridge = 0.0
+    for _ in range(40):
+        shifted = scaled if ridge == 0.0 else scaled + ridge * np.eye(grad.size)
+        try:
+            np.linalg.cholesky(shifted)
+            return -np.linalg.solve(shifted, rhs) / d
+        except np.linalg.LinAlgError:
+            ridge = 1e-14 if ridge == 0.0 else ridge * 100.0
+    raise GpError("Newton system could not be factorized")

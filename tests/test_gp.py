@@ -8,6 +8,7 @@ import gp_nodes as nodes
 from cfurllc import approx, gp
 from cfurllc.gp import GpModel, GpModelError
 from gp_nodes import Const, Monomial, Problem, Sum, grid_optimum, random_two_var_problem
+from oracles import newton_direction_by_cholesky
 
 
 def random_expr(rng, n_vars, depth=0):
@@ -821,6 +822,51 @@ def test_warm_step_gps_converge_in_few_newton_steps(decoder, desk_step_gps):
     steps = [sol.iterations for _, _, sol, _ in desk_step_gps[decoder]]
     assert max(steps) <= 40
     assert np.median(steps) <= 30
+
+
+def test_newton_direction_matches_the_cholesky_oracle_on_step_gp_matrices(
+        desk_step_gps, monkeypatch):
+    # every Newton matrix of the desk step GPs, solved warm and cold (so
+    # through phase one and the warm barrier start too), is positive
+    # definite: the one plain solve is the oracle's solve at ridge 0, bit for bit
+    systems = []
+    direction = gp._newton_direction
+
+    def spy(hess, grad):
+        systems.append((hess.copy(), grad.copy()))
+        return direction(hess, grad)
+
+    monkeypatch.setattr(gp, "_newton_direction", spy)
+    for model, start, _, tol in desk_step_gps["mrc"] + desk_step_gps["fzf"]:
+        model.solve(tol=tol, start=start)
+        model.solve(tol=tol)
+    monkeypatch.undo()
+    assert len(systems) > 200
+    for hess, grad in systems:
+        assert direction(hess, grad).tobytes() == \
+            newton_direction_by_cholesky(hess, grad).tobytes()
+
+
+@pytest.mark.parametrize("hess, grad", [
+    ([[1.0, 0.0], [0.0, -1.0]], [0.5, 1.0]),    # indefinite: the plain solve ascends
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]),     # singular: the plain solve raises
+    ([[4.0, 2.0], [2.0, 1.0]], [1.0, 2.0]),     # singular after equilibration
+], ids=["indefinite", "singular", "singular-scaled"])
+def test_newton_direction_ridges_singular_and_indefinite_matrices(hess, grad, monkeypatch):
+    hess, grad = np.array(hess), np.array(grad)
+    tested, cholesky = [], np.linalg.cholesky
+
+    def spy(a):
+        tested.append(a.copy())
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    step = gp._newton_direction(hess, grad)
+    monkeypatch.undo()
+    # ridge 0 failed the Cholesky test and a positive ridge passed it
+    assert len(tested) >= 2 and np.array_equal(tested[0], tested[0].T)
+    assert np.all(np.isfinite(step)) and float(grad @ step) < 0
+    assert step.tobytes() == newton_direction_by_cholesky(hess, grad).tobytes()
 
 
 def test_line_search_skips_only_points_outside_the_domain(monkeypatch):
