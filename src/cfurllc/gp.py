@@ -24,7 +24,8 @@ gap eta = -f . lambda setting the barrier parameter, and the solve stops
 once eta and the scaled dual residual are both within tol, or after
 MAX_NEWTON steps of both phases. Each point, the start and every trial point
 of the line search, is evaluated once; phase one's start and hand-over point
-are evaluated in both tables.
+are evaluated in both tables. A Newton step is one dense solve, with a
+Cholesky-tested ridge only when that solve fails or does not descend.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def stack(tables) -> TermRows:
 # Constants of the primal-dual interior-point method (B&V §11.7).
 BARRIER_T0 = 1.0            # barrier parameter after phase one
 GAP_REDUCTION = 10.0        # mu: t = mu * m / eta once the hold at t0 ends
-BOUNDARY_FRACTION = 0.99    # share of the step to the nearest lambda = 0 boundary
+BOUNDARY_FRACTION = 0.99    # share of the step to the nearest lambda = 0 or f + s J step = 0
 RESIDUAL_DECREASE = 0.01    # alpha of the residual-norm line search
 BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
@@ -353,12 +354,14 @@ def _primal_dual(rows, g0, c, z, first, t, limit):
     is held there until the iterate is centered (scaled dual residual at most
     eta / m); after that t = mu m / eta. The objective's Hessian is
     sum c_i Hess f_i, so the Newton matrix is sum (lam_i + c_i) Hess f_i +
-    J^T diag(lam / -f) J (B&V §11.7). The step goes BOUNDARY_FRACTION of the
-    way to the nearest lambda = 0 at most, and backtracks until the point lies
-    inside the domain and the residual norm ||(r_dual, r_cent)|| falls enough.
-    It skips the trial points where the convex rows' lower bound f + s J step
-    is positive and evaluates every other one once; an accepted point's rows
-    serve its Newton step, and derivatives off the domain (inf, nan) go unused.
+    J^T diag(lam / -f) J (B&V §11.7). The first trial goes BOUNDARY_FRACTION
+    of the way to the nearest boundary of lambda > 0 and of f + s J step < 0,
+    the linearization that bounds the convex rows from below (fraction to the
+    boundary, Nocedal & Wright, Numerical Optimization, §19.2), and halves
+    until the point lies inside the domain and the residual norm
+    ||(r_dual, r_cent)|| falls enough. Every trial is evaluated once; an
+    accepted point's rows serve its Newton step, and derivatives off the
+    domain (inf, nan) go unused.
     """
     f, jac, hess = first
     lam = 1.0 / (t * -f)
@@ -384,23 +387,21 @@ def _primal_dual(rows, g0, c, z, first, t, limit):
         step = _newton_direction(hess(lc) + jac_t @ (d[:, None] * jac), grad + jac_t @ inv)
         jd = jac @ step
         dlam = d * jd - lam + inv
-        shrinking = dlam < 0
-        s = min(1.0, float((-lam[shrinking] / dlam[shrinking]).min())) \
-            if shrinking.any() else 1.0
-        s *= BOUNDARY_FRACTION
+        shrinking, growing = dlam < 0, jd > 0
+        s = BOUNDARY_FRACTION * float(min(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0),
+                                          np.min(neg_f[growing] / jd[growing], initial=1.0)))
         norm = math.hypot(_norm(r_dual), _norm(lam * neg_f - 1.0 / t))
         for _ in range(_MAX_BACKTRACKS):
-            if not (f + s * jd > 0).any():
-                cand = z + s * step
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    cf, cjac, chess = rows(cand)
-                if (cf < 0).all():
-                    clam = lam + s * dlam
-                    clc = clam + c
-                    cr_dual = g0 + cjac.T @ clc
-                    cnorm = math.hypot(_norm(cr_dual), _norm(clam * -cf - 1.0 / t))
-                    if cnorm <= (1.0 - RESIDUAL_DECREASE * s) * norm:
-                        break
+            cand = z + s * step
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                cf, cjac, chess = rows(cand)
+            if (cf < 0).all():
+                clam = lam + s * dlam
+                clc = clam + c
+                cr_dual = g0 + cjac.T @ clc
+                cnorm = math.hypot(_norm(cr_dual), _norm(clam * -cf - 1.0 / t))
+                if cnorm <= (1.0 - RESIDUAL_DECREASE * s) * norm:
+                    break
             s *= BACKTRACK_SHRINK
         else:
             raise GpError("primal-dual line search made no progress")

@@ -842,9 +842,13 @@ def test_newton_direction_matches_the_cholesky_oracle_on_step_gp_matrices(
         model.solve(tol=tol)
     monkeypatch.undo()
     assert len(systems) > 200
+    factored, cholesky = [], np.linalg.cholesky
     for hess, grad in systems:
-        assert direction(hess, grad).tobytes() == \
-            newton_direction_by_cholesky(hess, grad).tobytes()
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+        step = direction(hess, grad)
+        monkeypatch.undo()
+        assert step.tobytes() == newton_direction_by_cholesky(hess, grad).tobytes()
+    assert not factored                 # one solve per step, no Cholesky test
 
 
 @pytest.mark.parametrize("hess, grad", [
@@ -869,23 +873,26 @@ def test_newton_direction_ridges_singular_and_indefinite_matrices(hess, grad, mo
     assert step.tobytes() == newton_direction_by_cholesky(hess, grad).tobytes()
 
 
-def test_line_search_skips_only_points_outside_the_domain(monkeypatch):
-    # the rows are convex in the log variables, so f + s J d bounds them from
-    # below and a positive bound rules a trial point out unevaluated; replay
-    # every line search of desk solves' max-slack and step GPs, evaluate each
-    # skipped point anyway and find a row >= 0 there
+def test_line_search_starts_inside_the_rows_linearization(monkeypatch):
+    # the first trial is BOUNDARY_FRACTION of the way to the nearest boundary
+    # of lambda > 0 and of f + s J step < 0, the rows' linearization, which
+    # bounds the convex rows from below; replay every line search of desk
+    # solves' max-slack and step GPs: each trial keeps the linearization
+    # negative, the trials are the first one halved again and again, a trial
+    # with a row >= 0 is never the last, and the last is the next iterate
     from cfurllc import optimizer
     from cfurllc.scenario import SystemConfig, generate_topology
     searches, active = [], []
     original, direction = gp._primal_dual, gp._newton_direction
 
     def spy(rows, g0, c, z, first, t, limit):
-        run = {"rows": rows, "t": t, "iterates": [], "steps": [],
-               "evals": {z.tobytes(): first[:2]}}
+        run = {"rows": rows, "t": t, "iterates": [], "steps": [], "trials": [],
+               "jac": {z.tobytes(): first[1]}}
 
         def recorded(y):
             out = rows(y)
-            run["evals"][y.tobytes()] = out[:2]
+            run["jac"][y.tobytes()] = out[1]
+            run["trials"][-1].append((y.tobytes(), out[0]))
             return out
 
         searches.append(run)
@@ -897,6 +904,7 @@ def test_line_search_skips_only_points_outside_the_domain(monkeypatch):
             finally:
                 active.pop()
             run["iterates"].append(it)
+            run["trials"].append([])
             yield it
 
     def newton(hess, grad):
@@ -909,33 +917,36 @@ def test_line_search_skips_only_points_outside_the_domain(monkeypatch):
     monkeypatch.setattr(gp, "_newton_direction", newton)
     cfg = SystemConfig(num_devices=5, num_aps=4, antennas_per_ap=12, energy_budget=5e12)
     model = generate_topology(cfg, seed=1)
+    outside = searched = linear = 0
     for decoder in ("mrc", "fzf"):
         del searches[:]
         assert optimizer.solve(model, cfg, decoder).status == "optimal"
-        skipped = evaluated = 0
         for run in searches:
             t, held = run["t"], True
-            for it, step in zip(run["iterates"], run["steps"]):
+            iterates = run["iterates"]
+            for k, (it, step) in enumerate(zip(iterates, run["steps"])):
                 # the barrier parameter and multiplier step of _primal_dual
                 m = it.f.size
                 if held and it.dual <= it.eta / m:
                     held = False
                 if not held:
                     t = gp.GAP_REDUCTION * m / it.eta
-                f, jac = run["evals"][it.z.tobytes()]
+                f, jac = it.f, run["jac"][it.z.tobytes()]
                 jd = jac @ step
                 dlam = it.lam / -f * jd - it.lam + 1.0 / (t * -f)
-                shrinking = dlam < 0
-                s = min(1.0, float(np.min(-it.lam[shrinking] / dlam[shrinking]))) \
-                    if np.any(shrinking) else 1.0
-                s *= gp.BOUNDARY_FRACTION
-                while np.any(f + s * jd > 0):
-                    with np.errstate(all="ignore"):
-                        cf = run["rows"](it.z + s * step)[0]
-                    assert np.any(cf >= 0)
-                    skipped += 1
+                shrinking, growing = dlam < 0, jd > 0
+                s_lam = min([1.0] + list(-it.lam[shrinking] / dlam[shrinking]))
+                s_lin = min([1.0] + list(-f[growing] / jd[growing]))
+                s = gp.BOUNDARY_FRACTION * min(s_lam, s_lin)
+                linear += bool(s_lin < min(1.0, s_lam))
+                trials = run["trials"][k]
+                assert trials and trials[-1][0] == iterates[k + 1].z.tobytes()
+                for j, (y, cf) in enumerate(trials):
+                    assert y == (it.z + s * step).tobytes()
+                    assert np.all(f + s * jd < 0)
+                    if np.any(cf >= 0):
+                        assert j + 1 < len(trials)
+                        outside += 1
                     s *= gp.BACKTRACK_SHRINK
-                # the replay is exact: the first point not skipped was evaluated
-                assert (it.z + s * step).tobytes() in run["evals"]
-                evaluated += 1
-        assert skipped > 0 and evaluated > 20, (decoder, skipped, evaluated)
+                searched += 1
+    assert outside > 0 and linear > 0 and searched > 40, (outside, linear, searched)
