@@ -388,8 +388,8 @@ def _primal_dual(rows, g0, c, z, first, t, limit):
         jd = jac @ step
         dlam = d * jd - lam + inv
         shrinking, growing = dlam < 0, jd > 0
-        s = BOUNDARY_FRACTION * float(min(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0),
-                                          np.min(neg_f[growing] / jd[growing], initial=1.0)))
+        s = BOUNDARY_FRACTION * min([1.0, *(-lam[shrinking] / dlam[shrinking]).tolist(),
+                                     *(neg_f[growing] / jd[growing]).tolist()])
         norm = math.hypot(_norm(r_dual), _norm(lam * neg_f - 1.0 / t))
         for _ in range(_MAX_BACKTRACKS):
             cand = z + s * step
