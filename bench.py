@@ -15,10 +15,11 @@ each metric's median and interquartile range per workload and seed, the traced
 counts, the minor page faults and peak RSS the kernel reports for each run's
 process tree (an untraced run's tree includes its set-up probes; a traced run
 has none), and the host, Python, numpy, BLAS and commit of the checkout's
-`.bench_out/` records. It also holds the wall time of each desk CLI experiment
-at `--seed 1 --threads 1` and of the Tier-1 suite, both run from the checkout's
-`src/`, WALL_REPEATS times each (the repeats outermost again), with their
-median, interquartile range and exit codes. Two files compare only when they
+`.bench_out/` records. It also holds the wall time of each CLI experiment at
+`--seed 1`, with the desk profile at `--threads 1` and the paper profile at
+`--threads 2`, and of the Tier-1 suite, all run from the checkout's `src/`,
+WALL_REPEATS times each (the repeats outermost again), with their median,
+interquartile range and exit codes. Two files compare only when they
 come from one host.
 """
 
@@ -49,6 +50,7 @@ EXTRA_UNITS = {"raw_points_per_s": "1/s", "raw_op_s_p50": "s", "raw_op_s_tail": 
 COUNT_UNITS = ("count",)
 DESK_EXPERIMENTS = ("converge", "tightness", "threshold-sweep", "energy-compare",
                     "devices-sweep")
+PAPER_THREADS = 2
 WALL_REPEATS = 3
 
 
@@ -114,11 +116,15 @@ def traced_counts(record: dict) -> dict:
 
 
 def wall_commands(out_dir: str) -> dict[str, list[str]]:
-    """The timed commands by name: each desk experiment, writing its CSV to
+    """The timed commands by name: each experiment of the desk profile at one
+    thread and of the paper profile at PAPER_THREADS, writing its CSV to
     out_dir, and the Tier-1 suite; each runs in the checkout with its `src/`
     first on PYTHONPATH."""
     commands = {f"desk {name}": [sys.executable, "-m", "cfurllc", "--seed", "1", "--threads",
                                  "1", "--out", out_dir, name] for name in DESK_EXPERIMENTS}
+    commands.update({f"paper {name}": [sys.executable, "-m", "cfurllc", "--profile", "paper",
+                                       "--seed", "1", "--threads", str(PAPER_THREADS),
+                                       "--out", out_dir, name] for name in DESK_EXPERIMENTS})
     commands["tier1"] = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     return commands
 
@@ -182,7 +188,8 @@ def main(argv=None) -> int:
            "host": {key: environment[key] for key in ("cpu", "nproc", "python", "numpy",
                                                       "blas", "blas_threads")},
            "settings": {"repeats": REPEATS, "seeds": list(SEEDS), "seconds": SECONDS,
-                        "traced_seconds": TRACED_SECONDS, "wall_repeats": WALL_REPEATS},
+                        "traced_seconds": TRACED_SECONDS, "wall_repeats": WALL_REPEATS,
+                        "paper_threads": PAPER_THREADS},
            "workloads": {w: {seed: {"summary": summarize(seed_runs, units), "runs": seed_runs,
                                     "traced": traced[w][seed]}
                              for seed, seed_runs in runs[w].items()} for w in WORKLOADS},

@@ -72,9 +72,13 @@ def test_wall_summary_gives_median_and_interquartile_range_per_command():
 
 def test_wall_commands_run_every_desk_experiment_and_tier1():
     commands = bench.wall_commands("out")
-    assert list(commands) == [f"desk {name}" for name in bench.DESK_EXPERIMENTS] + ["tier1"]
+    assert list(commands) == ([f"desk {name}" for name in bench.DESK_EXPERIMENTS]
+                              + [f"paper {name}" for name in bench.DESK_EXPERIMENTS] + ["tier1"])
     assert set(bench.DESK_EXPERIMENTS) == set(cli.EXPERIMENTS)
+    assert set(cli.PROFILES) == {"desk", "paper"}
     for name in bench.DESK_EXPERIMENTS:
         assert commands[f"desk {name}"][1:] == ["-m", "cfurllc", "--seed", "1", "--threads", "1",
                                                 "--out", "out", name]
+        assert commands[f"paper {name}"][1:] == ["-m", "cfurllc", "--profile", "paper", "--seed",
+                                                 "1", "--threads", "2", "--out", "out", name]
     assert commands["tier1"][1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
