@@ -24,7 +24,7 @@ PROFILES = {
         "num_devices": 5, "total_antennas": 48, "ap_counts": (1, 4),
         "trials": 1000, "deployments": 30,
         "tightness_mn": (72, 108), "tightness_aps": (1, 4, 9),
-        "tightness_power": 2e11, "tightness_deployments": 3,
+        "tightness_deployments": 3,
         "threshold_energy": 2e12,
         "energy_grid": (6e11, 1.2e12, 2.5e12, 5e12, 2e13),
         "devices_grid": (2, 4, 6, 8),
@@ -33,7 +33,7 @@ PROFILES = {
         "num_devices": 10, "total_antennas": 144, "ap_counts": (1, 4, 9),
         "trials": 10000, "deployments": 100,
         "tightness_mn": (72, 108, 144), "tightness_aps": (1, 4, 9),
-        "tightness_power": 2e11, "tightness_deployments": 10,
+        "tightness_deployments": 10,
         "threshold_energy": 2e12,
         "energy_grid": (6e11, 1.2e12, 2.5e12, 5e12, 2e13),
         "devices_grid": (2, 4, 6, 8, 9),
@@ -41,6 +41,7 @@ PROFILES = {
 }
 
 THRESHOLD_GRID = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
+TIGHTNESS_POWER = 2e11      # pilot and payload power of every device in tightness
 
 
 def _fmt(value) -> str:
@@ -72,11 +73,11 @@ def _pool_map(fn, tasks, workers: int):
 # ---------------------------------------------------------------------------
 
 def _tightness_point(task):
-    cfg, seed, dep, decoder, power, trials, workers = task
+    cfg, seed, dep, decoder, trials, workers = task
     model = generate_topology(cfg, seed=seed + dep)
     params = fbl.FblParams.from_config(cfg)
     k = cfg.num_devices
-    p = np.full(k, power)
+    p = np.full(k, TIGHTNESS_POWER)
     stats = estimation_stats(model, p)
     closed = fbl.lb_sinr(fbl.sinr_pieces(model, stats, cfg.antennas_per_ap, decoder), p)
     lb = fbl.lb_rate(closed, params, np.arange(k))
@@ -137,9 +138,10 @@ def _summary(vals: np.ndarray, ok: np.ndarray) -> list:
 
 def _converge_rows(key, cfg, res):
     """Every iterate of the one (decoder, M, N) solve; with none, its status at iteration 0."""
-    return [key + [rec["iteration"], rec["objective"], rec["gp_status"]]
-            + rec["sinr"] + rec["pilot"] + rec["payload"]
-            for rec in res[0].trace.rows()] or [
+    trace = res[0].trace
+    return [key + [i, obj, status, *chi, *alloc.pilot, *alloc.payload]
+            for i, (obj, status, chi, alloc) in enumerate(zip(
+                trace.objective, trace.gp_status, trace.sinr, trace.allocations))] or [
         key + [0, 0.0, res[0].status] + [""] * (3 * cfg.num_devices)]
 
 
@@ -177,8 +179,7 @@ EXPERIMENTS = {
         point=_tightness_point,
         # one process: the Monte-Carlo blocks run on its thread pool; several:
         # the worker processes are the only parallelism
-        args=lambda profile, trials, workers: (profile["tightness_power"], trials,
-                                               None if workers == 1 else 1),
+        args=lambda profile, trials, workers: (trials, None if workers == 1 else 1),
         aggregate=lambda key, cfg, res: [key + [float(np.mean([r[i] for r in res]))
                                                 for i in range(3)]],
         header=lambda k: ["decoder", "M", "N", "MN", "lb_rate", "ergodic_rate", "ci"],

@@ -185,8 +185,9 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
     draw. So a zero estimate at a serving AP (K p beta underflows), served
     there or not, is found from lambda before the first draw and named as
     trial 0, since the drawn block may not hold its column. Runs go to
-    `workers` threads (None: all usable CPUs; 1: no pool) and are consumed
-    in order; run i + workers starts once run i is consumed.
+    `workers` threads (None: all usable CPUs) and are consumed in order;
+    run i + workers starts once run i is consumed, so one worker draws
+    nothing after a failing run.
     """
     fbl.check_decoder(decoder)
     if trials < 1:
@@ -212,20 +213,17 @@ def simulate(model: LargeScaleModel, stats: EstimationStats,
         if decoder == "mrc":
             return decode_mrc(real, serving, stats, payload_power, n_antennas, params)
         return decode_fzf(real, serving, stats, payload_power, n_antennas, params, start)
-    if workers == 1:
-        outcomes = [run(first) for first in runs]
-    else:
-        outcomes, window = [], []
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                for first in runs:
-                    window.append(pool.submit(run, first))
-                    if len(window) == workers:
-                        outcomes.append(window.pop(0).result())
-                outcomes.extend(future.result() for future in window)
-            finally:     # after a failure no queued run starts; read the started ones
-                for future in window:
-                    future.cancel() or future.exception()
+    outcomes, window = [], []
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for first in runs:
+                window.append(pool.submit(run, first))
+                if len(window) == workers:
+                    outcomes.append(window.pop(0).result())
+            outcomes.extend(future.result() for future in window)
+        finally:     # after a failure no queued run starts; read the started ones
+            for future in window:
+                future.cancel() or future.exception()
     per_trial = {name: np.concatenate([getattr(o, name) for o in outcomes])
                  for name in ("ls2", "ui2", "n2", "sinr", "rate")}
     return TrialOutcome(ds2=outcomes[0].ds2, **per_trial)

@@ -34,8 +34,6 @@ MAX_SCA_ITERATIONS = 50
 MAX_FEASIBILITY_ROUNDS = 5
 FEASIBILITY_MARGIN = 1.0     # slack level that certifies feasibility
 
-MRC = "mrc"
-FZF = "fzf"
 SCHEMES = ("proposed", "upper_bound", "conventional", "fixed_pilot")
 
 
@@ -71,16 +69,6 @@ class IterationTrace:
         self.sinr.append(sinr)
         self.allocations.append(alloc)
         self.gp_status.append(gp_status)
-
-    def rows(self):
-        for i, obj in enumerate(self.objective):
-            alloc = self.allocations[i]
-            yield {
-                "iteration": i, "objective": obj,
-                "sinr": list(self.sinr[i]), "pilot": list(alloc.pilot),
-                "payload": list(alloc.payload),
-                "gp_status": self.gp_status[i],
-            }
 
 
 @dataclass
@@ -216,7 +204,7 @@ def _joint_scheme(model: LargeScaleModel, cfg: SystemConfig, decoder: str,
     gain fit squared; FZF: 1): a round folds N' pd_k fit_k^s over floor_k into
     SINR row k of the one table, or of its relaxed copy for the max-slack GP."""
     kdev = model.num_devices
-    if decoder == MRC:
+    if decoder == "mrc":
         gain_rows, sinr_rows, fit = approx.mrc_gain_rows(model), mrc_rows, approx.mrc_gain_monomial
         lb_sinr, log_n, scale = fbl.lb_sinr_mrc, np.log(cfg.antennas_per_ap), 2.0
     else:

@@ -11,7 +11,7 @@ TINY = {
     "num_devices": 3, "total_antennas": 16, "ap_counts": (1, 4),
     "trials": 400, "deployments": 4,
     "tightness_mn": (32,), "tightness_aps": (1, 4),
-    "tightness_power": 2e11, "tightness_deployments": 2,
+    "tightness_deployments": 2,
     "threshold_energy": 2e12,
     "energy_grid": (2e12,),
     "devices_grid": (2,),

@@ -7,11 +7,10 @@ import pytest
 from conftest import random_model
 
 import gp_nodes as nodes
-from cfurllc import approx, fbl, gp, optimizer
+from cfurllc import approx, cli, fbl, gp, optimizer
 from cfurllc.channel import estimation_stats
-from cfurllc.optimizer import (FZF, MRC, SurrogateError, benchmark_conventional, benchmark_fixed_pilot,
-                               benchmark_upper_bound, feasibility_init,
-                               sinr_floors)
+from cfurllc.optimizer import (SurrogateError, benchmark_conventional, benchmark_fixed_pilot,
+                               benchmark_upper_bound, feasibility_init, sinr_floors)
 from cfurllc.scenario import SystemConfig, generate_topology
 from oracles import surrogate_exponents_by_device, true_sinr
 
@@ -41,7 +40,7 @@ def grid_best_rate(cfg, beta, decoder, points=900):
     ppg, pdg = np.meshgrid(pp, pd, indexing="ij")
     ok = ppg + ldata * pdg <= energy
     lam = ppg * beta ** 2 / (ppg * beta + 1.0)
-    if decoder == MRC:
+    if decoder == "mrc":
         gamma = n * pdg * lam ** 2 / (pdg * lam * beta + lam)
     else:
         gamma = pdg * (n - 1) * lam / (1.0 + pdg * (beta - lam))
@@ -97,11 +96,11 @@ def test_feasibility_easy_instance():
     model = generate_topology(cfg, seed=3)
     params = fbl.FblParams.from_config(cfg)
     floors = sinr_floors(params, cfg.rate_req_bps)
-    alloc, slack, error = max_slack_stage(model, cfg, MRC, floors)
+    alloc, slack, error = max_slack_stage(model, cfg, "mrc", floors)
     assert alloc is not None and slack >= 1.0 and error == ""
     used = alloc.energy(cfg.num_devices, cfg.blocklength)
     assert np.all(used <= model.energy * (1 + 1e-9))
-    sinr = true_sinr(model, alloc, cfg.antennas_per_ap, MRC)
+    sinr = true_sinr(model, alloc, cfg.antennas_per_ap, "mrc")
     assert np.all(sinr >= floors * (1 - 1e-9))
 
 
@@ -110,7 +109,7 @@ def test_feasibility_impossible_instance():
     model = generate_topology(cfg, seed=3)
     params = fbl.FblParams.from_config(cfg)
     floors = sinr_floors(params, cfg.rate_req_bps)
-    alloc, slack, error = max_slack_stage(model, cfg, MRC, floors)
+    alloc, slack, error = max_slack_stage(model, cfg, "mrc", floors)
     assert alloc is None and slack < 1.0 and error == ""
 
 
@@ -120,12 +119,12 @@ def test_feasibility_boundary_from_grid_oracle():
                        energy_budget=2e12, gp_tolerance=1e-8)
     model = generate_topology(cfg, seed=5)
     beta = float(model.beta[0, 0])
-    _, capacity = grid_best_rate(cfg, beta, MRC)
+    _, capacity = grid_best_rate(cfg, beta, "mrc")
     for factor, expect in ((0.8, True), (1.25, False)):
         probe = cfg.replace(rate_req_bps=factor * capacity)
         params = fbl.FblParams.from_config(probe)
         floors = sinr_floors(params, probe.rate_req_bps)
-        alloc, _, _ = max_slack_stage(model, probe, MRC, floors)
+        alloc, _, _ = max_slack_stage(model, probe, "mrc", floors)
         assert (alloc is not None) == expect
 
 
@@ -133,14 +132,14 @@ def test_feasibility_boundary_from_grid_oracle():
 # any was run, so none is picked by its outcome.
 VERDICT_DEPLOYMENTS = [(DESK.replace(num_aps=m, antennas_per_ap=n, energy_budget=e), seed, d)
                        for m, n in ((4, 12), (1, 48)) for e in (2e12, 5e12)
-                       for seed in range(1, 7) for d in (MRC, FZF)]
+                       for seed in range(1, 7) for d in ("mrc", "fzf")]
 
 
 # The desk layouts at E = 6e11, the lowest energy of the desk energy grid,
 # where most fixed-pilot instances are out of reach.
 LOW_ENERGY_DEPLOYMENTS = [(DESK.replace(num_aps=m, antennas_per_ap=n, energy_budget=6e11), seed, d)
                           for m, n in ((1, 48), (4, 12)) for seed in range(1, 5)
-                          for d in (MRC, FZF)]
+                          for d in ("mrc", "fzf")]
 
 
 def joint_stage(cfg, seed, decoder):
@@ -239,7 +238,7 @@ def test_no_allocation_gp_runs_phase_one(monkeypatch):
     assert phase_one == []
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_gain_table_is_built_once_per_scheme(decoder, monkeypatch):
     # the gain table depends on the deployment alone, so the solve's one
     # joint scheme builds it once and every round only evaluates it
@@ -251,7 +250,7 @@ def test_gain_table_is_built_once_per_scheme(decoder, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    rows, fit = (("mrc_gain_rows", "mrc_gain_monomial") if decoder == MRC
+    rows, fit = (("mrc_gain_rows", "mrc_gain_monomial") if decoder == "mrc"
                  else ("fzf_gain_rows", "fzf_gain_monomial"))
     monkeypatch.setattr(optimizer, "_joint_scheme", counted("scheme", optimizer._joint_scheme))
     monkeypatch.setattr(approx, rows, counted("rows", getattr(approx, rows)))
@@ -268,8 +267,8 @@ def test_gain_table_is_built_once_per_scheme(decoder, monkeypatch):
 
 # the case ids keep the names these cases had when each decoder had its
 # own solve_mrc / solve_fzf wrapper
-@pytest.mark.parametrize("decoder,cap", [pytest.param(MRC, 10, id="mrc-solve_mrc-10"),
-                                         pytest.param(FZF, 25, id="fzf-solve_fzf-25")])
+@pytest.mark.parametrize("decoder,cap", [pytest.param("mrc", 10, id="mrc-solve_mrc-10"),
+                                         pytest.param("fzf", 25, id="fzf-solve_fzf-25")])
 def test_sca_trace_properties(decoder, cap):
     model = desk_model()
     res = optimizer.solve(model, DESK, decoder)
@@ -288,7 +287,7 @@ def test_sca_trace_properties(decoder, cap):
     assert np.all(res.sinr >= floors * (1 - 1e-9))
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 @pytest.mark.parametrize("scheme", ["solve", "benchmark_upper_bound", "benchmark_conventional",
                                     "benchmark_fixed_pilot"])
 def test_an_unattainable_rate_requirement_is_infeasible(scheme, decoder, monkeypatch):
@@ -310,7 +309,7 @@ def test_an_unattainable_rate_requirement_is_infeasible(scheme, decoder, monkeyp
     assert solved == []
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_a_start_below_a_floor_is_rejected_before_any_gp(decoder, monkeypatch):
     # a caller's start is the one start not feasible by construction: the
     # solve checks it against the floors and builds no GP from it
@@ -329,14 +328,14 @@ def test_a_start_below_a_floor_is_rejected_before_any_gp(decoder, monkeypatch):
 def test_infeasible_reports_zero_rate():
     cfg = DESK.replace(energy_budget=1e10)
     model = generate_topology(cfg, seed=3)
-    res = optimizer.solve(model, cfg, MRC)
+    res = optimizer.solve(model, cfg, "mrc")
     assert res.status == "infeasible"
     assert res.weighted_sum_rate == 0.0
     assert res.allocation is None
 
 
-@pytest.mark.parametrize("decoder", [pytest.param(MRC, id="mrc-solve_mrc"),
-                                     pytest.param(FZF, id="fzf-solve_fzf")])
+@pytest.mark.parametrize("decoder", [pytest.param("mrc", id="mrc-solve_mrc"),
+                                     pytest.param("fzf", id="fzf-solve_fzf")])
 def test_single_device_matches_grid_oracle(decoder):
     cfg = SystemConfig(num_devices=1, num_aps=1, antennas_per_ap=4,
                        energy_budget=1e13, gp_tolerance=1e-8)
@@ -373,25 +372,25 @@ def test_unknown_decoder_is_rejected_before_any_gp(decoder, monkeypatch):
 def test_upper_bound_dominates_proposed():
     for seed in (1, 2, 3):
         model = desk_model(seed)
-        proposed = optimizer.solve(model, DESK, MRC)
-        upper = benchmark_upper_bound(model, DESK, MRC)
+        proposed = optimizer.solve(model, DESK, "mrc")
+        upper = benchmark_upper_bound(model, DESK, "mrc")
         assert upper.weighted_sum_rate >= proposed.weighted_sum_rate * (1 - 1e-6)
 
 
 def test_conventional_reuses_upper_bound_allocation():
     model = desk_model()
-    upper = benchmark_upper_bound(model, DESK, MRC)
-    conv = benchmark_conventional(model, DESK, MRC, upper)
+    upper = benchmark_upper_bound(model, DESK, "mrc")
+    conv = benchmark_conventional(model, DESK, "mrc", upper)
     assert conv.allocation is upper.allocation
     assert conv.weighted_sum_rate <= upper.weighted_sum_rate
     # rates re-evaluated under the true dispersion penalty
     params = fbl.FblParams.from_config(DESK)
-    chi = true_sinr(model, upper.allocation, DESK.antennas_per_ap, MRC)
+    chi = true_sinr(model, upper.allocation, DESK.antennas_per_ap, "mrc")
     expect = sum(model.weights[k] * fbl.lb_rate(chi[k], params, k) for k in range(5))
     assert conv.weighted_sum_rate == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_conventional_reads_the_upper_bounds_sinrs(decoder, monkeypatch):
     # the SINRs carry no dispersion penalty, so conventional recomputes no
     # estimation statistics and no SINR bound, only the rates
@@ -420,8 +419,8 @@ def test_conventional_can_be_infeasible_when_proposed_is_not():
         cfg = DESK.replace(energy_budget=energy)
         for seed in range(8):
             model = generate_topology(cfg, seed=seed)
-            prop = optimizer.solve(model, cfg, MRC)
-            conv = benchmark_conventional(model, cfg, MRC, benchmark_upper_bound(model, cfg, MRC))
+            prop = optimizer.solve(model, cfg, "mrc")
+            conv = benchmark_conventional(model, cfg, "mrc", benchmark_upper_bound(model, cfg, "mrc"))
             if prop.feasible and not conv.feasible:
                 found = True
                 assert conv.weighted_sum_rate == 0.0
@@ -438,7 +437,7 @@ SCORED_DEPLOYMENTS = [(DESK, 7), (DESK.replace(energy_budget=1.3e12), 1),
                       (DESK.replace(energy_budget=1e10), 3)]
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 @pytest.mark.parametrize("scheme", ["solve", "benchmark_upper_bound", "benchmark_conventional",
                                     "benchmark_fixed_pilot"])
 def test_every_scheme_reports_the_true_sinr_of_its_allocation(scheme, decoder):
@@ -479,10 +478,10 @@ def test_every_scheme_reports_the_true_sinr_of_its_allocation(scheme, decoder):
 def test_fixed_pilot_never_beats_proposed():
     for seed in (1, 4, 9):
         model = desk_model(seed)
-        fixed = benchmark_fixed_pilot(model, DESK, MRC)
-        prop = optimizer.solve(model, DESK, MRC)
+        fixed = benchmark_fixed_pilot(model, DESK, "mrc")
+        prop = optimizer.solve(model, DESK, "mrc")
         if fixed.feasible and prop.weighted_sum_rate < fixed.weighted_sum_rate:
-            prop = optimizer.solve(model, DESK, MRC, start=fixed.allocation)
+            prop = optimizer.solve(model, DESK, "mrc", start=fixed.allocation)
         assert prop.weighted_sum_rate >= fixed.weighted_sum_rate * (1 - 1e-9)
         assert np.allclose(fixed.allocation.pilot,
                            model.energy / DESK.blocklength)
@@ -562,8 +561,8 @@ def test_driver_carries_surrogate_clamping_into_the_trace(scheme, monkeypatch):
 
     def run():
         if scheme == "joint":
-            return optimizer.solve(model, DESK, MRC)
-        return benchmark_fixed_pilot(model, DESK, MRC)
+            return optimizer.solve(model, DESK, "mrc")
+        return benchmark_fixed_pilot(model, DESK, "mrc")
 
     plain = run()
     assert plain.feasible and not plain.trace.surrogate_clamped
@@ -578,7 +577,7 @@ def test_driver_carries_surrogate_clamping_into_the_trace(scheme, monkeypatch):
 
 def test_fixed_pilot_trace_properties():
     model = desk_model()
-    res = benchmark_fixed_pilot(model, DESK, MRC)
+    res = benchmark_fixed_pilot(model, DESK, "mrc")
     assert res.status == "optimal"
     trace = res.trace
     obj = np.array(trace.objective)
@@ -596,11 +595,11 @@ def test_fixed_pilot_trace_properties():
         float(model.weights @ res.rates), rel=1e-12)
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_fixed_pilot_sinrs_are_the_closed_form_bounds(decoder):
     # the fixed-pilot scheme scores its iterates with the same lower-bound
     # SINR as the other schemes, to the last bit
-    lb_sinr = fbl.lb_sinr_mrc if decoder == MRC else fbl.lb_sinr_fzf
+    lb_sinr = fbl.lb_sinr_mrc if decoder == "mrc" else fbl.lb_sinr_fzf
     checked = 0
     for seed in (7, 1, 4, 9):
         model = desk_model(seed)
@@ -617,7 +616,7 @@ def test_fixed_pilot_sinrs_are_the_closed_form_bounds(decoder):
 def test_reported_rate_is_the_best_traced_objective(seed):
     # the trace and the result score an iterate with the same weighted sum
     model = desk_model(seed)
-    for res in (optimizer.solve(model, DESK, MRC), benchmark_fixed_pilot(model, DESK, MRC)):
+    for res in (optimizer.solve(model, DESK, "mrc"), benchmark_fixed_pilot(model, DESK, "mrc")):
         assert res.feasible
         assert max(res.trace.objective) == res.weighted_sum_rate
 
@@ -634,7 +633,7 @@ def count_gp_solves(monkeypatch):
     return solved
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_fixed_pilot_computes_its_frozen_statistics_once(decoder, monkeypatch):
     # the pilots never move, so one set of estimation statistics scores
     # every iterate, however many SCA steps the run takes
@@ -659,7 +658,7 @@ def test_a_callers_start_is_scored_once(monkeypatch):
     # the floor check's SINRs are the SCA's first iterate: one set of
     # estimation statistics per scored iterate, the start's included
     model = desk_model(7)
-    fixed = benchmark_fixed_pilot(model, DESK, MRC)
+    fixed = benchmark_fixed_pilot(model, DESK, "mrc")
     calls = []
     original = optimizer.estimation_stats
 
@@ -668,7 +667,7 @@ def test_a_callers_start_is_scored_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(optimizer, "estimation_stats", counted)
-    res = optimizer.solve(model, DESK, MRC, start=fixed.allocation)
+    res = optimizer.solve(model, DESK, "mrc", start=fixed.allocation)
     assert res.feasible and len(res.trace.objective) >= 2
     assert len(calls) == len(res.trace.objective)
 
@@ -678,28 +677,31 @@ def test_fixed_pilot_solves_one_gp_per_sca_step(monkeypatch):
     # max-slack (phi) GP, then one GP per SCA step, and none at all for an
     # infeasible instance
     solved = count_gp_solves(monkeypatch)
-    res = benchmark_fixed_pilot(desk_model(), DESK, MRC)
+    res = benchmark_fixed_pilot(desk_model(), DESK, "mrc")
     assert res.feasible and len(solved) == len(res.trace.objective) - 1 >= 1
     assert all(m.weights.any() for m in solved)
     solved.clear()
     cfg = DESK.replace(energy_budget=1e10)
-    res = benchmark_fixed_pilot(generate_topology(cfg, seed=3), cfg, MRC)
+    res = benchmark_fixed_pilot(generate_topology(cfg, seed=3), cfg, "mrc")
     assert res.status == "infeasible" and res.allocation is None and solved == []
 
 
 def test_trace_rows_serialize():
+    # the converge CSV's rows: iteration, objective, GP status, then the K
+    # SINRs, pilots and payloads of each iterate
     model = desk_model()
-    res = optimizer.solve(model, DESK, MRC)
-    rows = list(res.trace.rows())
-    assert rows[0]["iteration"] == 0
-    assert len(rows[0]["sinr"]) == 5
-    assert rows[-1]["objective"] == max(r["objective"] for r in rows)
+    res = optimizer.solve(model, DESK, "mrc")
+    rows = cli._converge_rows([], DESK, [res])
+    assert rows[0][0] == 0
+    assert rows[0][3:] == [*res.trace.sinr[0], *res.trace.allocations[0].pilot,
+                           *res.trace.allocations[0].payload] and len(rows[0]) == 3 + 3 * 5
+    assert rows[-1][1] == max(r[1] for r in rows)
 
 
 def test_solver_is_deterministic():
     model = desk_model()
-    a = optimizer.solve(model, DESK, MRC)
-    b = optimizer.solve(model, DESK, MRC)
+    a = optimizer.solve(model, DESK, "mrc")
+    b = optimizer.solve(model, DESK, "mrc")
     assert np.array_equal(a.allocation.pilot, b.allocation.pilot)
     assert np.array_equal(a.allocation.payload, b.allocation.payload)
     assert a.trace.objective == b.trace.objective
@@ -711,14 +713,14 @@ def test_gp_numerical_error_does_not_escape(monkeypatch):
 
     monkeypatch.setattr(gp, "_newton_direction", broken)
     model = desk_model()
-    for decoder in (MRC, FZF):
+    for decoder in ("mrc", "fzf"):
         res = optimizer.solve(model, DESK, decoder)
         assert isinstance(res, optimizer.SolveResult)
         assert res.status == "aborted" and not res.feasible
         assert "could not be factorized" in res.message
     # the fixed-pilot start is certified without a GP, so a failed first
     # step GP leaves that start as a degraded result
-    fixed = benchmark_fixed_pilot(model, DESK, MRC)
+    fixed = benchmark_fixed_pilot(model, DESK, "mrc")
     assert fixed.status == "degraded" and "could not be factorized" in fixed.message
     assert fixed.trace.gp_status == ["init"] and fixed.allocation is fixed.trace.allocations[0]
     floors = sinr_floors(fbl.FblParams.from_config(DESK), DESK.rate_req_bps)
@@ -791,11 +793,11 @@ def _fzf_gain_generic(model, k, pp, pd):
                              np.full((1, size), 0.5)) for i in range(kdev) if i != k])
 
 
-GENERIC = {MRC: _mrc_lhs_generic, FZF: _fzf_lhs_generic}
-BLOCKS = {MRC: optimizer.mrc_rows, FZF: optimizer.fzf_rows}
+GENERIC = {"mrc": _mrc_lhs_generic, "fzf": _fzf_lhs_generic}
+BLOCKS = {"mrc": optimizer.mrc_rows, "fzf": optimizer.fzf_rows}
 # every term table with its row trees: the SINR rows over phi, the pilots and
 # the payloads, and the gain tables of `approx` over the pilots alone
-TABLES = {MRC: (BLOCKS[MRC], _mrc_lhs_generic), FZF: (BLOCKS[FZF], _fzf_lhs_generic),
+TABLES = {"mrc": (BLOCKS["mrc"], _mrc_lhs_generic), "fzf": (BLOCKS["fzf"], _fzf_lhs_generic),
           "mrc-gain": (approx.mrc_gain_rows, _mrc_gain_generic),
           "fzf-gain": (approx.fzf_gain_rows, _fzf_gain_generic)}
 # (mean, spread) of the log powers: every factor saturated, or none
@@ -821,7 +823,7 @@ def _block_and_trees(model, table, regime, rng):
     The SINR rows are laid out as in the max-slack GP: phi, which no row
     uses, then the pilots and the payloads."""
     kdev = model.num_devices
-    sinr = table in (MRC, FZF)
+    sinr = table in ("mrc", "fzf")
     pp = int(sinr) + np.arange(kdev)
     pd = pp + kdev if sinr else []
     build, tree = TABLES[table]
@@ -899,14 +901,14 @@ def chi_form(problem, floors, block_trees):
     return m.model(walk=True)
 
 
-@pytest.mark.parametrize("scheme", [MRC, FZF, "fixed-pilot"])
+@pytest.mark.parametrize("scheme", ["mrc", "fzf", "fixed-pilot"])
 def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
     model = desk_model()
     kdev = model.num_devices
     floors = sinr_floors(fbl.FblParams.from_config(DESK), DESK.rate_req_bps)
     if scheme == "fixed-pilot":
-        rounds = recorded_rounds(lambda: benchmark_fixed_pilot(model, DESK, MRC))
-        public, trees = ("fixed-pilot", MRC), None
+        rounds = recorded_rounds(lambda: benchmark_fixed_pilot(model, DESK, "mrc"))
+        public, trees = ("fixed-pilot", "mrc"), None
     else:
         rounds = recorded_rounds(lambda: optimizer.solve(model, DESK, scheme))
         public = scheme
@@ -919,7 +921,7 @@ def test_head_free_step_gp_reaches_its_chi_form_optimum(scheme):
     _, _, step, start = steps[0]
     pilot = model.energy / DESK.blocklength if scheme == "fixed-pilot" else start[:kdev]
     sinr = true_sinr(model, optimizer.PowerAllocation(pilot, start[-kdev:]),
-                     DESK.antennas_per_ap, MRC if scheme == "fixed-pilot" else scheme)
+                     DESK.antennas_per_ap, "mrc" if scheme == "fixed-pilot" else scheme)
     margins = step.constraint_margins(start)[step.weights > 0]
     assert np.allclose(margins, np.log(floors / sinr), rtol=0, atol=1e-9)
     for pilot_hat, w_hat, step, start in steps:
@@ -956,7 +958,7 @@ def public_api_problem(model, cfg, scheme, floors, pilot_hat, w_hat):
     """One round's GP written row by row as a `gp_nodes.Problem`: the max-slack
     GP when w_hat is None (phi first and maximized, every SINR right-hand
     side also divided by phi), else the step GP, SINR row k weighted by
-    w_hat_k. scheme is MRC or FZF (the joint allocation, fitted at
+    w_hat_k. scheme is "mrc" or "fzf" (the joint allocation, fitted at
     pilot_hat) or ("fixed-pilot", decoder)."""
     kdev = model.num_devices
     m = nodes.Problem()
@@ -991,11 +993,11 @@ def public_api_problem(model, cfg, scheme, floors, pilot_hat, w_hat):
     pd = [len(m.names) + kdev + k for k in range(kdev)]
     for name in [f"pp{k}" for k in range(kdev)] + [f"pd{k}" for k in range(kdev)]:
         m.variable(name)
-    fit = (approx.mrc_gain_monomial(approx.mrc_gain_rows(model), pilot_hat) if scheme == MRC
+    fit = (approx.mrc_gain_monomial(approx.mrc_gain_rows(model), pilot_hat) if scheme == "mrc"
            else approx.fzf_gain_monomial(approx.fzf_gain_rows(model), pilot_hat))
     fits = []
     for k in range(kdev):
-        if scheme == MRC:
+        if scheme == "mrc":
             fits.append(rhs(k, math.log(cfg.antennas_per_ap) + 2.0 * float(fit.log_coeff[k]),
                             {pp[k]: 2.0 * float(fit.exponents[k, k]), pd[k]: 1.0}))
         else:
@@ -1051,7 +1053,7 @@ def _bits(a):
     return np.asarray(a).tobytes()
 
 
-@pytest.mark.parametrize("scheme", [MRC, FZF, ("fixed-pilot", MRC), ("fixed-pilot", FZF)])
+@pytest.mark.parametrize("scheme", ["mrc", "fzf", ("fixed-pilot", "mrc"), ("fixed-pilot", "fzf")])
 def test_reaimed_gps_match_gps_built_through_the_public_api(scheme):
     model = desk_model()
     kdev = model.num_devices
@@ -1080,7 +1082,7 @@ def test_reaimed_gps_match_gps_built_through_the_public_api(scheme):
         assert again.stage_objectives == sol.stage_objectives
 
 
-@pytest.mark.parametrize("scheme", [MRC, FZF, ("fixed-pilot", MRC)])
+@pytest.mark.parametrize("scheme", ["mrc", "fzf", ("fixed-pilot", "mrc")])
 def test_folded_round_tables_match_the_row_by_row_walk(scheme, rng):
     # every round's one table, fits folded into the SINR rows and stacked
     # over the energy or payload-cap rows, against each row of the same
@@ -1107,7 +1109,7 @@ def test_folded_round_tables_match_the_row_by_row_walk(scheme, rng):
             assert np.allclose(hess(weights), ref_hess(weights), rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_folding_a_round_leaves_the_previous_rounds_gp_bit_identical(decoder, rng):
     # a round's GP shares the scheme's factor arrays and row layout and
     # writes none of them: building and solving the next round changes no
@@ -1135,7 +1137,7 @@ def test_folding_a_round_leaves_the_previous_rounds_gp_bit_identical(decoder, rn
         assert [_bits(vals), _bits(jac), _bits(hess(weights))] == before
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_fixed_pilot_rounds_hold_the_schemes_one_table(decoder):
     # a step GP is its table plus row weights: every fixed-pilot round holds
     # the scheme's exact table itself, with no fold and no copy, and weights
@@ -1150,7 +1152,7 @@ def test_fixed_pilot_rounds_hold_the_schemes_one_table(decoder):
         assert _bits(step.weights) == _bits(np.append(w_hat, np.zeros(kdev)))
 
 
-@pytest.mark.parametrize("decoder", [MRC, FZF])
+@pytest.mark.parametrize("decoder", ["mrc", "fzf"])
 def test_feasibility_init_on_the_solves_scheme_matches_a_fresh_scheme(decoder, monkeypatch):
     # the solve hands its one scheme builder to the max-slack stage and the
     # SCA loop; after every round is built, the stage still returns the bits
