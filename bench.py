@@ -17,10 +17,11 @@ process tree (an untraced run's tree includes its set-up probes; a traced run
 has none), and the host, Python, numpy, BLAS and commit of the checkout's
 `.bench_out/` records. It also holds the wall time of each CLI experiment at
 `--seed 1`, with the desk profile at `--threads 1` and the paper profile at
-`--threads 2`, and of the Tier-1 suite, all run from the checkout's `src/`,
-WALL_REPEATS times each (the repeats outermost again), with their median,
-interquartile range and exit codes. Two files compare only when they
-come from one host.
+`--threads 2`, and of the Tier-1 suite, all run from the checkout's `src/`
+with one BLAS thread per process (WALL_ENV), WALL_REPEATS times each (the
+repeats outermost again), with their median, interquartile range and exit
+codes. Its settings record WALL_ENV and the line count of the checkout's
+package. Two files compare only when they come from one host.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ DESK_EXPERIMENTS = ("converge", "tightness", "threshold-sweep", "energy-compare"
                     "devices-sweep")
 PAPER_THREADS = 2
 WALL_REPEATS = 3
+# every wall command runs on one BLAS thread per process, as perfbench pins its own
+WALL_ENV = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -131,13 +134,23 @@ def wall_commands(out_dir: str) -> dict[str, list[str]]:
 
 def time_command(cmd: list[str], checkout: Path) -> tuple[float, int]:
     """Wall time in seconds and exit code of one run of cmd in the checkout."""
-    env = dict(os.environ)
+    env = dict(os.environ, **WALL_ENV)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
                                                       env.get("PYTHONPATH")]))
     start = time.perf_counter()
     code = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
     return time.perf_counter() - start, code
+
+
+def settings(checkout: Path) -> dict:
+    """The run's settings, with the wall commands' environment and the line
+    count of the checkout's package, as `wc -l src/cfurllc/*.py` totals it."""
+    return {"repeats": REPEATS, "seeds": list(SEEDS), "seconds": SECONDS,
+            "traced_seconds": TRACED_SECONDS, "wall_repeats": WALL_REPEATS,
+            "paper_threads": PAPER_THREADS, "wall_env": WALL_ENV,
+            "src_lines": sum(path.read_bytes().count(b"\n")
+                             for path in (checkout / "src" / "cfurllc").glob("*.py"))}
 
 
 def wall_summary(runs: dict[str, list[tuple[float, int]]]) -> dict:
@@ -187,9 +200,7 @@ def main(argv=None) -> int:
     out = {"pr": args.pr, "checkout_commit": environment["commit"],
            "host": {key: environment[key] for key in ("cpu", "nproc", "python", "numpy",
                                                       "blas", "blas_threads")},
-           "settings": {"repeats": REPEATS, "seeds": list(SEEDS), "seconds": SECONDS,
-                        "traced_seconds": TRACED_SECONDS, "wall_repeats": WALL_REPEATS,
-                        "paper_threads": PAPER_THREADS},
+           "settings": settings(checkout),
            "workloads": {w: {seed: {"summary": summarize(seed_runs, units), "runs": seed_runs,
                                     "traced": traced[w][seed]}
                              for seed, seed_runs in runs[w].items()} for w in WORKLOADS},

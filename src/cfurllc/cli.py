@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import multiprocessing
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -42,6 +43,8 @@ PROFILES = {
 
 THRESHOLD_GRID = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
 TIGHTNESS_POWER = 2e11      # pilot and payload power of every device in tightness
+# several workers on BLAS's own threads oversubscribe the cores
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value) -> str:
@@ -61,11 +64,20 @@ def write_csv(path: str, header: list[str], rows: list[list], cfg: SystemConfig,
 
 
 def _pool_map(fn, tasks, workers: int):
-    """Order-preserving map, optionally over worker processes."""
+    """Order-preserving map, optionally over worker processes. The workers
+    start fresh (spawn), so they load BLAS after the environment is set: each
+    runs one BLAS thread unless the caller set one of BLAS_THREAD_VARS."""
     if workers <= 1:
         return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    pinned = () if any(var in os.environ for var in BLAS_THREAD_VARS) else BLAS_THREAD_VARS
+    os.environ.update(dict.fromkeys(pinned, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, tasks))
+    finally:
+        for var in pinned:
+            del os.environ[var]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +310,9 @@ def main(argv=None) -> int:
                 if key in swept:
                     raise ConfigError(f"{args.config}:{line}: {args.experiment} sets "
                                       f"'{key}' at its grid points; remove it")
+                if key == "master_seed" and args.seed is not None:
+                    raise ConfigError(f"{args.config}:{line}: 'master_seed' and --seed "
+                                      "both set the master seed; keep one")
         if args.seed is not None:
             base = base.replace(master_seed=args.seed)
         if not any(True for _ in EXPERIMENTS[args.experiment].grid(base, profile)):

@@ -2,6 +2,7 @@
 or timed command runs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,21 @@ def test_wall_commands_run_every_desk_experiment_and_tier1():
         assert commands[f"paper {name}"][1:] == ["-m", "cfurllc", "--profile", "paper", "--seed",
                                                  "1", "--threads", "2", "--out", "out", name]
     assert commands["tier1"][1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def test_wall_commands_run_on_one_blas_thread(tmp_path):
+    assert bench.WALL_ENV == dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+    check = [sys.executable, "-c", "import os, sys; "
+             "sys.exit(any(os.environ.get(v) != '1' for v in sys.argv[1:]))", *bench.WALL_ENV]
+    assert bench.time_command(check, tmp_path)[1] == 0
+
+
+def test_settings_record_the_wall_environment_and_the_package_line_count(tmp_path):
+    package = tmp_path / "src" / "cfurllc"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not a source\n")
+    settings = bench.settings(tmp_path)
+    assert settings["wall_env"] == bench.WALL_ENV and settings["src_lines"] == 3
+    assert settings["paper_threads"] == bench.PAPER_THREADS

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import cfurllc
 from cfurllc import cli, montecarlo, optimizer
 from cfurllc.scenario import SystemConfig, load_config
 
@@ -85,6 +86,21 @@ def test_config_file_device_count_beats_profile(tmp_path):
     assert [c for c in header if c.startswith("chi_")] == ["chi_0", "chi_1", "chi_2"]
 
 
+def _blas_env(_):
+    return {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS}
+
+
+def test_pool_workers_run_one_blas_thread_unless_the_caller_set_one(monkeypatch):
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli._pool_map(_blas_env, [0, 1], 2) == [dict.fromkeys(cli.BLAS_THREAD_VARS, "1")] * 2
+    assert _blas_env(0) == dict.fromkeys(cli.BLAS_THREAD_VARS)      # the caller's is restored
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert cli._pool_map(_blas_env, [0], 2) == [dict(_blas_env(0))]
+    assert _blas_env(0) == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3",
+                            "MKL_NUM_THREADS": None}
+
+
 def test_scheme_rates_are_parallel_safe(tmp_path):
     cfg = BASE.replace(num_aps=4, antennas_per_ap=4, energy_budget=5e12)
     tasks = [(cfg, 11, dep, "mrc") for dep in range(3)]
@@ -155,6 +171,17 @@ def test_main_rejects_a_master_seed_past_two_to_the_64(tmp_path, capsys):
     cfg.write_text(f"master_seed = {2 ** 64}\n")
     assert cli.main(["--config", str(cfg), "--out", str(out), "converge"]) == 2
     assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_rejects_seed_with_a_config_files_master_seed(tmp_path, capsys):
+    # the file's seed would be overridden while its line still read 7
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("rate_req_bps = 5e6\nmaster_seed = 7\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--seed", "3", "--out", str(out), "converge"]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and "'master_seed'" in err and "--seed" in err
     assert not out.exists()
 
 
@@ -312,8 +339,11 @@ def readme_blocks(lang):
 
 
 def test_readme_quick_start_runs():
-    (block,), _ = readme_blocks("python")
+    # the first python block, which imports exactly the package's exports
+    block = readme_blocks("python")[0][0]
     exec(compile(block, "README.md", "exec"), {})
+    (names,) = re.findall(r"^from cfurllc import (.*)$", block, re.M)
+    assert names.split(", ") == cfurllc.__all__
 
 
 def test_readme_config_runs_and_lists_each_experiments_swept_keys(tmp_path):

@@ -728,6 +728,22 @@ def test_gp_numerical_error_does_not_escape(monkeypatch):
     assert np.all(fixed.allocation.payload < model.energy / DESK.blocklength)
 
 
+@pytest.mark.parametrize("with_allocation", [False, True], ids=["max-slack", "sca"])
+def test_conventional_keeps_an_aborted_upper_bound(with_allocation, monkeypatch):
+    # an upper bound aborts before any allocation (a failed max-slack GP) or
+    # in its SCA loop, keeping its best iterate (a non-positive surrogate
+    # exponent); conventional re-scores that verdict, not an infeasibility
+    model = desk_model()
+    upper = benchmark_upper_bound(model, DESK, "mrc")
+    assert upper.feasible
+    upper = (dataclasses.replace(upper, status="aborted", message="device 0: surrogate exponent")
+             if with_allocation else optimizer._no_allocation("aborted", "max-slack GP failed"))
+    monkeypatch.setattr(optimizer, "benchmark_upper_bound", lambda model, cfg, decoder: upper)
+    conventional = optimizer.compare(model, DESK, "mrc")["conventional"]
+    assert (conventional.status, conventional.message) == ("aborted", upper.message)
+    assert (conventional.allocation, conventional.weighted_sum_rate) == (None, 0.0)
+
+
 # --------------------------------------------------------------------------
 # the SINR term tables against the generic node trees
 # --------------------------------------------------------------------------
