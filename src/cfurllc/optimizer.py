@@ -385,10 +385,9 @@ def benchmark_conventional(model: LargeScaleModel, cfg: SystemConfig, decoder: s
     its requirement. An aborted `upper` keeps its status and message.
     """
     if not upper.feasible:
-        aborted = upper.status == "aborted"
-        return replace(upper, status="aborted" if aborted else "infeasible", allocation=None,
-                       sinr=None, rates=None, weighted_sum_rate=0.0,
-                       message=upper.message if aborted else "penalty-free stage infeasible")
+        if upper.status != "aborted":
+            upper = replace(upper, status="infeasible", message="penalty-free stage infeasible")
+        return replace(upper, allocation=None, sinr=None, rates=None, weighted_sum_rate=0.0)
     chi = upper.sinr                        # only the rates carry the dispersion penalty
     rates = fbl.lb_rate(chi, fbl.FblParams.from_config(cfg), np.arange(model.num_devices))
     missed = bool(np.any(rates < cfg.rate_req_bps * (1.0 - 1e-9)))

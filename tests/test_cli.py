@@ -96,9 +96,9 @@ def test_pool_workers_run_one_blas_thread_unless_the_caller_set_one(monkeypatch)
     assert cli._pool_map(_blas_env, [0, 1], 2) == [dict.fromkeys(cli.BLAS_THREAD_VARS, "1")] * 2
     assert _blas_env(0) == dict.fromkeys(cli.BLAS_THREAD_VARS)      # the caller's is restored
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert cli._pool_map(_blas_env, [0], 2) == [dict(_blas_env(0))]
-    assert _blas_env(0) == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3",
-                            "MKL_NUM_THREADS": None}
+    caller = _blas_env(0)
+    assert caller == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+    assert cli._pool_map(_blas_env, [0, 1], 2) == [caller] * 2
 
 
 def test_scheme_rates_are_parallel_safe(tmp_path):
